@@ -263,18 +263,20 @@ def qkv_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor, mask=None,
                   return_weights: bool = False):
     """Softmax(Q K^T / sqrt(d_h) + mask) V.
 
-    The scale defaults to the square root of the key width actually
-    passed in, so per-head calls are scaled by their own head width.
-    Every output row is a convex combination of value rows.
+    Q, K and V are (..., n, d) with matching leading (batch) axes; the
+    mask applies to every leading index alike. The scale defaults to the
+    square root of the key width actually passed in, so per-head calls
+    are scaled by their own head width. Every output row is a convex
+    combination of value rows.
     """
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise T.ShapeError("qkv_attention expects 2-d Q, K, V")
-    if q.shape[1] != k.shape[1]:
+    if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
+        raise T.ShapeError("qkv_attention expects Q, K, V with at least 2 axes")
+    if q.shape[-1] != k.shape[-1]:
         raise T.ShapeError("query/key widths differ")
-    if k.shape[0] != v.shape[0]:
+    if k.shape[-2] != v.shape[-2]:
         raise T.ShapeError("key/value row counts differ")
-    n_q, d_h = q.shape
-    n_k, d_v = k.shape[0], v.shape[1]
+    n_q, d_h = q.shape[-2:]
+    n_k, d_v = k.shape[-2], v.shape[-1]
     if scale is None:
         scale = float(np.sqrt(d_h))
     additive, mult, mixture = _mask_parts(mask, n_q, n_k)
@@ -292,8 +294,9 @@ def qkv_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor, mask=None,
         weights = score_branch * (1.0 - beta) + prior_branch * beta
     out = T.matmul(weights, v)
     if counter is not None:
-        counter.add(n_q * n_k * d_h)  # logits
-        counter.add(n_q * n_k * d_v)  # weighted sum
+        n_seq = int(np.prod(out.shape[:-2]))
+        counter.add(n_seq * n_q * n_k * d_h)  # logits
+        counter.add(n_seq * n_q * n_k * d_v)  # weighted sum
     if return_weights:
         return out, weights
     return out
@@ -309,6 +312,8 @@ def sparse_field_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor,
     """
     if spec.field is None:
         raise ValueError("sparse_field_attention needs a field mask")
+    if q.ndim != 2:
+        raise T.ShapeError("sparse_field_attention takes one (n, d) sequence")
     qv = q.values
     kv = k.values
     vv = v.values
@@ -421,7 +426,7 @@ def _heads_forward(h_q_src: T.Tensor, h_kv_src: T.Tensor, params: AttentionParam
                                      return_weights=True)
         outs.append(out_h)
         weights_out.append(w)
-    merged = T.matmul(T.concat(outs, axis=1), params.w_out)
+    merged = T.matmul(T.concat(outs, axis=-1), params.w_out)
     if return_weights:
         return merged, weights_out
     return merged
@@ -448,7 +453,7 @@ def multi_query_attention(h: T.Tensor, params: AttentionParams, mask=None,
 def cross_attention(h_enc: T.Tensor, s_self: T.Tensor, params: AttentionParams,
                     counter=None, return_weights=False):
     """Queries from the decoder side, keys/values from the encoder; no mask."""
-    if h_enc.shape[0] == 0:
+    if h_enc.shape[-2] == 0:
         raise EmptySourceError("cross attention against an empty source")
     return _heads_forward(s_self, h_enc, params, mask=None, counter=counter,
                           return_weights=return_weights)
@@ -460,9 +465,10 @@ def rpr_attention(h: T.Tensor, params: AttentionParams, rpr: RprTable,
 
     Per head: alpha_ij = Softmax((h^q_i + PE^q(i,j))(h^k_j + PE^k(i,j))^T
     / sqrt(d_h)), output row i = sum_j alpha_ij (h^v_j + PE^v(i,j)).
-    Disabled roles simply omit their term.
+    Disabled roles simply omit their term. h is (..., m, d); leading axes
+    are independent sequences sharing the offset tables.
     """
-    m = h.shape[0]
+    lead, m = h.shape[:-2], h.shape[-2]
     d_h = params.d_head
     for role in ("q", "k", "v"):
         t = rpr.tables.get(role)
@@ -483,22 +489,22 @@ def rpr_attention(h: T.Tensor, params: AttentionParams, rpr: RprTable,
         hq = T.matmul(h, params.wq[head])
         hk = T.matmul(h, params.key_proj(head))
         hv = T.matmul(h, params.value_proj(head))
-        q_exp = T.reshape(hq, (m, 1, d_h))
+        q_exp = T.reshape(hq, lead + (m, 1, d_h))
         if pe_q is not None:
             q_exp = q_exp + pe_q
-        k_exp = T.reshape(hk, (1, m, d_h))
+        k_exp = T.reshape(hk, lead + (1, m, d_h))
         if pe_k is not None:
             k_exp = k_exp + pe_k
-        logits = T.reduce_sum(q_exp * k_exp, axis=2) * (1.0 / float(np.sqrt(d_h)))
+        logits = T.reduce_sum(q_exp * k_exp, axis=-1) * (1.0 / float(np.sqrt(d_h)))
         if mult is not None:
             logits = logits * mult
         alpha = T.softmax_rows(logits, additive)
-        v_exp = T.reshape(hv, (1, m, d_h))
+        v_exp = T.reshape(hv, lead + (1, m, d_h))
         if pe_v is not None:
             v_exp = v_exp + pe_v
-        ctx = T.reduce_sum(T.reshape(alpha, (m, m, 1)) * v_exp, axis=1)
+        ctx = T.reduce_sum(T.reshape(alpha, lead + (m, m, 1)) * v_exp, axis=-2)
         outs.append(ctx)
-    return T.matmul(T.concat(outs, axis=1), params.w_out)
+    return T.matmul(T.concat(outs, axis=-1), params.w_out)
 
 
 # ---------------------------------------------------------------------------
@@ -604,5 +610,5 @@ def attend_step_cached(x_row: T.Tensor, cache: KVCache, params: AttentionParams,
             k_full, v_full = new_ks[s], new_vs[s]
         outs.append(qkv_attention(q, k_full, v_full, additive))
     cache.append(layer, new_ks, new_vs)
-    merged = T.matmul(T.concat(outs, axis=1), params.w_out)
+    merged = T.matmul(T.concat(outs, axis=-1), params.w_out)
     return merged, cache

@@ -368,13 +368,12 @@ class MoEFFN:
 
 
 def top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
-    """Boolean selection matrix; ties at the k-th slot go to the lower index."""
-    m, n = scores.shape
-    sel = np.zeros((m, n), dtype=bool)
-    for i in range(m):
-        # stable sort on the negated row: equal scores keep index order
-        order = np.argsort(-scores[i], kind="stable")
-        sel[i, order[:k]] = True
+    """Boolean selection over the last axis; ties at the k-th slot go to
+    the lower index."""
+    # stable sort on the negated rows: equal scores keep index order
+    order = np.argsort(-scores, axis=-1, kind="stable")[..., :k]
+    sel = np.zeros(scores.shape, dtype=bool)
+    np.put_along_axis(sel, order, True, axis=-1)
     return sel
 
 
@@ -389,12 +388,12 @@ def moe_ffn(h: T.Tensor, moe: MoEFFN) -> T.Tensor:
     else:
         gates = probs * T.Tensor(sel.astype(probs.dtype))
         if moe.mode == "renorm":
-            gates = gates / T.reduce_sum(gates, axis=1, keepdims=True)
+            gates = gates / T.reduce_sum(gates, axis=-1, keepdims=True)
     out = None
     for j, expert in enumerate(moe.experts):
-        if not sel[:, j].any():
+        if not sel[..., j].any():
             continue
-        contrib = ffn(h, expert) * T.take(gates, (slice(None), slice(j, j + 1)))
+        contrib = ffn(h, expert) * T.take(gates, (Ellipsis, slice(j, j + 1)))
         out = contrib if out is None else out + contrib
     return out
 

@@ -18,8 +18,8 @@ from . import oracles as O
 from . import runtime as R
 from . import train as TR
 from .config import Config
-from .embedding import Vocab
-from .model import Model, ModelConfig
+from .embedding import CLS, Vocab
+from .model import POOL_MODES, Model, ModelConfig
 
 
 def _read_text(path: str) -> str:
@@ -107,7 +107,10 @@ def cmd_generate(args) -> int:
 
 def cmd_encode(args) -> int:
     model = R.load_checkpoint(args.ckpt)
-    vec = model.represent(model.vocab.encode(args.text), args.pool)
+    ids = model.vocab.encode(args.text)
+    if args.pool == "cls":
+        ids = [CLS] + ids                    # cls pooling reads this row
+    vec = model.represent(ids, args.pool)
     header = ",".join(f"dim_{i}" for i in range(vec.size))
     row = ",".join(f"{x:.8g}" for x in vec)
     _write_text(args.out, f"{header}\n{row}\n")
@@ -190,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="pool a text into one vector")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--text", required=True)
-    p.add_argument("--pool", default="mean", choices=("mean", "max", "cls"))
+    p.add_argument("--pool", default="mean", choices=POOL_MODES)
     p.add_argument("--out", help="CSV path (default stdout)")
     p.set_defaults(func=cmd_encode)
 

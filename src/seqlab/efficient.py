@@ -73,34 +73,38 @@ def kernelized_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor,
     The causal variant never masks the factored product (that is not
     possible after reassociation); it uses per-position prefix
     accumulators instead, which is the streaming recurrence in batch form.
+    q, k and v are (..., n, d); leading axes are independent sequences.
     """
     phi = phi or FeatureMap()
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise T.ShapeError("kernelized attention expects 2-d q, k, v")
-    if q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]:
+    if q.ndim < 2 or q.ndim != k.ndim or k.ndim != v.ndim:
+        raise T.ShapeError("kernelized attention expects q, k, v of one rank >= 2")
+    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
         raise T.ShapeError(
             f"inconsistent shapes {q.shape}, {k.shape}, {v.shape}")
-    n, d_p = q.shape[0], q.shape[1]
-    d_v = v.shape[1]
+    lead = q.shape[:-2]
+    n, d_p = q.shape[-2:]
+    d_v = v.shape[-1]
+    n_seq = int(np.prod(lead))
     qp = phi(q)
     kp = phi(k)
     if causal:
-        if k.shape[0] != n:
+        if k.shape[-2] != n:
             raise T.ShapeError("causal kernel attention needs square q/k")
-        outer = T.reshape(kp, n, d_p, 1) * T.reshape(v, n, 1, d_v)
-        mu = T.cumsum(outer, axis=0)                       # prefix k'^T v
-        nu = T.cumsum(kp, axis=0)                          # prefix k'^T
-        numer = T.reduce_sum(T.reshape(qp, n, d_p, 1) * mu, axis=1)
-        den = T.reduce_sum(qp * nu, axis=1, keepdims=True)
+        outer = T.reshape(kp, lead + (n, d_p, 1)) * T.reshape(v, lead + (n, 1, d_v))
+        mu = T.cumsum(outer, axis=-3)                      # prefix k'^T v
+        nu = T.cumsum(kp, axis=-2)                         # prefix k'^T
+        numer = T.reduce_sum(T.reshape(qp, lead + (n, d_p, 1)) * mu, axis=-2)
+        den = T.reduce_sum(qp * nu, axis=-1, keepdims=True)
         if counter is not None:
-            counter.add(n * d_p * d_v * 2 + n * d_p)
+            counter.add(n_seq * (n * d_p * d_v * 2 + n * d_p))
     else:
         kv = T.matmul(T.transpose(kp), v)                  # d' x d_v once
         numer = T.matmul(qp, kv)
-        ksum = T.reduce_sum(kp, axis=0, keepdims=True)
+        ksum = T.reduce_sum(kp, axis=-2, keepdims=True)
         den = T.matmul(qp, T.transpose(ksum))
         if counter is not None:
-            counter.add(k.shape[0] * d_p * d_v + n * d_p * d_v + n * d_p)
+            counter.add(n_seq * (k.shape[-2] * d_p * d_v + n * d_p * d_v
+                                 + n * d_p))
     _check_denominator(den.values)
     return numer / den
 
@@ -230,7 +234,7 @@ def reduce_width(q: T.Tensor, k: T.Tensor,
         raise ValueError("width reduction needs u_q and u_kd")
     if proj.u_q.shape[0] < proj.u_q.shape[1]:
         raise T.ShapeError("width reduction must not grow d")
-    if proj.u_q.shape[0] != q.shape[1] or proj.u_kd.shape[0] != k.shape[1]:
+    if proj.u_q.shape[0] != q.shape[-1] or proj.u_kd.shape[0] != k.shape[-1]:
         raise T.ShapeError("projection width does not match model width")
     return T.matmul(q, proj.u_q), T.matmul(k, proj.u_kd)
 
@@ -245,9 +249,9 @@ def lowrank_width_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor,
     scale_by_reduced switches to sqrt(d') for the reduced space.
     """
     from .attention import qkv_attention
-    d = q.shape[1]
+    d = q.shape[-1]
     q_r, k_r = reduce_width(q, k, proj)
-    scale = float(np.sqrt(q_r.shape[1] if scale_by_reduced else d))
+    scale = float(np.sqrt(q_r.shape[-1] if scale_by_reduced else d))
     return qkv_attention(q_r, k_r, v, mask, scale=scale, counter=counter)
 
 

@@ -450,10 +450,14 @@ class Model:
 
     # -- shared forward machinery ---------------------------------------------
 
-    def _check_tokens(self, tokens) -> np.ndarray:
+    def _check_tokens(self, tokens, batched: bool = False) -> np.ndarray:
+        """Validated int64 ids: one sequence, or with ``batched`` also a
+        (b, m) matrix of equal-length rows."""
         ids = np.asarray(list(tokens), dtype=np.int64)
-        if ids.ndim != 1 or ids.size == 0:
-            raise ContractError("token input must be a nonempty id sequence")
+        if ids.ndim not in ((1, 2) if batched else (1,)) or ids.size == 0:
+            raise ContractError(
+                "token input must be a nonempty id sequence"
+                + (" or (b, m) id matrix" if batched else ""))
         if ids.min() < 0 or ids.max() >= len(self.vocab):
             raise VocabError("token id out of range for this vocabulary")
         return ids
@@ -462,7 +466,7 @@ class Model:
         h = T.gather_rows(self.embed.weights, ids)
         if self.cfg.scale_embedding:
             h = h * float(np.sqrt(self.cfg.d))
-        pos = self.pe.table(start_pos + ids.size)[start_pos:]
+        pos = self.pe.table(start_pos + ids.shape[-1])[start_pos:]
         return h + T.Tensor(pos.astype(self.dtype))
 
     def _mask_for(self, m: int, causal: bool, pad: Optional[np.ndarray]):
@@ -505,13 +509,13 @@ class Model:
                     q = T.matmul(z, layer.att.wq[hh])
                     k = T.matmul(z, layer.att.wk[hh])
                     v = T.matmul(z, layer.att.wv[hh])
-                    if m_real is not None and m_real < z.shape[0]:
-                        k = T.take(k, slice(0, m_real))
-                        v = T.take(v, slice(0, m_real))
+                    if m_real is not None and m_real < z.shape[-2]:
+                        k = T.take(k, _first_rows(m_real))
+                        v = T.take(v, _first_rows(m_real))
                     outs.append(EF.kernelized_attention(q, k, v, phi,
                                                         causal=causal,
                                                         counter=counter))
-                return T.matmul(T.concat(outs, axis=1), layer.att.w_out)
+                return T.matmul(T.concat(outs, axis=-1), layer.att.w_out)
             if cfg.attention == "lowrank-d":
                 outs = []
                 for hh in range(cfg.tau):
@@ -520,9 +524,9 @@ class Model:
                     v = T.matmul(z, layer.att.value_proj(hh))
                     outs.append(EF.lowrank_width_attention(q, k, v, layer.lowrank,
                                                            mask, counter=counter))
-                return T.matmul(T.concat(outs, axis=1), layer.att.w_out)
+                return T.matmul(T.concat(outs, axis=-1), layer.att.w_out)
             if cfg.attention == "lowrank-n":
-                m = z.shape[0]
+                m = z.shape[-2]
                 mr = m if m_real is None else m_real
                 if mr > cfg.max_length:
                     raise ContractError(
@@ -541,11 +545,11 @@ class Model:
                     k = T.matmul(z, layer.att.wk[hh])
                     v = T.matmul(z, layer.att.wv[hh])
                     if mr < m:
-                        k = T.take(k, slice(0, mr))
-                        v = T.take(v, slice(0, mr))
+                        k = T.take(k, _first_rows(mr))
+                        v = T.take(v, _first_rows(mr))
                     outs.append(EF.lowrank_length_attention(q, k, v, proj,
                                                             counter=counter))
-                return T.matmul(T.concat(outs, axis=1), layer.att.w_out)
+                return T.matmul(T.concat(outs, axis=-1), layer.att.w_out)
             # dense family
             if cfg.attention == "window" and counter is not None:
                 # counting path: gather only retained pairs (inference math,
@@ -555,7 +559,7 @@ class Model:
                     T.matmul(z, layer.att.key_proj(hh)),
                     T.matmul(z, layer.att.value_proj(hh)), mask, counter)
                     for hh in range(cfg.tau)]
-                return T.matmul(T.concat(outs, axis=1), layer.att.w_out)
+                return T.matmul(T.concat(outs, axis=-1), layer.att.w_out)
             if cfg.rpr:
                 return A.rpr_attention(z, layer.att, self.rpr_table, mask)
             if cfg.multi_query:
@@ -583,8 +587,8 @@ class Model:
         att = layer.att
 
         def core(z: T.Tensor) -> T.Tensor:
-            m = z.shape[0]
-            n_prev = 0 if kv_prev is None else kv_prev[0][0].shape[0]
+            m = z.shape[-2]
+            n_prev = 0 if kv_prev is None else kv_prev[0][0].shape[-2]
             additive = np.zeros((m, n_prev + m))
             additive[:, n_prev:][np.triu(np.ones((m, m), dtype=bool), 1)] = A.NEG_INF
             outs = []
@@ -597,12 +601,12 @@ class Model:
                     collected[0].append(k.values.copy())
                     collected[1].append(v.values.copy())
                 if n_prev:
-                    k = T.concat([T.Tensor(kv_prev[0][hh]), k], axis=0)
-                    v = T.concat([T.Tensor(kv_prev[1][hh]), v], axis=0)
+                    k = T.concat([T.Tensor(kv_prev[0][hh]), k], axis=-2)
+                    v = T.concat([T.Tensor(kv_prev[1][hh]), v], axis=-2)
                 outs.append(A.qkv_attention(q, k, v, additive))
             if kv_sink is not None:
                 kv_sink.append(collected)
-            return T.matmul(T.concat(outs, axis=1), att.w_out)
+            return T.matmul(T.concat(outs, axis=-1), att.w_out)
 
         return core
 
@@ -633,7 +637,7 @@ class Model:
                    training: bool = False, rng: Optional[T.Rng] = None,
                    counter=None, kv_prefix=None, kv_out=None) -> T.Tensor:
         cfg = self.cfg
-        m = h.shape[0]
+        m = h.shape[-2]
         if pad is not None and not pad.any():
             pad = None
         mask = self._mask_for(m, causal, pad)
@@ -685,7 +689,11 @@ class Model:
                         training: bool = False, rng: Optional[T.Rng] = None,
                         counter=None, start_pos: int = 0,
                         kv_prefix=None, kv_out=None) -> T.Tensor:
-        """Next-token logits at every position of a (shifted) input, (m, |V|)."""
+        """Next-token logits at every position of a (shifted) input.
+
+        ``tokens`` is one id sequence, giving (m, |V|) logits, or a (b, m)
+        id matrix of independent rows, giving (b, m, |V|) in one pass.
+        """
         if not self.dec_layers:
             raise ContractError("this architecture has no decoder")
         if self.cfg.architecture == "encoder-decoder" and enc_out is None:
@@ -694,7 +702,7 @@ class Model:
             raise ContractError("a decoder-only model takes no encoder output")
         if kv_prefix is not None or kv_out is not None:
             self._check_chunkable()
-        ids = self._check_tokens(tokens)
+        ids = self._check_tokens(tokens, batched=True)
         h = self._embed_at(ids, start_pos)
         h = self._run_stack(h, self.dec_layers, causal=True, enc_out=enc_out,
                             training=training, rng=rng, counter=counter,
@@ -857,6 +865,11 @@ class Model:
         """Metric between the pooled representations of two sequences."""
         return similarity(self.represent(a_tokens, mode),
                           self.represent(b_tokens, mode), metric)
+
+
+def _first_rows(n: int):
+    """Index key keeping the first n rows of a (..., m, d) tensor."""
+    return (Ellipsis, slice(0, n), slice(None))
 
 
 def _row_softmax(logits_row: np.ndarray) -> np.ndarray:

@@ -9,6 +9,8 @@ matmuls while everything else stays in floats.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -191,8 +193,24 @@ def _checkpoint_bytes(model: Model) -> bytes:
 
 
 def save_checkpoint(model: Model, path: str) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_checkpoint_bytes(model))
+    """Write a checkpoint atomically.
+
+    The bytes go to a temporary file beside ``path``, are flushed and
+    fsynced, and only then renamed over ``path``; a write that fails
+    partway leaves any previous checkpoint there intact.
+    """
+    blob = _checkpoint_bytes(model)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path: str) -> Model:

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import tensor as T
 
@@ -113,6 +112,9 @@ def discretize(ssm: ContinuousSSM, method: str,
         a_bar = (eye + 0.5 * dt * a) @ minus
         b_bar = dt * b @ minus
     else:
+        # imported here: scipy.linalg takes longer to import than the rest
+        # of the package together, and only zero-order hold needs it
+        from scipy.linalg import expm
         x = dt * a
         a_bar = expm(x)
         if np.linalg.norm(x) < _SERIES_NORM:
@@ -262,21 +264,23 @@ def init_ssm_sublayer(d_state: int, dt: float, method: str, init: str,
 
 
 def ssm_sublayer_scan(h: T.Tensor, dssm: DiscreteSSM) -> T.Tensor:
-    """Run the shared SISO system down every feature column of h (m x d).
+    """Run the shared SISO system down every feature column of h (..., m, d).
 
-    Columns are batched into one recurrence: the state block Z is d x d_z
-    and each step costs one d_z x d_z product regardless of d.
+    Columns (and leading batch axes) are batched into one recurrence: the
+    state block Z is (..., d, d_z) and each step costs one d_z x d_z
+    product per column regardless of d.
     """
     if dssm.d_in != 1:
         raise T.ShapeError("per-column wiring requires a SISO system")
-    if h.ndim != 2:
+    if h.ndim < 2:
         raise T.ShapeError("expected an m x d block")
-    m, d = h.shape
-    z = T.zeros((d, dssm.d_state), dtype=h.dtype)
+    lead, (m, d) = h.shape[:-2], h.shape[-2:]
+    z = T.zeros(lead + (d, dssm.d_state), dtype=h.dtype)
     rows = []
     for t in range(m):
-        s_col = T.reshape(T.take(h, t), d, 1)
+        s_col = T.reshape(T.take(h, (Ellipsis, slice(t, t + 1), slice(None))),
+                          lead + (d, 1))
         z = T.matmul(z, dssm.a_bar) + T.matmul(s_col, dssm.b_bar)
         o_col = T.matmul(z, dssm.c_bar) + T.matmul(s_col, dssm.d_bar)
         rows.append(T.transpose(o_col))
-    return T.concat(rows, axis=0)
+    return T.concat(rows, axis=-2)

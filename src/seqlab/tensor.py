@@ -227,6 +227,16 @@ class Tape:
     def __len__(self):
         return len(self.records)
 
+    def release(self) -> None:
+        """Drop the records once their gradients have been used.
+
+        Records hold their outputs and the outputs hold the tape, so a
+        finished tape is a reference cycle that keeps every forward array
+        alive until the cycle collector runs. Dropping the records breaks
+        the cycle; tensors made on the tape stay readable.
+        """
+        self.records.clear()
+
 
 _TAPE_STACK: list[Tape] = []
 
@@ -556,7 +566,12 @@ def matmul_routing(fn):
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product; stacked (batched) operands follow numpy semantics."""
+    """Matrix product; stacked (batched) operands follow numpy semantics.
+
+    A stacked left operand times a 2-d right operand (activations times a
+    weight) folds the leading axes into rows: one GEMM forward, and one
+    GEMM for each gradient.
+    """
     a, b = _coerce_pair(a, b)
     av, bv = a.values, b.values
     if av.ndim < 2 or bv.ndim < 2:
@@ -567,6 +582,16 @@ def matmul(a, b) -> Tensor:
         routed = _matmul_route(a, b)
         if routed is not None:
             return routed
+    if av.ndim > 2 and bv.ndim == 2:
+        rows = av.reshape(-1, av.shape[-1])
+        out = Tensor(np.matmul(rows, bv).reshape(av.shape[:-1] + bv.shape[-1:]))
+
+        def grad_fn(g):
+            g_rows = g.reshape(-1, g.shape[-1])
+            ga = np.matmul(g_rows, bv.T).reshape(av.shape)
+            return ga, np.matmul(rows.T, g_rows)
+
+        return _emit(out, (a, b), grad_fn)
     out = Tensor(np.matmul(av, bv))
 
     def grad_fn(g):

@@ -1,7 +1,7 @@
 """Training: cross-entropy, Adam, warmup schedule, batching, chunked updates.
 
-The loop is deliberately small: batches are lists of padded id rows, every
-forward pass goes through Model.decoder_forward, and one Adam step follows
+The loop is deliberately small: a batch is a padded (b, m) id matrix that
+goes through Model.decoder_forward in one pass, and one Adam step follows
 one backward pass. Chunk-wise training feeds each row to the model in
 slices, handing the previous slice's detached key/value arrays to the next
 one, so history is visible to attention but carries no gradient.
@@ -233,22 +233,19 @@ def clip_gradients(params: Sequence[T.Tensor], grads,
 
 def _batch_loss(model: Model, batch: Batch,
                 tally: WarningTally) -> Tuple[T.Tensor, int]:
-    """Mean NLL over every non-PAD target in the batch."""
-    total = batch.n_tokens
-    loss = None
-    for r in range(batch.inputs.shape[0]):
-        row_keep = ~batch.pad[r]
-        n_row = int(row_keep.sum())
-        if n_row == 0:
-            continue
-        logits = model.decoder_forward(batch.inputs[r])
-        probs = T.softmax_rows(logits)
-        part = cross_entropy(probs, batch.targets[r], batch.pad[r], tally)
-        part = part * (n_row / total)
-        loss = part if loss is None else loss + part
-    if loss is None:
+    """Mean NLL over every non-PAD target in the batch.
+
+    One causal forward over the whole (b, m) id matrix: PAD inputs sit
+    after each row's EOS, so no real position attends to them, and their
+    targets are masked out of the loss.
+    """
+    if batch.n_tokens == 0:
         raise ValueError("batch contains no scorable targets")
-    return loss, total
+    logits = model.decoder_forward(batch.inputs)
+    rows = T.reshape(logits, (-1, logits.shape[-1]))
+    loss = cross_entropy(T.softmax_rows(rows), batch.targets.reshape(-1),
+                         batch.pad.reshape(-1), tally)
+    return loss, batch.n_tokens
 
 
 def _apply_update(model: Model, loss: T.Tensor, lr: float,
@@ -262,13 +259,24 @@ def _apply_update(model: Model, loss: T.Tensor, lr: float,
         adam_step(params, grads, state, lr)
 
 
+METRIC_FIELDS = ("step", "lr", "loss", "tokens_per_s", "clamped")
+
+
+def _metrics_row(step: int, lr: float, loss: T.Tensor, n_tok: int, t0: float,
+                 tally: WarningTally) -> dict:
+    dt = max(time.perf_counter() - t0, 1e-9)
+    row = (step, lr, float(loss.values), n_tok / dt, tally.clamped)
+    return dict(zip(METRIC_FIELDS, row))
+
+
 def train_lm(model: Model, segments: Sequence[Sequence[int]], cfg: TrainConfig,
              on_step: Optional[Callable[[dict], None]] = None) -> List[dict]:
     """Autoregressive training over id segments; returns per-step metrics.
 
     Deterministic for a fixed seed: the segment order, batch packing and
     every update depend only on the rng stream. Metric rows carry step,
-    lr, loss and tokens/s.
+    lr, loss, tokens/s and the running count of clamped target
+    probabilities (METRIC_FIELDS).
     """
     if not segments:
         raise ValueError("no training segments")
@@ -285,12 +293,11 @@ def train_lm(model: Model, segments: Sequence[Sequence[int]], cfg: TrainConfig,
         step += 1
         lr = lr_schedule(step, cfg)
         t0 = time.perf_counter()
-        with T.Tape():
+        with T.Tape() as tape:
             loss, n_tok = _batch_loss(model, batch, tally)
             _apply_update(model, loss, lr, cfg, state)
-        dt = max(time.perf_counter() - t0, 1e-9)
-        row = {"step": step, "lr": lr, "loss": float(loss.values),
-               "tokens_per_s": n_tok / dt, "clamped": tally.clamped}
+        tape.release()
+        row = _metrics_row(step, lr, loss, n_tok, t0, tally)
         metrics.append(row)
         if on_step is not None:
             on_step(row)
@@ -362,7 +369,7 @@ def train_chunked(model: Model, segments: Sequence[Sequence[int]],
             step += 1
             lr = lr_schedule(step, cfg)
             t0 = time.perf_counter()
-            with T.Tape():
+            with T.Tape() as tape:
                 loss = None
                 kv_next: List[Optional[list]] = [None] * batch.inputs.shape[0]
                 for r in range(batch.inputs.shape[0]):
@@ -380,10 +387,9 @@ def train_chunked(model: Model, segments: Sequence[Sequence[int]],
                     part = part * (n_row / n_tok)
                     loss = part if loss is None else loss + part
                 _apply_update(model, loss, lr, cfg, state)
+            tape.release()
             kv_prev = kv_next
-            dt = max(time.perf_counter() - t0, 1e-9)
-            row = {"step": step, "lr": lr, "loss": float(loss.values),
-                   "tokens_per_s": n_tok / dt, "clamped": tally.clamped}
+            row = _metrics_row(step, lr, loss, n_tok, t0, tally)
             metrics.append(row)
             if on_step is not None:
                 on_step(row)
@@ -391,8 +397,9 @@ def train_chunked(model: Model, segments: Sequence[Sequence[int]],
 
 
 def metrics_to_csv(metrics: Sequence[dict]) -> str:
-    lines = ["step,lr,loss,tokens_per_s"]
+    """Every collected field, one row per step, under a header row."""
+    lines = [",".join(METRIC_FIELDS)]
     for row in metrics:
-        lines.append(f"{row['step']},{row['lr']:.8g},{row['loss']:.8g},"
-                     f"{row['tokens_per_s']:.8g}")
+        lines.append(",".join(f"{row[k]:.8g}" if isinstance(row[k], float)
+                              else str(row[k]) for k in METRIC_FIELDS))
     return "\n".join(lines) + "\n"

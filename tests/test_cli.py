@@ -1,12 +1,16 @@
 """End-to-end command-line behavior, driven through cli.main."""
 
+import contextlib
+import io
+import re
+
 import numpy as np
 import pytest
 
 import seqlab.cli as C
 import seqlab.model as M
 import seqlab.runtime as R
-from seqlab.embedding import Vocab
+from seqlab.embedding import CLS, Vocab
 
 CORPUS = "the cat sat on the mat and a rat ran at the hat. " * 50
 
@@ -36,7 +40,7 @@ def test_train_writes_a_loadable_checkpoint(workdir):
 
 def test_train_metrics_csv_has_header_and_rows(workdir):
     lines = workdir["metrics"].read_text().strip().split("\n")
-    assert lines[0] == "step,lr,loss,tokens_per_s"
+    assert lines[0] == "step,lr,loss,tokens_per_s,clamped"
     assert len(lines) == 21
     assert lines[1].startswith("1,")
 
@@ -120,6 +124,35 @@ def test_encode_emits_a_vector_csv(tmp_path, capsys):
     vec = np.array([float(x) for x in lines[1].split(",")])
     np.testing.assert_allclose(
         vec, model.represent(vocab.encode("abca"), "mean"), rtol=1e-5)
+
+
+def _advertised_pool_modes():
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        C.main(["encode", "--help"])
+    return re.search(r"--pool \{([^}]*)\}", text.getvalue()).group(1).split(",")
+
+
+def test_encode_pool_choices_are_the_model_pooling_modes():
+    assert tuple(_advertised_pool_modes()) == M.POOL_MODES
+
+
+@pytest.mark.parametrize("mode", _advertised_pool_modes())
+def test_every_advertised_pool_choice_encodes(tmp_path, capsys, mode):
+    vocab = Vocab.from_text("abcd")
+    model = M.Model.init(M.ModelConfig(d=8, n_layers=1, tau=2, d_ffn=16,
+                                       architecture="encoder-only"),
+                         vocab, seed=0)
+    ckpt = tmp_path / "enc.ckpt"
+    R.save_checkpoint(model, str(ckpt))
+    assert C.main(["encode", "--ckpt", str(ckpt), "--text", "abca",
+                   "--pool", mode]) == 0
+    row = capsys.readouterr().out.strip().split("\n")[1]
+    ids = vocab.encode("abca")
+    if mode == "cls":
+        ids = [CLS] + ids
+    np.testing.assert_allclose([float(x) for x in row.split(",")],
+                               model.represent(ids, mode), rtol=1e-5)
 
 
 def test_encode_without_an_encoder_fails_cleanly(workdir, capsys):

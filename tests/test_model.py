@@ -168,6 +168,24 @@ def test_decoder_is_causal_bitwise(kw):
     assert np.array_equal(a[:3], b[:3])
 
 
+@pytest.mark.parametrize("kw", [dict(), dict(attention="window", window=2),
+                                dict(attention="linear"), dict(attention="ssm"),
+                                dict(rpr=True), dict(moe_experts=3)])
+def test_id_matrix_forward_stacks_the_row_forwards(kw):
+    m = build(**kw)
+    rows = np.array([toks("abcde"), toks("hgfed"), toks("aaaab")])
+    got = m.decoder_forward(rows).values
+    assert got.shape == (3, 5, len(VOCAB))
+    for r, ids in enumerate(rows):
+        assert np.max(np.abs(got[r] - m.decoder_forward(ids).values)) < 1e-12
+
+
+def test_encode_takes_one_sequence():
+    m = build(architecture="encoder-only")
+    with pytest.raises(M.ContractError):
+        m.encode(np.array([toks("ab"), toks("cd")]))
+
+
 def test_decoder_only_rejects_encoder_output():
     m = build()
     with pytest.raises(M.ContractError):

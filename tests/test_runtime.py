@@ -1,7 +1,9 @@
 """Decoding search, checkpoint format, and quantized inference."""
 
+import io
 import itertools
 import math
+import os
 import struct
 import zlib
 
@@ -247,6 +249,28 @@ def test_loaded_model_regenerates_presave_output(tmp_path):
     path = ckpt_path(tmp_path)
     R.save_checkpoint(model, path)
     assert R.greedy_generate(R.load_checkpoint(path), [4, 6], cfg) == before
+
+
+def test_checkpoint_write_failing_partway_keeps_the_previous_file(
+        tmp_path, monkeypatch):
+    old = build(seed=1, dtype=np.float32)
+    path = ckpt_path(tmp_path)
+    R.save_checkpoint(old, path)
+
+    class DiesHalfway(io.FileIO):
+        def write(self, data):
+            super().write(bytes(data[:len(data) // 2]))
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(R, "open", lambda p, mode="r": DiesHalfway(p, "w"),
+                        raising=False)
+    with pytest.raises(OSError):
+        R.save_checkpoint(build(seed=2, dtype=np.float32), path)
+    monkeypatch.undo()
+    restored = dict(R.load_checkpoint(path).named())
+    for name, tensor in old.named():
+        np.testing.assert_array_equal(tensor.values, restored[name].values)
+    assert os.listdir(tmp_path) == ["model.ckpt"]     # no temp file left
 
 
 def test_bad_magic_is_a_format_error(tmp_path):

@@ -40,6 +40,26 @@ def test_matmul_shape_mismatch():
         T.matmul(T.zeros((2, 3)), T.zeros((4, 2)))
 
 
+def test_stacked_times_weight_matches_per_slice_products():
+    """(b, m, k) @ (k, n) folds into one GEMM; values and gradients equal the
+    slice-by-slice products, the weight gradient summed over slices."""
+    rng = T.Rng(11)
+    a_np, w_np, g_np = rng.gaussian((3, 4, 5)), rng.gaussian((5, 2)), rng.gaussian((3, 4, 2))
+    a = T.Tensor(a_np, dtype=np.float64, trainable=True)
+    w = T.Tensor(w_np, dtype=np.float64, trainable=True)
+    with T.Tape():
+        out = T.matmul(a, w)
+        loss = (out * T.Tensor(g_np, dtype=np.float64)).sum()
+    grads = T.backward(loss)
+    assert out.shape == (3, 4, 2)
+    np.testing.assert_allclose(out.values, np.stack([x @ w_np for x in a_np]),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grads[a].values, g_np @ w_np.T, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grads[w].values,
+                               sum(x.T @ g for x, g in zip(a_np, g_np)),
+                               rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # softmax_rows
 # ---------------------------------------------------------------------------
@@ -158,6 +178,16 @@ def test_backward_without_tape_raises():
     y = x * 2.0  # no active tape
     with pytest.raises(T.TapeError):
         T.backward(y)
+
+
+def test_release_drops_records_and_keeps_outputs():
+    x = T.Tensor(np.array([1.0, 2.0]), trainable=True)
+    with T.Tape() as tape:
+        y = (x * x).sum()
+    assert T.backward(y)[x].values.tolist() == [2.0, 4.0]
+    tape.release()
+    assert len(tape) == 0
+    assert y.item() == 5.0
 
 
 def test_detach_blocks_gradient():
