@@ -16,7 +16,7 @@ prior softmax.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -307,31 +307,32 @@ def sparse_field_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor,
     """Field attention that only touches retained pairs.
 
     Row-by-row gather over pi_i; work (and the multiply-add counter) scale
-    with the number of retained pairs instead of n^2. Inference path: not
-    recorded on any tape.
+    with the number of retained pairs instead of n^2. Q, K and V are
+    (..., n, d) with broadcastable leading (head, batch) axes. Inference
+    path: not recorded on any tape.
     """
     if spec.field is None:
         raise ValueError("sparse_field_attention needs a field mask")
-    if q.ndim != 2:
-        raise T.ShapeError("sparse_field_attention takes one (n, d) sequence")
     qv = q.values
     kv = k.values
     vv = v.values
-    d_h = qv.shape[1]
-    d_v = vv.shape[1]
+    d_h = qv.shape[-1]
+    d_v = vv.shape[-1]
     inv = 1.0 / np.sqrt(d_h)
-    out = np.zeros((qv.shape[0], d_v), dtype=qv.dtype)
+    lead = np.broadcast_shapes(qv.shape[:-2], kv.shape[:-2], vv.shape[:-2])
+    n_seq = int(np.prod(lead))
+    out = np.zeros(lead + (qv.shape[-2], d_v), dtype=qv.dtype)
     for i, cols in enumerate(spec.field_sets()):
         if cols.size == 0:
             raise T.DegenerateRowError(f"field row {i} retains no positions")
-        logits = (kv[cols] @ qv[i]) * inv
-        logits -= logits.max()
+        logits = (kv[..., cols, :] @ qv[..., i, :, None])[..., 0] * inv
+        logits -= logits.max(axis=-1, keepdims=True)
         e = np.exp(logits)
-        w = e / e.sum()
-        out[i] = w @ vv[cols]
+        w = e / e.sum(axis=-1, keepdims=True)
+        out[..., i, :] = (w[..., None, :] @ vv[..., cols, :])[..., 0, :]
         if counter is not None:
-            counter.add(cols.size * d_h)
-            counter.add(cols.size * d_v)
+            counter.add(n_seq * cols.size * d_h)
+            counter.add(n_seq * cols.size * d_v)
     return T.Tensor(out)
 
 
@@ -340,61 +341,93 @@ def sparse_field_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor,
 # ---------------------------------------------------------------------------
 
 
-class AttentionParams:
-    """Head projections and the output merge for one attention block.
+def _swap_last_but_one(x: T.Tensor) -> T.Tensor:
+    axes = list(range(x.ndim))
+    axes[-3], axes[-2] = axes[-2], axes[-3]
+    return T.transpose(x, axes)
 
-    Per head h: W^q_h, W^k_h, W^v_h of shape (d, d/tau), then the merged
-    concat is transformed by W_c (d, d). In multi-query mode one shared
-    key/value projection replaces the per-head ones.
+
+def split_heads(x: T.Tensor, n: int) -> T.Tensor:
+    """(..., m, n*d_h) -> (..., n, m, d_h): head j is column block j."""
+    return _swap_last_but_one(T.reshape(x, x.shape[:-1] + (n, x.shape[-1] // n)))
+
+
+def merge_heads(x: T.Tensor) -> T.Tensor:
+    """(..., n, m, d_h) -> (..., m, n*d_h), the inverse of split_heads."""
+    x = _swap_last_but_one(x)
+    return T.reshape(x, x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
+
+
+class AttentionParams:
+    """Projections and the output merge for one attention block.
+
+    Heads are column blocks of one wide projection: W^q is (d, d) and head
+    j reads its columns j*d_h .. (j+1)*d_h, with d_h = d/tau. W^k and W^v
+    are (d, n_kv*d_h): n_kv = tau key/value heads, or in multi-query mode
+    one shared head that broadcasts over the tau query heads. W_c (d, d)
+    transforms the merged heads.
     """
 
-    def __init__(self, d: int, tau: int, wq: list, wk: list, wv: list,
-                 w_out: T.Tensor, multi_query: bool = False,
-                 reuse_map: bool = False):
+    def __init__(self, d: int, tau: int, wq: T.Tensor, wk: T.Tensor,
+                 wv: T.Tensor, w_out: T.Tensor, multi_query: bool = False):
         if d % tau != 0:
             raise ValueError("head count must divide d")
-        expect_kv = 1 if multi_query else tau
-        if len(wq) != tau or len(wk) != expect_kv or len(wv) != expect_kv:
-            raise ValueError("projection list lengths do not match head layout")
         self.d = d
         self.tau = tau
+        self.multi_query = multi_query
+        kv_shape = (d, self.n_kv * self.d_head)
+        if wq.shape != (d, d) or wk.shape != kv_shape or wv.shape != kv_shape:
+            raise ValueError("projection shapes do not match head layout")
         self.wq = wq
         self.wk = wk
         self.wv = wv
         self.w_out = w_out
-        self.multi_query = multi_query
-        self.reuse_map = reuse_map
 
     @property
     def d_head(self) -> int:
         return self.d // self.tau
 
+    @property
+    def n_kv(self) -> int:
+        """Key/value heads: one in multi-query mode, else one per query head."""
+        return 1 if self.multi_query else self.tau
+
     @classmethod
     def init(cls, d: int, tau: int, rng: T.Rng, gain: float = 1.0,
              multi_query: bool = False, dtype=np.float32) -> "AttentionParams":
-        if d % tau != 0:
-            raise ValueError("head count must divide d")
-        d_h = d // tau
-        wq = [T.xavier_init(d, d_h, gain=gain, rng=rng, dtype=dtype) for _ in range(tau)]
+        def fused(n_heads):
+            # one Xavier draw per (d, d/tau) head block, in head order
+            return T.Tensor(np.concatenate(
+                [T.xavier_init(d, d // tau, gain=gain, rng=rng, dtype=dtype).values
+                 for _ in range(n_heads)], axis=1), trainable=True)
+
         n_kv = 1 if multi_query else tau
-        wk = [T.xavier_init(d, d_h, gain=gain, rng=rng, dtype=dtype) for _ in range(n_kv)]
-        wv = [T.xavier_init(d, d_h, gain=gain, rng=rng, dtype=dtype) for _ in range(n_kv)]
+        wq, wk, wv = fused(tau), fused(n_kv), fused(n_kv)
         w_out = T.xavier_init(d, d, gain=gain, rng=rng, dtype=dtype)
         return cls(d, tau, wq, wk, wv, w_out, multi_query=multi_query)
 
-    def key_proj(self, h: int) -> T.Tensor:
-        return self.wk[0] if self.multi_query else self.wk[h]
+    def project(self, x_q: T.Tensor, x_kv: T.Tensor):
+        """Fused Q (..., m_q, d) and K, V (..., m_kv, n_kv*d_h)."""
+        return (T.matmul(x_q, self.wq), T.matmul(x_kv, self.wk),
+                T.matmul(x_kv, self.wv))
 
-    def value_proj(self, h: int) -> T.Tensor:
-        return self.wv[0] if self.multi_query else self.wv[h]
+    def split(self, q: T.Tensor, k: T.Tensor, v: T.Tensor):
+        """Fused projections cut into heads: (..., tau | n_kv, m, d_h)."""
+        return (split_heads(q, self.tau), split_heads(k, self.n_kv),
+                split_heads(v, self.n_kv))
+
+    def heads(self, x_q: T.Tensor, x_kv: Optional[T.Tensor] = None):
+        """Head-split Q, K, V of x_q attending over x_kv (default x_q)."""
+        return self.split(*self.project(x_q, x_q if x_kv is None else x_kv))
+
+    def merge(self, heads: T.Tensor) -> T.Tensor:
+        """Concatenate per-head outputs (..., tau, m, d_h) and apply W_c."""
+        return T.matmul(merge_heads(heads), self.w_out)
 
     def named(self, prefix: str = ""):
-        for h, w in enumerate(self.wq):
-            yield f"{prefix}wq{h}", w
-        for h, w in enumerate(self.wk):
-            yield (f"{prefix}wk_shared" if self.multi_query else f"{prefix}wk{h}"), w
-        for h, w in enumerate(self.wv):
-            yield (f"{prefix}wv_shared" if self.multi_query else f"{prefix}wv{h}"), w
+        yield f"{prefix}wq", self.wq
+        yield f"{prefix}wk", self.wk
+        yield f"{prefix}wv", self.wv
         yield f"{prefix}w_out", self.w_out
 
 
@@ -403,60 +436,46 @@ class AttentionParams:
 # ---------------------------------------------------------------------------
 
 
-def _heads_forward(h_q_src: T.Tensor, h_kv_src: T.Tensor, params: AttentionParams,
-                   mask, counter=None, reuse_weights=None, return_weights=False):
-    outs = []
-    weights_out = []
-    shared_kv = None
-    for h in range(params.tau):
-        q = T.matmul(h_q_src, params.wq[h])
-        if params.multi_query:
-            if shared_kv is None:
-                shared_kv = (T.matmul(h_kv_src, params.wk[0]),
-                             T.matmul(h_kv_src, params.wv[0]))
-            k, v = shared_kv
-        else:
-            k = T.matmul(h_kv_src, params.wk[h])
-            v = T.matmul(h_kv_src, params.wv[h])
-        if reuse_weights is not None:
-            w = reuse_weights[h]
-            out_h = T.matmul(w, v)
-        else:
-            out_h, w = qkv_attention(q, k, v, mask, counter=counter,
-                                     return_weights=True)
-        outs.append(out_h)
-        weights_out.append(w)
-    merged = T.matmul(T.concat(outs, axis=-1), params.w_out)
-    if return_weights:
-        return merged, weights_out
-    return merged
+def _attend(x_q: T.Tensor, x_kv: T.Tensor, params: AttentionParams, mask,
+            counter=None, reuse_weights=None, return_weights=False):
+    if reuse_weights is None:
+        out, weights = qkv_attention(*params.heads(x_q, x_kv), mask,
+                                     counter=counter, return_weights=True)
+    else:
+        weights = reuse_weights
+        out = T.matmul(weights, split_heads(T.matmul(x_kv, params.wv),
+                                            params.n_kv))
+    merged = params.merge(out)
+    return (merged, weights) if return_weights else merged
 
 
 def multi_head_self(h: T.Tensor, params: AttentionParams, mask=None,
                     counter=None, reuse_weights=None, return_weights=False):
-    """Standard multi-head self-attention: concat of per-head outputs, merged."""
+    """Standard multi-head self-attention: concat of per-head outputs, merged.
+
+    The attention weights (returned with ``return_weights``, reused via
+    ``reuse_weights``) are one (..., tau, m, m) tensor.
+    """
     if params.multi_query:
         raise ValueError("params are multi-query; use multi_query_attention")
-    return _heads_forward(h, h, params, mask, counter=counter,
-                          reuse_weights=reuse_weights, return_weights=return_weights)
+    return _attend(h, h, params, mask, counter=counter,
+                   reuse_weights=reuse_weights, return_weights=return_weights)
 
 
 def multi_query_attention(h: T.Tensor, params: AttentionParams, mask=None,
-                          counter=None, return_weights=False):
-    """tau distinct query projections over one shared key/value projection."""
+                          counter=None):
+    """tau distinct query heads over one shared key/value head."""
     if not params.multi_query:
         raise ValueError("params lack the multi-query flag")
-    return _heads_forward(h, h, params, mask, counter=counter,
-                          return_weights=return_weights)
+    return _attend(h, h, params, mask, counter=counter)
 
 
 def cross_attention(h_enc: T.Tensor, s_self: T.Tensor, params: AttentionParams,
-                    counter=None, return_weights=False):
+                    counter=None):
     """Queries from the decoder side, keys/values from the encoder; no mask."""
     if h_enc.shape[-2] == 0:
         raise EmptySourceError("cross attention against an empty source")
-    return _heads_forward(s_self, h_enc, params, mask=None, counter=counter,
-                          return_weights=return_weights)
+    return _attend(s_self, h_enc, params, mask=None, counter=counter)
 
 
 def rpr_attention(h: T.Tensor, params: AttentionParams, rpr: RprTable,
@@ -466,9 +485,9 @@ def rpr_attention(h: T.Tensor, params: AttentionParams, rpr: RprTable,
     Per head: alpha_ij = Softmax((h^q_i + PE^q(i,j))(h^k_j + PE^k(i,j))^T
     / sqrt(d_h)), output row i = sum_j alpha_ij (h^v_j + PE^v(i,j)).
     Disabled roles simply omit their term. h is (..., m, d); leading axes
-    are independent sequences sharing the offset tables.
+    are independent sequences, and every head shares the offset tables.
     """
-    lead, m = h.shape[:-2], h.shape[-2]
+    m = h.shape[-2]
     d_h = params.d_head
     for role in ("q", "k", "v"):
         t = rpr.tables.get(role)
@@ -479,32 +498,22 @@ def rpr_attention(h: T.Tensor, params: AttentionParams, rpr: RprTable,
     if mixture is not None:
         raise ValueError("mixture priors are not defined for RPR attention")
 
-    def pe(role):
+    def with_pe(x: T.Tensor, role: str, axis: int) -> T.Tensor:
+        # (..., heads, m, d_h) -> (..., heads, m, m, d_h) with a unit axis
+        # at ``axis`` broadcasting against PE(i, j) of shape (m, m, d_h)
+        x = T.reshape(x, x.shape[:axis] + (1,) + x.shape[axis:])
         t = rpr.tables.get(role)
-        return None if t is None else T.gather_rows(t, offs)  # (m, m, d_h)
+        return x if t is None else x + T.gather_rows(t, offs)
 
-    pe_q, pe_k, pe_v = pe("q"), pe("k"), pe("v")
-    outs = []
-    for head in range(params.tau):
-        hq = T.matmul(h, params.wq[head])
-        hk = T.matmul(h, params.key_proj(head))
-        hv = T.matmul(h, params.value_proj(head))
-        q_exp = T.reshape(hq, lead + (m, 1, d_h))
-        if pe_q is not None:
-            q_exp = q_exp + pe_q
-        k_exp = T.reshape(hk, lead + (1, m, d_h))
-        if pe_k is not None:
-            k_exp = k_exp + pe_k
-        logits = T.reduce_sum(q_exp * k_exp, axis=-1) * (1.0 / float(np.sqrt(d_h)))
-        if mult is not None:
-            logits = logits * mult
-        alpha = T.softmax_rows(logits, additive)
-        v_exp = T.reshape(hv, lead + (1, m, d_h))
-        if pe_v is not None:
-            v_exp = v_exp + pe_v
-        ctx = T.reduce_sum(T.reshape(alpha, lead + (m, m, 1)) * v_exp, axis=-2)
-        outs.append(ctx)
-    return T.matmul(T.concat(outs, axis=-1), params.w_out)
+    q, k, v = params.heads(h)
+    logits = T.reduce_sum(with_pe(q, "q", -1) * with_pe(k, "k", -2), axis=-1) \
+        * (1.0 / float(np.sqrt(d_h)))
+    if mult is not None:
+        logits = logits * mult
+    alpha = T.softmax_rows(logits, additive)
+    ctx = T.reduce_sum(T.reshape(alpha, alpha.shape + (1,))
+                       * with_pe(v, "v", -2), axis=-2)
+    return params.merge(ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -515,60 +524,45 @@ def rpr_attention(h: T.Tensor, params: AttentionParams, rpr: RprTable,
 class KVCache:
     """Append-only per-layer key/value history for incremental decoding.
 
-    Multi-query layouts store one key/value set per layer; multi-head
-    layouts store one per head. Appended rows are never mutated.
+    One key history and one value history per layer; a row holds every
+    key/value head side by side (width n_kv*d_h). Appended rows are never
+    mutated.
     """
 
-    def __init__(self, n_layers: int, tau: int, multi_query: bool = False):
+    def __init__(self, n_layers: int):
         self.n_layers = n_layers
-        self.tau = tau
-        self.multi_query = multi_query
-        self.n_sets = 1 if multi_query else tau
-        self._k = [[[] for _ in range(self.n_sets)] for _ in range(n_layers)]
-        self._v = [[[] for _ in range(self.n_sets)] for _ in range(n_layers)]
+        self._k = [[] for _ in range(n_layers)]
+        self._v = [[] for _ in range(n_layers)]
 
     def length(self, layer: int = 0) -> int:
         self._check(layer)
-        return len(self._k[layer][0])
+        return len(self._k[layer])
 
     def _check(self, layer: int):
         if not 0 <= layer < self.n_layers:
             raise CacheLayerError(f"layer {layer} outside 0..{self.n_layers - 1}")
 
-    def append(self, layer: int, ks: Sequence[T.Tensor], vs: Sequence[T.Tensor]):
+    def append(self, layer: int, k_row: T.Tensor, v_row: T.Tensor):
         self._check(layer)
-        if len(ks) != self.n_sets or len(vs) != self.n_sets:
-            raise ValueError("append expects one row per key/value set")
-        for s in range(self.n_sets):
-            self._k[layer][s].append(ks[s])
-            self._v[layer][s].append(vs[s])
+        self._k[layer].append(k_row)
+        self._v[layer].append(v_row)
 
-    def keys(self, layer: int, s: int) -> T.Tensor:
+    def keys(self, layer: int) -> T.Tensor:
         self._check(layer)
-        return T.concat(self._k[layer][s], axis=0)
+        return T.concat(self._k[layer], axis=0)
 
-    def values_(self, layer: int, s: int) -> T.Tensor:
+    def values_(self, layer: int) -> T.Tensor:
         self._check(layer)
-        return T.concat(self._v[layer][s], axis=0)
-
-    def stored_rows(self) -> int:
-        """Total cached rows (keys + values) across layers and sets."""
-        total = 0
-        for layer in range(self.n_layers):
-            for s in range(self.n_sets):
-                total += len(self._k[layer][s]) + len(self._v[layer][s])
-        return total
+        return T.concat(self._v[layer], axis=0)
 
     def lengths_consistent(self) -> bool:
-        lens = {len(self._k[layer][s])
-                for layer in range(self.n_layers) for s in range(self.n_sets)}
-        return len(lens) <= 1
+        return len({len(rows) for rows in self._k + self._v}) <= 1
 
     def clone(self) -> "KVCache":
         """Independent copy; cached rows are shared (they are never mutated)."""
-        out = KVCache(self.n_layers, self.tau, self.multi_query)
-        out._k = [[list(s) for s in layer] for layer in self._k]
-        out._v = [[list(s) for s in layer] for layer in self._v]
+        out = KVCache(self.n_layers)
+        out._k = [list(rows) for rows in self._k]
+        out._v = [list(rows) for rows in self._v]
         return out
 
 
@@ -586,7 +580,6 @@ def attend_step_cached(x_row: T.Tensor, cache: KVCache, params: AttentionParams,
     """
     if x_row.ndim != 2 or x_row.shape[0] != 1:
         raise T.ShapeError("attend_step_cached expects a single row (1, d)")
-    cache._check(layer)
     t_prev = cache.length(layer)
     additive = None
     if allowed is not None:
@@ -595,20 +588,11 @@ def attend_step_cached(x_row: T.Tensor, cache: KVCache, params: AttentionParams,
             raise T.ShapeError("allowed must cover cached positions plus the new one")
         additive = np.where(allowed, 0.0, NEG_INF)[None, :]
 
-    new_ks, new_vs = [], []
-    for s in range(cache.n_sets):
-        new_ks.append(T.matmul(x_row, params.wk[s]))
-        new_vs.append(T.matmul(x_row, params.wv[s]))
-    outs = []
-    for h in range(params.tau):
-        s = 0 if params.multi_query else h
-        q = T.matmul(x_row, params.wq[h])
-        if t_prev > 0:
-            k_full = T.concat([cache.keys(layer, s), new_ks[s]], axis=0)
-            v_full = T.concat([cache.values_(layer, s), new_vs[s]], axis=0)
-        else:
-            k_full, v_full = new_ks[s], new_vs[s]
-        outs.append(qkv_attention(q, k_full, v_full, additive))
-    cache.append(layer, new_ks, new_vs)
-    merged = T.matmul(T.concat(outs, axis=-1), params.w_out)
-    return merged, cache
+    q, k_new, v_new = params.project(x_row, x_row)
+    k, v = k_new, v_new
+    if t_prev > 0:
+        k = T.concat([cache.keys(layer), k_new], axis=0)
+        v = T.concat([cache.values_(layer), v_new], axis=0)
+    cache.append(layer, k_new, v_new)
+    out = qkv_attention(*params.split(q, k, v), additive)
+    return params.merge(out), cache

@@ -17,6 +17,7 @@ from . import attention as A
 from . import oracles as O
 from . import runtime as R
 from . import train as TR
+from .blocks import ConfigurationError
 from .config import Config
 from .embedding import CLS, Vocab
 from .model import POOL_MODES, Model, ModelConfig
@@ -67,11 +68,17 @@ def _train_config(cfg: Config, args) -> TR.TrainConfig:
 
 
 def cmd_train(args) -> int:
-    text = _read_text(args.corpus)
     cfg = Config.load(args.config) if args.config else Config()
     _apply_overrides(cfg, args.set)
     train_cfg = _train_config(cfg, args)
     model_cfg = ModelConfig.from_config(cfg)
+    if model_cfg.architecture != "decoder-only":
+        raise ConfigurationError(
+            f"train fits decoder-only language models; "
+            f"{model_cfg.architecture} is not trainable here")
+    if train_cfg.chunk_len:
+        model_cfg.check_chunkable()
+    text = _read_text(args.corpus)
     vocab = Vocab.from_text(text)
     model = Model.init(model_cfg, vocab, seed=train_cfg.seed)
     segments = TR.segments_from_text(text, vocab, train_cfg.seq_len)

@@ -184,12 +184,15 @@ class LowRankProjections:
 
 def reduce_length(k: T.Tensor, v: T.Tensor,
                   proj: LowRankProjections) -> Tuple[T.Tensor, T.Tensor]:
-    """K' = U^k K, V' = U^v V; attention then runs against n' rows."""
+    """K' = U^k K, V' = U^v V; attention then runs against n' rows.
+
+    K and V are (..., n, d); every leading (head, batch) index shares U.
+    """
     if proj.u_k is None or proj.u_v is None:
         raise ValueError("length reduction needs u_k and u_v")
     if proj.u_k.shape[0] > proj.u_k.shape[1]:
         raise T.ShapeError("length reduction must not grow n")
-    if proj.u_k.shape[1] != k.shape[0] or proj.u_v.shape[1] != v.shape[0]:
+    if proj.u_k.shape[1] != k.shape[-2] or proj.u_v.shape[1] != v.shape[-2]:
         raise T.ShapeError("projection length does not match key count")
     return T.matmul(proj.u_k, k), T.matmul(proj.u_v, v)
 

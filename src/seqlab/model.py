@@ -176,6 +176,16 @@ class ModelConfig:
     def reduced_width_resolved(self) -> int:
         return self.reduced_width or max(1, self.d_head // 2)
 
+    def check_chunkable(self):
+        """Raise unless chunked evaluation (a frozen previous-chunk cache)
+        is defined for this model."""
+        if (self.attention != "dense" or self.multi_query or self.rpr
+                or self.reuse_maps or self.integrator_order != 1
+                or self.dropout_rho < 1.0
+                or self.architecture != "decoder-only"):
+            raise B.ConfigurationError(
+                "chunked evaluation is defined for plain dense decoder-only models")
+
     def residual_bypass(self) -> bool:
         """True when the residual skips the last LNorm (needs a final one)."""
         if self.integrator_order != 1 or self.dropout_rho < 1.0:
@@ -498,115 +508,88 @@ class Model:
     def _att_core(self, layer: Layer, mask, causal: bool, m_real: Optional[int],
                   reuse_store, counter) -> Callable[[T.Tensor], T.Tensor]:
         cfg = self.cfg
+        att = layer.att
 
         def core(z: T.Tensor) -> T.Tensor:
             if cfg.attention == "ssm":
                 return S.ssm_sublayer_scan(z, layer.ssm)
-            if cfg.attention == "linear":
-                phi = EF.FeatureMap(cfg.feature_map)
-                outs = []
-                for hh in range(cfg.tau):
-                    q = T.matmul(z, layer.att.wq[hh])
-                    k = T.matmul(z, layer.att.wk[hh])
-                    v = T.matmul(z, layer.att.wv[hh])
-                    if m_real is not None and m_real < z.shape[-2]:
-                        k = T.take(k, _first_rows(m_real))
-                        v = T.take(v, _first_rows(m_real))
-                    outs.append(EF.kernelized_attention(q, k, v, phi,
-                                                        causal=causal,
-                                                        counter=counter))
-                return T.matmul(T.concat(outs, axis=-1), layer.att.w_out)
+            if cfg.attention in ("linear", "lowrank-n"):
+                # both read only the leading non-PAD keys/values
+                q, k, v = att.heads(z)
+                if m_real < z.shape[-2]:
+                    k = T.take(k, _first_rows(m_real))
+                    v = T.take(v, _first_rows(m_real))
+                if cfg.attention == "linear":
+                    return att.merge(EF.kernelized_attention(
+                        q, k, v, EF.FeatureMap(cfg.feature_map), causal=causal,
+                        counter=counter))
+                return att.merge(EF.lowrank_length_attention(
+                    q, k, v, self._length_projections(layer, m_real),
+                    counter=counter))
             if cfg.attention == "lowrank-d":
-                outs = []
-                for hh in range(cfg.tau):
-                    q = T.matmul(z, layer.att.wq[hh])
-                    k = T.matmul(z, layer.att.key_proj(hh))
-                    v = T.matmul(z, layer.att.value_proj(hh))
-                    outs.append(EF.lowrank_width_attention(q, k, v, layer.lowrank,
-                                                           mask, counter=counter))
-                return T.matmul(T.concat(outs, axis=-1), layer.att.w_out)
-            if cfg.attention == "lowrank-n":
-                m = z.shape[-2]
-                mr = m if m_real is None else m_real
-                if mr > cfg.max_length:
-                    raise ContractError(
-                        f"sequence length {mr} exceeds the projection's "
-                        f"{cfg.max_length} columns")
-                if mr < cfg.reduced_length:
-                    raise ContractError(
-                        f"sequence length {mr} is below the reduced length "
-                        f"{cfg.reduced_length}")
-                proj = EF.LowRankProjections(
-                    u_k=T.take(layer.lowrank.u_k, (slice(None), slice(0, mr))),
-                    u_v=T.take(layer.lowrank.u_v, (slice(None), slice(0, mr))))
-                outs = []
-                for hh in range(cfg.tau):
-                    q = T.matmul(z, layer.att.wq[hh])
-                    k = T.matmul(z, layer.att.wk[hh])
-                    v = T.matmul(z, layer.att.wv[hh])
-                    if mr < m:
-                        k = T.take(k, _first_rows(mr))
-                        v = T.take(v, _first_rows(mr))
-                    outs.append(EF.lowrank_length_attention(q, k, v, proj,
-                                                            counter=counter))
-                return T.matmul(T.concat(outs, axis=-1), layer.att.w_out)
+                return att.merge(EF.lowrank_width_attention(
+                    *att.heads(z), layer.lowrank, mask, counter=counter))
             # dense family
             if cfg.attention == "window" and counter is not None:
                 # counting path: gather only retained pairs (inference math,
                 # identical output, work linear in m)
-                outs = [A.sparse_field_attention(
-                    T.matmul(z, layer.att.wq[hh]),
-                    T.matmul(z, layer.att.key_proj(hh)),
-                    T.matmul(z, layer.att.value_proj(hh)), mask, counter)
-                    for hh in range(cfg.tau)]
-                return T.matmul(T.concat(outs, axis=-1), layer.att.w_out)
+                return att.merge(A.sparse_field_attention(*att.heads(z), mask,
+                                                          counter))
             if cfg.rpr:
-                return A.rpr_attention(z, layer.att, self.rpr_table, mask)
+                return A.rpr_attention(z, att, self.rpr_table, mask)
             if cfg.multi_query:
-                return A.multi_query_attention(z, layer.att, mask, counter=counter)
+                return A.multi_query_attention(z, att, mask, counter=counter)
             if reuse_store is not None:
                 if "w" in reuse_store:
-                    return A.multi_head_self(z, layer.att, mask,
+                    return A.multi_head_self(z, att, mask,
                                              reuse_weights=reuse_store["w"])
-                out, w = A.multi_head_self(z, layer.att, mask, return_weights=True)
+                out, w = A.multi_head_self(z, att, mask, return_weights=True)
                 reuse_store["w"] = w
                 return out
-            return A.multi_head_self(z, layer.att, mask, counter=counter)
+            return A.multi_head_self(z, att, mask, counter=counter)
 
         return core
+
+    def _length_projections(self, layer: Layer, m: int) -> EF.LowRankProjections:
+        """The first m columns of the lowrank-n length reductions."""
+        cfg = self.cfg
+        if m > cfg.max_length:
+            raise ContractError(
+                f"sequence length {m} exceeds the projection's "
+                f"{cfg.max_length} columns")
+        if m < cfg.reduced_length:
+            raise ContractError(
+                f"sequence length {m} is below the reduced length "
+                f"{cfg.reduced_length}")
+        return EF.LowRankProjections(
+            u_k=T.take(layer.lowrank.u_k, (slice(None), slice(0, m))),
+            u_v=T.take(layer.lowrank.u_v, (slice(None), slice(0, m))))
 
     def _prefix_core(self, layer: Layer, kv_prev, kv_sink) \
             -> Callable[[T.Tensor], T.Tensor]:
         """Dense causal self-attention over [frozen previous chunk | current].
 
-        kv_prev is None or per-head (keys, values) ndarray pairs; wrapping
-        them in fresh tensors keeps the previous chunk visible to attention
-        but outside the gradient tape. kv_sink, when a list, receives this
-        chunk's detached per-head pairs for the next chunk.
+        kv_prev is None or the previous chunk's (keys, values) ndarray pair,
+        every head side by side; wrapping them in fresh tensors keeps the
+        previous chunk visible to attention but outside the gradient tape.
+        kv_sink, when a list, receives this chunk's detached pair for the
+        next chunk.
         """
         att = layer.att
 
         def core(z: T.Tensor) -> T.Tensor:
             m = z.shape[-2]
-            n_prev = 0 if kv_prev is None else kv_prev[0][0].shape[-2]
+            q, k, v = att.project(z, z)
+            if kv_sink is not None:
+                kv_sink.append((k.values.copy(), v.values.copy()))
+            n_prev = 0
+            if kv_prev is not None:
+                n_prev = kv_prev[0].shape[-2]
+                k = T.concat([T.Tensor(kv_prev[0]), k], axis=-2)
+                v = T.concat([T.Tensor(kv_prev[1]), v], axis=-2)
             additive = np.zeros((m, n_prev + m))
             additive[:, n_prev:][np.triu(np.ones((m, m), dtype=bool), 1)] = A.NEG_INF
-            outs = []
-            collected = ([], [])
-            for hh in range(att.tau):
-                q = T.matmul(z, att.wq[hh])
-                k = T.matmul(z, att.wk[hh])
-                v = T.matmul(z, att.wv[hh])
-                if kv_sink is not None:
-                    collected[0].append(k.values.copy())
-                    collected[1].append(v.values.copy())
-                if n_prev:
-                    k = T.concat([T.Tensor(kv_prev[0][hh]), k], axis=-2)
-                    v = T.concat([T.Tensor(kv_prev[1][hh]), v], axis=-2)
-                outs.append(A.qkv_attention(q, k, v, additive))
-            if kv_sink is not None:
-                kv_sink.append(collected)
-            return T.matmul(T.concat(outs, axis=-1), att.w_out)
+            return att.merge(A.qkv_attention(*att.split(q, k, v), additive))
 
         return core
 
@@ -701,7 +684,7 @@ class Model:
         if self.cfg.architecture == "decoder-only" and enc_out is not None:
             raise ContractError("a decoder-only model takes no encoder output")
         if kv_prefix is not None or kv_out is not None:
-            self._check_chunkable()
+            self.cfg.check_chunkable()
         ids = self._check_tokens(tokens, batched=True)
         h = self._embed_at(ids, start_pos)
         h = self._run_stack(h, self.dec_layers, causal=True, enc_out=enc_out,
@@ -710,14 +693,6 @@ class Model:
         if self.final_ln_dec is not None:
             h = B.layer_norm(h, self.final_ln_dec)
         return self._head(h)
-
-    def _check_chunkable(self):
-        cfg = self.cfg
-        if (cfg.attention != "dense" or cfg.multi_query or cfg.rpr
-                or cfg.reuse_maps or cfg.integrator_order != 1
-                or cfg.dropout_rho < 1.0 or cfg.architecture != "decoder-only"):
-            raise B.ConfigurationError(
-                "chunked evaluation is defined for plain dense decoder-only models")
 
     def sequence_logprob(self, target, source=None) -> float:
         """log Pr(target) = sum_i log Pr(y_i | y_<i [, source])."""
@@ -761,7 +736,7 @@ class Model:
         kv = streams = states = None
         n_l, d_h = len(self.dec_layers), self.cfg.d_head
         if mode == "cache":
-            kv = A.KVCache(n_l, self.cfg.tau, self.cfg.multi_query)
+            kv = A.KVCache(n_l)
         elif mode == "stream":
             streams = [[EF.init_stream(d_h, d_h) for _ in range(self.cfg.tau)]
                        for _ in range(n_l)]
@@ -799,17 +774,15 @@ class Model:
                 return out
             if session.mode == "stream":
                 phi = EF.FeatureMap(cfg.feature_map)
+                q, k, v = (x.values[:, 0] for x in layer.att.heads(z))
+                streams = session.streams[idx]
                 rows = []
                 for hh in range(cfg.tau):
-                    q = T.matmul(z, layer.att.wq[hh])
-                    k = T.matmul(z, layer.att.wk[hh])
-                    v = T.matmul(z, layer.att.wv[hh])
-                    out_row, session.streams[idx][hh] = EF.stream_step(
-                        session.streams[idx][hh], k.values[0], v.values[0],
-                        q.values[0], phi)
+                    out_row, streams[hh] = EF.stream_step(
+                        streams[hh], k[hh], v[hh], q[hh], phi)
                     rows.append(out_row)
-                merged = np.concatenate(rows)[None, :].astype(self.dtype)
-                return T.matmul(T.Tensor(merged), layer.att.w_out)
+                heads = np.stack(rows)[:, None, :].astype(self.dtype)
+                return layer.att.merge(T.Tensor(heads))
             # ssm: one recurrence step over the d feature columns
             dssm = layer.ssm
             s_col = z.values.reshape(-1, 1)

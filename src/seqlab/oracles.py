@@ -358,37 +358,39 @@ def quantized_decoder_bound(x0: np.ndarray, layers: list, w_o: np.ndarray,
                             bits: int):
     """(float logits, per-logit quantization bound) for a post-norm stack.
 
-    x0 is the exact embedded input (n, d); each layer dict carries
-    per-head wq/wk/wv lists, w_out, ln1, w_h/b_h/w_f/b_f, ln2, with LN
-    entries as (g, b, eps) arrays. Products against those weights are
-    treated as both-sides quantized at the given width; everything else
-    propagates intervals unchanged or through the exact Lipschitz forms.
+    x0 is the exact embedded input (n, d); each layer dict carries its
+    head count ``heads``, the fused (d, d) wq/wk/wv, w_out, ln1,
+    w_h/b_h/w_f/b_f, ln2, with LN entries as (g, b, eps) arrays. Products
+    against those weights are treated as both-sides quantized at the given
+    width, one step per matrix; heads are column slices of the fused
+    products and their intervals. Everything else propagates intervals
+    unchanged or through the exact Lipschitz forms.
     """
     q_max = (1 << (bits - 1)) - 1
     h = np.asarray(x0, dtype=np.float64)
     e = np.zeros_like(h)
     n = h.shape[0]
     for lay in layers:
-        ctxs, bnds = [], []
-        d_h = lay["wq"][0].shape[1]
+        qf, eqf = _qmm_interval(h, e, lay["wq"], q_max)
+        kf, ekf = _qmm_interval(h, e, lay["wk"], q_max)
+        vf, evf = _qmm_interval(h, e, lay["wv"], q_max)
+        d_h = qf.shape[1] // lay["heads"]
         scale = math.sqrt(d_h)
-        for hh in range(len(lay["wq"])):
-            q, eq = _qmm_interval(h, e, lay["wq"][hh], q_max)
-            k, ek = _qmm_interval(h, e, lay["wk"][hh], q_max)
-            v, ev = _qmm_interval(h, e, lay["wv"][hh], q_max)
+        ctx = np.zeros_like(qf)
+        ectx = np.zeros_like(qf)
+        for hh in range(lay["heads"]):
+            cols = slice(hh * d_h, (hh + 1) * d_h)
+            q, eq = qf[:, cols], eqf[:, cols]
+            k, ek = kf[:, cols], ekf[:, cols]
+            v, ev = vf[:, cols], evf[:, cols]
             s = q @ k.T / scale
             es = (eq @ (np.abs(k) + ek).T + np.abs(q) @ ek.T) / scale
-            c = np.zeros((n, d_h))
-            ec = np.zeros((n, d_h))
             for i in range(n):
                 p, ep = _softmax_interval(s[i, :i + 1], es[i, :i + 1])
-                c[i] = p @ v[:i + 1]
-                ec[i] = ep @ (np.abs(v[:i + 1]) + ev[:i + 1]) \
+                ctx[i, cols] = p @ v[:i + 1]
+                ectx[i, cols] = ep @ (np.abs(v[:i + 1]) + ev[:i + 1]) \
                     + p @ ev[:i + 1]
-            ctxs.append(c)
-            bnds.append(ec)
-        o, eo = _qmm_interval(np.hstack(ctxs), np.hstack(bnds),
-                              lay["w_out"], q_max)
+        o, eo = _qmm_interval(ctx, ectx, lay["w_out"], q_max)
         h, e = _ln_interval(o + h, eo + e, *lay["ln1"])
         a, ea = _qmm_interval(h, e, lay["w_h"], q_max)
         r = np.maximum(a + lay["b_h"], 0.0)
@@ -506,12 +508,11 @@ def _run_head_permutation(rng):
     base = A.multi_head_self(h, params).values
     perm = [2, 0, 3, 1]
     d_h = params.d_head
-    w_out = np.vstack([params.w_out.values[p * d_h:(p + 1) * d_h]
-                       for p in perm])
-    permuted = A.AttentionParams(8, 4, [params.wq[p] for p in perm],
-                                 [params.wk[p] for p in perm],
-                                 [params.wv[p] for p in perm],
-                                 T.Tensor(w_out))
+    cols = np.concatenate([np.arange(p * d_h, (p + 1) * d_h) for p in perm])
+    permuted = A.AttentionParams(8, 4, T.Tensor(params.wq.values[:, cols]),
+                                 T.Tensor(params.wk.values[:, cols]),
+                                 T.Tensor(params.wv.values[:, cols]),
+                                 T.Tensor(params.w_out.values[cols]))
     return _errors(A.multi_head_self(h, permuted).values, base)
 
 
@@ -519,9 +520,9 @@ def _run_attention_composition(rng):
     params = A.AttentionParams.init(6, 1, rng, dtype=_F64)
     h = T.Tensor(rng.gaussian((4, 6)))
     got = A.multi_head_self(h, params).values
-    ctx = A.qkv_attention(T.matmul(h, params.wq[0]),
-                          T.matmul(h, params.wk[0]),
-                          T.matmul(h, params.wv[0]))
+    ctx = A.qkv_attention(T.matmul(h, params.wq),
+                          T.matmul(h, params.wk),
+                          T.matmul(h, params.wv))
     return _errors(got, T.matmul(ctx, params.w_out).values)
 
 
@@ -541,8 +542,8 @@ def _run_rpr_loop(rng):
     rpr = E.RprTable.init(2, 6, rng, dtype=_F64)
     h = rng.gaussian((5, 6))
     got = A.rpr_attention(T.Tensor(h), params, rpr, A.causal_mask(5)).values
-    ctx = rpr_attention_loop(h, params.wq[0].values, params.wk[0].values,
-                             params.wv[0].values, rpr.tables["q"].values,
+    ctx = rpr_attention_loop(h, params.wq.values, params.wk.values,
+                             params.wv.values, rpr.tables["q"].values,
                              rpr.tables["k"].values, rpr.tables["v"].values,
                              2, causal=True)
     return _errors(got, triple_loop_matmul(ctx, params.w_out.values))
@@ -552,8 +553,8 @@ def _run_multiquery_weight_copy(rng):
     mq = A.AttentionParams.init(8, 4, rng, multi_query=True, dtype=_F64)
     h = T.Tensor(rng.gaussian((5, 8)))
     got = A.multi_query_attention(h, mq).values
-    std = A.AttentionParams(8, 4, list(mq.wq), [mq.wk[0]] * 4,
-                            [mq.wv[0]] * 4, mq.w_out)
+    std = A.AttentionParams(8, 4, mq.wq, T.Tensor(np.tile(mq.wk.values, 4)),
+                            T.Tensor(np.tile(mq.wv.values, 4)), mq.w_out)
     return _errors(got, A.multi_head_self(h, std).values)
 
 
@@ -926,11 +927,11 @@ def _run_chunk_manual_forward(rng):
     lay = model.dec_layers[0]
     emb = model.embed.weights.values[ids[half:]] \
         + model.pe.table(len(ids))[half:]
-    q = triple_loop_matmul(emb, lay.att.wq[0].values)
-    k = np.vstack([kv[0][0][0],
-                   triple_loop_matmul(emb, lay.att.wk[0].values)])
-    v = np.vstack([kv[0][1][0],
-                   triple_loop_matmul(emb, lay.att.wv[0].values)])
+    q = triple_loop_matmul(emb, lay.att.wq.values)
+    k = np.vstack([kv[0][0],
+                   triple_loop_matmul(emb, lay.att.wk.values)])
+    v = np.vstack([kv[0][1],
+                   triple_loop_matmul(emb, lay.att.wv.values)])
     n2 = emb.shape[0]
     scores = np.full((n2, k.shape[0]), -np.inf)
     for i in range(n2):
@@ -1029,9 +1030,10 @@ def _run_quantized_bound(rng):
     layers = []
     for lay in model.dec_layers:
         layers.append({
-            "wq": [w.values for w in lay.att.wq],
-            "wk": [w.values for w in lay.att.wk],
-            "wv": [w.values for w in lay.att.wv],
+            "heads": lay.att.tau,
+            "wq": lay.att.wq.values,
+            "wk": lay.att.wk.values,
+            "wv": lay.att.wv.values,
             "w_out": lay.att.w_out.values,
             "ln1": (lay.ln1.g.values, lay.ln1.b.values, lay.ln1.eps),
             "w_h": lay.ffn_core.w_h.values,

@@ -2,7 +2,8 @@
 
 Greedy and beam search drive Model.decode_step, so every variant's cache
 discipline is reused as-is. Checkpoints are a small binary format: magic,
-version, config text, vocabulary, named float32 tensors, CRC. Quantized
+version, config text, vocabulary, named float32 tensors, CRC; version 1
+files, which stored attention projections head by head, still load. Quantized
 inference reroutes the projection/FFN weight products through integer
 matmuls while everything else stays in floats.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import re
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -24,7 +26,7 @@ from .embedding import CLS, EOS, PAD, SOS, Vocab
 from .model import DecodeSession, Model, ModelConfig
 
 MAGIC = b"SQL1"
-VERSION = 1
+VERSION = 2                                  # v1 stored one tensor per head
 
 # structural ids a decoder never emits; EOS stays eligible so search can stop
 _SUPPRESSED = (PAD, SOS, CLS)
@@ -227,7 +229,7 @@ def load_checkpoint(path: str) -> Model:
     if r.take(4) != MAGIC:
         raise CheckpointFormatError("not a checkpoint: bad magic bytes")
     (version,) = r.unpack("H")
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise CheckpointFormatError(f"unsupported checkpoint version {version}")
     if len(blob) < 8:
         raise CheckpointIntegrityError("checkpoint is truncated")
@@ -254,6 +256,8 @@ def load_checkpoint(path: str) -> Model:
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         data = np.frombuffer(r.take(4 * count), dtype="<f4").reshape(shape)
         table[name] = data
+    if version == 1:
+        table = _fold_v1_heads(table)
 
     model = Model.init(cfg, vocab, seed=0, dtype=np.float32)
     seen = set()
@@ -275,6 +279,24 @@ def load_checkpoint(path: str) -> Model:
     return model
 
 
+_V1_HEAD = re.compile(r"(.*\.w[qkv])(\d+|_shared)")
+
+
+def _fold_v1_heads(table: dict) -> dict:
+    """Concatenate v1's per-head ``wq{h}``/``wk{h}``/``wk_shared``
+    entries, in head order, into the fused columns of ``wq``/``wk``/``wv``."""
+    heads = {}
+    for name in list(table):
+        match = _V1_HEAD.fullmatch(name)
+        if match is not None:
+            base, head = match.groups()
+            heads.setdefault(base, {})[
+                0 if head == "_shared" else int(head)] = table.pop(name)
+    for base, blocks in heads.items():
+        table[base] = np.concatenate([blocks[h] for h in sorted(blocks)], axis=1)
+    return table
+
+
 # ---------------------------------------------------------------------------
 # quantized inference
 # ---------------------------------------------------------------------------
@@ -284,15 +306,16 @@ def weight_quant_specs(model: Model, bits: int) -> dict:
     """Per-matrix quantizers for every projection and FFN weight.
 
     Steps follow s = max|w| / (2^(p-1) - 1), so the largest entry lands on
-    the last integer level. An all-zero matrix has no usable step and maps
-    to None; its products are taken as exactly zero.
+    the last integer level; a fused projection shares one step across its
+    heads. An all-zero matrix has no usable step and maps to None; its
+    products are taken as exactly zero.
     """
     q_max = (1 << (bits - 1)) - 1
     mats = []
     for layer in list(model.enc_layers) + list(model.dec_layers):
         for att in (layer.att, layer.cross):
             if att is not None:
-                mats.extend(att.wq + att.wk + att.wv + [att.w_out])
+                mats.extend([att.wq, att.wk, att.wv, att.w_out])
         core = layer.ffn_core
         if hasattr(core, "experts"):
             for expert in core.experts:

@@ -188,23 +188,27 @@ def _grad_of(grads, p: T.Tensor) -> np.ndarray:
 
 def adam_step(params: Sequence[T.Tensor], grads, state: AdamState,
               lr: float) -> None:
-    """One bias-corrected Adam update, in place via parameter assignment."""
+    """One bias-corrected Adam update, in place via parameter assignment.
+
+    The moment arrays are updated in place, so a step allocates no new
+    state per parameter.
+    """
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
     for p in params:
-        g = np.asarray(_grad_of(grads, p), dtype=np.float64)
+        g = _grad_of(grads, p)
         if g.shape != p.values.shape:
             raise T.ShapeError("gradient shape does not match its parameter")
         key = id(p)
-        m = state.m.get(key)
-        if m is None:
-            m = np.zeros_like(g)
+        if key not in state.m:
+            state.m[key] = np.zeros_like(g)
             state.v[key] = np.zeros_like(g)
-        v = state.v[key]
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        state.m[key], state.v[key] = m, v
+        m, v = state.m[key], state.v[key]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
         m_hat = m / (1.0 - b1 ** t)
         v_hat = v / (1.0 - b2 ** t)
         T.assign_(p, p.values - lr * m_hat / (np.sqrt(v_hat) + state.eps))
@@ -217,8 +221,7 @@ def clip_gradients(params: Sequence[T.Tensor], grads,
     Returns ({id(param): gradient}, pre-clip norm); when the norm exceeds
     the threshold the scaled global norm equals it exactly.
     """
-    table = {id(p): np.asarray(_grad_of(grads, p), dtype=np.float64)
-             for p in params}
+    table = {id(p): _grad_of(grads, p) for p in params}
     norm = float(np.sqrt(sum(float((g * g).sum()) for g in table.values())))
     if norm > max_norm and norm > 0:
         scale = max_norm / norm

@@ -184,20 +184,20 @@ def test_c04_gradient_suite():
         h = T.Tensor(rng.gaussian((4, 6)), trainable=True)
         prm = A.AttentionParams.init(6, 2, rng, dtype=F64)
         fwd = lambda: A.multi_head_self(h, prm, A.causal_mask(4))
-        return probe_loss(fwd, (4, 6), rng), [h, prm.wq[0], prm.w_out]
+        return probe_loss(fwd, (4, 6), rng), [h, prm.wq, prm.w_out]
 
     def b_window(rng):
         h = T.Tensor(rng.gaussian((5, 6)), trainable=True)
         prm = A.AttentionParams.init(6, 2, rng, dtype=F64)
         spec = A.make_attention_field("window", 5, causal=True, window=2)
         fwd = lambda: A.multi_head_self(h, prm, spec)
-        return probe_loss(fwd, (5, 6), rng), [h, prm.wk[0]]
+        return probe_loss(fwd, (5, 6), rng), [h, prm.wk]
 
     def b_multi_query(rng):
         h = T.Tensor(rng.gaussian((4, 6)), trainable=True)
         prm = A.AttentionParams.init(6, 2, rng, multi_query=True, dtype=F64)
         fwd = lambda: A.multi_query_attention(h, prm, A.causal_mask(4))
-        return probe_loss(fwd, (4, 6), rng), [h, prm.wk[0]]
+        return probe_loss(fwd, (4, 6), rng), [h, prm.wk]
 
     def b_kernelized(rng):
         q = T.Tensor(rng.gaussian((4, 3)), trainable=True)
@@ -308,8 +308,8 @@ def test_c05_equivalence_suite():
     # multi-query vs a multi-head stack with tied key/value weights
     mq = A.AttentionParams.init(8, 4, T.Rng(12), multi_query=True, dtype=F64)
     h = T.Tensor(rng.gaussian((5, 8)))
-    tied_kv = A.AttentionParams(8, 4, list(mq.wq), [mq.wk[0]] * 4,
-                                [mq.wv[0]] * 4, mq.w_out)
+    tied_kv = A.AttentionParams(8, 4, mq.wq, T.Tensor(np.tile(mq.wk.values, 4)),
+                                T.Tensor(np.tile(mq.wv.values, 4)), mq.w_out)
     errs["multi-query"] = float(np.max(np.abs(
         A.multi_query_attention(h, mq).values
         - A.multi_head_self(h, tied_kv).values)))
@@ -346,8 +346,7 @@ def test_c05_equivalence_suite():
     m1.decoder_forward(ids8[:5], kv_out=kv)
     emb = m1.embed.weights.values[ids8[:5]] + m1.pe.table(len(ids8))[:5]
     att = m1.dec_layers[0].att
-    manual = [([emb @ w.values for w in att.wk],
-               [emb @ w.values for w in att.wv])]
+    manual = [(emb @ att.wk.values, emb @ att.wv.values)]
     got_kv = m1.decoder_forward(ids8[5:], start_pos=5, kv_prefix=kv).values
     got_manual = m1.decoder_forward(ids8[5:], start_pos=5,
                                     kv_prefix=manual).values

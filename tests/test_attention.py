@@ -279,8 +279,8 @@ def test_single_head_identity_merge_equals_qkv():
     rng = T.Rng(14)
     h = T.Tensor(rng.gaussian((5, d)), dtype=F64)
     got = A.multi_head_self(h, p)
-    want = A.qkv_attention(T.matmul(h, p.wq[0]), T.matmul(h, p.wk[0]),
-                           T.matmul(h, p.wv[0]))
+    want = A.qkv_attention(T.matmul(h, p.wq), T.matmul(h, p.wk),
+                           T.matmul(h, p.wv))
     np.testing.assert_allclose(got.values, want.values, atol=1e-12)
 
 
@@ -307,10 +307,12 @@ def test_head_permutation_with_merge_rows_is_invariant():
     perm = [2, 0, 3, 1]
     d_h = d // tau
     w_out_rows = p.w_out.values.reshape(tau, d_h, d)[perm].reshape(d, d)
-    p2 = A.AttentionParams(d, tau,
-                           [p.wq[i] for i in perm],
-                           [p.wk[i] for i in perm],
-                           [p.wv[i] for i in perm],
+
+    def blocks(w):
+        return T.Tensor(w.values.reshape(d, tau, d_h)[:, perm].reshape(d, d),
+                        dtype=F64)
+
+    p2 = A.AttentionParams(d, tau, blocks(p.wq), blocks(p.wk), blocks(p.wv),
                            T.Tensor(w_out_rows, dtype=F64))
     swapped = A.multi_head_self(h, p2)
     np.testing.assert_allclose(swapped.values, base.values, atol=1e-12)
@@ -350,8 +352,7 @@ def test_cross_single_source_row():
     s = T.Tensor(rng.gaussian((5, d)), dtype=F64)
     out = A.cross_attention(h_enc, s, p)
     # with one key, every query row gets exactly the single value row
-    head_vals = [T.matmul(h_enc, p.wv[h]).values for h in range(2)]
-    want_row = np.concatenate(head_vals, axis=1) @ p.w_out.values
+    want_row = T.matmul(h_enc, p.wv).values @ p.w_out.values
     np.testing.assert_allclose(out.values, np.repeat(want_row, 5, axis=0),
                                atol=1e-12)
 
@@ -373,8 +374,8 @@ def test_cross_composes_from_qkv():
     h_enc = T.Tensor(rng.gaussian((7, d)), dtype=F64)
     s = T.Tensor(rng.gaussian((4, d)), dtype=F64)
     got = A.cross_attention(h_enc, s, p)
-    want = A.qkv_attention(T.matmul(s, p.wq[0]), T.matmul(h_enc, p.wk[0]),
-                           T.matmul(h_enc, p.wv[0]))
+    want = A.qkv_attention(T.matmul(s, p.wq), T.matmul(h_enc, p.wk),
+                           T.matmul(h_enc, p.wv))
     np.testing.assert_allclose(got.values, want.values, atol=1e-12)
 
 
@@ -408,7 +409,7 @@ def test_rpr_matches_double_loop_oracle():
     rng = T.Rng(30)
     h = rng.gaussian((n, d))
     got = A.rpr_attention(T.Tensor(h, dtype=F64), p, table, A.causal_mask(n))
-    want = O.rpr_attention_loop(h, p.wq[0].values, p.wk[0].values, p.wv[0].values,
+    want = O.rpr_attention_loop(h, p.wq.values, p.wk.values, p.wv.values,
                                 table.tables["q"].values, table.tables["k"].values,
                                 table.tables["v"].values, clip_k, causal=True)
     assert np.max(np.abs(got.values - want)) < 1e-6
@@ -424,7 +425,7 @@ def test_rpr_key_only_variant_matches_zeroed_query_table():
     key_only = E.RprTable(clip_k, {"k": kv, "v": vv})
     h = rng.gaussian((n, d))
     got = A.rpr_attention(T.Tensor(h, dtype=F64), p, key_only, A.causal_mask(n))
-    want = O.rpr_attention_loop(h, p.wq[0].values, p.wk[0].values, p.wv[0].values,
+    want = O.rpr_attention_loop(h, p.wq.values, p.wk.values, p.wv.values,
                                 np.zeros((5, d)), kv.values, vv.values,
                                 clip_k, causal=True)
     assert np.max(np.abs(got.values - want)) < 1e-6
@@ -471,7 +472,9 @@ def test_multi_query_equals_weight_copied_multi_head():
     d, tau = 8, 4
     mq = params_for(d, tau, seed=39, multi_query=True)
     copied = A.AttentionParams(d, tau, mq.wq,
-                               [mq.wk[0]] * tau, [mq.wv[0]] * tau, mq.w_out)
+                               T.Tensor(np.tile(mq.wk.values, tau), dtype=F64),
+                               T.Tensor(np.tile(mq.wv.values, tau), dtype=F64),
+                               mq.w_out)
     rng = T.Rng(40)
     h = T.Tensor(rng.gaussian((6, d)), dtype=F64)
     mask = A.causal_mask(6)
@@ -491,15 +494,22 @@ def test_wrong_variant_flags_rejected():
 
 
 def test_multi_query_cache_is_tau_times_smaller():
-    steps, layers, tau = 5, 2, 4
-    mh_cache = A.KVCache(layers, tau, multi_query=False)
-    mq_cache = A.KVCache(layers, tau, multi_query=True)
-    row = T.zeros((1, 2), dtype=F64)
+    steps, layers, d, tau = 5, 2, 8, 4
+    mh = params_for(d, tau, seed=50)
+    mq = params_for(d, tau, seed=50, multi_query=True)
+    mh_cache, mq_cache = A.KVCache(layers), A.KVCache(layers)
+    rng = T.Rng(51)
     for _ in range(steps):
+        x = T.Tensor(rng.gaussian((1, d)), dtype=F64)
         for layer in range(layers):
-            mh_cache.append(layer, [row] * tau, [row] * tau)
-            mq_cache.append(layer, [row], [row])
-    assert mh_cache.stored_rows() == tau * mq_cache.stored_rows()
+            A.attend_step_cached(x, mh_cache, mh, layer)
+            A.attend_step_cached(x, mq_cache, mq, layer)
+
+    def stored(cache):
+        return sum(cache.keys(i).size + cache.values_(i).size
+                   for i in range(layers))
+
+    assert stored(mh_cache) == tau * stored(mq_cache)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +520,7 @@ def test_multi_query_cache_is_tau_times_smaller():
 def test_empty_cache_step_equals_length_one_attention():
     d, tau = 8, 2
     p = params_for(d, tau, seed=42)
-    cache = A.KVCache(1, tau)
+    cache = A.KVCache(1)
     rng = T.Rng(43)
     x = T.Tensor(rng.gaussian((1, d)), dtype=F64)
     out, cache = A.attend_step_cached(x, cache, p, layer=0)
@@ -525,7 +535,7 @@ def test_incremental_equals_full_recompute():
     rng = T.Rng(45)
     h = rng.gaussian((n, d))
     full = A.multi_head_self(T.Tensor(h, dtype=F64), p, A.causal_mask(n)).values
-    cache = A.KVCache(1, tau)
+    cache = A.KVCache(1)
     for i in range(n):
         out, cache = A.attend_step_cached(T.Tensor(h[i:i + 1], dtype=F64),
                                           cache, p, layer=0)
@@ -541,7 +551,7 @@ def test_incremental_multi_query_equals_full():
     h = rng.gaussian((n, d))
     full = A.multi_query_attention(T.Tensor(h, dtype=F64), p,
                                    A.causal_mask(n)).values
-    cache = A.KVCache(1, tau, multi_query=True)
+    cache = A.KVCache(1)
     for i in range(n):
         out, cache = A.attend_step_cached(T.Tensor(h[i:i + 1], dtype=F64),
                                           cache, p, layer=0)
@@ -550,7 +560,7 @@ def test_incremental_multi_query_equals_full():
 
 def test_cache_layer_out_of_range():
     p = params_for(4, 1)
-    cache = A.KVCache(2, 1)
+    cache = A.KVCache(2)
     with pytest.raises(A.CacheLayerError):
         A.attend_step_cached(T.zeros((1, 4), dtype=F64), cache, p, layer=2)
 
@@ -560,7 +570,7 @@ def test_windowed_cached_step_restricts_positions():
     p = params_for(d, 1, seed=48)
     rng = T.Rng(49)
     h = rng.gaussian((4, d))
-    cache = A.KVCache(1, 1)
+    cache = A.KVCache(1)
     outs = []
     for i in range(4):
         allowed = np.zeros(i + 1, dtype=bool)
@@ -569,8 +579,8 @@ def test_windowed_cached_step_restricts_positions():
                                           cache, p, layer=0, allowed=allowed)
         outs.append(out.values[0])
     spec = A.make_attention_field("window", 4, causal=True, window=2)
-    q = T.matmul(T.Tensor(h, dtype=F64), p.wq[0])
-    k = T.matmul(T.Tensor(h, dtype=F64), p.wk[0])
-    v = T.matmul(T.Tensor(h, dtype=F64), p.wv[0])
+    q = T.matmul(T.Tensor(h, dtype=F64), p.wq)
+    k = T.matmul(T.Tensor(h, dtype=F64), p.wk)
+    v = T.matmul(T.Tensor(h, dtype=F64), p.wv)
     want = T.matmul(A.qkv_attention(q, k, v, spec), p.w_out).values
     np.testing.assert_allclose(np.array(outs), want, atol=1e-10)

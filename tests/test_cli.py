@@ -71,6 +71,32 @@ def test_train_chunked_path(tmp_path):
     assert rc == 0 and out.exists()
 
 
+@pytest.mark.parametrize("architecture", ["encoder-only", "encoder-decoder"])
+def test_train_rejects_untrainable_architecture_before_reading(
+        tmp_path, capsys, architecture):
+    out = tmp_path / "m.ckpt"
+    # the corpus does not exist: the config is refused before it is read
+    rc = C.main(["train", "--corpus", str(tmp_path / "absent.txt"),
+                 "--out", str(out),
+                 "--set", f"model.architecture={architecture}"])
+    assert rc != 0
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and architecture in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override", ["attention.variant=window",
+                                      "attention.multi_query=true"])
+def test_chunked_train_rejects_unchunkable_config(tmp_path, capsys, override):
+    out = tmp_path / "m.ckpt"
+    rc = C.main(["train", "--corpus", str(tmp_path / "absent.txt"),
+                 "--out", str(out), "--chunk-len", "8", "--set", override])
+    assert rc != 0
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and "chunked" in err[0]
+    assert not out.exists()
+
+
 def test_generate_max_len_one_emits_one_token(workdir, capsys):
     assert C.main(["generate", "--ckpt", workdir["ckpt"], "--prompt", "the ",
                    "--max-len", "1"]) == 0
@@ -189,6 +215,17 @@ def test_bench_counters_scale_as_expected(tmp_path):
             out.read_text().strip().split("\n")[1:]]
     ops = {int(r[1]): int(r[2]) for r in rows}
     assert ops[128] == 4 * ops[64]           # attention work is quadratic
+    # exact tallies, unchanged since heads became column blocks of one
+    # projection (the per-head layout counted the same work head by head)
+    assert C.main(["bench", "--variants", "dense,window,linear,lowrank-d",
+                   "--lengths", "16,32", "--d", "16", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in
+            out.read_text().strip().split("\n")[1:]]
+    assert {(r[0], int(r[1])): int(r[2]) for r in rows} == {
+        ("dense", 16): 8192, ("dense", 32): 32768,
+        ("window", 16): 3200, ("window", 32): 7296,
+        ("linear", 16): 4352, ("linear", 32): 8704,
+        ("lowrank-d", 16): 6144, ("lowrank-d", 32): 24576}
 
 
 def test_oracle_subcommand_writes_csv(tmp_path):

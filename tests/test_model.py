@@ -92,7 +92,7 @@ def test_shared_layers_collapse_the_parameter_count():
     assert len(tied.parameters()) < len(untied.parameters())
     # tied layers yield the very same tensors under different names
     named = dict(tied.named())
-    assert named["dec0.att.wq0"] is named["dec2.att.wq0"]
+    assert named["dec0.att.wq"] is named["dec2.att.wq"]
 
 
 def test_tied_embedding_drops_the_output_matrix():

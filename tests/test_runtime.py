@@ -297,6 +297,42 @@ def test_unknown_version_is_a_format_error(tmp_path):
         R.load_checkpoint(path)
 
 
+# Written by the per-head (format v1) save_checkpoint: a tau=2 model and a
+# multi-query tau=4 model, each trained 40 steps on a-h text. The greedy
+# tokens after "ab" and the log-probability of "abcdefgh" were recorded
+# when the files were written.
+V1_FIXTURES = [
+    ("v1_plain_tau2.ckpt", [6, 10, 10, 10, 11, 11, 10, 9, 8, 7, 6, 5],
+     -16.656119924180572),
+    ("v1_multi_query.ckpt", [7, 8, 9, 10, 11, 11, 10, 9, 8, 7, 6, 10],
+     -26.65037921361344),
+]
+
+
+@pytest.mark.parametrize("name,tokens,logprob", V1_FIXTURES)
+def test_version_one_checkpoints_still_load(tmp_path, name, tokens, logprob):
+    path = os.path.join(os.path.dirname(__file__), "data", name)
+    with open(path, "rb") as fh:
+        assert struct.unpack("<H", fh.read(6)[4:])[0] == 1
+    model = R.load_checkpoint(path)
+    att = model.dec_layers[0].att
+    assert att.wq.shape == (8, 8)
+    assert att.wk.shape == (8, att.n_kv * att.d_head)
+    got = R.greedy_generate(model, model.vocab.encode("ab"),
+                            R.SearchConfig(n_max=12))
+    assert got == tokens
+    assert abs(model.sequence_logprob(model.vocab.encode("abcdefgh"))
+               - logprob) < 1e-6
+    # saved again, the file is version 2 and loads to the same tensors
+    again = ckpt_path(tmp_path)
+    R.save_checkpoint(model, again)
+    with open(again, "rb") as fh:
+        assert struct.unpack("<H", fh.read(6)[4:])[0] == R.VERSION == 2
+    reloaded = dict(R.load_checkpoint(again).named())
+    for n, t in model.named():
+        assert np.array_equal(reloaded[n].values, t.values)
+
+
 def test_truncated_file_is_an_integrity_error(tmp_path):
     model = build(dtype=np.float32)
     path = ckpt_path(tmp_path)
@@ -372,9 +408,10 @@ def test_eight_bit_logits_within_propagated_bound():
     ids = [4, 7, 5, 6, 4, 5]
     layer = model.dec_layers[0]
     spec = [{
-        "wq": [w.values for w in layer.att.wq],
-        "wk": [w.values for w in layer.att.wk],
-        "wv": [w.values for w in layer.att.wv],
+        "heads": layer.att.tau,
+        "wq": layer.att.wq.values,
+        "wk": layer.att.wk.values,
+        "wv": layer.att.wv.values,
         "w_out": layer.att.w_out.values,
         "ln1": (layer.ln1.g.values, layer.ln1.b.values, layer.ln1.eps),
         "w_h": layer.ffn_core.w_h.values,

@@ -223,6 +223,37 @@ def test_clipping_caps_the_global_norm_exactly():
     assert np.array_equal(table2[id(a)], grads[id(a)])
 
 
+@pytest.mark.parametrize("clip_norm", [None, 0.5])
+def test_adam_steps_equal_the_textbook_formula_bitwise(clip_norm):
+    rng = T.Rng(60)
+    params = [T.Tensor(rng.gaussian((3, 4)), trainable=True),
+              T.Tensor(rng.gaussian((5,)), trainable=True)]
+    want = [p.values.copy() for p in params]
+    m = [np.zeros_like(w) for w in want]
+    v = [np.zeros_like(w) for w in want]
+    state = TR.AdamState()
+    b1, b2, eps, lr = state.beta1, state.beta2, state.eps, 0.01
+    for t in range(1, 6):
+        grads = {id(p): rng.gaussian(p.shape) for p in params}
+        table = grads
+        if clip_norm is not None:
+            table, _ = TR.clip_gradients(params, grads, clip_norm)
+        TR.adam_step(params, table, state, lr)
+        gs = [grads[id(p)] for p in params]
+        if clip_norm is not None:
+            norm = float(np.sqrt(sum(float((g * g).sum()) for g in gs)))
+            assert norm > clip_norm
+            gs = [g * (clip_norm / norm) for g in gs]
+        for i, g in enumerate(gs):
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            v[i] = b2 * v[i] + (1.0 - b2) * g * g
+            m_hat = m[i] / (1.0 - b1 ** t)
+            v_hat = v[i] / (1.0 - b2 ** t)
+            want[i] = want[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        for p, w in zip(params, want):
+            assert np.array_equal(p.values, w)
+
+
 # ---------------------------------------------------------------------------
 # the loop
 # ---------------------------------------------------------------------------
@@ -453,10 +484,10 @@ def test_chunk_forward_matches_a_manual_construction():
 
     lay = m.dec_layers[0]
     emb = m.embed.weights.values[ids[half:]] + m.pe.table(len(ids))[half:]
-    q = emb @ lay.att.wq[0].values
-    k1, v1 = kv[0][0][0], kv[0][1][0]
-    k = np.vstack([k1, emb @ lay.att.wk[0].values])
-    v = np.vstack([v1, emb @ lay.att.wv[0].values])
+    q = emb @ lay.att.wq.values
+    k1, v1 = kv[0]
+    k = np.vstack([k1, emb @ lay.att.wk.values])
+    v = np.vstack([v1, emb @ lay.att.wv.values])
     n2 = emb.shape[0]
     scores = q @ k.T / np.sqrt(4.0)
     for i in range(n2):
