@@ -33,6 +33,10 @@ class CacheLayerError(IndexError):
     """A cache was addressed with a layer index it does not hold."""
 
 
+class StateError(RuntimeError):
+    """A decode session's cached state disagrees with its token prefix."""
+
+
 @dataclass
 class OpCounter:
     """Tallies multiply-add work where attention actually spends it."""
@@ -470,12 +474,26 @@ def multi_query_attention(h: T.Tensor, params: AttentionParams, mask=None,
     return _attend(h, h, params, mask, counter=counter)
 
 
-def cross_attention(h_enc: T.Tensor, s_self: T.Tensor, params: AttentionParams,
-                    counter=None):
-    """Queries from the decoder side, keys/values from the encoder; no mask."""
+def cross_kv(h_enc: T.Tensor, params: AttentionParams):
+    """The encoder side of cross attention: head-split keys and values of
+    the encoder rows, (..., n_kv, n_src, d_h) each."""
     if h_enc.shape[-2] == 0:
         raise EmptySourceError("cross attention against an empty source")
-    return _attend(s_self, h_enc, params, mask=None, counter=counter)
+    return (split_heads(T.matmul(h_enc, params.wk), params.n_kv),
+            split_heads(T.matmul(h_enc, params.wv), params.n_kv))
+
+
+def cross_attention(h_enc: T.Tensor, s_self: T.Tensor, params: AttentionParams,
+                    counter=None, kv=None):
+    """Queries from the decoder side, keys/values from the encoder; no mask.
+
+    ``kv`` is ``cross_kv(h_enc, params)`` computed earlier (a decode
+    session projects the encoder rows once); without it the encoder rows
+    are projected here.
+    """
+    k, v = cross_kv(h_enc, params) if kv is None else kv
+    q = split_heads(T.matmul(s_self, params.wq), params.tau)
+    return params.merge(qkv_attention(q, k, v, counter=counter))
 
 
 def rpr_attention(h: T.Tensor, params: AttentionParams, rpr: RprTable,
@@ -522,77 +540,152 @@ def rpr_attention(h: T.Tensor, params: AttentionParams, rpr: RprTable,
 
 
 class KVCache:
-    """Append-only per-layer key/value history for incremental decoding.
+    """Per-layer key/value arrays for incremental decoding of a batch of rows.
 
-    One key history and one value history per layer; a row holds every
-    key/value head side by side (width n_kv*d_h). Appended rows are never
-    mutated.
+    Layer l keeps one array of shape (2, rows, capacity, width), keys then
+    values, width = n_kv*d_h with every key/value head side by side, and
+    counts the positions written so far; all rows advance together.
+    Capacity doubles when a block does not fit. With a ``window``, a block
+    can see no more than the last window-1 earlier positions, so only those
+    are kept when the array is laid out again: capacity stays below
+    2*(window + block) however long decoding runs. Written rows are never
+    overwritten: growing, trimming and ``select`` build new arrays, so a
+    view handed out earlier keeps its values.
     """
 
-    def __init__(self, n_layers: int):
-        self.n_layers = n_layers
-        self._k = [[] for _ in range(n_layers)]
-        self._v = [[] for _ in range(n_layers)]
+    MIN_CAPACITY = 16
 
-    def length(self, layer: int = 0) -> int:
-        self._check(layer)
-        return len(self._k[layer])
+    def __init__(self, n_layers: int, window: Optional[int] = None):
+        if window is not None and window < 1:
+            raise ValueError("window must be >= 1")
+        self.n_layers = n_layers
+        self.window = window
+        self._kv: list = [None] * n_layers    # arrays appear at the first write
+        self._t = [0] * n_layers              # positions written
+        self._first = [0] * n_layers          # position held in array row 0
 
     def _check(self, layer: int):
         if not 0 <= layer < self.n_layers:
             raise CacheLayerError(f"layer {layer} outside 0..{self.n_layers - 1}")
 
-    def append(self, layer: int, k_row: T.Tensor, v_row: T.Tensor):
+    def length(self, layer: int = 0) -> int:
+        """Positions written at this layer."""
         self._check(layer)
-        self._k[layer].append(k_row)
-        self._v[layer].append(v_row)
+        return self._t[layer]
 
-    def keys(self, layer: int) -> T.Tensor:
+    def rows(self, layer: int = 0) -> Optional[int]:
+        """Rows held at this layer; None before the first write."""
         self._check(layer)
-        return T.concat(self._k[layer], axis=0)
-
-    def values_(self, layer: int) -> T.Tensor:
-        self._check(layer)
-        return T.concat(self._v[layer], axis=0)
+        return None if self._kv[layer] is None else self._kv[layer].shape[1]
 
     def lengths_consistent(self) -> bool:
-        return len({len(rows) for rows in self._k + self._v}) <= 1
+        return len(set(self._t)) <= 1
+
+    def _held(self, layer: int) -> np.ndarray:
+        """Keys and values of the positions still held: every position
+        written, or the last ``window``."""
+        self._check(layer)
+        kv, t = self._kv[layer], self._t[layer]
+        if kv is None:
+            return np.zeros((2, 0, 0, 0))
+        end = t - self._first[layer]
+        n = t if self.window is None else min(t, self.window)
+        return kv[:, :, end - n:end]
+
+    def keys(self, layer: int) -> T.Tensor:
+        """Stored keys, (rows, positions, width)."""
+        return T.Tensor(self._held(layer)[0])
+
+    def values_(self, layer: int) -> T.Tensor:
+        """Stored values, (rows, positions, width)."""
+        return T.Tensor(self._held(layer)[1])
+
+    def write(self, layer: int, k_new: np.ndarray, v_new: np.ndarray):
+        """Store a (rows, m, width) block of keys and values.
+
+        Returns the keys and values the block attends over, the earlier
+        positions it can see followed by the block itself, as views of the
+        cache's array, and the number of those earlier positions.
+        """
+        self._check(layer)
+        rows, m, width = k_new.shape
+        kv, t = self._kv[layer], self._t[layer]
+        if kv is not None and (kv.shape[1], kv.shape[3]) != (rows, width):
+            raise StateError(f"a block of {rows} rows of width {width} does "
+                             f"not fit a cache of {kv.shape[1]} rows of width "
+                             f"{kv.shape[3]}")
+        back = t if self.window is None else min(t, self.window - 1)
+        end = t - self._first[layer]
+        if kv is None or end + m > kv.shape[2]:
+            cap = max(self.MIN_CAPACITY, 2 * (back + m))
+            new = np.empty((2, rows, cap, width), dtype=k_new.dtype)
+            if back:
+                new[:, :, :back] = kv[:, :, end - back:end]
+            kv, end = new, back
+            self._kv[layer], self._first[layer] = kv, t - back
+        kv[0, :, end:end + m] = k_new
+        kv[1, :, end:end + m] = v_new
+        self._t[layer] = t + m
+        return kv[0, :, end - back:end + m], kv[1, :, end - back:end + m], back
+
+    def select(self, rows) -> None:
+        """Keep the given rows, in the given order; a row may repeat."""
+        idx = np.asarray(rows, dtype=np.int64)
+        self._kv = [None if kv is None else kv[:, idx] for kv in self._kv]
 
     def clone(self) -> "KVCache":
-        """Independent copy; cached rows are shared (they are never mutated)."""
-        out = KVCache(self.n_layers)
-        out._k = [list(rows) for rows in self._k]
-        out._v = [list(rows) for rows in self._v]
+        """Independent copy of every layer's array."""
+        out = KVCache(self.n_layers, self.window)
+        out._kv = [None if kv is None else kv.copy() for kv in self._kv]
+        out._t, out._first = list(self._t), list(self._first)
         return out
 
 
-def attend_step_cached(x_row: T.Tensor, cache: KVCache, params: AttentionParams,
-                       layer: int, allowed: Optional[np.ndarray] = None):
-    """One decoding step of self-attention at one layer.
-
-    Projects the new row, attends over the cached keys/values plus the new
-    pair (causality is implicit: the cache only holds the past), appends
-    the new pair, and returns (merged output row, cache).
-
-    ``allowed`` optionally restricts attention to a boolean subset of the
-    positions 0..t (window decoding); the current position must stay
-    allowed.
-    """
-    if x_row.ndim != 2 or x_row.shape[0] != 1:
-        raise T.ShapeError("attend_step_cached expects a single row (1, d)")
-    t_prev = cache.length(layer)
-    additive = None
+def _step_mask(m: int, back: int, window: Optional[int], allowed):
+    """Additive mask of m new positions over back earlier ones plus
+    themselves: causal inside the block, within the window, and within the
+    boolean ``allowed`` when given. None when every pair is allowed."""
+    if m == 1 and allowed is None:
+        return None                          # back never exceeds window-1
+    i = np.arange(m)[:, None]
+    j = np.arange(back + m)[None, :]
+    ok = j <= back + i
+    if window is not None:
+        ok &= j > back + i - window
     if allowed is not None:
         allowed = np.asarray(allowed, dtype=bool)
-        if allowed.shape != (t_prev + 1,):
-            raise T.ShapeError("allowed must cover cached positions plus the new one")
-        additive = np.where(allowed, 0.0, NEG_INF)[None, :]
+        if allowed.shape[-1] != back + m:
+            raise T.ShapeError("allowed must cover the visible cached "
+                               "positions plus the new ones")
+        ok = ok & allowed
+    return None if ok.all() else np.where(ok, 0.0, NEG_INF)
 
-    q, k_new, v_new = params.project(x_row, x_row)
-    k, v = k_new, v_new
-    if t_prev > 0:
-        k = T.concat([cache.keys(layer), k_new], axis=0)
-        v = T.concat([cache.values_(layer), v_new], axis=0)
-    cache.append(layer, k_new, v_new)
-    out = qkv_attention(*params.split(q, k, v), additive)
-    return params.merge(out), cache
+
+def attend_step_cached(x: T.Tensor, cache: KVCache, params: AttentionParams,
+                       layer: int, allowed: Optional[np.ndarray] = None):
+    """Self-attention of a block of new positions at one layer.
+
+    ``x`` is (rows, m, d): m new positions for each of the cache's rows, or
+    one (1, d) row of a one-row cache. Projects the block, writes its keys
+    and values into the cache, and attends every new position over the
+    earlier positions it can see plus the block up to itself. Returns
+    (merged output shaped like x, cache).
+
+    ``allowed`` optionally narrows attention further: a boolean over the
+    visible cached positions plus the new ones (for a one-row step over a
+    full history, positions 0..t). A position must stay allowed to itself.
+    """
+    single = x.ndim == 2
+    if single:
+        if x.shape[0] != 1:
+            raise T.ShapeError("a 2-d input to attend_step_cached is one row (1, d)")
+        x = T.reshape(x, (1,) + x.shape)
+    elif x.ndim != 3:
+        raise T.ShapeError("attend_step_cached expects (rows, m, d) or (1, d)")
+    q, k_new, v_new = params.project(x, x)
+    k, v, back = cache.write(layer, k_new.values, v_new.values)
+    mask = _step_mask(x.shape[1], back, cache.window, allowed)
+    out = qkv_attention(*params.split(q, T.ending_in(k, k_new),
+                                      T.ending_in(v, v_new)), mask)
+    out = params.merge(out)
+    return (T.reshape(out, out.shape[1:]) if single else out), cache

@@ -99,10 +99,12 @@ def _search_config(args) -> R.SearchConfig:
 
 
 def cmd_generate(args) -> int:
+    cfg = _search_config(args)
+    if args.quantize is not None and cfg.beam > 1:
+        raise ValueError("--quantize decodes greedily; it does not take --beam")
     model = R.load_checkpoint(args.ckpt)
     prompt = model.vocab.encode(args.prompt) if args.prompt else []
-    cfg = _search_config(args)
-    if args.quantize:
+    if args.quantize is not None:
         tokens = R.quantized_infer(model, prompt, cfg, bits=args.quantize)
     elif cfg.beam > 1:
         tokens = R.beam_search(model, prompt, cfg)[0].tokens

@@ -115,11 +115,11 @@ class SinusoidalPE:
         out[1::2] = np.cos(angles)
         return out
 
-    def table(self, m: int) -> np.ndarray:
-        """Rows PE(0) .. PE(m-1), float64, shape (m, d)."""
-        pos = np.arange(m, dtype=np.float64)[:, None]
+    def table(self, m: int, start: int = 0) -> np.ndarray:
+        """Rows PE(start) .. PE(m-1), float64, shape (m - start, d)."""
+        pos = np.arange(start, m, dtype=np.float64)[:, None]
         angles = pos * self._omega[None, :]
-        out = np.empty((m, self.d), dtype=np.float64)
+        out = np.empty((m - start, self.d), dtype=np.float64)
         out[:, 0::2] = np.sin(angles)
         out[:, 1::2] = np.cos(angles)
         return out

@@ -25,8 +25,7 @@ from .embedding import (CLS, PAD, SOS, EmbeddingTable, RprTable, SinusoidalPE,
                         Vocab, VocabError, pad_flags)
 
 
-class StateError(RuntimeError):
-    """A decode session's cached state disagrees with its token prefix."""
+StateError = A.StateError
 
 
 class ContractError(ValueError):
@@ -334,35 +333,61 @@ def _init_layer(cfg: ModelConfig, rng: T.Rng, with_cross: bool, dtype) -> Layer:
 
 @dataclass
 class DecodeSession:
-    """Incremental decoding state owned by one hypothesis.
+    """Incremental decoding state of a batch of rows (hypotheses).
 
-    mode picks the state representation: "cache" keeps per-layer key/value
-    histories, "stream" keeps kernel accumulators, "ssm" keeps state
-    blocks, and "recompute" keeps only the prefix (variants whose step
-    cannot reuse past work exactly).
+    Every row has its own token prefix, all of one length, and row r of
+    every state array belongs to prefix r. mode picks the state
+    representation: "cache" keeps per-layer key/value arrays, "stream"
+    keeps kernel accumulators per row and head, "ssm" keeps (rows, d,
+    d_state) state blocks, and "recompute" keeps only the prefixes
+    (variants whose step cannot reuse past work exactly). An
+    encoder-decoder session holds each layer's cross-attention keys and
+    values, projected once from the encoder output.
     """
 
     model: "Model"
     mode: str
     enc_out: Optional[T.Tensor]
-    prefix: List[int] = field(default_factory=list)
+    prefixes: List[List[int]] = field(default_factory=lambda: [[]])
     kv: Optional[A.KVCache] = None
-    streams: Optional[List[List[EF.StreamState]]] = None
+    streams: Optional[List[List[List[EF.StreamState]]]] = None
     ssm_states: Optional[List[np.ndarray]] = None
+    cross_kv: Optional[list] = None
+
+    @property
+    def rows(self) -> int:
+        return len(self.prefixes)
+
+    @property
+    def prefix(self) -> List[int]:
+        """The token prefix of a one-row session."""
+        if self.rows != 1:
+            raise ContractError(f"a {self.rows}-row session has one prefix per row")
+        return self.prefixes[0]
 
     @property
     def position(self) -> int:
-        return len(self.prefix)
+        return len(self.prefixes[0])
+
+    def select(self, rows) -> None:
+        """Keep the given rows in the given order (a row may repeat): every
+        prefix and state array is gathered by row."""
+        idx = np.asarray(rows, dtype=np.int64)
+        self.prefixes = [list(self.prefixes[r]) for r in idx]
+        if self.kv is not None:
+            self.kv.select(idx)
+        if self.streams is not None:
+            # stream states are replaced, never mutated, on every step
+            self.streams = [[list(per_row[r]) for r in idx]
+                            for per_row in self.streams]
+        if self.ssm_states is not None:
+            self.ssm_states = [z[idx] for z in self.ssm_states]
 
     def clone(self) -> "DecodeSession":
-        return DecodeSession(
-            model=self.model, mode=self.mode, enc_out=self.enc_out,
-            prefix=list(self.prefix),
-            kv=self.kv.clone() if self.kv is not None else None,
-            streams=[[dataclasses.replace(st) for st in per_layer]
-                     for per_layer in self.streams] if self.streams is not None else None,
-            ssm_states=[z.copy() for z in self.ssm_states]
-            if self.ssm_states is not None else None)
+        out = dataclasses.replace(self, kv=None)
+        out.select(np.arange(self.rows))
+        out.kv = self.kv.clone() if self.kv is not None else None
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +501,7 @@ class Model:
         h = T.gather_rows(self.embed.weights, ids)
         if self.cfg.scale_embedding:
             h = h * float(np.sqrt(self.cfg.d))
-        pos = self.pe.table(start_pos + ids.shape[-1])[start_pos:]
+        pos = self.pe.table(start_pos + ids.shape[-1], start_pos)
         return h + T.Tensor(pos.astype(self.dtype))
 
     def _mask_for(self, m: int, causal: bool, pad: Optional[np.ndarray]):
@@ -723,108 +748,137 @@ class Model:
                 "lowrank-n": "recompute"}[cfg.attention]
 
     def decode_session(self, source=None) -> DecodeSession:
+        """A one-row session at position 0; ``select`` changes its rows."""
         if not self.dec_layers:
             raise ContractError("this architecture has no decoder")
-        enc_out = None
+        enc_out = cross_kv = None
         if self.cfg.architecture == "encoder-decoder":
             if source is None:
                 raise ContractError("encoder-decoder decoding needs a source")
             enc_out = self.encode(source)
+            cross_kv = [A.cross_kv(enc_out, lay.cross) for lay in self.dec_layers]
         elif source is not None:
             raise ContractError("source given to a model without cross-attention")
         mode = self.decode_mode()
         kv = streams = states = None
-        n_l, d_h = len(self.dec_layers), self.cfg.d_head
+        cfg, n_l = self.cfg, len(self.dec_layers)
         if mode == "cache":
-            kv = A.KVCache(n_l)
+            kv = A.KVCache(n_l, cfg.window if cfg.attention == "window" else None)
         elif mode == "stream":
-            streams = [[EF.init_stream(d_h, d_h) for _ in range(self.cfg.tau)]
-                       for _ in range(n_l)]
+            streams = [[[EF.init_stream(cfg.d_head, cfg.d_head)
+                         for _ in range(cfg.tau)]] for _ in range(n_l)]
         elif mode == "ssm":
-            states = [np.zeros((self.cfg.d, self.cfg.ssm_d_state),
-                               dtype=self.dtype) for _ in range(n_l)]
-        return DecodeSession(model=self, mode=mode, enc_out=enc_out,
-                             kv=kv, streams=streams, ssm_states=states)
+            states = [np.zeros((1, cfg.d, cfg.ssm_d_state), dtype=self.dtype)
+                      for _ in range(n_l)]
+        return DecodeSession(model=self, mode=mode, enc_out=enc_out, kv=kv,
+                             streams=streams, ssm_states=states,
+                             cross_kv=cross_kv)
 
-    def _check_session(self, session: DecodeSession, t: int):
+    def _check_session(self, session: DecodeSession, rows: int):
+        """Raise StateError unless every layer's state is at the prefixes'
+        common position and holds ``rows`` rows."""
         if session.model is not self:
             raise StateError("session belongs to a different model")
+        t = session.position
+        if session.rows != rows or any(len(p) != t for p in session.prefixes):
+            raise StateError(f"{rows} rows fed to a session of "
+                             f"{session.rows} prefixes of lengths "
+                             f"{sorted({len(p) for p in session.prefixes})}")
+        cfg, n_l = self.cfg, len(self.dec_layers)
         if session.mode == "cache":
-            if not session.kv.lengths_consistent() or session.kv.length(0) != t:
-                raise StateError(
-                    f"cache holds {session.kv.length(0)} rows for a prefix of {t}")
+            kv = session.kv
+            got = [(kv.length(i), kv.rows(i) or rows) for i in range(kv.n_layers)]
+            want = [(t, rows)] * n_l
         elif session.mode == "stream":
-            if session.streams[0][0].steps != t:
-                raise StateError(
-                    f"stream took {session.streams[0][0].steps} steps "
-                    f"for a prefix of {t}")
+            # (rows, heads, steps taken) of every stream state of a layer
+            got = [{(len(per_row), len(heads), st.steps)
+                    for heads in per_row for st in heads}
+                   for per_row in session.streams]
+            want = [{(rows, cfg.tau, t)}] * n_l
+        elif session.mode == "ssm":
+            got = [np.shape(z) for z in session.ssm_states]
+            want = [(rows, cfg.d, cfg.ssm_d_state)] * n_l
+        else:
+            return
+        if got != want:
+            raise StateError(f"{session.mode} state per layer is {got}, "
+                             f"not {want[0]} for a prefix of {t}")
 
-    def _step_att_core(self, layer: Layer, idx: int, session: DecodeSession,
-                       t: int) -> Callable[[T.Tensor], T.Tensor]:
+    def _step_att_core(self, layer: Layer, idx: int, session: DecodeSession
+                       ) -> Callable[[T.Tensor], T.Tensor]:
+        """Self-attention (or SSM) of a (rows, m, d) block of new positions
+        against the session's state at layer idx, which it advances."""
         cfg = self.cfg
 
         def core(z: T.Tensor) -> T.Tensor:
             if session.mode == "cache":
-                allowed = None
-                if cfg.attention == "window":
-                    allowed = np.zeros(t + 1, dtype=bool)
-                    allowed[max(0, t - cfg.window + 1):] = True
-                out, _ = A.attend_step_cached(z, session.kv, layer.att, idx,
-                                              allowed)
-                return out
+                return A.attend_step_cached(z, session.kv, layer.att, idx)[0]
             if session.mode == "stream":
                 phi = EF.FeatureMap(cfg.feature_map)
-                q, k, v = (x.values[:, 0] for x in layer.att.heads(z))
-                streams = session.streams[idx]
-                rows = []
-                for hh in range(cfg.tau):
-                    out_row, streams[hh] = EF.stream_step(
-                        streams[hh], k[hh], v[hh], q[hh], phi)
-                    rows.append(out_row)
-                heads = np.stack(rows)[:, None, :].astype(self.dtype)
-                return layer.att.merge(T.Tensor(heads))
-            # ssm: one recurrence step over the d feature columns
+                q, k, v = (x.values for x in layer.att.heads(z))
+                out = np.empty(q.shape)
+                for r, heads in enumerate(session.streams[idx]):
+                    for i in range(z.shape[-2]):
+                        for hh in range(cfg.tau):
+                            out[r, hh, i], heads[hh] = EF.stream_step(
+                                heads[hh], k[r, hh, i], v[r, hh, i],
+                                q[r, hh, i], phi)
+                return layer.att.merge(T.Tensor(out.astype(self.dtype)))
+            # ssm: the recurrence over the d feature columns, position by
+            # position, every row at once
             dssm = layer.ssm
-            s_col = z.values.reshape(-1, 1)
-            z_new = (session.ssm_states[idx] @ dssm.a_bar.values
-                     + s_col @ dssm.b_bar.values)
-            session.ssm_states[idx] = z_new
-            o = z_new @ dssm.c_bar.values + s_col @ dssm.d_bar.values
-            return T.Tensor(o.T.astype(self.dtype))
+            state = session.ssm_states[idx]
+            out = []
+            for i in range(z.shape[-2]):
+                s_col = z.values[:, i, :, None]
+                state = state @ dssm.a_bar.values + s_col @ dssm.b_bar.values
+                out.append(state @ dssm.c_bar.values + s_col @ dssm.d_bar.values)
+            session.ssm_states[idx] = state
+            return T.Tensor(np.concatenate(out, axis=-1)
+                            .transpose(0, 2, 1).astype(self.dtype))
 
         return core
 
-    def decode_step(self, session: DecodeSession, token: int) -> np.ndarray:
-        """Consume one input token; return the next-token distribution.
+    def decode_step(self, session: DecodeSession, tokens) -> np.ndarray:
+        """Consume a block of input tokens; return next-token distributions.
 
-        The returned float64 vector sums to one. The session's state
-        advances; feeding the same session a token while its cache is out
-        of step with the prefix raises StateError.
+        ``tokens`` is one id for a one-row session, giving a (|V|,)
+        distribution, or a (rows, m) id block, m new positions of every
+        row, giving (rows, m, |V|) distributions. Distributions are float64
+        and sum to one. The session's state advances; a session whose
+        state is out of step with its prefixes, or holds another number of
+        rows, raises StateError.
         """
-        token = int(token)
-        if not 0 <= token < len(self.vocab):
-            raise VocabError(f"token id {token} out of range")
+        ids = np.asarray(tokens, dtype=np.int64)
+        single = ids.ndim == 0
+        if single:
+            ids = ids.reshape(1, 1)
+        if ids.ndim != 2 or ids.shape[1] == 0:
+            raise ContractError("decode_step takes one id or a (rows, m) id block")
+        if ids.min() < 0 or ids.max() >= len(self.vocab):
+            raise VocabError("token id out of range for this vocabulary")
         t = session.position
-        self._check_session(session, t)
+        self._check_session(session, ids.shape[0])
+        for prefix, new in zip(session.prefixes, ids.tolist()):
+            prefix.extend(new)
         if session.mode == "recompute":
-            session.prefix.append(token)
-            logits = self.decoder_forward(session.prefix, session.enc_out)
-            return _row_softmax(logits.values[-1])
-        ids = np.asarray([token], dtype=np.int64)
+            logits = self.decoder_forward(session.prefixes, session.enc_out)
+            dist = _softmax_last(logits.values[:, t:])
+            return dist[0, 0] if single else dist
         h = self._embed_at(ids, t)
         for idx, layer in enumerate(self.dec_layers):
-            h = self._wrap(h, self._step_att_core(layer, idx, session, t),
+            h = self._wrap(h, self._step_att_core(layer, idx, session),
                            layer.ln1, False, None)
             if layer.cross is not None:
-                cross_core = (lambda z, lay=layer:
-                              A.cross_attention(session.enc_out, z, lay.cross))
+                cross_core = (lambda z, lay=layer, kv=session.cross_kv[idx]:
+                              A.cross_attention(session.enc_out, z, lay.cross,
+                                                kv=kv))
                 h = self._wrap(h, cross_core, layer.ln_cross, False, None)
             h = self._wrap(h, self._ffn_core(layer), layer.ln2, False, None)
         if self.final_ln_dec is not None:
             h = B.layer_norm(h, self.final_ln_dec)
-        logits = self._head(h)
-        session.prefix.append(token)
-        return _row_softmax(logits.values[0])
+        dist = _softmax_last(self._head(h).values)
+        return dist[0, 0] if single else dist
 
     # -- sentence representation ----------------------------------------------
 
@@ -845,10 +899,11 @@ def _first_rows(n: int):
     return (Ellipsis, slice(0, n), slice(None))
 
 
-def _row_softmax(logits_row: np.ndarray) -> np.ndarray:
-    x = np.asarray(logits_row, dtype=np.float64)
-    e = np.exp(x - x.max())
-    return e / e.sum()
+def _softmax_last(logits: np.ndarray) -> np.ndarray:
+    """Float64 softmax over the last axis."""
+    x = np.asarray(logits, dtype=np.float64)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------

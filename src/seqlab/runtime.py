@@ -11,11 +11,12 @@ matmuls while everything else stays in floats.
 from __future__ import annotations
 
 import contextlib
+import heapq
 import os
 import re
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -62,13 +63,10 @@ class SearchConfig:
 
 @dataclass
 class Hypothesis:
-    """One candidate continuation and the session that produced it."""
+    """One finished candidate continuation."""
 
     tokens: List[int]
     logprob: float                           # sum of stepwise log-probs
-    session: Optional[DecodeSession]
-    finished: bool = False
-    dist: Optional[np.ndarray] = field(default=None, repr=False)
 
     def score(self, alpha: float) -> float:
         if alpha == 0.0 or not self.tokens:
@@ -78,12 +76,11 @@ class Hypothesis:
 
 def _seed_session(model: Model, prompt: Sequence[int],
                   source=None) -> tuple[DecodeSession, np.ndarray]:
-    """Feed the start symbol plus the prompt; return the next-token dist."""
+    """Feed the start symbol plus the prompt as one block; return the
+    session and the next-token distribution."""
     session = model.decode_session(source)
-    dist = model.decode_step(session, SOS)
-    for t in prompt:
-        dist = model.decode_step(session, int(t))
-    return session, dist
+    block = np.asarray([[SOS] + [int(t) for t in prompt]], dtype=np.int64)
+    return session, model.decode_step(session, block)[0, -1]
 
 
 def _pick_greedy(dist: np.ndarray) -> int:
@@ -111,38 +108,45 @@ def beam_search(model: Model, prompt: Sequence[int], cfg: SearchConfig,
     """Ranked hypotheses from width-limited left-to-right search.
 
     Live hypotheses expand over the whole vocabulary each step; the best
-    `beam` by length-normalized score survive, and any that emit EOS or
-    reach n_max retire to the result pool. Scores are raw cumulative
-    log-probabilities, so they match sequence scoring exactly.
+    `beam` by length-normalized score survive, ties going to the earlier
+    parent and then the lower token id. Any that emit EOS or reach n_max
+    retire to the result pool without another step. The rest are rows of
+    one decode session, gathered from their parents' rows and advanced by
+    one batched step. Scores are raw cumulative log-probabilities, so they
+    match sequence scoring exactly.
     """
     session, dist = _seed_session(model, prompt, source)
-    live = [Hypothesis([], 0.0, session, dist=dist)]
+    allowed = np.ones(len(model.vocab), dtype=bool)
+    allowed[list(_SUPPRESSED)] = False
+    allowed = np.flatnonzero(allowed)
+    tokens: List[List[int]] = [[]]           # one per session row
+    logprob = np.zeros(1)
+    dists = dist[None, :]
     pool: List[Hypothesis] = []
-    while live:
-        candidates = []
-        for idx, hyp in enumerate(live):
-            logp = np.log(np.maximum(hyp.dist.astype(np.float64), 1e-300))
-            for v in range(len(model.vocab)):
-                if v in _SUPPRESSED:
-                    continue
-                cum = hyp.logprob + float(logp[v])
-                length = len(hyp.tokens) + 1
-                norm = cum if cfg.alpha_len == 0.0 \
-                    else cum / length ** cfg.alpha_len
-                candidates.append((-norm, idx, v, cum))
-        candidates.sort()
-        next_live = []
-        for _, idx, v, cum in candidates[:cfg.beam]:
-            parent = live[idx]
-            sess = parent.session.clone()
-            d = model.decode_step(sess, v)
-            hyp = Hypothesis(parent.tokens + [v], cum, sess, dist=d)
-            if v == EOS or len(hyp.tokens) >= cfg.n_max:
-                hyp.finished = True
+    while tokens:
+        length = len(tokens[0]) + 1
+        cum = logprob[:, None] + np.log(np.maximum(dists[:, allowed], 1e-300))
+        norm = cum if cfg.alpha_len == 0.0 else cum / length ** cfg.alpha_len
+        # nlargest is a stable sort cut to `beam`, and the flattening is
+        # (parent, token) order, so ties go to the earlier parent, then the
+        # lower token. numpy's own sorts are not used: loading their kernels
+        # costs about 1 MB of resident memory.
+        flat = norm.ravel().tolist()
+        best = heapq.nlargest(cfg.beam, range(len(flat)), key=flat.__getitem__)
+        going_on = []                        # (parent row, hypothesis)
+        for parent, col in (divmod(i, allowed.size) for i in best):
+            tok = int(allowed[col])
+            hyp = Hypothesis(tokens[parent] + [tok], float(cum[parent, col]))
+            if tok == EOS or length >= cfg.n_max:
                 pool.append(hyp)
             else:
-                next_live.append(hyp)
-        live = next_live
+                going_on.append((parent, hyp))
+        tokens = [hyp.tokens for _, hyp in going_on]
+        if tokens:
+            logprob = np.array([hyp.logprob for _, hyp in going_on])
+            session.select([parent for parent, _ in going_on])
+            fed = np.array([[t[-1]] for t in tokens])
+            dists = model.decode_step(session, fed)[:, 0]
     pool.sort(key=lambda h: (-h.score(cfg.alpha_len), len(h.tokens), h.tokens))
     return pool
 
@@ -310,6 +314,8 @@ def weight_quant_specs(model: Model, bits: int) -> dict:
     heads. An all-zero matrix has no usable step and maps to None; its
     products are taken as exactly zero.
     """
+    if bits < 2:
+        raise ValueError(f"quantization needs at least 2 bits, got {bits}")
     q_max = (1 << (bits - 1)) - 1
     mats = []
     for layer in list(model.enc_layers) + list(model.dec_layers):
@@ -331,7 +337,10 @@ def weight_quant_specs(model: Model, bits: int) -> dict:
 
 
 def _quant_route(specs: dict, bits: int, stats: Optional[T.QuantStats] = None):
+    """Matmul routing through integer products; each targeted weight is
+    quantized once, at its first product, and its levels reused."""
     q_max = (1 << (bits - 1)) - 1
+    levels = {}
 
     def route(a: T.Tensor, b: T.Tensor):
         if id(b) not in specs:
@@ -341,8 +350,11 @@ def _quant_route(specs: dict, bits: int, stats: Optional[T.QuantStats] = None):
         if spec_b is None or top == 0.0:
             dtype = np.result_type(a.dtype, b.dtype)
             return T.Tensor(np.zeros((a.shape[0], b.shape[1]), dtype=dtype))
+        if id(b) not in levels:
+            levels[id(b)] = T.quantize_levels(b.values, spec_b)
         spec_a = T.QuantSpec(top / q_max, bits)
-        return T.quantized_matmul(a, b, spec_a, spec_b, stats, stats)
+        return T.quantized_matmul(a, b, spec_a, spec_b, stats, stats,
+                                  levels_b=levels[id(b)])
 
     return route
 

@@ -39,13 +39,14 @@ class AccumulatorOverflowError(OverflowError):
 
 
 _ALLOWED_DTYPES = (np.float32, np.float64)
+_ALLOWED = frozenset(np.dtype(t) for t in _ALLOWED_DTYPES)   # hashed lookup
 
 
 def _as_values(values, dtype=None) -> np.ndarray:
     arr = np.asarray(values)
     if dtype is not None:
         arr = arr.astype(dtype, copy=False)
-    elif arr.dtype not in _ALLOWED_DTYPES:
+    elif arr.dtype not in _ALLOWED:
         arr = arr.astype(np.float32)
     return arr
 
@@ -61,7 +62,7 @@ class Tensor:
 
     def __init__(self, values, dtype=None, trainable: bool = False):
         arr = _as_values(values, dtype)
-        if arr.dtype not in _ALLOWED_DTYPES:
+        if arr.dtype not in _ALLOWED:
             raise TypeError(f"tensor dtype must be float32/float64, got {arr.dtype}")
         arr.flags.writeable = False
         self.values = arr
@@ -470,7 +471,7 @@ def transpose(a: Tensor, axes=None) -> Tensor:
         out = Tensor(np.swapaxes(a.values, -1, -2))
         return _emit(out, (a,), lambda g: (np.swapaxes(g, -1, -2),))
     axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
+    inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
     out = Tensor(np.transpose(a.values, axes))
     return _emit(out, (a,), lambda g: (np.transpose(g, inverse),))
 
@@ -487,6 +488,21 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         return tuple(np.split(g, splits, axis=axis))
 
     return _emit(out, tuple(tensors), grad_fn)
+
+
+def ending_in(stored: np.ndarray, new: Tensor) -> Tensor:
+    """``stored`` (..., n, d), whose last rows along axis -2 already hold
+    ``new``'s values, as one tensor without copying it.
+
+    A cache that wrote ``new`` into its own array passes the array back in
+    here: the gradient of the trailing rows flows to ``new``, and the
+    earlier rows are constants.
+    """
+    m = new.shape[-2]
+    if stored.shape[:-2] != new.shape[:-2] or stored.shape[-1] != new.shape[-1] \
+            or stored.shape[-2] < m:
+        raise ShapeError(f"{new.shape} cannot end {stored.shape}")
+    return _emit(Tensor(stored), (new,), lambda g: (g[..., -m:, :],))
 
 
 def take(a: Tensor, key) -> Tensor:
@@ -762,16 +778,25 @@ class QuantStats:
     saturated: int = 0
 
 
+def quantize_levels(x, spec: QuantSpec):
+    """Integer levels of x as float64, and how many entries saturated.
+
+    Rounds x/s to the nearest integer (ties to even) and clips to the
+    quantizer's range. A weight used by many products is rounded once.
+    """
+    r = np.round(np.asarray(x, dtype=np.float64) / spec.step)
+    saturated = int(np.count_nonzero((r < spec.q_min) | (r > spec.q_max)))
+    return np.clip(r, spec.q_min, spec.q_max), saturated
+
+
 def quantize(x, spec: QuantSpec, stats: Optional[QuantStats] = None):
     """Round x/s to the nearest integer (ties to even), saturating to range."""
-    arr = np.asarray(x, dtype=np.float64)
-    r = np.round(arr / spec.step)
-    out_of_range = (r < spec.q_min) | (r > spec.q_max)
-    r = np.clip(r, spec.q_min, spec.q_max).astype(np.int64)
+    levels, saturated = quantize_levels(x, spec)
     if stats is not None:
-        stats.count += arr.size
-        stats.saturated += int(np.count_nonzero(out_of_range))
-    if np.isscalar(x) or arr.ndim == 0:
+        stats.count += levels.size
+        stats.saturated += saturated
+    r = levels.astype(np.int64)
+    if np.isscalar(x) or r.ndim == 0:
         return int(r)
     return r
 
@@ -787,12 +812,18 @@ def dequantize(r, spec: QuantSpec):
 
 def quantized_matmul(a: Tensor, b: Tensor, spec_a: QuantSpec, spec_b: QuantSpec,
                      stats_a: Optional[QuantStats] = None,
-                     stats_b: Optional[QuantStats] = None) -> Tensor:
+                     stats_b: Optional[QuantStats] = None,
+                     levels_b=None) -> Tensor:
     """Integer-accumulated product of quantized operands, then dequantized.
 
-    The accumulator is 64-bit; before multiplying, the worst-case magnitude
-    k * 2^(p_a-1) * 2^(p_b-1) is checked against the accumulator range and
-    an AccumulatorOverflowError is raised if it could wrap.
+    The worst-case accumulator magnitude k * 2^(p_a-1) * 2^(p_b-1) decides
+    the arithmetic. Up to 2^53 a float64 GEMM of the integer levels is
+    exact: every partial sum is an integer float64 represents, so the
+    result equals the int64 product bit for bit, at BLAS speed. Above that
+    the product runs in int64, and an AccumulatorOverflowError is raised
+    if even that could wrap. ``levels_b`` is b already quantized with
+    spec_b, as ``quantize_levels`` returns it; stats_b counts it as if it
+    were quantized here.
     """
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError("quantized_matmul expects 2-d operands")
@@ -803,9 +834,16 @@ def quantized_matmul(a: Tensor, b: Tensor, spec_a: QuantSpec, spec_b: QuantSpec,
     if worst > np.iinfo(np.int64).max:
         raise AccumulatorOverflowError(
             f"k={k} at {spec_a.bits}+{spec_b.bits} bits can overflow the accumulator")
-    qa = quantize(a.values, spec_a, stats_a)
-    qb = quantize(b.values, spec_b, stats_b)
-    acc = qa @ qb  # exact in int64 given the guard above
-    out = (spec_a.step * spec_b.step) * acc.astype(np.float64)
+    qa, sat_a = quantize_levels(a.values, spec_a)
+    qb, sat_b = quantize_levels(b.values, spec_b) if levels_b is None else levels_b
+    for stats, q, sat in ((stats_a, qa, sat_a), (stats_b, qb, sat_b)):
+        if stats is not None:
+            stats.count += q.size
+            stats.saturated += sat
+    if worst <= 1 << 53:
+        acc = qa @ qb
+    else:
+        acc = (qa.astype(np.int64) @ qb.astype(np.int64)).astype(np.float64)
+    out = (spec_a.step * spec_b.step) * acc
     dtype = np.result_type(a.dtype, b.dtype)
     return Tensor(out.astype(dtype))

@@ -127,6 +127,21 @@ def test_generate_quantized_matches_float_at_sixteen_bits(workdir, capsys):
     assert capsys.readouterr().out == plain
 
 
+@pytest.mark.parametrize("flags,needle", [
+    (["--quantize", "8", "--beam", "2"], "--beam"),
+    (["--quantize", "1"], "2 bits"),
+    (["--quantize", "0"], "2 bits"),
+])
+def test_generate_refuses_quantize_misuse(workdir, capsys, flags, needle):
+    rc = C.main(["generate", "--ckpt", workdir["ckpt"], "--prompt", "a",
+                 "--max-len", "4"] + flags)
+    assert rc == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().split("\n")
+    assert len(err) == 1 and needle in err[0]
+    assert captured.out == ""
+
+
 def test_score_prints_the_sequence_logprob(workdir, capsys):
     assert C.main(["score", "--ckpt", workdir["ckpt"],
                    "--text", "the cat"]) == 0

@@ -288,7 +288,7 @@ def test_cached_decode_matches_per_head(multi_query, window):
         got, cache = A.attend_step_cached(x, cache, p, 0, allowed)
         want = per_head(x, prefix, p, dense(additive))
         assert np.max(np.abs(got.values - want.values)) < TOL
-        assert cache.keys(0).shape == (i + 1, p.n_kv * p.d_head)
+        assert cache.keys(0).shape == (1, i + 1, p.n_kv * p.d_head)
     # gradients of the last step: cached rows are constants, the new row
     # and every projection are live
     x = leaf((1, 12), 10)
@@ -297,9 +297,9 @@ def test_cached_decode_matches_per_head(multi_query, window):
     def reference():
         def attend(j, q, k, v):
             j_kv = 0 if multi_query else j
-            k = T.concat([T.Tensor(before.keys(0).values[cols(j_kv, d_h)]), k],
+            k = T.concat([T.Tensor(before.keys(0).values[0][cols(j_kv, d_h)]), k],
                          axis=0)
-            v = T.concat([T.Tensor(before.values_(0).values[cols(j_kv, d_h)]),
+            v = T.concat([T.Tensor(before.values_(0).values[0][cols(j_kv, d_h)]),
                           v], axis=0)
             return A.qkv_attention(q, k, v, additive)
         return per_head(x, x, p, attend)
@@ -318,7 +318,7 @@ def test_stream_decode_matches_per_head():
     session = m.decode_session()
     states = [EF.init_stream(d_h, d_h) for _ in range(att.tau)]
     for t, row in enumerate(T.Rng(11).gaussian((6, 12))):
-        got = m._step_att_core(layer, 0, session, t)(T.Tensor(row[None, :]))
+        got = m._step_att_core(layer, 0, session)(T.Tensor(row[None, None, :]))
         outs = []
         for j in range(att.tau):
             q, k, v = (row @ w.values[cols(j, d_h)]

@@ -1,5 +1,7 @@
 """Whole-model behavior: configs, padding, decoding sessions, pooling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -278,6 +280,55 @@ def test_tampered_cache_raises_a_state_error():
     sess = m.decode_session()
     m.decode_step(sess, SOS)
     sess.prefix.pop()                      # cache now ahead of the prefix
+    with pytest.raises(M.StateError):
+        m.decode_step(sess, 4)
+
+
+@pytest.mark.parametrize("tamper", ["rows", "width", "layers"])
+def test_tampered_ssm_state_raises_a_state_error(tamper):
+    m = build(attention="ssm")
+    sess = m.decode_session()
+    m.decode_step(sess, SOS)
+    z = sess.ssm_states[0]
+    if tamper == "rows":
+        sess.ssm_states[0] = np.concatenate([z, z])
+    elif tamper == "width":
+        sess.ssm_states[0] = z[:, :-1]
+    else:
+        sess.ssm_states.pop()
+    with pytest.raises(M.StateError):
+        m.decode_step(sess, 4)
+
+
+def test_tampered_stream_state_raises_a_state_error():
+    m = build(attention="linear")
+    sess = m.decode_session()
+    m.decode_step(sess, SOS)
+    heads = sess.streams[1][0]
+    heads[1] = dataclasses.replace(heads[1], steps=heads[1].steps + 1)
+    with pytest.raises(M.StateError):
+        m.decode_step(sess, 4)
+
+
+@pytest.mark.parametrize("kw", [dict(), dict(attention="linear"),
+                                dict(attention="ssm"), dict(rpr=True)])
+def test_a_block_of_another_row_count_raises_a_state_error(kw):
+    m = build(**kw)
+    sess = m.decode_session()
+    m.decode_step(sess, np.array([[SOS, 4]]))
+    with pytest.raises(M.StateError):
+        m.decode_step(sess, np.array([[4], [5]]))
+    sess.select([0, 0])
+    assert m.decode_step(sess, np.array([[4], [5]])).shape == (2, 1, len(VOCAB))
+
+
+def test_a_cache_ahead_of_one_layer_raises_a_state_error():
+    m = build()
+    sess = m.decode_session()
+    m.decode_step(sess, SOS)
+    layer = m.dec_layers[1]
+    x = T.Tensor(np.zeros((1, 1, m.cfg.d)))
+    A.attend_step_cached(x, sess.kv, layer.att, 1)   # layer 1 only
     with pytest.raises(M.StateError):
         m.decode_step(sess, 4)
 

@@ -43,7 +43,7 @@ def test_search_config_validation():
 
 
 def test_hypothesis_score_normalization():
-    hyp = R.Hypothesis([4, 5, 6], -6.0, None)
+    hyp = R.Hypothesis([4, 5, 6], -6.0)
     assert hyp.score(0.0) == -6.0
     assert hyp.score(1.0) == pytest.approx(-2.0)
     assert hyp.score(0.5) == pytest.approx(-6.0 / math.sqrt(3))
@@ -148,8 +148,8 @@ def test_beam_prefix_scores_nonincreasing():
 
 
 def test_length_normalization_changes_ranking():
-    short = R.Hypothesis([4], -2.0, None)
-    long = R.Hypothesis([4, 5, 6, 7], -3.0, None)
+    short = R.Hypothesis([4], -2.0)
+    long = R.Hypothesis([4, 5, 6, 7], -3.0)
     assert short.score(0.0) > long.score(0.0)
     assert long.score(1.0) > short.score(1.0)
 
@@ -427,6 +427,68 @@ def test_eight_bit_logits_within_propagated_bound():
     err = np.abs(R.quantized_forward(model, ids, bits=8) - ref)
     assert np.all(err <= bound + 1e-9)
     assert err.max() > 0                     # eight bits really perturbs
+
+
+def per_product_route(specs, bits, stats):
+    """The quantized route as it was: every product quantizes its weight
+    again and accumulates in int64."""
+    q_max = (1 << (bits - 1)) - 1
+
+    def route(a, b):
+        if id(b) not in specs:
+            return None
+        spec_b = specs[id(b)]
+        dtype = np.result_type(a.dtype, b.dtype)
+        top = float(np.max(np.abs(a.values)))
+        if spec_b is None or top == 0.0:
+            return T.Tensor(np.zeros((a.shape[0], b.shape[1]), dtype=dtype))
+        spec_a = T.QuantSpec(top / q_max, bits)
+        qa = T.quantize(a.values, spec_a, stats)
+        qb = T.quantize(b.values, spec_b, stats)
+        acc = (qa @ qb).astype(np.float64)
+        return T.Tensor(((spec_a.step * spec_b.step) * acc).astype(dtype))
+
+    return route
+
+
+@pytest.mark.parametrize("bits", [8, 16])
+@pytest.mark.parametrize("dtype", [F64, np.float32])
+def test_quantized_paths_equal_the_per_product_int64_route(bits, dtype,
+                                                           monkeypatch):
+    model = build(seed=3, d=16, d_ffn=32, dtype=dtype)
+    w = model.w_o.values.copy()
+    w[:, EOS] = -50.0                        # generate all six tokens
+    T.assign_(model.w_o, w)
+    specs = R.weight_quant_specs(model, bits)
+    ids = [SOS, 4, 5, 6, 7]
+    want_stats, got_stats = T.QuantStats(), T.QuantStats()
+    with T.matmul_routing(per_product_route(specs, bits, want_stats)):
+        want = model.decoder_forward(ids).values
+    with T.matmul_routing(per_product_route(specs, bits, None)):
+        want_tokens = list(ids)
+        for _ in range(6):
+            logits = model.decoder_forward(want_tokens).values[-1]
+            want_tokens.append(R._pick_greedy(np.exp(logits - logits.max())))
+            if want_tokens[-1] == EOS:
+                break
+    got = R.quantized_forward(model, ids, bits=bits, stats=got_stats)
+    assert np.array_equal(got, want)
+    assert got_stats == want_stats
+
+    weights = {id(t.values) for _, t in model.named() if id(t) in specs}
+    rounded = []
+    levels = T.quantize_levels
+
+    def counting(x, spec):
+        if id(x) in weights:
+            rounded.append(id(x))
+        return levels(x, spec)
+
+    monkeypatch.setattr(T, "quantize_levels", counting)
+    tokens = R.quantized_infer(model, ids[1:], R.SearchConfig(n_max=6),
+                               bits=bits)
+    assert tokens == want_tokens[len(ids):] and len(tokens) == 6
+    assert sorted(rounded) == sorted(weights)   # each weight once per call
 
 
 def test_quantized_stats_are_collected():

@@ -406,6 +406,52 @@ def test_quantized_matmul_error_bound():
     assert rel_frob < np.linalg.norm(bound) / np.linalg.norm(exact)
 
 
+def int64_quantized_matmul(a, b, spec_a, spec_b, stats):
+    """The integer reference: int64 levels, int64 accumulation."""
+    qa = T.quantize(a, spec_a, stats)
+    qb = T.quantize(b, spec_b, stats)
+    return (spec_a.step * spec_b.step) * (qa @ qb).astype(np.float64)
+
+
+@pytest.mark.parametrize("bits", [8, 16])
+def test_float64_accumulation_is_bitwise_the_int64_product(bits):
+    rng = T.Rng(30 + bits)
+    k = 256
+    a = rng.gaussian((9, k))
+    b = rng.gaussian((k, 7))
+    q_max = 2 ** (bits - 1) - 1
+    # steps sized for 0.6 of the largest entry, so the tails saturate
+    spec_a = T.QuantSpec(0.6 * np.abs(a).max() / q_max, bits)
+    spec_b = T.QuantSpec(0.6 * np.abs(b).max() / q_max, bits)
+    assert k * 2 ** (2 * bits - 2) <= 2 ** 53      # the float64 branch
+    want_stats, got_stats, reused_stats = (T.QuantStats() for _ in range(3))
+    want = int64_quantized_matmul(a, b, spec_a, spec_b, want_stats)
+    ta, tb = T.Tensor(a, dtype=np.float64), T.Tensor(b, dtype=np.float64)
+    got = T.quantized_matmul(ta, tb, spec_a, spec_b, got_stats, got_stats)
+    reused = T.quantized_matmul(ta, tb, spec_a, spec_b, reused_stats,
+                                reused_stats,
+                                levels_b=T.quantize_levels(b, spec_b))
+    assert want_stats.saturated > 0
+    for out, stats in ((got, got_stats), (reused, reused_stats)):
+        assert np.array_equal(out.values, want)
+        assert stats == want_stats
+
+
+def test_wide_products_accumulate_in_int64():
+    # 28 + 28 bits over k = 64 exceeds 2^53 but not the int64 range
+    rng = T.Rng(33)
+    a = rng.gaussian((3, 64))
+    b = rng.gaussian((64, 2))
+    spec = T.QuantSpec(np.abs(np.concatenate([a.ravel(), b.ravel()])).max()
+                       / (2 ** 27 - 1), 28)
+    assert 2 ** 53 < 64 * 2 ** 54 <= np.iinfo(np.int64).max
+    stats = T.QuantStats()
+    want = int64_quantized_matmul(a, b, spec, spec, stats)
+    got = T.quantized_matmul(T.Tensor(a, dtype=np.float64),
+                             T.Tensor(b, dtype=np.float64), spec, spec)
+    assert np.array_equal(got.values, want)
+
+
 def test_quantized_matmul_overflow_guard():
     spec = T.QuantSpec(step=1.0, bits=32)
     with pytest.raises(T.AccumulatorOverflowError):
