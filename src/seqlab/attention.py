@@ -160,16 +160,6 @@ def local_prior(kind: str, n: int, gamma: float, sigma=None,
     return MaskSpec(mode="additive", additive=penalty, gamma=gamma)
 
 
-def local_decay_matrix(n: int, sigma: float) -> MaskSpec:
-    """Multiplicative locality gate in [0,1] with ones on the diagonal."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    i = np.arange(n)[:, None]
-    j = np.arange(n)[None, :]
-    g = np.exp(-((i - j) ** 2) / (2.0 * sigma ** 2))
-    return MaskSpec(mode="multiplicative", multiplicative=g)
-
-
 def make_attention_field(pattern: str, n: int, causal: bool = False, *,
                          window: Optional[int] = None,
                          chunk: Optional[int] = None,
@@ -578,9 +568,6 @@ class KVCache:
         self._check(layer)
         return None if self._kv[layer] is None else self._kv[layer].shape[1]
 
-    def lengths_consistent(self) -> bool:
-        return len(set(self._t)) <= 1
-
     def _held(self, layer: int) -> np.ndarray:
         """Keys and values of the positions still held: every position
         written, or the last ``window``."""
@@ -641,28 +628,22 @@ class KVCache:
         return out
 
 
-def _step_mask(m: int, back: int, window: Optional[int], allowed):
+def _step_mask(m: int, back: int, window: Optional[int]):
     """Additive mask of m new positions over back earlier ones plus
-    themselves: causal inside the block, within the window, and within the
-    boolean ``allowed`` when given. None when every pair is allowed."""
-    if m == 1 and allowed is None:
+    themselves: causal inside the block and within the window. None when
+    every pair is allowed."""
+    if m == 1:
         return None                          # back never exceeds window-1
     i = np.arange(m)[:, None]
     j = np.arange(back + m)[None, :]
     ok = j <= back + i
     if window is not None:
         ok &= j > back + i - window
-    if allowed is not None:
-        allowed = np.asarray(allowed, dtype=bool)
-        if allowed.shape[-1] != back + m:
-            raise T.ShapeError("allowed must cover the visible cached "
-                               "positions plus the new ones")
-        ok = ok & allowed
     return None if ok.all() else np.where(ok, 0.0, NEG_INF)
 
 
 def attend_step_cached(x: T.Tensor, cache: KVCache, params: AttentionParams,
-                       layer: int, allowed: Optional[np.ndarray] = None):
+                       layer: int):
     """Self-attention of a block of new positions at one layer.
 
     ``x`` is (rows, m, d): m new positions for each of the cache's rows, or
@@ -670,10 +651,6 @@ def attend_step_cached(x: T.Tensor, cache: KVCache, params: AttentionParams,
     and values into the cache, and attends every new position over the
     earlier positions it can see plus the block up to itself. Returns
     (merged output shaped like x, cache).
-
-    ``allowed`` optionally narrows attention further: a boolean over the
-    visible cached positions plus the new ones (for a one-row step over a
-    full history, positions 0..t). A position must stay allowed to itself.
     """
     single = x.ndim == 2
     if single:
@@ -684,7 +661,7 @@ def attend_step_cached(x: T.Tensor, cache: KVCache, params: AttentionParams,
         raise T.ShapeError("attend_step_cached expects (rows, m, d) or (1, d)")
     q, k_new, v_new = params.project(x, x)
     k, v, back = cache.write(layer, k_new.values, v_new.values)
-    mask = _step_mask(x.shape[1], back, cache.window, allowed)
+    mask = _step_mask(x.shape[1], back, cache.window)
     out = qkv_attention(*params.split(q, T.ending_in(k, k_new),
                                       T.ending_in(v, v_new)), mask)
     out = params.merge(out)

@@ -1,8 +1,8 @@
 """Sub-layer construction.
 
 Layer norm and FFN cores, the weighted-residual wrapper that subsumes
-post-norm and pre-norm, Runge-Kutta sub-layers, dense layer fusion,
-stochastic layer dropout, mixture-of-experts FFN, and parameter sharing.
+post-norm and pre-norm, Runge-Kutta sub-layers, stochastic layer dropout,
+mixture-of-experts FFN, and parameter sharing.
 """
 
 from dataclasses import dataclass
@@ -11,7 +11,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import tensor as T
-from .attention import AttentionParams, multi_head_self
 
 
 class ConfigurationError(ValueError):
@@ -136,21 +135,12 @@ class SublayerConfig:
     placement: str = "post"
     beta: Optional[float] = None
     gamma: Optional[float] = None
-    integrator_order: int = 1
-    integrator_h: float = 1.0
-    dropout_rho: float = 1.0
-    fusion: Optional["FusionSpec"] = None
-    share_group: Optional[str] = None
 
     def __post_init__(self):
         if self.placement not in PLACEMENTS:
             raise ConfigurationError(f"unknown placement {self.placement!r}")
         if self.placement == "weighted" and (self.beta is None or self.gamma is None):
             raise ConfigurationError("weighted placement needs beta and gamma")
-        if self.integrator_order not in RK_ORDERS:
-            raise ConfigurationError("integrator order must be 1, 2 or 4")
-        if not 0.0 <= self.dropout_rho <= 1.0:
-            raise ConfigurationError("dropout keep-probability outside [0, 1]")
 
     def residual_weights(self) -> Tuple[float, float]:
         if self.placement == "post":
@@ -195,98 +185,6 @@ def rk_sublayer(z: T.Tensor, f: Callable[[T.Tensor], T.Tensor],
 
 
 # ---------------------------------------------------------------------------
-# layer fusion
-# ---------------------------------------------------------------------------
-
-FUSION_MODES = ("average", "weighted", "ffn", "attention")
-FUSION_PLACEMENTS = ("basic", "post", "pre")
-
-
-@dataclass
-class FusionSpec:
-    """Dense-connection fusion: how to combine the layer history.
-
-    mode picks phi (mean, weighted sum, FFN over the concatenation, or
-    self-attention across the layer axis followed by an FFN); placement
-    decides where F and LNorm sit relative to phi.
-    """
-
-    mode: str = "average"
-    placement: str = "post"
-    weights: Optional[Sequence[float]] = None
-    ffn_params: Optional[FFNParams] = None
-    att_params: Optional[AttentionParams] = None
-    norm_after: Optional[LNParams] = None
-
-    def __post_init__(self):
-        if self.mode not in FUSION_MODES:
-            raise ConfigurationError(f"unknown fusion mode {self.mode!r}")
-        if self.placement not in FUSION_PLACEMENTS:
-            raise ConfigurationError(
-                f"unknown fusion placement {self.placement!r}")
-
-
-def _phi(items: List[T.Tensor], spec: FusionSpec) -> T.Tensor:
-    if spec.mode == "average":
-        out = items[0]
-        for it in items[1:]:
-            out = out + it
-        out = out * (1.0 / len(items))
-    elif spec.mode == "weighted":
-        if spec.weights is None or len(spec.weights) != len(items):
-            raise ConfigurationError(
-                f"need {len(items)} fusion weights, "
-                f"got {None if spec.weights is None else len(spec.weights)}")
-        out = items[0] * float(spec.weights[0])
-        for w, it in zip(spec.weights[1:], items[1:]):
-            out = out + it * float(w)
-    elif spec.mode == "ffn":
-        out = ffn(T.concat(items, axis=1), _fusion_ffn(spec, items))
-    else:
-        att = spec.att_params
-        if att is None:
-            raise ConfigurationError("attention fusion needs att_params")
-        m = items[0].shape[0]
-        rows = []
-        for i in range(m):
-            stack = T.concat([T.reshape(T.take(it, i), 1, -1) for it in items],
-                             axis=0)
-            mixed = multi_head_self(stack, att)
-            rows.append(T.reshape(mixed, 1, -1))
-        out = ffn(T.concat(rows, axis=0), _fusion_ffn(spec, items))
-    if spec.norm_after is not None:
-        out = layer_norm(out, spec.norm_after)
-    return out
-
-
-def _fusion_ffn(spec: FusionSpec, items) -> FFNParams:
-    if spec.ffn_params is None:
-        raise ConfigurationError("this fusion mode needs ffn_params")
-    d = items[0].shape[1]
-    expect = len(items) * d
-    if spec.ffn_params.d_in != expect:
-        raise ConfigurationError(
-            f"fusion FFN expects input width {spec.ffn_params.d_in}, "
-            f"layer count gives {expect}")
-    if spec.ffn_params.w_f.shape[1] != d:
-        raise ConfigurationError("fusion FFN must map back to width d")
-    return spec.ffn_params
-
-
-def fuse_layers(history: List[T.Tensor], core: Callable[[T.Tensor], T.Tensor],
-                ln: LNParams, spec: FusionSpec) -> T.Tensor:
-    """One densely connected sub-layer over the recorded history."""
-    if not history:
-        raise ConfigurationError("fusion needs a nonempty history")
-    prev = history[-1]
-    if spec.placement == "basic":
-        return layer_norm(core(_phi(list(history), spec)), ln)
-    if spec.placement == "post":
-        return layer_norm(_phi([core(prev)] + list(history), spec), ln)
-    return _phi([layer_norm(core(prev), ln)] + list(history), spec)
-
-
-# ---------------------------------------------------------------------------
 # layer dropout
 # ---------------------------------------------------------------------------
 
@@ -307,7 +205,7 @@ def layer_dropout(z: T.Tensor,
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "train":
         if rng is None:
-            raise ValueError("train mode needs a seeded rng")
+            raise ConfigurationError("layer dropout needs a seeded rng")
         for core, ln in sublayers:
             if float(rng.uniform()) < rho:
                 z = layer_norm(core(z), ln) + z
@@ -432,14 +330,3 @@ def share_group(stack: List, groups: Sequence[Sequence[int]]) -> List:
             shared[idx] = shared[head]
     return shared
 
-
-def unique_parameters(stack: List) -> int:
-    """Count distinct trainable tensors across the stack (by identity)."""
-    seen = set()
-    total = 0
-    for entry in stack:
-        for _, t in entry.named("x"):
-            if id(t) not in seen:
-                seen.add(id(t))
-                total += t.size
-    return total

@@ -82,8 +82,7 @@ def cmd_train(args) -> int:
     vocab = Vocab.from_text(text)
     model = Model.init(model_cfg, vocab, seed=train_cfg.seed)
     segments = TR.segments_from_text(text, vocab, train_cfg.seq_len)
-    runner = TR.train_chunked if train_cfg.chunk_len else TR.train_lm
-    metrics = runner(model, segments, train_cfg)
+    metrics = TR.train_lm(model, segments, train_cfg)
     R.save_checkpoint(model, args.out)
     if args.metrics:
         _write_text(args.metrics, TR.metrics_to_csv(metrics))
@@ -185,7 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmup", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--clip-norm", dest="clip_norm", type=float)
-    p.add_argument("--chunk-len", dest="chunk_len", type=int)
+    p.add_argument("--chunk-len", dest="chunk_len", type=int,
+                   help="TrainConfig.chunk_len: train_lm takes one step per "
+                        "span of this many columns, each attending over the "
+                        "previous span's frozen keys and values")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("generate", help="continue a prompt")

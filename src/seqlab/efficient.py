@@ -3,11 +3,11 @@
 Three families live here: kernelized attention (a separable feature map
 replaces the exponential, so the n x n weight matrix is never formed),
 low-rank reductions of the key/value length or the query/key width, and
-fixed-size compressed memories built from chunk summaries.
+the summary of a chunk of keys and values into one memory slot.
 """
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -295,44 +295,3 @@ def compress_memory(keys: T.Tensor, values: T.Tensor, rule: str = "average",
             k_slot = k_slot * (1.0 - w) + k_t * w
             v_slot = v_slot * (1.0 - w) + v_t * w
     return k_slot, v_slot
-
-
-class CompressedMemory:
-    """Bounded store of chunk summaries; covers at most kappa * n_c positions.
-
-    Oldest slot is evicted first once kappa is reached.
-    """
-
-    def __init__(self, kappa: int, chunk_len: int, rule: str = "average"):
-        if kappa < 1 or chunk_len < 1:
-            raise ValueError("kappa and chunk_len must be >= 1")
-        self.kappa = kappa
-        self.chunk_len = chunk_len
-        self.rule = rule
-        self._slots: List[Tuple[T.Tensor, T.Tensor]] = []
-
-    def __len__(self):
-        return len(self._slots)
-
-    @property
-    def capacity_positions(self) -> int:
-        return self.kappa * self.chunk_len
-
-    def add_chunk(self, keys: T.Tensor, values: T.Tensor):
-        if keys.shape[0] > self.chunk_len:
-            raise ValueError("chunk exceeds configured length")
-        self._slots.append(compress_memory(keys, values, self.rule))
-        if len(self._slots) > self.kappa:
-            self._slots.pop(0)
-
-    def keys(self) -> T.Tensor:
-        return self._stacked(0)
-
-    def values(self) -> T.Tensor:
-        return self._stacked(1)
-
-    def _stacked(self, which: int) -> T.Tensor:
-        if not self._slots:
-            raise ValueError("memory is empty")
-        rows = [T.reshape(s[which], 1, -1) for s in self._slots]
-        return T.concat(rows, axis=0)

@@ -73,25 +73,6 @@ class Vocab:
         return cls(list(lines))
 
 
-def digit_vector(n: int, base: int = 2, width: Optional[int] = None) -> list[int]:
-    """Digits of n in the given base, least-significant first.
-
-    The carrying system this mirrors is the motivation for sinusoidal
-    encodings: each slot cycles with its own period as the position grows.
-    """
-    if n < 0:
-        raise ValueError("digit_vector needs n >= 0")
-    digits = []
-    while n:
-        digits.append(n % base)
-        n //= base
-    if not digits:
-        digits = [0]
-    if width is not None:
-        digits += [0] * (width - len(digits))
-    return digits
-
-
 class SinusoidalPE:
     """Absolute sinusoidal position encoding.
 
@@ -251,7 +232,3 @@ class RprTable:
         j = np.arange(n_k)[None, :]
         i = np.arange(n_q)[:, None]
         return np.clip(j - i, -self.clip_k, self.clip_k) + self.clip_k
-
-
-def rpr_lookup(table: RprTable, i: int, j: int, role: str) -> T.Tensor:
-    return table.lookup(i, j, role)

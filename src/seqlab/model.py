@@ -625,13 +625,8 @@ class Model:
             return B.rk_sublayer(z, lambda x: B.layer_norm(core(x), ln),
                                  cfg.integrator_order, cfg.integrator_h)
         if cfg.dropout_rho < 1.0:
-            if training:
-                if rng is None:
-                    raise B.ConfigurationError("layer dropout needs a seeded rng")
-                if float(rng.uniform()) < cfg.dropout_rho:
-                    return B.layer_norm(core(z), ln) + z
-                return z
-            return B.layer_norm(core(z), ln) * cfg.dropout_rho + z
+            return B.layer_dropout(z, [(core, ln)], cfg.dropout_rho,
+                                   "train" if training else "infer", rng)
         return B.sublayer_apply(z, core, ln, self._sub_cfg)
 
     def _ffn_core(self, layer: Layer) -> Callable[[T.Tensor], T.Tensor]:

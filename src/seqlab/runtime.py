@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import heapq
+import math
 import os
 import re
 import struct
@@ -223,9 +224,9 @@ def load_checkpoint(path: str) -> Model:
     """Rebuild the model a checkpoint describes; tensors load bitwise.
 
     Bad magic or an unknown version raise CheckpointFormatError; damaged
-    or truncated bytes raise CheckpointIntegrityError; a tensor table
-    that disagrees with the stored configuration raises
-    CheckpointFormatError.
+    or truncated bytes raise CheckpointIntegrityError; contents that pass
+    the checksum but do not parse, and a tensor table that disagrees with
+    the stored configuration, raise CheckpointFormatError.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -240,7 +241,15 @@ def load_checkpoint(path: str) -> Model:
     (stored_crc,) = struct.unpack("<I", blob[-4:])
     if zlib.crc32(blob[:-4]) & 0xFFFFFFFF != stored_crc:
         raise CheckpointIntegrityError("checksum mismatch: damaged checkpoint")
+    try:
+        return _read_model(r, version)
+    except (CheckpointFormatError, CheckpointIntegrityError):
+        raise
+    except ValueError as exc:                # bad text, config or vocab
+        raise CheckpointFormatError(f"malformed checkpoint: {exc}") from exc
 
+
+def _read_model(r: _Reader, version: int) -> Model:
     (cfg_len,) = r.unpack("I")
     cfg = ModelConfig.from_config(Config.parse(r.take(cfg_len).decode("utf-8")))
     (n_tokens,) = r.unpack("I")
@@ -257,7 +266,7 @@ def load_checkpoint(path: str) -> Model:
         name = r.take(name_len).decode("utf-8")
         (ndim,) = r.unpack("B")
         shape = tuple(r.unpack("I" * ndim)) if ndim else ()
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        count = math.prod(shape)
         data = np.frombuffer(r.take(4 * count), dtype="<f4").reshape(shape)
         table[name] = data
     if version == 1:

@@ -733,16 +733,6 @@ def xavier_init(d_in: int, d_out: int, gain: float = 1.0,
     return Tensor(vals.astype(dtype), trainable=True)
 
 
-def depth_scaled_gain(a: float, depth: int, exponent: float) -> float:
-    """Gain grown with total depth: a * depth**exponent."""
-    return a * depth ** exponent
-
-
-def layer_position_gain(a: float, layer_index: int, exponent: float) -> float:
-    """Gain shrunk with layer position: a / layer_index**exponent."""
-    return a / layer_index ** exponent
-
-
 # ---------------------------------------------------------------------------
 # Quantized arithmetic
 # ---------------------------------------------------------------------------

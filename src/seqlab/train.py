@@ -1,10 +1,10 @@
-"""Training: cross-entropy, Adam, warmup schedule, batching, chunked updates.
+"""Training: cross-entropy, Adam, warmup schedule, batching, one loop.
 
 The loop is deliberately small: a batch is a padded (b, m) id matrix that
 goes through Model.decoder_forward in one pass, and one Adam step follows
-one backward pass. Chunk-wise training feeds each row to the model in
-slices, handing the previous slice's detached key/value arrays to the next
-one, so history is visible to attention but carries no gradient.
+one backward pass. With a chunk length the same loop takes one step per
+span of columns, handing the previous span's detached key/value arrays to
+the next, so history is visible to attention but carries no gradient.
 """
 
 from __future__ import annotations
@@ -234,21 +234,30 @@ def clip_gradients(params: Sequence[T.Tensor], grads,
 # ---------------------------------------------------------------------------
 
 
-def _batch_loss(model: Model, batch: Batch,
-                tally: WarningTally) -> Tuple[T.Tensor, int]:
-    """Mean NLL over every non-PAD target in the batch.
+def _batch_loss(model: Model, batch: Batch, tally: WarningTally, *,
+                span: Optional[Tuple[int, int]] = None, kv_prefix=None,
+                kv_out=None) -> Tuple[T.Tensor, int]:
+    """Mean NLL over every non-PAD target in columns span = (lo, hi) of the
+    batch, by default all of them.
 
-    One causal forward over the whole (b, m) id matrix: PAD inputs sit
+    One causal forward over the (b, hi - lo) id block: PAD inputs sit
     after each row's EOS, so no real position attends to them, and their
-    targets are masked out of the loss.
+    targets are masked out of the loss. kv_prefix and kv_out go to
+    Model.decoder_forward: the previous span's detached keys and values,
+    and a list that receives this span's.
     """
-    if batch.n_tokens == 0:
+    lo, hi = span or (0, batch.inputs.shape[1])
+    pad = batch.pad[:, lo:hi]
+    n_tok = int((~pad).sum())
+    if n_tok == 0:
         raise ValueError("batch contains no scorable targets")
-    logits = model.decoder_forward(batch.inputs)
+    logits = model.decoder_forward(batch.inputs[:, lo:hi], start_pos=lo,
+                                   kv_prefix=kv_prefix, kv_out=kv_out)
     rows = T.reshape(logits, (-1, logits.shape[-1]))
-    loss = cross_entropy(T.softmax_rows(rows), batch.targets.reshape(-1),
-                         batch.pad.reshape(-1), tally)
-    return loss, batch.n_tokens
+    loss = cross_entropy(T.softmax_rows(rows),
+                         batch.targets[:, lo:hi].reshape(-1), pad.reshape(-1),
+                         tally)
+    return loss, n_tok
 
 
 def _apply_update(model: Model, loss: T.Tensor, lr: float,
@@ -272,9 +281,19 @@ def _metrics_row(step: int, lr: float, loss: T.Tensor, n_tok: int, t0: float,
     return dict(zip(METRIC_FIELDS, row))
 
 
+def _chunk_spans(width: int, n_c: Optional[int]) -> List[Tuple[int, int]]:
+    n_c = n_c or width
+    return [(lo, min(lo + n_c, width)) for lo in range(0, width, n_c)]
+
+
 def train_lm(model: Model, segments: Sequence[Sequence[int]], cfg: TrainConfig,
              on_step: Optional[Callable[[dict], None]] = None) -> List[dict]:
     """Autoregressive training over id segments; returns per-step metrics.
+
+    Each batch is one optimizer step. With cfg.chunk_len = n_c it is one
+    step per span of n_c columns instead: a span attends over the previous
+    span's keys and values as a frozen history, so no gradient crosses a
+    span boundary, and the spans after every row has ended take no step.
 
     Deterministic for a fixed seed: the segment order, batch packing and
     every update depend only on the rng stream. Metric rows carry step,
@@ -293,105 +312,22 @@ def train_lm(model: Model, segments: Sequence[Sequence[int]], cfg: TrainConfig,
         if not batches:
             batches = make_batches(segments, cfg.batch_size, rng)
         batch = batches.pop(0)
-        step += 1
-        lr = lr_schedule(step, cfg)
-        t0 = time.perf_counter()
-        with T.Tape() as tape:
-            loss, n_tok = _batch_loss(model, batch, tally)
-            _apply_update(model, loss, lr, cfg, state)
-        tape.release()
-        row = _metrics_row(step, lr, loss, n_tok, t0, tally)
-        metrics.append(row)
-        if on_step is not None:
-            on_step(row)
-    return metrics
-
-
-# -- chunk-wise training ------------------------------------------------------
-
-
-def _chunk_spans(width: int, n_c: int) -> List[Tuple[int, int]]:
-    return [(lo, min(lo + n_c, width)) for lo in range(0, width, n_c)]
-
-
-def chunked_row_losses(model: Model, inputs: np.ndarray, targets: np.ndarray,
-                       pad: np.ndarray, n_c: int,
-                       tally: Optional[WarningTally] = None) -> List[T.Tensor]:
-    """Per-chunk mean NLL for one row, chaining detached key/value history.
-
-    Each chunk sees the previous chunk's cached keys/values; the returned
-    chunk losses share no tape edges across chunks, so optimizing one
-    never moves anything through the history.
-    """
-    losses = []
-    kv_prev = None
-    for lo, hi in _chunk_spans(inputs.shape[0], n_c):
-        keep = ~pad[lo:hi]
-        kv_now: list = []
-        logits = model.decoder_forward(inputs[lo:hi], start_pos=lo,
-                                       kv_prefix=kv_prev, kv_out=kv_now)
-        if keep.any():
-            probs = T.softmax_rows(logits)
-            losses.append(cross_entropy(probs, targets[lo:hi], pad[lo:hi],
-                                        tally))
-        kv_prev = kv_now
-    return losses
-
-
-def train_chunked(model: Model, segments: Sequence[Sequence[int]],
-                  cfg: TrainConfig,
-                  on_step: Optional[Callable[[dict], None]] = None) -> List[dict]:
-    """Chunk-wise training: one optimizer step per chunk column of a batch.
-
-    With chunk_len >= the segment width there is exactly one chunk, and
-    the loop reproduces train_lm update for update.
-    """
-    if cfg.chunk_len is None:
-        raise ValueError("chunked training needs chunk_len")
-    if not segments:
-        raise ValueError("no training segments")
-    rng = T.Rng(cfg.seed)
-    state = AdamState(cfg.beta1, cfg.beta2, cfg.eps_adam)
-    tally = WarningTally()
-    metrics: List[dict] = []
-    batches: List[Batch] = []
-    step = 0
-    while step < cfg.max_steps:
-        if not batches:
-            batches = make_batches(segments, cfg.batch_size, rng)
-        batch = batches.pop(0)
-        width = batch.inputs.shape[1]
-        kv_prev: List[Optional[list]] = [None] * batch.inputs.shape[0]
-        for lo, hi in _chunk_spans(width, cfg.chunk_len):
+        kv_prev = None
+        for lo, hi in _chunk_spans(batch.inputs.shape[1], cfg.chunk_len):
             if step >= cfg.max_steps:
                 break
-            keep = ~batch.pad[:, lo:hi]
-            n_tok = int(keep.sum())
-            if n_tok == 0:
-                continue
+            if lo and batch.pad[:, lo:hi].all():
+                break                        # PAD only tails rows: all ended
             step += 1
             lr = lr_schedule(step, cfg)
             t0 = time.perf_counter()
+            kv_now = None if cfg.chunk_len is None else []
             with T.Tape() as tape:
-                loss = None
-                kv_next: List[Optional[list]] = [None] * batch.inputs.shape[0]
-                for r in range(batch.inputs.shape[0]):
-                    kv_now: list = []
-                    logits = model.decoder_forward(
-                        batch.inputs[r, lo:hi], start_pos=lo,
-                        kv_prefix=kv_prev[r], kv_out=kv_now)
-                    kv_next[r] = kv_now
-                    n_row = int(keep[r].sum())
-                    if n_row == 0:
-                        continue
-                    probs = T.softmax_rows(logits)
-                    part = cross_entropy(probs, batch.targets[r, lo:hi],
-                                         batch.pad[r, lo:hi], tally)
-                    part = part * (n_row / n_tok)
-                    loss = part if loss is None else loss + part
+                loss, n_tok = _batch_loss(model, batch, tally, span=(lo, hi),
+                                          kv_prefix=kv_prev, kv_out=kv_now)
                 _apply_update(model, loss, lr, cfg, state)
             tape.release()
-            kv_prev = kv_next
+            kv_prev = kv_now
             row = _metrics_row(step, lr, loss, n_tok, t0, tally)
             metrics.append(row)
             if on_step is not None:

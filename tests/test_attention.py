@@ -163,13 +163,6 @@ def test_multiplicative_zero_does_not_zero_weight():
     assert np.all(w.values > 0)
 
 
-def test_local_decay_matrix_diagonal_ones():
-    spec = A.local_decay_matrix(5, sigma=2.0)
-    g = spec.multiplicative
-    np.testing.assert_allclose(np.diag(g), 1.0)
-    assert np.all((g >= 0) & (g <= 1))
-
-
 # ---------------------------------------------------------------------------
 # attention fields
 # ---------------------------------------------------------------------------
@@ -541,7 +534,7 @@ def test_incremental_equals_full_recompute():
                                           cache, p, layer=0)
         assert np.max(np.abs(out.values[0] - full[i])) < 1e-6
         assert cache.length(0) == i + 1
-    assert cache.lengths_consistent()
+    assert cache.length(0) == n
 
 
 def test_incremental_multi_query_equals_full():
@@ -570,13 +563,11 @@ def test_windowed_cached_step_restricts_positions():
     p = params_for(d, 1, seed=48)
     rng = T.Rng(49)
     h = rng.gaussian((4, d))
-    cache = A.KVCache(1)
+    cache = A.KVCache(1, window=2)
     outs = []
     for i in range(4):
-        allowed = np.zeros(i + 1, dtype=bool)
-        allowed[max(0, i - 1):] = True  # window of 2
         out, cache = A.attend_step_cached(T.Tensor(h[i:i + 1], dtype=F64),
-                                          cache, p, layer=0, allowed=allowed)
+                                          cache, p, layer=0)
         outs.append(out.values[0])
     spec = A.make_attention_field("window", 4, causal=True, window=2)
     q = T.matmul(T.Tensor(h, dtype=F64), p.wq)

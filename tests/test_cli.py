@@ -59,7 +59,7 @@ def test_train_reads_a_config_file(tmp_path):
     assert R.load_checkpoint(str(out)).cfg.d == 16
 
 
-def test_train_chunked_path(tmp_path):
+def test_train_with_a_chunk_length(tmp_path):
     corpus = tmp_path / "c.txt"
     corpus.write_text(CORPUS[:400], encoding="utf-8")
     out = tmp_path / "m.ckpt"

@@ -273,14 +273,3 @@ def test_empty_chunk_rejected():
     with pytest.raises(ValueError):
         EF.compress_memory(empty, empty)
 
-
-def test_memory_capacity_and_eviction():
-    mem = EF.CompressedMemory(kappa=3, chunk_len=4)
-    assert mem.capacity_positions == 12
-    for i in range(5):
-        chunk = T.full((4, 2), float(i), dtype=F64)
-        mem.add_chunk(chunk, chunk)
-    assert len(mem) == 3
-    # oldest two chunks were evicted; slots now summarize chunks 2, 3, 4
-    np.testing.assert_allclose(mem.keys().values[:, 0], [2.0, 3.0, 4.0])
-    assert mem.keys().shape == (3, 2)

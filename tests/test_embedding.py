@@ -64,10 +64,6 @@ def test_pe_zero_position():
     np.testing.assert_allclose(pe, [0, 1, 0, 1, 0, 1, 0, 1])
 
 
-def test_digit_vector_carrying_analogue():
-    assert E.digit_vector(11, base=2) == [1, 1, 0, 1]
-
-
 def test_pe_first_pair_period():
     # slot 0 has angular frequency 1, so the first sin/cos pair has period 2*pi
     pe_a = E.sinusoidal_pe(1.5, 8)
@@ -215,7 +211,7 @@ def test_rpr_center_row():
 def test_rpr_clips_high():
     t = E.RprTable.init(3, 4, T.Rng(1))
     # offset 5 clips to +3, the last row
-    np.testing.assert_array_equal(E.rpr_lookup(t, 0, 5, "q").values,
+    np.testing.assert_array_equal(t.lookup(0, 5, "q").values,
                                   t.tables["q"].values[6])
 
 

@@ -276,36 +276,37 @@ def test_cached_decode_matches_per_head(multi_query, window):
     p = params(d=12, tau=4, seed=8, multi_query=multi_query)
     n = 7
     xs = T.Rng(9).gaussian((n, 12))
-    cache = A.KVCache(1)
+    cache = A.KVCache(1, window)
     for i in range(n):
-        allowed = additive = None
+        additive = None
         if window is not None:
-            allowed = np.arange(i + 1) > i - window
-            additive = np.where(allowed, 0.0, -np.inf)[None, :]
+            seen = np.arange(i + 1) > i - window
+            additive = np.where(seen, 0.0, -np.inf)[None, :]
         x = T.Tensor(xs[i:i + 1], dtype=F64)
         prefix = T.Tensor(xs[:i + 1], dtype=F64)
         before = cache.clone()
-        got, cache = A.attend_step_cached(x, cache, p, 0, allowed)
+        got, cache = A.attend_step_cached(x, cache, p, 0)
         want = per_head(x, prefix, p, dense(additive))
         assert np.max(np.abs(got.values - want.values)) < TOL
-        assert cache.keys(0).shape == (1, i + 1, p.n_kv * p.d_head)
+        held = i + 1 if window is None else min(i + 1, window)
+        assert cache.keys(0).shape == (1, held, p.n_kv * p.d_head)
     # gradients of the last step: cached rows are constants, the new row
-    # and every projection are live
+    # and every projection are live; the step sees the last window-1 of them
     x = leaf((1, 12), 10)
     d_h = p.d_head
+    back = n - 1 if window is None else window - 1
 
     def reference():
         def attend(j, q, k, v):
             j_kv = 0 if multi_query else j
-            k = T.concat([T.Tensor(before.keys(0).values[0][cols(j_kv, d_h)]), k],
-                         axis=0)
-            v = T.concat([T.Tensor(before.values_(0).values[0][cols(j_kv, d_h)]),
-                          v], axis=0)
-            return A.qkv_attention(q, k, v, additive)
+            k_prev = before.keys(0).values[0][-back:]
+            v_prev = before.values_(0).values[0][-back:]
+            k = T.concat([T.Tensor(k_prev[cols(j_kv, d_h)]), k], axis=0)
+            v = T.concat([T.Tensor(v_prev[cols(j_kv, d_h)]), v], axis=0)
+            return A.qkv_attention(q, k, v)
         return per_head(x, x, p, attend)
 
-    assert_same(lambda: A.attend_step_cached(x, before.clone(), p, 0,
-                                             allowed)[0],
+    assert_same(lambda: A.attend_step_cached(x, before.clone(), p, 0)[0],
                 reference, [x] + att_leaves(p))
 
 

@@ -9,6 +9,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seqlab.model as M
 import seqlab.oracles as O
@@ -358,6 +360,42 @@ def test_flipped_payload_byte_is_an_integrity_error(tmp_path):
         R.load_checkpoint(path)
 
 
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    path = tmp_path_factory.mktemp("damaged") / "model.ckpt"
+    R.save_checkpoint(build(dtype=np.float32), str(path))
+    return path, path.read_bytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_damaged_checkpoints_raise_only_checkpoint_errors(saved, data):
+    """A truncation or a single-bit flip anywhere raises one of the two
+    checkpoint errors. A resealed flip also rewrites the checksum, so the
+    damage reaches the parser: it may then load (a flipped weight bit is a
+    valid file) but raises nothing else."""
+    path, blob = saved
+    resealed = False
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = blob[:data.draw(st.integers(0, len(blob) - 1), label="keep")]
+    else:
+        bit = data.draw(st.integers(0, 8 * len(blob) - 1), label="bit")
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        damaged = bytes(flipped)
+        resealed = data.draw(st.booleans(), label="reseal")
+        if resealed:
+            body = damaged[:-4]
+            damaged = body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+    target = path.with_name("damaged.ckpt")
+    target.write_bytes(damaged)
+    try:
+        R.load_checkpoint(str(target))
+    except (R.CheckpointFormatError, R.CheckpointIntegrityError):
+        return
+    assert resealed, "a file with a stale checksum loaded"
+
+
 def test_config_tensor_mismatch_is_a_format_error(tmp_path):
     # rewrite the stored width in place (same byte length), fix the
     # checksum, and the tensor table no longer matches the config
@@ -372,6 +410,24 @@ def test_config_tensor_mismatch_is_a_format_error(tmp_path):
     with open(path, "wb") as fh:
         fh.write(bytes(blob))
     with pytest.raises(R.CheckpointFormatError, match="config mismatch"):
+        R.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("old,new,error", [
+    (b"model.d: 8", b"model.d: \xff", R.CheckpointFormatError),  # not UTF-8
+    (b"model.d: 8", b"model.d: 9", R.CheckpointFormatError),     # invalid
+    (b"embed.table\x02\x0c\x00\x00\x00\x08\x00\x00\x00",     # 2^64 floats
+     b"embed.table\x02" + b"\xff" * 8, R.CheckpointIntegrityError),
+], ids=["not-utf8", "odd-width", "shape-past-the-file"])
+def test_resealed_garbage_is_a_checkpoint_error(tmp_path, old, new, error):
+    blob = bytearray(R._checkpoint_bytes(build(dtype=np.float32)))
+    at = bytes(blob).index(old)
+    blob[at:at + len(old)] = new
+    blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])) & 0xFFFFFFFF)
+    path = ckpt_path(tmp_path)
+    with open(path, "wb") as fh:
+        fh.write(bytes(blob))
+    with pytest.raises(error):
         R.load_checkpoint(path)
 
 

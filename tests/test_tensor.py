@@ -290,11 +290,6 @@ def test_xavier_gaussian_variance():
     assert w.values.std() == pytest.approx(eta, rel=0.05)
 
 
-def test_gain_helpers():
-    assert T.depth_scaled_gain(1.0, depth=12, exponent=0.0) == pytest.approx(1.0)
-    assert T.layer_position_gain(2.0, layer_index=4, exponent=1.0) == pytest.approx(0.5)
-
-
 def test_xavier_validation():
     with pytest.raises(ValueError):
         T.xavier_init(0, 3, rng=T.Rng(0))

@@ -1,4 +1,4 @@
-"""Schedule, batching, loss, Adam, and chunk-wise training behavior."""
+"""Schedule, batching, loss, Adam, and the training loop, chunked or not."""
 
 import gc
 import importlib.resources
@@ -421,17 +421,103 @@ def test_criterion_10_step_is_one_batched_forward(monkeypatch):
 
 def test_one_big_chunk_reproduces_standard_training():
     plain = TR.train_lm(lm(seed=5), segs(), run_cfg(max_steps=8))
-    chunked = TR.train_chunked(lm(seed=5), segs(),
-                               run_cfg(max_steps=8, chunk_len=64))
+    chunked = TR.train_lm(lm(seed=5), segs(),
+                          run_cfg(max_steps=8, chunk_len=64))
     assert len(plain) == len(chunked)
     for a, b in zip(plain, chunked):
         assert a["step"] == b["step"] and a["lr"] == b["lr"]
         assert a["loss"] == pytest.approx(b["loss"], rel=1e-9)
 
 
-def test_chunked_training_needs_a_chunk_length():
-    with pytest.raises(ValueError):
-        TR.train_chunked(lm(), segs(), run_cfg())
+def _per_row_chunked_training(model, segments, cfg):
+    """Reference: the chunk-wise loop as a separate per-row function, one
+    decoder_forward per row and span, each row's span loss weighted by its
+    share of the span's targets."""
+    rng = T.Rng(cfg.seed)
+    state = TR.AdamState(cfg.beta1, cfg.beta2, cfg.eps_adam)
+    tally = TR.WarningTally()
+    metrics, batches, step = [], [], 0
+    while step < cfg.max_steps:
+        if not batches:
+            batches = TR.make_batches(segments, cfg.batch_size, rng)
+        batch = batches.pop(0)
+        width = batch.inputs.shape[1]
+        kv_prev = [None] * batch.inputs.shape[0]
+        for lo in range(0, width, cfg.chunk_len):
+            hi = min(lo + cfg.chunk_len, width)
+            if step >= cfg.max_steps:
+                break
+            keep = ~batch.pad[:, lo:hi]
+            n_tok = int(keep.sum())
+            if n_tok == 0:
+                continue
+            step += 1
+            lr = TR.lr_schedule(step, cfg)
+            with T.Tape() as tape:
+                loss = None
+                kv_next = [None] * batch.inputs.shape[0]
+                for r in range(batch.inputs.shape[0]):
+                    kv_now = []
+                    logits = model.decoder_forward(
+                        batch.inputs[r, lo:hi], start_pos=lo,
+                        kv_prefix=kv_prev[r], kv_out=kv_now)
+                    kv_next[r] = kv_now
+                    n_row = int(keep[r].sum())
+                    if n_row == 0:
+                        continue
+                    part = TR.cross_entropy(T.softmax_rows(logits),
+                                            batch.targets[r, lo:hi],
+                                            batch.pad[r, lo:hi], tally)
+                    part = part * (n_row / n_tok)
+                    loss = part if loss is None else loss + part
+                TR._apply_update(model, loss, lr, cfg, state)
+            tape.release()
+            kv_prev = kv_next
+            metrics.append(dict(step=step, lr=lr, loss=float(loss.values)))
+    return metrics
+
+
+@pytest.mark.parametrize("n_c", [3, 7, 64])
+def test_batched_chunks_match_the_per_row_loop(n_c):
+    rows = [s[:4 + (5 * i) % 9] for i, s in enumerate(segs())]
+    assert len({len(r) for r in rows}) > 1             # PAD-tailed rows
+    cfg = run_cfg(max_steps=11, chunk_len=n_c)
+    ref_model, got_model = lm(seed=7), lm(seed=7)
+    want = _per_row_chunked_training(ref_model, rows, cfg)
+    got = TR.train_lm(got_model, rows, cfg)
+    assert len(got) == len(want) == cfg.max_steps
+    for a, b in zip(got, want):
+        assert (a["step"], a["lr"]) == (b["step"], b["lr"])
+        assert a["loss"] == pytest.approx(b["loss"], rel=1e-10)
+    for (name, p), q in zip(got_model.named(), ref_model.parameters()):
+        assert np.max(np.abs(p.values - q.values)) < 1e-10, name
+
+
+@pytest.mark.parametrize("chunk_len", [None, 5])
+@pytest.mark.parametrize("batch_size", [1, 4])
+def test_a_step_is_one_forward_over_every_row(monkeypatch, chunk_len,
+                                              batch_size):
+    calls = []
+    plain_forward = M.Model.decoder_forward
+
+    def counting_forward(self, tokens, *args, **kwargs):
+        calls.append((np.shape(tokens), kwargs))
+        return plain_forward(self, tokens, *args, **kwargs)
+
+    monkeypatch.setattr(M.Model, "decoder_forward", counting_forward)
+    TR.train_lm(lm(), segs(), run_cfg(max_steps=2, batch_size=batch_size,
+                                      chunk_len=chunk_len))
+    assert len(calls) == 2
+    (shape1, kw1), (shape2, kw2) = calls
+    assert shape1[0] == shape2[0] == batch_size
+    if chunk_len is None:                    # no history: the full-width call
+        assert shape1[1] == 13
+        assert all(kw.get("kv_prefix") is kw.get("kv_out") is None
+                   for kw in (kw1, kw2))
+    else:                                    # the second span reads the first's
+        assert shape1[1] == shape2[1] == chunk_len
+        assert kw1["kv_prefix"] is None and kw2["kv_prefix"] is kw1["kv_out"]
+        assert kw2["start_pos"] == chunk_len
 
 
 def test_frozen_history_blocks_gradient_flow():
