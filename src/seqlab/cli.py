@@ -9,6 +9,7 @@ stderr and exit nonzero; argparse handles unknown flags the usual way.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 from typing import List, Optional
@@ -92,23 +93,17 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _search_config(args) -> R.SearchConfig:
-    return R.SearchConfig(beam=args.beam, n_max=args.max_len,
-                          alpha_len=args.alpha)
-
-
 def cmd_generate(args) -> int:
-    cfg = _search_config(args)
-    if args.quantize is not None and cfg.beam > 1:
-        raise ValueError("--quantize decodes greedily; it does not take --beam")
+    cfg = R.SearchConfig(beam=args.beam, n_max=args.max_len,
+                         alpha_len=args.alpha)
     model = R.load_checkpoint(args.ckpt)
     prompt = model.vocab.encode(args.prompt) if args.prompt else []
-    if args.quantize is not None:
-        tokens = R.quantized_infer(model, prompt, cfg, bits=args.quantize)
-    elif cfg.beam > 1:
-        tokens = R.beam_search(model, prompt, cfg)[0].tokens
-    else:
-        tokens = R.greedy_generate(model, prompt, cfg)
+    with (R.quantized(model, args.quantize) if args.quantize is not None
+          else contextlib.nullcontext()):
+        if cfg.beam > 1:
+            tokens = R.beam_search(model, prompt, cfg)[0].tokens
+        else:
+            tokens = R.greedy_generate(model, prompt, cfg)
     print(model.vocab.decode(tokens))
     return 0
 

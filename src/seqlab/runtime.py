@@ -4,8 +4,10 @@ Greedy and beam search drive Model.decode_step, so every variant's cache
 discipline is reused as-is. Checkpoints are a small binary format: magic,
 version, config text, vocabulary, named float32 tensors, CRC; version 1
 files, which stored attention projections head by head, still load. Quantized
-inference reroutes the projection/FFN weight products through integer
-matmuls while everything else stays in floats.
+inference is the same decoding inside the ``quantized`` context, which
+reroutes the projection/FFN weight products through integer matmuls (one
+step per weight matrix, one per activation row) while everything else stays
+in floats.
 """
 
 from __future__ import annotations
@@ -225,8 +227,9 @@ def load_checkpoint(path: str) -> Model:
 
     Bad magic or an unknown version raise CheckpointFormatError; damaged
     or truncated bytes raise CheckpointIntegrityError; contents that pass
-    the checksum but do not parse, and a tensor table that disagrees with
-    the stored configuration, raise CheckpointFormatError.
+    the checksum but do not parse, a config key the model does not know,
+    and a tensor table that disagrees with the stored configuration, raise
+    CheckpointFormatError.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -251,7 +254,12 @@ def load_checkpoint(path: str) -> Model:
 
 def _read_model(r: _Reader, version: int) -> Model:
     (cfg_len,) = r.unpack("I")
-    cfg = ModelConfig.from_config(Config.parse(r.take(cfg_len).decode("utf-8")))
+    stored = Config.parse(r.take(cfg_len).decode("utf-8"))
+    unknown = set(stored.keys()) - {key for _, key, _ in ModelConfig._KEYS} \
+        - {"share.groups"}
+    if unknown:
+        raise CheckpointFormatError(f"unknown config keys {sorted(unknown)}")
+    cfg = ModelConfig.from_config(stored)
     (n_tokens,) = r.unpack("I")
     tokens = []
     for _ in range(n_tokens):
@@ -326,28 +334,19 @@ def weight_quant_specs(model: Model, bits: int) -> dict:
     if bits < 2:
         raise ValueError(f"quantization needs at least 2 bits, got {bits}")
     q_max = (1 << (bits - 1)) - 1
-    mats = []
-    for layer in list(model.enc_layers) + list(model.dec_layers):
-        for att in (layer.att, layer.cross):
-            if att is not None:
-                mats.extend([att.wq, att.wk, att.wv, att.w_out])
-        core = layer.ffn_core
-        if hasattr(core, "experts"):
-            for expert in core.experts:
-                mats.extend([expert.w_h, expert.w_f])
-        else:
-            mats.extend([core.w_h, core.w_f])
     specs = {}
-    for w in mats:
-        top = float(np.max(np.abs(w.values)))
-        specs[id(w)] = None if top == 0.0 \
-            else T.QuantSpec(top / q_max, bits)
+    for name, w in model.named():
+        if name.rsplit(".", 1)[-1] in ("wq", "wk", "wv", "w_out", "w_h", "w_f"):
+            top = float(np.max(np.abs(w.values)))
+            specs[id(w)] = None if top == 0.0 \
+                else T.QuantSpec(top / q_max, bits)
     return specs
 
 
 def _quant_route(specs: dict, bits: int, stats: Optional[T.QuantStats] = None):
-    """Matmul routing through integer products; each targeted weight is
-    quantized once, at its first product, and its levels reused."""
+    """Matmul routing through integer products; each activation row gets
+    its own step max|row| / q_max (any step zeroes an all-zero row), and
+    each targeted weight is quantized once, at its first product."""
     q_max = (1 << (bits - 1)) - 1
     levels = {}
 
@@ -355,46 +354,43 @@ def _quant_route(specs: dict, bits: int, stats: Optional[T.QuantStats] = None):
         if id(b) not in specs:
             return None                      # not a targeted weight: floats
         spec_b = specs[id(b)]
-        top = float(np.max(np.abs(a.values)))
-        if spec_b is None or top == 0.0:
-            dtype = np.result_type(a.dtype, b.dtype)
-            return T.Tensor(np.zeros((a.shape[0], b.shape[1]), dtype=dtype))
+        shape = a.shape[:-1] + b.shape[1:]
+        if spec_b is None:
+            return T.Tensor(np.zeros(shape, np.result_type(a.dtype, b.dtype)))
         if id(b) not in levels:
             levels[id(b)] = T.quantize_levels(b.values, spec_b)
-        spec_a = T.QuantSpec(top / q_max, bits)
-        return T.quantized_matmul(a, b, spec_a, spec_b, stats, stats,
-                                  levels_b=levels[id(b)])
+        rows = a.values.reshape(-1, a.shape[-1])
+        top = np.abs(rows).max(axis=1, keepdims=True).astype(np.float64)
+        spec_a = T.QuantSpec(np.where(top == 0.0, 1.0, top) / q_max, bits)
+        out = T.quantized_matmul(T.Tensor(rows), b, spec_a, spec_b, stats,
+                                 stats, levels_b=levels[id(b)])
+        return T.Tensor(out.values.reshape(shape))
 
     return route
+
+
+@contextlib.contextmanager
+def quantized(model: Model, bits: int, stats: Optional[T.QuantStats] = None):
+    """Integer projection/FFN weight products for every forward pass,
+    decode step and search inside the context; layer norm, softmax,
+    residuals and the output head stay in floats."""
+    specs = weight_quant_specs(model, bits)
+    with T.matmul_routing(_quant_route(specs, bits, stats)):
+        yield
 
 
 def quantized_forward(model: Model, tokens: Sequence[int], bits: int = 8,
                       stats: Optional[T.QuantStats] = None) -> np.ndarray:
     """One decoder pass with integer weight products; returns raw logits."""
-    specs = weight_quant_specs(model, bits)
-    with T.matmul_routing(_quant_route(specs, bits, stats)):
+    with quantized(model, bits, stats):
         return model.decoder_forward(list(tokens)).values
 
 
 def quantized_infer(model: Model, prompt: Sequence[int], cfg: SearchConfig,
                     bits: int = 8,
                     stats: Optional[T.QuantStats] = None) -> List[int]:
-    """Greedy generation with integer projection/FFN products.
-
-    Every weight product routes through the quantized matmul with a step
-    calibrated per matrix (activations per call); layer norm, softmax,
-    residuals and the output head stay in ordinary floats.
-    """
-    specs = weight_quant_specs(model, bits)
-    out: List[int] = []
-    ids = [SOS] + [int(t) for t in prompt]
-    with T.matmul_routing(_quant_route(specs, bits, stats)):
-        while len(out) < cfg.n_max:
-            logits = model.decoder_forward(ids).values
-            dist = np.exp(logits[-1] - logits[-1].max())
-            tok = _pick_greedy(dist / dist.sum())
-            out.append(tok)
-            ids.append(tok)
-            if tok == EOS:
-                break
-    return out
+    """Cached greedy generation inside ``quantized``. With one step per
+    activation row, a cached step quantizes each position as a re-run of
+    the whole prefix would."""
+    with quantized(model, bits, stats):
+        return greedy_generate(model, prompt, cfg)

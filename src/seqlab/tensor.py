@@ -740,13 +740,14 @@ def xavier_init(d_in: int, d_out: int, gain: float = 1.0,
 
 @dataclass(frozen=True)
 class QuantSpec:
-    """Uniform quantizer: step size s and integer width p bits."""
+    """Uniform quantizer: step size s, a scalar or a (rows, 1) column of
+    per-row steps, and integer width p bits."""
 
-    step: float
+    step: float | np.ndarray
     bits: int
 
     def __post_init__(self):
-        if self.step <= 0:
+        if np.any(np.asarray(self.step) <= 0):
             raise ValueError("quantization step must be positive")
         if self.bits < 2:
             raise ValueError("quantizer needs at least 2 bits")
@@ -811,9 +812,10 @@ def quantized_matmul(a: Tensor, b: Tensor, spec_a: QuantSpec, spec_b: QuantSpec,
     exact: every partial sum is an integer float64 represents, so the
     result equals the int64 product bit for bit, at BLAS speed. Above that
     the product runs in int64, and an AccumulatorOverflowError is raised
-    if even that could wrap. ``levels_b`` is b already quantized with
-    spec_b, as ``quantize_levels`` returns it; stats_b counts it as if it
-    were quantized here.
+    if even that could wrap. A column step in spec_a scales each row of
+    the product by its own row's step. ``levels_b`` is b already quantized
+    with spec_b, as ``quantize_levels`` returns it; stats_b counts it as if
+    it were quantized here.
     """
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError("quantized_matmul expects 2-d operands")

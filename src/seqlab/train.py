@@ -236,22 +236,24 @@ def clip_gradients(params: Sequence[T.Tensor], grads,
 
 def _batch_loss(model: Model, batch: Batch, tally: WarningTally, *,
                 span: Optional[Tuple[int, int]] = None, kv_prefix=None,
-                kv_out=None) -> Tuple[T.Tensor, int]:
+                kv_out=None, rng: Optional[T.Rng] = None
+                ) -> Tuple[T.Tensor, int]:
     """Mean NLL over every non-PAD target in columns span = (lo, hi) of the
     batch, by default all of them.
 
-    One causal forward over the (b, hi - lo) id block: PAD inputs sit
-    after each row's EOS, so no real position attends to them, and their
-    targets are masked out of the loss. kv_prefix and kv_out go to
-    Model.decoder_forward: the previous span's detached keys and values,
-    and a list that receives this span's.
+    One causal training-mode forward over the (b, hi - lo) id block: PAD
+    inputs sit after each row's EOS, so no real position attends to them,
+    and their targets are masked out of the loss. kv_prefix and kv_out go
+    to Model.decoder_forward: the previous span's detached keys and values,
+    and a list that receives this span's. rng draws layer dropout.
     """
     lo, hi = span or (0, batch.inputs.shape[1])
     pad = batch.pad[:, lo:hi]
     n_tok = int((~pad).sum())
     if n_tok == 0:
         raise ValueError("batch contains no scorable targets")
-    logits = model.decoder_forward(batch.inputs[:, lo:hi], start_pos=lo,
+    logits = model.decoder_forward(batch.inputs[:, lo:hi], training=True,
+                                   rng=rng, start_pos=lo,
                                    kv_prefix=kv_prefix, kv_out=kv_out)
     rows = T.reshape(logits, (-1, logits.shape[-1]))
     loss = cross_entropy(T.softmax_rows(rows),
@@ -295,10 +297,10 @@ def train_lm(model: Model, segments: Sequence[Sequence[int]], cfg: TrainConfig,
     span's keys and values as a frozen history, so no gradient crosses a
     span boundary, and the spans after every row has ended take no step.
 
-    Deterministic for a fixed seed: the segment order, batch packing and
-    every update depend only on the rng stream. Metric rows carry step,
-    lr, loss, tokens/s and the running count of clamped target
-    probabilities (METRIC_FIELDS).
+    Deterministic for a fixed seed: the segment order, batch packing,
+    layer-dropout draws and every update depend only on the rng stream.
+    Metric rows carry step, lr, loss, tokens/s and the running count of
+    clamped target probabilities (METRIC_FIELDS).
     """
     if not segments:
         raise ValueError("no training segments")
@@ -324,7 +326,8 @@ def train_lm(model: Model, segments: Sequence[Sequence[int]], cfg: TrainConfig,
             kv_now = None if cfg.chunk_len is None else []
             with T.Tape() as tape:
                 loss, n_tok = _batch_loss(model, batch, tally, span=(lo, hi),
-                                          kv_prefix=kv_prev, kv_out=kv_now)
+                                          kv_prefix=kv_prev, kv_out=kv_now,
+                                          rng=rng)
                 _apply_update(model, loss, lr, cfg, state)
             tape.release()
             kv_prev = kv_now

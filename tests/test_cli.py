@@ -127,8 +127,19 @@ def test_generate_quantized_matches_float_at_sixteen_bits(workdir, capsys):
     assert capsys.readouterr().out == plain
 
 
+def test_generate_quantized_beam_matches_float_at_sixteen_bits(workdir,
+                                                               capsys):
+    assert C.main(["generate", "--ckpt", workdir["ckpt"], "--prompt", "a",
+                   "--max-len", "6", "--beam", "3", "--quantize", "16"]) == 0
+    model = R.load_checkpoint(workdir["ckpt"])
+    pool = R.beam_search(model, model.vocab.encode("a"),
+                         R.SearchConfig(beam=3, n_max=6))
+    assert capsys.readouterr().out.rstrip("\n") == \
+        model.vocab.decode(pool[0].tokens)
+
+
 @pytest.mark.parametrize("flags,needle", [
-    (["--quantize", "8", "--beam", "2"], "--beam"),
+    (["--quantize", "-3"], "2 bits"),
     (["--quantize", "1"], "2 bits"),
     (["--quantize", "0"], "2 bits"),
 ])

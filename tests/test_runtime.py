@@ -1,5 +1,6 @@
 """Decoding search, checkpoint format, and quantized inference."""
 
+import contextlib
 import io
 import itertools
 import math
@@ -17,6 +18,8 @@ import seqlab.oracles as O
 import seqlab.runtime as R
 import seqlab.tensor as T
 from seqlab.embedding import CLS, EOS, PAD, SOS, Vocab
+
+from test_decode import TOL as DECODE_TOL
 
 F64 = np.float64
 VOCAB = Vocab.from_text("abcdefgh")
@@ -169,29 +172,42 @@ def _eos_shy_model():
     return model, vocab
 
 
-def test_beam_exhaustive_small_vocabulary():
+def exhaustive_beam_check(bits):
     # width 5^4 never prunes (live frontier peaks at 320), so the pool
-    # must equal the full 341-candidate enumeration, in score order
+    # must equal the full 341-candidate enumeration, in score order. With
+    # bits, the batched beam rows and the scoring forwards both run inside
+    # one quantized context; per-row steps keep each hypothesis's score
+    # independent of the rows beside it, so the same 1e-9 tolerance holds
     model, vocab = _eos_shy_model()
     chars = [vocab.encode("a")[0] + i for i in range(4)]
 
-    scored = []
-    for k in range(4):
-        for seq in itertools.product(chars, repeat=k):
-            cand = list(seq) + [EOS]
-            scored.append((model.sequence_logprob(cand), cand))
-    for seq in itertools.product(chars, repeat=4):
-        scored.append((model.sequence_logprob(list(seq)), list(seq)))
-    scored.sort(key=lambda t: (-t[0], len(t[1]), t[1]))
+    with R.quantized(model, bits) if bits else contextlib.nullcontext():
+        scored = []
+        for k in range(4):
+            for seq in itertools.product(chars, repeat=k):
+                cand = list(seq) + [EOS]
+                scored.append((model.sequence_logprob(cand), cand))
+        for seq in itertools.product(chars, repeat=4):
+            scored.append((model.sequence_logprob(list(seq)), list(seq)))
+        scored.sort(key=lambda t: (-t[0], len(t[1]), t[1]))
+        pool = R.beam_search(model, [], R.SearchConfig(beam=625, n_max=4))
 
-    pool = R.beam_search(model, [], R.SearchConfig(beam=625, n_max=4))
     assert len(pool) == len(scored) == 341
     for hyp, (score, cand) in zip(pool, scored):
         assert hyp.tokens == cand
         assert hyp.logprob == pytest.approx(score, abs=1e-9)
+    return pool
+
+
+def test_beam_exhaustive_small_vocabulary():
+    pool = exhaustive_beam_check(None)
     # frozen against an independent enumeration of all 341 candidates
     assert pool[0].tokens == [4, 7, 2]
     assert pool[0].logprob == pytest.approx(-6.249319585746, abs=1e-9)
+
+
+def test_eight_bit_beam_exhaustive_small_vocabulary():
+    exhaustive_beam_check(8)
 
 
 def test_wider_beam_never_ranks_worse():
@@ -418,7 +434,9 @@ def test_config_tensor_mismatch_is_a_format_error(tmp_path):
     (b"model.d: 8", b"model.d: 9", R.CheckpointFormatError),     # invalid
     (b"embed.table\x02\x0c\x00\x00\x00\x08\x00\x00\x00",     # 2^64 floats
      b"embed.table\x02" + b"\xff" * 8, R.CheckpointIntegrityError),
-], ids=["not-utf8", "odd-width", "shape-past-the-file"])
+    (b"attention.feature_map", b"`ttention.feature_map",    # one bit off
+     R.CheckpointFormatError),
+], ids=["not-utf8", "odd-width", "shape-past-the-file", "unknown-key"])
 def test_resealed_garbage_is_a_checkpoint_error(tmp_path, old, new, error):
     blob = bytearray(R._checkpoint_bytes(build(dtype=np.float32)))
     at = bytes(blob).index(old)
@@ -485,9 +503,10 @@ def test_eight_bit_logits_within_propagated_bound():
     assert err.max() > 0                     # eight bits really perturbs
 
 
-def per_product_route(specs, bits, stats):
-    """The quantized route as it was: every product quantizes its weight
-    again and accumulates in int64."""
+def per_row_route(specs, bits, stats):
+    """Pinned reference route: every product quantizes its weight again,
+    gives each activation row its own step max|row| / q_max (1 for an
+    all-zero row), and accumulates row by row in int64."""
     q_max = (1 << (bits - 1)) - 1
 
     def route(a, b):
@@ -495,14 +514,17 @@ def per_product_route(specs, bits, stats):
             return None
         spec_b = specs[id(b)]
         dtype = np.result_type(a.dtype, b.dtype)
-        top = float(np.max(np.abs(a.values)))
-        if spec_b is None or top == 0.0:
-            return T.Tensor(np.zeros((a.shape[0], b.shape[1]), dtype=dtype))
-        spec_a = T.QuantSpec(top / q_max, bits)
-        qa = T.quantize(a.values, spec_a, stats)
+        shape = a.shape[:-1] + b.shape[1:]
+        if spec_b is None:
+            return T.Tensor(np.zeros(shape, dtype=dtype))
         qb = T.quantize(b.values, spec_b, stats)
-        acc = (qa @ qb).astype(np.float64)
-        return T.Tensor(((spec_a.step * spec_b.step) * acc).astype(dtype))
+        out = []
+        for row in a.values.reshape(-1, a.shape[-1]):
+            top = float(np.max(np.abs(row)))
+            spec_a = T.QuantSpec(top / q_max if top else 1.0, bits)
+            acc = (T.quantize(row[None], spec_a, stats) @ qb).astype(F64)
+            out.append((spec_a.step * spec_b.step) * acc)
+        return T.Tensor(np.concatenate(out).reshape(shape).astype(dtype))
 
     return route
 
@@ -518,9 +540,9 @@ def test_quantized_paths_equal_the_per_product_int64_route(bits, dtype,
     specs = R.weight_quant_specs(model, bits)
     ids = [SOS, 4, 5, 6, 7]
     want_stats, got_stats = T.QuantStats(), T.QuantStats()
-    with T.matmul_routing(per_product_route(specs, bits, want_stats)):
+    with T.matmul_routing(per_row_route(specs, bits, want_stats)):
         want = model.decoder_forward(ids).values
-    with T.matmul_routing(per_product_route(specs, bits, None)):
+    with T.matmul_routing(per_row_route(specs, bits, None)):
         want_tokens = list(ids)
         for _ in range(6):
             logits = model.decoder_forward(want_tokens).values[-1]
@@ -545,6 +567,47 @@ def test_quantized_paths_equal_the_per_product_int64_route(bits, dtype,
                                bits=bits)
     assert tokens == want_tokens[len(ids):] and len(tokens) == 6
     assert sorted(rounded) == sorted(weights)   # each weight once per call
+
+
+@pytest.mark.parametrize("kw", [
+    dict(), dict(attention="window", window=3), dict(multi_query=True),
+    dict(architecture="encoder-decoder"),
+], ids=["dense", "window", "multi-query", "encoder-decoder"])
+def test_cached_quantized_greedy_equals_the_per_row_prefix_rerun(kw,
+                                                                 monkeypatch):
+    """Eight-bit greedy on the KV cache against whole-prefix re-runs under
+    the pinned per-row route: the same tokens, and every step's
+    log-probabilities within the cached-decode tolerance."""
+    model = build(seed=4, d=16, d_ffn=32, **kw)
+    w = model.w_o.values.copy()
+    w[:, EOS] = -50.0
+    T.assign_(model.w_o, w)
+    source = VOCAB.encode("hgfe") if "architecture" in kw else None
+    prompt = VOCAB.encode("cab")
+    steps = []
+    decode_step = M.Model.decode_step
+
+    def recording(self, session, tokens):
+        dist = decode_step(self, session, tokens)
+        steps.append(np.reshape(dist, (-1, dist.shape[-1]))[-1])
+        return dist
+
+    monkeypatch.setattr(M.Model, "decode_step", recording)
+    with R.quantized(model, 8):
+        tokens = R.greedy_generate(model, prompt, R.SearchConfig(n_max=12),
+                                   source=source)
+    monkeypatch.undo()
+    assert len(tokens) == len(steps) == 12
+
+    specs = R.weight_quant_specs(model, 8)
+    with T.matmul_routing(per_row_route(specs, 8, None)):
+        enc_out = None if source is None else model.encode(source)
+        ids = [SOS] + prompt + tokens[:-1]
+        logits = model.decoder_forward(ids, enc_out).values[len(prompt):]
+    want = logits - logits.max(axis=1, keepdims=True)
+    want -= np.log(np.exp(want).sum(axis=1, keepdims=True))
+    assert [R._pick_greedy(np.exp(row)) for row in want] == tokens
+    assert np.max(np.abs(np.log(np.stack(steps)) - want)) < DECODE_TOL
 
 
 def test_quantized_stats_are_collected():

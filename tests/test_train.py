@@ -280,6 +280,19 @@ def test_training_is_deterministic_for_a_seed():
     assert [r["loss"] for r in r1] == [r["loss"] for r in r2]
 
 
+def test_dropout_models_train_in_train_mode():
+    # one segment makes the batch the same for every seed, so the first
+    # loss moves with the seed only through the layer-dropout draws
+    one = segs()[:1]
+    first = {rho: [TR.train_lm(lm(n_layers=2, placement="pre",
+                                  dropout_rho=rho), one,
+                               run_cfg(max_steps=1, seed=seed))[0]["loss"]
+                   for seed in (1, 2)]
+             for rho in (0.5, 1.0)}
+    assert first[0.5][0] != first[0.5][1]
+    assert first[1.0][0] == first[1.0][1]
+
+
 def test_loss_falls_on_repetitive_text():
     rows = TR.train_lm(lm(), segs(), run_cfg(max_steps=30))
     first = np.mean([r["loss"] for r in rows[:5]])
@@ -304,16 +317,18 @@ def test_metrics_rows_carry_the_csv_fields():
 # ---------------------------------------------------------------------------
 
 
-def _per_row_loss(model, batch):
-    """Reference: one forward per row, each row's mean NLL weighted by its
-    share of the batch's targets."""
+def _per_row_loss(model, batch, seed):
+    """Reference: one training-mode forward per row, each with a fresh
+    T.Rng(seed) so every row draws the batch's layer-dropout choices, and
+    each row's mean NLL weighted by its share of the batch's targets."""
     total = batch.n_tokens
     loss = None
     for r in range(batch.inputs.shape[0]):
         n_row = int((~batch.pad[r]).sum())
         if n_row == 0:
             continue
-        probs = T.softmax_rows(model.decoder_forward(batch.inputs[r]))
+        probs = T.softmax_rows(model.decoder_forward(
+            batch.inputs[r], training=True, rng=T.Rng(seed)))
         part = TR.cross_entropy(probs, batch.targets[r], batch.pad[r]) \
             * (n_row / total)
         loss = part if loss is None else loss + part
@@ -349,10 +364,11 @@ def test_batched_loss_matches_the_per_row_reference(variant, dtype):
     assert batch.pad[:, :-1].any()                 # PAD-tailed rows present
 
     with T.Tape():
-        ref = _per_row_loss(model, batch)
+        ref = _per_row_loss(model, batch, seed=5)
     ref_grads = T.backward(ref)
     with T.Tape():
-        got, n_tok = TR._batch_loss(model, batch, TR.WarningTally())
+        got, n_tok = TR._batch_loss(model, batch, TR.WarningTally(),
+                                    rng=T.Rng(5))
     got_grads = T.backward(got)
 
     assert n_tok == batch.n_tokens
