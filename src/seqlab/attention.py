@@ -1,15 +1,14 @@
 """Softmax attention in all its configured forms.
 
 One scaled-dot-product core (qkv_attention) drives everything: multi-head
-self and cross attention, causal and sparse-field masking, additive and
-multiplicative locality priors, relative-position attention, multi-query
-attention, and cached incremental decoding.
+self and cross attention, causal and sparse-field masking, additive
+locality priors, relative-position attention, multi-query attention, and
+cached attention of a block of new positions over a history.
 
-Masks are described by MaskSpec, which unifies four mechanisms:
-  - causal:         -inf strictly above the diagonal
-  - field:          boolean retained-position sets per row
-  - additive:       arbitrary penalty matrix added to scaled logits
-  - multiplicative: matrix in [0,1] multiplied into scaled logits
+Masks are described by MaskSpec, which unifies three mechanisms:
+  - causal:   -inf strictly above the diagonal
+  - field:    boolean retained-position sets per row
+  - additive: arbitrary penalty matrix added to scaled logits
 plus an optional two-branch mixture that blends the score softmax with a
 prior softmax.
 """
@@ -59,15 +58,14 @@ NEG_INF = -np.inf
 class MaskSpec:
     """What each query position may attend to, and at what penalty.
 
-    ``field`` is a boolean allowed matrix; ``additive`` may contain -inf;
-    ``multiplicative`` entries lie in [0,1]. ``mixture_beta`` switches on
-    the blended form (1-beta)*Softmax(scores) + beta*Softmax(mixture_prior),
-    with any field/causal structure applied to both branches.
+    ``field`` is a boolean allowed matrix; ``additive`` may contain -inf.
+    ``mixture_beta`` switches on the blended form (1-beta)*Softmax(scores)
+    + beta*Softmax(mixture_prior), with any field/causal structure applied
+    to both branches.
     """
 
     mode: str = "none"
     additive: Optional[object] = None        # np.ndarray or Tensor
-    multiplicative: Optional[np.ndarray] = None
     field: Optional[np.ndarray] = None       # boolean (n_q, n_k)
     gamma: float = 0.0
     mixture_beta: Optional[float] = None
@@ -89,7 +87,7 @@ class MaskSpec:
         return out
 
     def combine(self, other: "MaskSpec") -> "MaskSpec":
-        """Intersection of permissions, sum of penalties, product of gates."""
+        """Intersection of permissions, sum of penalties."""
         if other is None:
             return self
         add_parts = [p for p in (self.additive, other.additive) if p is not None]
@@ -103,15 +101,10 @@ class MaskSpec:
             fld = self.field & other.field
         else:
             fld = self.field if self.field is not None else other.field
-        if self.multiplicative is not None and other.multiplicative is not None:
-            mult = self.multiplicative * other.multiplicative
-        else:
-            mult = (self.multiplicative if self.multiplicative is not None
-                    else other.multiplicative)
         beta = self.mixture_beta if self.mixture_beta is not None else other.mixture_beta
         prior = self.mixture_prior if self.mixture_prior is not None else other.mixture_prior
-        return MaskSpec(mode="additive", additive=additive, multiplicative=mult,
-                        field=fld, gamma=self.gamma + other.gamma,
+        return MaskSpec(mode="additive", additive=additive, field=fld,
+                        gamma=self.gamma + other.gamma,
                         mixture_beta=beta, mixture_prior=prior,
                         random_pairs=self.random_pairs or other.random_pairs)
 
@@ -225,12 +218,12 @@ def _field_spec(allowed: np.ndarray, causal: bool, pairs) -> MaskSpec:
                     random_pairs=pairs)
 
 
-def _mask_parts(mask, n_q: int, n_k: int):
-    """Normalize a mask argument to (additive, multiplicative, mixture)."""
+def _mask_parts(mask):
+    """Normalize a mask argument to (additive, mixture)."""
     if mask is None:
-        return None, None, None
+        return None, None
     if isinstance(mask, (np.ndarray, T.Tensor)):
-        return mask, None, None
+        return mask, None
     if not isinstance(mask, MaskSpec):
         raise TypeError(f"unsupported mask type {type(mask).__name__}")
     additive = mask.additive
@@ -244,7 +237,7 @@ def _mask_parts(mask, n_q: int, n_k: int):
         if prior is None:
             raise ValueError("mixture mask needs a prior matrix")
         mixture = (mask.mixture_beta, prior)
-    return additive, mask.multiplicative, mixture
+    return additive, mixture
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +266,9 @@ def qkv_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor, mask=None,
     n_k, d_v = k.shape[-2], v.shape[-1]
     if scale is None:
         scale = float(np.sqrt(d_h))
-    additive, mult, mixture = _mask_parts(mask, n_q, n_k)
+    additive, mixture = _mask_parts(mask)
 
     scores = T.matmul(q, T.transpose(k)) * (1.0 / scale)
-    if mult is not None:
-        scores = scores * mult
     if mixture is None:
         weights = T.softmax_rows(scores, additive)
     else:
@@ -430,30 +421,38 @@ class AttentionParams:
 # ---------------------------------------------------------------------------
 
 
-def _attend(x_q: T.Tensor, x_kv: T.Tensor, params: AttentionParams, mask,
-            counter=None, reuse_weights=None, return_weights=False):
-    if reuse_weights is None:
-        out, weights = qkv_attention(*params.heads(x_q, x_kv), mask,
-                                     counter=counter, return_weights=True)
-    else:
-        weights = reuse_weights
-        out = T.matmul(weights, split_heads(T.matmul(x_kv, params.wv),
-                                            params.n_kv))
-    merged = params.merge(out)
-    return (merged, weights) if return_weights else merged
+def attend_heads(q: T.Tensor, k: T.Tensor, v: T.Tensor, mask=None,
+                 counter=None, rpr: Optional[RprTable] = None, lowrank=None,
+                 reuse: Optional[dict] = None, q_start: int = 0) -> T.Tensor:
+    """Per-head context of split Q, K, V in a model's attention form; the
+    full-sequence and the cached pass both go through here.
+
+    ``rpr`` mixes in relative-position vectors, query i sitting at key
+    position q_start + i; ``lowrank`` (u_q, u_kd) reduces the query and key
+    width; ``reuse`` is the dict the layers of one map-reuse pass share:
+    the first stores its attention weights under "w", and later layers
+    apply them to their own values.
+    """
+    if reuse is not None and "w" in reuse:
+        return T.matmul(reuse["w"], v)
+    if rpr is not None:
+        return rpr_attention(q, k, v, rpr, mask, q_start)
+    if lowrank is not None:
+        from .efficient import lowrank_width_attention
+        return lowrank_width_attention(q, k, v, lowrank, mask, counter=counter)
+    out, weights = qkv_attention(q, k, v, mask, counter=counter,
+                                 return_weights=True)
+    if reuse is not None:
+        reuse["w"] = weights
+    return out
 
 
 def multi_head_self(h: T.Tensor, params: AttentionParams, mask=None,
-                    counter=None, reuse_weights=None, return_weights=False):
-    """Standard multi-head self-attention: concat of per-head outputs, merged.
-
-    The attention weights (returned with ``return_weights``, reused via
-    ``reuse_weights``) are one (..., tau, m, m) tensor.
-    """
+                    counter=None):
+    """Standard multi-head self-attention: concat of per-head outputs, merged."""
     if params.multi_query:
         raise ValueError("params are multi-query; use multi_query_attention")
-    return _attend(h, h, params, mask, counter=counter,
-                   reuse_weights=reuse_weights, return_weights=return_weights)
+    return params.merge(qkv_attention(*params.heads(h), mask, counter=counter))
 
 
 def multi_query_attention(h: T.Tensor, params: AttentionParams, mask=None,
@@ -461,7 +460,7 @@ def multi_query_attention(h: T.Tensor, params: AttentionParams, mask=None,
     """tau distinct query heads over one shared key/value head."""
     if not params.multi_query:
         raise ValueError("params lack the multi-query flag")
-    return _attend(h, h, params, mask, counter=counter)
+    return params.merge(qkv_attention(*params.heads(h), mask, counter=counter))
 
 
 def cross_kv(h_enc: T.Tensor, params: AttentionParams):
@@ -486,42 +485,40 @@ def cross_attention(h_enc: T.Tensor, s_self: T.Tensor, params: AttentionParams,
     return params.merge(qkv_attention(q, k, v, counter=counter))
 
 
-def rpr_attention(h: T.Tensor, params: AttentionParams, rpr: RprTable,
-                  mask=None) -> T.Tensor:
-    """Multi-head attention with relative-position vectors mixed in.
+def rpr_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor, rpr: RprTable,
+                  mask=None, q_start: int = 0) -> T.Tensor:
+    """Attention with relative-position vectors mixed in, per head.
 
-    Per head: alpha_ij = Softmax((h^q_i + PE^q(i,j))(h^k_j + PE^k(i,j))^T
-    / sqrt(d_h)), output row i = sum_j alpha_ij (h^v_j + PE^v(i,j)).
-    Disabled roles simply omit their term. h is (..., m, d); leading axes
-    are independent sequences, and every head shares the offset tables.
+    q is (..., tau, m, d_h) and k, v are (..., n_kv, n, d_h), heads split
+    as qkv_attention takes them; query i sits at key position q_start + i,
+    so PE(i, j) is the table row of the clipped offset j - (q_start + i).
+    Per head: alpha_ij = Softmax((q_i + PE^q(i,j))(k_j + PE^k(i,j))^T
+    / sqrt(d_h)), output row i = sum_j alpha_ij (v_j + PE^v(i,j)).
+    Disabled roles simply omit their term, and every head shares the
+    tables. Returns the per-head context (..., tau, m, d_h).
     """
-    m = h.shape[-2]
-    d_h = params.d_head
+    d_h = q.shape[-1]
     for role in ("q", "k", "v"):
         t = rpr.tables.get(role)
         if t is not None and t.shape[1] != d_h:
             raise ValueError("RPR table width does not match head width")
-    offs = rpr.offset_index_matrix(m, m)
-    additive, mult, mixture = _mask_parts(mask, m, m)
+    offs = rpr.offset_index_matrix(q.shape[-2], k.shape[-2], q_start)
+    additive, mixture = _mask_parts(mask)
     if mixture is not None:
         raise ValueError("mixture priors are not defined for RPR attention")
 
     def with_pe(x: T.Tensor, role: str, axis: int) -> T.Tensor:
-        # (..., heads, m, d_h) -> (..., heads, m, m, d_h) with a unit axis
-        # at ``axis`` broadcasting against PE(i, j) of shape (m, m, d_h)
+        # (..., heads, rows, d_h) -> (..., heads, m, n, d_h) with a unit
+        # axis at ``axis`` broadcasting against PE(i, j) of shape (m, n, d_h)
         x = T.reshape(x, x.shape[:axis] + (1,) + x.shape[axis:])
         t = rpr.tables.get(role)
         return x if t is None else x + T.gather_rows(t, offs)
 
-    q, k, v = params.heads(h)
     logits = T.reduce_sum(with_pe(q, "q", -1) * with_pe(k, "k", -2), axis=-1) \
         * (1.0 / float(np.sqrt(d_h)))
-    if mult is not None:
-        logits = logits * mult
     alpha = T.softmax_rows(logits, additive)
-    ctx = T.reduce_sum(T.reshape(alpha, alpha.shape + (1,))
-                       * with_pe(v, "v", -2), axis=-2)
-    return params.merge(ctx)
+    return T.reduce_sum(T.reshape(alpha, alpha.shape + (1,))
+                        * with_pe(v, "v", -2), axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -643,13 +640,15 @@ def _step_mask(m: int, back: int, window: Optional[int]):
 
 
 def attend_step_cached(x: T.Tensor, cache: KVCache, params: AttentionParams,
-                       layer: int):
-    """Self-attention of a block of new positions at one layer.
+                       layer: int, rpr: Optional[RprTable] = None,
+                       lowrank=None, reuse: Optional[dict] = None):
+    """Self-attention of a block of new positions at one cache layer.
 
     ``x`` is (rows, m, d): m new positions for each of the cache's rows, or
     one (1, d) row of a one-row cache. Projects the block, writes its keys
     and values into the cache, and attends every new position over the
-    earlier positions it can see plus the block up to itself. Returns
+    earlier positions it can see plus the block up to itself, in the form
+    ``rpr``, ``lowrank`` and ``reuse`` pick as in attend_heads. Returns
     (merged output shaped like x, cache).
     """
     single = x.ndim == 2
@@ -662,7 +661,7 @@ def attend_step_cached(x: T.Tensor, cache: KVCache, params: AttentionParams,
     q, k_new, v_new = params.project(x, x)
     k, v, back = cache.write(layer, k_new.values, v_new.values)
     mask = _step_mask(x.shape[1], back, cache.window)
-    out = qkv_attention(*params.split(q, T.ending_in(k, k_new),
-                                      T.ending_in(v, v_new)), mask)
-    out = params.merge(out)
+    out = params.merge(attend_heads(
+        *params.split(q, T.ending_in(k, k_new), T.ending_in(v, v_new)), mask,
+        rpr=rpr, lowrank=lowrank, reuse=reuse, q_start=back))
     return (T.reshape(out, out.shape[1:]) if single else out), cache

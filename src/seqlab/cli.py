@@ -182,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chunk-len", dest="chunk_len", type=int,
                    help="TrainConfig.chunk_len: train_lm takes one step per "
                         "span of this many columns, each attending over the "
-                        "previous span's frozen keys and values")
+                        "previous span's frozen keys and values (dense, "
+                        "window or lowrank-d attention, no layer dropout)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("generate", help="continue a prompt")

@@ -227,8 +227,10 @@ class RprTable:
         row = clip_offset(j - i, self.clip_k) + self.clip_k
         return t[row]
 
-    def offset_index_matrix(self, n_q: int, n_k: int) -> np.ndarray:
-        """Row indices for every (i, j) pair: clip(j-i)+clip_k, shape (n_q, n_k)."""
+    def offset_index_matrix(self, n_q: int, n_k: int,
+                            q_start: int = 0) -> np.ndarray:
+        """Row indices for every (i, j) pair: clip(j-i)+clip_k, shape
+        (n_q, n_k), with query i at key position q_start + i."""
         j = np.arange(n_k)[None, :]
-        i = np.arange(n_q)[:, None]
+        i = q_start + np.arange(n_q)[:, None]
         return np.clip(j - i, -self.clip_k, self.clip_k) + self.clip_k

@@ -176,14 +176,16 @@ class ModelConfig:
         return self.reduced_width or max(1, self.d_head // 2)
 
     def check_chunkable(self):
-        """Raise unless chunked evaluation (a frozen previous-chunk cache)
-        is defined for this model."""
-        if (self.attention != "dense" or self.multi_query or self.rpr
-                or self.reuse_maps or self.integrator_order != 1
+        """Raise unless chunked evaluation is defined for this model: a
+        span attends over the previous span's cached keys and values, which
+        linear, ssm and lowrank-n layers do not keep and a dropped layer
+        does not write."""
+        if (self.attention in ("linear", "ssm", "lowrank-n")
                 or self.dropout_rho < 1.0
                 or self.architecture != "decoder-only"):
             raise B.ConfigurationError(
-                "chunked evaluation is defined for plain dense decoder-only models")
+                "chunked evaluation needs a decoder-only model with dense, "
+                "window or lowrank-d attention and no layer dropout")
 
     def residual_bypass(self) -> bool:
         """True when the residual skips the last LNorm (needs a final one)."""
@@ -336,11 +338,11 @@ class DecodeSession:
     """Incremental decoding state of a batch of rows (hypotheses).
 
     Every row has its own token prefix, all of one length, and row r of
-    every state array belongs to prefix r. mode picks the state
-    representation: "cache" keeps per-layer key/value arrays, "stream"
-    keeps kernel accumulators per row and head, "ssm" keeps (rows, d,
-    d_state) state blocks, and "recompute" keeps only the prefixes
-    (variants whose step cannot reuse past work exactly). An
+    every state array belongs to prefix r. State is kept per slot, one
+    slot per (layer, integrator stage): a stage's inputs at earlier
+    positions are fixed by causality. mode picks the state representation:
+    "cache" keeps key/value arrays, "stream" keeps kernel accumulators per
+    row and head, and "ssm" keeps (rows, d, d_state) state blocks. An
     encoder-decoder session holds each layer's cross-attention keys and
     values, projected once from the encoder output.
     """
@@ -551,27 +553,14 @@ class Model:
                 return att.merge(EF.lowrank_length_attention(
                     q, k, v, self._length_projections(layer, m_real),
                     counter=counter))
-            if cfg.attention == "lowrank-d":
-                return att.merge(EF.lowrank_width_attention(
-                    *att.heads(z), layer.lowrank, mask, counter=counter))
-            # dense family
             if cfg.attention == "window" and counter is not None:
                 # counting path: gather only retained pairs (inference math,
                 # identical output, work linear in m)
                 return att.merge(A.sparse_field_attention(*att.heads(z), mask,
                                                           counter))
-            if cfg.rpr:
-                return A.rpr_attention(z, att, self.rpr_table, mask)
-            if cfg.multi_query:
-                return A.multi_query_attention(z, att, mask, counter=counter)
-            if reuse_store is not None:
-                if "w" in reuse_store:
-                    return A.multi_head_self(z, att, mask,
-                                             reuse_weights=reuse_store["w"])
-                out, w = A.multi_head_self(z, att, mask, return_weights=True)
-                reuse_store["w"] = w
-                return out
-            return A.multi_head_self(z, att, mask, counter=counter)
+            return att.merge(A.attend_heads(
+                *att.heads(z), mask, counter, rpr=self.rpr_table,
+                lowrank=layer.lowrank, reuse=reuse_store))
 
         return core
 
@@ -589,34 +578,6 @@ class Model:
         return EF.LowRankProjections(
             u_k=T.take(layer.lowrank.u_k, (slice(None), slice(0, m))),
             u_v=T.take(layer.lowrank.u_v, (slice(None), slice(0, m))))
-
-    def _prefix_core(self, layer: Layer, kv_prev, kv_sink) \
-            -> Callable[[T.Tensor], T.Tensor]:
-        """Dense causal self-attention over [frozen previous chunk | current].
-
-        kv_prev is None or the previous chunk's (keys, values) ndarray pair,
-        every head side by side; wrapping them in fresh tensors keeps the
-        previous chunk visible to attention but outside the gradient tape.
-        kv_sink, when a list, receives this chunk's detached pair for the
-        next chunk.
-        """
-        att = layer.att
-
-        def core(z: T.Tensor) -> T.Tensor:
-            m = z.shape[-2]
-            q, k, v = att.project(z, z)
-            if kv_sink is not None:
-                kv_sink.append((k.values.copy(), v.values.copy()))
-            n_prev = 0
-            if kv_prev is not None:
-                n_prev = kv_prev[0].shape[-2]
-                k = T.concat([T.Tensor(kv_prev[0]), k], axis=-2)
-                v = T.concat([T.Tensor(kv_prev[1]), v], axis=-2)
-            additive = np.zeros((m, n_prev + m))
-            additive[:, n_prev:][np.triu(np.ones((m, m), dtype=bool), 1)] = A.NEG_INF
-            return att.merge(A.qkv_attention(*att.split(q, k, v), additive))
-
-        return core
 
     def _wrap(self, z: T.Tensor, core, ln: B.LNParams,
               training: bool, rng: Optional[T.Rng]) -> T.Tensor:
@@ -638,27 +599,32 @@ class Model:
                    pad: Optional[np.ndarray] = None,
                    enc_out: Optional[T.Tensor] = None,
                    training: bool = False, rng: Optional[T.Rng] = None,
-                   counter=None, kv_prefix=None, kv_out=None) -> T.Tensor:
+                   counter=None, session: Optional[DecodeSession] = None
+                   ) -> T.Tensor:
+        """The layers over h. Without a session self-attention runs over h
+        itself; with one, h is a (rows, m, d) block of new positions that
+        attends over the session's history, which it advances."""
         cfg = self.cfg
-        m = h.shape[-2]
-        if pad is not None and not pad.any():
-            pad = None
-        mask = self._mask_for(m, causal, pad)
-        m_real = None
-        if cfg.attention in ("linear", "lowrank-n"):
-            m_real = self._suffix_length(pad, m)
+        if session is None:
+            m = h.shape[-2]
+            if pad is not None and not pad.any():
+                pad = None
+            mask = self._mask_for(m, causal, pad)
+            m_real = None
+            if cfg.attention in ("linear", "lowrank-n"):
+                m_real = self._suffix_length(pad, m)
         reuse_store = {} if cfg.reuse_maps else None
         for idx, layer in enumerate(layers):
-            if kv_prefix is not None or kv_out is not None:
-                prev = None if kv_prefix is None else kv_prefix[idx]
-                att_core = self._prefix_core(layer, prev, kv_out)
-            else:
+            if session is None:
                 att_core = self._att_core(layer, mask, causal, m_real,
                                           reuse_store, counter)
+            else:
+                att_core = self._step_att_core(layer, idx, session, reuse_store)
             h = self._wrap(h, att_core, layer.ln1, training, rng)
             if layer.cross is not None:
-                cross_core = (lambda z, lay=layer:
-                              A.cross_attention(enc_out, z, lay.cross))
+                kv = None if session is None else session.cross_kv[idx]
+                cross_core = (lambda z, lay=layer, kv=kv:
+                              A.cross_attention(enc_out, z, lay.cross, kv=kv))
                 h = self._wrap(h, cross_core, layer.ln_cross, training, rng)
             h = self._wrap(h, self._ffn_core(layer), layer.ln2, training, rng)
         return h
@@ -703,13 +669,38 @@ class Model:
             raise ContractError("encoder-decoder decoding needs encoder output")
         if self.cfg.architecture == "decoder-only" and enc_out is not None:
             raise ContractError("a decoder-only model takes no encoder output")
-        if kv_prefix is not None or kv_out is not None:
-            self.cfg.check_chunkable()
+        if kv_prefix is None and kv_out is None:
+            ids = self._check_tokens(tokens, batched=True)
+            return self._decoder_logits(ids, start_pos, enc_out,
+                                        training=training, rng=rng,
+                                        counter=counter)
+        # a span over the previous span's frozen keys and values (the
+        # segment recurrence of Transformer-XL): they seed a cache that
+        # the span attends over as a decode block does
+        self.cfg.check_chunkable()
         ids = self._check_tokens(tokens, batched=True)
-        h = self._embed_at(ids, start_pos)
-        h = self._run_stack(h, self.dec_layers, causal=True, enc_out=enc_out,
-                            training=training, rng=rng, counter=counter,
-                            kv_prefix=kv_prefix, kv_out=kv_out)
+        block = ids.reshape(-1, ids.shape[-1])
+        session = self.decode_session()
+        kv = session.kv
+        for slot, pair in enumerate(kv_prefix or ()):
+            kv.write(slot, *(np.reshape(x, (len(block), -1, np.shape(x)[-1]))
+                             for x in pair))
+        logits = self._decoder_logits(block, start_pos, session=session,
+                                      training=training, rng=rng)
+        if kv_out is not None:
+            # this span's rows; a window cache holds only the last window
+            # of them, and the next span sees no further back anyway
+            m = ids.shape[-1]
+            for s in range(kv.n_layers):
+                k, v = kv.keys(s).values[:, -m:], kv.values_(s).values[:, -m:]
+                kv_out.append((k, v) if ids.ndim == 2 else (k[0], v[0]))
+        return T.reshape(logits, ids.shape + logits.shape[-1:])
+
+    def _decoder_logits(self, ids: np.ndarray, start_pos: int,
+                        enc_out: Optional[T.Tensor] = None, **stack) -> T.Tensor:
+        """Embedding, decoder stack, final norm and output head."""
+        h = self._run_stack(self._embed_at(ids, start_pos), self.dec_layers,
+                            causal=True, enc_out=enc_out, **stack)
         if self.final_ln_dec is not None:
             h = B.layer_norm(h, self.final_ln_dec)
         return self._head(h)
@@ -735,12 +726,15 @@ class Model:
     # -- incremental decoding -------------------------------------------------
 
     def decode_mode(self) -> str:
-        cfg = self.cfg
-        if cfg.integrator_order != 1 or cfg.rpr or cfg.reuse_maps:
-            return "recompute"
-        return {"dense": "cache", "window": "cache", "linear": "stream",
-                "ssm": "ssm", "lowrank-d": "recompute",
-                "lowrank-n": "recompute"}[cfg.attention]
+        """The state a decode session keeps: "stream" kernel accumulators
+        for linear attention, "ssm" state blocks, else a "cache" of keys
+        and values."""
+        return {"linear": "stream", "ssm": "ssm"}.get(self.cfg.attention,
+                                                      "cache")
+
+    def _slots(self) -> int:
+        """Decode state slots: one per (decoder layer, integrator stage)."""
+        return len(self.dec_layers) * self.cfg.integrator_order
 
     def decode_session(self, source=None) -> DecodeSession:
         """A one-row session at position 0; ``select`` changes its rows."""
@@ -756,21 +750,21 @@ class Model:
             raise ContractError("source given to a model without cross-attention")
         mode = self.decode_mode()
         kv = streams = states = None
-        cfg, n_l = self.cfg, len(self.dec_layers)
+        cfg, n_s = self.cfg, self._slots()
         if mode == "cache":
-            kv = A.KVCache(n_l, cfg.window if cfg.attention == "window" else None)
+            kv = A.KVCache(n_s, cfg.window if cfg.attention == "window" else None)
         elif mode == "stream":
             streams = [[[EF.init_stream(cfg.d_head, cfg.d_head)
-                         for _ in range(cfg.tau)]] for _ in range(n_l)]
-        elif mode == "ssm":
+                         for _ in range(cfg.tau)]] for _ in range(n_s)]
+        else:
             states = [np.zeros((1, cfg.d, cfg.ssm_d_state), dtype=self.dtype)
-                      for _ in range(n_l)]
+                      for _ in range(n_s)]
         return DecodeSession(model=self, mode=mode, enc_out=enc_out, kv=kv,
                              streams=streams, ssm_states=states,
                              cross_kv=cross_kv)
 
     def _check_session(self, session: DecodeSession, rows: int):
-        """Raise StateError unless every layer's state is at the prefixes'
+        """Raise StateError unless every slot's state is at the prefixes'
         common position and holds ``rows`` rows."""
         if session.model is not self:
             raise StateError("session belongs to a different model")
@@ -779,40 +773,46 @@ class Model:
             raise StateError(f"{rows} rows fed to a session of "
                              f"{session.rows} prefixes of lengths "
                              f"{sorted({len(p) for p in session.prefixes})}")
-        cfg, n_l = self.cfg, len(self.dec_layers)
+        cfg, n_s = self.cfg, self._slots()
         if session.mode == "cache":
             kv = session.kv
             got = [(kv.length(i), kv.rows(i) or rows) for i in range(kv.n_layers)]
-            want = [(t, rows)] * n_l
+            want = [(t, rows)] * n_s
         elif session.mode == "stream":
-            # (rows, heads, steps taken) of every stream state of a layer
+            # (rows, heads, steps taken) of every stream state of a slot
             got = [{(len(per_row), len(heads), st.steps)
                     for heads in per_row for st in heads}
                    for per_row in session.streams]
-            want = [{(rows, cfg.tau, t)}] * n_l
-        elif session.mode == "ssm":
-            got = [np.shape(z) for z in session.ssm_states]
-            want = [(rows, cfg.d, cfg.ssm_d_state)] * n_l
+            want = [{(rows, cfg.tau, t)}] * n_s
         else:
-            return
+            got = [np.shape(z) for z in session.ssm_states]
+            want = [(rows, cfg.d, cfg.ssm_d_state)] * n_s
         if got != want:
-            raise StateError(f"{session.mode} state per layer is {got}, "
+            raise StateError(f"{session.mode} state per slot is {got}, "
                              f"not {want[0]} for a prefix of {t}")
 
-    def _step_att_core(self, layer: Layer, idx: int, session: DecodeSession
+    def _step_att_core(self, layer: Layer, idx: int, session: DecodeSession,
+                       reuse_store: Optional[dict] = None
                        ) -> Callable[[T.Tensor], T.Tensor]:
         """Self-attention (or SSM) of a (rows, m, d) block of new positions
-        against the session's state at layer idx, which it advances."""
+        against the session's state at layer idx, which it advances. The
+        k-th call of the core is integrator stage k and uses that slot."""
         cfg = self.cfg
+        slots = iter(range(idx * cfg.integrator_order,
+                           (idx + 1) * cfg.integrator_order))
 
         def core(z: T.Tensor) -> T.Tensor:
+            slot = next(slots)
             if session.mode == "cache":
-                return A.attend_step_cached(z, session.kv, layer.att, idx)[0]
+                return A.attend_step_cached(z, session.kv, layer.att, slot,
+                                            rpr=self.rpr_table,
+                                            lowrank=layer.lowrank,
+                                            reuse=reuse_store)[0]
             if session.mode == "stream":
                 phi = EF.FeatureMap(cfg.feature_map)
                 q, k, v = (x.values for x in layer.att.heads(z))
                 out = np.empty(q.shape)
-                for r, heads in enumerate(session.streams[idx]):
+                for r, heads in enumerate(session.streams[slot]):
                     for i in range(z.shape[-2]):
                         for hh in range(cfg.tau):
                             out[r, hh, i], heads[hh] = EF.stream_step(
@@ -822,13 +822,13 @@ class Model:
             # ssm: the recurrence over the d feature columns, position by
             # position, every row at once
             dssm = layer.ssm
-            state = session.ssm_states[idx]
+            state = session.ssm_states[slot]
             out = []
             for i in range(z.shape[-2]):
                 s_col = z.values[:, i, :, None]
                 state = state @ dssm.a_bar.values + s_col @ dssm.b_bar.values
                 out.append(state @ dssm.c_bar.values + s_col @ dssm.d_bar.values)
-            session.ssm_states[idx] = state
+            session.ssm_states[slot] = state
             return T.Tensor(np.concatenate(out, axis=-1)
                             .transpose(0, 2, 1).astype(self.dtype))
 
@@ -856,23 +856,8 @@ class Model:
         self._check_session(session, ids.shape[0])
         for prefix, new in zip(session.prefixes, ids.tolist()):
             prefix.extend(new)
-        if session.mode == "recompute":
-            logits = self.decoder_forward(session.prefixes, session.enc_out)
-            dist = _softmax_last(logits.values[:, t:])
-            return dist[0, 0] if single else dist
-        h = self._embed_at(ids, t)
-        for idx, layer in enumerate(self.dec_layers):
-            h = self._wrap(h, self._step_att_core(layer, idx, session),
-                           layer.ln1, False, None)
-            if layer.cross is not None:
-                cross_core = (lambda z, lay=layer, kv=session.cross_kv[idx]:
-                              A.cross_attention(session.enc_out, z, lay.cross,
-                                                kv=kv))
-                h = self._wrap(h, cross_core, layer.ln_cross, False, None)
-            h = self._wrap(h, self._ffn_core(layer), layer.ln2, False, None)
-        if self.final_ln_dec is not None:
-            h = B.layer_norm(h, self.final_ln_dec)
-        dist = _softmax_last(self._head(h).values)
+        logits = self._decoder_logits(ids, t, session.enc_out, session=session)
+        dist = _softmax_last(logits.values)
         return dist[0, 0] if single else dist
 
     # -- sentence representation ----------------------------------------------

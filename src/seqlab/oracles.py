@@ -541,7 +541,8 @@ def _run_rpr_loop(rng):
     params = A.AttentionParams.init(6, 1, rng, dtype=_F64)
     rpr = E.RprTable.init(2, 6, rng, dtype=_F64)
     h = rng.gaussian((5, 6))
-    got = A.rpr_attention(T.Tensor(h), params, rpr, A.causal_mask(5)).values
+    got = params.merge(A.rpr_attention(*params.heads(T.Tensor(h)), rpr,
+                                       A.causal_mask(5))).values
     ctx = rpr_attention_loop(h, params.wq.values, params.wk.values,
                              params.wv.values, rpr.tables["q"].values,
                              rpr.tables["k"].values, rpr.tables["v"].values,

@@ -211,7 +211,8 @@ def test_c04_gradient_suite():
         h = T.Tensor(rng.gaussian((4, 6)), trainable=True)
         prm = A.AttentionParams.init(6, 2, rng, dtype=F64)
         rpr = E.RprTable.init(2, 3, rng, dtype=F64)
-        fwd = lambda: A.rpr_attention(h, prm, rpr, A.causal_mask(4))
+        fwd = lambda: prm.merge(A.rpr_attention(*prm.heads(h), rpr,
+                                                A.causal_mask(4)))
         return probe_loss(fwd, (4, 6), rng), [h, rpr.tables["q"]]
 
     def b_moe(rng):

@@ -154,15 +154,6 @@ def test_mixture_extremes():
     np.testing.assert_allclose(w.values, want, atol=1e-12)
 
 
-def test_multiplicative_zero_does_not_zero_weight():
-    # A zero gate entry only zeroes the logit; the softmax weight stays positive.
-    q = T.Tensor([[1.0, 0.0], [0.0, 1.0]], dtype=F64)
-    spec = A.MaskSpec(mode="multiplicative",
-                      multiplicative=np.array([[1.0, 0.0], [0.0, 1.0]]))
-    _, w = A.qkv_attention(q, q, q, spec, return_weights=True)
-    assert np.all(w.values > 0)
-
-
 # ---------------------------------------------------------------------------
 # attention fields
 # ---------------------------------------------------------------------------
@@ -390,7 +381,8 @@ def test_rpr_zero_table_equals_multi_head():
     rng = T.Rng(27)
     h = T.Tensor(rng.gaussian((n, d)), dtype=F64)
     mask = A.causal_mask(n)
-    np.testing.assert_allclose(A.rpr_attention(h, p, zero, mask).values,
+    np.testing.assert_allclose(p.merge(A.rpr_attention(*p.heads(h), zero,
+                                                       mask)).values,
                                A.multi_head_self(h, p, mask).values, atol=1e-12)
 
 
@@ -401,7 +393,8 @@ def test_rpr_matches_double_loop_oracle():
     table = E.RprTable.init(clip_k, d, T.Rng(29), dtype=F64)
     rng = T.Rng(30)
     h = rng.gaussian((n, d))
-    got = A.rpr_attention(T.Tensor(h, dtype=F64), p, table, A.causal_mask(n))
+    got = p.merge(A.rpr_attention(*p.heads(T.Tensor(h, dtype=F64)), table,
+                                  A.causal_mask(n)))
     want = O.rpr_attention_loop(h, p.wq.values, p.wk.values, p.wv.values,
                                 table.tables["q"].values, table.tables["k"].values,
                                 table.tables["v"].values, clip_k, causal=True)
@@ -417,7 +410,8 @@ def test_rpr_key_only_variant_matches_zeroed_query_table():
     vv = T.Tensor(rng.gaussian((2 * clip_k + 1, d)), dtype=F64, trainable=True)
     key_only = E.RprTable(clip_k, {"k": kv, "v": vv})
     h = rng.gaussian((n, d))
-    got = A.rpr_attention(T.Tensor(h, dtype=F64), p, key_only, A.causal_mask(n))
+    got = p.merge(A.rpr_attention(*p.heads(T.Tensor(h, dtype=F64)), key_only,
+                                  A.causal_mask(n)))
     want = O.rpr_attention_loop(h, p.wq.values, p.wk.values, p.wv.values,
                                 np.zeros((5, d)), kv.values, vv.values,
                                 clip_k, causal=True)
@@ -439,7 +433,7 @@ def test_rpr_gradient_reaches_tables():
     rng = T.Rng(36)
     h = T.Tensor(rng.gaussian((n, d)), dtype=F64)
     with T.Tape():
-        out = A.rpr_attention(h, p, table, A.causal_mask(n))
+        out = p.merge(A.rpr_attention(*p.heads(h), table, A.causal_mask(n)))
         loss = out.sum()
     g = T.backward(loss)
     for role in ("q", "k", "v"):

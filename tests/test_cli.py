@@ -59,7 +59,7 @@ def test_train_reads_a_config_file(tmp_path):
     assert R.load_checkpoint(str(out)).cfg.d == 16
 
 
-def test_train_with_a_chunk_length(tmp_path):
+def _train_chunked(tmp_path, *overrides):
     corpus = tmp_path / "c.txt"
     corpus.write_text(CORPUS[:400], encoding="utf-8")
     out = tmp_path / "m.ckpt"
@@ -67,8 +67,20 @@ def test_train_with_a_chunk_length(tmp_path):
                  "--steps", "3", "--seq-len", "16", "--batch-size", "2",
                  "--chunk-len", "8", "--set", "model.d=16",
                  "--set", "model.heads=2", "--set", "model.ffn_width=32",
-                 "--set", "model.layers=1"])
+                 "--set", "model.layers=1", *overrides])
+    return rc, out
+
+
+def test_train_with_a_chunk_length(tmp_path):
+    rc, out = _train_chunked(tmp_path)
     assert rc == 0 and out.exists()
+
+
+def test_train_with_a_chunk_length_on_a_window_config(tmp_path):
+    rc, out = _train_chunked(tmp_path, "--set", "attention.variant=window",
+                             "--set", "attention.window=4")
+    assert rc == 0 and out.exists()
+    assert R.load_checkpoint(str(out)).cfg.attention == "window"
 
 
 @pytest.mark.parametrize("architecture", ["encoder-only", "encoder-decoder"])
@@ -85,8 +97,8 @@ def test_train_rejects_untrainable_architecture_before_reading(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("override", ["attention.variant=window",
-                                      "attention.multi_query=true"])
+@pytest.mark.parametrize("override", ["attention.variant=linear",
+                                      "attention.variant=ssm"])
 def test_chunked_train_rejects_unchunkable_config(tmp_path, capsys, override):
     out = tmp_path / "m.ckpt"
     rc = C.main(["train", "--corpus", str(tmp_path / "absent.txt"),

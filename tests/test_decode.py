@@ -57,6 +57,37 @@ def test_block_prefill_equals_token_steps(kw):
                          - m.decode_step(stepped, tok))) < TOL
 
 
+@pytest.mark.parametrize("kw", DECODE_VARIANTS,
+                         ids=[str(sorted(k.items())) for k in DECODE_VARIANTS])
+def test_decode_never_reruns_the_prefix(kw, monkeypatch):
+    m = build(**kw)
+    ids = [SOS] + VOCAB.encode("cabdabc")
+    enc = m.encode(source_for(m)) if source_for(m) else None
+    full = T.softmax_rows(m.decoder_forward(ids, enc)).values
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a decode session ran the full forward")
+
+    fed = []
+    attend = A.attend_step_cached
+
+    def recording(x, *args, **kwargs):
+        fed.append(x.shape[-2])
+        return attend(x, *args, **kwargs)
+
+    monkeypatch.setattr(M.Model, "decoder_forward", refuse)
+    monkeypatch.setattr(A, "attend_step_cached", recording)
+    session = m.decode_session(source_for(m))
+    got = [m.decode_step(session, np.array([ids[:3]]))[0]]
+    got += [m.decode_step(session, t)[None] for t in ids[3:]]
+    assert np.max(np.abs(np.concatenate(got) - full)) < TOL
+    # a cached step attends only its new block: one call per layer and
+    # integrator stage, each fed the block's positions and no earlier one
+    slots = m.cfg.n_layers * m.cfg.integrator_order
+    if session.mode == "cache":
+        assert fed == [3] * slots + [1] * slots * (len(ids) - 3)
+
+
 def test_batched_rows_equal_separate_sessions():
     m = build(attention="window", window=3)
     rows = [[SOS] + VOCAB.encode(s) for s in ("abcd", "hgfe", "aaaa")]
@@ -134,7 +165,7 @@ BEAM_MODELS = [
     dict(architecture="encoder-decoder"),
     dict(attention="linear"),
     dict(attention="ssm"),
-    dict(rpr=True, rpr_clip=3),              # recompute mode
+    dict(rpr=True, rpr_clip=3),
 ]
 
 
@@ -151,7 +182,7 @@ def eos_likely(model):
 @pytest.mark.parametrize("beam,alpha", [(3, 0.0), (4, 0.7)])
 def test_batched_beam_equals_clone_per_candidate(kw, beam, alpha):
     model = eos_likely(build(seed=5, **kw))
-    assert (model.decode_mode() == "recompute") == ("rpr" in kw)
+    assert model.decode_mode() in ("cache", "stream", "ssm")
     cfg = R.SearchConfig(beam=beam, n_max=6, alpha_len=alpha)
     prompt = VOCAB.encode("ab")
     got = R.beam_search(model, prompt, cfg, source=source_for(model))

@@ -141,7 +141,7 @@ def test_rpr_attention_matches_per_head(multi_query):
     z = leaf((2, 5, 12))
     mask = A.causal_mask(5)
     tables = [rpr.tables[r] for r in "qkv"]
-    assert_same(lambda: A.rpr_attention(z, p, rpr, mask),
+    assert_same(lambda: p.merge(A.rpr_attention(*p.heads(z), rpr, mask)),
                 lambda: per_head(z, z, p, rpr_head(rpr, 5, mask.additive)),
                 [z] + att_leaves(p) + tables)
 
@@ -262,11 +262,18 @@ def test_chunk_prefix_core_matches_per_head():
         v = T.concat([T.Tensor(v_prev[cols(j, d_h)]), v], axis=0)
         return A.qkv_attention(q, k, v, additive)
 
+    def cached():
+        cache = A.KVCache(1)
+        cache.write(0, k_prev[None], v_prev[None])
+        out, _ = A.attend_step_cached(T.reshape(z, (1, 3, 12)), cache,
+                                      layer.att, 0)
+        sink.append(cache.keys(0).values[0, 4:])
+        return T.reshape(out, (3, 12))
+
     sink = []
-    core = m._prefix_core(layer, kv[0], sink)
-    assert_same(lambda: core(z), lambda: per_head(z, z, layer.att, attend),
+    assert_same(cached, lambda: per_head(z, z, layer.att, attend),
                 [z] + att_leaves(layer.att))
-    np.testing.assert_allclose(sink[0][0], z.values @ layer.att.wk.values,
+    np.testing.assert_allclose(sink[0], z.values @ layer.att.wk.values,
                                rtol=0, atol=TOL)
 
 

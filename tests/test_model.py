@@ -231,7 +231,10 @@ DECODE_VARIANTS = [
     dict(attention="ssm"),
     dict(attention="lowrank-d"),
     dict(rpr=True, rpr_clip=3),
+    dict(placement="pre", integrator_order=2),
     dict(placement="pre", integrator_order=4),
+    dict(attention="linear", placement="pre", integrator_order=2),
+    dict(attention="ssm", placement="pre", integrator_order=2),
     dict(placement="pre", dropout_rho=0.7),
     dict(moe_experts=3, moe_k=2),
     dict(architecture="encoder-decoder"),
@@ -394,8 +397,57 @@ def test_chunked_forward_matches_the_full_pass():
     assert np.max(np.abs(got - full)) < 1e-9
 
 
-def test_chunked_forward_requires_the_plain_dense_decoder():
-    m = build(attention="window", window=3)
+CHUNK_VARIANTS = [
+    dict(attention="window", window=3),
+    dict(attention="window", window=7),
+    dict(multi_query=True),
+    dict(rpr=True, rpr_clip=3),
+    dict(attention="lowrank-d"),
+    dict(reuse_maps=True),
+    dict(placement="pre", integrator_order=2),
+    dict(placement="pre", integrator_order=4),
+]
+
+
+@pytest.mark.parametrize("kw", CHUNK_VARIANTS,
+                         ids=[str(sorted(k.items())) for k in CHUNK_VARIANTS])
+def test_chunked_forward_matches_the_full_pass_per_variant(kw):
+    # a span of 6 reaches every position a window of up to 7 sees
+    m = build(**kw)
+    ids = [SOS] + toks("abcdefgh") + toks("hgf")
+    full = m.decoder_forward(ids).values
+    kv = []
+    first = m.decoder_forward(ids[:6], kv_out=kv).values
+    assert len(kv) == m.cfg.n_layers * m.cfg.integrator_order
+    second = m.decoder_forward(ids[6:], start_pos=6, kv_prefix=kv).values
+    got = np.vstack([first, second])
+    assert np.max(np.abs(got - full)) < 1e-12
+
+
+@pytest.mark.parametrize("kw", CHUNK_VARIANTS,
+                         ids=[str(sorted(k.items())) for k in CHUNK_VARIANTS])
+def test_a_span_through_the_cache_has_the_full_pass_gradients(kw):
+    m = build(**kw)
+    ids = [SOS] + toks("abcdefgh")
+    probe = T.Tensor(T.Rng(5).gaussian((len(ids), len(VOCAB))), dtype=F64)
+    grads = []
+    for kv_out in (None, []):
+        with T.Tape() as tape:
+            loss = T.reduce_sum(m.decoder_forward(ids, kv_out=kv_out) * probe)
+        table = T.backward(loss)
+        tape.release()
+        grads.append([table.get(p) for p in m.parameters()])
+    for got, want in zip(*grads):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.max(np.abs(got.values - want.values)) < 1e-12
+
+
+@pytest.mark.parametrize("kw", [dict(attention="linear"), dict(attention="ssm"),
+                                dict(placement="pre", dropout_rho=0.7)],
+                         ids=["linear", "ssm", "layer-dropout"])
+def test_chunked_forward_refuses_what_keeps_no_key_value_history(kw):
+    m = build(**kw)
     with pytest.raises(B.ConfigurationError):
         m.decoder_forward(toks("abcd"), kv_out=[])
 
