@@ -268,13 +268,13 @@ def qkv_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor, mask=None,
         scale = float(np.sqrt(d_h))
     additive, mixture = _mask_parts(mask)
 
-    scores = T.matmul(q, T.transpose(k)) * (1.0 / scale)
+    scores = T.matmul(q, T.transpose(k))
     if mixture is None:
-        weights = T.softmax_rows(scores, additive)
+        weights = T.softmax_rows(scores, additive, 1.0 / scale)
     else:
         beta, prior = mixture
         prior_t = T.Tensor(np.asarray(prior, dtype=np.float64), dtype=q.dtype)
-        score_branch = T.softmax_rows(scores, additive)
+        score_branch = T.softmax_rows(scores, additive, 1.0 / scale)
         prior_branch = T.softmax_rows(prior_t, additive)
         weights = score_branch * (1.0 - beta) + prior_branch * beta
     out = T.matmul(weights, v)
@@ -326,21 +326,21 @@ def sparse_field_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor,
 # ---------------------------------------------------------------------------
 
 
-def _swap_last_but_one(x: T.Tensor) -> T.Tensor:
-    axes = list(range(x.ndim))
-    axes[-3], axes[-2] = axes[-2], axes[-3]
-    return T.transpose(x, axes)
-
-
 def split_heads(x: T.Tensor, n: int) -> T.Tensor:
     """(..., m, n*d_h) -> (..., n, m, d_h): head j is column block j."""
-    return _swap_last_but_one(T.reshape(x, x.shape[:-1] + (n, x.shape[-1] // n)))
+    shape = x.shape
+    heads = shape[:-1] + (n, shape[-1] // n)
+    return T.relayout(x, lambda a: a.reshape(heads).swapaxes(-2, -3),
+                      lambda g: g.swapaxes(-2, -3).reshape(shape))
 
 
 def merge_heads(x: T.Tensor) -> T.Tensor:
     """(..., n, m, d_h) -> (..., m, n*d_h), the inverse of split_heads."""
-    x = _swap_last_but_one(x)
-    return T.reshape(x, x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
+    shape = x.shape
+    merged = shape[:-3] + (shape[-2], shape[-3] * shape[-1])
+    swapped = shape[:-3] + (shape[-2], shape[-3], shape[-1])
+    return T.relayout(x, lambda a: a.swapaxes(-2, -3).reshape(merged),
+                      lambda g: g.reshape(swapped).swapaxes(-2, -3))
 
 
 class AttentionParams:
@@ -514,9 +514,8 @@ def rpr_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor, rpr: RprTable,
         t = rpr.tables.get(role)
         return x if t is None else x + T.gather_rows(t, offs)
 
-    logits = T.reduce_sum(with_pe(q, "q", -1) * with_pe(k, "k", -2), axis=-1) \
-        * (1.0 / float(np.sqrt(d_h)))
-    alpha = T.softmax_rows(logits, additive)
+    logits = T.reduce_sum(with_pe(q, "q", -1) * with_pe(k, "k", -2), axis=-1)
+    alpha = T.softmax_rows(logits, additive, 1.0 / float(np.sqrt(d_h)))
     return T.reduce_sum(T.reshape(alpha, alpha.shape + (1,))
                         * with_pe(v, "v", -2), axis=-2)
 
@@ -641,15 +640,17 @@ def _step_mask(m: int, back: int, window: Optional[int]):
 
 def attend_step_cached(x: T.Tensor, cache: KVCache, params: AttentionParams,
                        layer: int, rpr: Optional[RprTable] = None,
-                       lowrank=None, reuse: Optional[dict] = None):
+                       lowrank=None, reuse: Optional[dict] = None,
+                       counter: Optional[OpCounter] = None):
     """Self-attention of a block of new positions at one cache layer.
 
     ``x`` is (rows, m, d): m new positions for each of the cache's rows, or
     one (1, d) row of a one-row cache. Projects the block, writes its keys
     and values into the cache, and attends every new position over the
     earlier positions it can see plus the block up to itself, in the form
-    ``rpr``, ``lowrank`` and ``reuse`` pick as in attend_heads. Returns
-    (merged output shaped like x, cache).
+    ``rpr``, ``lowrank`` and ``reuse`` pick as in attend_heads, which
+    tallies its work on ``counter``. Returns (merged output shaped like x,
+    cache).
     """
     single = x.ndim == 2
     if single:
@@ -663,5 +664,5 @@ def attend_step_cached(x: T.Tensor, cache: KVCache, params: AttentionParams,
     mask = _step_mask(x.shape[1], back, cache.window)
     out = params.merge(attend_heads(
         *params.split(q, T.ending_in(k, k_new), T.ending_in(v, v_new)), mask,
-        rpr=rpr, lowrank=lowrank, reuse=reuse, q_start=back))
+        counter, rpr=rpr, lowrank=lowrank, reuse=reuse, q_start=back))
     return (T.reshape(out, out.shape[1:]) if single else out), cache

@@ -3,6 +3,12 @@
 Layer norm and FFN cores, the weighted-residual wrapper that subsumes
 post-norm and pre-norm, Runge-Kutta sub-layers, stochastic layer dropout,
 mixture-of-experts FFN, and parameter sharing.
+
+Layer norm is one fused tape op (``T.layer_norm``), and so is the FFN's
+``ReLU(h W_h + b_h)`` after its matmul (``T.relu`` with a bias); the
+composite ``row_stats`` + ``normalize`` stays for statistics a caller
+supplies or inspects. A residual weight of exactly 1 adds the input
+without a multiply.
 """
 
 from dataclasses import dataclass
@@ -73,8 +79,8 @@ def normalize(h: T.Tensor, mu, sigma, params: LNParams) -> T.Tensor:
 
 
 def layer_norm(h: T.Tensor, params: LNParams) -> T.Tensor:
-    mu, sigma = row_stats(h)
-    return normalize(h, mu, sigma, params)
+    """normalize(h, *row_stats(h), params) as one taped op."""
+    return T.layer_norm(h, params.g, params.b, params.eps, params.sqrt_variance)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +122,7 @@ class FFNParams:
 
 def ffn(h: T.Tensor, params: FFNParams) -> T.Tensor:
     """ReLU(h W_h + b_h) W_f + b_f."""
-    hidden = T.relu(T.matmul(h, params.w_h) + params.b_h)
+    hidden = T.relu(T.matmul(h, params.w_h), params.b_h)
     return T.matmul(hidden, params.w_f) + params.b_f
 
 
@@ -150,17 +156,19 @@ class SublayerConfig:
         return float(self.beta), float(self.gamma)
 
 
+def _plus_weighted(x: T.Tensor, z: T.Tensor, w: float) -> T.Tensor:
+    """x + w z; no term for w = 0 and no multiply for w = 1."""
+    if w == 0.0:
+        return x
+    return x + (z if w == 1.0 else z * w)
+
+
 def sublayer_apply(h_in: T.Tensor, core: Callable[[T.Tensor], T.Tensor],
                    ln: LNParams, cfg: SublayerConfig) -> T.Tensor:
     """LNorm(F(z) + beta z) + gamma z; (1,0) is post-norm, (0,1) pre-norm."""
     beta, gamma = cfg.residual_weights()
-    inner = core(h_in)
-    if beta != 0.0:
-        inner = inner + h_in * beta
-    out = layer_norm(inner, ln)
-    if gamma != 0.0:
-        out = out + h_in * gamma
-    return out
+    out = layer_norm(_plus_weighted(core(h_in), h_in, beta), ln)
+    return _plus_weighted(out, h_in, gamma)
 
 
 def rk_sublayer(z: T.Tensor, f: Callable[[T.Tensor], T.Tensor],
@@ -172,15 +180,19 @@ def rk_sublayer(z: T.Tensor, f: Callable[[T.Tensor], T.Tensor],
     """
     if order not in RK_ORDERS:
         raise ConfigurationError("integrator order must be 1, 2 or 4")
-    g1 = f(z) * h
+
+    def stage(x: T.Tensor) -> T.Tensor:
+        return f(x) if h == 1.0 else f(x) * h
+
+    g1 = stage(z)
     if order == 1:
         return z + g1
     if order == 2:  # Heun
-        g2 = f(z + g1) * h
+        g2 = stage(z + g1)
         return z + (g1 + g2) * 0.5
-    g2 = f(z + g1 * 0.5) * h
-    g3 = f(z + g2 * 0.5) * h
-    g4 = f(z + g3) * h
+    g2 = stage(z + g1 * 0.5)
+    g3 = stage(z + g2 * 0.5)
+    g4 = stage(z + g3)
     return z + (g1 + g2 * 2.0 + g3 * 2.0 + g4) * (1.0 / 6.0)
 
 

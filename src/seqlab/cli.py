@@ -240,7 +240,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (OSError, ValueError, OverflowError) as exc:
+    except (OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

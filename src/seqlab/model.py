@@ -619,7 +619,8 @@ class Model:
                 att_core = self._att_core(layer, mask, causal, m_real,
                                           reuse_store, counter)
             else:
-                att_core = self._step_att_core(layer, idx, session, reuse_store)
+                att_core = self._step_att_core(layer, idx, session, reuse_store,
+                                               counter)
             h = self._wrap(h, att_core, layer.ln1, training, rng)
             if layer.cross is not None:
                 kv = None if session is None else session.cross_kv[idx]
@@ -686,7 +687,8 @@ class Model:
             kv.write(slot, *(np.reshape(x, (len(block), -1, np.shape(x)[-1]))
                              for x in pair))
         logits = self._decoder_logits(block, start_pos, session=session,
-                                      training=training, rng=rng)
+                                      training=training, rng=rng,
+                                      counter=counter)
         if kv_out is not None:
             # this span's rows; a window cache holds only the last window
             # of them, and the next span sees no further back anyway
@@ -792,7 +794,7 @@ class Model:
                              f"not {want[0]} for a prefix of {t}")
 
     def _step_att_core(self, layer: Layer, idx: int, session: DecodeSession,
-                       reuse_store: Optional[dict] = None
+                       reuse_store: Optional[dict] = None, counter=None
                        ) -> Callable[[T.Tensor], T.Tensor]:
         """Self-attention (or SSM) of a (rows, m, d) block of new positions
         against the session's state at layer idx, which it advances. The
@@ -807,7 +809,8 @@ class Model:
                 return A.attend_step_cached(z, session.kv, layer.att, slot,
                                             rpr=self.rpr_table,
                                             lowrank=layer.lowrank,
-                                            reuse=reuse_store)[0]
+                                            reuse=reuse_store,
+                                            counter=counter)[0]
             if session.mode == "stream":
                 phi = EF.FeatureMap(cfg.feature_map)
                 q, k, v = (x.values for x in layer.att.heads(z))

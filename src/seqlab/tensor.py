@@ -5,6 +5,14 @@ row-major float tensors, a tape that records operations as they execute, a
 seeded RNG with stream splitting, Xavier-style initialization, and integer
 quantized arithmetic.
 
+Besides the generic elementwise, shape and linear-algebra ops, a few fused
+ops cover the model's hot path with one Tensor and one tape record each,
+and a closed-form backward: ``layer_norm``, ``relu`` with a bias, the
+scale folded into ``softmax_rows``, ``relayout`` for a head split or
+merge, and the training loss ``log_softmax_nll``. Their forwards repeat
+the arithmetic of the composites they replace, so float32 outputs match
+those bit for bit.
+
 Float32 is the working precision. Float64 exists solely so gradient checks
 and oracle comparisons can be run in a tighter regime; any op whose inputs
 include a float64 tensor produces float64.
@@ -420,10 +428,18 @@ def power(a: Tensor, p) -> Tensor:
     return _emit(out, (a,), lambda g: (g * (p * av ** (p - 1.0)),))
 
 
-def relu(a: Tensor) -> Tensor:
-    av = a.values
-    out = Tensor(np.maximum(av, 0))
-    return _emit(out, (a,), lambda g: (g * (av > 0),))
+def relu(a: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """max(a, 0), or with ``bias`` max(a + bias, 0) as one op."""
+    zv = a.values if bias is None else a.values + bias.values
+    out = Tensor(np.maximum(zv, 0))
+    if bias is None:
+        return _emit(out, (a,), lambda g: (g * (zv > 0),))
+
+    def grad_fn(g):
+        gz = g * (zv > 0)
+        return _unbroadcast(gz, a.shape), _unbroadcast(gz, bias.shape)
+
+    return _emit(out, (a, bias), grad_fn)
 
 
 def elu(a: Tensor, alpha: float = 1.0) -> Tensor:
@@ -474,6 +490,14 @@ def transpose(a: Tensor, axes=None) -> Tensor:
     inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
     out = Tensor(np.transpose(a.values, axes))
     return _emit(out, (a,), lambda g: (np.transpose(g, inverse),))
+
+
+def relayout(a: Tensor, forward: Callable[[np.ndarray], np.ndarray],
+             inverse: Callable[[np.ndarray], np.ndarray]) -> Tensor:
+    """One op for a change of layout: ``forward`` moves a's entries (any
+    mix of reshapes and axis swaps) and ``inverse`` moves a gradient back
+    to a's shape."""
+    return _emit(Tensor(forward(a.values)), (a,), lambda g: (inverse(g),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -618,24 +642,32 @@ def matmul(a, b) -> Tensor:
     return _emit(out, (a, b), grad_fn)
 
 
-def softmax_rows(x: Tensor, additive_mask: Optional[Tensor] = None) -> Tensor:
-    """Row-wise softmax over the last axis, stabilized by row-max subtraction.
+def softmax_rows(x: Tensor, additive_mask=None,
+                 scale: Optional[float] = None) -> Tensor:
+    """Row-wise softmax over the last axis of ``x * scale + mask``,
+    stabilized by row-max subtraction.
 
+    ``scale`` (attention's 1/sqrt(d_h)) multiplies the logits in their own
+    dtype before the mask is added, as a separate multiply would.
     ``additive_mask`` entries must be finite or -inf; -inf forces the output
     entry to exactly 0. A row with every entry masked has no distribution
-    and raises DegenerateRowError. The gradient flows to both the logits and
-    any finite mask entries (additive priors may be learnable).
+    and raises DegenerateRowError. The gradient flows to the logits and, when
+    the mask is a Tensor, to its finite entries (additive priors may be
+    learnable).
     """
-    mask_t: Optional[Tensor] = None
+    xv = x.values
+    if scale is not None:
+        c = np.asarray(scale, dtype=xv.dtype)
+        xv = xv * c
+    mask_t = additive_mask if isinstance(additive_mask, Tensor) else None
     if additive_mask is not None:
-        mask_t = additive_mask if isinstance(additive_mask, Tensor) else Tensor(
-            np.asarray(additive_mask, dtype=x.dtype))
-        mv = mask_t.values
+        mv = additive_mask.values if mask_t is not None else np.asarray(
+            additive_mask, dtype=x.dtype)
         if np.any(np.isnan(mv)) or np.any(np.isposinf(mv)):
             raise ValueError("mask entries must be finite or -inf")
-        logits = x.values + mv
+        logits = xv + mv
     else:
-        logits = x.values
+        logits = xv
 
     if logits.shape[-1] == 0:
         raise DegenerateRowError("softmax over zero-width rows")
@@ -651,13 +683,84 @@ def softmax_rows(x: Tensor, additive_mask: Optional[Tensor] = None) -> Tensor:
     def grad_fn(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
         gl = ((g - dot) * y).astype(x.dtype, copy=False)
-        gx = _unbroadcast(gl, x.shape)
+        gx = _unbroadcast(gl if scale is None else gl * c, x.shape)
         if mask_t is None:
             return (gx,)
         return gx, _unbroadcast(gl, mask_t.shape)
 
     inputs = (x,) if mask_t is None else (x, mask_t)
     return _emit(out, inputs, grad_fn)
+
+
+def log_softmax_nll(x: Tensor, targets, weights, floor: float):
+    """-sum_i w_i log max(softmax(x_i)[t_i], floor) over the rows of 2-d
+    logits, as one op.
+
+    Returns (loss, picked): the scalar loss and every row's target
+    probability before the floor, a plain array. A row whose probability
+    is below the floor contributes log(floor) and no gradient; the others
+    get the gradient w_i (softmax(x_i) - onehot(t_i)). The forward repeats
+    softmax_rows, the gather, the floor, log and the weighted sum, so a
+    float32 loss equals that composite's bit for bit.
+    """
+    xv = x.values
+    ids = np.asarray(targets, dtype=np.int64)
+    if xv.ndim != 2 or ids.shape != xv.shape[:1]:
+        raise ShapeError("log_softmax_nll takes (m, |V|) logits and m targets")
+    if floor <= 0:
+        raise ValueError("the probability floor must be positive")
+    rows = np.arange(xv.shape[0])
+    e = np.exp(xv - np.max(xv, axis=-1, keepdims=True))
+    y = (e / e.sum(axis=-1, keepdims=True)).astype(xv.dtype, copy=False)
+    picked = y[rows, ids]
+    fl = np.asarray(floor, dtype=xv.dtype)
+    w = np.asarray(weights, dtype=xv.dtype)
+    out = Tensor(-(np.log(np.maximum(picked, fl)) * w).sum())
+
+    def grad_fn(g):
+        coef = g * w * (picked >= fl)       # a floored row gets nothing
+        gx = y * coef[:, None]
+        gx[rows, ids] -= coef
+        return (gx.astype(xv.dtype, copy=False),)
+
+    return _emit(out, (x,), grad_fn), picked
+
+
+def layer_norm(h: Tensor, g: Tensor, b: Tensor, eps: float,
+               sqrt_variance: bool = False) -> Tensor:
+    """g * (h - mu) / D + b over the last axis, as one op.
+
+    mu and sigma are the row's mean and population standard deviation,
+    and D is sigma + eps, or sqrt(sigma^2 + eps) with ``sqrt_variance``.
+    The forward repeats the composite's arithmetic (sums times 1/n in h's
+    dtype), so float32 outputs equal it bit for bit. The backward is the
+    closed form of Ba et al., Layer Normalization (2016); on a constant
+    row (sigma = 0) d sigma / dh is taken as 0, so that row's input
+    gradient is (dx - mean(dx)) / D, dx being the gradient at the
+    normalized row.
+    """
+    hv = h.values
+    inv_n = np.asarray(1.0 / hv.shape[-1], dtype=hv.dtype)
+    c = hv - hv.sum(axis=-1, keepdims=True) * inv_n
+    sigma = np.sqrt((c * c).sum(axis=-1, keepdims=True) * inv_n)
+    e = np.asarray(eps, dtype=hv.dtype)
+    denom = np.sqrt(sigma * sigma + e) if sqrt_variance else sigma + e
+    xhat = c / denom
+    gv = g.values
+    out = Tensor(gv * xhat + b.values)
+
+    def grad_fn(gout):
+        dxhat = gout * gv
+        s = (dxhat * xhat).sum(axis=-1, keepdims=True)
+        # dD/dsigma * dsigma/dc = k * c / n
+        k = 1.0 / denom if sqrt_variance else np.divide(
+            1.0, sigma, out=np.zeros_like(sigma), where=sigma > 0)
+        dc = dxhat / denom - xhat * (s * k * inv_n)
+        dh = dc - dc.sum(axis=-1, keepdims=True) * inv_n
+        return (_unbroadcast(dh, h.shape), _unbroadcast(gout * xhat, g.shape),
+                _unbroadcast(gout, b.shape))
+
+    return _emit(out, (h, g, b), grad_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ the next, so history is visible to attention but carries no gradient.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -20,6 +21,19 @@ from .embedding import EOS, PAD, Vocab
 from .model import Model
 
 PROB_FLOOR = 1e-9
+
+
+class TrainingDivergedError(ArithmeticError):
+    """A training step overflowed, or its loss or gradient norm is not
+    finite.
+
+    ``step`` is the 1-based step at which it happened; the parameters
+    still hold the values the step started from.
+    """
+
+    def __init__(self, step: int, reason: str):
+        super().__init__(f"training diverged at step {step}: {reason}")
+        self.step = step
 
 
 @dataclass
@@ -139,29 +153,28 @@ class WarningTally:
     clamped: int = 0
 
 
-def cross_entropy(probs: T.Tensor, targets, pad_mask=None,
+def cross_entropy(logits: T.Tensor, targets, pad_mask=None,
                   tally: Optional[WarningTally] = None) -> T.Tensor:
     """Mean negative log-likelihood of the targets over non-PAD positions.
 
-    Rows of `probs` are next-token distributions. Zero predicted
-    probabilities are clamped at 1e-9 (counted on the tally) so the loss
-    stays finite; through a softmax the gradient at the logits is the
-    usual p - y, scaled by 1/#tokens.
+    Rows of `logits` are next-token scores; their softmax is the predicted
+    distribution. Target probabilities below PROB_FLOOR are clamped to it
+    (counted on the tally, and given no gradient) so the loss stays
+    finite; elsewhere the gradient at the logits is the usual p - y,
+    scaled by 1/#tokens. One taped op (T.log_softmax_nll).
     """
     ids = np.asarray(targets, dtype=np.int64)
-    m = probs.shape[0]
-    if ids.shape != (m,):
-        raise T.ShapeError("one target per distribution row required")
+    m = logits.shape[0]
+    if logits.ndim != 2 or ids.shape != (m,):
+        raise T.ShapeError("one target per row of (m, |V|) logits required")
     keep = np.ones(m, dtype=bool) if pad_mask is None \
         else ~np.asarray(pad_mask, dtype=bool)
     if not keep.any():
         raise ValueError("no unpadded targets to score")
-    picked = T.take(probs, (np.arange(m), ids))
+    loss, picked = T.log_softmax_nll(logits, ids, keep / keep.sum(), PROB_FLOOR)
     if tally is not None:
-        tally.clamped += int((picked.values[keep] < PROB_FLOOR).sum())
-    floored = T.maximum(picked, PROB_FLOOR)
-    w = T.Tensor((keep / keep.sum()).astype(probs.dtype))
-    return T.reduce_sum(T.log(floored) * w) * -1.0
+        tally.clamped += int((picked[keep] < PROB_FLOOR).sum())
+    return loss
 
 
 # ---------------------------------------------------------------------------
@@ -215,15 +228,16 @@ def adam_step(params: Sequence[T.Tensor], grads, state: AdamState,
 
 
 def clip_gradients(params: Sequence[T.Tensor], grads,
-                   max_norm: float) -> Tuple[dict, float]:
+                   max_norm: Optional[float]) -> Tuple[dict, float]:
     """Scale all gradients so the global L2 norm is capped at max_norm.
 
     Returns ({id(param): gradient}, pre-clip norm); when the norm exceeds
-    the threshold the scaled global norm equals it exactly.
+    the threshold the scaled global norm equals it exactly. max_norm None
+    only measures the norm.
     """
     table = {id(p): _grad_of(grads, p) for p in params}
     norm = float(np.sqrt(sum(float((g * g).sum()) for g in table.values())))
-    if norm > max_norm and norm > 0:
+    if max_norm is not None and norm > max_norm and norm > 0:
         scale = max_norm / norm
         table = {k: g * scale for k, g in table.items()}
     return table, norm
@@ -256,30 +270,48 @@ def _batch_loss(model: Model, batch: Batch, tally: WarningTally, *,
                                    rng=rng, start_pos=lo,
                                    kv_prefix=kv_prefix, kv_out=kv_out)
     rows = T.reshape(logits, (-1, logits.shape[-1]))
-    loss = cross_entropy(T.softmax_rows(rows),
-                         batch.targets[:, lo:hi].reshape(-1), pad.reshape(-1),
-                         tally)
+    loss = cross_entropy(rows, batch.targets[:, lo:hi].reshape(-1),
+                         pad.reshape(-1), tally)
     return loss, n_tok
 
 
+@contextmanager
+def _overflow_stops(step: int):
+    """Raise TrainingDivergedError for a floating-point overflow or invalid
+    operation: float32 saturates silently (a layer norm of infinite
+    variance returns its bias), so the loss alone can stay finite."""
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            yield
+        except FloatingPointError as exc:
+            raise TrainingDivergedError(step, str(exc)) from exc
+
+
 def _apply_update(model: Model, loss: T.Tensor, lr: float,
-                  cfg: TrainConfig, state: AdamState) -> None:
-    grads = T.backward(loss)
+                  cfg: TrainConfig, state: AdamState) -> float:
+    """Backward and one Adam step, clipped when cfg.clip_norm is set;
+    returns the pre-clip gradient norm. A non-finite loss or norm, or an
+    overflow in the backward, raises TrainingDivergedError before any
+    parameter moves."""
+    step = state.step + 1
+    if not np.isfinite(loss.values):
+        raise TrainingDivergedError(step, f"the loss is {float(loss.values)}")
     params = model.parameters()
-    if cfg.clip_norm is not None:
-        table, _ = clip_gradients(params, grads, cfg.clip_norm)
-        adam_step(params, table, state, lr)
-    else:
-        adam_step(params, grads, state, lr)
+    with _overflow_stops(step):
+        table, norm = clip_gradients(params, T.backward(loss), cfg.clip_norm)
+    if not np.isfinite(norm):
+        raise TrainingDivergedError(step, f"the gradient norm is {norm}")
+    adam_step(params, table, state, lr)
+    return norm
 
 
-METRIC_FIELDS = ("step", "lr", "loss", "tokens_per_s", "clamped")
+METRIC_FIELDS = ("step", "lr", "loss", "tokens_per_s", "clamped", "grad_norm")
 
 
 def _metrics_row(step: int, lr: float, loss: T.Tensor, n_tok: int, t0: float,
-                 tally: WarningTally) -> dict:
+                 tally: WarningTally, grad_norm: float) -> dict:
     dt = max(time.perf_counter() - t0, 1e-9)
-    row = (step, lr, float(loss.values), n_tok / dt, tally.clamped)
+    row = (step, lr, float(loss.values), n_tok / dt, tally.clamped, grad_norm)
     return dict(zip(METRIC_FIELDS, row))
 
 
@@ -299,8 +331,11 @@ def train_lm(model: Model, segments: Sequence[Sequence[int]], cfg: TrainConfig,
 
     Deterministic for a fixed seed: the segment order, batch packing,
     layer-dropout draws and every update depend only on the rng stream.
-    Metric rows carry step, lr, loss, tokens/s and the running count of
-    clamped target probabilities (METRIC_FIELDS).
+    Metric rows carry step, lr, loss, tokens/s, the running count of
+    clamped target probabilities and the pre-clip gradient norm
+    (METRIC_FIELDS). A floating-point overflow or invalid operation in a
+    step, or a non-finite loss or gradient norm, stops training with
+    TrainingDivergedError.
     """
     if not segments:
         raise ValueError("no training segments")
@@ -325,13 +360,14 @@ def train_lm(model: Model, segments: Sequence[Sequence[int]], cfg: TrainConfig,
             t0 = time.perf_counter()
             kv_now = None if cfg.chunk_len is None else []
             with T.Tape() as tape:
-                loss, n_tok = _batch_loss(model, batch, tally, span=(lo, hi),
-                                          kv_prefix=kv_prev, kv_out=kv_now,
-                                          rng=rng)
-                _apply_update(model, loss, lr, cfg, state)
+                with _overflow_stops(step):
+                    loss, n_tok = _batch_loss(model, batch, tally,
+                                              span=(lo, hi), kv_prefix=kv_prev,
+                                              kv_out=kv_now, rng=rng)
+                norm = _apply_update(model, loss, lr, cfg, state)
             tape.release()
             kv_prev = kv_now
-            row = _metrics_row(step, lr, loss, n_tok, t0, tally)
+            row = _metrics_row(step, lr, loss, n_tok, t0, tally, norm)
             metrics.append(row)
             if on_step is not None:
                 on_step(row)

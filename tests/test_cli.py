@@ -40,7 +40,7 @@ def test_train_writes_a_loadable_checkpoint(workdir):
 
 def test_train_metrics_csv_has_header_and_rows(workdir):
     lines = workdir["metrics"].read_text().strip().split("\n")
-    assert lines[0] == "step,lr,loss,tokens_per_s,clamped"
+    assert lines[0] == "step,lr,loss,tokens_per_s,clamped,grad_norm"
     assert len(lines) == 21
     assert lines[1].startswith("1,")
 

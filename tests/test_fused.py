@@ -1,0 +1,448 @@
+"""Fused taped ops against the composites they replace.
+
+Each fused op (layer norm, bias + ReLU, head split and merge, the softmax
+scale, the training loss) is pinned to its composite of generic ops: the
+float32 forward bit for bit, every float64 gradient within 1e-12. Whole
+decodes and the first training loss are then compared with the
+composites patched back in, and two count guards keep the op count of a
+decode token and of a training step down.
+"""
+
+import importlib.resources
+
+import numpy as np
+import pytest
+
+from seqlab import attention as A
+from seqlab import blocks as B
+from seqlab import embedding as E
+from seqlab import model as M
+from seqlab import runtime as R
+from seqlab import tensor as T
+from seqlab import train as TR
+
+F32, F64 = np.float32, np.float64
+TOL = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the composites, pinned
+# ---------------------------------------------------------------------------
+
+
+def composite_layer_norm(h, params):
+    return B.normalize(h, *B.row_stats(h), params)
+
+
+def composite_split_heads(x, n):
+    x = T.reshape(x, x.shape[:-1] + (n, x.shape[-1] // n))
+    axes = list(range(x.ndim))
+    axes[-3], axes[-2] = axes[-2], axes[-3]
+    return T.transpose(x, axes)
+
+
+def composite_merge_heads(x):
+    axes = list(range(x.ndim))
+    axes[-3], axes[-2] = axes[-2], axes[-3]
+    x = T.transpose(x, axes)
+    return T.reshape(x, x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
+
+
+def composite_ffn(h, params):
+    hidden = T.relu(T.matmul(h, params.w_h) + params.b_h)
+    return T.matmul(hidden, params.w_f) + params.b_f
+
+
+def composite_softmax(softmax):
+    """softmax_rows with its scale as a separate multiply."""
+    def scaled(x, additive_mask=None, scale=None):
+        return softmax(x if scale is None else x * scale, additive_mask)
+    return scaled
+
+
+def composite_cross_entropy(logits, targets, pad_mask=None, tally=None):
+    probs = T.softmax_rows(logits)
+    ids = np.asarray(targets, dtype=np.int64)
+    m = probs.shape[0]
+    keep = np.ones(m, dtype=bool) if pad_mask is None \
+        else ~np.asarray(pad_mask, dtype=bool)
+    picked = T.take(probs, (np.arange(m), ids))
+    if tally is not None:
+        tally.clamped += int((picked.values[keep] < TR.PROB_FLOOR).sum())
+    floored = T.maximum(picked, TR.PROB_FLOOR)
+    w = T.Tensor((keep / keep.sum()).astype(probs.dtype))
+    return T.reduce_sum(T.log(floored) * w) * -1.0
+
+
+def composite_sublayer_apply(h_in, core, ln, cfg):
+    beta, gamma = cfg.residual_weights()
+    inner = core(h_in)
+    if beta != 0.0:
+        inner = inner + h_in * beta
+    out = B.layer_norm(inner, ln)
+    if gamma != 0.0:
+        out = out + h_in * gamma
+    return out
+
+
+@pytest.fixture
+def composites(monkeypatch):
+    """Route the model through the composites instead of the fused ops."""
+    monkeypatch.setattr(B, "layer_norm", composite_layer_norm)
+    monkeypatch.setattr(B, "ffn", composite_ffn)
+    monkeypatch.setattr(B, "sublayer_apply", composite_sublayer_apply)
+    monkeypatch.setattr(A, "split_heads", composite_split_heads)
+    monkeypatch.setattr(A, "merge_heads", composite_merge_heads)
+    monkeypatch.setattr(T, "softmax_rows", composite_softmax(T.softmax_rows))
+    monkeypatch.setattr(TR, "cross_entropy", composite_cross_entropy)
+
+
+def grads_of(fn, inputs):
+    """Gradients of sum(fn(*inputs) * probe) for every input."""
+    with T.Tape():
+        out = fn(*inputs)
+        probe = T.Tensor(T.Rng(99).gaussian(out.shape), dtype=out.dtype)
+        loss = T.reduce_sum(out * probe) if out.ndim else out
+    table = T.backward(loss)
+    return [table[t].values for t in inputs]
+
+
+def assert_grads_close(fused, composite, inputs):
+    for got, want in zip(grads_of(fused, inputs), grads_of(composite, inputs)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= TOL
+
+
+def leaf(shape, seed, dtype=F64, scale=1.0, shift=0.0):
+    return T.Tensor(shift + scale * T.Rng(seed).gaussian(shape), dtype=dtype,
+                    trainable=True)
+
+
+# ---------------------------------------------------------------------------
+# layer norm
+# ---------------------------------------------------------------------------
+
+LN_SHAPES = [(5, 7), (3, 4, 64), (2, 1, 33), (6, 256)]
+
+
+@pytest.mark.parametrize("sqrt_variance", [False, True], ids=["sigma", "sqrt"])
+@pytest.mark.parametrize("shape", LN_SHAPES, ids=str)
+def test_layer_norm_is_bitwise_the_composite_in_float32(shape, sqrt_variance):
+    d = shape[-1]
+    params = B.LNParams(leaf((d,), 1, F32), leaf((d,), 2, F32), eps=1e-5,
+                        sqrt_variance=sqrt_variance)
+    h = leaf(shape, 3, F32, scale=3.0, shift=0.7)
+    got = B.layer_norm(h, params)
+    want = composite_layer_norm(h, params)
+    assert got.dtype == want.dtype == F32
+    np.testing.assert_array_equal(got.values, want.values)
+
+
+@pytest.mark.parametrize("sqrt_variance", [False, True], ids=["sigma", "sqrt"])
+@pytest.mark.parametrize("shape", LN_SHAPES, ids=str)
+def test_layer_norm_gradients_match_the_composite(shape, sqrt_variance):
+    d = shape[-1]
+    inputs = [leaf(shape, 4, scale=2.0, shift=-0.3), leaf((d,), 5),
+              leaf((d,), 6)]
+
+    def params(g, b):
+        return B.LNParams(g, b, eps=0.01, sqrt_variance=sqrt_variance)
+
+    assert_grads_close(lambda h, g, b: B.layer_norm(h, params(g, b)),
+                       lambda h, g, b: composite_layer_norm(h, params(g, b)),
+                       inputs)
+
+
+@pytest.mark.parametrize("sqrt_variance", [False, True], ids=["sigma", "sqrt"])
+def test_constant_row_gradient_is_finite(sqrt_variance):
+    """sigma = 0: the forward divides by eps (or sqrt(eps)), and the
+    input gradient is (dx - mean(dx)) / D, dx the gradient at the
+    normalized row; the composite's sqrt backward gives NaN here."""
+    eps = 0.01
+    g = T.Tensor(np.full(4, 2.0), dtype=F64)
+    b = T.Tensor(np.array([1.0, -1.0, 0.5, 0.0]), dtype=F64)
+    params = B.LNParams(g, b, eps=eps, sqrt_variance=sqrt_variance)
+    h = T.Tensor(np.full((2, 4), 3.3), dtype=F64, trainable=True)
+    probe = T.Rng(7).gaussian((2, 4))
+    with T.Tape():
+        out = B.layer_norm(h, params)
+        loss = T.reduce_sum(out * T.Tensor(probe, dtype=F64))
+    np.testing.assert_array_equal(out.values, np.tile(b.values, (2, 1)))
+    got = T.backward(loss)[h].values
+    dx = probe * g.values
+    denom = np.sqrt(eps) if sqrt_variance else eps
+    want = (dx - dx.mean(axis=-1, keepdims=True)) / denom
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - want)) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# FFN, heads, softmax scale
+# ---------------------------------------------------------------------------
+
+
+def test_ffn_is_bitwise_the_composite_in_float32():
+    params = B.FFNParams.init(16, 40, T.Rng(8), dtype=F32)
+    params = B.FFNParams(params.w_h, leaf((40,), 9, F32), params.w_f,
+                         leaf((16,), 10, F32))
+    h = leaf((3, 5, 16), 11, F32)
+    np.testing.assert_array_equal(B.ffn(h, params).values,
+                                  composite_ffn(h, params).values)
+
+
+def test_bias_relu_gradients_match_the_composite():
+    inputs = [leaf((4, 6, 9), 12), leaf((9,), 13)]
+    assert_grads_close(lambda x, b: T.relu(x, b),
+                       lambda x, b: T.relu(x + b), inputs)
+
+
+@pytest.mark.parametrize("shape,n", [((5, 12), 3), ((2, 7, 12), 4),
+                                     ((3, 1, 8), 1), ((2, 3, 4, 6), 2)],
+                         ids=str)
+def test_head_split_and_merge_match_the_composite(shape, n):
+    x = leaf(shape, 14, F32)
+    split = A.split_heads(x, n)
+    np.testing.assert_array_equal(split.values,
+                                  composite_split_heads(x, n).values)
+    np.testing.assert_array_equal(A.merge_heads(split).values, x.values)
+    np.testing.assert_array_equal(
+        A.merge_heads(split).values, composite_merge_heads(split).values)
+    x64 = leaf(shape, 15)
+    assert_grads_close(lambda t: A.split_heads(t, n),
+                       lambda t: composite_split_heads(t, n), [x64])
+    heads = leaf(composite_split_heads(x64, n).shape, 16)
+    assert_grads_close(A.merge_heads, composite_merge_heads, [heads])
+
+
+@pytest.mark.parametrize("mask", ["none", "array", "tensor"])
+def test_softmax_scale_matches_a_separate_multiply(mask):
+    scale = 1.0 / np.sqrt(7.0)
+    causal = A.causal_mask(5).additive
+
+    def masks(dtype):
+        if mask == "none":
+            return None
+        if mask == "array":
+            return causal
+        return T.Tensor(np.where(np.isinf(causal), -np.inf,
+                                 T.Rng(17).gaussian((5, 5))), dtype=dtype,
+                        trainable=True)
+
+    x = leaf((3, 5, 5), 18, F32, scale=4.0)
+    np.testing.assert_array_equal(
+        T.softmax_rows(x, masks(F32), scale).values,
+        T.softmax_rows(x * scale, masks(F32)).values)
+    x64, m64 = leaf((3, 5, 5), 19, scale=4.0), masks(F64)
+    inputs = [x64] + ([m64] if mask == "tensor" else [])
+
+    def fused(x, m=m64):
+        return T.softmax_rows(x, m, scale)
+
+    def composite(x, m=m64):
+        return T.softmax_rows(x * scale, m)
+
+    assert_grads_close(fused, composite, inputs)
+
+
+# ---------------------------------------------------------------------------
+# the training loss
+# ---------------------------------------------------------------------------
+
+
+def loss_case(dtype):
+    logits = T.Rng(20).gaussian((9, 6)) * 3.0
+    logits[2, 4] = -60.0                 # its probability sits below the floor
+    logits[5, 1] = -np.inf               # exactly zero probability
+    targets = np.array([0, 5, 4, 3, 2, 1, 0, 1, 2])
+    pad = np.zeros(9, dtype=bool)
+    pad[[3, 8]] = True
+    return T.Tensor(logits, dtype=dtype, trainable=True), targets, pad
+
+
+def test_loss_is_bitwise_the_composite_in_float32():
+    logits, targets, pad = loss_case(F32)
+    tallies = TR.WarningTally(), TR.WarningTally()
+    got = TR.cross_entropy(logits, targets, pad, tallies[0])
+    want = composite_cross_entropy(logits, targets, pad, tallies[1])
+    assert got.dtype == want.dtype == F32
+    assert got.values.tobytes() == want.values.tobytes()
+    assert tallies[0].clamped == tallies[1].clamped == 2
+
+
+def test_loss_gradient_matches_the_composite():
+    logits, targets, pad = loss_case(F64)
+    assert_grads_close(lambda x: TR.cross_entropy(x, targets, pad),
+                       lambda x: composite_cross_entropy(x, targets, pad),
+                       [logits])
+    g = grads_of(lambda x: TR.cross_entropy(x, targets, pad), [logits])[0]
+    assert not g[[2, 5]].any()           # floored rows get no gradient
+    assert not g[[3, 8]].any()           # nor do PAD rows
+
+
+# ---------------------------------------------------------------------------
+# residual weights
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("placement,beta,gamma", [
+    ("post", None, None), ("pre", None, None), ("weighted", 1.0, 1.0),
+    ("weighted", 0.5, 2.0)])
+def test_sublayer_is_bitwise_the_composite(placement, beta, gamma):
+    cfg = B.SublayerConfig(placement, beta, gamma)
+    ln = B.LNParams(leaf((8,), 21, F32), leaf((8,), 22, F32))
+    ffn = B.FFNParams.init(8, 16, T.Rng(23), dtype=F32)
+    h = leaf((2, 3, 8), 24, F32)
+
+    def core(z):
+        return B.ffn(z, ffn)
+
+    np.testing.assert_array_equal(
+        B.sublayer_apply(h, core, ln, cfg).values,
+        composite_sublayer_apply(h, core, ln, cfg).values)
+    h64 = leaf((2, 3, 8), 25)
+    ln64 = B.LNParams(leaf((8,), 26), leaf((8,), 27))
+    assert_grads_close(
+        lambda z: B.sublayer_apply(z, lambda x: x * x, ln64, cfg),
+        lambda z: composite_sublayer_apply(z, lambda x: x * x, ln64, cfg),
+        [h64])
+
+
+@pytest.mark.parametrize("order", B.RK_ORDERS)
+def test_unit_step_integrator_is_bitwise_the_scaled_one(order):
+    z = leaf((2, 4, 6), 28, F32)
+
+    def f(x):
+        return T.relu(x * 0.5)
+
+    got = B.rk_sublayer(z, f, order, h=1.0)
+    g1 = f(z) * 1.0
+    if order == 1:
+        want = z + g1
+    elif order == 2:
+        want = z + (g1 + f(z + g1) * 1.0) * 0.5
+    else:
+        g2 = f(z + g1 * 0.5) * 1.0
+        g3 = f(z + g2 * 0.5) * 1.0
+        g4 = f(z + g3) * 1.0
+        want = z + (g1 + g2 * 2.0 + g3 * 2.0 + g4) * (1.0 / 6.0)
+    np.testing.assert_array_equal(got.values, want.values)
+
+
+# ---------------------------------------------------------------------------
+# whole models of the benchmark's shape
+# ---------------------------------------------------------------------------
+
+SHAPE = dict(d=64, n_layers=2, tau=4, d_ffn=256, placement="post")
+
+
+def corpus():
+    return (importlib.resources.files("seqlab") / "data" / "corpus.txt").read_text()
+
+
+@pytest.fixture(scope="module")
+def decode_models():
+    """One model per request kind, the EOS logit held at the mean of the
+    ordinary ones so no request stops early."""
+    text = corpus()
+    vocab = E.Vocab.from_text(text)
+    ordinary = [v for v in range(len(vocab))
+                if v not in (E.PAD, E.SOS, E.EOS, E.CLS)]
+    configs = {"beam4": {}, "quant8": {},
+               "encdec": dict(architecture="encoder-decoder"),
+               "window": dict(attention="window", window=8)}
+    models = {}
+    for seed, (kind, kw) in enumerate(configs.items(), start=1):
+        m = M.Model.init(M.ModelConfig(**SHAPE, **kw), vocab, seed=seed)
+        w = m.w_o.values.copy()
+        w[:, E.EOS] = w[:, ordinary].mean(axis=1)
+        T.assign_(m.w_o, w)
+        models[kind] = m
+    prompt = vocab.encode(text[100:106])
+    source = vocab.encode(text[300:314])
+    return models, prompt, source
+
+
+def decode_round(models, prompt, source):
+    """One request of each kind: (kind, tokens, log-probability or None)."""
+    beam = R.beam_search(models["beam4"], prompt,
+                         R.SearchConfig(beam=4, n_max=8))
+    out = [("beam4", b.tokens, b.logprob) for b in beam]
+    out.append(("greedy", R.greedy_generate(
+        models["beam4"], prompt, R.SearchConfig(n_max=32)), None))
+    out.append(("quant8", R.quantized_infer(
+        models["quant8"], prompt, R.SearchConfig(n_max=10), bits=8), None))
+    out.append(("encdec", R.greedy_generate(
+        models["encdec"], prompt, R.SearchConfig(n_max=20), source=source),
+        None))
+    out.append(("window", R.greedy_generate(
+        models["window"], prompt, R.SearchConfig(n_max=64)), None))
+    return out
+
+
+def test_decoding_is_bitwise_the_composite_path(decode_models, request):
+    fused = decode_round(*decode_models)
+    request.getfixturevalue("composites")
+    assert decode_round(*decode_models) == fused
+
+
+def c10_step(model, vocab):
+    segs = TR.segments_from_text(corpus(), vocab, 64)
+    return TR.train_lm(model, segs, TR.TrainConfig(
+        lr0=0.2, n_warmup=400, batch_size=8, max_steps=1, seed=0, seq_len=64))
+
+
+def test_first_training_loss_is_bitwise_the_composite_path(request):
+    vocab = E.Vocab.from_text(corpus())
+    fused = c10_step(M.Model.init(M.ModelConfig(**SHAPE), vocab, seed=0), vocab)
+    request.getfixturevalue("composites")
+    composite = c10_step(M.Model.init(M.ModelConfig(**SHAPE), vocab, seed=0),
+                         vocab)
+    assert fused[0]["loss"] == composite[0]["loss"]
+    assert fused[0]["clamped"] == composite[0]["clamped"]
+
+
+# ---------------------------------------------------------------------------
+# count guards
+# ---------------------------------------------------------------------------
+
+
+def test_a_generated_token_builds_at_most_70_tensors(decode_models,
+                                                     monkeypatch):
+    built = [0]
+    init = T.Tensor.__init__
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(T.Tensor, "__init__", counting)
+    models, prompt, source = decode_models
+    tokens = 0
+    for kind, n_max in (("beam4", 8), ("quant8", 10), ("encdec", 20),
+                        ("window", 64)):
+        cfg = R.SearchConfig(n_max=n_max)
+        if kind == "beam4":
+            out = R.beam_search(models[kind], prompt,
+                                R.SearchConfig(beam=4, n_max=n_max))[0].tokens
+        elif kind == "quant8":
+            out = R.quantized_infer(models[kind], prompt, cfg, bits=8)
+        else:
+            out = R.greedy_generate(models[kind], prompt, cfg,
+                                    source=source if kind == "encdec" else None)
+        assert len(out) == n_max
+        tokens += len(out)
+    assert built[0] / tokens <= 70
+
+
+def test_a_training_step_records_at_most_70_tape_ops(monkeypatch):
+    records = []
+    backward = T.backward
+
+    def counting(loss):
+        records.append(len(loss.tape.records))
+        return backward(loss)
+
+    monkeypatch.setattr(T, "backward", counting)
+    vocab = E.Vocab.from_text(corpus())
+    c10_step(M.Model.init(M.ModelConfig(**SHAPE), vocab, seed=0), vocab)
+    assert len(records) == 1 and records[0] <= 70

@@ -397,6 +397,24 @@ def test_chunked_forward_matches_the_full_pass():
     assert np.max(np.abs(got - full)) < 1e-9
 
 
+def test_cached_forward_counts_the_attention_work():
+    """A forward through the KV cache (kv_out given) and a decode-style
+    span over a prefix tally the same multiply-adds as the plain pass."""
+    m = M.Model.init(small_cfg(), VOCAB, seed=0)
+    ids = [SOS] + toks("abc")
+    plain, cached, split = A.OpCounter(), A.OpCounter(), A.OpCounter()
+    m.decoder_forward(ids, counter=plain)
+    m.decoder_forward(ids, counter=cached, kv_out=[])
+    kv = []
+    m.decoder_forward(ids[:2], counter=split, kv_out=kv)
+    m.decoder_forward(ids[2:], counter=split, start_pos=2, kv_prefix=kv)
+    assert plain.multiply_adds == 512
+    assert cached.multiply_adds == 512
+    # query-key pairs: 2 x 2 in the first span, 2 x (2 + 2) in the
+    # second, against 4 x 4 in one pass
+    assert split.multiply_adds == 512 * (4 + 8) // 16
+
+
 CHUNK_VARIANTS = [
     dict(attention="window", window=3),
     dict(attention="window", window=7),

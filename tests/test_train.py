@@ -17,10 +17,10 @@ TEXT = "the cat sat on the mat and the hat had a bat "
 VOCAB = Vocab.from_text(TEXT)
 
 
-def lm(seed=0, **kw):
+def lm(seed=0, dtype=F64, **kw):
     base = dict(d=8, n_layers=1, tau=2, d_ffn=16)
     base.update(kw)
-    return M.Model.init(M.ModelConfig(**base), VOCAB, seed=seed, dtype=F64)
+    return M.Model.init(M.ModelConfig(**base), VOCAB, seed=seed, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -106,25 +106,29 @@ def test_padding_amount_does_not_move_non_pad_outputs():
 # ---------------------------------------------------------------------------
 
 
+def logits_of(probs):
+    """Logits whose softmax is probs exactly where probs is 0 or one value
+    per row, and to rounding elsewhere; a zero becomes -inf."""
+    with np.errstate(divide="ignore"):
+        return T.Tensor(np.log(np.asarray(probs, dtype=F64)))
+
+
 def test_perfect_prediction_scores_zero():
-    probs = T.Tensor(np.eye(4, dtype=F64))
-    loss = TR.cross_entropy(probs, [0, 1, 2, 3])
+    loss = TR.cross_entropy(logits_of(np.eye(4)), [0, 1, 2, 3])
     assert float(loss.values) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_uniform_prediction_scores_log_vocab():
-    probs = T.Tensor(np.full((3, 5), 0.2, dtype=F64))
-    loss = TR.cross_entropy(probs, [0, 4, 2])
+    loss = TR.cross_entropy(logits_of(np.full((3, 5), 0.2)), [0, 4, 2])
     assert float(loss.values) == pytest.approx(math.log(5.0))
 
 
 def test_gradient_at_the_logits_is_p_minus_y():
     logits = T.Tensor(np.array([[0.3, -1.2, 0.8]], dtype=F64), trainable=True)
     with T.Tape():
-        probs = T.softmax_rows(logits)
-        loss = TR.cross_entropy(probs, [2])
+        loss = TR.cross_entropy(logits, [2])
     g = T.backward(loss)[logits].values
-    want = probs.values.copy()
+    want = T.softmax_rows(logits).values.copy()
     want[0, 2] -= 1.0
     assert np.max(np.abs(g - want)) < 1e-12
 
@@ -134,18 +138,17 @@ def test_batch_gradient_scales_by_token_count():
                       trainable=True)
     targets = [0, 2, 1, 0]
     with T.Tape():
-        probs = T.softmax_rows(logits)
-        loss = TR.cross_entropy(probs, targets)
+        loss = TR.cross_entropy(logits, targets)
     g = T.backward(loss)[logits].values
-    want = probs.values.copy()
+    want = T.softmax_rows(logits).values.copy()
     want[np.arange(4), targets] -= 1.0
     assert np.max(np.abs(g - want / 4.0)) < 1e-12
 
 
 def test_zero_probability_is_clamped_and_counted():
-    probs = T.Tensor(np.array([[1.0, 0.0], [0.5, 0.5]], dtype=F64))
     tally = TR.WarningTally()
-    loss = TR.cross_entropy(probs, [1, 0], tally=tally)
+    loss = TR.cross_entropy(logits_of([[1.0, 0.0], [0.5, 0.5]]), [1, 0],
+                            tally=tally)
     assert np.isfinite(float(loss.values))
     assert tally.clamped == 1
     assert float(loss.values) == pytest.approx(
@@ -153,11 +156,11 @@ def test_zero_probability_is_clamped_and_counted():
 
 
 def test_pad_positions_carry_no_loss():
-    probs = T.Tensor(np.array([[0.9, 0.1], [0.4, 0.6]], dtype=F64))
-    full = TR.cross_entropy(probs, [0, 0], pad_mask=[False, True])
+    logits = logits_of([[0.9, 0.1], [0.4, 0.6]])
+    full = TR.cross_entropy(logits, [0, 0], pad_mask=[False, True])
     assert float(full.values) == pytest.approx(-math.log(0.9))
     with pytest.raises(ValueError):
-        TR.cross_entropy(probs, [0, 0], pad_mask=[True, True])
+        TR.cross_entropy(logits, [0, 0], pad_mask=[True, True])
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +306,53 @@ def test_loss_falls_on_repetitive_text():
 def test_metrics_rows_carry_the_csv_fields():
     rows = TR.train_lm(lm(), segs(), run_cfg(max_steps=2))
     csv = TR.metrics_to_csv(rows)
-    assert csv.splitlines()[0] == "step,lr,loss,tokens_per_s,clamped"
+    assert csv.splitlines()[0] == "step,lr,loss,tokens_per_s,clamped,grad_norm"
     assert len(csv.splitlines()) == 3
     assert rows[0]["lr"] == pytest.approx(TR.lr_schedule(1, run_cfg()))
     for row, line in zip(rows, csv.splitlines()[1:]):
         assert set(row) == set(TR.METRIC_FIELDS)
-        step, _, _, _, clamped = line.split(",")
+        step, _, _, _, clamped, _ = line.split(",")
         assert (int(step), int(clamped)) == (row["step"], row["clamped"])
+
+
+def test_grad_norm_is_the_pre_clip_norm():
+    clipped = TR.train_lm(lm(), segs(), run_cfg(max_steps=3, clip_norm=1e-3))
+    free = TR.train_lm(lm(), segs(), run_cfg(max_steps=3))
+    # the first step starts from the same weights, clipped or not
+    assert clipped[0]["grad_norm"] == free[0]["grad_norm"] > 1e-3
+    assert all(np.isfinite(r["grad_norm"]) for r in clipped + free)
+
+
+def test_diverging_run_stops_at_a_fixed_step():
+    """lr0 = 1e6 with no warmup overflows float32 in the second step's
+    forward; the run stops there with the first step's weights."""
+    model = lm(dtype=np.float32)
+    after_first = []
+
+    def keep(row):
+        after_first[:] = [p.values.copy() for p in model.parameters()]
+
+    with pytest.raises(TR.TrainingDivergedError) as info:
+        TR.train_lm(model, segs(), run_cfg(lr0=1e6, n_warmup=1, max_steps=50),
+                    on_step=keep)
+    assert info.value.step == 2
+    assert "step 2" in str(info.value)
+    for p, want in zip(model.parameters(), after_first):
+        np.testing.assert_array_equal(p.values, want)
+
+
+def test_non_finite_loss_stops_training_before_the_update():
+    model = lm()
+    before = [p.values.copy() for p in model.parameters()]
+    poisoned = model.w_o.values.copy()
+    poisoned[0, 0] = np.nan
+    T.assign_(model.w_o, poisoned)
+    with pytest.raises(TR.TrainingDivergedError, match="loss is nan") as info:
+        TR.train_lm(model, segs(), run_cfg())
+    assert info.value.step == 1
+    for p, want in zip(model.parameters(), before):
+        if p is not model.w_o:
+            np.testing.assert_array_equal(p.values, want)
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +370,9 @@ def _per_row_loss(model, batch, seed):
         n_row = int((~batch.pad[r]).sum())
         if n_row == 0:
             continue
-        probs = T.softmax_rows(model.decoder_forward(
-            batch.inputs[r], training=True, rng=T.Rng(seed)))
-        part = TR.cross_entropy(probs, batch.targets[r], batch.pad[r]) \
+        logits = model.decoder_forward(batch.inputs[r], training=True,
+                                       rng=T.Rng(seed))
+        part = TR.cross_entropy(logits, batch.targets[r], batch.pad[r]) \
             * (n_row / total)
         loss = part if loss is None else loss + part
     return loss
@@ -481,7 +524,7 @@ def _per_row_chunked_training(model, segments, cfg):
                     n_row = int(keep[r].sum())
                     if n_row == 0:
                         continue
-                    part = TR.cross_entropy(T.softmax_rows(logits),
+                    part = TR.cross_entropy(logits,
                                             batch.targets[r, lo:hi],
                                             batch.pad[r, lo:hi], tally)
                     part = part * (n_row / n_tok)
@@ -552,13 +595,12 @@ def test_frozen_history_blocks_gradient_flow():
 
     def chunk2_loss():
         logits = m.decoder_forward(ids[half:], start_pos=half, kv_prefix=kv)
-        probs = T.softmax_rows(logits)
-        return float(TR.cross_entropy(probs, targets[half:],
+        return float(TR.cross_entropy(logits, targets[half:],
                                       pad[half:]).values)
 
     def full_loss():
         logits = m.decoder_forward(ids)
-        return float(TR.cross_entropy(T.softmax_rows(logits), targets,
+        return float(TR.cross_entropy(logits, targets,
                                       pad).values)
 
     eps = 1e-4
