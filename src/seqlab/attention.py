@@ -292,12 +292,18 @@ def sparse_field_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor,
     """Field attention that only touches retained pairs.
 
     Row-by-row gather over pi_i; work (and the multiply-add counter) scale
-    with the number of retained pairs instead of n^2. Q, K and V are
-    (..., n, d) with broadcastable leading (head, batch) axes. Inference
-    path: not recorded on any tape.
+    with the number of retained pairs instead of n^2. A pair that the
+    additive part sets to -inf is dropped, and its finite penalties are
+    added to the logits. Q, K and V are (..., n, d) with broadcastable
+    leading (head, batch) axes. Inference path: it records nothing, so it
+    refuses to run while a tape is recording.
     """
     if spec.field is None:
         raise ValueError("sparse_field_attention needs a field mask")
+    if T._active_tape() is not None:
+        raise T.TapeError("sparse field attention is not differentiable; "
+                          "run it outside a tape")
+    additive = getattr(spec.additive, "values", spec.additive)
     qv = q.values
     kv = k.values
     vv = v.values
@@ -308,9 +314,13 @@ def sparse_field_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor,
     n_seq = int(np.prod(lead))
     out = np.zeros(lead + (qv.shape[-2], d_v), dtype=qv.dtype)
     for i, cols in enumerate(spec.field_sets()):
+        penalty = 0.0
+        if additive is not None:
+            penalty = np.asarray(additive[i, cols], dtype=qv.dtype)
+            cols, penalty = cols[penalty != NEG_INF], penalty[penalty != NEG_INF]
         if cols.size == 0:
             raise T.DegenerateRowError(f"field row {i} retains no positions")
-        logits = (kv[..., cols, :] @ qv[..., i, :, None])[..., 0] * inv
+        logits = (kv[..., cols, :] @ qv[..., i, :, None])[..., 0] * inv + penalty
         logits -= logits.max(axis=-1, keepdims=True)
         e = np.exp(logits)
         w = e / e.sum(axis=-1, keepdims=True)

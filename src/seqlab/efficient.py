@@ -1,13 +1,17 @@
 """Linear-complexity attention approximations.
 
-Three families live here: kernelized attention (a separable feature map
-replaces the exponential, so the n x n weight matrix is never formed),
-low-rank reductions of the key/value length or the query/key width, and
-the summary of a chunk of keys and values into one memory slot.
+Two families live here: kernelized attention (a separable feature map
+replaces the exponential, so the n x n weight matrix is never formed)
+and low-rank reductions of the key/value length or the query/key width.
+
+Causal kernelized attention is a recurrence over the prefix sums
+mu = sum phi(k)^T v and nu = sum phi(k). One function computes it for a
+whole sequence and for a decode step: a step passes the sums of the
+positions before its block as ``carry`` and gets back the sums after it.
 """
 
-from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -30,7 +34,7 @@ class FeatureMap:
     """Elementwise nonnegative map phi applied to queries and keys.
 
     All three kinds preserve the width, so d' equals the input d. The
-    default elu(x)+1 is strictly positive, which keeps every streaming
+    default elu(x)+1 is strictly positive, which keeps every causal
     denominator nonzero.
     """
 
@@ -67,13 +71,19 @@ def _check_denominator(den: np.ndarray):
 def kernelized_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor,
                          phi: Optional[FeatureMap] = None,
                          causal: bool = False,
-                         counter: Optional[OpCounter] = None) -> T.Tensor:
+                         counter: Optional[OpCounter] = None,
+                         carry: Optional[List[np.ndarray]] = None) -> T.Tensor:
     """Attention via the reassociated product D^-1 (Q' (K'^T V)).
 
     The causal variant never masks the factored product (that is not
-    possible after reassociation); it uses per-position prefix
-    accumulators instead, which is the streaming recurrence in batch form.
-    q, k and v are (..., n, d); leading axes are independent sequences.
+    possible after reassociation); it uses per-position prefix sums
+    mu = sum phi(k)^T v and nu = sum phi(k) instead. q, k and v are
+    (..., n, d); leading axes are independent sequences.
+
+    ``carry`` continues a causal sequence: the list [mu, nu] holds the
+    sums over the positions before this block, (..., d', d_v) and
+    (..., d'), which enter as constants; the call replaces them with the
+    sums after the block. Without it the sums start at zero.
     """
     phi = phi or FeatureMap()
     if q.ndim < 2 or q.ndim != k.ndim or k.ndim != v.ndim:
@@ -81,6 +91,8 @@ def kernelized_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor,
     if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
         raise T.ShapeError(
             f"inconsistent shapes {q.shape}, {k.shape}, {v.shape}")
+    if carry is not None and not causal:
+        raise ValueError("only causal kernel attention carries prefix sums")
     lead = q.shape[:-2]
     n, d_p = q.shape[-2:]
     d_v = v.shape[-1]
@@ -93,6 +105,10 @@ def kernelized_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor,
         outer = T.reshape(kp, lead + (n, d_p, 1)) * T.reshape(v, lead + (n, 1, d_v))
         mu = T.cumsum(outer, axis=-3)                      # prefix k'^T v
         nu = T.cumsum(kp, axis=-2)                         # prefix k'^T
+        if carry is not None:
+            mu_0, nu_0 = carry
+            mu = mu + T.Tensor(mu_0[..., None, :, :])
+            nu = nu + T.Tensor(nu_0[..., None, :])
         numer = T.reduce_sum(T.reshape(qp, lead + (n, d_p, 1)) * mu, axis=-2)
         den = T.reduce_sum(qp * nu, axis=-1, keepdims=True)
         if counter is not None:
@@ -106,64 +122,9 @@ def kernelized_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor,
             counter.add(n_seq * (k.shape[-2] * d_p * d_v + n * d_p * d_v
                                  + n * d_p))
     _check_denominator(den.values)
+    if carry is not None:
+        carry[:] = [mu.values[..., -1, :, :].copy(), nu.values[..., -1, :].copy()]
     return numer / den
-
-
-# ---------------------------------------------------------------------------
-# streaming form
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class StreamState:
-    """Constant-size accumulators for one autoregressive kernel session.
-
-    mu carries sum phi(k)^T v (d' x d_v) and nu carries sum phi(k)^T.
-    Single-owner: step() returns a fresh state, the old one stays valid.
-    """
-
-    mu: np.ndarray
-    nu: np.ndarray
-    gate: Optional[float] = None
-    steps: int = 0
-
-
-def init_stream(d_prime: int, d_v: int, gate: Optional[float] = None,
-                dtype=np.float64) -> StreamState:
-    if gate is not None and not 0.0 <= gate <= 1.0:
-        raise ValueError("gate must lie in [0, 1]")
-    return StreamState(np.zeros((d_prime, d_v), dtype=dtype),
-                       np.zeros(d_prime, dtype=dtype), gate)
-
-
-def stream_step(state: StreamState, k_row, v_row, q_row,
-                phi: Optional[FeatureMap] = None,
-                gate: Optional[float] = None,
-                counter: Optional[OpCounter] = None
-                ) -> Tuple[np.ndarray, StreamState]:
-    """One step of the kernel recurrence; returns (output row, new state)."""
-    phi = phi or FeatureMap()
-    k_row = np.asarray(getattr(k_row, "values", k_row), dtype=np.float64).reshape(-1)
-    v_row = np.asarray(getattr(v_row, "values", v_row), dtype=np.float64).reshape(-1)
-    q_row = np.asarray(getattr(q_row, "values", q_row), dtype=np.float64).reshape(-1)
-    kp = phi.apply_np(k_row)
-    qp = phi.apply_np(q_row)
-    a = state.gate if gate is None else gate
-    if a is None:
-        mu = state.mu + np.outer(kp, v_row)
-        nu = state.nu + kp
-    else:
-        if not 0.0 <= a <= 1.0:
-            raise ValueError("gate must lie in [0, 1]")
-        mu = a * state.mu + (1.0 - a) * np.outer(kp, v_row)
-        nu = a * state.nu + (1.0 - a) * kp
-    den = float(qp @ nu)
-    if den <= 0:
-        raise DegenerateQueryError("nonpositive streaming denominator")
-    out = (qp @ mu) / den
-    if counter is not None:
-        counter.add(kp.size * v_row.size * 2 + kp.size)
-    return out, replace(state, mu=mu, nu=nu, steps=state.steps + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -256,42 +217,3 @@ def lowrank_width_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor,
     q_r, k_r = reduce_width(q, k, proj)
     scale = float(np.sqrt(q_r.shape[-1] if scale_by_reduced else d))
     return qkv_attention(q_r, k_r, v, mask, scale=scale, counter=counter)
-
-
-# ---------------------------------------------------------------------------
-# compressed memory
-# ---------------------------------------------------------------------------
-
-
-def compress_memory(keys: T.Tensor, values: T.Tensor, rule: str = "average",
-                    weights=None) -> Tuple[T.Tensor, T.Tensor]:
-    """Summarize a chunk of (k, v) pairs into one memory slot.
-
-    average: arithmetic mean of the chunk. recursive: running weighted
-    update m_t = (1 - w_t) m_{t-1} + w_t k_t; the default weights 1/t
-    reproduce the mean one pair at a time.
-    """
-    if keys.ndim != 2 or keys.shape[0] == 0:
-        raise ValueError("memory chunk must contain at least one pair")
-    if values.shape[0] != keys.shape[0]:
-        raise T.ShapeError("key/value chunk length mismatch")
-    if rule == "average":
-        return T.reduce_mean(keys, axis=0), T.reduce_mean(values, axis=0)
-    if rule != "recursive":
-        raise ValueError(f"unknown memory rule {rule!r}")
-    n = keys.shape[0]
-    if weights is None:
-        weights = [1.0 / (t + 1) for t in range(n)]
-    if len(weights) != n:
-        raise ValueError("one weight per chunk position required")
-    k_slot, v_slot = None, None
-    for t in range(n):
-        w = float(weights[t])
-        k_t, v_t = T.take(keys, t), T.take(values, t)
-        if k_slot is None:
-            k_slot = k_t * w
-            v_slot = v_t * w
-        else:
-            k_slot = k_slot * (1.0 - w) + k_t * w
-            v_slot = v_slot * (1.0 - w) + v_t * w
-    return k_slot, v_slot

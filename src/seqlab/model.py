@@ -298,7 +298,7 @@ def _init_layer(cfg: ModelConfig, rng: T.Rng, with_cross: bool, dtype) -> Layer:
     att = ssm = lowrank = None
     if cfg.attention == "ssm":
         ssm = S.init_ssm_sublayer(cfg.ssm_d_state, cfg.ssm_dt,
-                                  cfg.ssm_method, cfg.ssm_init, rng)
+                                  cfg.ssm_method, cfg.ssm_init, rng, dtype)
     else:
         att = A.AttentionParams.init(d, cfg.tau, rng,
                                      multi_query=cfg.multi_query, dtype=dtype)
@@ -341,10 +341,12 @@ class DecodeSession:
     every state array belongs to prefix r. State is kept per slot, one
     slot per (layer, integrator stage): a stage's inputs at earlier
     positions are fixed by causality. mode picks the state representation:
-    "cache" keeps key/value arrays, "stream" keeps kernel accumulators per
-    row and head, and "ssm" keeps (rows, d, d_state) state blocks. An
-    encoder-decoder session holds each layer's cross-attention keys and
-    values, projected once from the encoder output.
+    "cache" keeps key/value arrays; "stream" (linear attention) and "ssm"
+    keep, per slot, the list of arrays the layer's full-pass scan carries
+    from one block to the next (``states``) and the count of positions
+    the slot has consumed (``positions``). An encoder-decoder session
+    holds each layer's cross-attention keys and values, projected once
+    from the encoder output.
     """
 
     model: "Model"
@@ -352,8 +354,8 @@ class DecodeSession:
     enc_out: Optional[T.Tensor]
     prefixes: List[List[int]] = field(default_factory=lambda: [[]])
     kv: Optional[A.KVCache] = None
-    streams: Optional[List[List[List[EF.StreamState]]]] = None
-    ssm_states: Optional[List[np.ndarray]] = None
+    states: Optional[List[List[np.ndarray]]] = None
+    positions: Optional[List[int]] = None
     cross_kv: Optional[list] = None
 
     @property
@@ -378,12 +380,9 @@ class DecodeSession:
         self.prefixes = [list(self.prefixes[r]) for r in idx]
         if self.kv is not None:
             self.kv.select(idx)
-        if self.streams is not None:
-            # stream states are replaced, never mutated, on every step
-            self.streams = [[list(per_row[r]) for r in idx]
-                            for per_row in self.streams]
-        if self.ssm_states is not None:
-            self.ssm_states = [z[idx] for z in self.ssm_states]
+        if self.states is not None:
+            self.states = [[x[idx] for x in carry] for carry in self.states]
+            self.positions = list(self.positions)    # unshared from a clone's
 
     def clone(self) -> "DecodeSession":
         out = dataclasses.replace(self, kv=None)
@@ -625,7 +624,8 @@ class Model:
             if layer.cross is not None:
                 kv = None if session is None else session.cross_kv[idx]
                 cross_core = (lambda z, lay=layer, kv=kv:
-                              A.cross_attention(enc_out, z, lay.cross, kv=kv))
+                              A.cross_attention(enc_out, z, lay.cross,
+                                                counter=counter, kv=kv))
                 h = self._wrap(h, cross_core, layer.ln_cross, training, rng)
             h = self._wrap(h, self._ffn_core(layer), layer.ln2, training, rng)
         return h
@@ -728,7 +728,7 @@ class Model:
     # -- incremental decoding -------------------------------------------------
 
     def decode_mode(self) -> str:
-        """The state a decode session keeps: "stream" kernel accumulators
+        """The state a decode session keeps: "stream" kernel prefix sums
         for linear attention, "ssm" state blocks, else a "cache" of keys
         and values."""
         return {"linear": "stream", "ssm": "ssm"}.get(self.cfg.attention,
@@ -751,19 +751,26 @@ class Model:
         elif source is not None:
             raise ContractError("source given to a model without cross-attention")
         mode = self.decode_mode()
-        kv = streams = states = None
+        kv = states = positions = None
         cfg, n_s = self.cfg, self._slots()
         if mode == "cache":
             kv = A.KVCache(n_s, cfg.window if cfg.attention == "window" else None)
-        elif mode == "stream":
-            streams = [[[EF.init_stream(cfg.d_head, cfg.d_head)
-                         for _ in range(cfg.tau)]] for _ in range(n_s)]
         else:
-            states = [np.zeros((1, cfg.d, cfg.ssm_d_state), dtype=self.dtype)
-                      for _ in range(n_s)]
+            states = [[np.zeros(shape, dtype=self.dtype)
+                       for shape in self._carry_shapes(1)] for _ in range(n_s)]
+            positions = [0] * n_s
         return DecodeSession(model=self, mode=mode, enc_out=enc_out, kv=kv,
-                             streams=streams, ssm_states=states,
+                             states=states, positions=positions,
                              cross_kv=cross_kv)
+
+    def _carry_shapes(self, rows: int) -> List[Tuple[int, ...]]:
+        """Shapes of a slot's carried state: the kernel prefix sums (mu,
+        nu) per row and head, or the SSM's (rows, d, d_state) block."""
+        cfg = self.cfg
+        if cfg.attention == "ssm":
+            return [(rows, cfg.d, cfg.ssm_d_state)]
+        return [(rows, cfg.tau, cfg.d_head, cfg.d_head),
+                (rows, cfg.tau, cfg.d_head)]
 
     def _check_session(self, session: DecodeSession, rows: int):
         """Raise StateError unless every slot's state is at the prefixes'
@@ -775,20 +782,15 @@ class Model:
             raise StateError(f"{rows} rows fed to a session of "
                              f"{session.rows} prefixes of lengths "
                              f"{sorted({len(p) for p in session.prefixes})}")
-        cfg, n_s = self.cfg, self._slots()
+        n_s = self._slots()
         if session.mode == "cache":
             kv = session.kv
             got = [(kv.length(i), kv.rows(i) or rows) for i in range(kv.n_layers)]
             want = [(t, rows)] * n_s
-        elif session.mode == "stream":
-            # (rows, heads, steps taken) of every stream state of a slot
-            got = [{(len(per_row), len(heads), st.steps)
-                    for heads in per_row for st in heads}
-                   for per_row in session.streams]
-            want = [{(rows, cfg.tau, t)}] * n_s
         else:
-            got = [np.shape(z) for z in session.ssm_states]
-            want = [(rows, cfg.d, cfg.ssm_d_state)] * n_s
+            got = [(p, [np.shape(x) for x in carry])
+                   for p, carry in zip(session.positions, session.states)]
+            want = [(t, self._carry_shapes(rows))] * n_s
         if got != want:
             raise StateError(f"{session.mode} state per slot is {got}, "
                              f"not {want[0]} for a prefix of {t}")
@@ -811,29 +813,16 @@ class Model:
                                             lowrank=layer.lowrank,
                                             reuse=reuse_store,
                                             counter=counter)[0]
+            # the full-pass scan, continued from the slot's carried state
+            carry = session.states[slot]
             if session.mode == "stream":
-                phi = EF.FeatureMap(cfg.feature_map)
-                q, k, v = (x.values for x in layer.att.heads(z))
-                out = np.empty(q.shape)
-                for r, heads in enumerate(session.streams[slot]):
-                    for i in range(z.shape[-2]):
-                        for hh in range(cfg.tau):
-                            out[r, hh, i], heads[hh] = EF.stream_step(
-                                heads[hh], k[r, hh, i], v[r, hh, i],
-                                q[r, hh, i], phi)
-                return layer.att.merge(T.Tensor(out.astype(self.dtype)))
-            # ssm: the recurrence over the d feature columns, position by
-            # position, every row at once
-            dssm = layer.ssm
-            state = session.ssm_states[slot]
-            out = []
-            for i in range(z.shape[-2]):
-                s_col = z.values[:, i, :, None]
-                state = state @ dssm.a_bar.values + s_col @ dssm.b_bar.values
-                out.append(state @ dssm.c_bar.values + s_col @ dssm.d_bar.values)
-            session.ssm_states[slot] = state
-            return T.Tensor(np.concatenate(out, axis=-1)
-                            .transpose(0, 2, 1).astype(self.dtype))
+                out = layer.att.merge(EF.kernelized_attention(
+                    *layer.att.heads(z), EF.FeatureMap(cfg.feature_map),
+                    causal=True, counter=counter, carry=carry))
+            else:
+                out = S.ssm_sublayer_scan(z, layer.ssm, carry)
+            session.positions[slot] += z.shape[-2]
+            return out
 
         return core
 

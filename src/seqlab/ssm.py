@@ -1,10 +1,12 @@
 """State-space sub-layer.
 
 A continuous linear system (A, B, C, D) is discretized by one of three
-methods and then executed either as a recurrence (training, stepping) or
-as a causal convolution with a precomputed kernel (parallel inference).
-Row-vector convention throughout: z_t = z_{t-1} Abar + s_t Bbar,
-o_t = z_t Cbar + s_t Dbar.
+methods and then executed either as a recurrence or as a causal
+convolution with a precomputed kernel (parallel inference). The model's
+sub-layer runs the recurrence, ``ssm_sublayer_scan``, for a whole
+sequence and for a decode step alike: a step carries the state block in
+from the positions before it. Row-vector convention throughout:
+z_t = z_{t-1} Abar + s_t Bbar, o_t = z_t Cbar + s_t Dbar.
 """
 
 from dataclasses import dataclass
@@ -97,9 +99,10 @@ def _checked_inv(m: np.ndarray, context: str) -> np.ndarray:
     return inv
 
 
-def discretize(ssm: ContinuousSSM, method: str,
-               trainable: bool = False) -> DiscreteSSM:
-    """Produce (Abar, Bbar) by the chosen rule; C and D pass through."""
+def discretize(ssm: ContinuousSSM, method: str, trainable: bool = False,
+               dtype=np.float64) -> DiscreteSSM:
+    """Produce (Abar, Bbar) by the chosen rule; C and D pass through. The
+    discretization runs in float64 and its results are stored as dtype."""
     if method not in METHODS:
         raise ValueError(f"unknown discretization {method!r}")
     a, b, dt = ssm.a, ssm.b, ssm.dt
@@ -123,8 +126,7 @@ def discretize(ssm: ContinuousSSM, method: str,
         else:
             factor = (a_bar - eye) @ _checked_inv(x, "zero-order hold")
         b_bar = dt * b @ factor
-    wrap = lambda m: T.Tensor(np.asarray(m, dtype=np.float64),
-                              trainable=trainable)
+    wrap = lambda m: T.Tensor(np.asarray(m), dtype=dtype, trainable=trainable)
     return DiscreteSSM(wrap(a_bar), wrap(b_bar), wrap(ssm.c), wrap(ssm.d),
                        method)
 
@@ -253,34 +255,45 @@ def make_ssm(d_in: int, d_state: int = 16, dt: float = 0.1,
 
 
 def init_ssm_sublayer(d_state: int, dt: float, method: str, init: str,
-                      rng: T.Rng) -> DiscreteSSM:
+                      rng: T.Rng, dtype=np.float64) -> DiscreteSSM:
     """Shared single-input single-output system used per feature column.
 
-    The discrete parameters themselves are the learnable quantities;
-    discretization runs once at construction.
+    The discrete parameters themselves are the learnable quantities, of
+    the given dtype; discretization runs once at construction.
     """
     cont = make_ssm(1, d_state, dt, init, rng)
-    return discretize(cont, method, trainable=True)
+    return discretize(cont, method, trainable=True, dtype=dtype)
 
 
-def ssm_sublayer_scan(h: T.Tensor, dssm: DiscreteSSM) -> T.Tensor:
+def ssm_sublayer_scan(h: T.Tensor, dssm: DiscreteSSM,
+                      carry: Optional[List[np.ndarray]] = None) -> T.Tensor:
     """Run the shared SISO system down every feature column of h (..., m, d).
 
     Columns (and leading batch axes) are batched into one recurrence: the
     state block Z is (..., d, d_z) and each step costs one d_z x d_z
-    product per column regardless of d.
+    product per column regardless of d. The feedthrough (Dbar) product of
+    all m positions is one product outside the loop; the input (Bbar)
+    product is a broadcast multiply of each position's column, so the
+    backward of a position's slice stays the size of h, not m times it.
+
+    ``carry`` continues a sequence: the list [Z] holds the state block
+    after the positions before this block, which enters as a constant;
+    the call replaces it with the state after the block. Without it the
+    state starts at zero.
     """
     if dssm.d_in != 1:
         raise T.ShapeError("per-column wiring requires a SISO system")
     if h.ndim < 2:
         raise T.ShapeError("expected an m x d block")
     lead, (m, d) = h.shape[:-2], h.shape[-2:]
-    z = T.zeros(lead + (d, dssm.d_state), dtype=h.dtype)
-    rows = []
+    z = T.zeros(lead + (d, dssm.d_state), dtype=h.dtype) if carry is None \
+        else T.Tensor(carry[0])
+    s_cols = T.transpose(h)                                 # (..., d, m)
+    cols = []
     for t in range(m):
-        s_col = T.reshape(T.take(h, (Ellipsis, slice(t, t + 1), slice(None))),
-                          lead + (d, 1))
-        z = T.matmul(z, dssm.a_bar) + T.matmul(s_col, dssm.b_bar)
-        o_col = T.matmul(z, dssm.c_bar) + T.matmul(s_col, dssm.d_bar)
-        rows.append(T.transpose(o_col))
-    return T.concat(rows, axis=-2)
+        s_t = T.take(s_cols, (Ellipsis, slice(t, t + 1)))
+        z = T.matmul(z, dssm.a_bar) + s_t * dssm.b_bar
+        cols.append(T.matmul(z, dssm.c_bar))
+    if carry is not None:
+        carry[:] = [z.values]
+    return T.transpose(T.concat(cols, axis=-1)) + h * dssm.d_bar

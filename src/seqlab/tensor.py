@@ -504,6 +504,8 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = list(tensors)
     if not tensors:
         raise ShapeError("concat of an empty sequence")
+    if len(tensors) == 1:
+        return tensors[0]                   # tensors are immutable
     out = Tensor(np.concatenate([t.values for t in tensors], axis=axis))
     sizes = [t.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]

@@ -24,8 +24,9 @@ PROB_FLOOR = 1e-9
 
 
 class TrainingDivergedError(ArithmeticError):
-    """A training step overflowed, or its loss or gradient norm is not
-    finite.
+    """A training step overflowed, its loss or gradient norm is not
+    finite, or its gradient is zero while target probabilities sit under
+    the floor.
 
     ``step`` is the 1-based step at which it happened; the parameters
     still hold the values the step started from.
@@ -288,11 +289,12 @@ def _overflow_stops(step: int):
 
 
 def _apply_update(model: Model, loss: T.Tensor, lr: float,
-                  cfg: TrainConfig, state: AdamState) -> float:
+                  cfg: TrainConfig, state: AdamState, floored: int = 0) -> float:
     """Backward and one Adam step, clipped when cfg.clip_norm is set;
-    returns the pre-clip gradient norm. A non-finite loss or norm, or an
-    overflow in the backward, raises TrainingDivergedError before any
-    parameter moves."""
+    returns the pre-clip gradient norm. A non-finite loss or norm, an
+    overflow in the backward, or a zero gradient while ``floored`` target
+    probabilities sit under PROB_FLOOR raises TrainingDivergedError before
+    any parameter moves."""
     step = state.step + 1
     if not np.isfinite(loss.values):
         raise TrainingDivergedError(step, f"the loss is {float(loss.values)}")
@@ -301,6 +303,12 @@ def _apply_update(model: Model, loss: T.Tensor, lr: float,
         table, norm = clip_gradients(params, T.backward(loss), cfg.clip_norm)
     if not np.isfinite(norm):
         raise TrainingDivergedError(step, f"the gradient norm is {norm}")
+    if norm == 0.0 and floored:
+        # a floored target passes no gradient, and the others are certain:
+        # no step can lower the loss, and Adam's momentum alone moves on
+        raise TrainingDivergedError(
+            step, f"the gradient is zero with {floored} target probabilities "
+            f"under the floor {PROB_FLOOR}")
     adam_step(params, table, state, lr)
     return norm
 
@@ -334,8 +342,9 @@ def train_lm(model: Model, segments: Sequence[Sequence[int]], cfg: TrainConfig,
     Metric rows carry step, lr, loss, tokens/s, the running count of
     clamped target probabilities and the pre-clip gradient norm
     (METRIC_FIELDS). A floating-point overflow or invalid operation in a
-    step, or a non-finite loss or gradient norm, stops training with
-    TrainingDivergedError.
+    step, a non-finite loss or gradient norm, or a zero gradient while some
+    target probability is under PROB_FLOOR (so every target is floored or
+    certain) stops training with TrainingDivergedError.
     """
     if not segments:
         raise ValueError("no training segments")
@@ -359,12 +368,14 @@ def train_lm(model: Model, segments: Sequence[Sequence[int]], cfg: TrainConfig,
             lr = lr_schedule(step, cfg)
             t0 = time.perf_counter()
             kv_now = None if cfg.chunk_len is None else []
+            clamped = tally.clamped
             with T.Tape() as tape:
                 with _overflow_stops(step):
                     loss, n_tok = _batch_loss(model, batch, tally,
                                               span=(lo, hi), kv_prefix=kv_prev,
                                               kv_out=kv_now, rng=rng)
-                norm = _apply_update(model, loss, lr, cfg, state)
+                norm = _apply_update(model, loss, lr, cfg, state,
+                                     tally.clamped - clamped)
             tape.release()
             kv_prev = kv_now
             row = _metrics_row(step, lr, loss, n_tok, t0, tally, norm)

@@ -268,19 +268,15 @@ def test_c05_equivalence_suite():
     got = np.vstack([model.decode_step(sess, t) for t in ids])
     errs["cached-decode"] = float(np.max(np.abs(got - want)))
 
-    # streaming and batch kernelized attention vs the naive loop
+    # batch and stepped (carried) kernelized attention vs the naive loop
     q, k, v = rng.gaussian((16, 5)), rng.gaussian((16, 5)), rng.gaussian((16, 4))
     phi = EF.FeatureMap("elu_plus_one")
     naive = O.kernel_attention_loop(q, k, v, phi.apply_np, True)
     batch = EF.kernelized_attention(T.Tensor(q), T.Tensor(k), T.Tensor(v),
                                     phi, causal=True).values
-    state = EF.init_stream(5, 4)
-    rows = []
-    for t in range(16):
-        row, state = EF.stream_step(state, k[t], v[t], q[t], phi)
-        rows.append(row)
+    stepped = O.kernel_attention_stepped(q, k, v, phi)
     errs["kernelized-batch"] = float(np.max(np.abs(batch - naive)))
-    errs["kernelized-stream"] = float(np.max(np.abs(np.vstack(rows) - naive)))
+    errs["kernelized-stream"] = float(np.max(np.abs(stepped - naive)))
 
     # state-space layer: convolution vs scan vs closed form
     a = -1.5 * np.eye(3) + 0.3 * rng.gaussian((3, 3))

@@ -1,4 +1,5 @@
-"""Kernelized/streaming attention, low-rank reductions, compressed memory."""
+"""Kernelized attention (whole sequences and carried prefix sums) and
+low-rank reductions."""
 
 import numpy as np
 import pytest
@@ -109,8 +110,12 @@ def test_work_counter_is_linear_in_n():
 
 
 # ---------------------------------------------------------------------------
-# streaming
+# carried prefix sums
 # ---------------------------------------------------------------------------
+
+
+def rows(x, lo, hi):
+    return T.Tensor(x[lo:hi], dtype=F64)
 
 
 @pytest.mark.parametrize("phi", ALL_MAPS, ids=EF.FEATURE_KINDS)
@@ -120,44 +125,48 @@ def test_streaming_equals_batch_causal(phi):
     batch = EF.kernelized_attention(T.Tensor(q, dtype=F64),
                                     T.Tensor(k, dtype=F64),
                                     T.Tensor(v, dtype=F64), phi, causal=True)
-    state = EF.init_stream(d, d)
+    carry = [np.zeros((d, d)), np.zeros(d)]
     for j in range(n):
-        out, state = EF.stream_step(state, k[j], v[j], q[j], phi)
-        assert np.max(np.abs(out - batch.values[j])) < 1e-6
-    assert state.steps == n
+        out = EF.kernelized_attention(*(rows(x, j, j + 1) for x in (q, k, v)),
+                                      phi, causal=True, carry=carry)
+        assert np.max(np.abs(out.values[0] - batch.values[j])) < 1e-6
+    # the carried sums are those of the whole sequence
+    np.testing.assert_allclose(carry[1], phi.apply_np(k).sum(axis=0),
+                               atol=1e-12)
 
 
-def test_gate_one_freezes_state():
-    d = 3
-    state = EF.init_stream(d, d)
-    rng = T.Rng(18)
-    out0, state = EF.stream_step(state, rng.gaussian(d), rng.gaussian(d),
-                                 rng.gaussian(d))
-    q = rng.gaussian(d)
-    ref, frozen = EF.stream_step(state, rng.gaussian(d), rng.gaussian(d), q,
-                                 gate=1.0)
-    for _ in range(3):
-        out, frozen = EF.stream_step(frozen, rng.gaussian(d), rng.gaussian(d),
-                                     q, gate=1.0)
-        np.testing.assert_allclose(out, ref, atol=1e-12)
-    np.testing.assert_array_equal(frozen.mu, state.mu)
-
-
-def test_gate_zero_is_memoryless():
-    d = 4
-    rng = T.Rng(19)
-    state = EF.init_stream(d, d, gate=0.0)
-    for _ in range(4):
-        k, v, q = rng.gaussian(d), rng.gaussian(d), rng.gaussian(d)
-        out, state = EF.stream_step(state, k, v, q)
-        np.testing.assert_allclose(out, v, atol=1e-12)
+def test_carried_blocks_equal_the_batch_and_take_no_gradient_back():
+    n, d, cut = 9, 3, 4
+    phi = EF.FeatureMap()
+    q, k, v = (rand((n, d), s) for s in (30, 31, 32))
+    whole = [T.Tensor(x, dtype=F64, trainable=True) for x in (q, k, v)]
+    with T.Tape():
+        want = EF.kernelized_attention(*whole, phi, causal=True)
+        g_want = T.backward(T.reduce_sum(T.take(want, slice(cut, n))))
+    carry = [np.zeros((d, d)), np.zeros(d)]
+    EF.kernelized_attention(*(rows(x, 0, cut) for x in (q, k, v)), phi,
+                            causal=True, carry=carry)
+    tail = [T.Tensor(x[cut:], dtype=F64, trainable=True) for x in (q, k, v)]
+    with T.Tape():
+        got = EF.kernelized_attention(*tail, phi, causal=True, carry=carry)
+        g_got = T.backward(T.reduce_sum(got))
+    assert np.max(np.abs(got.values - want.values[cut:])) < 1e-12
+    # the earlier positions enter as constants: the tail's gradients are
+    # those of the same loss over the whole sequence
+    for part, full in zip(tail, whole):
+        assert np.max(np.abs(g_got[part].values
+                             - g_want[full].values[cut:])) < 1e-12
 
 
 def test_stream_zero_denominator():
-    state = EF.init_stream(2, 2)
+    carry = [np.zeros((2, 2)), np.zeros(2)]
+    q, k, v = ([[-1.0, -1.0]], [[-1.0, -1.0]], [[1.0, 1.0]])
     with pytest.raises(EF.DegenerateQueryError):
-        EF.stream_step(state, [-1.0, -1.0], [1.0, 1.0], [-1.0, -1.0],
-                       EF.FeatureMap("relu"))
+        EF.kernelized_attention(*(T.Tensor(x, dtype=F64) for x in (q, k, v)),
+                                EF.FeatureMap("relu"), causal=True,
+                                carry=carry)
+    # a refused block leaves the carried sums as they were
+    assert not carry[0].any() and not carry[1].any()
 
 
 # ---------------------------------------------------------------------------
@@ -233,43 +242,3 @@ def test_width_scale_flag_changes_temperature():
     kept = EF.lowrank_width_attention(q, k, v, proj)
     reduced = EF.lowrank_width_attention(q, k, v, proj, scale_by_reduced=True)
     assert np.max(np.abs(kept.values - reduced.values)) > 1e-8
-
-
-# ---------------------------------------------------------------------------
-# compressed memory
-# ---------------------------------------------------------------------------
-
-
-def test_identical_vectors_compress_to_themselves():
-    row = np.array([[1.5, -2.0, 0.5]])
-    chunk = T.Tensor(np.repeat(row, 5, axis=0), dtype=F64)
-    for rule in ("average", "recursive"):
-        k_s, v_s = EF.compress_memory(chunk, chunk, rule)
-        np.testing.assert_allclose(k_s.values, row[0], atol=1e-12)
-        np.testing.assert_allclose(v_s.values, row[0], atol=1e-12)
-
-
-def test_recursive_running_mean_matches_batch_mean():
-    keys = T.Tensor(rand((9, 4), 41), dtype=F64)
-    vals = T.Tensor(rand((9, 4), 42), dtype=F64)
-    k_a, v_a = EF.compress_memory(keys, vals, "average")
-    k_r, v_r = EF.compress_memory(keys, vals, "recursive")
-    assert np.max(np.abs(k_a.values - k_r.values)) < 1e-6
-    assert np.max(np.abs(v_a.values - v_r.values)) < 1e-6
-
-
-def test_average_rule_permutation_invariant():
-    keys = rand((6, 3), 43)
-    perm = T.Rng(44).permutation(6)
-    a, _ = EF.compress_memory(T.Tensor(keys, dtype=F64),
-                              T.Tensor(keys, dtype=F64))
-    b, _ = EF.compress_memory(T.Tensor(keys[perm], dtype=F64),
-                              T.Tensor(keys[perm], dtype=F64))
-    np.testing.assert_allclose(a.values, b.values, atol=1e-12)
-
-
-def test_empty_chunk_rejected():
-    empty = T.zeros((0, 3), dtype=F64)
-    with pytest.raises(ValueError):
-        EF.compress_memory(empty, empty)
-

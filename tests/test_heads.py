@@ -322,17 +322,20 @@ def test_stream_decode_matches_per_head():
     layer = m.dec_layers[0]
     att = layer.att
     d_h = att.d_head
-    phi = EF.FeatureMap(m.cfg.feature_map)
+    phi = EF.FeatureMap(m.cfg.feature_map).apply_np
     session = m.decode_session()
-    states = [EF.init_stream(d_h, d_h) for _ in range(att.tau)]
+    # per head: the prefix sums of phi(k)^T v and phi(k), one row at a time
+    mu = np.zeros((att.tau, d_h, d_h))
+    nu = np.zeros((att.tau, d_h))
     for t, row in enumerate(T.Rng(11).gaussian((6, 12))):
         got = m._step_att_core(layer, 0, session)(T.Tensor(row[None, None, :]))
         outs = []
         for j in range(att.tau):
             q, k, v = (row @ w.values[cols(j, d_h)]
                        for w in (att.wq, att.wk, att.wv))
-            out, states[j] = EF.stream_step(states[j], k, v, q, phi)
-            outs.append(out)
+            mu[j] += np.outer(phi(k), v)
+            nu[j] += phi(k)
+            outs.append(phi(q) @ mu[j] / (phi(q) @ nu[j]))
         want = np.concatenate(outs)[None, :] @ att.w_out.values
         assert np.max(np.abs(got.values - want)) < TOL
 

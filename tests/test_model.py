@@ -1,7 +1,5 @@
 """Whole-model behavior: configs, padding, decoding sessions, pooling."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -292,13 +290,13 @@ def test_tampered_ssm_state_raises_a_state_error(tamper):
     m = build(attention="ssm")
     sess = m.decode_session()
     m.decode_step(sess, SOS)
-    z = sess.ssm_states[0]
+    (z,) = sess.states[0]
     if tamper == "rows":
-        sess.ssm_states[0] = np.concatenate([z, z])
+        sess.states[0] = [np.concatenate([z, z])]
     elif tamper == "width":
-        sess.ssm_states[0] = z[:, :-1]
+        sess.states[0] = [z[:, :-1]]
     else:
-        sess.ssm_states.pop()
+        sess.states.pop()
     with pytest.raises(M.StateError):
         m.decode_step(sess, 4)
 
@@ -307,8 +305,7 @@ def test_tampered_stream_state_raises_a_state_error():
     m = build(attention="linear")
     sess = m.decode_session()
     m.decode_step(sess, SOS)
-    heads = sess.streams[1][0]
-    heads[1] = dataclasses.replace(heads[1], steps=heads[1].steps + 1)
+    sess.positions[1] += 1                 # slot 1 ahead of the prefix
     with pytest.raises(M.StateError):
         m.decode_step(sess, 4)
 

@@ -341,6 +341,27 @@ def test_diverging_run_stops_at_a_fixed_step():
         np.testing.assert_array_equal(p.values, want)
 
 
+@pytest.mark.parametrize("placement", ["post", "pre"])
+def test_a_floored_step_with_no_gradient_stops_training(placement):
+    """lr0 = 1e6 under the default warmup overflows nothing, but after a
+    step or two every target is floored or certain and the gradient is
+    exactly zero; the run stops there instead of idling at loss ~19."""
+    model = lm(d=16, d_ffn=32, dtype=np.float32, placement=placement)
+    cfg = run_cfg(lr0=1e6, n_warmup=TR.TrainConfig().n_warmup, max_steps=20)
+    rows, before = [], []
+
+    def keep(row):
+        rows.append(row)
+        before[:] = [p.values.copy() for p in model.parameters()]
+
+    with pytest.raises(TR.TrainingDivergedError, match="under the floor") \
+            as info:
+        TR.train_lm(model, segs(), cfg, on_step=keep)
+    assert info.value.step <= 3 and len(rows) == info.value.step - 1
+    for p, want in zip(model.parameters(), before):
+        np.testing.assert_array_equal(p.values, want)
+
+
 def test_non_finite_loss_stops_training_before_the_update():
     model = lm()
     before = [p.values.copy() for p in model.parameters()]
