@@ -5,6 +5,13 @@ self and cross attention, causal and sparse-field masking, additive
 locality priors, relative-position attention, multi-query attention, and
 cached attention of a block of new positions over a history.
 
+Each block's Q, K and V projections are column blocks of one matrix
+W^qkv: self-attention projects with one product and cuts its heads from
+the result; cross attention multiplies the decoder rows by the query
+columns and the encoder rows by the key/value columns; a cached step
+writes its key/value columns into the KV cache and reads the cached keys
+and values as heads in place.
+
 Masks are described by MaskSpec, which unifies three mechanisms:
   - causal:   -inf strictly above the diagonal
   - field:    boolean retained-position sets per row
@@ -336,12 +343,33 @@ def sparse_field_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor,
 # ---------------------------------------------------------------------------
 
 
-def split_heads(x: T.Tensor, n: int) -> T.Tensor:
-    """(..., m, n*d_h) -> (..., n, m, d_h): head j is column block j."""
+def _as_heads(a: np.ndarray, n: int) -> np.ndarray:
+    """View of an (..., m, n*d_h) array as (..., n, m, d_h) heads."""
+    return a.reshape(a.shape[:-1] + (n, a.shape[-1] // n)).swapaxes(-2, -3)
+
+
+def _widen(block: np.ndarray, shape: tuple, cols: tuple) -> np.ndarray:
+    """Zeros of ``shape`` holding ``block`` in columns cols[0]..cols[1]-1;
+    ``block`` itself when it fills the shape."""
+    if block.shape == shape:
+        return block
+    out = np.zeros(shape, dtype=block.dtype)
+    out[..., cols[0]:cols[1]] = block
+    return out
+
+
+def split_heads(x: T.Tensor, n: int, cols: Optional[tuple] = None) -> T.Tensor:
+    """(..., m, n*d_h) -> (..., n, m, d_h): head j is column block j.
+
+    With ``cols`` = (lo, hi) only columns lo..hi-1 of x are cut into
+    heads, without a copy; the other columns get a zero gradient.
+    """
     shape = x.shape
-    heads = shape[:-1] + (n, shape[-1] // n)
-    return T.relayout(x, lambda a: a.reshape(heads).swapaxes(-2, -3),
-                      lambda g: g.swapaxes(-2, -3).reshape(shape))
+    lo, hi = (0, shape[-1]) if cols is None else cols
+    block = shape[:-1] + (hi - lo,)
+    return T.relayout(
+        x, lambda a: _as_heads(a[..., lo:hi], n),
+        lambda g: _widen(g.swapaxes(-2, -3).reshape(block), shape, (lo, hi)))
 
 
 def merge_heads(x: T.Tensor) -> T.Tensor:
@@ -353,30 +381,49 @@ def merge_heads(x: T.Tensor) -> T.Tensor:
                       lambda g: g.reshape(swapped).swapaxes(-2, -3))
 
 
+def qkv_blocks(shape: tuple) -> tuple:
+    """The column ranges of W^q, W^k and W^v in a fused W^qkv of this
+    shape: W^q is d wide and W^k, W^v split the rest equally."""
+    d, width = shape
+    kv_end = d + (width - d) // 2
+    return (0, d), (d, kv_end), (kv_end, width)
+
+
 class AttentionParams:
     """Projections and the output merge for one attention block.
 
-    Heads are column blocks of one wide projection: W^q is (d, d) and head
-    j reads its columns j*d_h .. (j+1)*d_h, with d_h = d/tau. W^k and W^v
-    are (d, n_kv*d_h): n_kv = tau key/value heads, or in multi-query mode
-    one shared head that broadcasts over the tau query heads. W_c (d, d)
-    transforms the merged heads.
+    One trainable W^qkv of shape (d, d + 2*n_kv*d_h) holds the three input
+    projections side by side, columns [W^q | W^k | W^v], so self-attention
+    projects its input with one product. Heads are column blocks within
+    each: W^q is d wide and head j reads its columns j*d_h .. (j+1)*d_h,
+    with d_h = d/tau. W^k and W^v are n_kv*d_h wide: n_kv = tau key/value
+    heads, or in multi-query mode one shared head that broadcasts over the
+    tau query heads. W_c (d, d) transforms the merged heads. ``wq``, ``wk``
+    and ``wv`` read W^qkv's blocks.
     """
 
-    def __init__(self, d: int, tau: int, wq: T.Tensor, wk: T.Tensor,
-                 wv: T.Tensor, w_out: T.Tensor, multi_query: bool = False):
+    def __init__(self, d: int, tau: int, w_qkv: T.Tensor, w_out: T.Tensor,
+                 multi_query: bool = False):
         if d % tau != 0:
             raise ValueError("head count must divide d")
         self.d = d
         self.tau = tau
         self.multi_query = multi_query
-        kv_shape = (d, self.n_kv * self.d_head)
-        if wq.shape != (d, d) or wk.shape != kv_shape or wv.shape != kv_shape:
+        if w_qkv.shape != (d, d + 2 * self.n_kv * self.d_head) \
+                or w_out.shape != (d, d):
             raise ValueError("projection shapes do not match head layout")
-        self.wq = wq
-        self.wk = wk
-        self.wv = wv
+        self.w_qkv = w_qkv
         self.w_out = w_out
+        self.q_cols, self.k_cols, self.v_cols = qkv_blocks(w_qkv.shape)
+
+    @classmethod
+    def from_blocks(cls, d: int, tau: int, wq: T.Tensor, wk: T.Tensor,
+                    wv: T.Tensor, w_out: T.Tensor,
+                    multi_query: bool = False) -> "AttentionParams":
+        """Params whose W^qkv is a new trainable [wq | wk | wv]."""
+        w_qkv = np.concatenate([wq.values, wk.values, wv.values], axis=1)
+        return cls(d, tau, T.Tensor(w_qkv, trainable=True), w_out,
+                   multi_query=multi_query)
 
     @property
     def d_head(self) -> int:
@@ -387,42 +434,56 @@ class AttentionParams:
         """Key/value heads: one in multi-query mode, else one per query head."""
         return 1 if self.multi_query else self.tau
 
+    def _block(self, cols: tuple) -> T.Tensor:
+        return T.take(self.w_qkv, (slice(None), slice(*cols)))
+
+    @property
+    def wq(self) -> T.Tensor:
+        """W^q, a view of W^qkv's first d columns."""
+        return self._block(self.q_cols)
+
+    @property
+    def wk(self) -> T.Tensor:
+        return self._block(self.k_cols)
+
+    @property
+    def wv(self) -> T.Tensor:
+        return self._block(self.v_cols)
+
     @classmethod
     def init(cls, d: int, tau: int, rng: T.Rng, gain: float = 1.0,
              multi_query: bool = False, dtype=np.float32) -> "AttentionParams":
         def fused(n_heads):
             # one Xavier draw per (d, d/tau) head block, in head order
-            return T.Tensor(np.concatenate(
-                [T.xavier_init(d, d // tau, gain=gain, rng=rng, dtype=dtype).values
-                 for _ in range(n_heads)], axis=1), trainable=True)
+            return [T.xavier_init(d, d // tau, gain=gain, rng=rng, dtype=dtype).values
+                    for _ in range(n_heads)]
 
         n_kv = 1 if multi_query else tau
-        wq, wk, wv = fused(tau), fused(n_kv), fused(n_kv)
+        w_qkv = np.concatenate(fused(tau) + fused(n_kv) + fused(n_kv), axis=1)
         w_out = T.xavier_init(d, d, gain=gain, rng=rng, dtype=dtype)
-        return cls(d, tau, wq, wk, wv, w_out, multi_query=multi_query)
+        return cls(d, tau, T.Tensor(w_qkv, trainable=True), w_out,
+                   multi_query=multi_query)
 
-    def project(self, x_q: T.Tensor, x_kv: T.Tensor):
-        """Fused Q (..., m_q, d) and K, V (..., m_kv, n_kv*d_h)."""
-        return (T.matmul(x_q, self.wq), T.matmul(x_kv, self.wk),
-                T.matmul(x_kv, self.wv))
+    def qkv(self, x: T.Tensor) -> T.Tensor:
+        """x W^qkv: fused Q, K and V side by side, (..., m, d + 2*n_kv*d_h)."""
+        return T.matmul(x, self.w_qkv)
 
-    def split(self, q: T.Tensor, k: T.Tensor, v: T.Tensor):
+    def split(self, qkv: T.Tensor):
         """Fused projections cut into heads: (..., tau | n_kv, m, d_h)."""
-        return (split_heads(q, self.tau), split_heads(k, self.n_kv),
-                split_heads(v, self.n_kv))
+        return (split_heads(qkv, self.tau, self.q_cols),
+                split_heads(qkv, self.n_kv, self.k_cols),
+                split_heads(qkv, self.n_kv, self.v_cols))
 
-    def heads(self, x_q: T.Tensor, x_kv: Optional[T.Tensor] = None):
-        """Head-split Q, K, V of x_q attending over x_kv (default x_q)."""
-        return self.split(*self.project(x_q, x_q if x_kv is None else x_kv))
+    def heads(self, x: T.Tensor):
+        """Head-split Q, K, V of x attending over itself."""
+        return self.split(self.qkv(x))
 
     def merge(self, heads: T.Tensor) -> T.Tensor:
         """Concatenate per-head outputs (..., tau, m, d_h) and apply W_c."""
         return T.matmul(merge_heads(heads), self.w_out)
 
     def named(self, prefix: str = ""):
-        yield f"{prefix}wq", self.wq
-        yield f"{prefix}wk", self.wk
-        yield f"{prefix}wv", self.wv
+        yield f"{prefix}w_qkv", self.w_qkv
         yield f"{prefix}w_out", self.w_out
 
 
@@ -475,11 +536,15 @@ def multi_query_attention(h: T.Tensor, params: AttentionParams, mask=None,
 
 def cross_kv(h_enc: T.Tensor, params: AttentionParams):
     """The encoder side of cross attention: head-split keys and values of
-    the encoder rows, (..., n_kv, n_src, d_h) each."""
+    the encoder rows, (..., n_kv, n_src, d_h) each, from one product with
+    W^qkv's key and value columns."""
     if h_enc.shape[-2] == 0:
         raise EmptySourceError("cross attention against an empty source")
-    return (split_heads(T.matmul(h_enc, params.wk), params.n_kv),
-            split_heads(T.matmul(h_enc, params.wv), params.n_kv))
+    lo, hi = params.k_cols[0], params.v_cols[1]
+    kv = T.matmul(h_enc, params.w_qkv, cols=(lo, hi))
+    w = (hi - lo) // 2
+    return (split_heads(kv, params.n_kv, (0, w)),
+            split_heads(kv, params.n_kv, (w, 2 * w)))
 
 
 def cross_attention(h_enc: T.Tensor, s_self: T.Tensor, params: AttentionParams,
@@ -491,7 +556,8 @@ def cross_attention(h_enc: T.Tensor, s_self: T.Tensor, params: AttentionParams,
     are projected here.
     """
     k, v = cross_kv(h_enc, params) if kv is None else kv
-    q = split_heads(T.matmul(s_self, params.wq), params.tau)
+    q = split_heads(T.matmul(s_self, params.w_qkv, cols=params.q_cols),
+                    params.tau)
     return params.merge(qkv_attention(q, k, v, counter=counter))
 
 
@@ -655,8 +721,9 @@ def attend_step_cached(x: T.Tensor, cache: KVCache, params: AttentionParams,
     """Self-attention of a block of new positions at one cache layer.
 
     ``x`` is (rows, m, d): m new positions for each of the cache's rows, or
-    one (1, d) row of a one-row cache. Projects the block, writes its keys
-    and values into the cache, and attends every new position over the
+    one (1, d) row of a one-row cache. Projects the block with one product,
+    writes its key and value columns into the cache, reads the cached keys
+    and values as heads in place, and attends every new position over the
     earlier positions it can see plus the block up to itself, in the form
     ``rpr``, ``lowrank`` and ``reuse`` pick as in attend_heads, which
     tallies its work on ``counter``. Returns (merged output shaped like x,
@@ -669,10 +736,28 @@ def attend_step_cached(x: T.Tensor, cache: KVCache, params: AttentionParams,
         x = T.reshape(x, (1,) + x.shape)
     elif x.ndim != 3:
         raise T.ShapeError("attend_step_cached expects (rows, m, d) or (1, d)")
-    q, k_new, v_new = params.project(x, x)
-    k, v, back = cache.write(layer, k_new.values, v_new.values)
+    qkv = params.qkv(x)
+    k_cols, v_cols = params.k_cols, params.v_cols
+    k, v, back = cache.write(layer, qkv.values[..., slice(*k_cols)],
+                             qkv.values[..., slice(*v_cols)])
     mask = _step_mask(x.shape[1], back, cache.window)
     out = params.merge(attend_heads(
-        *params.split(q, T.ending_in(k, k_new), T.ending_in(v, v_new)), mask,
-        counter, rpr=rpr, lowrank=lowrank, reuse=reuse, q_start=back))
+        split_heads(qkv, params.tau, params.q_cols),
+        _cached_heads(k, qkv, params.n_kv, k_cols),
+        _cached_heads(v, qkv, params.n_kv, v_cols), mask, counter, rpr=rpr,
+        lowrank=lowrank, reuse=reuse, q_start=back))
     return (T.reshape(out, out.shape[1:]) if single else out), cache
+
+
+def _cached_heads(stored: np.ndarray, qkv: T.Tensor, n: int,
+                  cols: tuple) -> T.Tensor:
+    """A cache array (rows, t, n*d_h), whose last m positions hold columns
+    ``cols`` of a block's fused projection qkv (rows, m, ·), as n heads
+    (rows, n, t, d_h) without a copy. The gradient of those m positions
+    flows back to qkv's columns; the earlier positions are constants."""
+    shape, m = qkv.shape, qkv.shape[-2]
+    block = shape[:-1] + (cols[1] - cols[0],)
+    return T.relayout(
+        qkv, lambda _: _as_heads(stored, n),
+        lambda g: _widen(g[..., -m:, :].swapaxes(-2, -3).reshape(block),
+                         shape, cols))

@@ -8,7 +8,7 @@ Layer norm is one fused tape op (``T.layer_norm``), and so is the FFN's
 ``ReLU(h W_h + b_h)`` after its matmul (``T.relu`` with a bias); the
 composite ``row_stats`` + ``normalize`` stays for statistics a caller
 supplies or inspects. A residual weight of exactly 1 adds the input
-without a multiply.
+without a multiply, inside the layer norm where one follows.
 """
 
 from dataclasses import dataclass
@@ -78,9 +78,12 @@ def normalize(h: T.Tensor, mu, sigma, params: LNParams) -> T.Tensor:
     return params.g * ((h - mu) / denom) + params.b
 
 
-def layer_norm(h: T.Tensor, params: LNParams) -> T.Tensor:
-    """normalize(h, *row_stats(h), params) as one taped op."""
-    return T.layer_norm(h, params.g, params.b, params.eps, params.sqrt_variance)
+def layer_norm(h: T.Tensor, params: LNParams,
+               residual: Optional[T.Tensor] = None) -> T.Tensor:
+    """normalize(h, *row_stats(h), params) as one taped op; with
+    ``residual``, of h + residual in the same op."""
+    return T.layer_norm(h, params.g, params.b, params.eps, params.sqrt_variance,
+                        residual=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +168,13 @@ def _plus_weighted(x: T.Tensor, z: T.Tensor, w: float) -> T.Tensor:
 
 def sublayer_apply(h_in: T.Tensor, core: Callable[[T.Tensor], T.Tensor],
                    ln: LNParams, cfg: SublayerConfig) -> T.Tensor:
-    """LNorm(F(z) + beta z) + gamma z; (1,0) is post-norm, (0,1) pre-norm."""
+    """LNorm(F(z) + beta z) + gamma z; (1,0) is post-norm, (0,1) pre-norm.
+    With beta = 1 the layer norm adds the residual itself."""
     beta, gamma = cfg.residual_weights()
-    out = layer_norm(_plus_weighted(core(h_in), h_in, beta), ln)
+    if beta == 1.0:
+        out = layer_norm(core(h_in), ln, residual=h_in)
+    else:
+        out = layer_norm(_plus_weighted(core(h_in), h_in, beta), ln)
     return _plus_weighted(out, h_in, gamma)
 
 

@@ -408,6 +408,7 @@ class Model:
         self.vocab = vocab
         self.embed = embed
         self.pe = SinusoidalPE(cfg.d)
+        self._pe_rows = np.zeros((0, cfg.d), dtype=dtype)
         self.enc_layers = enc_layers
         self.dec_layers = dec_layers
         self.w_o = w_o
@@ -502,8 +503,12 @@ class Model:
         h = T.gather_rows(self.embed.weights, ids)
         if self.cfg.scale_embedding:
             h = h * float(np.sqrt(self.cfg.d))
-        pos = self.pe.table(start_pos + ids.shape[-1], start_pos)
-        return h + T.Tensor(pos.astype(self.dtype))
+        end = start_pos + ids.shape[-1]
+        if end > len(self._pe_rows):
+            # doubled, so a long decode evaluates sin/cos a few times only
+            self._pe_rows = self.pe.table(
+                max(end, 2 * len(self._pe_rows))).astype(self.dtype)
+        return h + T.Tensor(self._pe_rows[start_pos:end])
 
     def _mask_for(self, m: int, causal: bool, pad: Optional[np.ndarray]):
         cfg = self.cfg

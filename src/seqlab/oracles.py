@@ -521,10 +521,10 @@ def _run_head_permutation(rng):
     perm = [2, 0, 3, 1]
     d_h = params.d_head
     cols = np.concatenate([np.arange(p * d_h, (p + 1) * d_h) for p in perm])
-    permuted = A.AttentionParams(8, 4, T.Tensor(params.wq.values[:, cols]),
-                                 T.Tensor(params.wk.values[:, cols]),
-                                 T.Tensor(params.wv.values[:, cols]),
-                                 T.Tensor(params.w_out.values[cols]))
+    permuted = A.AttentionParams.from_blocks(
+        8, 4, T.Tensor(params.wq.values[:, cols]),
+        T.Tensor(params.wk.values[:, cols]), T.Tensor(params.wv.values[:, cols]),
+        T.Tensor(params.w_out.values[cols]))
     return _errors(A.multi_head_self(h, permuted).values, base)
 
 
@@ -566,8 +566,9 @@ def _run_multiquery_weight_copy(rng):
     mq = A.AttentionParams.init(8, 4, rng, multi_query=True, dtype=_F64)
     h = T.Tensor(rng.gaussian((5, 8)))
     got = A.multi_query_attention(h, mq).values
-    std = A.AttentionParams(8, 4, mq.wq, T.Tensor(np.tile(mq.wk.values, 4)),
-                            T.Tensor(np.tile(mq.wv.values, 4)), mq.w_out)
+    std = A.AttentionParams.from_blocks(
+        8, 4, mq.wq, T.Tensor(np.tile(mq.wk.values, 4)),
+        T.Tensor(np.tile(mq.wv.values, 4)), mq.w_out)
     return _errors(got, A.multi_head_self(h, std).values)
 
 

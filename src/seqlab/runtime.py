@@ -2,12 +2,14 @@
 
 Greedy and beam search drive Model.decode_step, so every variant's cache
 discipline is reused as-is. Checkpoints are a small binary format: magic,
-version, config text, vocabulary, named float32 tensors, CRC; version 1
-files, which stored attention projections head by head, still load. Quantized
-inference is the same decoding inside the ``quantized`` context, which
-reroutes the projection/FFN weight products through integer matmuls (one
-step per weight matrix, one per activation row) while everything else stays
-in floats.
+version, config text, vocabulary, named float32 tensors, CRC. Version 3
+stores each attention block's fused ``w_qkv``; version 2 files, which
+stored ``wq``/``wk``/``wv`` apart, and version 1 files, which stored them
+head by head, still load. Quantized inference is the same decoding inside
+the ``quantized`` context, which reroutes the projection/FFN weight
+products through integer matmuls (one step per weight matrix, or per
+projection block of a fused one, and one per activation row) while
+everything else stays in floats.
 """
 
 from __future__ import annotations
@@ -25,12 +27,13 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import tensor as T
+from .attention import qkv_blocks
 from .config import Config
 from .embedding import CLS, EOS, PAD, SOS, Vocab
 from .model import DecodeSession, Model, ModelConfig
 
 MAGIC = b"SQL1"
-VERSION = 2                                  # v1 stored one tensor per head
+VERSION = 3          # v2 stored wq/wk/wv apart, v1 one tensor per head
 
 # structural ids a decoder never emits; EOS stays eligible so search can stop
 _SUPPRESSED = (PAD, SOS, CLS)
@@ -237,7 +240,7 @@ def load_checkpoint(path: str) -> Model:
     if r.take(4) != MAGIC:
         raise CheckpointFormatError("not a checkpoint: bad magic bytes")
     (version,) = r.unpack("H")
-    if version not in (1, VERSION):
+    if version not in (1, 2, VERSION):
         raise CheckpointFormatError(f"unsupported checkpoint version {version}")
     if len(blob) < 8:
         raise CheckpointIntegrityError("checkpoint is truncated")
@@ -277,8 +280,8 @@ def _read_model(r: _Reader, version: int) -> Model:
         count = math.prod(shape)
         data = np.frombuffer(r.take(4 * count), dtype="<f4").reshape(shape)
         table[name] = data
-    if version == 1:
-        table = _fold_v1_heads(table)
+    if version < VERSION:
+        table = _fold_projections(table)
 
     model = Model.init(cfg, vocab, seed=0, dtype=np.float32)
     seen = set()
@@ -301,11 +304,15 @@ def _read_model(r: _Reader, version: int) -> Model:
 
 
 _V1_HEAD = re.compile(r"(.*\.w[qkv])(\d+|_shared)")
+_V2_PROJECTION = re.compile(r"(.*\.)w([qkv])")
 
 
-def _fold_v1_heads(table: dict) -> dict:
-    """Concatenate v1's per-head ``wq{h}``/``wk{h}``/``wk_shared``
-    entries, in head order, into the fused columns of ``wq``/``wk``/``wv``."""
+def _fold_projections(table: dict) -> dict:
+    """Fold older projection entries into v3's ``w_qkv``: v1's per-head
+    ``wq{h}``/``wk{h}``/``wk_shared`` are concatenated, in head order, into
+    v2's ``wq``/``wk``/``wv``, and a block's three v2 entries into the
+    columns [wq | wk | wv] of its ``w_qkv``. A block missing one of the
+    three keeps the others, and the loader reports the mismatch."""
     heads = {}
     for name in list(table):
         match = _V1_HEAD.fullmatch(name)
@@ -315,6 +322,15 @@ def _fold_v1_heads(table: dict) -> dict:
                 0 if head == "_shared" else int(head)] = table.pop(name)
     for base, blocks in heads.items():
         table[base] = np.concatenate([blocks[h] for h in sorted(blocks)], axis=1)
+    blocks = {}
+    for name in table:
+        match = _V2_PROJECTION.fullmatch(name)
+        if match is not None:
+            blocks.setdefault(match.group(1), set()).add(match.group(2))
+    for prefix, roles in blocks.items():
+        if roles == {"q", "k", "v"}:
+            table[prefix + "w_qkv"] = np.concatenate(
+                [table.pop(prefix + "w" + r) for r in "qkv"], axis=1)
     return table
 
 
@@ -327,16 +343,26 @@ def weight_quant_specs(model: Model, bits: int) -> dict:
     """Per-matrix quantizers for every projection and FFN weight.
 
     Steps follow s = max|w| / (2^(p-1) - 1), so the largest entry lands on
-    the last integer level; a fused projection shares one step across its
-    heads. An all-zero matrix has no usable step and maps to None; its
-    products are taken as exactly zero.
+    the last integer level; a projection shares one step across its heads.
+    A fused ``w_qkv`` gets a row of per-column steps in which each of its
+    W^q, W^k and W^v blocks keeps its own step, so its levels and products
+    are those of three separate matrices; an all-zero block has step 1
+    (its levels and products are zero). An all-zero matrix has no usable
+    step and maps to None; its products are taken as exactly zero.
     """
     if bits < 2:
         raise ValueError(f"quantization needs at least 2 bits, got {bits}")
     q_max = (1 << (bits - 1)) - 1
     specs = {}
     for name, w in model.named():
-        if name.rsplit(".", 1)[-1] in ("wq", "wk", "wv", "w_out", "w_h", "w_f"):
+        role = name.rsplit(".", 1)[-1]
+        if role == "w_qkv":
+            steps = np.empty((1, w.shape[1]))
+            for lo, hi in qkv_blocks(w.shape):
+                top = float(np.max(np.abs(w.values[:, lo:hi])))
+                steps[:, lo:hi] = top / q_max if top else 1.0
+            specs[id(w)] = T.QuantSpec(steps, bits)
+        elif role in ("w_out", "w_h", "w_f"):
             top = float(np.max(np.abs(w.values)))
             specs[id(w)] = None if top == 0.0 \
                 else T.QuantSpec(top / q_max, bits)
@@ -346,24 +372,33 @@ def weight_quant_specs(model: Model, bits: int) -> dict:
 def _quant_route(specs: dict, bits: int, stats: Optional[T.QuantStats] = None):
     """Matmul routing through integer products; each activation row gets
     its own step max|row| / q_max (any step zeroes an all-zero row), and
-    each targeted weight is quantized once, at its first product."""
+    each targeted weight is quantized once, at its first product; a
+    column-block product quantizes, and counts, its block's columns."""
     q_max = (1 << (bits - 1)) - 1
-    levels = {}
+    weights = {}
 
-    def route(a: T.Tensor, b: T.Tensor):
+    def route(a: T.Tensor, b: T.Tensor, cols: Optional[tuple] = None):
         if id(b) not in specs:
             return None                      # not a targeted weight: floats
         spec_b = specs[id(b)]
-        shape = a.shape[:-1] + b.shape[1:]
+        width = b.shape[1] if cols is None else cols[1] - cols[0]
+        shape = a.shape[:-1] + (width,)
         if spec_b is None:
             return T.Tensor(np.zeros(shape, np.result_type(a.dtype, b.dtype)))
-        if id(b) not in levels:
-            levels[id(b)] = T.quantize_levels(b.values, spec_b)
+        key = id(b), cols
+        if key not in weights:
+            w, spec = b, spec_b
+            if cols is not None:
+                w = T.take(b, (slice(None), slice(*cols)))
+                if np.ndim(spec.step):
+                    spec = T.QuantSpec(spec.step[:, slice(*cols)], bits)
+            weights[key] = w, spec, T.quantize_levels(w.values, spec)
+        w, spec, levels = weights[key]
         rows = a.values.reshape(-1, a.shape[-1])
         top = np.abs(rows).max(axis=1, keepdims=True).astype(np.float64)
         spec_a = T.QuantSpec(np.where(top == 0.0, 1.0, top) / q_max, bits)
-        out = T.quantized_matmul(T.Tensor(rows), b, spec_a, spec_b, stats,
-                                 stats, levels_b=levels[id(b)])
+        out = T.quantized_matmul(T.Tensor(rows), w, spec_a, spec, stats,
+                                 stats, levels_b=levels)
         return T.Tensor(out.values.reshape(shape))
 
     return route

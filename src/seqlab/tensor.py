@@ -165,6 +165,25 @@ class Tensor:
         return cumsum(self, axis)
 
 
+_new_tensor = object.__new__
+
+
+def _result(arr) -> Tensor:
+    """An op's output array as a Tensor: ``Tensor(arr)`` without the dtype
+    coercion, which an op's float arithmetic never needs. The dtype is still
+    checked and the array still flagged read-only."""
+    if type(arr) is not np.ndarray:
+        arr = np.asarray(arr)                # numpy scalars from 0-d operands
+    if arr.dtype not in _ALLOWED:
+        raise TypeError(f"tensor dtype must be float32/float64, got {arr.dtype}")
+    arr.flags.writeable = False
+    t = _new_tensor(Tensor)
+    t.values = arr
+    t.trainable = False
+    t.tape = None
+    return t
+
+
 def zeros(shape, dtype=np.float32) -> Tensor:
     return Tensor(np.zeros(shape, dtype=dtype))
 
@@ -259,8 +278,10 @@ def _participates(t, tape: Tape) -> bool:
 
 
 def _emit(out: Tensor, inputs: tuple, grad_fn) -> Tensor:
-    tape = _active_tape()
-    if tape is not None and any(_participates(t, tape) for t in inputs):
+    if not _TAPE_STACK:
+        return out
+    tape = _TAPE_STACK[-1]
+    if any(_participates(t, tape) for t in inputs):
         out.tape = tape
         tape.records.append(_Record(id(out), out, inputs, grad_fn))
     return out
@@ -351,7 +372,7 @@ def _coerce_pair(a, b):
 
 def add(a, b) -> Tensor:
     a, b = _coerce_pair(a, b)
-    out = Tensor(a.values + b.values)
+    out = _result(a.values + b.values)
 
     def grad_fn(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
@@ -361,7 +382,7 @@ def add(a, b) -> Tensor:
 
 def sub(a, b) -> Tensor:
     a, b = _coerce_pair(a, b)
-    out = Tensor(a.values - b.values)
+    out = _result(a.values - b.values)
 
     def grad_fn(g):
         return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
@@ -372,7 +393,7 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = _coerce_pair(a, b)
     av, bv = a.values, b.values
-    out = Tensor(av * bv)
+    out = _result(av * bv)
 
     def grad_fn(g):
         return _unbroadcast(g * bv, a.shape), _unbroadcast(g * av, b.shape)
@@ -383,7 +404,7 @@ def mul(a, b) -> Tensor:
 def div(a, b) -> Tensor:
     a, b = _coerce_pair(a, b)
     av, bv = a.values, b.values
-    out = Tensor(av / bv)
+    out = _result(av / bv)
 
     def grad_fn(g):
         ga = _unbroadcast(g / bv, a.shape)
@@ -394,13 +415,13 @@ def div(a, b) -> Tensor:
 
 
 def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.values)
+    out = _result(-a.values)
     return _emit(out, (a,), lambda g: (-g,))
 
 
 def exp(a: Tensor) -> Tensor:
     ov = np.exp(a.values)
-    out = Tensor(ov)
+    out = _result(ov)
     return _emit(out, (a,), lambda g: (g * ov,))
 
 
@@ -408,7 +429,7 @@ def log(a: Tensor) -> Tensor:
     if np.any(a.values <= 0):
         raise ValueError("log requires strictly positive inputs")
     av = a.values
-    out = Tensor(np.log(av))
+    out = _result(np.log(av))
     return _emit(out, (a,), lambda g: (g / av,))
 
 
@@ -416,7 +437,7 @@ def sqrt(a: Tensor) -> Tensor:
     if np.any(a.values < 0):
         raise ValueError("sqrt requires non-negative inputs")
     ov = np.sqrt(a.values)
-    out = Tensor(ov)
+    out = _result(ov)
     return _emit(out, (a,), lambda g: (g * (0.5 / ov),))
 
 
@@ -424,14 +445,14 @@ def power(a: Tensor, p) -> Tensor:
     """a**p for a constant exponent p."""
     p = float(p)
     av = a.values
-    out = Tensor(av ** p)
+    out = _result(av ** p)
     return _emit(out, (a,), lambda g: (g * (p * av ** (p - 1.0)),))
 
 
 def relu(a: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """max(a, 0), or with ``bias`` max(a + bias, 0) as one op."""
     zv = a.values if bias is None else a.values + bias.values
-    out = Tensor(np.maximum(zv, 0))
+    out = _result(np.maximum(zv, 0))
     if bias is None:
         return _emit(out, (a,), lambda g: (g * (zv > 0),))
 
@@ -445,7 +466,7 @@ def relu(a: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 def elu(a: Tensor, alpha: float = 1.0) -> Tensor:
     av = a.values
     ov = np.where(av > 0, av, alpha * np.expm1(av)).astype(av.dtype)
-    out = Tensor(ov)
+    out = _result(ov)
 
     def grad_fn(g):
         return (g * np.where(av > 0, 1.0, alpha * np.exp(av)).astype(av.dtype),)
@@ -457,7 +478,7 @@ def maximum(a, b) -> Tensor:
     """Elementwise max; on ties the gradient goes to the first operand."""
     a, b = _coerce_pair(a, b)
     av, bv = a.values, b.values
-    out = Tensor(np.maximum(av, bv))
+    out = _result(np.maximum(av, bv))
 
     def grad_fn(g):
         take_a = av >= bv
@@ -475,7 +496,7 @@ def reshape(a: Tensor, *shape) -> Tensor:
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
         shape = tuple(shape[0])
     old = a.shape
-    out = Tensor(a.values.reshape(shape))
+    out = _result(a.values.reshape(shape))
     return _emit(out, (a,), lambda g: (g.reshape(old),))
 
 
@@ -484,20 +505,21 @@ def transpose(a: Tensor, axes=None) -> Tensor:
     if axes is None:
         if a.ndim < 2:
             raise ShapeError("transpose needs at least 2 axes")
-        out = Tensor(np.swapaxes(a.values, -1, -2))
+        out = _result(np.swapaxes(a.values, -1, -2))
         return _emit(out, (a,), lambda g: (np.swapaxes(g, -1, -2),))
     axes = tuple(axes)
     inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
-    out = Tensor(np.transpose(a.values, axes))
+    out = _result(np.transpose(a.values, axes))
     return _emit(out, (a,), lambda g: (np.transpose(g, inverse),))
 
 
 def relayout(a: Tensor, forward: Callable[[np.ndarray], np.ndarray],
              inverse: Callable[[np.ndarray], np.ndarray]) -> Tensor:
     """One op for a change of layout: ``forward`` moves a's entries (any
-    mix of reshapes and axis swaps) and ``inverse`` moves a gradient back
-    to a's shape."""
-    return _emit(Tensor(forward(a.values)), (a,), lambda g: (inverse(g),))
+    mix of reshapes, axis swaps and column slices, or a read of an array
+    they were copied into, whose other entries are constants) and
+    ``inverse`` moves a gradient back to a's shape."""
+    return _emit(_result(forward(a.values)), (a,), lambda g: (inverse(g),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -506,7 +528,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         raise ShapeError("concat of an empty sequence")
     if len(tensors) == 1:
         return tensors[0]                   # tensors are immutable
-    out = Tensor(np.concatenate([t.values for t in tensors], axis=axis))
+    out = _result(np.concatenate([t.values for t in tensors], axis=axis))
     sizes = [t.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
 
@@ -516,29 +538,27 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _emit(out, tuple(tensors), grad_fn)
 
 
-def ending_in(stored: np.ndarray, new: Tensor) -> Tensor:
-    """``stored`` (..., n, d), whose last rows along axis -2 already hold
-    ``new``'s values, as one tensor without copying it.
-
-    A cache that wrote ``new`` into its own array passes the array back in
-    here: the gradient of the trailing rows flows to ``new``, and the
-    earlier rows are constants.
-    """
-    m = new.shape[-2]
-    if stored.shape[:-2] != new.shape[:-2] or stored.shape[-1] != new.shape[-1] \
-            or stored.shape[-2] < m:
-        raise ShapeError(f"{new.shape} cannot end {stored.shape}")
-    return _emit(Tensor(stored), (new,), lambda g: (g[..., -m:, :],))
+def _is_basic(key) -> bool:
+    """True for an int/slice/Ellipsis/None key, or a tuple of them: such a
+    key addresses every entry at most once."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(k is None or k is Ellipsis or isinstance(k, slice)
+               or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+               for k in parts)
 
 
 def take(a: Tensor, key) -> Tensor:
     """Indexing/slicing; integer-array keys gather rows (used for lookups)."""
-    out = Tensor(a.values[key])
+    out = _result(a.values[key])
     shape, dtype = a.shape, a.dtype
+    basic = _is_basic(key)
 
     def grad_fn(g):
         gx = np.zeros(shape, dtype=dtype)
-        np.add.at(gx, key, g)
+        if basic:
+            gx[key] = g                     # no entry repeats: nothing to sum
+        else:
+            np.add.at(gx, key, g)
         return (gx,)
 
     return _emit(out, (a,), grad_fn)
@@ -547,13 +567,13 @@ def take(a: Tensor, key) -> Tensor:
 def gather_rows(a: Tensor, idx) -> Tensor:
     """Row lookup a[idx] for an integer index array of any shape."""
     idx = np.asarray(idx)
-    if not np.issubdtype(idx.dtype, np.integer):
+    if idx.dtype.kind not in "iu":
         raise TypeError("gather_rows needs integer indices")
     return take(a, idx)
 
 
 def cumsum(a: Tensor, axis: int) -> Tensor:
-    out = Tensor(np.cumsum(a.values, axis=axis))
+    out = _result(np.cumsum(a.values, axis=axis))
 
     def grad_fn(g):
         rev = np.flip(g, axis=axis)
@@ -563,7 +583,7 @@ def cumsum(a: Tensor, axis: int) -> Tensor:
 
 
 def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = Tensor(a.values.sum(axis=axis, keepdims=keepdims))
+    out = _result(a.values.sum(axis=axis, keepdims=keepdims))
     shape = a.shape
 
     def grad_fn(g):
@@ -593,8 +613,9 @@ _matmul_route = None
 def matmul_routing(fn):
     """Let fn intercept matmul calls while the context is open.
 
-    fn(a, b) may return a replacement Tensor or None to fall through to
-    the ordinary float product. Alternate arithmetic (e.g. integer
+    fn(a, b, cols) may return a replacement Tensor or None to fall through
+    to the ordinary float product; ``cols`` is matmul's column block of b,
+    or None. Alternate arithmetic (e.g. integer
     quantization) hooks in here without touching the call sites.
     """
     global _matmul_route
@@ -607,34 +628,45 @@ def matmul_routing(fn):
         _matmul_route = None
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a, b, cols: Optional[tuple] = None) -> Tensor:
     """Matrix product; stacked (batched) operands follow numpy semantics.
 
     A stacked left operand times a 2-d right operand (activations times a
     weight) folds the leading axes into rows: one GEMM forward, and one
-    GEMM for each gradient.
+    GEMM for each gradient. ``cols`` = (lo, hi) multiplies by columns
+    lo..hi-1 of a 2-d b alone, without copying them; b's gradient is zero
+    outside the block, and a routing function sees b and the block.
     """
     a, b = _coerce_pair(a, b)
     av, bv = a.values, b.values
+    if cols is not None:
+        lo, hi = cols
+        if bv.ndim != 2 or not 0 <= lo < hi <= bv.shape[1]:
+            raise ShapeError(f"no column block {cols} in a {bv.shape} operand")
+        bv = bv[:, lo:hi]
     if av.ndim < 2 or bv.ndim < 2:
         raise ShapeError("matmul operands need at least 2 axes")
     if av.shape[-1] != bv.shape[-2]:
         raise ShapeError(f"inner extents differ: {av.shape} @ {bv.shape}")
     if _matmul_route is not None:
-        routed = _matmul_route(a, b)
+        routed = _matmul_route(a, b, cols)
         if routed is not None:
             return routed
-    if av.ndim > 2 and bv.ndim == 2:
+    if bv.ndim == 2 and (av.ndim > 2 or cols is not None):
         rows = av.reshape(-1, av.shape[-1])
-        out = Tensor(np.matmul(rows, bv).reshape(av.shape[:-1] + bv.shape[-1:]))
+        out = _result(np.matmul(rows, bv).reshape(av.shape[:-1] + bv.shape[-1:]))
 
         def grad_fn(g):
             g_rows = g.reshape(-1, g.shape[-1])
             ga = np.matmul(g_rows, bv.T).reshape(av.shape)
-            return ga, np.matmul(rows.T, g_rows)
+            gb = np.matmul(rows.T, g_rows)
+            if cols is not None:
+                block, gb = gb, np.zeros(b.shape, dtype=gb.dtype)
+                gb[:, lo:hi] = block
+            return ga, gb
 
         return _emit(out, (a, b), grad_fn)
-    out = Tensor(np.matmul(av, bv))
+    out = _result(np.matmul(av, bv))
 
     def grad_fn(g):
         ga = _unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), a.shape)
@@ -665,7 +697,8 @@ def softmax_rows(x: Tensor, additive_mask=None,
     if additive_mask is not None:
         mv = additive_mask.values if mask_t is not None else np.asarray(
             additive_mask, dtype=x.dtype)
-        if np.any(np.isnan(mv)) or np.any(np.isposinf(mv)):
+        # NaN and +inf are the entries whose maximum is not below +inf
+        if not np.maximum.reduce(mv, axis=None, initial=-np.inf) < np.inf:
             raise ValueError("mask entries must be finite or -inf")
         logits = xv + mv
     else:
@@ -673,17 +706,17 @@ def softmax_rows(x: Tensor, additive_mask=None,
 
     if logits.shape[-1] == 0:
         raise DegenerateRowError("softmax over zero-width rows")
-    row_max = np.max(logits, axis=-1, keepdims=True)
-    if np.any(np.isneginf(row_max)):
+    row_max = np.maximum.reduce(logits, axis=-1, keepdims=True)
+    if np.fmin.reduce(row_max, axis=None, initial=np.inf) == -np.inf:
         raise DegenerateRowError("softmax row with every entry masked")
     shifted = logits - row_max
     e = np.exp(shifted)  # exp(-inf) == 0 exactly
-    denom = e.sum(axis=-1, keepdims=True)
+    denom = np.add.reduce(e, axis=-1, keepdims=True)
     y = e / denom
-    out = Tensor(y.astype(x.dtype, copy=False))
+    out = _result(y.astype(x.dtype, copy=False))
 
     def grad_fn(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
+        dot = np.add.reduce(g * y, axis=-1, keepdims=True)
         gl = ((g - dot) * y).astype(x.dtype, copy=False)
         gx = _unbroadcast(gl if scale is None else gl * c, x.shape)
         if mask_t is None:
@@ -717,7 +750,7 @@ def log_softmax_nll(x: Tensor, targets, weights, floor: float):
     picked = y[rows, ids]
     fl = np.asarray(floor, dtype=xv.dtype)
     w = np.asarray(weights, dtype=xv.dtype)
-    out = Tensor(-(np.log(np.maximum(picked, fl)) * w).sum())
+    out = _result(-(np.log(np.maximum(picked, fl)) * w).sum())
 
     def grad_fn(g):
         coef = g * w * (picked >= fl)       # a floored row gets nothing
@@ -729,40 +762,46 @@ def log_softmax_nll(x: Tensor, targets, weights, floor: float):
 
 
 def layer_norm(h: Tensor, g: Tensor, b: Tensor, eps: float,
-               sqrt_variance: bool = False) -> Tensor:
+               sqrt_variance: bool = False,
+               residual: Optional[Tensor] = None) -> Tensor:
     """g * (h - mu) / D + b over the last axis, as one op.
 
     mu and sigma are the row's mean and population standard deviation,
     and D is sigma + eps, or sqrt(sigma^2 + eps) with ``sqrt_variance``.
-    The forward repeats the composite's arithmetic (sums times 1/n in h's
-    dtype), so float32 outputs equal it bit for bit. The backward is the
-    closed form of Ba et al., Layer Normalization (2016); on a constant
-    row (sigma = 0) d sigma / dh is taken as 0, so that row's input
-    gradient is (dx - mean(dx)) / D, dx being the gradient at the
-    normalized row.
+    With ``residual`` the op normalizes h + residual (a post-norm
+    sub-layer's F(z) + z), added first exactly as a separate add would,
+    and both receive its gradient. The forward repeats the composite's
+    arithmetic (sums times 1/n in h's dtype), so float32 outputs equal it
+    bit for bit. The backward is the closed form of Ba et al., Layer
+    Normalization (2016); on a constant row (sigma = 0) d sigma / dh is
+    taken as 0, so that row's input gradient is (dx - mean(dx)) / D, dx
+    being the gradient at the normalized row.
     """
-    hv = h.values
+    hv = h.values if residual is None else h.values + residual.values
     inv_n = np.asarray(1.0 / hv.shape[-1], dtype=hv.dtype)
-    c = hv - hv.sum(axis=-1, keepdims=True) * inv_n
-    sigma = np.sqrt((c * c).sum(axis=-1, keepdims=True) * inv_n)
+    c = hv - np.add.reduce(hv, axis=-1, keepdims=True) * inv_n
+    sigma = np.sqrt(np.add.reduce(c * c, axis=-1, keepdims=True) * inv_n)
     e = np.asarray(eps, dtype=hv.dtype)
     denom = np.sqrt(sigma * sigma + e) if sqrt_variance else sigma + e
     xhat = c / denom
     gv = g.values
-    out = Tensor(gv * xhat + b.values)
+    out = _result(gv * xhat + b.values)
 
     def grad_fn(gout):
         dxhat = gout * gv
-        s = (dxhat * xhat).sum(axis=-1, keepdims=True)
+        s = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True)
         # dD/dsigma * dsigma/dc = k * c / n
         k = 1.0 / denom if sqrt_variance else np.divide(
             1.0, sigma, out=np.zeros_like(sigma), where=sigma > 0)
         dc = dxhat / denom - xhat * (s * k * inv_n)
-        dh = dc - dc.sum(axis=-1, keepdims=True) * inv_n
-        return (_unbroadcast(dh, h.shape), _unbroadcast(gout * xhat, g.shape),
-                _unbroadcast(gout, b.shape))
+        dh = dc - np.add.reduce(dc, axis=-1, keepdims=True) * inv_n
+        grads = (_unbroadcast(dh, h.shape), _unbroadcast(gout * xhat, g.shape),
+                 _unbroadcast(gout, b.shape))
+        return grads if residual is None else grads + (
+            _unbroadcast(dh, residual.shape),)
 
-    return _emit(out, (h, g, b), grad_fn)
+    inputs = (h, g, b) if residual is None else (h, g, b, residual)
+    return _emit(out, inputs, grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -845,8 +884,9 @@ def xavier_init(d_in: int, d_out: int, gain: float = 1.0,
 
 @dataclass(frozen=True)
 class QuantSpec:
-    """Uniform quantizer: step size s, a scalar or a (rows, 1) column of
-    per-row steps, and integer width p bits."""
+    """Uniform quantizer: step size s, a scalar, a (rows, 1) column of
+    per-row steps or a (1, cols) row of per-column steps, and integer
+    width p bits."""
 
     step: float | np.ndarray
     bits: int
@@ -918,7 +958,8 @@ def quantized_matmul(a: Tensor, b: Tensor, spec_a: QuantSpec, spec_b: QuantSpec,
     result equals the int64 product bit for bit, at BLAS speed. Above that
     the product runs in int64, and an AccumulatorOverflowError is raised
     if even that could wrap. A column step in spec_a scales each row of
-    the product by its own row's step. ``levels_b`` is b already quantized
+    the product by its own row's step, and a row step in spec_b each
+    column by its own column's step. ``levels_b`` is b already quantized
     with spec_b, as ``quantize_levels`` returns it; stats_b counts it as if
     it were quantized here.
     """
@@ -943,4 +984,4 @@ def quantized_matmul(a: Tensor, b: Tensor, spec_a: QuantSpec, spec_b: QuantSpec,
         acc = (qa.astype(np.int64) @ qb.astype(np.int64)).astype(np.float64)
     out = (spec_a.step * spec_b.step) * acc
     dtype = np.result_type(a.dtype, b.dtype)
-    return Tensor(out.astype(dtype))
+    return _result(out.astype(dtype))

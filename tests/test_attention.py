@@ -296,8 +296,8 @@ def test_head_permutation_with_merge_rows_is_invariant():
         return T.Tensor(w.values.reshape(d, tau, d_h)[:, perm].reshape(d, d),
                         dtype=F64)
 
-    p2 = A.AttentionParams(d, tau, blocks(p.wq), blocks(p.wk), blocks(p.wv),
-                           T.Tensor(w_out_rows, dtype=F64))
+    p2 = A.AttentionParams.from_blocks(d, tau, blocks(p.wq), blocks(p.wk),
+                                       blocks(p.wv), T.Tensor(w_out_rows, dtype=F64))
     swapped = A.multi_head_self(h, p2)
     np.testing.assert_allclose(swapped.values, base.values, atol=1e-12)
 
@@ -448,7 +448,7 @@ def test_rpr_gradient_reaches_tables():
 def test_multi_query_tau_one_equals_single_head():
     d = 6
     mq = params_for(d, 1, seed=37, multi_query=True)
-    std = A.AttentionParams(d, 1, mq.wq, mq.wk, mq.wv, mq.w_out)
+    std = A.AttentionParams.from_blocks(d, 1, mq.wq, mq.wk, mq.wv, mq.w_out)
     rng = T.Rng(38)
     h = T.Tensor(rng.gaussian((4, d)), dtype=F64)
     np.testing.assert_allclose(A.multi_query_attention(h, mq).values,
@@ -458,10 +458,9 @@ def test_multi_query_tau_one_equals_single_head():
 def test_multi_query_equals_weight_copied_multi_head():
     d, tau = 8, 4
     mq = params_for(d, tau, seed=39, multi_query=True)
-    copied = A.AttentionParams(d, tau, mq.wq,
-                               T.Tensor(np.tile(mq.wk.values, tau), dtype=F64),
-                               T.Tensor(np.tile(mq.wv.values, tau), dtype=F64),
-                               mq.w_out)
+    copied = A.AttentionParams.from_blocks(
+        d, tau, mq.wq, T.Tensor(np.tile(mq.wk.values, tau), dtype=F64),
+        T.Tensor(np.tile(mq.wv.values, tau), dtype=F64), mq.w_out)
     rng = T.Rng(40)
     h = T.Tensor(rng.gaussian((6, d)), dtype=F64)
     mask = A.causal_mask(6)

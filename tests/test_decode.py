@@ -271,19 +271,19 @@ def test_encoder_rows_meet_cross_wk_wv_once_per_layer(monkeypatch):
     w = m.w_o.values.copy()
     w[:, EOS] = -50.0                      # run the full 20 tokens
     T.assign_(m.w_o, w)
-    cross = {id(lay.cross.wk) for lay in m.dec_layers} \
-        | {id(lay.cross.wv) for lay in m.dec_layers}
+    cross = {id(lay.cross.w_qkv) for lay in m.dec_layers}
     hits = []
     matmul = T.matmul
 
-    def counting(a, b):
-        if id(b) in cross:
-            hits.append(np.shape(getattr(a, "values", a)))
-        return matmul(a, b)
+    def counting(a, b, cols=None):
+        if id(b) in cross and cols != (0, 16):      # not the query columns
+            hits.append((np.shape(getattr(a, "values", a)), cols))
+        return matmul(a, b, cols=cols)
 
     monkeypatch.setattr(T, "matmul", counting)
     source = VOCAB.encode("abcdefghabcdef")
     out = R.greedy_generate(m, VOCAB.encode("ab"), R.SearchConfig(n_max=20),
                             source=source)
     assert len(out) == 20
-    assert hits == [(len(source), 16)] * (2 * m.cfg.n_layers)
+    # one product per layer against the key and value columns together
+    assert hits == [((len(source), 16), (16, 48))] * m.cfg.n_layers

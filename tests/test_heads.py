@@ -6,7 +6,6 @@ agree within 1e-12 in float64. Guard tests pin the number of attention
 calls and taped ops per step, so per-head loops cannot quietly return.
 """
 
-import hashlib
 import importlib.resources
 
 import numpy as np
@@ -18,6 +17,8 @@ import seqlab.model as M
 import seqlab.tensor as T
 import seqlab.train as TR
 from seqlab.embedding import SOS, RprTable, Vocab
+
+from test_qkv import three_matrix_digest
 
 F64 = np.float64
 VOCAB = Vocab.from_text("abcdefgh")
@@ -58,7 +59,7 @@ def per_head(x_q, x_kv, p, attend):
 
 
 def att_leaves(p):
-    return [p.wq, p.wk, p.wv, p.w_out]
+    return [p.w_qkv, p.w_out]
 
 
 def assert_same(got_fn, want_fn, leaves):
@@ -356,14 +357,16 @@ def test_fused_init_concatenates_per_head_draws_bitwise(multi_query):
                                for _ in range(n)], axis=1)
 
     n_kv = 1 if multi_query else tau
-    for w, want in ((p.wq, draws(tau)), (p.wk, draws(n_kv)),
-                    (p.wv, draws(n_kv)), (p.w_out, T.xavier_init(d, d, rng=rng).values)):
+    w_qkv = np.concatenate([draws(tau), draws(n_kv), draws(n_kv)], axis=1)
+    for w, want in ((p.w_qkv, w_qkv),
+                    (p.w_out, T.xavier_init(d, d, rng=rng).values)):
         assert w.trainable and np.array_equal(w.values, want)
 
 
 # sha256 over (name, float32 bytes) of every tensor of Model.init(cfg,
 # seed=3), with each per-head W^q_h/W^k_h/W^v_h of the earlier per-head
-# layout concatenated, in head order, into the fused matrix
+# layout concatenated, in head order, into the fused matrix, and a fused
+# w_qkv hashed as its three blocks wq, wk, wv
 PER_HEAD_INIT_DIGESTS = [
     (dict(d=16, n_layers=2, tau=4, d_ffn=32),
      "270f0d3501ee5648cc4c781904e3d1bbf18f097f5d1a80e1a5ae5b61b4fa9170"),
@@ -379,11 +382,7 @@ PER_HEAD_INIT_DIGESTS = [
 @pytest.mark.parametrize("kw,digest", PER_HEAD_INIT_DIGESTS)
 def test_seeded_model_init_equals_the_per_head_draws(kw, digest):
     fresh = M.Model.init(M.ModelConfig(**kw), VOCAB, seed=3)
-    h = hashlib.sha256()
-    for name, t in fresh.named():
-        h.update(name.encode())
-        h.update(np.ascontiguousarray(t.values).tobytes())
-    assert h.hexdigest() == digest
+    assert three_matrix_digest(fresh) == digest
 
 
 # ---------------------------------------------------------------------------

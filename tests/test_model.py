@@ -92,7 +92,20 @@ def test_shared_layers_collapse_the_parameter_count():
     assert len(tied.parameters()) < len(untied.parameters())
     # tied layers yield the very same tensors under different names
     named = dict(tied.named())
-    assert named["dec0.att.wq"] is named["dec2.att.wq"]
+    assert named["dec0.att.w_qkv"] is named["dec2.att.w_qkv"]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+def test_embedding_reads_a_grown_position_table_bitwise(dtype):
+    """The position rows come from a table kept in the model dtype and
+    grown on demand; they equal sin/cos evaluated for just those rows."""
+    m = M.Model.init(small_cfg(), VOCAB, seed=0, dtype=dtype)
+    ids = np.array([4, 5, 6, 7, 3])
+    for start in (0, 3, 2, 40, 17, 300, 1):
+        got = m._embed_at(ids, start).values
+        want = m.embed.weights.values[ids] \
+            + m.pe.table(start + len(ids), start).astype(dtype)
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
 
 def test_tied_embedding_drops_the_output_matrix():

@@ -341,11 +341,11 @@ def test_version_one_checkpoints_still_load(tmp_path, name, tokens, logprob):
     assert got == tokens
     assert abs(model.sequence_logprob(model.vocab.encode("abcdefgh"))
                - logprob) < 1e-6
-    # saved again, the file is version 2 and loads to the same tensors
+    # saved again, the file is version 3 and loads to the same tensors
     again = ckpt_path(tmp_path)
     R.save_checkpoint(model, again)
     with open(again, "rb") as fh:
-        assert struct.unpack("<H", fh.read(6)[4:])[0] == R.VERSION == 2
+        assert struct.unpack("<H", fh.read(6)[4:])[0] == R.VERSION == 3
     reloaded = dict(R.load_checkpoint(again).named())
     for n, t in model.named():
         assert np.array_equal(reloaded[n].values, t.values)
@@ -504,20 +504,24 @@ def test_eight_bit_logits_within_propagated_bound():
 
 
 def per_row_route(specs, bits, stats):
-    """Pinned reference route: every product quantizes its weight again,
-    gives each activation row its own step max|row| / q_max (1 for an
-    all-zero row), and accumulates row by row in int64."""
+    """Pinned reference route: every product quantizes its weight (or its
+    column block) again, gives each activation row its own step
+    max|row| / q_max (1 for an all-zero row), and accumulates row by row
+    in int64."""
     q_max = (1 << (bits - 1)) - 1
 
-    def route(a, b):
+    def route(a, b, cols=None):
         if id(b) not in specs:
             return None
         spec_b = specs[id(b)]
         dtype = np.result_type(a.dtype, b.dtype)
-        shape = a.shape[:-1] + b.shape[1:]
+        wb = b.values if cols is None else b.values[:, cols[0]:cols[1]]
+        shape = a.shape[:-1] + wb.shape[1:]
         if spec_b is None:
             return T.Tensor(np.zeros(shape, dtype=dtype))
-        qb = T.quantize(b.values, spec_b, stats)
+        if cols is not None and np.ndim(spec_b.step):
+            spec_b = T.QuantSpec(spec_b.step[:, cols[0]:cols[1]], bits)
+        qb = T.quantize(wb, spec_b, stats)
         out = []
         for row in a.values.reshape(-1, a.shape[-1]):
             top = float(np.max(np.abs(row)))

@@ -35,6 +35,44 @@ def test_matmul_vs_triple_loop():
     assert np.max(np.abs(got.values - want)) < 1e-6
 
 
+def test_matmul_column_block_is_the_product_with_those_columns():
+    rng = T.Rng(3)
+    a = T.Tensor(rng.gaussian((2, 3, 5)), dtype=np.float32)
+    b = T.Tensor(rng.gaussian((5, 9)), dtype=np.float32)
+    got = T.matmul(a, b, cols=(2, 6))
+    want = T.matmul(a, T.Tensor(b.values[:, 2:6].copy()))
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+def test_matmul_column_block_gradient_is_zero_outside_the_block():
+    rng = T.Rng(4)
+    a = T.Tensor(rng.gaussian((4, 5)), dtype=np.float64, trainable=True)
+    b = T.Tensor(rng.gaussian((5, 9)), dtype=np.float64, trainable=True)
+    probe = T.Tensor(rng.gaussian((4, 3)), dtype=np.float64)
+    with T.Tape():
+        loss = T.reduce_sum(T.matmul(a, b, cols=(6, 9)) * probe)
+    grads = T.backward(loss)
+    gb = grads[b].values
+    assert not gb[:, :6].any()
+    np.testing.assert_allclose(gb[:, 6:], a.values.T @ probe.values, atol=1e-12)
+    np.testing.assert_allclose(grads[a].values, probe.values @ b.values[:, 6:].T,
+                               atol=1e-12)
+
+
+@pytest.mark.parametrize("cols", [(0, 0), (3, 2), (-1, 4), (2, 10)])
+def test_matmul_rejects_a_column_block_outside_the_operand(cols):
+    with pytest.raises(T.ShapeError):
+        T.matmul(T.ones((2, 5)), T.ones((5, 9)), cols=cols)
+
+
+def test_matmul_routing_sees_the_column_block():
+    seen = []
+    with T.matmul_routing(lambda a, b, cols: seen.append(cols)):
+        T.matmul(T.ones((2, 5)), T.ones((5, 9)), cols=(1, 4))
+        T.matmul(T.ones((2, 5)), T.ones((5, 9)))
+    assert seen == [(1, 4), None]
+
+
 def test_matmul_shape_mismatch():
     with pytest.raises(T.ShapeError):
         T.matmul(T.zeros((2, 3)), T.zeros((4, 2)))
@@ -114,6 +152,12 @@ def test_softmax_rejects_nan_and_posinf_mask():
         T.softmax_rows(T.Tensor([[1.0, 2.0]]), np.array([[np.nan, 0.0]]))
     with pytest.raises(ValueError):
         T.softmax_rows(T.Tensor([[1.0, 2.0]]), np.array([[np.inf, 0.0]]))
+
+
+def test_softmax_fully_masked_row_raises_beside_a_nan_row():
+    x = T.Tensor([[np.nan, 1.0], [1.0, 2.0]])
+    with pytest.raises(T.DegenerateRowError):
+        T.softmax_rows(x, np.array([[0.0, 0.0], [-np.inf, -np.inf]]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -464,3 +508,58 @@ def test_quant_spec_validation():
         T.QuantSpec(step=0.0, bits=8)
     with pytest.raises(ValueError):
         T.QuantSpec(step=0.5, bits=1)
+
+
+# ---------------------------------------------------------------------------
+# indexing
+# ---------------------------------------------------------------------------
+
+
+def take_grad(x, key, probe):
+    with T.Tape():
+        loss = T.reduce_sum(T.take(x, key) * T.Tensor(probe, dtype=x.dtype))
+    return T.backward(loss)[x].values
+
+
+@pytest.mark.parametrize("key", [
+    (slice(None), slice(1, 3)), (Ellipsis, slice(2, 5)), 1,
+    (0, slice(None), 2), (slice(None), None, slice(1, 6, 2)),
+    (np.int64(2), Ellipsis)], ids=str)
+def test_take_gradient_of_a_basic_key_is_the_accumulated_one(key):
+    """A basic key addresses each entry once: assigning the slice gives
+    the bits np.add.at into zeros gives."""
+    x = T.Tensor(T.Rng(5).gaussian((4, 5, 6)), dtype=np.float32, trainable=True)
+    probe = T.Rng(6).gaussian(x.values[key].shape).astype(np.float32)
+    want = np.zeros(x.shape, dtype=np.float32)
+    np.add.at(want, key, probe)
+    got = take_grad(x, key, probe)
+    assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+
+def test_take_gradient_of_an_integer_array_key_sums_repeated_rows():
+    x = T.Tensor(T.Rng(7).gaussian((3, 4)), dtype=np.float64, trainable=True)
+    idx = np.array([[0, 2, 2], [1, 0, 2]])
+    probe = T.Rng(8).gaussian((2, 3, 4))
+    want = np.zeros((3, 4))
+    for r, row in enumerate(idx):
+        for c, i in enumerate(row):
+            want[i] += probe[r, c]
+    np.testing.assert_allclose(take_grad(x, idx, probe), want, atol=1e-12)
+    with T.Tape():
+        loss = T.reduce_sum(T.gather_rows(x, idx) * T.Tensor(probe))
+    np.testing.assert_allclose(T.backward(loss)[x].values, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("idx", [np.array([0.0, 1.0]), np.array([True, False])])
+def test_gather_rows_refuses_non_integer_indices(idx):
+    with pytest.raises(TypeError):
+        T.gather_rows(T.ones((2, 3)), idx)
+
+
+def test_op_results_keep_the_dtype_check_and_read_only_flag():
+    out = T.add(T.ones((2, 2)), T.ones((2, 2)))
+    assert not out.values.flags.writeable
+    scalar = T.mul(T.Tensor(np.float32(2.0)), T.Tensor(np.float32(3.0)))
+    assert scalar.values.shape == () and scalar.item() == 6.0
+    with pytest.raises(TypeError):
+        T.relayout(T.ones((2,)), lambda a: a.astype(np.int32), lambda g: g)
