@@ -1,27 +1,30 @@
 """Softmax attention in all its configured forms.
 
-One scaled-dot-product core (qkv_attention) drives everything: multi-head
-self and cross attention, causal and sparse-field masking, additive
-locality priors, relative-position attention, multi-query attention, and
-cached attention of a block of new positions over a history.
+One scaled-dot-product core, the fused op ``tensor.attention``, drives
+everything: multi-head self and cross attention, causal and sparse-field
+masking, additive locality priors, multi-query attention, cached
+attention of a block of new positions over a history, and
+``qkv_attention`` on heads split beforehand. It cuts Q, K and V into
+heads as views of column blocks of its inputs, and returns the heads
+merged, in one op; relative-position, low-rank and map-reuse attention
+split heads themselves and go through ``attend_heads``.
 
 Each block's Q, K and V projections are column blocks of one matrix
-W^qkv: self-attention projects with one product and cuts its heads from
-the result; cross attention multiplies the decoder rows by the query
-columns and the encoder rows by the key/value columns; a cached step
-writes its key/value columns into the KV cache and reads the cached keys
-and values as heads in place.
+W^qkv: self-attention projects with one product and attends over the
+result's columns; cross attention multiplies the decoder rows by the
+query columns and the encoder rows by the key/value columns; a cached
+step writes its key/value columns into the KV cache and reads the cached
+keys and values in place.
 
 Masks are described by MaskSpec, which unifies three mechanisms:
   - causal:   -inf strictly above the diagonal
   - field:    boolean retained-position sets per row
   - additive: arbitrary penalty matrix added to scaled logits
-plus an optional two-branch mixture that blends the score softmax with a
-prior softmax.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -66,17 +69,12 @@ class MaskSpec:
     """What each query position may attend to, and at what penalty.
 
     ``field`` is a boolean allowed matrix; ``additive`` may contain -inf.
-    ``mixture_beta`` switches on the blended form (1-beta)*Softmax(scores)
-    + beta*Softmax(mixture_prior), with any field/causal structure applied
-    to both branches.
     """
 
     mode: str = "none"
     additive: Optional[object] = None        # np.ndarray or Tensor
     field: Optional[np.ndarray] = None       # boolean (n_q, n_k)
     gamma: float = 0.0
-    mixture_beta: Optional[float] = None
-    mixture_prior: Optional[np.ndarray] = None
     sparsity: Optional[float] = None         # retained / n^2 for field masks
     random_pairs: Optional[list] = None      # recorded hybrid random draws
 
@@ -108,11 +106,8 @@ class MaskSpec:
             fld = self.field & other.field
         else:
             fld = self.field if self.field is not None else other.field
-        beta = self.mixture_beta if self.mixture_beta is not None else other.mixture_beta
-        prior = self.mixture_prior if self.mixture_prior is not None else other.mixture_prior
         return MaskSpec(mode="additive", additive=additive, field=fld,
                         gamma=self.gamma + other.gamma,
-                        mixture_beta=beta, mixture_prior=prior,
                         random_pairs=self.random_pairs or other.random_pairs)
 
 
@@ -125,14 +120,12 @@ def causal_mask(n: int) -> MaskSpec:
     return MaskSpec(mode="causal", additive=m)
 
 
-def local_prior(kind: str, n: int, gamma: float, sigma=None,
-                beta: Optional[float] = None) -> MaskSpec:
+def local_prior(kind: str, n: int, gamma: float, sigma=None) -> MaskSpec:
     """Distance penalty favouring nearby positions.
 
     kind "abs" uses G(i,j) = |i-j|; kind "gaussian" uses
     G(i,j) = (i-j)^2 / (2 sigma_i^2) with sigma scalar or per-row. The
-    penalty enters as -gamma*G. With ``beta`` set, the penalty instead
-    forms the prior branch of a two-softmax mixture.
+    penalty enters as -gamma*G.
     """
     if gamma < 0:
         raise ValueError("penalty weight gamma must be >= 0")
@@ -151,13 +144,7 @@ def local_prior(kind: str, n: int, gamma: float, sigma=None,
         g = (i - j) ** 2 / (2.0 * sig ** 2)
     else:
         raise ValueError(f"unknown prior kind {kind!r}")
-    penalty = -gamma * g
-    if beta is not None:
-        if not 0.0 <= beta <= 1.0:
-            raise ValueError("mixture weight beta must lie in [0,1]")
-        return MaskSpec(mode="additive", gamma=gamma,
-                        mixture_beta=beta, mixture_prior=penalty)
-    return MaskSpec(mode="additive", additive=penalty, gamma=gamma)
+    return MaskSpec(mode="additive", additive=-gamma * g, gamma=gamma)
 
 
 def make_attention_field(pattern: str, n: int, causal: bool = False, *,
@@ -225,12 +212,11 @@ def _field_spec(allowed: np.ndarray, causal: bool, pairs) -> MaskSpec:
                     random_pairs=pairs)
 
 
-def _mask_parts(mask):
-    """Normalize a mask argument to (additive, mixture)."""
-    if mask is None:
-        return None, None
-    if isinstance(mask, (np.ndarray, T.Tensor)):
-        return mask, None
+def _additive(mask):
+    """A mask argument (None, an array, a Tensor or a MaskSpec) as the
+    additive array or Tensor it puts on the logits, or None."""
+    if mask is None or isinstance(mask, (np.ndarray, T.Tensor)):
+        return mask
     if not isinstance(mask, MaskSpec):
         raise TypeError(f"unsupported mask type {type(mask).__name__}")
     additive = mask.additive
@@ -238,18 +224,22 @@ def _mask_parts(mask):
     if fld is not None:
         additive = fld if additive is None else (
             T.add(additive, fld) if isinstance(additive, T.Tensor) else additive + fld)
-    mixture = None
-    if mask.mixture_beta is not None:
-        prior = mask.mixture_prior
-        if prior is None:
-            raise ValueError("mixture mask needs a prior matrix")
-        mixture = (mask.mixture_beta, prior)
-    return additive, mixture
+    return additive
 
 
 # ---------------------------------------------------------------------------
 # Attention cores
 # ---------------------------------------------------------------------------
+
+
+def _tally(counter: Optional[OpCounter], rows: tuple, n_k: int, d_k: int,
+           d_v: int):
+    """Count attention's work: the logits and the weighted sum of the
+    query rows of every head, prod(rows) of them, over n_k keys."""
+    if counter is not None:
+        n = math.prod(rows)
+        counter.add(n * n_k * d_k)
+        counter.add(n * n_k * d_v)
 
 
 def qkv_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor, mask=None,
@@ -261,7 +251,9 @@ def qkv_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor, mask=None,
     mask applies to every leading index alike. The scale defaults to the
     square root of the key width actually passed in, so per-head calls
     are scaled by their own head width. Every output row is a convex
-    combination of value rows.
+    combination of value rows. One ``tensor.attention`` op computes it;
+    ``return_weights`` (map reuse keeps the first layer's weights) runs
+    the composite of scores, softmax_rows and weighted values instead.
     """
     if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
         raise T.ShapeError("qkv_attention expects Q, K, V with at least 2 axes")
@@ -269,29 +261,18 @@ def qkv_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor, mask=None,
         raise T.ShapeError("query/key widths differ")
     if k.shape[-2] != v.shape[-2]:
         raise T.ShapeError("key/value row counts differ")
-    n_q, d_h = q.shape[-2:]
-    n_k, d_v = k.shape[-2], v.shape[-1]
+    d_h = q.shape[-1]
     if scale is None:
         scale = float(np.sqrt(d_h))
-    additive, mixture = _mask_parts(mask)
-
-    scores = T.matmul(q, T.transpose(k))
-    if mixture is None:
-        weights = T.softmax_rows(scores, additive, 1.0 / scale)
-    else:
-        beta, prior = mixture
-        prior_t = T.Tensor(np.asarray(prior, dtype=np.float64), dtype=q.dtype)
-        score_branch = T.softmax_rows(scores, additive, 1.0 / scale)
-        prior_branch = T.softmax_rows(prior_t, additive)
-        weights = score_branch * (1.0 - beta) + prior_branch * beta
-    out = T.matmul(weights, v)
-    if counter is not None:
-        n_seq = int(np.prod(out.shape[:-2]))
-        counter.add(n_seq * n_q * n_k * d_h)  # logits
-        counter.add(n_seq * n_q * n_k * d_v)  # weighted sum
+    additive = _additive(mask)
     if return_weights:
-        return out, weights
-    return out
+        weights = T.softmax_rows(T.matmul(q, T.transpose(k)), additive,
+                                 1.0 / scale)
+        out = T.matmul(weights, v)
+    else:
+        out = T.attention(q, k, v, mask=additive, scale=1.0 / scale)
+    _tally(counter, out.shape[:-1], k.shape[-2], d_h, v.shape[-1])
+    return (out, weights) if return_weights else out
 
 
 def sparse_field_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor,
@@ -343,42 +324,28 @@ def sparse_field_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor,
 # ---------------------------------------------------------------------------
 
 
-def _as_heads(a: np.ndarray, n: int) -> np.ndarray:
-    """View of an (..., m, n*d_h) array as (..., n, m, d_h) heads."""
-    return a.reshape(a.shape[:-1] + (n, a.shape[-1] // n)).swapaxes(-2, -3)
-
-
-def _widen(block: np.ndarray, shape: tuple, cols: tuple) -> np.ndarray:
-    """Zeros of ``shape`` holding ``block`` in columns cols[0]..cols[1]-1;
-    ``block`` itself when it fills the shape."""
-    if block.shape == shape:
-        return block
-    out = np.zeros(shape, dtype=block.dtype)
-    out[..., cols[0]:cols[1]] = block
-    return out
-
-
-def split_heads(x: T.Tensor, n: int, cols: Optional[tuple] = None) -> T.Tensor:
+def split_heads(x: T.Tensor, n: int, cols: Optional[tuple] = None,
+                stored: Optional[np.ndarray] = None) -> T.Tensor:
     """(..., m, n*d_h) -> (..., n, m, d_h): head j is column block j.
 
     With ``cols`` = (lo, hi) only columns lo..hi-1 of x are cut into
-    heads, without a copy; the other columns get a zero gradient.
+    heads, without a copy; the other columns get a zero gradient. With
+    ``stored``, an array (..., t, hi - lo) whose last m rows hold those
+    columns (a KV cache after x's block was written), the heads are read
+    from it in place: the gradient of its last m rows flows back to x's
+    columns, and the earlier rows are constants.
     """
-    shape = x.shape
+    shape, m = x.shape, x.shape[-2]
     lo, hi = (0, shape[-1]) if cols is None else cols
-    block = shape[:-1] + (hi - lo,)
-    return T.relayout(
-        x, lambda a: _as_heads(a[..., lo:hi], n),
-        lambda g: _widen(g.swapaxes(-2, -3).reshape(block), shape, (lo, hi)))
 
+    def inverse(g):
+        gx = np.zeros(shape, dtype=g.dtype)
+        T.head_view(gx[..., lo:hi], n)[...] = g[..., -m:, :]
+        return gx
 
-def merge_heads(x: T.Tensor) -> T.Tensor:
-    """(..., n, m, d_h) -> (..., m, n*d_h), the inverse of split_heads."""
-    shape = x.shape
-    merged = shape[:-3] + (shape[-2], shape[-3] * shape[-1])
-    swapped = shape[:-3] + (shape[-2], shape[-3], shape[-1])
-    return T.relayout(x, lambda a: a.swapaxes(-2, -3).reshape(merged),
-                      lambda g: g.reshape(swapped).swapaxes(-2, -3))
+    if stored is None:
+        return T.relayout(x, lambda a: T.head_view(a[..., lo:hi], n), inverse)
+    return T.relayout(x, lambda _: T.head_view(stored, n), inverse)
 
 
 def qkv_blocks(shape: tuple) -> tuple:
@@ -468,11 +435,13 @@ class AttentionParams:
         """x W^qkv: fused Q, K and V side by side, (..., m, d + 2*n_kv*d_h)."""
         return T.matmul(x, self.w_qkv)
 
-    def split(self, qkv: T.Tensor):
-        """Fused projections cut into heads: (..., tau | n_kv, m, d_h)."""
+    def split(self, qkv: T.Tensor, history: tuple = (None, None)):
+        """Fused projections cut into heads: (..., tau | n_kv, m, d_h); with
+        ``history``, keys and values read from cached rows as split_heads
+        reads ``stored``."""
         return (split_heads(qkv, self.tau, self.q_cols),
-                split_heads(qkv, self.n_kv, self.k_cols),
-                split_heads(qkv, self.n_kv, self.v_cols))
+                split_heads(qkv, self.n_kv, self.k_cols, history[0]),
+                split_heads(qkv, self.n_kv, self.v_cols, history[1]))
 
     def heads(self, x: T.Tensor):
         """Head-split Q, K, V of x attending over itself."""
@@ -480,7 +449,11 @@ class AttentionParams:
 
     def merge(self, heads: T.Tensor) -> T.Tensor:
         """Concatenate per-head outputs (..., tau, m, d_h) and apply W_c."""
-        return T.matmul(merge_heads(heads), self.w_out)
+        shape = heads.shape
+        merged = shape[:-3] + (shape[-2], shape[-3] * shape[-1])
+        return T.matmul(T.relayout(
+            heads, lambda a: a.swapaxes(-2, -3).reshape(merged),
+            lambda g: T.head_view(g, shape[-3])), self.w_out)
 
     def named(self, prefix: str = ""):
         yield f"{prefix}w_qkv", self.w_qkv
@@ -496,7 +469,8 @@ def attend_heads(q: T.Tensor, k: T.Tensor, v: T.Tensor, mask=None,
                  counter=None, rpr: Optional[RprTable] = None, lowrank=None,
                  reuse: Optional[dict] = None, q_start: int = 0) -> T.Tensor:
     """Per-head context of split Q, K, V in a model's attention form; the
-    full-sequence and the cached pass both go through here.
+    full-sequence and the cached pass of RPR, low-rank and map-reuse
+    attention go through here (plain attention runs one fused op instead).
 
     ``rpr`` mixes in relative-position vectors, query i sitting at key
     position q_start + i; ``lowrank`` (u_q, u_kd) reduces the query and key
@@ -511,11 +485,50 @@ def attend_heads(q: T.Tensor, k: T.Tensor, v: T.Tensor, mask=None,
     if lowrank is not None:
         from .efficient import lowrank_width_attention
         return lowrank_width_attention(q, k, v, lowrank, mask, counter=counter)
-    out, weights = qkv_attention(q, k, v, mask, counter=counter,
-                                 return_weights=True)
-    if reuse is not None:
-        reuse["w"] = weights
+    if reuse is None:
+        return qkv_attention(q, k, v, mask, counter=counter)
+    out, reuse["w"] = qkv_attention(q, k, v, mask, counter=counter,
+                                    return_weights=True)
     return out
+
+
+def _fused(q: T.Tensor, kv: T.Tensor, params: AttentionParams, cols: tuple,
+           mask=None, counter=None, history=None) -> T.Tensor:
+    """W_c times the merged heads of one ``tensor.attention`` op: queries
+    from columns cols[0] of q, keys and values from cols[1] and cols[2]
+    of kv, or from ``history``, the cached rows ending in them."""
+    out = T.attention(q, kv, kv, (params.tau, params.n_kv), cols=cols,
+                      history=history, mask=_additive(mask))
+    n_k = kv.shape[-2] if history is None else history[0].shape[-2]
+    _tally(counter, out.shape[:-1] + (params.tau,), n_k, params.d_head,
+           params.d_head)
+    return T.matmul(out, params.w_out)
+
+
+def _attend(qkv: T.Tensor, params: AttentionParams, mask=None, counter=None,
+            rpr: Optional[RprTable] = None, lowrank=None,
+            reuse: Optional[dict] = None, history: Optional[tuple] = None,
+            q_start: int = 0) -> T.Tensor:
+    """Self-attention of a block's fused projections qkv, merged and
+    multiplied by W_c, in the form ``rpr``, ``lowrank`` and ``reuse`` pick
+    (see attend_heads). Keys and values are qkv's own, or the cached rows
+    ``history`` ending in them, whose first query sits at ``q_start``."""
+    if rpr is None and lowrank is None and reuse is None:
+        cols = (params.q_cols, params.k_cols, params.v_cols)
+        return _fused(qkv, qkv, params, cols, mask, counter, history)
+    return params.merge(attend_heads(
+        *params.split(qkv, history or (None, None)), mask, counter, rpr=rpr,
+        lowrank=lowrank, reuse=reuse, q_start=q_start))
+
+
+def self_attention(h: T.Tensor, params: AttentionParams, mask=None,
+                   counter=None, *, rpr: Optional[RprTable] = None,
+                   lowrank=None, reuse: Optional[dict] = None) -> T.Tensor:
+    """Self-attention of h (..., m, d) over itself, projected with one
+    product, in the form ``rpr``, ``lowrank`` and ``reuse`` pick as in
+    attend_heads; the heads are merged and multiplied by W_c."""
+    return _attend(params.qkv(h), params, mask, counter, rpr=rpr,
+                   lowrank=lowrank, reuse=reuse)
 
 
 def multi_head_self(h: T.Tensor, params: AttentionParams, mask=None,
@@ -523,7 +536,7 @@ def multi_head_self(h: T.Tensor, params: AttentionParams, mask=None,
     """Standard multi-head self-attention: concat of per-head outputs, merged."""
     if params.multi_query:
         raise ValueError("params are multi-query; use multi_query_attention")
-    return params.merge(qkv_attention(*params.heads(h), mask, counter=counter))
+    return self_attention(h, params, mask, counter)
 
 
 def multi_query_attention(h: T.Tensor, params: AttentionParams, mask=None,
@@ -531,20 +544,16 @@ def multi_query_attention(h: T.Tensor, params: AttentionParams, mask=None,
     """tau distinct query heads over one shared key/value head."""
     if not params.multi_query:
         raise ValueError("params lack the multi-query flag")
-    return params.merge(qkv_attention(*params.heads(h), mask, counter=counter))
+    return self_attention(h, params, mask, counter)
 
 
-def cross_kv(h_enc: T.Tensor, params: AttentionParams):
-    """The encoder side of cross attention: head-split keys and values of
-    the encoder rows, (..., n_kv, n_src, d_h) each, from one product with
+def cross_kv(h_enc: T.Tensor, params: AttentionParams) -> T.Tensor:
+    """The encoder side of cross attention: the encoder rows' keys and
+    values side by side, (..., n_src, 2*n_kv*d_h), from one product with
     W^qkv's key and value columns."""
     if h_enc.shape[-2] == 0:
         raise EmptySourceError("cross attention against an empty source")
-    lo, hi = params.k_cols[0], params.v_cols[1]
-    kv = T.matmul(h_enc, params.w_qkv, cols=(lo, hi))
-    w = (hi - lo) // 2
-    return (split_heads(kv, params.n_kv, (0, w)),
-            split_heads(kv, params.n_kv, (w, 2 * w)))
+    return T.matmul(h_enc, params.w_qkv, cols=(params.k_cols[0], params.v_cols[1]))
 
 
 def cross_attention(h_enc: T.Tensor, s_self: T.Tensor, params: AttentionParams,
@@ -555,10 +564,10 @@ def cross_attention(h_enc: T.Tensor, s_self: T.Tensor, params: AttentionParams,
     session projects the encoder rows once); without it the encoder rows
     are projected here.
     """
-    k, v = cross_kv(h_enc, params) if kv is None else kv
-    q = split_heads(T.matmul(s_self, params.w_qkv, cols=params.q_cols),
-                    params.tau)
-    return params.merge(qkv_attention(q, k, v, counter=counter))
+    kv = cross_kv(h_enc, params) if kv is None else kv
+    w = kv.shape[-1] // 2
+    q = T.matmul(s_self, params.w_qkv, cols=params.q_cols)
+    return _fused(q, kv, params, (None, (0, w), (w, 2 * w)), counter=counter)
 
 
 def rpr_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor, rpr: RprTable,
@@ -579,9 +588,7 @@ def rpr_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor, rpr: RprTable,
         if t is not None and t.shape[1] != d_h:
             raise ValueError("RPR table width does not match head width")
     offs = rpr.offset_index_matrix(q.shape[-2], k.shape[-2], q_start)
-    additive, mixture = _mask_parts(mask)
-    if mixture is not None:
-        raise ValueError("mixture priors are not defined for RPR attention")
+    additive = _additive(mask)
 
     def with_pe(x: T.Tensor, role: str, axis: int) -> T.Tensor:
         # (..., heads, rows, d_h) -> (..., heads, m, n, d_h) with a unit
@@ -725,9 +732,8 @@ def attend_step_cached(x: T.Tensor, cache: KVCache, params: AttentionParams,
     writes its key and value columns into the cache, reads the cached keys
     and values as heads in place, and attends every new position over the
     earlier positions it can see plus the block up to itself, in the form
-    ``rpr``, ``lowrank`` and ``reuse`` pick as in attend_heads, which
-    tallies its work on ``counter``. Returns (merged output shaped like x,
-    cache).
+    ``rpr``, ``lowrank`` and ``reuse`` pick as in attend_heads, tallying
+    its work on ``counter``. Returns (output shaped like x, cache).
     """
     single = x.ndim == 2
     if single:
@@ -737,27 +743,9 @@ def attend_step_cached(x: T.Tensor, cache: KVCache, params: AttentionParams,
     elif x.ndim != 3:
         raise T.ShapeError("attend_step_cached expects (rows, m, d) or (1, d)")
     qkv = params.qkv(x)
-    k_cols, v_cols = params.k_cols, params.v_cols
-    k, v, back = cache.write(layer, qkv.values[..., slice(*k_cols)],
-                             qkv.values[..., slice(*v_cols)])
-    mask = _step_mask(x.shape[1], back, cache.window)
-    out = params.merge(attend_heads(
-        split_heads(qkv, params.tau, params.q_cols),
-        _cached_heads(k, qkv, params.n_kv, k_cols),
-        _cached_heads(v, qkv, params.n_kv, v_cols), mask, counter, rpr=rpr,
-        lowrank=lowrank, reuse=reuse, q_start=back))
+    k, v, back = cache.write(layer, qkv.values[..., slice(*params.k_cols)],
+                             qkv.values[..., slice(*params.v_cols)])
+    out = _attend(qkv, params, _step_mask(x.shape[1], back, cache.window),
+                  counter, rpr=rpr, lowrank=lowrank, reuse=reuse,
+                  history=(k, v), q_start=back)
     return (T.reshape(out, out.shape[1:]) if single else out), cache
-
-
-def _cached_heads(stored: np.ndarray, qkv: T.Tensor, n: int,
-                  cols: tuple) -> T.Tensor:
-    """A cache array (rows, t, n*d_h), whose last m positions hold columns
-    ``cols`` of a block's fused projection qkv (rows, m, ·), as n heads
-    (rows, n, t, d_h) without a copy. The gradient of those m positions
-    flows back to qkv's columns; the earlier positions are constants."""
-    shape, m = qkv.shape, qkv.shape[-2]
-    block = shape[:-1] + (cols[1] - cols[0],)
-    return T.relayout(
-        qkv, lambda _: _as_heads(stored, n),
-        lambda g: _widen(g[..., -m:, :].swapaxes(-2, -3).reshape(block),
-                         shape, cols))

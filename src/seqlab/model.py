@@ -562,9 +562,8 @@ class Model:
                 # identical output, work linear in m)
                 return att.merge(A.sparse_field_attention(*att.heads(z), mask,
                                                           counter))
-            return att.merge(A.attend_heads(
-                *att.heads(z), mask, counter, rpr=self.rpr_table,
-                lowrank=layer.lowrank, reuse=reuse_store))
+            return A.self_attention(z, att, mask, counter, rpr=self.rpr_table,
+                                    lowrank=layer.lowrank, reuse=reuse_store)
 
         return core
 

@@ -9,9 +9,10 @@ Besides the generic elementwise, shape and linear-algebra ops, a few fused
 ops cover the model's hot path with one Tensor and one tape record each,
 and a closed-form backward: ``layer_norm``, ``relu`` with a bias, the
 scale folded into ``softmax_rows``, ``relayout`` for a head split or
-merge, and the training loss ``log_softmax_nll``. Their forwards repeat
-the arithmetic of the composites they replace, so float32 outputs match
-those bit for bit.
+merge, multi-head ``attention`` (head split, scores, masked softmax,
+weighted values and head merge), and the training loss
+``log_softmax_nll``. Their forwards repeat the arithmetic of the
+composites they replace, so float32 outputs match those bit for bit.
 
 Float32 is the working precision. Float64 exists solely so gradient checks
 and oracle comparisons can be run in a tighter regime; any op whose inputs
@@ -23,6 +24,7 @@ read-only). Tapes and RNGs are single-owner mutable state.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
@@ -724,6 +726,119 @@ def softmax_rows(x: Tensor, additive_mask=None,
         return gx, _unbroadcast(gl, mask_t.shape)
 
     inputs = (x,) if mask_t is None else (x, mask_t)
+    return _emit(out, inputs, grad_fn)
+
+
+def head_view(a: np.ndarray, n: int) -> np.ndarray:
+    """View of an (..., m, n*d_h) array as (..., n, m, d_h) heads: head j
+    is the j-th run of d_h columns."""
+    return a.reshape(a.shape[:-1] + (n, a.shape[-1] // n)).swapaxes(-2, -3)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: tuple = (1, 1), *,
+              cols: tuple = (None, None, None),
+              history: Optional[tuple] = None, mask=None,
+              scale: Optional[float] = None) -> Tensor:
+    """Multi-head Softmax(Q K^T * scale + mask) V, merged, as one op.
+
+    Q is the column block ``cols[0]`` = (lo, hi) of q (all of q for None)
+    cut into ``heads[0]`` heads; K and V are the blocks ``cols[1]`` of k
+    and ``cols[2]`` of v, cut into ``heads[1]`` heads each, which is
+    heads[0], or 1 for one key/value head shared by every query head. q,
+    k and v may be one Tensor, such as a fused Q/K/V projection. With
+    ``history`` = (k_rows, v_rows), K and V are read from these arrays
+    (..., t, width) instead: their last m rows hold k's and v's blocks (a
+    KV cache after the block was written), and the earlier rows are
+    constants. ``scale`` defaults to 1/sqrt(d_h); ``mask`` is an additive
+    array or Tensor, as softmax_rows takes it. Returns the heads side by
+    side, (..., m, heads[0] * d_v).
+
+    The forward repeats the composite on the same head views: the scores
+    product, softmax_rows with its scale, the weighted values and the
+    merge, so float32 outputs equal it bit for bit. The backward is its
+    closed form; each input's gradient is written once, block by block.
+    """
+    n_q, n_kv = heads
+    if n_kv != n_q and n_kv != 1:
+        raise ShapeError(f"{n_kv} key/value heads cannot serve {n_q} query heads")
+    blocks, parts = [], []                  # (input, lo, hi, heads), values
+    for t, c, n in ((q, cols[0], n_q), (k, cols[1], n_kv), (v, cols[2], n_kv)):
+        shape = t.values.shape
+        lo, hi = (0, shape[-1]) if c is None else c
+        if len(shape) < 2 or not 0 <= lo < hi <= shape[-1] or (hi - lo) % n:
+            raise ShapeError(f"no {n} heads in columns {lo}..{hi} of {shape}")
+        blocks.append((t, lo, hi, n))
+        parts.append(t.values[..., lo:hi])
+    m = k.values.shape[-2]
+    if history is not None:
+        if any(a.shape[-1] != b.shape[-1] or a.shape[-2] < m
+               for a, b in zip(history, parts[1:])):
+            raise ShapeError("history rows do not end in the key/value blocks")
+        parts[1:] = history
+    qh = head_view(parts[0], n_q)
+    kh, vh = head_view(parts[1], n_kv), head_view(parts[2], n_kv)
+    n_k, d_h = kh.shape[-2:]
+    if qh.shape[-1] != d_h or vh.shape[-2] != n_k:
+        raise ShapeError(f"heads Q {qh.shape}, K {kh.shape}, V {vh.shape} differ")
+
+    s = np.matmul(qh, kh.swapaxes(-1, -2))
+    c = s.dtype.type(1.0 / math.sqrt(d_h) if scale is None else scale)
+    logits = s * c
+    mask_t = mask if isinstance(mask, Tensor) else None
+    if mask is not None:
+        mv = mask.values if mask_t is not None else np.asarray(mask, dtype=s.dtype)
+        if not np.maximum.reduce(mv, axis=None, initial=-np.inf) < np.inf:
+            raise ValueError("mask entries must be finite or -inf")
+        logits = logits + mv
+    if n_k == 0:
+        raise DegenerateRowError("softmax over zero-width rows")
+    row_max = np.maximum.reduce(logits, axis=-1, keepdims=True)
+    if np.fmin.reduce(row_max, axis=None, initial=np.inf) == -np.inf:
+        raise DegenerateRowError("softmax row with every entry masked")
+    e = np.exp(logits - row_max)
+    y = e / np.add.reduce(e, axis=-1, keepdims=True)
+    w = y.astype(s.dtype, copy=False)
+    o = np.matmul(w, vh)
+    out = _result(o.swapaxes(-2, -3).reshape(
+        o.shape[:-3] + (o.shape[-2], o.shape[-3] * o.shape[-1])))
+
+    srcs = [q] if k is q else [q, k]        # distinct inputs, in first use
+    if v is not q and v is not k:
+        srcs.append(v)
+
+    def grad_fn(g):
+        go = head_view(g, n_q)
+        gw = _unbroadcast(np.matmul(go, vh.swapaxes(-1, -2)), w.shape)
+        gv = _unbroadcast(np.matmul(w.swapaxes(-1, -2), go), vh.shape)
+        dot = np.add.reduce(gw * y, axis=-1, keepdims=True)
+        gl = ((gw - dot) * y).astype(s.dtype, copy=False)
+        gs = gl * c
+        gq = _unbroadcast(np.matmul(gs, kh), qh.shape)
+        gk_t = np.matmul(qh.swapaxes(-1, -2), gs)
+        gk = np.swapaxes(_unbroadcast(gk_t, kh.shape[:-2] + (d_h, n_k)), -1, -2)
+        if history is not None:
+            gk, gv = gk[..., -m:, :], gv[..., -m:, :]
+        grads = []
+        for t in srcs:
+            parts = [(lo, hi, n, gh) for (u, lo, hi, n), gh
+                     in zip(blocks, (gq, gk, gv)) if u is t]
+            spans = sorted((lo, hi) for lo, hi, _, _ in parts)
+            tiled = spans[0][0] == 0 and spans[-1][1] == t.shape[-1] and all(
+                a[1] == b[0] for a, b in zip(spans, spans[1:]))
+            gx = (np.empty if tiled else np.zeros)(
+                t.shape, dtype=np.result_type(*(p[3] for p in parts)))
+            for lo, hi, n, gh in parts:
+                view = head_view(gx[..., lo:hi], n)
+                if tiled:
+                    view[...] = gh
+                else:
+                    view += gh
+            grads.append(gx)
+        if mask_t is not None:
+            grads.append(_unbroadcast(gl, mask_t.shape))
+        return tuple(grads)
+
+    inputs = tuple(srcs) + ((mask_t,) if mask_t is not None else ())
     return _emit(out, inputs, grad_fn)
 
 

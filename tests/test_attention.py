@@ -134,26 +134,6 @@ def test_sharp_gaussian_prior_pins_diagonal():
     np.testing.assert_array_equal(np.argmax(w.values, axis=1), np.arange(n))
 
 
-def test_mixture_extremes():
-    rng = T.Rng(9)
-    q = T.Tensor(rng.gaussian((4, 4)), dtype=F64)
-    k = T.Tensor(rng.gaussian((4, 4)), dtype=F64)
-    v = T.Tensor(rng.gaussian((4, 4)), dtype=F64)
-    causal = A.causal_mask(4)
-    # beta=0 reduces to vanilla
-    spec0 = A.local_prior("abs", 4, 2.0, beta=0.0).combine(causal)
-    vanilla = A.qkv_attention(q, k, v, causal)
-    np.testing.assert_allclose(A.qkv_attention(q, k, v, spec0).values,
-                               vanilla.values, atol=1e-12)
-    # beta=1 ignores the scores entirely
-    spec1 = A.local_prior("abs", 4, 2.0, beta=1.0).combine(causal)
-    _, w = A.qkv_attention(q, k, v, spec1, return_weights=True)
-    prior = np.where(np.triu(np.ones((4, 4)), k=1) > 0, -np.inf,
-                     -2.0 * np.abs(np.subtract.outer(np.arange(4), np.arange(4))))
-    want = np.array([O.softmax_vec(r) for r in prior])
-    np.testing.assert_allclose(w.values, want, atol=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # attention fields
 # ---------------------------------------------------------------------------

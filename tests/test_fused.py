@@ -1,7 +1,8 @@
 """Fused taped ops against the composites they replace.
 
 Each fused op (layer norm, bias + ReLU, head split and merge, the softmax
-scale, the training loss) is pinned to its composite of generic ops: the
+scale, multi-head attention, the training loss) is pinned to its
+composite of generic ops: the
 float32 forward bit for bit, every float64 gradient within 1e-12. Whole
 decodes and the first training loss are then compared with the
 composites patched back in, and count guards keep the Tensors of a
@@ -63,6 +64,29 @@ def composite_softmax(softmax):
     return scaled
 
 
+def composite_attention(q, k, v, heads=(1, 1), *, cols=(None, None, None),
+                        history=None, mask=None, scale=None):
+    """tensor.attention as generic ops: column blocks cut into heads, the
+    scores product, the scale as a separate multiply, softmax_rows, the
+    weighted values and the merge; cached rows enter as a constant
+    concatenated before the block's own keys and values."""
+    n_q, n_kv = heads
+    blocks = []
+    for t, c in zip((q, k, v), cols):
+        blocks.append(t if c is None else T.take(t, (Ellipsis, slice(*c))))
+    q, k, v = blocks
+    if history is not None:
+        m = k.shape[-2]
+        k, v = (T.concat([T.Tensor(rows[..., :-m, :]), x], axis=-2)
+                for rows, x in zip(history, (k, v)))
+    qh = composite_split_heads(q, n_q)
+    kh, vh = composite_split_heads(k, n_kv), composite_split_heads(v, n_kv)
+    if scale is None:
+        scale = 1.0 / np.sqrt(qh.shape[-1])
+    scores = T.matmul(qh, T.transpose(kh)) * scale
+    return composite_merge_heads(T.matmul(T.softmax_rows(scores, mask), vh))
+
+
 def composite_cross_entropy(logits, targets, pad_mask=None, tally=None):
     probs = T.softmax_rows(logits)
     ids = np.asarray(targets, dtype=np.int64)
@@ -95,8 +119,8 @@ def composites(monkeypatch):
     monkeypatch.setattr(B, "ffn", composite_ffn)
     monkeypatch.setattr(B, "sublayer_apply", composite_sublayer_apply)
     monkeypatch.setattr(A, "split_heads", composite_split_heads)
-    monkeypatch.setattr(A, "merge_heads", composite_merge_heads)
     monkeypatch.setattr(T, "softmax_rows", composite_softmax(T.softmax_rows))
+    monkeypatch.setattr(T, "attention", composite_attention)
     monkeypatch.setattr(TR, "cross_entropy", composite_cross_entropy)
 
 
@@ -225,18 +249,26 @@ def test_bias_relu_gradients_match_the_composite():
                                      ((3, 1, 8), 1), ((2, 3, 4, 6), 2)],
                          ids=str)
 def test_head_split_and_merge_match_the_composite(shape, n):
+    """The merge is AttentionParams.merge's, before its W_c product."""
+    d = shape[-1]
     x = leaf(shape, 14, F32)
     split = A.split_heads(x, n)
     np.testing.assert_array_equal(split.values,
                                   composite_split_heads(x, n).values)
-    np.testing.assert_array_equal(A.merge_heads(split).values, x.values)
+    p = A.AttentionParams.init(d, n, T.Rng(14), dtype=F32)
+    np.testing.assert_array_equal(p.merge(split).values,
+                                  T.matmul(x, p.w_out).values)
     np.testing.assert_array_equal(
-        A.merge_heads(split).values, composite_merge_heads(split).values)
+        p.merge(split).values,
+        T.matmul(composite_merge_heads(split), p.w_out).values)
     x64 = leaf(shape, 15)
     assert_grads_close(lambda t: A.split_heads(t, n),
                        lambda t: composite_split_heads(t, n), [x64])
     heads = leaf(composite_split_heads(x64, n).shape, 16)
-    assert_grads_close(A.merge_heads, composite_merge_heads, [heads])
+    p64 = A.AttentionParams.init(d, n, T.Rng(16), dtype=F64)
+    assert_grads_close(p64.merge,
+                       lambda h: T.matmul(composite_merge_heads(h), p64.w_out),
+                       [heads])
 
 
 @pytest.mark.parametrize("mask", ["none", "array", "tensor"])
@@ -431,7 +463,7 @@ def test_first_training_loss_is_bitwise_the_composite_path(request):
 # ---------------------------------------------------------------------------
 
 
-def test_a_generated_token_builds_at_most_45_tensors(decode_models,
+def test_a_generated_token_builds_at_most_27_tensors(decode_models,
                                                      monkeypatch):
     """Counts every Tensor built: through Tensor() and through the
     constructor ops use for their results."""
@@ -463,10 +495,10 @@ def test_a_generated_token_builds_at_most_45_tensors(decode_models,
                                     source=source if kind == "encdec" else None)
         assert len(out) == n_max
         tokens += len(out)
-    assert built[0] / tokens <= 45
+    assert built[0] / tokens <= 27
 
 
-def test_a_training_step_records_at_most_40_tape_ops(monkeypatch):
+def test_a_training_step_records_at_most_24_tape_ops(monkeypatch):
     records = []
     backward = T.backward
 
@@ -477,12 +509,13 @@ def test_a_training_step_records_at_most_40_tape_ops(monkeypatch):
     monkeypatch.setattr(T, "backward", counting)
     vocab = E.Vocab.from_text(corpus())
     c10_step(M.Model.init(M.ModelConfig(**SHAPE), vocab, seed=0), vocab)
-    assert len(records) == 1 and records[0] <= 40
+    assert len(records) == 1 and records[0] <= 24
 
 
-def test_a_dense_decode_step_makes_13_matmuls(decode_models, monkeypatch):
-    """Per layer: one fused QKV product, scores, weighted values, W_c and
-    the FFN's two; then the output head."""
+def test_a_dense_decode_step_makes_9_matmuls(decode_models, monkeypatch):
+    """Per layer: one fused QKV product, W_c and the FFN's two (the scores
+    and weighted values are inside the attention op); then the output
+    head."""
     model = decode_models[0]["beam4"]
     session, _ = R._seed_session(model, decode_models[1])
     calls = [0]
@@ -495,4 +528,4 @@ def test_a_dense_decode_step_makes_13_matmuls(decode_models, monkeypatch):
     monkeypatch.setattr(T, "matmul", counting)
     for tok in (5, 6, 7):
         model.decode_step(session, tok)
-    assert model.cfg.n_layers == 2 and calls[0] == 3 * 13
+    assert model.cfg.n_layers == 2 and calls[0] == 3 * 9

@@ -68,6 +68,12 @@ def reference_functions(blocks):
                 A.split_heads(T.matmul(x, wk), self.n_kv),
                 A.split_heads(T.matmul(x, wv), self.n_kv))
 
+    def self_attention(h, params, mask=None, counter=None, *, rpr=None,
+                       lowrank=None, reuse=None):
+        return params.merge(A.attend_heads(
+            *heads(params, h), mask, counter, rpr=rpr, lowrank=lowrank,
+            reuse=reuse))
+
     def named(self, prefix=""):
         wq, wk, wv = blocks(self)
         yield f"{prefix}wq", wq
@@ -108,7 +114,8 @@ def reference_functions(blocks):
         out = B.layer_norm(B._plus_weighted(core(h_in), h_in, beta), ln)
         return B._plus_weighted(out, h_in, gamma)
 
-    return dict(heads=heads, named=named, cross_kv=cross_kv,
+    return dict(heads=heads, named=named, self_attention=self_attention,
+                cross_kv=cross_kv,
                 cross_attention=cross_attention,
                 attend_step_cached=attend_step_cached,
                 sublayer_apply=sublayer_apply)
@@ -158,7 +165,8 @@ def three_matrix(monkeypatch):
     ref = reference_functions(blocks)
     monkeypatch.setattr(A.AttentionParams, "heads", ref["heads"])
     monkeypatch.setattr(A.AttentionParams, "named", ref["named"])
-    for name in ("cross_kv", "cross_attention", "attend_step_cached"):
+    for name in ("self_attention", "cross_kv", "cross_attention",
+                 "attend_step_cached"):
         monkeypatch.setattr(A, name, ref[name])
     monkeypatch.setattr(B, "sublayer_apply", ref["sublayer_apply"])
     monkeypatch.setattr(R, "weight_quant_specs", reference_weight_quant_specs)
