@@ -106,10 +106,6 @@ class SinusoidalPE:
         return out
 
 
-def sinusoidal_pe(i, d: int, base: float = 10000.0) -> np.ndarray:
-    return SinusoidalPE(d, base).vector(i)
-
-
 def pe_shift(pe_i: np.ndarray, pe_mu: np.ndarray) -> np.ndarray:
     """Reconstruct PE(i+mu) from PE(i) and PE(mu) without knowing i or mu.
 

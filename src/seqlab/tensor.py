@@ -13,6 +13,14 @@ merge, multi-head ``attention`` (head split, scores, masked softmax,
 weighted values and head merge), and the training loss
 ``log_softmax_nll``. Their forwards repeat the arithmetic of the
 composites they replace, so float32 outputs match those bit for bit.
+They run elementwise steps in place where they can (attention's scale,
+mask add, exp and divide and its softmax backward; exp and divide in
+``softmax_rows`` and the loss; ReLU on the biased sum), so attention
+keeps one score-sized array per layer. The buffer rule: a fused op
+overwrites only arrays it allocated; never an input, a mask, cache rows
+or an incoming gradient. Where writing in place would change a result's
+dtype or shape, the op computes out of place, so the bits do not depend
+on the buffers.
 
 Float32 is the working precision. Float64 exists solely so gradient checks
 and oracle comparisons can be run in a tighter regime; any op whose inputs
@@ -357,6 +365,16 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
+def _into(op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """op(a, b) for a numpy ufunc op, written into a, an array the calling
+    op allocated itself, when the result keeps a's dtype and shape; a new
+    array otherwise, so the bits are those of the out-of-place op."""
+    if np.result_type(a, b) == a.dtype and np.broadcast_shapes(
+            a.shape, b.shape) == a.shape:
+        return op(a, b, out=a)
+    return op(a, b)
+
+
 def _coerce_pair(a, b):
     if isinstance(a, Tensor) and isinstance(b, Tensor):
         return a, b
@@ -453,13 +471,15 @@ def power(a: Tensor, p) -> Tensor:
 
 def relu(a: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """max(a, 0), or with ``bias`` max(a + bias, 0) as one op."""
-    zv = a.values if bias is None else a.values + bias.values
-    out = _result(np.maximum(zv, 0))
     if bias is None:
+        zv = a.values
+        out = _result(np.maximum(zv, 0))
         return _emit(out, (a,), lambda g: (g * (zv > 0),))
+    zv = a.values + bias.values             # fresh: the output overwrites it
+    out = _result(np.maximum(zv, 0, out=zv))
 
     def grad_fn(g):
-        gz = g * (zv > 0)
+        gz = g * (zv > 0)                   # max(z, 0) > 0 exactly where z > 0
         return _unbroadcast(gz, a.shape), _unbroadcast(gz, bias.shape)
 
     return _emit(out, (a, bias), grad_fn)
@@ -711,15 +731,14 @@ def softmax_rows(x: Tensor, additive_mask=None,
     row_max = np.maximum.reduce(logits, axis=-1, keepdims=True)
     if np.fmin.reduce(row_max, axis=None, initial=np.inf) == -np.inf:
         raise DegenerateRowError("softmax row with every entry masked")
-    shifted = logits - row_max
-    e = np.exp(shifted)  # exp(-inf) == 0 exactly
-    denom = np.add.reduce(e, axis=-1, keepdims=True)
-    y = e / denom
+    y = logits - row_max                    # fresh: exp and divide in place
+    np.exp(y, out=y)                        # exp(-inf) == 0 exactly
+    y /= np.add.reduce(y, axis=-1, keepdims=True)
     out = _result(y.astype(x.dtype, copy=False))
 
     def grad_fn(g):
         dot = np.add.reduce(g * y, axis=-1, keepdims=True)
-        gl = ((g - dot) * y).astype(x.dtype, copy=False)
+        gl = _into(np.multiply, g - dot, y).astype(x.dtype, copy=False)
         gx = _unbroadcast(gl if scale is None else gl * c, x.shape)
         if mask_t is None:
             return (gx,)
@@ -783,20 +802,22 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: tuple = (1, 1), *,
 
     s = np.matmul(qh, kh.swapaxes(-1, -2))
     c = s.dtype.type(1.0 / math.sqrt(d_h) if scale is None else scale)
-    logits = s * c
+    y = s                                   # fresh: the softmax runs in place
+    y *= c
     mask_t = mask if isinstance(mask, Tensor) else None
     if mask is not None:
         mv = mask.values if mask_t is not None else np.asarray(mask, dtype=s.dtype)
         if not np.maximum.reduce(mv, axis=None, initial=-np.inf) < np.inf:
             raise ValueError("mask entries must be finite or -inf")
-        logits = logits + mv
+        y = _into(np.add, y, mv)
     if n_k == 0:
         raise DegenerateRowError("softmax over zero-width rows")
-    row_max = np.maximum.reduce(logits, axis=-1, keepdims=True)
+    row_max = np.maximum.reduce(y, axis=-1, keepdims=True)
     if np.fmin.reduce(row_max, axis=None, initial=np.inf) == -np.inf:
         raise DegenerateRowError("softmax row with every entry masked")
-    e = np.exp(logits - row_max)
-    y = e / np.add.reduce(e, axis=-1, keepdims=True)
+    y -= row_max
+    np.exp(y, out=y)
+    y /= np.add.reduce(y, axis=-1, keepdims=True)
     w = y.astype(s.dtype, copy=False)
     o = np.matmul(w, vh)
     out = _result(o.swapaxes(-2, -3).reshape(
@@ -811,8 +832,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: tuple = (1, 1), *,
         gw = _unbroadcast(np.matmul(go, vh.swapaxes(-1, -2)), w.shape)
         gv = _unbroadcast(np.matmul(w.swapaxes(-1, -2), go), vh.shape)
         dot = np.add.reduce(gw * y, axis=-1, keepdims=True)
-        gl = ((gw - dot) * y).astype(s.dtype, copy=False)
-        gs = gl * c
+        # gw is fresh: it becomes gl, then gs
+        gl = _into(np.multiply, _into(np.subtract, gw, dot), y).astype(
+            s.dtype, copy=False)
+        if mask_t is None:
+            gl *= c
+            gs = gl
+        else:                               # the mask's gradient is gl itself
+            gs = gl * c
         gq = _unbroadcast(np.matmul(gs, kh), qh.shape)
         gk_t = np.matmul(qh.swapaxes(-1, -2), gs)
         gk = np.swapaxes(_unbroadcast(gk_t, kh.shape[:-2] + (d_h, n_k)), -1, -2)
@@ -860,8 +887,9 @@ def log_softmax_nll(x: Tensor, targets, weights, floor: float):
     if floor <= 0:
         raise ValueError("the probability floor must be positive")
     rows = np.arange(xv.shape[0])
-    e = np.exp(xv - np.max(xv, axis=-1, keepdims=True))
-    y = (e / e.sum(axis=-1, keepdims=True)).astype(xv.dtype, copy=False)
+    y = xv - np.max(xv, axis=-1, keepdims=True)  # fresh: exp, divide in place
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
     picked = y[rows, ids]
     fl = np.asarray(floor, dtype=xv.dtype)
     w = np.asarray(weights, dtype=xv.dtype)

@@ -60,14 +60,14 @@ def test_decode_skips_specials():
 
 
 def test_pe_zero_position():
-    pe = E.sinusoidal_pe(0, 8)
+    pe = E.SinusoidalPE(8).vector(0)
     np.testing.assert_allclose(pe, [0, 1, 0, 1, 0, 1, 0, 1])
 
 
 def test_pe_first_pair_period():
     # slot 0 has angular frequency 1, so the first sin/cos pair has period 2*pi
-    pe_a = E.sinusoidal_pe(1.5, 8)
-    pe_b = E.sinusoidal_pe(1.5 + 2 * np.pi, 8)
+    pe_a = E.SinusoidalPE(8).vector(1.5)
+    pe_b = E.SinusoidalPE(8).vector(1.5 + 2 * np.pi)
     np.testing.assert_allclose(pe_a[:2], pe_b[:2], atol=1e-9)
 
 
@@ -91,7 +91,7 @@ def test_pe_table_matches_vector():
 
 def test_pe_matches_entrywise_oracle():
     for i in (0, 1, 17, 300):
-        np.testing.assert_allclose(E.sinusoidal_pe(i, 12), O.pe_direct(i, 12),
+        np.testing.assert_allclose(E.SinusoidalPE(12).vector(i), O.pe_direct(i, 12),
                                    atol=1e-12)
 
 

@@ -6,11 +6,12 @@ composite of generic ops: the
 float32 forward bit for bit, every float64 gradient within 1e-12. Whole
 decodes and the first training loss are then compared with the
 composites patched back in, and count guards keep the Tensors of a
-decode token, the tape records of a training step and the products of a
-decode step down.
+decode token, the tape records and traced memory peak of a training
+step and the products of a decode step down.
 """
 
 import importlib.resources
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -510,6 +511,38 @@ def test_a_training_step_records_at_most_24_tape_ops(monkeypatch):
     vocab = E.Vocab.from_text(corpus())
     c10_step(M.Model.init(M.ModelConfig(**SHAPE), vocab, seed=0), vocab)
     assert len(records) == 1 and records[0] <= 24
+
+
+def test_a_training_step_peaks_at_most_9_5_mib_traced():
+    """tracemalloc's peak over one criterion-10 forward and backward
+    (batch 8 x 64) after a warm-up one. The fused ops run their
+    elementwise passes in place, so attention keeps one score-sized array
+    per layer; computed out of place, the peak was 11.4 MiB."""
+    vocab = E.Vocab.from_text(corpus())
+    model = M.Model.init(M.ModelConfig(**SHAPE), vocab, seed=0)
+    batch = TR.make_batches(TR.segments_from_text(corpus(), vocab, 64), 8,
+                            T.Rng(0))[0]
+    assert batch.inputs.shape == (8, 65)     # SOS and 64 characters a row
+
+    def forward_backward():
+        with T.Tape() as tape:
+            loss, _ = TR._batch_loss(model, batch, TR.WarningTally())
+        T.backward(loss)
+        tape.release()
+
+    forward_backward()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        forward_backward()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 9.5 * 2 ** 20
 
 
 def test_a_dense_decode_step_makes_9_matmuls(decode_models, monkeypatch):
