@@ -2,12 +2,14 @@
 
 One scaled-dot-product core, the fused op ``tensor.attention``, drives
 everything: multi-head self and cross attention, causal and sparse-field
-masking, additive locality priors, multi-query attention, cached
-attention of a block of new positions over a history, and
-``qkv_attention`` on heads split beforehand. It cuts Q, K and V into
-heads as views of column blocks of its inputs, and returns the heads
-merged, in one op; relative-position, low-rank and map-reuse attention
-split heads themselves and go through ``attend_heads``.
+masking, additive locality priors, cached attention of a block of new
+positions over a history, and ``qkv_attention`` on heads split
+beforehand. Multi-query attention is not a separate form: a block with
+one key/value head has a narrower W^qkv, and the same op serves it. It
+cuts Q, K and V into heads as views of column blocks of its inputs, and
+returns the heads merged, in one op; relative-position, low-rank and
+map-reuse attention split heads themselves and go through
+``attend_heads``.
 
 Each block's Q, K and V projections are column blocks of one matrix
 W^qkv: self-attention projects with one product and attends over the
@@ -71,10 +73,8 @@ class MaskSpec:
     ``field`` is a boolean allowed matrix; ``additive`` may contain -inf.
     """
 
-    mode: str = "none"
     additive: Optional[object] = None        # np.ndarray or Tensor
     field: Optional[np.ndarray] = None       # boolean (n_q, n_k)
-    gamma: float = 0.0
     sparsity: Optional[float] = None         # retained / n^2 for field masks
     random_pairs: Optional[list] = None      # recorded hybrid random draws
 
@@ -106,8 +106,7 @@ class MaskSpec:
             fld = self.field & other.field
         else:
             fld = self.field if self.field is not None else other.field
-        return MaskSpec(mode="additive", additive=additive, field=fld,
-                        gamma=self.gamma + other.gamma,
+        return MaskSpec(additive=additive, field=fld,
                         random_pairs=self.random_pairs or other.random_pairs)
 
 
@@ -117,7 +116,7 @@ def causal_mask(n: int) -> MaskSpec:
         raise ValueError("causal_mask needs n >= 1")
     m = np.zeros((n, n))
     m[np.triu_indices(n, k=1)] = NEG_INF
-    return MaskSpec(mode="causal", additive=m)
+    return MaskSpec(additive=m)
 
 
 def local_prior(kind: str, n: int, gamma: float, sigma=None) -> MaskSpec:
@@ -144,7 +143,7 @@ def local_prior(kind: str, n: int, gamma: float, sigma=None) -> MaskSpec:
         g = (i - j) ** 2 / (2.0 * sig ** 2)
     else:
         raise ValueError(f"unknown prior kind {kind!r}")
-    return MaskSpec(mode="additive", additive=-gamma * g, gamma=gamma)
+    return MaskSpec(additive=-gamma * g)
 
 
 def make_attention_field(pattern: str, n: int, causal: bool = False, *,
@@ -207,7 +206,7 @@ def _field_spec(allowed: np.ndarray, causal: bool, pairs) -> MaskSpec:
     n = allowed.shape[0]
     if causal:
         allowed = allowed & (np.arange(n)[None, :] <= np.arange(n)[:, None])
-    return MaskSpec(mode="field", field=allowed,
+    return MaskSpec(field=allowed,
                     sparsity=float(allowed.sum()) / float(n * n),
                     random_pairs=pairs)
 
@@ -363,20 +362,21 @@ class AttentionParams:
     projections side by side, columns [W^q | W^k | W^v], so self-attention
     projects its input with one product. Heads are column blocks within
     each: W^q is d wide and head j reads its columns j*d_h .. (j+1)*d_h,
-    with d_h = d/tau. W^k and W^v are n_kv*d_h wide: n_kv = tau key/value
-    heads, or in multi-query mode one shared head that broadcasts over the
-    tau query heads. W_c (d, d) transforms the merged heads. ``wq``, ``wk``
-    and ``wv`` read W^qkv's blocks.
+    with d_h = d/tau. W^k and W^v are n_kv*d_h wide, and n_kv is read from
+    that width: tau key/value heads, or one shared head that broadcasts
+    over the tau query heads (multi-query attention). W_c (d, d) transforms
+    the merged heads. ``wq``, ``wk`` and ``wv`` read W^qkv's blocks.
     """
 
-    def __init__(self, d: int, tau: int, w_qkv: T.Tensor, w_out: T.Tensor,
-                 multi_query: bool = False):
+    def __init__(self, d: int, tau: int, w_qkv: T.Tensor, w_out: T.Tensor):
         if d % tau != 0:
             raise ValueError("head count must divide d")
         self.d = d
         self.tau = tau
-        self.multi_query = multi_query
-        if w_qkv.shape != (d, d + 2 * self.n_kv * self.d_head) \
+        # key/value heads; T.attention serves one per query head, or one
+        self.n_kv = (w_qkv.shape[-1] - d) // (2 * self.d_head)
+        if self.n_kv not in (1, tau) \
+                or w_qkv.shape != (d, d + 2 * self.n_kv * self.d_head) \
                 or w_out.shape != (d, d):
             raise ValueError("projection shapes do not match head layout")
         self.w_qkv = w_qkv
@@ -385,21 +385,15 @@ class AttentionParams:
 
     @classmethod
     def from_blocks(cls, d: int, tau: int, wq: T.Tensor, wk: T.Tensor,
-                    wv: T.Tensor, w_out: T.Tensor,
-                    multi_query: bool = False) -> "AttentionParams":
-        """Params whose W^qkv is a new trainable [wq | wk | wv]."""
+                    wv: T.Tensor, w_out: T.Tensor) -> "AttentionParams":
+        """Params whose W^qkv is a new trainable [wq | wk | wv]; wk's width
+        gives the key/value head count."""
         w_qkv = np.concatenate([wq.values, wk.values, wv.values], axis=1)
-        return cls(d, tau, T.Tensor(w_qkv, trainable=True), w_out,
-                   multi_query=multi_query)
+        return cls(d, tau, T.Tensor(w_qkv, trainable=True), w_out)
 
     @property
     def d_head(self) -> int:
         return self.d // self.tau
-
-    @property
-    def n_kv(self) -> int:
-        """Key/value heads: one in multi-query mode, else one per query head."""
-        return 1 if self.multi_query else self.tau
 
     def _block(self, cols: tuple) -> T.Tensor:
         return T.take(self.w_qkv, (slice(None), slice(*cols)))
@@ -419,17 +413,18 @@ class AttentionParams:
 
     @classmethod
     def init(cls, d: int, tau: int, rng: T.Rng, gain: float = 1.0,
-             multi_query: bool = False, dtype=np.float32) -> "AttentionParams":
+             n_kv: Optional[int] = None, dtype=np.float32) -> "AttentionParams":
+        """Xavier-drawn params with n_kv key/value heads: tau by default,
+        or 1 for multi-query attention."""
         def fused(n_heads):
             # one Xavier draw per (d, d/tau) head block, in head order
             return [T.xavier_init(d, d // tau, gain=gain, rng=rng, dtype=dtype).values
                     for _ in range(n_heads)]
 
-        n_kv = 1 if multi_query else tau
+        n_kv = tau if n_kv is None else n_kv
         w_qkv = np.concatenate(fused(tau) + fused(n_kv) + fused(n_kv), axis=1)
         w_out = T.xavier_init(d, d, gain=gain, rng=rng, dtype=dtype)
-        return cls(d, tau, T.Tensor(w_qkv, trainable=True), w_out,
-                   multi_query=multi_query)
+        return cls(d, tau, T.Tensor(w_qkv, trainable=True), w_out)
 
     def qkv(self, x: T.Tensor) -> T.Tensor:
         """x W^qkv: fused Q, K and V side by side, (..., m, d + 2*n_kv*d_h)."""
@@ -529,22 +524,6 @@ def self_attention(h: T.Tensor, params: AttentionParams, mask=None,
     attend_heads; the heads are merged and multiplied by W_c."""
     return _attend(params.qkv(h), params, mask, counter, rpr=rpr,
                    lowrank=lowrank, reuse=reuse)
-
-
-def multi_head_self(h: T.Tensor, params: AttentionParams, mask=None,
-                    counter=None):
-    """Standard multi-head self-attention: concat of per-head outputs, merged."""
-    if params.multi_query:
-        raise ValueError("params are multi-query; use multi_query_attention")
-    return self_attention(h, params, mask, counter)
-
-
-def multi_query_attention(h: T.Tensor, params: AttentionParams, mask=None,
-                          counter=None):
-    """tau distinct query heads over one shared key/value head."""
-    if not params.multi_query:
-        raise ValueError("params lack the multi-query flag")
-    return self_attention(h, params, mask, counter)
 
 
 def cross_kv(h_enc: T.Tensor, params: AttentionParams) -> T.Tensor:

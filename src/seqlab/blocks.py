@@ -4,11 +4,12 @@ Layer norm and FFN cores, the weighted-residual wrapper that subsumes
 post-norm and pre-norm, Runge-Kutta sub-layers, stochastic layer dropout,
 mixture-of-experts FFN, and parameter sharing.
 
-Layer norm is one fused tape op (``T.layer_norm``), and so is the FFN's
-``ReLU(h W_h + b_h)`` after its matmul (``T.relu`` with a bias); the
-composite ``row_stats`` + ``normalize`` stays for statistics a caller
-supplies or inspects. A residual weight of exactly 1 adds the input
-without a multiply, inside the layer norm where one follows.
+Layer norm is the paper's g * (h - mu) / (sigma + eps) + b, one fused
+tape op (``T.layer_norm``), and so is the FFN's ``ReLU(h W_h + b_h)``
+after its matmul (``T.relu`` with a bias); the composite ``row_stats`` +
+``normalize`` stays for statistics a caller supplies or inspects. A
+residual weight of exactly 1 adds the input without a multiply, inside
+the layer norm where one follows.
 """
 
 from dataclasses import dataclass
@@ -33,9 +34,6 @@ class LNParams:
     g: T.Tensor
     b: T.Tensor
     eps: float = 1e-5
-    # True switches to the conventional sqrt(var + eps) denominator;
-    # default follows the (sigma + eps) form.
-    sqrt_variance: bool = False
 
     def __post_init__(self):
         if self.eps <= 0:
@@ -71,19 +69,14 @@ def normalize(h: T.Tensor, mu, sigma, params: LNParams) -> T.Tensor:
         mu = T.Tensor(np.asarray(mu, dtype=h.dtype))
     if not isinstance(sigma, T.Tensor):
         sigma = T.Tensor(np.asarray(sigma, dtype=h.dtype))
-    if params.sqrt_variance:
-        denom = T.sqrt(sigma * sigma + params.eps)
-    else:
-        denom = sigma + params.eps
-    return params.g * ((h - mu) / denom) + params.b
+    return params.g * ((h - mu) / (sigma + params.eps)) + params.b
 
 
 def layer_norm(h: T.Tensor, params: LNParams,
                residual: Optional[T.Tensor] = None) -> T.Tensor:
     """normalize(h, *row_stats(h), params) as one taped op; with
     ``residual``, of h + residual in the same op."""
-    return T.layer_norm(h, params.g, params.b, params.eps, params.sqrt_variance,
-                        residual=residual)
+    return T.layer_norm(h, params.g, params.b, params.eps, residual=residual)
 
 
 # ---------------------------------------------------------------------------

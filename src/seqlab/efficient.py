@@ -205,15 +205,14 @@ def reduce_width(q: T.Tensor, k: T.Tensor,
 
 def lowrank_width_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor,
                             proj: LowRankProjections, mask=None,
-                            scale_by_reduced: bool = False,
                             counter: Optional[OpCounter] = None) -> T.Tensor:
     """Attention with width-reduced queries/keys.
 
-    The logits keep the original sqrt(d) scale by default;
-    scale_by_reduced switches to sqrt(d') for the reduced space.
+    The logits keep the original sqrt(d) scale, not sqrt(d') of the
+    reduced space.
     """
     from .attention import qkv_attention
     d = q.shape[-1]
     q_r, k_r = reduce_width(q, k, proj)
-    scale = float(np.sqrt(q_r.shape[-1] if scale_by_reduced else d))
+    scale = float(np.sqrt(d))
     return qkv_attention(q_r, k_r, v, mask, scale=scale, counter=counter)

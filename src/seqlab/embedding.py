@@ -147,21 +147,14 @@ class EmbeddingTable:
 
 
 def embed_sequence(tokens: Sequence[int], table: EmbeddingTable,
-                   pe: Optional[SinusoidalPE] = None,
-                   scale_by_sqrt_d: bool = False) -> T.Tensor:
-    """Row j = table[token_j] (+ PE(j) when enabled).
-
-    scale_by_sqrt_d multiplies the raw embedding by sqrt(d) before the PE
-    is added; off by default.
-    """
+                   pe: Optional[SinusoidalPE] = None) -> T.Tensor:
+    """Row j = table[token_j] (+ PE(j) when a PE is given)."""
     ids = np.asarray(tokens, dtype=np.int64)
     if ids.ndim != 1:
         raise ValueError("embed_sequence takes a flat id list")
     if ids.size and (ids.min() < 0 or ids.max() >= table.vocab_size):
         raise VocabError("token id out of range for the embedding table")
     emb = T.gather_rows(table.weights, ids)
-    if scale_by_sqrt_d:
-        emb = emb * float(np.sqrt(table.d))
     if pe is not None:
         if pe.d != table.d:
             raise ValueError("PE width does not match embedding width")
@@ -211,9 +204,6 @@ class RprTable:
             tables[role] = T.Tensor(rng.gaussian((rows, d_head), std=0.02),
                                     dtype=dtype, trainable=True)
         return cls(clip_k, tables)
-
-    def enabled(self, role: str) -> bool:
-        return self.tables.get(role) is not None
 
     def lookup(self, i: int, j: int, role: str) -> T.Tensor:
         """Vector for the clipped offset j - i in the given role."""

@@ -301,7 +301,8 @@ def _init_layer(cfg: ModelConfig, rng: T.Rng, with_cross: bool, dtype) -> Layer:
                                   cfg.ssm_method, cfg.ssm_init, rng, dtype)
     else:
         att = A.AttentionParams.init(d, cfg.tau, rng,
-                                     multi_query=cfg.multi_query, dtype=dtype)
+                                     n_kv=1 if cfg.multi_query else cfg.tau,
+                                     dtype=dtype)
     if cfg.attention == "lowrank-d":
         d_r = cfg.reduced_width_resolved
         lowrank = EF.LowRankProjections(
@@ -522,7 +523,7 @@ class Model:
             # non-PAD queries must ignore PAD keys; PAD rows stay unrestricted
             # so no row of the field ever empties out
             block = np.where(~pad[:, None] & pad[None, :], A.NEG_INF, 0.0)
-            pad_spec = A.MaskSpec(mode="additive", additive=block)
+            pad_spec = A.MaskSpec(additive=block)
             spec = pad_spec if spec is None else spec.combine(pad_spec)
         return spec
 
@@ -844,7 +845,7 @@ class Model:
         single = ids.ndim == 0
         if single:
             ids = ids.reshape(1, 1)
-        if ids.ndim != 2 or ids.shape[1] == 0:
+        if ids.ndim != 2 or ids.size == 0:
             raise ContractError("decode_step takes one id or a (rows, m) id block")
         if ids.min() < 0 or ids.max() >= len(self.vocab):
             raise VocabError("token id out of range for this vocabulary")

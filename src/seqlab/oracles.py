@@ -517,7 +517,7 @@ def _run_attention_loop(rng):
 def _run_head_permutation(rng):
     params = A.AttentionParams.init(8, 4, rng, dtype=_F64)
     h = T.Tensor(rng.gaussian((5, 8)))
-    base = A.multi_head_self(h, params).values
+    base = A.self_attention(h, params).values
     perm = [2, 0, 3, 1]
     d_h = params.d_head
     cols = np.concatenate([np.arange(p * d_h, (p + 1) * d_h) for p in perm])
@@ -525,13 +525,13 @@ def _run_head_permutation(rng):
         8, 4, T.Tensor(params.wq.values[:, cols]),
         T.Tensor(params.wk.values[:, cols]), T.Tensor(params.wv.values[:, cols]),
         T.Tensor(params.w_out.values[cols]))
-    return _errors(A.multi_head_self(h, permuted).values, base)
+    return _errors(A.self_attention(h, permuted).values, base)
 
 
 def _run_attention_composition(rng):
     params = A.AttentionParams.init(6, 1, rng, dtype=_F64)
     h = T.Tensor(rng.gaussian((4, 6)))
-    got = A.multi_head_self(h, params).values
+    got = A.self_attention(h, params).values
     ctx = A.qkv_attention(T.matmul(h, params.wq),
                           T.matmul(h, params.wk),
                           T.matmul(h, params.wv))
@@ -563,13 +563,13 @@ def _run_rpr_loop(rng):
 
 
 def _run_multiquery_weight_copy(rng):
-    mq = A.AttentionParams.init(8, 4, rng, multi_query=True, dtype=_F64)
+    mq = A.AttentionParams.init(8, 4, rng, n_kv=1, dtype=_F64)
     h = T.Tensor(rng.gaussian((5, 8)))
-    got = A.multi_query_attention(h, mq).values
+    got = A.self_attention(h, mq).values
     std = A.AttentionParams.from_blocks(
         8, 4, mq.wq, T.Tensor(np.tile(mq.wk.values, 4)),
         T.Tensor(np.tile(mq.wv.values, 4)), mq.w_out)
-    return _errors(got, A.multi_head_self(h, std).values)
+    return _errors(got, A.self_attention(h, std).values)
 
 
 def _run_cached_decode(rng):

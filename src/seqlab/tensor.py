@@ -14,9 +14,10 @@ weighted values and head merge), and the training loss
 ``log_softmax_nll``. Their forwards repeat the arithmetic of the
 composites they replace, so float32 outputs match those bit for bit.
 They run elementwise steps in place where they can (attention's scale,
-mask add, exp and divide and its softmax backward; exp and divide in
-``softmax_rows`` and the loss; ReLU on the biased sum), so attention
-keeps one score-sized array per layer. The buffer rule: a fused op
+mask add, exp and divide and its softmax backward; the mask add after a
+scale, the row-max subtract, exp and divide in ``softmax_rows``; exp and
+divide in the loss; ReLU on the biased sum), so attention keeps one
+score-sized array per layer. The buffer rule: a fused op
 overwrites only arrays it allocated; never an input, a mask, cache rows
 or an incoming gradient. Where writing in place would change a result's
 dtype or shape, the op computes out of place, so the bits do not depend
@@ -109,19 +110,12 @@ class Tensor:
     def T(self):
         return transpose(self)
 
-    def item(self) -> float:
-        return float(self.values)
-
     def tolist(self):
         return self.values.tolist()
 
     def astype(self, dtype) -> "Tensor":
         """Precision change for setup/verification code; not recorded."""
         return Tensor(self.values.astype(dtype), trainable=self.trainable)
-
-    def detach(self) -> "Tensor":
-        """Same values, no tape linkage, not trainable."""
-        return Tensor(self.values)
 
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, dtype={self.values.dtype.name})"
@@ -711,10 +705,10 @@ def softmax_rows(x: Tensor, additive_mask=None,
     the mask is a Tensor, to its finite entries (additive priors may be
     learnable).
     """
-    xv = x.values
+    xv = logits = x.values                  # never written
     if scale is not None:
         c = np.asarray(scale, dtype=xv.dtype)
-        xv = xv * c
+        logits = xv * c                     # fresh: the rest runs in place
     mask_t = additive_mask if isinstance(additive_mask, Tensor) else None
     if additive_mask is not None:
         mv = additive_mask.values if mask_t is not None else np.asarray(
@@ -722,16 +716,18 @@ def softmax_rows(x: Tensor, additive_mask=None,
         # NaN and +inf are the entries whose maximum is not below +inf
         if not np.maximum.reduce(mv, axis=None, initial=-np.inf) < np.inf:
             raise ValueError("mask entries must be finite or -inf")
-        logits = xv + mv
-    else:
-        logits = xv
+        logits = xv + mv if logits is xv else _into(np.add, logits, mv)
 
     if logits.shape[-1] == 0:
         raise DegenerateRowError("softmax over zero-width rows")
     row_max = np.maximum.reduce(logits, axis=-1, keepdims=True)
     if np.fmin.reduce(row_max, axis=None, initial=np.inf) == -np.inf:
         raise DegenerateRowError("softmax row with every entry masked")
-    y = logits - row_max                    # fresh: exp and divide in place
+    if logits is xv:
+        y = xv - row_max
+    else:                                   # logits is fresh
+        y = logits
+        y -= row_max
     np.exp(y, out=y)                        # exp(-inf) == 0 exactly
     y /= np.add.reduce(y, axis=-1, keepdims=True)
     out = _result(y.astype(x.dtype, copy=False))
@@ -905,17 +901,15 @@ def log_softmax_nll(x: Tensor, targets, weights, floor: float):
 
 
 def layer_norm(h: Tensor, g: Tensor, b: Tensor, eps: float,
-               sqrt_variance: bool = False,
                residual: Optional[Tensor] = None) -> Tensor:
     """g * (h - mu) / D + b over the last axis, as one op.
 
     mu and sigma are the row's mean and population standard deviation,
-    and D is sigma + eps, or sqrt(sigma^2 + eps) with ``sqrt_variance``.
-    With ``residual`` the op normalizes h + residual (a post-norm
-    sub-layer's F(z) + z), added first exactly as a separate add would,
-    and both receive its gradient. The forward repeats the composite's
-    arithmetic (sums times 1/n in h's dtype), so float32 outputs equal it
-    bit for bit. The backward is the closed form of Ba et al., Layer
+    and D is sigma + eps, the paper's denominator. With ``residual`` the
+    op normalizes h + residual (a post-norm sub-layer's F(z) + z), added
+    first exactly as a separate add would, and both receive its gradient.
+    The forward repeats the composite's arithmetic (sums times 1/n in h's
+    dtype), so float32 outputs equal it bit for bit. The backward is the closed form of Ba et al., Layer
     Normalization (2016); on a constant row (sigma = 0) d sigma / dh is
     taken as 0, so that row's input gradient is (dx - mean(dx)) / D, dx
     being the gradient at the normalized row.
@@ -925,7 +919,7 @@ def layer_norm(h: Tensor, g: Tensor, b: Tensor, eps: float,
     c = hv - np.add.reduce(hv, axis=-1, keepdims=True) * inv_n
     sigma = np.sqrt(np.add.reduce(c * c, axis=-1, keepdims=True) * inv_n)
     e = np.asarray(eps, dtype=hv.dtype)
-    denom = np.sqrt(sigma * sigma + e) if sqrt_variance else sigma + e
+    denom = sigma + e
     xhat = c / denom
     gv = g.values
     out = _result(gv * xhat + b.values)
@@ -934,8 +928,7 @@ def layer_norm(h: Tensor, g: Tensor, b: Tensor, eps: float,
         dxhat = gout * gv
         s = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True)
         # dD/dsigma * dsigma/dc = k * c / n
-        k = 1.0 / denom if sqrt_variance else np.divide(
-            1.0, sigma, out=np.zeros_like(sigma), where=sigma > 0)
+        k = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > 0)
         dc = dxhat / denom - xhat * (s * k * inv_n)
         dh = dc - np.add.reduce(dc, axis=-1, keepdims=True) * inv_n
         grads = (_unbroadcast(dh, h.shape), _unbroadcast(gout * xhat, g.shape),

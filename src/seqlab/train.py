@@ -96,14 +96,13 @@ class Batch:
 
 
 def make_batches(seqs: Sequence[Sequence[int]], size: int,
-                 rng: Optional[T.Rng] = None,
-                 sort_window: Optional[int] = None) -> List[Batch]:
+                 rng: Optional[T.Rng] = None) -> List[Batch]:
     """Pack sequences into padded blocks of up to `size` rows.
 
     Each sequence gets an EOS appended, then PADs out to the longest row
     of its block. With an rng, the order is shuffled and then sorted by
-    length inside windows of sort_window rows (default 4*size) so blocks
-    waste less padding; without one the input order is kept.
+    length inside windows of 4*size rows so blocks waste less padding;
+    without one the input order is kept.
     """
     if size < 1:
         raise ValueError("batch size must be >= 1")
@@ -113,7 +112,7 @@ def make_batches(seqs: Sequence[Sequence[int]], size: int,
     order = list(range(len(rows)))
     if rng is not None:
         order = [int(i) for i in rng.permutation(len(rows))]
-        win = sort_window or 4 * size
+        win = 4 * size
         for lo in range(0, len(order), win):
             chunk = order[lo:lo + win]
             chunk.sort(key=lambda i: len(rows[i]))

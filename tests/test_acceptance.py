@@ -183,20 +183,20 @@ def test_c04_gradient_suite():
     def b_dense(rng):
         h = T.Tensor(rng.gaussian((4, 6)), trainable=True)
         prm = A.AttentionParams.init(6, 2, rng, dtype=F64)
-        fwd = lambda: A.multi_head_self(h, prm, A.causal_mask(4))
+        fwd = lambda: A.self_attention(h, prm, A.causal_mask(4))
         return probe_loss(fwd, (4, 6), rng), [h, prm.w_qkv, prm.w_out]
 
     def b_window(rng):
         h = T.Tensor(rng.gaussian((5, 6)), trainable=True)
         prm = A.AttentionParams.init(6, 2, rng, dtype=F64)
         spec = A.make_attention_field("window", 5, causal=True, window=2)
-        fwd = lambda: A.multi_head_self(h, prm, spec)
+        fwd = lambda: A.self_attention(h, prm, spec)
         return probe_loss(fwd, (5, 6), rng), [h, prm.w_qkv]
 
     def b_multi_query(rng):
         h = T.Tensor(rng.gaussian((4, 6)), trainable=True)
-        prm = A.AttentionParams.init(6, 2, rng, multi_query=True, dtype=F64)
-        fwd = lambda: A.multi_query_attention(h, prm, A.causal_mask(4))
+        prm = A.AttentionParams.init(6, 2, rng, n_kv=1, dtype=F64)
+        fwd = lambda: A.self_attention(h, prm, A.causal_mask(4))
         return probe_loss(fwd, (4, 6), rng), [h, prm.w_qkv]
 
     def b_kernelized(rng):
@@ -303,14 +303,14 @@ def test_c05_equivalence_suite():
     errs["moe-dense"] = float(np.max(np.abs(got_moe - dense)))
 
     # multi-query vs a multi-head stack with tied key/value weights
-    mq = A.AttentionParams.init(8, 4, T.Rng(12), multi_query=True, dtype=F64)
+    mq = A.AttentionParams.init(8, 4, T.Rng(12), n_kv=1, dtype=F64)
     h = T.Tensor(rng.gaussian((5, 8)))
     tied_kv = A.AttentionParams.from_blocks(
         8, 4, mq.wq, T.Tensor(np.tile(mq.wk.values, 4)),
         T.Tensor(np.tile(mq.wv.values, 4)), mq.w_out)
     errs["multi-query"] = float(np.max(np.abs(
-        A.multi_query_attention(h, mq).values
-        - A.multi_head_self(h, tied_kv).values)))
+        A.self_attention(h, mq).values
+        - A.self_attention(h, tied_kv).values)))
 
     # shared layer stack vs an untied stack with copied weights
     tied = M.Model.init(M.ModelConfig(d=8, n_layers=2, tau=2, d_ffn=16,

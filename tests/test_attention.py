@@ -11,9 +11,8 @@ from seqlab import tensor as T
 F64 = np.float64
 
 
-def params_for(d, tau, seed=0, multi_query=False, dtype=F64):
-    return A.AttentionParams.init(d, tau, T.Rng(seed), multi_query=multi_query,
-                                  dtype=dtype)
+def params_for(d, tau, seed=0, n_kv=None, dtype=F64):
+    return A.AttentionParams.init(d, tau, T.Rng(seed), n_kv=n_kv, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +241,7 @@ def test_single_head_identity_merge_equals_qkv():
     p.w_out = T.eye(d, dtype=F64)
     rng = T.Rng(14)
     h = T.Tensor(rng.gaussian((5, d)), dtype=F64)
-    got = A.multi_head_self(h, p)
+    got = A.self_attention(h, p)
     want = A.qkv_attention(T.matmul(h, p.wq), T.matmul(h, p.wk),
                            T.matmul(h, p.wv))
     np.testing.assert_allclose(got.values, want.values, atol=1e-12)
@@ -253,7 +252,7 @@ def test_multi_head_output_shape(tau):
     d = 12
     rng = T.Rng(15)
     h = T.Tensor(rng.gaussian((7, d)), dtype=F64)
-    out = A.multi_head_self(h, params_for(d, tau, seed=tau))
+    out = A.self_attention(h, params_for(d, tau, seed=tau))
     assert out.shape == (7, d)
 
 
@@ -267,7 +266,7 @@ def test_head_permutation_with_merge_rows_is_invariant():
     p = params_for(d, tau, seed=16)
     rng = T.Rng(17)
     h = T.Tensor(rng.gaussian((5, d)), dtype=F64)
-    base = A.multi_head_self(h, p)
+    base = A.self_attention(h, p)
     perm = [2, 0, 3, 1]
     d_h = d // tau
     w_out_rows = p.w_out.values.reshape(tau, d_h, d)[perm].reshape(d, d)
@@ -278,7 +277,7 @@ def test_head_permutation_with_merge_rows_is_invariant():
 
     p2 = A.AttentionParams.from_blocks(d, tau, blocks(p.wq), blocks(p.wk),
                                        blocks(p.wv), T.Tensor(w_out_rows, dtype=F64))
-    swapped = A.multi_head_self(h, p2)
+    swapped = A.self_attention(h, p2)
     np.testing.assert_allclose(swapped.values, base.values, atol=1e-12)
 
 
@@ -291,12 +290,12 @@ def test_multi_head_gradient_vs_finite_difference():
 
     h = T.Tensor(h0, dtype=F64, trainable=True)
     with T.Tape():
-        out = A.multi_head_self(h, p, A.causal_mask(m))
+        out = A.self_attention(h, p, A.causal_mask(m))
         loss = (out * T.Tensor(probe, dtype=F64)).sum()
     analytic = T.backward(loss)[h].values
 
     def f(x):
-        out = A.multi_head_self(T.Tensor(x, dtype=F64), p, A.causal_mask(m))
+        out = A.self_attention(T.Tensor(x, dtype=F64), p, A.causal_mask(m))
         return float((out.values * probe).sum())
 
     fd = O.central_difference(f, h0.copy())
@@ -327,7 +326,7 @@ def test_cross_reduces_to_unmasked_self():
     rng = T.Rng(23)
     h = T.Tensor(rng.gaussian((4, d)), dtype=F64)
     np.testing.assert_allclose(A.cross_attention(h, h, p).values,
-                               A.multi_head_self(h, p).values, atol=1e-12)
+                               A.self_attention(h, p).values, atol=1e-12)
 
 
 def test_cross_composes_from_qkv():
@@ -363,7 +362,7 @@ def test_rpr_zero_table_equals_multi_head():
     mask = A.causal_mask(n)
     np.testing.assert_allclose(p.merge(A.rpr_attention(*p.heads(h), zero,
                                                        mask)).values,
-                               A.multi_head_self(h, p, mask).values, atol=1e-12)
+                               A.self_attention(h, p, mask).values, atol=1e-12)
 
 
 def test_rpr_matches_double_loop_oracle():
@@ -427,42 +426,49 @@ def test_rpr_gradient_reaches_tables():
 
 def test_multi_query_tau_one_equals_single_head():
     d = 6
-    mq = params_for(d, 1, seed=37, multi_query=True)
+    mq = params_for(d, 1, seed=37, n_kv=1)
     std = A.AttentionParams.from_blocks(d, 1, mq.wq, mq.wk, mq.wv, mq.w_out)
     rng = T.Rng(38)
     h = T.Tensor(rng.gaussian((4, d)), dtype=F64)
-    np.testing.assert_allclose(A.multi_query_attention(h, mq).values,
-                               A.multi_head_self(h, std).values, atol=1e-12)
+    np.testing.assert_allclose(A.self_attention(h, mq).values,
+                               A.self_attention(h, std).values, atol=1e-12)
 
 
 def test_multi_query_equals_weight_copied_multi_head():
     d, tau = 8, 4
-    mq = params_for(d, tau, seed=39, multi_query=True)
+    mq = params_for(d, tau, seed=39, n_kv=1)
     copied = A.AttentionParams.from_blocks(
         d, tau, mq.wq, T.Tensor(np.tile(mq.wk.values, tau), dtype=F64),
         T.Tensor(np.tile(mq.wv.values, tau), dtype=F64), mq.w_out)
+    assert (mq.n_kv, copied.n_kv) == (1, tau)   # read from wk's width
     rng = T.Rng(40)
     h = T.Tensor(rng.gaussian((6, d)), dtype=F64)
     mask = A.causal_mask(6)
-    np.testing.assert_allclose(A.multi_query_attention(h, mq, mask).values,
-                               A.multi_head_self(h, copied, mask).values,
+    np.testing.assert_allclose(A.self_attention(h, mq, mask).values,
+                               A.self_attention(h, copied, mask).values,
                                atol=1e-12)
 
 
-def test_wrong_variant_flags_rejected():
-    mh = params_for(8, 2, seed=41)
-    mq = params_for(8, 2, seed=41, multi_query=True)
-    h = T.zeros((3, 8), dtype=F64)
-    with pytest.raises(ValueError):
-        A.multi_query_attention(h, mh)
-    with pytest.raises(ValueError):
-        A.multi_head_self(h, mq)
+@pytest.mark.parametrize("width,n_kv", [
+    (8 + 2 * 2, 1), (8 + 2 * 8, 4), (8 + 2 * 4, None), (8 + 2 * 2 + 1, None),
+    (8 + 2 * 8 + 2, None), (4, None),
+], ids=["one", "tau", "two", "remainder", "remainder-at-tau", "narrower-than-d"])
+def test_key_value_heads_are_read_from_the_w_qkv_width(width, n_kv):
+    d, tau = 8, 4                          # d_h = 2
+    w_qkv, w_out = T.zeros((d, width), dtype=F64), T.eye(d, dtype=F64)
+    if n_kv is None:                       # T.attention serves 1 or tau
+        with pytest.raises(ValueError, match="head layout"):
+            A.AttentionParams(d, tau, w_qkv, w_out)
+        return
+    p = A.AttentionParams(d, tau, w_qkv, w_out)
+    assert p.n_kv == n_kv
+    assert (p.k_cols, p.v_cols) == ((d, d + 2 * n_kv), (d + 2 * n_kv, width))
 
 
 def test_multi_query_cache_is_tau_times_smaller():
     steps, layers, d, tau = 5, 2, 8, 4
     mh = params_for(d, tau, seed=50)
-    mq = params_for(d, tau, seed=50, multi_query=True)
+    mq = params_for(d, tau, seed=50, n_kv=1)
     mh_cache, mq_cache = A.KVCache(layers), A.KVCache(layers)
     rng = T.Rng(51)
     for _ in range(steps):
@@ -490,7 +496,7 @@ def test_empty_cache_step_equals_length_one_attention():
     rng = T.Rng(43)
     x = T.Tensor(rng.gaussian((1, d)), dtype=F64)
     out, cache = A.attend_step_cached(x, cache, p, layer=0)
-    want = A.multi_head_self(x, p)
+    want = A.self_attention(x, p)
     np.testing.assert_allclose(out.values, want.values, atol=1e-12)
     assert cache.length(0) == 1
 
@@ -500,7 +506,7 @@ def test_incremental_equals_full_recompute():
     p = params_for(d, tau, seed=44)
     rng = T.Rng(45)
     h = rng.gaussian((n, d))
-    full = A.multi_head_self(T.Tensor(h, dtype=F64), p, A.causal_mask(n)).values
+    full = A.self_attention(T.Tensor(h, dtype=F64), p, A.causal_mask(n)).values
     cache = A.KVCache(1)
     for i in range(n):
         out, cache = A.attend_step_cached(T.Tensor(h[i:i + 1], dtype=F64),
@@ -512,11 +518,11 @@ def test_incremental_equals_full_recompute():
 
 def test_incremental_multi_query_equals_full():
     d, tau, n = 8, 4, 10
-    p = params_for(d, tau, seed=46, multi_query=True)
+    p = params_for(d, tau, seed=46, n_kv=1)
     rng = T.Rng(47)
     h = rng.gaussian((n, d))
-    full = A.multi_query_attention(T.Tensor(h, dtype=F64), p,
-                                   A.causal_mask(n)).values
+    full = A.self_attention(T.Tensor(h, dtype=F64), p,
+                            A.causal_mask(n)).values
     cache = A.KVCache(1)
     for i in range(n):
         out, cache = A.attend_step_cached(T.Tensor(h[i:i + 1], dtype=F64),

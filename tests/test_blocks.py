@@ -92,14 +92,14 @@ def test_scale_invariance_at_vanishing_eps():
     np.testing.assert_allclose(scaled, base, atol=1e-12)
 
 
-def test_conventional_denominator_flag():
+def test_denominator_is_sigma_plus_eps():
     h = T.Tensor(T.Rng(4).gaussian((2, 6)), dtype=F64)
     plain = ln_identity(6, eps=0.04)
-    conv = B.LNParams(plain.g, plain.b, eps=0.04, sqrt_variance=True)
     mu, sigma = B.row_stats(h)
-    want = (h.values - mu.values) / np.sqrt(sigma.values ** 2 + 0.04)
-    np.testing.assert_allclose(B.layer_norm(h, conv).values, want, atol=1e-12)
-    assert np.max(np.abs(B.layer_norm(h, plain).values - want)) > 1e-4
+    want = (h.values - mu.values) / (sigma.values + 0.04)
+    conventional = (h.values - mu.values) / np.sqrt(sigma.values ** 2 + 0.04)
+    np.testing.assert_allclose(B.layer_norm(h, plain).values, want, atol=1e-12)
+    assert np.max(np.abs(B.layer_norm(h, plain).values - conventional)) > 1e-4
 
 
 def test_eps_must_be_positive():

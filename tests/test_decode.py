@@ -106,6 +106,13 @@ def test_decode_step_rejects_a_one_dimensional_block():
         m.decode_step(m.decode_session(), [SOS, 4])
 
 
+@pytest.mark.parametrize("shape", [(0, 1), (1, 0), (0, 0)], ids=str)
+def test_decode_step_rejects_an_empty_block(shape):
+    m = build()
+    with pytest.raises(M.ContractError):
+        m.decode_step(m.decode_session(), np.zeros(shape, dtype=np.int64))
+
+
 # ---------------------------------------------------------------------------
 # batched beam search against the clone-per-candidate loop
 # ---------------------------------------------------------------------------

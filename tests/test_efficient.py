@@ -234,11 +234,14 @@ def test_width_reduction_rank_bound():
     assert np.linalg.matrix_rank(logits) <= d_r
 
 
-def test_width_scale_flag_changes_temperature():
+def test_width_reduction_keeps_the_sqrt_d_temperature():
     n, d, d_r = 4, 8, 2
     q, k, v = (T.Tensor(rand((n, d), s), dtype=F64) for s in (36, 37, 38))
     proj = EF.LowRankProjections(u_q=T.Tensor(rand((d, d_r), 39), dtype=F64),
                                  u_kd=T.Tensor(rand((d, d_r), 40), dtype=F64))
     kept = EF.lowrank_width_attention(q, k, v, proj)
-    reduced = EF.lowrank_width_attention(q, k, v, proj, scale_by_reduced=True)
+    q_r, k_r = EF.reduce_width(q, k, proj)
+    np.testing.assert_array_equal(
+        kept.values, A.qkv_attention(q_r, k_r, v, scale=np.sqrt(d)).values)
+    reduced = A.qkv_attention(q_r, k_r, v, scale=np.sqrt(d_r))
     assert np.max(np.abs(kept.values - reduced.values)) > 1e-8

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqlab import embedding as E
+from seqlab import model as M
 from seqlab import oracles as O
 from seqlab import tensor as T
 
@@ -167,10 +168,13 @@ def test_embed_matches_elementwise_sum():
 
 
 def test_embed_scale_flag():
-    tab = _table(d=4)
-    pe = E.SinusoidalPE(4)
-    out = E.embed_sequence([2], tab, pe, scale_by_sqrt_d=True)
-    want = tab.weights.values[2] * 2.0 + pe.vector(0)
+    """``embedding.scale`` multiplies the raw embedding by sqrt(d) before
+    the PE is added."""
+    cfg = M.ModelConfig(d=4, n_layers=1, tau=1, d_ffn=8, scale_embedding=True)
+    m = M.Model.init(cfg, E.Vocab.from_text("abcdefgh"), seed=0,
+                     dtype=np.float64)
+    out = m._embed_at(np.array([2]), 0)
+    want = m.embed.weights.values[2] * 2.0 + E.SinusoidalPE(4).vector(0)
     np.testing.assert_allclose(out.values[0], want, atol=1e-12)
 
 

@@ -151,14 +151,14 @@ def leaf(shape, seed, dtype=F64, scale=1.0, shift=0.0):
 # ---------------------------------------------------------------------------
 
 LN_SHAPES = [(5, 7), (3, 4, 64), (2, 1, 33), (6, 256)]
+# the ids name the op's one denominator, sigma + eps
+LN_IDS = [f"{shape}-sigma" for shape in LN_SHAPES]
 
 
-@pytest.mark.parametrize("sqrt_variance", [False, True], ids=["sigma", "sqrt"])
-@pytest.mark.parametrize("shape", LN_SHAPES, ids=str)
-def test_layer_norm_is_bitwise_the_composite_in_float32(shape, sqrt_variance):
+@pytest.mark.parametrize("shape", LN_SHAPES, ids=LN_IDS)
+def test_layer_norm_is_bitwise_the_composite_in_float32(shape):
     d = shape[-1]
-    params = B.LNParams(leaf((d,), 1, F32), leaf((d,), 2, F32), eps=1e-5,
-                        sqrt_variance=sqrt_variance)
+    params = B.LNParams(leaf((d,), 1, F32), leaf((d,), 2, F32), eps=1e-5)
     h = leaf(shape, 3, F32, scale=3.0, shift=0.7)
     got = B.layer_norm(h, params)
     want = composite_layer_norm(h, params)
@@ -166,28 +166,24 @@ def test_layer_norm_is_bitwise_the_composite_in_float32(shape, sqrt_variance):
     np.testing.assert_array_equal(got.values, want.values)
 
 
-@pytest.mark.parametrize("sqrt_variance", [False, True], ids=["sigma", "sqrt"])
-@pytest.mark.parametrize("shape", LN_SHAPES, ids=str)
-def test_layer_norm_gradients_match_the_composite(shape, sqrt_variance):
+@pytest.mark.parametrize("shape", LN_SHAPES, ids=LN_IDS)
+def test_layer_norm_gradients_match_the_composite(shape):
     d = shape[-1]
     inputs = [leaf(shape, 4, scale=2.0, shift=-0.3), leaf((d,), 5),
               leaf((d,), 6)]
 
     def params(g, b):
-        return B.LNParams(g, b, eps=0.01, sqrt_variance=sqrt_variance)
+        return B.LNParams(g, b, eps=0.01)
 
     assert_grads_close(lambda h, g, b: B.layer_norm(h, params(g, b)),
                        lambda h, g, b: composite_layer_norm(h, params(g, b)),
                        inputs)
 
 
-@pytest.mark.parametrize("sqrt_variance", [False, True], ids=["sigma", "sqrt"])
-@pytest.mark.parametrize("shape", LN_SHAPES, ids=str)
-def test_layer_norm_with_a_residual_is_the_add_then_the_norm(shape,
-                                                             sqrt_variance):
+@pytest.mark.parametrize("shape", LN_SHAPES, ids=LN_IDS)
+def test_layer_norm_with_a_residual_is_the_add_then_the_norm(shape):
     d = shape[-1]
-    params = B.LNParams(leaf((d,), 1, F32), leaf((d,), 2, F32), eps=1e-5,
-                        sqrt_variance=sqrt_variance)
+    params = B.LNParams(leaf((d,), 1, F32), leaf((d,), 2, F32), eps=1e-5)
     h, z = leaf(shape, 3, F32, scale=3.0), leaf(shape, 30, F32, shift=0.7)
     np.testing.assert_array_equal(
         B.layer_norm(h, params, residual=z).values,
@@ -196,22 +192,21 @@ def test_layer_norm_with_a_residual_is_the_add_then_the_norm(shape,
               leaf((d,), 33), leaf((d,), 34)]
 
     def ln(g, b):
-        return B.LNParams(g, b, eps=0.01, sqrt_variance=sqrt_variance)
+        return B.LNParams(g, b, eps=0.01)
 
     assert_grads_close(
         lambda h, z, g, b: B.layer_norm(h, ln(g, b), residual=z),
         lambda h, z, g, b: composite_layer_norm(h + z, ln(g, b)), inputs)
 
 
-@pytest.mark.parametrize("sqrt_variance", [False, True], ids=["sigma", "sqrt"])
-def test_constant_row_gradient_is_finite(sqrt_variance):
-    """sigma = 0: the forward divides by eps (or sqrt(eps)), and the
-    input gradient is (dx - mean(dx)) / D, dx the gradient at the
-    normalized row; the composite's sqrt backward gives NaN here."""
-    eps = 0.01
+@pytest.mark.parametrize("eps", [0.01], ids=["sigma"])
+def test_constant_row_gradient_is_finite(eps):
+    """sigma = 0: the forward divides by D = eps, and the input gradient
+    is (dx - mean(dx)) / eps, dx the gradient at the normalized row; the
+    composite's sqrt backward gives NaN here."""
     g = T.Tensor(np.full(4, 2.0), dtype=F64)
     b = T.Tensor(np.array([1.0, -1.0, 0.5, 0.0]), dtype=F64)
-    params = B.LNParams(g, b, eps=eps, sqrt_variance=sqrt_variance)
+    params = B.LNParams(g, b, eps=eps)
     h = T.Tensor(np.full((2, 4), 3.3), dtype=F64, trainable=True)
     probe = T.Rng(7).gaussian((2, 4))
     with T.Tape():
@@ -220,8 +215,7 @@ def test_constant_row_gradient_is_finite(sqrt_variance):
     np.testing.assert_array_equal(out.values, np.tile(b.values, (2, 1)))
     got = T.backward(loss)[h].values
     dx = probe * g.values
-    denom = np.sqrt(eps) if sqrt_variance else eps
-    want = (dx - dx.mean(axis=-1, keepdims=True)) / denom
+    want = (dx - dx.mean(axis=-1, keepdims=True)) / eps
     assert np.all(np.isfinite(got))
     assert np.max(np.abs(got - want)) <= 1e-9
 

@@ -29,9 +29,8 @@ def leaf(shape, seed=0):
     return T.Tensor(T.Rng(seed).gaussian(shape), dtype=F64, trainable=True)
 
 
-def params(d=12, tau=3, seed=1, multi_query=False):
-    return A.AttentionParams.init(d, tau, T.Rng(seed), multi_query=multi_query,
-                                  dtype=F64)
+def params(d=12, tau=3, seed=1, n_kv=None):
+    return A.AttentionParams.init(d, tau, T.Rng(seed), n_kv=n_kv, dtype=F64)
 
 
 def model(seed=2, **kw):
@@ -47,11 +46,11 @@ def cols(j, d_h):
 def per_head(x_q, x_kv, p, attend):
     """Merge(head_1..head_tau) W_c, where head j is
     attend(j, x_q W^q_j, x_kv W^k_j, x_kv W^v_j) and W_j is column block
-    j of the fused matrix (block 0 of W^k/W^v in multi-query mode)."""
+    j of the fused matrix (block 0 of W^k/W^v with one key/value head)."""
     d_h = p.d_head
     outs = []
     for j in range(p.tau):
-        j_kv = 0 if p.multi_query else j
+        j_kv = 0 if p.n_kv == 1 else j
         outs.append(attend(j, T.matmul(x_q, T.take(p.wq, cols(j, d_h))),
                            T.matmul(x_kv, T.take(p.wk, cols(j_kv, d_h))),
                            T.matmul(x_kv, T.take(p.wv, cols(j_kv, d_h)))))
@@ -97,7 +96,7 @@ def test_self_attention_matches_per_head():
     p = params()
     z = leaf((2, 5, 12))
     mask = A.causal_mask(5)
-    assert_same(lambda: A.multi_head_self(z, p, mask),
+    assert_same(lambda: A.self_attention(z, p, mask),
                 lambda: per_head(z, z, p, dense(mask)), [z] + att_leaves(p))
 
 
@@ -110,11 +109,11 @@ def test_cross_attention_matches_per_head():
 
 
 def test_multi_query_matches_per_head():
-    p = params(d=12, tau=4, seed=4, multi_query=True)
+    p = params(d=12, tau=4, seed=4, n_kv=1)
     z = leaf((2, 5, 12))
     mask = A.causal_mask(5)
     assert p.wk.shape == (12, 3)
-    assert_same(lambda: A.multi_query_attention(z, p, mask),
+    assert_same(lambda: A.self_attention(z, p, mask),
                 lambda: per_head(z, z, p, dense(mask)), [z] + att_leaves(p))
 
 
@@ -136,7 +135,7 @@ def rpr_head(rpr, m, additive):
 
 @pytest.mark.parametrize("multi_query", [False, True])
 def test_rpr_attention_matches_per_head(multi_query):
-    p = params(d=12, tau=3, seed=5, multi_query=multi_query)
+    p = params(d=12, tau=3, seed=5, n_kv=1 if multi_query else None)
     rpr = RprTable.init(2, 4, T.Rng(6), dtype=F64)
     z = leaf((2, 5, 12))
     mask = A.causal_mask(5)
@@ -280,7 +279,7 @@ def test_chunk_prefix_core_matches_per_head():
 @pytest.mark.parametrize("multi_query,window", [
     (False, None), (True, None), (False, 2), (True, 3)])
 def test_cached_decode_matches_per_head(multi_query, window):
-    p = params(d=12, tau=4, seed=8, multi_query=multi_query)
+    p = params(d=12, tau=4, seed=8, n_kv=1 if multi_query else None)
     n = 7
     xs = T.Rng(9).gaussian((n, 12))
     cache = A.KVCache(1, window)
@@ -348,14 +347,14 @@ def test_stream_decode_matches_per_head():
 @pytest.mark.parametrize("multi_query", [False, True])
 def test_fused_init_concatenates_per_head_draws_bitwise(multi_query):
     d, tau = 12, 3
-    p = A.AttentionParams.init(d, tau, T.Rng(5), multi_query=multi_query)
+    n_kv = 1 if multi_query else tau
+    p = A.AttentionParams.init(d, tau, T.Rng(5), n_kv=n_kv)
     rng = T.Rng(5)
 
     def draws(n):
         return np.concatenate([T.xavier_init(d, d // tau, rng=rng).values
                                for _ in range(n)], axis=1)
 
-    n_kv = 1 if multi_query else tau
     w_qkv = np.concatenate([draws(tau), draws(n_kv), draws(n_kv)], axis=1)
     for w, want in ((p.w_qkv, w_qkv),
                     (p.w_out, T.xavier_init(d, d, rng=rng).values)):

@@ -2,17 +2,19 @@
 
 ``tensor.attention``, ``tensor.relu`` with a bias, ``softmax_rows`` and
 ``log_softmax_nll`` run their elementwise passes inside arrays they
-allocated themselves. The out-of-place bodies they replace are pinned
-here: every output and every input's gradient must be equal bit for bit,
-in float32 and float64, as must criterion-10 losses and weights and
-whole decodes. The buffer rule is checked directly: no input's values, no
-mask, no live KV-cache row and no incoming gradient changes in the
-forward or the backward, and a gradient array that ``add`` hands to two
-records gives both the pinned gradients.
+allocated themselves (``softmax_rows`` from its scale on, when it has
+one). The out-of-place bodies they replace are pinned here: every output
+and every input's gradient must be equal bit for bit, in float32 and
+float64, as must criterion-10 losses and weights and whole decodes. The
+buffer rule is checked directly: no input's values, no mask, no live
+KV-cache row and no incoming gradient changes in the forward or the
+backward, and a gradient array that ``add`` hands to two records gives
+both the pinned gradients.
 """
 
 import importlib.resources
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -336,9 +338,12 @@ def softmax_case(mask_kind, scale):
         mask = {"none": None, "array": CAUSAL[:6, :6].astype(F32),
                 "tensor": T.Tensor(np.where(np.isinf(CAUSAL[:6, :6]), -np.inf,
                                             T.Rng(13).gaussian((6, 6))),
-                                   dtype=F64, trainable=True)}[mask_kind]
+                                   dtype=F64, trainable=True),
+                # a leading axis of 2: the mask broadcasts the logits up
+                "broadcast": np.stack([CAUSAL[:6, :6], np.zeros((6, 6))])[
+                    :, None]}[mask_kind]
         leaves = [x, mask] if mask_kind == "tensor" else [x]
-        held = [mask] if mask_kind == "array" else []
+        held = [mask] if mask_kind in ("array", "broadcast") else []
         return (lambda: T.softmax_rows(x, mask, scale)), leaves, held
     return make
 
@@ -357,8 +362,11 @@ def loss_case(dtype):
 OTHER_CASES = {
     "relu-bias": relu_case,
     "softmax": softmax_case("none", None),
+    "softmax-scaled": softmax_case("none", 0.5),
+    "softmax-masked": softmax_case("array", None),
     "softmax-scaled-masked": softmax_case("array", 0.5),
     "softmax-float64-tensor-mask": softmax_case("tensor", 0.5),
+    "softmax-scaled-broadcasting-mask": softmax_case("broadcast", 0.5),
     "log_softmax_nll": loss_case,
 }
 
@@ -397,6 +405,28 @@ def test_no_input_mask_cache_row_or_incoming_gradient_changes(case):
     # give a different answer the second time
     second = record.grad_fn(g)
     assert [x.tobytes() for x in first] == [x.tobytes() for x in second]
+
+
+def test_a_scaled_masked_softmax_peaks_at_most_700_kib_traced():
+    """tracemalloc's peak over one softmax_rows with a scale and a causal
+    mask on the training shape's (8, 4, 65, 65) float32 logits, 528 KiB an
+    array. The mask add, row-max subtract, exp and divide run inside the
+    fresh scaled logits, so the output is the one score-sized array;
+    computed out of place, the peak was 1651 KiB."""
+    x = T.Tensor(T.Rng(19).gaussian((8, 4, N, N)), dtype=F32)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = T.softmax_rows(x, CAUSAL, 0.25)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert out.values.nbytes == 8 * 4 * N * N * 4
+    assert peak <= 700 * 2 ** 10
 
 
 def test_one_gradient_array_reaching_two_records_through_add(request):

@@ -430,6 +430,10 @@ def test_version_two_checkpoint_folds_into_w_qkv_bitwise(tmp_path):
     assert "dec0.cross.w_qkv" in names and "dec0.att.wq" not in names
     att = model.dec_layers[0].att
     assert att.w_qkv.shape == (8, 8 + 2 * 4)          # one shared K/V head
+    # n_kv is read from each loaded W^qkv's width
+    assert [lay.att.n_kv for lay in model.enc_layers + model.dec_layers] \
+        == [1, 1]
+    assert [lay.cross.n_kv for lay in model.dec_layers] == [att.tau]
     assert three_matrix_digest(model) == V2_TENSORS_SHA256
     logits = model.decoder_forward([E.SOS, 4, 5, 6, 7],
                                    model.encode([3, 4, 5, 6, 7])).values

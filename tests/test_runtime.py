@@ -336,6 +336,8 @@ def test_version_one_checkpoints_still_load(tmp_path, name, tokens, logprob):
     att = model.dec_layers[0].att
     assert att.wq.shape == (8, 8)
     assert att.wk.shape == (8, att.n_kv * att.d_head)
+    # n_kv is read from the loaded W^qkv's width
+    assert att.n_kv == (1 if name == "v1_multi_query.ckpt" else att.tau)
     got = R.greedy_generate(model, model.vocab.encode("ab"),
                             R.SearchConfig(n_max=12))
     assert got == tokens

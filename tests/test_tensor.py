@@ -185,7 +185,7 @@ def test_backward_square():
     x = T.Tensor(3.0, trainable=True)
     with T.Tape():
         y = x ** 2
-    assert T.backward(y)[x].item() == pytest.approx(6.0)
+    assert float(T.backward(y)[x].values) == pytest.approx(6.0)
 
 
 def test_backward_softmax_cross_entropy_is_p_minus_y():
@@ -206,7 +206,7 @@ def test_backward_shared_parameter_sums_contributions():
     w = T.Tensor(2.0, trainable=True)
     with T.Tape():
         z = w * 3.0 + w * 4.0
-    assert T.backward(z)[w].item() == pytest.approx(7.0)
+    assert float(T.backward(z)[w].values) == pytest.approx(7.0)
 
 
 def test_backward_rejects_nonscalar():
@@ -231,15 +231,7 @@ def test_release_drops_records_and_keeps_outputs():
     assert T.backward(y)[x].values.tolist() == [2.0, 4.0]
     tape.release()
     assert len(tape) == 0
-    assert y.item() == 5.0
-
-
-def test_detach_blocks_gradient():
-    x = T.Tensor(2.0, trainable=True)
-    with T.Tape():
-        y = (x * 3.0).detach() * x
-    table = T.backward(y)
-    assert table[x].item() == pytest.approx(6.0)  # only the second use
+    assert y.values == 5.0
 
 
 def _fd_check(build, params, seed, tol=1e-3):
@@ -255,7 +247,7 @@ def _fd_check(build, params, seed, tol=1e-3):
         def f(x, _name=name):
             trial = {n: T.Tensor(x if n == _name else values[n], dtype=np.float64)
                      for n in params}
-            return build(trial).item()
+            return float(build(trial).values)
         fd = O.central_difference(f, values[name].copy())
         got = table.get(tensors[name])
         analytic = got.values if got is not None else np.zeros_like(fd)
@@ -560,6 +552,6 @@ def test_op_results_keep_the_dtype_check_and_read_only_flag():
     out = T.add(T.ones((2, 2)), T.ones((2, 2)))
     assert not out.values.flags.writeable
     scalar = T.mul(T.Tensor(np.float32(2.0)), T.Tensor(np.float32(3.0)))
-    assert scalar.values.shape == () and scalar.item() == 6.0
+    assert scalar.values.shape == () and scalar.values == 6.0
     with pytest.raises(TypeError):
         T.relayout(T.ones((2,)), lambda a: a.astype(np.int32), lambda g: g)

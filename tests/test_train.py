@@ -86,7 +86,7 @@ def test_shuffled_batching_is_deterministic_and_lossless():
 
 def test_window_sorting_groups_similar_lengths():
     seqs = [[4] * k for k in (1, 30, 2, 29, 3, 28, 4, 27)]
-    batches = TR.make_batches(seqs, 2, T.Rng(0), sort_window=8)
+    batches = TR.make_batches(seqs, 2, T.Rng(0))
     waste = sum(int((b.inputs == PAD).sum()) for b in batches)
     unsorted = TR.make_batches(seqs, 2)
     waste_unsorted = sum(int((b.inputs == PAD).sum()) for b in unsorted)
