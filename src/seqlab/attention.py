@@ -388,6 +388,8 @@ class AttentionParams:
                     wv: T.Tensor, w_out: T.Tensor) -> "AttentionParams":
         """Params whose W^qkv is a new trainable [wq | wk | wv]; wk's width
         gives the key/value head count."""
+        if wk.shape != wv.shape:
+            raise ValueError("projection shapes do not match head layout")
         w_qkv = np.concatenate([wq.values, wk.values, wv.values], axis=1)
         return cls(d, tau, T.Tensor(w_qkv, trainable=True), w_out)
 

@@ -544,7 +544,7 @@ class Model:
 
         def core(z: T.Tensor) -> T.Tensor:
             if cfg.attention == "ssm":
-                return S.ssm_sublayer_scan(z, layer.ssm)
+                return S.ssm_sublayer_scan(z, layer.ssm, counter=counter)
             if cfg.attention in ("linear", "lowrank-n"):
                 # both read only the leading non-PAD keys/values
                 q, k, v = att.heads(z)
@@ -825,7 +825,7 @@ class Model:
                     *layer.att.heads(z), EF.FeatureMap(cfg.feature_map),
                     causal=True, counter=counter, carry=carry))
             else:
-                out = S.ssm_sublayer_scan(z, layer.ssm, carry)
+                out = S.ssm_sublayer_scan(z, layer.ssm, carry, counter)
             session.positions[slot] += z.shape[-2]
             return out
 

@@ -666,8 +666,7 @@ def _stable_dssm(rng, d_state=3, d_in=2, method="zoh"):
 def _run_ssm_closed_form(rng):
     dssm = _stable_dssm(rng)
     s = rng.gaussian((32, 2))
-    kernel = S.build_kernel(dssm, 32)
-    got = S.apply_kernel(kernel, dssm.d_bar, T.Tensor(s)).values
+    got = S.ssm_apply(T.Tensor(s), dssm).values
     want = ssm_closed_form(dssm.a_bar.values, dssm.b_bar.values,
                            dssm.c_bar.values, dssm.d_bar.values, s)
     return _errors(got, want)
@@ -676,9 +675,10 @@ def _run_ssm_closed_form(rng):
 def _run_ssm_conv_vs_scan(rng):
     dssm = _stable_dssm(rng)
     s = rng.gaussian((32, 2))
-    conv = S.apply_kernel(S.build_kernel(dssm, 32), dssm.d_bar,
-                          T.Tensor(s)).values
-    return _errors(conv, S.scan_recurrent(dssm, T.Tensor(s)).values)
+    carry = [np.zeros((1, dssm.d_state))]
+    steps = [S.ssm_apply(T.Tensor(s[t:t + 1]), dssm, carry).values
+             for t in range(len(s))]
+    return _errors(S.ssm_apply(T.Tensor(s), dssm).values, np.vstack(steps))
 
 
 def _run_ssm_diagonal_kernel(rng):
@@ -687,12 +687,13 @@ def _run_ssm_diagonal_kernel(rng):
                          T.Tensor(rng.gaussian((2, 3))),
                          T.Tensor(rng.gaussian((3, 2))),
                          T.Tensor(rng.gaussian((2, 2))), "zoh")
-    kernel = S.build_kernel(dssm, 8)
+    impulses = np.pad([[1.0, 0.0, 0.0, 1.0]], ((0, 7), (0, 0)))  # c to c
+    taps = S.ssm_apply(T.Tensor(impulses), dssm).values.reshape(8, 2, 2)
     worst_abs, worst_rel = 0.0, 0.0
     for t in range(8):
         dense = dssm.b_bar.values \
             @ np.linalg.matrix_power(np.diag(lam), t) @ dssm.c_bar.values
-        a_err, r_err = _errors(kernel.tap(t), dense)
+        a_err, r_err = _errors(taps[t] - (t == 0) * dssm.d_bar.values, dense)
         worst_abs, worst_rel = max(worst_abs, a_err), max(worst_rel, r_err)
     return worst_abs, worst_rel
 
@@ -704,7 +705,7 @@ def _run_ssm_diagonalization(rng):
                          T.Tensor(rng.gaussian((3, 2))),
                          T.Tensor(rng.gaussian((2, 2))), "zoh")
     s = rng.gaussian((16, 2))
-    got = S.scan_recurrent(S.diagonalize(dssm), T.Tensor(s)).values
+    got = S.ssm_apply(T.Tensor(s), S.diagonalize(dssm)).values
     want = ssm_closed_form(a_bar, dssm.b_bar.values, dssm.c_bar.values,
                            dssm.d_bar.values, s)
     return _errors(got, want)

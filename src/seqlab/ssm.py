@@ -1,14 +1,14 @@
 """State-space sub-layer.
 
 A continuous linear system (A, B, C, D) is discretized by one of three
-methods and then executed either as a recurrence or as a causal
-convolution with a precomputed kernel (parallel inference). The model's
-sub-layer runs the recurrence, ``ssm_sublayer_scan``, for a whole
-sequence and for a decode step alike: a step carries the state block in
-from the positions before it. Row-vector convention throughout:
-z_t = z_{t-1} Abar + s_t Bbar, o_t = z_t Cbar + s_t Dbar.
+methods; ``ssm_apply`` runs the discrete one in block form, a causal
+convolution inside each block of positions plus the state carried from
+block to block, for whole sequences, carried blocks and decode steps
+alike (the model's per-column ``ssm_sublayer_scan`` included). Row
+vectors: z_t = z_{t-1} Abar + s_t Bbar, o_t = z_t Cbar + s_t Dbar.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -23,10 +23,6 @@ class SingularityError(ValueError):
 
 class DiagonalizationError(ValueError):
     """State matrix is defective or has a complex spectrum."""
-
-
-class CapacityError(ValueError):
-    """Input sequence longer than the kernel was built for."""
 
 
 METHODS = ("euler", "bilinear", "zoh")
@@ -132,73 +128,97 @@ def discretize(ssm: ContinuousSSM, method: str, trainable: bool = False,
 
 
 # ---------------------------------------------------------------------------
-# execution: recurrence and convolution
+# execution: the block form
 # ---------------------------------------------------------------------------
 
-
-def scan_recurrent(dssm: DiscreteSSM, inputs: T.Tensor) -> T.Tensor:
-    """Sequential state update from a zero initial state; differentiable."""
-    if inputs.ndim != 2 or inputs.shape[1] != dssm.d_in:
-        raise T.ShapeError(
-            f"inputs must be n x {dssm.d_in}, got {inputs.shape}")
-    n = inputs.shape[0]
-    z = T.zeros((1, dssm.d_state), dtype=inputs.dtype)
-    rows = []
-    for t in range(n):
-        s_t = T.take(inputs, slice(t, t + 1))
-        z = T.matmul(z, dssm.a_bar) + T.matmul(s_t, dssm.b_bar)
-        rows.append(T.matmul(z, dssm.c_bar) + T.matmul(s_t, dssm.d_bar))
-    return T.concat(rows, axis=0)
+BLOCK = 16   # positions per block, so a block's work does not grow with m
 
 
-@dataclass
-class SSMKernel:
-    """Causal filter taps W_t = Bbar Abar^t Cbar, stored t = n_max-1 .. 0.
-
-    The final entry is Bbar Cbar; a kernel of length n_max serves any
-    sequence of up to n_max positions.
-    """
-
-    n_max: int
-    weights: List[np.ndarray]
-
-    def tap(self, offset: int) -> np.ndarray:
-        return self.weights[self.n_max - 1 - offset]
-
-
-def build_kernel(dssm: DiscreteSSM, n_max: int) -> SSMKernel:
-    if n_max < 1:
-        raise ValueError("kernel needs at least one tap")
-    a = dssm.a_bar.values.astype(np.float64)
-    b = dssm.b_bar.values.astype(np.float64)
-    c = dssm.c_bar.values.astype(np.float64)
-    taps = []
-    if np.count_nonzero(a - np.diag(np.diagonal(a))) == 0:
-        lam = np.diagonal(a)
-        powers = np.ones_like(lam)
-        for _ in range(n_max):
-            taps.append((b * powers) @ c)   # Bbar diag(lam^t) Cbar
-            powers = powers * lam
-    else:
-        p = b
-        for _ in range(n_max):
-            taps.append(p @ c)
-            p = p @ a
-    return SSMKernel(n_max, taps[::-1])
+def _block_source(dssm: DiscreteSSM, w: int) -> T.Tensor:
+    """Row block t < k, k the first power of two >= w, is [Bbar; Abar]
+    Abar^t [Cbar | I] by doubling, plus Dbar on the tap Bbar Cbar."""
+    d = dssm.d_in
+    rows, power, k = T.concat([dssm.b_bar, dssm.a_bar], axis=0), dssm.a_bar, 1
+    while k < w:
+        rows = T.concat([rows, T.matmul(rows, power)], axis=0)
+        power, k = T.matmul(power, power), 2 * k
+    return T.relayout(
+        (T.matmul(rows, dssm.c_bar), rows, dssm.d_bar),
+        lambda t, r, dbar: np.concatenate(
+            [np.concatenate([t[:d] + dbar, t[d:]]), r], axis=1),
+        lambda g: (g[:, :d], g[:, d:], g[:d, :d]))
 
 
-def apply_kernel(kernel: SSMKernel, d_bar, inputs) -> T.Tensor:
-    """Causal convolution with the kernel plus the feedthrough term."""
-    s = np.asarray(getattr(inputs, "values", inputs), dtype=np.float64)
-    d_mat = np.asarray(getattr(d_bar, "values", d_bar), dtype=np.float64)
-    n = s.shape[0]
-    if n > kernel.n_max:
-        raise CapacityError(
-            f"sequence of {n} exceeds kernel capacity {kernel.n_max}")
-    out = s @ d_mat
-    for off in range(n):
-        out[off:] += s[:n - off] @ kernel.tap(off)
-    return T.Tensor(out)
+@functools.lru_cache(maxsize=None)
+def _block_index(r: int, d: int, n: int):
+    """Reads and zero entries of an r-position block's operator: entry (i, j)
+    reads source block pos(output j) - pos(input i); states sit at 0, r - 1."""
+    sub = np.concatenate([np.tile(np.arange(d), r), d + np.arange(n)])
+    pos = np.repeat(np.arange(r), d)
+    rows = np.concatenate([pos, np.zeros(n, dtype=int)])[:, None]
+    cols = np.concatenate([pos, np.full(n, r - 1)])[None, :]
+    read = ((cols - rows) * (d + n) + sub[:, None]) * (d + n) + sub[None, :]
+    return np.where(cols < rows, 0, read), cols < rows
+
+
+def _block_operator(src: T.Tensor, r: int, d: int) -> T.Tensor:
+    """[[Toeplitz of the taps, drives], [gains, power]] of r positions."""
+    if src.shape[0] == src.shape[1]:
+        return src                    # one position's is the source itself
+    read, zero = _block_index(r, d, src.shape[1] - d)
+    return T.relayout(
+        src, lambda v: np.where(zero, 0, v.take(read)),
+        lambda g: np.bincount(read[~zero], g[~zero], minlength=src.size)
+        .reshape(src.shape).astype(g.dtype))
+
+
+def _swap(v: np.ndarray, a: int, b: int, d: int) -> np.ndarray:
+    """(..., a, b d) -> (..., b, a d), moving blocks of d columns."""
+    if d == 1:
+        return v.swapaxes(-1, -2)
+    lead = v.shape[:-2]
+    return v.reshape(lead + (a, b, d)).swapaxes(-2, -3) \
+        .reshape(lead + (b, a * d))
+
+
+def ssm_apply(s: T.Tensor, dssm: DiscreteSSM,
+              carry: Optional[List[np.ndarray]] = None,
+              counter=None) -> T.Tensor:
+    """Run the system down s (..., m, g d_in), each group of d_in columns
+    one input sequence, in blocks of up to BLOCK positions. A block of w
+    positions s_j entered with state Z0 has outputs o_i = sum_(j <= i) s_j
+    K'_(i-j) + Z0 Abar^(i+1) Cbar, taps K'_t = Bbar Abar^t Cbar (+ Dbar at
+    t = 0), and leaves with state Z0 Abar^w + sum_j s_j Bbar Abar^(w-1-j),
+    all one product. ``carry`` [Z], the state (..., g, d_z) before s, is a
+    constant, replaced by the state after s; ``counter`` tallies the block
+    products, not the derivation, which does not grow with m."""
+    d, n = dssm.d_in, dssm.d_state
+    if s.ndim < 2 or s.shape[-2] == 0 or s.shape[-1] % d:
+        raise T.ShapeError(f"inputs must be (..., m >= 1, g*{d}): {s.shape}")
+    lead, m, g = s.shape[:-2], s.shape[-2], s.shape[-1] // d
+    w = min(m, BLOCK)
+    src = _block_source(dssm, w)
+    z0 = np.zeros(lead + (g, n), dtype=s.dtype) if carry is None else carry[0]
+    x = T.relayout(s, lambda v: np.concatenate([_swap(v, m, g, d), z0], -1),
+                   lambda gr: _swap(gr[..., :m * d], g, m, d))  # s beside Z0
+    outs = []
+    for lo in range(0, m, w):
+        r = min(w, m - lo)
+        xb = x if r == m else T.concat(
+            [T.take(x, (Ellipsis, slice(lo * d, (lo + r) * d))),
+             z if lo else T.Tensor(z0)], axis=-1)
+        y = T.matmul(xb, _block_operator(src, r, d))
+        if counter is not None:
+            counter.add(int(np.prod(lead)) * g * (r * d + n) ** 2)
+        outs.append(T.relayout(   # outputs, back to (..., r, g d)
+            y, lambda v, r=r: _swap(v[..., :r * d], g, r, d),
+            lambda gr, r=r: np.concatenate(
+                [_swap(gr, r, g, d), np.zeros(lead + (g, n), gr.dtype)], -1)))
+        if lo + r < m:
+            z = T.take(y, (Ellipsis, slice(r * d, None)))
+    if carry is not None:   # leaves the tape: the next call's constant
+        carry[:] = [y.values[..., r * d:]]
+    return T.concat(outs, axis=-2)
 
 
 def diagonalize(dssm: DiscreteSSM) -> DiscreteSSM:
@@ -266,34 +286,9 @@ def init_ssm_sublayer(d_state: int, dt: float, method: str, init: str,
 
 
 def ssm_sublayer_scan(h: T.Tensor, dssm: DiscreteSSM,
-                      carry: Optional[List[np.ndarray]] = None) -> T.Tensor:
-    """Run the shared SISO system down every feature column of h (..., m, d).
-
-    Columns (and leading batch axes) are batched into one recurrence: the
-    state block Z is (..., d, d_z) and each step costs one d_z x d_z
-    product per column regardless of d. The feedthrough (Dbar) product of
-    all m positions is one product outside the loop; the input (Bbar)
-    product is a broadcast multiply of each position's column, so the
-    backward of a position's slice stays the size of h, not m times it.
-
-    ``carry`` continues a sequence: the list [Z] holds the state block
-    after the positions before this block, which enters as a constant;
-    the call replaces it with the state after the block. Without it the
-    state starts at zero.
-    """
+                      carry: Optional[List[np.ndarray]] = None,
+                      counter=None) -> T.Tensor:
+    """Run the shared SISO system down each feature column of h (..., m, d)."""
     if dssm.d_in != 1:
         raise T.ShapeError("per-column wiring requires a SISO system")
-    if h.ndim < 2:
-        raise T.ShapeError("expected an m x d block")
-    lead, (m, d) = h.shape[:-2], h.shape[-2:]
-    z = T.zeros(lead + (d, dssm.d_state), dtype=h.dtype) if carry is None \
-        else T.Tensor(carry[0])
-    s_cols = T.transpose(h)                                 # (..., d, m)
-    cols = []
-    for t in range(m):
-        s_t = T.take(s_cols, (Ellipsis, slice(t, t + 1)))
-        z = T.matmul(z, dssm.a_bar) + s_t * dssm.b_bar
-        cols.append(T.matmul(z, dssm.c_bar))
-    if carry is not None:
-        carry[:] = [z.values]
-    return T.transpose(T.concat(cols, axis=-1)) + h * dssm.d_bar
+    return ssm_apply(h, dssm, carry, counter)

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -529,12 +529,15 @@ def transpose(a: Tensor, axes=None) -> Tensor:
     return _emit(out, (a,), lambda g: (np.transpose(g, inverse),))
 
 
-def relayout(a: Tensor, forward: Callable[[np.ndarray], np.ndarray],
-             inverse: Callable[[np.ndarray], np.ndarray]) -> Tensor:
+def relayout(a, forward: Callable[..., np.ndarray],
+             inverse: Callable[[np.ndarray], Any]) -> Tensor:
     """One op for a change of layout: ``forward`` moves a's entries (any
     mix of reshapes, axis swaps and column slices, or a read of an array
     they were copied into, whose other entries are constants) and
-    ``inverse`` moves a gradient back to a's shape."""
+    ``inverse`` moves a gradient back to a's shape. For a tuple of Tensors
+    forward may also sum entries, and inverse returns a gradient each."""
+    if isinstance(a, tuple):
+        return _emit(_result(forward(*(t.values for t in a))), a, inverse)
     return _emit(_result(forward(a.values)), (a,), lambda g: (inverse(g),))
 
 
@@ -545,11 +548,10 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if len(tensors) == 1:
         return tensors[0]                   # tensors are immutable
     out = _result(np.concatenate([t.values for t in tensors], axis=axis))
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
 
     def grad_fn(g):
-        return tuple(np.split(g, splits, axis=axis))
+        sizes = [t.shape[axis] for t in tensors]
+        return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
 
     return _emit(out, tuple(tensors), grad_fn)
 
@@ -567,11 +569,10 @@ def take(a: Tensor, key) -> Tensor:
     """Indexing/slicing; integer-array keys gather rows (used for lookups)."""
     out = _result(a.values[key])
     shape, dtype = a.shape, a.dtype
-    basic = _is_basic(key)
 
     def grad_fn(g):
         gx = np.zeros(shape, dtype=dtype)
-        if basic:
+        if _is_basic(key):
             gx[key] = g                     # no entry repeats: nothing to sum
         else:
             np.add.at(gx, key, g)

@@ -278,15 +278,17 @@ def test_c05_equivalence_suite():
     errs["kernelized-batch"] = float(np.max(np.abs(batch - naive)))
     errs["kernelized-stream"] = float(np.max(np.abs(stepped - naive)))
 
-    # state-space layer: convolution vs scan vs closed form
+    # state-space layer: one block-form pass vs carried one-position steps
+    # (the recurrence) vs the closed form
     a = -1.5 * np.eye(3) + 0.3 * rng.gaussian((3, 3))
     dssm = S.discretize(S.ContinuousSSM(a, rng.gaussian((2, 3)),
                                         rng.gaussian((3, 2)),
                                         rng.gaussian((2, 2)), 0.1), "zoh")
     s_in = rng.gaussian((32, 2))
-    conv = S.apply_kernel(S.build_kernel(dssm, 32), dssm.d_bar,
-                          T.Tensor(s_in)).values
-    scan = S.scan_recurrent(dssm, T.Tensor(s_in)).values
+    conv = S.ssm_apply(T.Tensor(s_in), dssm).values
+    carry = [np.zeros((1, 3))]
+    scan = np.vstack([S.ssm_apply(T.Tensor(s_in[t:t + 1]), dssm, carry).values
+                      for t in range(32)])
     closed = O.ssm_closed_form(dssm.a_bar.values, dssm.b_bar.values,
                                dssm.c_bar.values, dssm.d_bar.values, s_in)
     errs["ssm-conv-scan"] = float(np.max(np.abs(conv - scan)))

@@ -449,18 +449,30 @@ def test_multi_query_equals_weight_copied_multi_head():
                                atol=1e-12)
 
 
-@pytest.mark.parametrize("width,n_kv", [
-    (8 + 2 * 2, 1), (8 + 2 * 8, 4), (8 + 2 * 4, None), (8 + 2 * 2 + 1, None),
-    (8 + 2 * 8 + 2, None), (4, None),
-], ids=["one", "tau", "two", "remainder", "remainder-at-tau", "narrower-than-d"])
-def test_key_value_heads_are_read_from_the_w_qkv_width(width, n_kv):
+@pytest.mark.parametrize("width,n_kv,k_width", [
+    (8 + 2 * 2, 1, None), (8 + 2 * 8, 4, None), (8 + 2 * 4, None, None),
+    (8 + 2 * 2 + 1, None, None), (8 + 2 * 8 + 2, None, None), (4, None, None),
+    (8 + 2 * 8, None, 2),
+], ids=["one", "tau", "two", "remainder", "remainder-at-tau",
+        "narrower-than-d", "unequal-key-and-value-blocks"])
+def test_key_value_heads_are_read_from_the_w_qkv_width(width, n_kv, k_width):
+    """k_width set: from_blocks gets a W^k that wide and a W^v filling the
+    rest, here a summed width that would pass as tau heads."""
     d, tau = 8, 4                          # d_h = 2
     w_qkv, w_out = T.zeros((d, width), dtype=F64), T.eye(d, dtype=F64)
+
+    def build():
+        if k_width is None:
+            return A.AttentionParams(d, tau, w_qkv, w_out)
+        blocks = (d, k_width, width - d - k_width)
+        return A.AttentionParams.from_blocks(
+            d, tau, *(T.zeros((d, n), dtype=F64) for n in blocks), w_out)
+
     if n_kv is None:                       # T.attention serves 1 or tau
         with pytest.raises(ValueError, match="head layout"):
-            A.AttentionParams(d, tau, w_qkv, w_out)
+            build()
         return
-    p = A.AttentionParams(d, tau, w_qkv, w_out)
+    p = build()
     assert p.n_kv == n_kv
     assert (p.k_cols, p.v_cols) == ((d, d + 2 * n_kv), (d + 2 * n_kv, width))
 

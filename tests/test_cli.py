@@ -254,16 +254,21 @@ def test_bench_counters_scale_as_expected(tmp_path):
     ops = {int(r[1]): int(r[2]) for r in rows}
     assert ops[128] == 4 * ops[64]           # attention work is quadratic
     # exact tallies, unchanged since heads became column blocks of one
-    # projection (the per-head layout counted the same work head by head)
-    assert C.main(["bench", "--variants", "dense,window,linear,lowrank-d",
+    # projection (the per-head layout counted the same work head by head);
+    # an SSM block of 16 positions is one (16 + d_state)^2 product per
+    # column, so its work is linear in length
+    assert C.main(["bench", "--variants", "dense,window,linear,lowrank-d,ssm",
                    "--lengths", "16,32", "--d", "16", "--out", str(out)]) == 0
     rows = [line.split(",") for line in
             out.read_text().strip().split("\n")[1:]]
-    assert {(r[0], int(r[1])): int(r[2]) for r in rows} == {
+    ops = {(r[0], int(r[1])): int(r[2]) for r in rows}
+    assert ops == {
         ("dense", 16): 8192, ("dense", 32): 32768,
         ("window", 16): 3200, ("window", 32): 7296,
         ("linear", 16): 4352, ("linear", 32): 8704,
-        ("lowrank-d", 16): 6144, ("lowrank-d", 32): 24576}
+        ("lowrank-d", 16): 6144, ("lowrank-d", 32): 24576,
+        ("ssm", 16): 16 * (16 + 16) ** 2, ("ssm", 32): 2 * 16 * (16 + 16) ** 2}
+    assert ops["ssm", 32] == 2 * ops["ssm", 16]
 
 
 def test_oracle_subcommand_writes_csv(tmp_path):

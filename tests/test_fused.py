@@ -7,7 +7,7 @@ float32 forward bit for bit, every float64 gradient within 1e-12. Whole
 decodes and the first training loss are then compared with the
 composites patched back in, and count guards keep the Tensors of a
 decode token, the tape records and traced memory peak of a training
-step and the products of a decode step down.
+step, the products of a decode step and the ops of an SSM sub-layer down.
 """
 
 import importlib.resources
@@ -21,6 +21,7 @@ from seqlab import blocks as B
 from seqlab import embedding as E
 from seqlab import model as M
 from seqlab import runtime as R
+from seqlab import ssm as S
 from seqlab import tensor as T
 from seqlab import train as TR
 
@@ -556,3 +557,34 @@ def test_a_dense_decode_step_makes_9_matmuls(decode_models, monkeypatch):
     for tok in (5, 6, 7):
         model.decode_step(session, tok)
     assert model.cfg.n_layers == 2 and calls[0] == 3 * 9
+
+
+def test_an_ssm_sublayer_forward_records_at_most_108_tape_ops():
+    """At the training shape (8 rows of 64 positions, d = 64): a third of
+    the 325 that the per-position scan recorded."""
+    dssm = S.init_ssm_sublayer(16, 0.1, "zoh", "diag-uniform", T.Rng(0),
+                               dtype=F32)
+    h = T.Tensor(T.Rng(1).gaussian((8, 64, 64)).astype(F32), trainable=True)
+    with T.Tape() as tape:
+        S.ssm_sublayer_scan(h, dssm)
+    assert len(tape) <= 108
+
+
+def test_a_one_position_ssm_step_makes_at_most_9_ops(monkeypatch):
+    """No more than the 9 the per-position scan made (the block form makes
+    6); every op emits its result once, with or without a tape."""
+    calls = [0]
+    emit = T._emit
+
+    def counting(*args):
+        calls[0] += 1
+        return emit(*args)
+
+    monkeypatch.setattr(T, "_emit", counting)
+    dssm = S.init_ssm_sublayer(16, 0.1, "zoh", "diag-uniform", T.Rng(0),
+                               dtype=F32)
+    carry = [np.ones((1, 64, 16), dtype=F32)]
+    S.ssm_sublayer_scan(T.Tensor(T.Rng(1).gaussian((1, 1, 64)).astype(F32)),
+                        dssm, carry)
+    assert calls[0] <= 9
+
