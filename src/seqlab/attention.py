@@ -496,9 +496,10 @@ def _fused(q: T.Tensor, kv: T.Tensor, params: AttentionParams, cols: tuple,
     of kv, or from ``history``, the cached rows ending in them."""
     out = T.attention(q, kv, kv, (params.tau, params.n_kv), cols=cols,
                       history=history, mask=_additive(mask))
-    n_k = kv.shape[-2] if history is None else history[0].shape[-2]
-    _tally(counter, out.shape[:-1] + (params.tau,), n_k, params.d_head,
-           params.d_head)
+    if counter is not None:
+        n_k = kv.shape[-2] if history is None else history[0].shape[-2]
+        _tally(counter, out.shape[:-1] + (params.tau,), n_k, params.d_head,
+               params.d_head)
     return T.matmul(out, params.w_out)
 
 
@@ -627,6 +628,12 @@ class KVCache:
         """Rows held at this layer; None before the first write."""
         self._check(layer)
         return None if self._kv[layer] is None else self._kv[layer].shape[1]
+
+    def holds(self, t: int, rows: int) -> bool:
+        """True when every layer has t positions written and holds
+        ``rows`` rows, or none yet."""
+        return self._t.count(t) == self.n_layers and all(
+            kv is None or kv.shape[1] == rows for kv in self._kv)
 
     def _held(self, layer: int) -> np.ndarray:
         """Keys and values of the positions still held: every position

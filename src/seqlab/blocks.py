@@ -5,8 +5,8 @@ post-norm and pre-norm, Runge-Kutta sub-layers, stochastic layer dropout,
 mixture-of-experts FFN, and parameter sharing.
 
 Layer norm is the paper's g * (h - mu) / (sigma + eps) + b, one fused
-tape op (``T.layer_norm``), and so is the FFN's ``ReLU(h W_h + b_h)``
-after its matmul (``T.relu`` with a bias); the composite ``row_stats`` +
+tape op (``T.layer_norm``), and so is the whole position-wise FFN
+ReLU(h W_h + b_h) W_f + b_f (``T.ffn``); the composite ``row_stats`` +
 ``normalize`` stays for statistics a caller supplies or inspects. A
 residual weight of exactly 1 adds the input without a multiply, inside
 the layer norm where one follows.
@@ -117,9 +117,8 @@ class FFNParams:
 
 
 def ffn(h: T.Tensor, params: FFNParams) -> T.Tensor:
-    """ReLU(h W_h + b_h) W_f + b_f."""
-    hidden = T.relu(T.matmul(h, params.w_h), params.b_h)
-    return T.matmul(hidden, params.w_f) + params.b_f
+    """ReLU(h W_h + b_h) W_f + b_f, one taped op (``T.ffn``)."""
+    return T.ffn(h, params.w_h, params.b_h, params.w_f, params.b_f)
 
 
 # ---------------------------------------------------------------------------

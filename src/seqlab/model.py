@@ -292,6 +292,12 @@ class Layer:
         yield from self.ffn_core.named(f"{prefix}.ffn")
         yield from self.ln2.named(f"{prefix}.ln2")
 
+    def ffn(self, z: T.Tensor) -> T.Tensor:
+        """The FFN sub-layer's core: one FFN, or the expert mixture."""
+        if isinstance(self.ffn_core, B.MoEFFN):
+            return B.moe_ffn(z, self.ffn_core)
+        return B.ffn(z, self.ffn_core)
+
 
 def _init_layer(cfg: ModelConfig, rng: T.Rng, with_cross: bool, dtype) -> Layer:
     d = cfg.d
@@ -410,6 +416,7 @@ class Model:
         self.embed = embed
         self.pe = SinusoidalPE(cfg.d)
         self._pe_rows = np.zeros((0, cfg.d), dtype=dtype)
+        self._quant = {}                      # bits -> runtime.WeightSpecs
         self.enc_layers = enc_layers
         self.dec_layers = dec_layers
         self.w_o = w_o
@@ -509,7 +516,7 @@ class Model:
             # doubled, so a long decode evaluates sin/cos a few times only
             self._pe_rows = self.pe.table(
                 max(end, 2 * len(self._pe_rows))).astype(self.dtype)
-        return h + T.Tensor(self._pe_rows[start_pos:end])
+        return h + self._pe_rows[start_pos:end]
 
     def _mask_for(self, m: int, causal: bool, pad: Optional[np.ndarray]):
         cfg = self.cfg
@@ -594,11 +601,6 @@ class Model:
                                    "train" if training else "infer", rng)
         return B.sublayer_apply(z, core, ln, self._sub_cfg)
 
-    def _ffn_core(self, layer: Layer) -> Callable[[T.Tensor], T.Tensor]:
-        if isinstance(layer.ffn_core, B.MoEFFN):
-            return lambda z: B.moe_ffn(z, layer.ffn_core)
-        return lambda z: B.ffn(z, layer.ffn_core)
-
     def _run_stack(self, h: T.Tensor, layers: List[Layer], *, causal: bool,
                    pad: Optional[np.ndarray] = None,
                    enc_out: Optional[T.Tensor] = None,
@@ -632,7 +634,7 @@ class Model:
                               A.cross_attention(enc_out, z, lay.cross,
                                                 counter=counter, kv=kv))
                 h = self._wrap(h, cross_core, layer.ln_cross, training, rng)
-            h = self._wrap(h, self._ffn_core(layer), layer.ln2, training, rng)
+            h = self._wrap(h, layer.ffn, layer.ln2, training, rng)
         return h
 
     def _head(self, h: T.Tensor) -> T.Tensor:
@@ -782,23 +784,28 @@ class Model:
         common position and holds ``rows`` rows."""
         if session.model is not self:
             raise StateError("session belongs to a different model")
-        t = session.position
-        if session.rows != rows or any(len(p) != t for p in session.prefixes):
+        prefixes = session.prefixes
+        t = len(prefixes[0])
+        if len(prefixes) != rows or (
+                rows > 1 and any(len(p) != t for p in prefixes)):
             raise StateError(f"{rows} rows fed to a session of "
-                             f"{session.rows} prefixes of lengths "
-                             f"{sorted({len(p) for p in session.prefixes})}")
+                             f"{len(prefixes)} prefixes of lengths "
+                             f"{sorted({len(p) for p in prefixes})}")
         n_s = self._slots()
         if session.mode == "cache":
             kv = session.kv
+            if kv.n_layers == n_s and kv.holds(t, rows):
+                return
             got = [(kv.length(i), kv.rows(i) or rows) for i in range(kv.n_layers)]
-            want = [(t, rows)] * n_s
+            want = (t, rows)
         else:
+            want = (t, self._carry_shapes(rows))
             got = [(p, [np.shape(x) for x in carry])
                    for p, carry in zip(session.positions, session.states)]
-            want = [(t, self._carry_shapes(rows))] * n_s
-        if got != want:
-            raise StateError(f"{session.mode} state per slot is {got}, "
-                             f"not {want[0]} for a prefix of {t}")
+            if got == [want] * n_s:
+                return
+        raise StateError(f"{session.mode} state per slot is {got}, "
+                         f"not {want} for a prefix of {t}")
 
     def _step_att_core(self, layer: Layer, idx: int, session: DecodeSession,
                        reuse_store: Optional[dict] = None, counter=None
@@ -807,11 +814,11 @@ class Model:
         against the session's state at layer idx, which it advances. The
         k-th call of the core is integrator stage k and uses that slot."""
         cfg = self.cfg
-        slots = iter(range(idx * cfg.integrator_order,
-                           (idx + 1) * cfg.integrator_order))
+        stage = [idx * cfg.integrator_order]    # the next call's slot
 
         def core(z: T.Tensor) -> T.Tensor:
-            slot = next(slots)
+            slot = stage[0]
+            stage[0] += 1
             if session.mode == "cache":
                 return A.attend_step_cached(z, session.kv, layer.att, slot,
                                             rpr=self.rpr_table,
@@ -844,10 +851,12 @@ class Model:
         ids = np.asarray(tokens, dtype=np.int64)
         single = ids.ndim == 0
         if single:
+            if not 0 <= int(ids) < len(self.vocab):
+                raise VocabError("token id out of range for this vocabulary")
             ids = ids.reshape(1, 1)
-        if ids.ndim != 2 or ids.size == 0:
+        elif ids.ndim != 2 or ids.size == 0:
             raise ContractError("decode_step takes one id or a (rows, m) id block")
-        if ids.min() < 0 or ids.max() >= len(self.vocab):
+        elif ids.min() < 0 or ids.max() >= len(self.vocab):
             raise VocabError("token id out of range for this vocabulary")
         t = session.position
         self._check_session(session, ids.shape[0])
@@ -878,9 +887,11 @@ def _first_rows(n: int):
 
 def _softmax_last(logits: np.ndarray) -> np.ndarray:
     """Float64 softmax over the last axis."""
-    x = np.asarray(logits, dtype=np.float64)
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.array(logits, dtype=np.float64)  # a copy: the rest runs in place
+    e -= np.maximum.reduce(e, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 # ---------------------------------------------------------------------------

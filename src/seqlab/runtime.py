@@ -9,7 +9,10 @@ head by head, still load. Quantized inference is the same decoding inside
 the ``quantized`` context, which reroutes the projection/FFN weight
 products through integer matmuls (one step per weight matrix, or per
 projection block of a fused one, and one per activation row) while
-everything else stays in floats.
+everything else stays in floats. The weights' steps and integer levels
+are derived once and kept on the model, per width, until a parameter is
+assigned or a weight replaced, so a product quantizes only its
+activation rows.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ VERSION = 3          # v2 stored wq/wk/wv apart, v1 one tensor per head
 
 # structural ids a decoder never emits; EOS stays eligible so search can stop
 _SUPPRESSED = (PAD, SOS, CLS)
+_SUPPRESSED_IDS = np.array(_SUPPRESSED)
 
 
 class CheckpointFormatError(ValueError):
@@ -91,7 +95,7 @@ def _seed_session(model: Model, prompt: Sequence[int],
 
 def _pick_greedy(dist: np.ndarray) -> int:
     d = dist.copy()
-    d[list(_SUPPRESSED)] = -1.0
+    d[_SUPPRESSED_IDS] = -1.0
     return int(np.argmax(d))                 # ties fall to the lowest id
 
 
@@ -339,7 +343,24 @@ def _fold_projections(table: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def weight_quant_specs(model: Model, bits: int) -> dict:
+_QUANT_ROLES = ("w_qkv", "w_out", "w_h", "w_f")
+
+
+class WeightSpecs(dict):
+    """``weight_quant_specs``' table, id(weight) -> QuantSpec or None, kept
+    on the model with what ``_quant_route`` derives from it once per weight
+    or column block: ``levels`` maps (id(weight), cols) to the weight (or
+    the block), its QuantSpec and its integer levels with their saturation
+    count. ``stamp`` is what the table was derived from: the
+    ``T.assign_count`` and the targeted weights."""
+
+    def __init__(self, specs: dict, stamp: tuple):
+        super().__init__(specs)
+        self.stamp = stamp
+        self.levels = {}
+
+
+def weight_quant_specs(model: Model, bits: int) -> WeightSpecs:
     """Per-matrix quantizers for every projection and FFN weight.
 
     Steps follow s = max|w| / (2^(p-1) - 1), so the largest entry lands on
@@ -349,66 +370,83 @@ def weight_quant_specs(model: Model, bits: int) -> dict:
     are those of three separate matrices; an all-zero block has step 1
     (its levels and products are zero). An all-zero matrix has no usable
     step and maps to None; its products are taken as exactly zero.
+
+    The table is kept on the model, one per width, and derived again once
+    a parameter has been assigned (``T.assign_``) or a targeted weight
+    replaced, so a checkpoint load or a training step never leaves it,
+    or the levels kept with it, stale.
     """
     if bits < 2:
         raise ValueError(f"quantization needs at least 2 bits, got {bits}")
+    named = [(name, w) for name, w in model.named()
+             if name.rsplit(".", 1)[-1] in _QUANT_ROLES]
+    stamp = T.assign_count(), tuple(w for _, w in named)
+    table = model._quant.get(bits)
+    if table is not None and table.stamp == stamp:
+        return table
     q_max = (1 << (bits - 1)) - 1
     specs = {}
-    for name, w in model.named():
-        role = name.rsplit(".", 1)[-1]
-        if role == "w_qkv":
+    for name, w in named:
+        if name.endswith(".w_qkv"):
             steps = np.empty((1, w.shape[1]))
             for lo, hi in qkv_blocks(w.shape):
                 top = float(np.max(np.abs(w.values[:, lo:hi])))
                 steps[:, lo:hi] = top / q_max if top else 1.0
             specs[id(w)] = T.QuantSpec(steps, bits)
-        elif role in ("w_out", "w_h", "w_f"):
+        else:
             top = float(np.max(np.abs(w.values)))
             specs[id(w)] = None if top == 0.0 \
                 else T.QuantSpec(top / q_max, bits)
-    return specs
+    table = model._quant[bits] = WeightSpecs(specs, stamp)
+    return table
 
 
-def _quant_route(specs: dict, bits: int, stats: Optional[T.QuantStats] = None):
-    """Matmul routing through integer products; each activation row gets
-    its own step max|row| / q_max (any step zeroes an all-zero row), and
-    each targeted weight is quantized once, at its first product; a
-    column-block product quantizes, and counts, its block's columns."""
-    q_max = (1 << (bits - 1)) - 1
-    weights = {}
+def _quant_route(specs: WeightSpecs, bits: int,
+                 stats: Optional[T.QuantStats] = None):
+    """Matmul routing through ``T.quantized_matmul``. Each targeted weight,
+    or column block of one, is quantized at its first product and kept in
+    ``specs.levels``, so later contexts reuse it; a column-block product
+    quantizes, and counts, its block's columns. A product then quantizes
+    only its activation rows, each with its own step max|row| / q_max
+    (any step zeroes an all-zero row)."""
+    prepared = specs.levels
 
     def route(a: T.Tensor, b: T.Tensor, cols: Optional[tuple] = None):
-        if id(b) not in specs:
-            return None                      # not a targeted weight: floats
-        spec_b = specs[id(b)]
-        width = b.shape[1] if cols is None else cols[1] - cols[0]
-        shape = a.shape[:-1] + (width,)
-        if spec_b is None:
-            return T.Tensor(np.zeros(shape, np.result_type(a.dtype, b.dtype)))
         key = id(b), cols
-        if key not in weights:
-            w, spec = b, spec_b
-            if cols is not None:
-                w = T.take(b, (slice(None), slice(*cols)))
-                if np.ndim(spec.step):
-                    spec = T.QuantSpec(spec.step[:, slice(*cols)], bits)
-            weights[key] = w, spec, T.quantize_levels(w.values, spec)
-        w, spec, levels = weights[key]
-        rows = a.values.reshape(-1, a.shape[-1])
-        top = np.abs(rows).max(axis=1, keepdims=True).astype(np.float64)
-        spec_a = T.QuantSpec(np.where(top == 0.0, 1.0, top) / q_max, bits)
-        out = T.quantized_matmul(T.Tensor(rows), w, spec_a, spec, stats,
-                                 stats, levels_b=levels)
-        return T.Tensor(out.values.reshape(shape))
+        entry = prepared.get(key)
+        if entry is None:
+            if id(b) not in specs:
+                return None                  # not a targeted weight: floats
+            entry = prepared[key] = _prepare(b, specs[id(b)], cols, bits)
+        w, spec, levels = entry
+        if spec is None:
+            return T.Tensor(np.zeros(a.shape[:-1] + w.shape[1:],
+                                     np.result_type(a.dtype, w.dtype)))
+        return T.quantized_matmul(a, w, None, spec, stats, stats,
+                                  levels_b=levels)
 
     return route
+
+
+def _prepare(b: T.Tensor, spec: Optional[T.QuantSpec], cols: Optional[tuple],
+             bits: int) -> tuple:
+    """(weight or its column block, its QuantSpec, its levels) of one
+    targeted weight; the block is a constant reading b's columns."""
+    w = b if cols is None else T.Tensor(b.values[:, slice(*cols)])
+    if spec is None:
+        return w, None, None
+    if cols is not None and np.ndim(spec.step):
+        spec = T.QuantSpec(spec.step[:, slice(*cols)], bits)
+    return w, spec, T.quantize_levels(w.values, spec)
 
 
 @contextlib.contextmanager
 def quantized(model: Model, bits: int, stats: Optional[T.QuantStats] = None):
     """Integer projection/FFN weight products for every forward pass,
     decode step and search inside the context; layer norm, softmax,
-    residuals and the output head stay in floats."""
+    residuals and the output head stay in floats. The weights' steps and
+    levels come from the model's kept table (``weight_quant_specs``), so
+    a context on unchanged weights quantizes no weight."""
     specs = weight_quant_specs(model, bits)
     with T.matmul_routing(_quant_route(specs, bits, stats)):
         yield

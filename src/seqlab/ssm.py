@@ -9,7 +9,7 @@ vectors: z_t = z_{t-1} Abar + s_t Bbar, o_t = z_t Cbar + s_t Dbar.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -68,6 +68,9 @@ class DiscreteSSM:
     c_bar: T.Tensor
     d_bar: T.Tensor
     method: str
+    # block sources built outside a tape: (stamp, {w: source}), see _source
+    _sources: Optional[tuple] = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     @property
     def d_state(self) -> int:
@@ -149,6 +152,21 @@ def _block_source(dssm: DiscreteSSM, w: int) -> T.Tensor:
         lambda g: (g[:, :d], g[:, d:], g[:d, :d]))
 
 
+def _source(dssm: DiscreteSSM, w: int) -> T.Tensor:
+    """_block_source(dssm, w); outside a tape, built once and kept on dssm
+    until a parameter is assigned (``T.assign_``) or replaced, so decode
+    steps do not rebuild the same operator."""
+    if T._active_tape() is not None:
+        return _block_source(dssm, w)
+    stamp = (T.assign_count(), dssm.a_bar, dssm.b_bar, dssm.c_bar, dssm.d_bar)
+    if dssm._sources is None or dssm._sources[0] != stamp:
+        dssm._sources = stamp, {}
+    kept = dssm._sources[1]
+    if w not in kept:
+        kept[w] = _block_source(dssm, w)
+    return kept[w]
+
+
 @functools.lru_cache(maxsize=None)
 def _block_index(r: int, d: int, n: int):
     """Reads and zero entries of an r-position block's operator: entry (i, j)
@@ -197,7 +215,7 @@ def ssm_apply(s: T.Tensor, dssm: DiscreteSSM,
         raise T.ShapeError(f"inputs must be (..., m >= 1, g*{d}): {s.shape}")
     lead, m, g = s.shape[:-2], s.shape[-2], s.shape[-1] // d
     w = min(m, BLOCK)
-    src = _block_source(dssm, w)
+    src = _source(dssm, w)
     z0 = np.zeros(lead + (g, n), dtype=s.dtype) if carry is None else carry[0]
     x = T.relayout(s, lambda v: np.concatenate([_swap(v, m, g, d), z0], -1),
                    lambda gr: _swap(gr[..., :m * d], g, m, d))  # s beside Z0

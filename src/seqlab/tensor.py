@@ -8,15 +8,17 @@ quantized arithmetic.
 Besides the generic elementwise, shape and linear-algebra ops, a few fused
 ops cover the model's hot path with one Tensor and one tape record each,
 and a closed-form backward: ``layer_norm``, ``relu`` with a bias, the
-scale folded into ``softmax_rows``, ``relayout`` for a head split or
-merge, multi-head ``attention`` (head split, scores, masked softmax,
-weighted values and head merge), and the training loss
+position-wise ``ffn`` (both products, the bias ReLU and the output
+bias), the scale folded into ``softmax_rows``, ``relayout`` for a head
+split or merge, multi-head ``attention`` (head split, scores, masked
+softmax, weighted values and head merge), and the training loss
 ``log_softmax_nll``. Their forwards repeat the arithmetic of the
 composites they replace, so float32 outputs match those bit for bit.
 They run elementwise steps in place where they can (attention's scale,
 mask add, exp and divide and its softmax backward; the mask add after a
 scale, the row-max subtract, exp and divide in ``softmax_rows``; exp and
-divide in the loss; ReLU on the biased sum), so attention keeps one
+divide in the loss; ReLU on the biased sum in ``relu`` and ``ffn``, and
+the ReLU mask on the FFN's backward), so attention keeps one
 score-sized array per layer. The buffer rule: a fused op
 overwrites only arrays it allocated; never an input, a mask, cache rows
 or an incoming gradient. Where writing in place would change a result's
@@ -59,6 +61,8 @@ class AccumulatorOverflowError(OverflowError):
 
 _ALLOWED_DTYPES = (np.float32, np.float64)
 _ALLOWED = frozenset(np.dtype(t) for t in _ALLOWED_DTYPES)   # hashed lookup
+_INT64_MAX = int(np.iinfo(np.int64).max)
+_TINY = np.finfo(np.float64).tiny           # smallest normal float64
 
 
 def _as_values(values, dtype=None) -> np.ndarray:
@@ -204,16 +208,29 @@ def eye(n, dtype=np.float32) -> Tensor:
     return Tensor(np.eye(n, dtype=dtype))
 
 
+_assigns = 0                                # assign_ calls so far
+
+
+def assign_count() -> int:
+    """How many ``assign_`` calls have run. A cache of values derived from
+    parameters (quantized weights, an SSM step operator) records the count
+    it was built at, and is stale once the count has moved on."""
+    return _assigns
+
+
 def assign_(t: Tensor, values) -> Tensor:
     """Overwrite a parameter's storage in place, keeping its identity.
 
     Optimizer updates and checkpoint loading go through here so that
     shared-parameter groups and optimizer state stay attached to the
-    same tensor object. Shape and dtype must match exactly.
+    same tensor object. Shape and dtype must match exactly. Every call
+    moves ``assign_count`` on.
     """
+    global _assigns
     new = np.asarray(values, dtype=t.values.dtype)
     if new.shape != t.values.shape:
         raise ShapeError(f"assign shape {new.shape} != {t.values.shape}")
+    _assigns += 1
     t.values.flags.writeable = True
     try:
         np.copyto(t.values, new)
@@ -373,9 +390,9 @@ def _coerce_pair(a, b):
     if isinstance(a, Tensor) and isinstance(b, Tensor):
         return a, b
     if isinstance(a, Tensor):
-        return a, Tensor(np.asarray(b, dtype=a.dtype))
+        return a, _result(np.asarray(b, dtype=a.dtype))
     if isinstance(b, Tensor):
-        return Tensor(np.asarray(a, dtype=b.dtype)), b
+        return _result(np.asarray(a, dtype=b.dtype)), b
     raise TypeError("at least one operand must be a Tensor")
 
 
@@ -693,6 +710,46 @@ def matmul(a, b, cols: Optional[tuple] = None) -> Tensor:
     return _emit(out, (a, b), grad_fn)
 
 
+def ffn(h: Tensor, w_h: Tensor, b_h: Tensor, w_f: Tensor, b_f: Tensor) -> Tensor:
+    """ReLU(h W_h + b_h) W_f + b_f over h (..., m, d), as one op.
+
+    The forward repeats the composite of two matmuls, ``relu`` with a
+    bias and an add on h's rows (its leading axes folded, as matmul folds
+    them), and the bias add and ReLU run on one fresh array, so float32
+    outputs equal it bit for bit. Each product consults the matmul
+    routing as matmul does; a routed product has no gradient, so an FFN
+    with one is not recorded. The backward is the composite's, in closed
+    form, its bias sums taken over h's leading axes as the composite's.
+    """
+    hv, whv, wfv = h.values, w_h.values, w_f.values
+    if hv.ndim < 2 or whv.ndim != 2 or wfv.ndim != 2 \
+            or hv.shape[-1] != whv.shape[0] or whv.shape[1] != wfv.shape[0]:
+        raise ShapeError(f"no FFN of {hv.shape} through {whv.shape} and {wfv.shape}")
+    lead = hv.shape[:-1]
+    rows = hv.reshape(-1, hv.shape[-1])
+    routed = None if _matmul_route is None else _matmul_route(h, w_h, None)
+    z = np.matmul(rows, whv) if routed is None \
+        else routed.values.reshape(len(rows), -1)
+    hidden = z + b_h.values                 # fresh: ReLU in place
+    np.maximum(hidden, 0, out=hidden)
+    second = None if _matmul_route is None \
+        else _matmul_route(_result(hidden), w_f, None)
+    y = np.matmul(hidden, wfv) if second is None else second.values
+    out = _result((y + b_f.values).reshape(lead + wfv.shape[1:]))
+    if routed is not None or second is not None:
+        return out
+
+    def grad_fn(g):
+        g_rows = g.reshape(-1, g.shape[-1])
+        gz = np.matmul(g_rows, wfv.T)       # fresh: masked in place
+        gz *= hidden > 0                    # max(z, 0) > 0 exactly where z > 0
+        return (np.matmul(gz, whv.T).reshape(hv.shape), np.matmul(rows.T, gz),
+                _unbroadcast(gz.reshape(lead + gz.shape[-1:]), b_h.shape),
+                np.matmul(hidden.T, g_rows), _unbroadcast(g, b_f.shape))
+
+    return _emit(out, (h, w_h, b_h, w_f, b_f), grad_fn)
+
+
 def softmax_rows(x: Tensor, additive_mask=None,
                  scale: Optional[float] = None) -> Tensor:
     """Row-wise softmax over the last axis of ``x * scale + mask``,
@@ -751,6 +808,16 @@ def head_view(a: np.ndarray, n: int) -> np.ndarray:
     return a.reshape(a.shape[:-1] + (n, a.shape[-1] // n)).swapaxes(-2, -3)
 
 
+def _head_cols(t: Tensor, c: Optional[tuple], n: int) -> tuple:
+    """The column block (lo, hi) of t, all of it for None, checked to
+    hold n heads."""
+    shape = t.values.shape
+    lo, hi = (0, shape[-1]) if c is None else c
+    if len(shape) < 2 or not 0 <= lo < hi <= shape[-1] or (hi - lo) % n:
+        raise ShapeError(f"no {n} heads in columns {lo}..{hi} of {shape}")
+    return lo, hi
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: tuple = (1, 1), *,
               cols: tuple = (None, None, None),
               history: Optional[tuple] = None, mask=None,
@@ -777,22 +844,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: tuple = (1, 1), *,
     n_q, n_kv = heads
     if n_kv != n_q and n_kv != 1:
         raise ShapeError(f"{n_kv} key/value heads cannot serve {n_q} query heads")
-    blocks, parts = [], []                  # (input, lo, hi, heads), values
-    for t, c, n in ((q, cols[0], n_q), (k, cols[1], n_kv), (v, cols[2], n_kv)):
-        shape = t.values.shape
-        lo, hi = (0, shape[-1]) if c is None else c
-        if len(shape) < 2 or not 0 <= lo < hi <= shape[-1] or (hi - lo) % n:
-            raise ShapeError(f"no {n} heads in columns {lo}..{hi} of {shape}")
-        blocks.append((t, lo, hi, n))
-        parts.append(t.values[..., lo:hi])
+    (q_lo, q_hi), (k_lo, k_hi), (v_lo, v_hi) = spans = (
+        _head_cols(q, cols[0], n_q), _head_cols(k, cols[1], n_kv),
+        _head_cols(v, cols[2], n_kv))
     m = k.values.shape[-2]
-    if history is not None:
-        if any(a.shape[-1] != b.shape[-1] or a.shape[-2] < m
-               for a, b in zip(history, parts[1:])):
+    if history is None:
+        kb, vb = k.values[..., k_lo:k_hi], v.values[..., v_lo:v_hi]
+    else:
+        kb, vb = history
+        if kb.shape[-1] != k_hi - k_lo or vb.shape[-1] != v_hi - v_lo \
+                or kb.shape[-2] < m or vb.shape[-2] < m:
             raise ShapeError("history rows do not end in the key/value blocks")
-        parts[1:] = history
-    qh = head_view(parts[0], n_q)
-    kh, vh = head_view(parts[1], n_kv), head_view(parts[2], n_kv)
+    qh = head_view(q.values[..., q_lo:q_hi], n_q)
+    kh, vh = head_view(kb, n_kv), head_view(vb, n_kv)
     n_k, d_h = kh.shape[-2:]
     if qh.shape[-1] != d_h or vh.shape[-2] != n_k:
         raise ShapeError(f"heads Q {qh.shape}, K {kh.shape}, V {vh.shape} differ")
@@ -843,12 +907,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: tuple = (1, 1), *,
         if history is not None:
             gk, gv = gk[..., -m:, :], gv[..., -m:, :]
         grads = []
+        blocks = [(u, lo, hi, n, gh) for u, (lo, hi), n, gh in zip(
+            (q, k, v), spans, (n_q, n_kv, n_kv), (gq, gk, gv))]
         for t in srcs:
-            parts = [(lo, hi, n, gh) for (u, lo, hi, n), gh
-                     in zip(blocks, (gq, gk, gv)) if u is t]
-            spans = sorted((lo, hi) for lo, hi, _, _ in parts)
-            tiled = spans[0][0] == 0 and spans[-1][1] == t.shape[-1] and all(
-                a[1] == b[0] for a, b in zip(spans, spans[1:]))
+            parts = [(lo, hi, n, gh) for u, lo, hi, n, gh in blocks if u is t]
+            ranges = sorted((lo, hi) for lo, hi, _, _ in parts)
+            tiled = ranges[0][0] == 0 and ranges[-1][1] == t.shape[-1] and all(
+                a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
             gx = (np.empty if tiled else np.zeros)(
                 t.shape, dtype=np.result_type(*(p[3] for p in parts)))
             for lo, hi, n, gh in parts:
@@ -1083,13 +1148,14 @@ def dequantize(r, spec: QuantSpec):
     return out
 
 
-def quantized_matmul(a: Tensor, b: Tensor, spec_a: QuantSpec, spec_b: QuantSpec,
-                     stats_a: Optional[QuantStats] = None,
+def quantized_matmul(a: Tensor, b: Tensor, spec_a: Optional[QuantSpec],
+                     spec_b: QuantSpec, stats_a: Optional[QuantStats] = None,
                      stats_b: Optional[QuantStats] = None,
                      levels_b=None) -> Tensor:
     """Integer-accumulated product of quantized operands, then dequantized.
 
-    The worst-case accumulator magnitude k * 2^(p_a-1) * 2^(p_b-1) decides
+    a's leading axes fold into rows, as in matmul; b is 2-d. The
+    worst-case accumulator magnitude k * 2^(p_a-1) * 2^(p_b-1) decides
     the arithmetic. Up to 2^53 a float64 GEMM of the integer levels is
     exact: every partial sum is an integer float64 represents, so the
     result equals the int64 product bit for bit, at BLAS speed. Above that
@@ -1099,26 +1165,55 @@ def quantized_matmul(a: Tensor, b: Tensor, spec_a: QuantSpec, spec_b: QuantSpec,
     column by its own column's step. ``levels_b`` is b already quantized
     with spec_b, as ``quantize_levels`` returns it; stats_b counts it as if
     it were quantized here.
+
+    With spec_a None each row of a gets its own step max|row| / q_max at
+    spec_b's width (1 / q_max for an all-zero row). Then |x / step| <=
+    q_max (1 + 2 eps), which rounds to at most q_max, so the row is
+    rounded without a clip and saturates nowhere; only a float64 row so
+    small that its step is subnormal, and so inexact, is clipped and
+    counted as quantize_levels does.
     """
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError("quantized_matmul expects 2-d operands")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner extents differ: {a.shape} @ {b.shape}")
-    k = a.shape[1]
-    worst = k * (1 << (spec_a.bits - 1)) * (1 << (spec_b.bits - 1))
-    if worst > np.iinfo(np.int64).max:
+    av, bv = a.values, b.values
+    if av.ndim < 2 or bv.ndim != 2:
+        raise ShapeError("quantized_matmul expects a (..., k) and a 2-d operand")
+    k = bv.shape[0]
+    if av.shape[-1] != k:
+        raise ShapeError(f"inner extents differ: {av.shape} @ {bv.shape}")
+    bits_a = spec_b.bits if spec_a is None else spec_a.bits
+    worst = k * (1 << (bits_a - 1)) * (1 << (spec_b.bits - 1))
+    if worst > _INT64_MAX:
         raise AccumulatorOverflowError(
-            f"k={k} at {spec_a.bits}+{spec_b.bits} bits can overflow the accumulator")
-    qa, sat_a = quantize_levels(a.values, spec_a)
-    qb, sat_b = quantize_levels(b.values, spec_b) if levels_b is None else levels_b
-    for stats, q, sat in ((stats_a, qa, sat_a), (stats_b, qb, sat_b)):
-        if stats is not None:
-            stats.count += q.size
-            stats.saturated += sat
+            f"k={k} at {bits_a}+{spec_b.bits} bits can overflow the accumulator")
+    sat_a = 0
+    if spec_a is not None:
+        qa, sat_a = quantize_levels(av.reshape(-1, k), spec_a)  # a row each
+        step_a = spec_a.step
+    else:                                   # a's own shape: no fold needed
+        q_max = (1 << (bits_a - 1)) - 1
+        if av.size == k:                    # one row: the same step, a scalar
+            top = float(np.maximum.reduce(np.abs(av), axis=None))
+            step_a = np.float64((top if top != 0.0 else 1.0) / q_max)
+        else:
+            top = np.maximum.reduce(np.abs(av), axis=-1, keepdims=True)
+            top = top.astype(np.float64)
+            step_a = np.where(top == 0.0, 1.0, top) / q_max
+        if av.dtype == np.float32 or np.min(step_a) >= _TINY:
+            qa = np.rint(av / step_a)       # np.round's ties to even
+        else:
+            qa, sat_a = quantize_levels(av, QuantSpec(step_a, bits_a))
+    qb, sat_b = quantize_levels(bv, spec_b) if levels_b is None else levels_b
+    if stats_a is not None:
+        stats_a.count += qa.size
+        stats_a.saturated += sat_a
+    if stats_b is not None:
+        stats_b.count += qb.size
+        stats_b.saturated += sat_b
     if worst <= 1 << 53:
         acc = qa @ qb
     else:
         acc = (qa.astype(np.int64) @ qb.astype(np.int64)).astype(np.float64)
-    out = (spec_a.step * spec_b.step) * acc
-    dtype = np.result_type(a.dtype, b.dtype)
-    return _result(out.astype(dtype))
+    out = (step_a * spec_b.step) * acc
+    dtype = av.dtype if av.dtype == bv.dtype else np.result_type(av.dtype, bv.dtype)
+    out = out.astype(dtype, copy=False)
+    return _result(out if out.ndim == av.ndim
+                   else out.reshape(av.shape[:-1] + out.shape[-1:]))

@@ -1,13 +1,15 @@
 """Fused taped ops against the composites they replace.
 
-Each fused op (layer norm, bias + ReLU, head split and merge, the softmax
-scale, multi-head attention, the training loss) is pinned to its
-composite of generic ops: the
+Each fused op (layer norm, bias + ReLU, the FFN, head split and merge,
+the softmax scale, multi-head attention, the training loss) is pinned to
+its composite of generic ops: the
 float32 forward bit for bit, every float64 gradient within 1e-12. Whole
 decodes and the first training loss are then compared with the
-composites patched back in, and count guards keep the Tensors of a
-decode token, the tape records and traced memory peak of a training
-step, the products of a decode step and the ops of an SSM sub-layer down.
+composites patched back in, and so are twenty training losses with the
+FFN composite. Count guards keep the Tensors of a decode token, the tape
+records and traced memory peak of a training step, the products of a
+decode step, the weights a repeated quantized request quantizes and the
+ops of an SSM sub-layer down.
 """
 
 import importlib.resources
@@ -235,6 +237,44 @@ def test_ffn_is_bitwise_the_composite_in_float32():
                                   composite_ffn(h, params).values)
 
 
+FFN_SHAPES = [(7, 16), (3, 5, 16), (1, 1, 16), (2, 3, 4, 16)]
+
+
+@pytest.mark.parametrize("shape", FFN_SHAPES, ids=str)
+def test_ffn_op_is_bitwise_the_composite_at_every_rank(shape):
+    params = B.FFNParams.init(16, 40, T.Rng(8), dtype=F32)
+    params = B.FFNParams(params.w_h, leaf((40,), 9, F32), params.w_f,
+                         leaf((16,), 10, F32))
+    h = leaf(shape, 11, F32)
+    got = T.ffn(h, params.w_h, params.b_h, params.w_f, params.b_f)
+    want = composite_ffn(h, params)
+    assert got.dtype == want.dtype == F32 and got.shape == want.shape
+    np.testing.assert_array_equal(got.values, want.values)
+
+
+@pytest.mark.parametrize("shape", FFN_SHAPES, ids=str)
+def test_ffn_op_gradients_match_the_composite(shape):
+    """Every input's float64 gradient; a shift makes some ReLU inputs
+    negative, so the mask matters."""
+    inputs = [leaf(shape, 40, shift=0.2), leaf((16, 24), 41, scale=0.5),
+              leaf((24,), 42, shift=-0.3), leaf((24, 16), 43, scale=0.5),
+              leaf((16,), 44)]
+    assert_grads_close(
+        T.ffn,
+        lambda h, w_h, b_h, w_f, b_f: composite_ffn(
+            h, B.FFNParams(w_h, b_h, w_f, b_f)), inputs)
+
+
+def test_ffn_op_rejects_mismatched_extents():
+    params = B.FFNParams.init(16, 40, T.Rng(8), dtype=F32)
+    with pytest.raises(T.ShapeError):
+        T.ffn(leaf((3, 12), 1, F32), params.w_h, params.b_h, params.w_f,
+              params.b_f)
+    with pytest.raises(T.ShapeError):
+        T.ffn(leaf((16,), 1, F32), params.w_h, params.b_h, params.w_f,
+              params.b_f)
+
+
 def test_bias_relu_gradients_match_the_composite():
     inputs = [leaf((4, 6, 9), 12), leaf((9,), 13)]
     assert_grads_close(lambda x, b: T.relu(x, b),
@@ -444,6 +484,24 @@ def c10_step(model, vocab):
         lr0=0.2, n_warmup=400, batch_size=8, max_steps=1, seed=0, seq_len=64))
 
 
+def test_twenty_training_losses_are_bitwise_the_composite_ffn(monkeypatch):
+    """Criterion-10 training with the FFN op and with the two matmuls, bias
+    ReLU and add it replaced: its forward and backward repeat theirs, so
+    the Adam updates and every loss are the same."""
+    def losses():
+        vocab = E.Vocab.from_text(corpus())
+        model = M.Model.init(M.ModelConfig(**SHAPE), vocab, seed=0)
+        segs = TR.segments_from_text(corpus(), vocab, 64)
+        rows = TR.train_lm(model, segs, TR.TrainConfig(
+            lr0=0.2, n_warmup=400, batch_size=8, max_steps=20, seed=0,
+            seq_len=64))
+        return [r["loss"] for r in rows]
+
+    fused = losses()
+    monkeypatch.setattr(B, "ffn", composite_ffn)
+    assert fused == losses() and len(fused) == 20
+
+
 def test_first_training_loss_is_bitwise_the_composite_path(request):
     vocab = E.Vocab.from_text(corpus())
     fused = c10_step(M.Model.init(M.ModelConfig(**SHAPE), vocab, seed=0), vocab)
@@ -459,10 +517,11 @@ def test_first_training_loss_is_bitwise_the_composite_path(request):
 # ---------------------------------------------------------------------------
 
 
-def test_a_generated_token_builds_at_most_27_tensors(decode_models,
+def test_a_generated_token_builds_at_most_19_tensors(decode_models,
                                                      monkeypatch):
     """Counts every Tensor built: through Tensor() and through the
-    constructor ops use for their results."""
+    constructor ops use for their results. 18.3 a token with one FFN op
+    per layer and no Tensor per quantized product (25.4 before)."""
     built = [0]
     init, result = T.Tensor.__init__, T._result
 
@@ -491,10 +550,12 @@ def test_a_generated_token_builds_at_most_27_tensors(decode_models,
                                     source=source if kind == "encdec" else None)
         assert len(out) == n_max
         tokens += len(out)
-    assert built[0] / tokens <= 27
+    assert built[0] / tokens <= 19
 
 
-def test_a_training_step_records_at_most_24_tape_ops(monkeypatch):
+def test_a_training_step_records_at_most_18_tape_ops(monkeypatch):
+    """17: the FFN is one op per layer (23 as two matmuls, a bias ReLU
+    and an add)."""
     records = []
     backward = T.backward
 
@@ -505,7 +566,7 @@ def test_a_training_step_records_at_most_24_tape_ops(monkeypatch):
     monkeypatch.setattr(T, "backward", counting)
     vocab = E.Vocab.from_text(corpus())
     c10_step(M.Model.init(M.ModelConfig(**SHAPE), vocab, seed=0), vocab)
-    assert len(records) == 1 and records[0] <= 24
+    assert len(records) == 1 and records[0] <= 18
 
 
 def test_a_training_step_peaks_at_most_9_5_mib_traced():
@@ -541,22 +602,44 @@ def test_a_training_step_peaks_at_most_9_5_mib_traced():
 
 
 def test_a_dense_decode_step_makes_9_matmuls(decode_models, monkeypatch):
-    """Per layer: one fused QKV product, W_c and the FFN's two (the scores
-    and weighted values are inside the attention op); then the output
-    head."""
+    """Per layer: one fused QKV product, W_c and the FFN op's two (the
+    scores and weighted values are inside the attention op); then the
+    output head."""
     model = decode_models[0]["beam4"]
     session, _ = R._seed_session(model, decode_models[1])
     calls = [0]
-    matmul = T.matmul
 
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return matmul(*args, **kwargs)
+    def counting(op, products):
+        def counted(*args, **kwargs):
+            calls[0] += products
+            return op(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(T, "matmul", counting)
+    monkeypatch.setattr(T, "matmul", counting(T.matmul, 1))
+    monkeypatch.setattr(T, "ffn", counting(T.ffn, 2))
     for tok in (5, 6, 7):
         model.decode_step(session, tok)
     assert model.cfg.n_layers == 2 and calls[0] == 3 * 9
+
+
+def test_a_second_quantized_request_quantizes_no_weight(decode_models,
+                                                     monkeypatch):
+    """The weights' levels are kept on the model: a request on unchanged
+    weights quantizes only its activation rows, none through
+    quantize_levels (the per-row steps need no clip)."""
+    model, prompt = decode_models[0]["quant8"], decode_models[1]
+    cfg = R.SearchConfig(n_max=10)
+    first = R.quantized_infer(model, prompt, cfg, bits=8)
+    calls = [0]
+    levels = T.quantize_levels
+
+    def counting(x, spec):
+        calls[0] += 1
+        return levels(x, spec)
+
+    monkeypatch.setattr(T, "quantize_levels", counting)
+    assert R.quantized_infer(model, prompt, cfg, bits=8) == first
+    assert calls[0] == 0
 
 
 def test_an_ssm_sublayer_forward_records_at_most_108_tape_ops():
@@ -588,3 +671,23 @@ def test_a_one_position_ssm_step_makes_at_most_9_ops(monkeypatch):
                         dssm, carry)
     assert calls[0] <= 9
 
+
+def test_a_repeated_one_position_ssm_step_makes_at_most_3_ops(monkeypatch):
+    """Outside a tape the one-position operator is built once and kept:
+    a later step only lays out its input, multiplies and lays out the
+    output."""
+    dssm = S.init_ssm_sublayer(16, 0.1, "zoh", "diag-uniform", T.Rng(0),
+                               dtype=F32)
+    carry = [np.ones((1, 64, 16), dtype=F32)]
+    step = T.Tensor(T.Rng(1).gaussian((1, 1, 64)).astype(F32))
+    S.ssm_sublayer_scan(step, dssm, carry)
+    calls = [0]
+    emit = T._emit
+
+    def counting(*args):
+        calls[0] += 1
+        return emit(*args)
+
+    monkeypatch.setattr(T, "_emit", counting)
+    S.ssm_sublayer_scan(step, dssm, carry)
+    assert calls[0] <= 3

@@ -1,9 +1,10 @@
 """In-place buffers in the fused ops against their out-of-place bodies.
 
-``tensor.attention``, ``tensor.relu`` with a bias, ``softmax_rows`` and
-``log_softmax_nll`` run their elementwise passes inside arrays they
-allocated themselves (``softmax_rows`` from its scale on, when it has
-one). The out-of-place bodies they replace are pinned here: every output
+``tensor.attention``, ``tensor.relu`` with a bias, ``tensor.ffn``,
+``softmax_rows`` and ``log_softmax_nll`` run their elementwise passes
+inside arrays they allocated themselves (``softmax_rows`` from its scale
+on, when it has one). The out-of-place bodies they replace are pinned
+here (the FFN's is its composite with the pinned ReLU): every output
 and every input's gradient must be equal bit for bit, in float32 and
 float64, as must criterion-10 losses and weights and whole decodes. The
 buffer rule is checked directly: no input's values, no mask, no live
@@ -194,8 +195,14 @@ def pinned_log_softmax_nll(x, targets, weights, floor):
     return T._emit(out, (x,), grad_fn), picked
 
 
+def pinned_ffn(h, w_h, b_h, w_f, b_f):
+    """The composite the FFN op replaced: two matmuls, the bias ReLU (its
+    pinned body when the fixture is on) and the output bias."""
+    return T.add(T.matmul(T.relu(T.matmul(h, w_h), b_h), w_f), b_f)
+
+
 PINNED = {"attention": pinned_attention, "relu": pinned_relu,
-          "softmax_rows": pinned_softmax_rows,
+          "ffn": pinned_ffn, "softmax_rows": pinned_softmax_rows,
           "log_softmax_nll": pinned_log_softmax_nll}
 
 
@@ -332,6 +339,13 @@ def relu_case(dtype):
     return (lambda: T.relu(a, b)), [a, b], []
 
 
+def ffn_case(dtype):
+    h, w_h, b_h = leaf((3, 5, 8), 20, dtype), leaf((8, 12), 21, dtype), \
+        leaf((12,), 22, dtype)
+    w_f, b_f = leaf((12, 8), 23, dtype), leaf((8,), 24, dtype)
+    return (lambda: T.ffn(h, w_h, b_h, w_f, b_f)), [h, w_h, b_h, w_f, b_f], []
+
+
 def softmax_case(mask_kind, scale):
     def make(dtype):
         x = leaf((3, 6, 6), 12, dtype)
@@ -361,6 +375,7 @@ def loss_case(dtype):
 
 OTHER_CASES = {
     "relu-bias": relu_case,
+    "ffn": ffn_case,
     "softmax": softmax_case("none", None),
     "softmax-scaled": softmax_case("none", 0.5),
     "softmax-masked": softmax_case("array", None),

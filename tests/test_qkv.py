@@ -361,6 +361,28 @@ def test_quantized_logits_are_bitwise_the_three_matrix_path(decode_models,
     assert stats[1].count - stats[0].count == saved
 
 
+def test_quantized_decode_stats_follow_the_three_matrix_path(decode_models,
+                                                             request):
+    """QuantStats over an 8-bit cached decode, whose weights come from the
+    model's kept table, against the reference route, which derives its
+    specs and levels in every context: the same tokens and saturations,
+    and fewer levels by exactly the self-attention inputs the fused
+    projection quantizes once instead of three times."""
+    models, prompt, _ = decode_models
+    cfg = R.SearchConfig(n_max=12)
+    stats = T.QuantStats(), T.QuantStats()
+    R.quantized_infer(models["dense"], prompt, cfg, bits=8)    # fills the table
+    got = R.quantized_infer(models["dense"], prompt, cfg, bits=8,
+                            stats=stats[0])
+    request.getfixturevalue("three_matrix")
+    want = R.quantized_infer(models["dense"], prompt, cfg, bits=8,
+                             stats=stats[1])
+    assert got == want
+    d, layers, positions = 64, 2, 1 + len(prompt) + cfg.n_max - 1
+    assert stats[0].saturated == stats[1].saturated
+    assert stats[1].count - stats[0].count == 2 * d * layers * positions
+
+
 # ---------------------------------------------------------------------------
 # criterion-10 training
 # ---------------------------------------------------------------------------

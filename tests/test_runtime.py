@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import seqlab.model as M
 import seqlab.oracles as O
 import seqlab.runtime as R
+import seqlab.ssm as S
 import seqlab.tensor as T
 from seqlab.embedding import CLS, EOS, PAD, SOS, Vocab
 
@@ -555,10 +556,6 @@ def test_quantized_paths_equal_the_per_product_int64_route(bits, dtype,
             want_tokens.append(R._pick_greedy(np.exp(logits - logits.max())))
             if want_tokens[-1] == EOS:
                 break
-    got = R.quantized_forward(model, ids, bits=bits, stats=got_stats)
-    assert np.array_equal(got, want)
-    assert got_stats == want_stats
-
     weights = {id(t.values) for _, t in model.named() if id(t) in specs}
     rounded = []
     levels = T.quantize_levels
@@ -569,10 +566,14 @@ def test_quantized_paths_equal_the_per_product_int64_route(bits, dtype,
         return levels(x, spec)
 
     monkeypatch.setattr(T, "quantize_levels", counting)
+    got = R.quantized_forward(model, ids, bits=bits, stats=got_stats)
+    assert np.array_equal(got, want)
+    assert got_stats == want_stats
     tokens = R.quantized_infer(model, ids[1:], R.SearchConfig(n_max=6),
                                bits=bits)
     assert tokens == want_tokens[len(ids):] and len(tokens) == 6
-    assert sorted(rounded) == sorted(weights)   # each weight once per call
+    # each weight once, at its first product; the second context reuses it
+    assert sorted(rounded) == sorted(weights)
 
 
 @pytest.mark.parametrize("kw", [
@@ -657,3 +658,63 @@ def test_accumulator_overflow_propagates():
     model = build(seed=1)
     with pytest.raises(T.AccumulatorOverflowError):
         R.quantized_infer(model, [4], R.SearchConfig(n_max=2), bits=32)
+
+
+# ---------------------------------------------------------------------------
+# kept quantized weights and SSM step operators go stale with the weights
+# ---------------------------------------------------------------------------
+
+
+def decode_dists(model, bits=None):
+    """Next-token distributions of a cached decode of a fixed prompt and
+    continuation, under ``quantized`` when ``bits`` is given."""
+    context = R.quantized(model, bits) if bits else contextlib.nullcontext()
+    with context:
+        session, dist = R._seed_session(model, [4, 5])
+        dists = [dist] + [model.decode_step(session, t) for t in (6, 7, 3, 4)]
+    return np.stack(dists)
+
+
+def loaded_copy(model, tmp_path):
+    path = str(tmp_path / "copy.ckpt")
+    R.save_checkpoint(model, path)
+    return R.load_checkpoint(path)
+
+
+def test_assigned_or_replaced_weights_are_quantized_again(tmp_path):
+    """Decoding after T.assign_ on quantized weights, or after a weight
+    is replaced, gives bitwise the distributions of a freshly loaded copy,
+    whose table is derived from scratch."""
+    model = build(seed=5, dtype=np.float32)
+    before = decode_dists(model, 8)              # fills the kept table
+    layer = model.dec_layers[1]
+    T.assign_(layer.att.w_qkv, layer.att.w_qkv.values * 1.5)
+    T.assign_(layer.ffn_core.w_f, layer.ffn_core.w_f.values[::-1].copy())
+    assigned = decode_dists(model, 8)
+    assert assigned.tobytes() == decode_dists(
+        loaded_copy(model, tmp_path), 8).tobytes()
+    assert assigned.tobytes() != before.tobytes()
+    decode_dists(model, 8)          # the table again: loading assigned too
+    layer.ffn_core.w_h = T.Tensor(layer.ffn_core.w_h.values * -1.0,
+                                  trainable=True)
+    replaced = decode_dists(model, 8)
+    assert replaced.tobytes() == decode_dists(
+        loaded_copy(model, tmp_path), 8).tobytes()
+    assert replaced.tobytes() != assigned.tobytes()
+
+
+def test_an_assigned_ssm_parameter_rebuilds_the_step_operator(tmp_path,
+                                                              monkeypatch):
+    """The one-position operator an SSM decode step keeps is rebuilt after
+    T.assign_: the distributions equal a freshly loaded copy's, and those
+    of a decode that builds the operator at every step."""
+    model = build(seed=6, dtype=np.float32, attention="ssm", ssm_d_state=4)
+    before = decode_dists(model)                 # keeps the operators
+    ssm = model.dec_layers[0].ssm
+    T.assign_(ssm.a_bar, ssm.a_bar.values * 0.5)
+    assigned = decode_dists(model)
+    assert assigned.tobytes() == decode_dists(
+        loaded_copy(model, tmp_path)).tobytes()
+    assert assigned.tobytes() != before.tobytes()
+    monkeypatch.setattr(S, "_source", S._block_source)
+    assert decode_dists(model).tobytes() == assigned.tobytes()

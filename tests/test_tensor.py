@@ -483,6 +483,62 @@ def test_wide_products_accumulate_in_int64():
     assert np.array_equal(got.values, want)
 
 
+def clipped_per_row_product(a, b, levels, spec_b, stats):
+    """The per-row product with a clip: each row's step max|row| / q_max
+    (1 / q_max for an all-zero row) passed as a column step, so its levels
+    are rounded, clipped and counted by quantize_levels."""
+    rows = a.values.reshape(-1, a.shape[-1])
+    top = np.abs(rows).max(axis=1, keepdims=True).astype(np.float64)
+    spec_a = T.QuantSpec(np.where(top == 0.0, 1.0, top) / spec_b.q_max,
+                         spec_b.bits)
+    return T.quantized_matmul(T.Tensor(rows), b, spec_a, spec_b, stats, stats,
+                              levels_b=levels)
+
+
+EDGE_VALUES = {                          # zeros, subnormals, the largest
+    np.float32: [0.0, -0.0, 1e-45, -1e-45, 1e-40, 1.2e-38, 3.4e38, -3.4e38],
+    np.float64: [0.0, -0.0, 5e-324, -1e-310, 2.2e-308, 1e300, -1.7e308]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([np.float32, np.float64]), st.integers(1, 4),
+       st.integers(1, 6), st.sampled_from([2, 4, 8, 16]), st.data())
+def test_a_per_row_step_never_saturates(dtype, n_rows, k, bits, data):
+    """|x / step| <= q_max (1 + 2 eps) rounds to at most q_max, so rows
+    quantized with their own steps need no clip: zero rows, -0.0,
+    subnormals and the largest magnitudes give the clipped path's
+    products and counts bit for bit, and the clip never acts. A float64
+    row whose step is subnormal, and so inexact, is clipped and counted."""
+    width = 32 if dtype is np.float32 else 64
+    value = st.one_of(st.floats(allow_nan=False, allow_infinity=False,
+                                width=width),
+                      st.sampled_from(EDGE_VALUES[dtype]))
+    rows = np.array(data.draw(st.lists(value, min_size=n_rows * k,
+                                       max_size=n_rows * k)), dtype=dtype)
+    a = T.Tensor(rows.reshape(n_rows, 1, k))
+    w = T.Rng(k).gaussian((k, 3))
+    spec_b = T.QuantSpec(np.abs(w).max() / ((1 << (bits - 1)) - 1), bits)
+    b = T.Tensor(w, dtype=dtype)
+    levels = T.quantize_levels(b.values, spec_b)
+    got_stats, want_stats = T.QuantStats(), T.QuantStats()
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            want = clipped_per_row_product(a, b, levels, spec_b, want_stats)
+        except ValueError:                   # a step underflowed to zero
+            with pytest.raises(ValueError):
+                T.quantized_matmul(a, b, None, spec_b, levels_b=levels)
+            return
+        got = T.quantized_matmul(a, b, None, spec_b, got_stats, got_stats,
+                                 levels_b=levels)
+    assert got.shape == (n_rows, 1, 3)
+    assert got.values.tobytes() == want.values.reshape(got.shape).tobytes()
+    assert got_stats == want_stats
+    top = np.abs(rows.reshape(n_rows, k)).max(axis=1).astype(np.float64)
+    if dtype is np.float32 or np.all(top / spec_b.q_max >= np.finfo(
+            np.float64).tiny):
+        assert want_stats.saturated == 0
+
+
 def test_quantized_matmul_overflow_guard():
     spec = T.QuantSpec(step=1.0, bits=32)
     with pytest.raises(T.AccumulatorOverflowError):
