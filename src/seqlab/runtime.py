@@ -351,8 +351,8 @@ class WeightSpecs(dict):
     on the model with what ``_quant_route`` derives from it once per weight
     or column block: ``levels`` maps (id(weight), cols) to the weight (or
     the block), its QuantSpec and its integer levels with their saturation
-    count. ``stamp`` is what the table was derived from: the
-    ``T.assign_count`` and the targeted weights."""
+    count. ``stamp`` is the ``T.param_stamp`` of the targeted weights
+    the table was derived from."""
 
     def __init__(self, specs: dict, stamp: tuple):
         super().__init__(specs)
@@ -380,7 +380,7 @@ def weight_quant_specs(model: Model, bits: int) -> WeightSpecs:
         raise ValueError(f"quantization needs at least 2 bits, got {bits}")
     named = [(name, w) for name, w in model.named()
              if name.rsplit(".", 1)[-1] in _QUANT_ROLES]
-    stamp = T.assign_count(), tuple(w for _, w in named)
+    stamp = T.param_stamp(*(w for _, w in named))
     table = model._quant.get(bits)
     if table is not None and table.stamp == stamp:
         return table

@@ -158,7 +158,7 @@ def _source(dssm: DiscreteSSM, w: int) -> T.Tensor:
     steps do not rebuild the same operator."""
     if T._active_tape() is not None:
         return _block_source(dssm, w)
-    stamp = (T.assign_count(), dssm.a_bar, dssm.b_bar, dssm.c_bar, dssm.d_bar)
+    stamp = T.param_stamp(dssm.a_bar, dssm.b_bar, dssm.c_bar, dssm.d_bar)
     if dssm._sources is None or dssm._sources[0] != stamp:
         dssm._sources = stamp, {}
     kept = dssm._sources[1]

@@ -211,11 +211,12 @@ def eye(n, dtype=np.float32) -> Tensor:
 _assigns = 0                                # assign_ calls so far
 
 
-def assign_count() -> int:
-    """How many ``assign_`` calls have run. A cache of values derived from
-    parameters (quantized weights, an SSM step operator) records the count
-    it was built at, and is stale once the count has moved on."""
-    return _assigns
+def param_stamp(*params: Tensor) -> tuple:
+    """What a cache of values derived from ``params`` (quantized weights,
+    an SSM step operator) was built from: the number of ``assign_`` calls
+    so far and the parameter objects. The cache is stale once a fresh
+    stamp differs, after any assign or when a parameter was replaced."""
+    return (_assigns,) + params
 
 
 def assign_(t: Tensor, values) -> Tensor:
@@ -224,7 +225,7 @@ def assign_(t: Tensor, values) -> Tensor:
     Optimizer updates and checkpoint loading go through here so that
     shared-parameter groups and optimizer state stay attached to the
     same tensor object. Shape and dtype must match exactly. Every call
-    moves ``assign_count`` on.
+    makes the ``param_stamp`` of every parameter new.
     """
     global _assigns
     new = np.asarray(values, dtype=t.values.dtype)
@@ -1190,13 +1191,9 @@ def quantized_matmul(a: Tensor, b: Tensor, spec_a: Optional[QuantSpec],
         step_a = spec_a.step
     else:                                   # a's own shape: no fold needed
         q_max = (1 << (bits_a - 1)) - 1
-        if av.size == k:                    # one row: the same step, a scalar
-            top = float(np.maximum.reduce(np.abs(av), axis=None))
-            step_a = np.float64((top if top != 0.0 else 1.0) / q_max)
-        else:
-            top = np.maximum.reduce(np.abs(av), axis=-1, keepdims=True)
-            top = top.astype(np.float64)
-            step_a = np.where(top == 0.0, 1.0, top) / q_max
+        top = np.maximum.reduce(np.abs(av), axis=-1, keepdims=True)
+        top = top.astype(np.float64)
+        step_a = np.where(top == 0.0, 1.0, top) / q_max
         if av.dtype == np.float32 or np.min(step_a) >= _TINY:
             qa = np.rint(av / step_a)       # np.round's ties to even
         else:
