@@ -1,10 +1,10 @@
 """Softmax attention in all its configured forms.
 
 One scaled-dot-product core, the fused op ``tensor.attention``, drives
-everything: multi-head self and cross attention, causal and sparse-field
-masking, additive locality priors, cached attention of a block of new
-positions over a history, and ``qkv_attention`` on heads split
-beforehand. Multi-query attention is not a separate form: a block with
+everything: multi-head self and cross attention, causal masking,
+blocked sliding-window attention, additive locality priors, cached
+attention of a block of new positions over a history, and
+``qkv_attention`` on heads split beforehand. Multi-query attention is not a separate form: a block with
 one key/value head has a narrower W^qkv, and the same op serves it. It
 cuts Q, K and V into heads as views of column blocks of its inputs, and
 returns the heads merged, in one op; relative-position, low-rank and
@@ -18,17 +18,21 @@ query columns and the encoder rows by the key/value columns; a cached
 step writes its key/value columns into the KV cache and reads the cached
 keys and values in place.
 
-Masks are described by MaskSpec, which unifies three mechanisms:
-  - causal:   -inf strictly above the diagonal
-  - field:    boolean retained-position sets per row
-  - additive: arbitrary penalty matrix added to scaled logits
+A MaskSpec is an additive penalty matrix on the scaled logits, -inf
+where a pair is forbidden (the causal mask is -inf strictly above the
+diagonal); specs combine by summing. A sliding window is not a mask on
+the full score matrix: ``window_attention`` cuts the positions into
+blocks of w, the window, and block b's queries attend over the keys of
+blocks b-1 and b (and b+1 when not causal) under one band mask, in one
+op. Its work, and the multiply-adds an OpCounter tallies for it, are
+those of the band blocks it computes, linear in the length.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -68,46 +72,21 @@ NEG_INF = -np.inf
 
 @dataclass
 class MaskSpec:
-    """What each query position may attend to, and at what penalty.
-
-    ``field`` is a boolean allowed matrix; ``additive`` may contain -inf.
-    """
+    """What each query position may attend to, and at what penalty: an
+    additive array or Tensor on the scaled logits, -inf where forbidden."""
 
     additive: Optional[object] = None        # np.ndarray or Tensor
-    field: Optional[np.ndarray] = None       # boolean (n_q, n_k)
-    sparsity: Optional[float] = None         # retained / n^2 for field masks
-    random_pairs: Optional[list] = None      # recorded hybrid random draws
-
-    def field_sets(self) -> list[np.ndarray]:
-        """Retained positions per row, as index arrays."""
-        if self.field is None:
-            raise ValueError("mask has no field component")
-        return [np.flatnonzero(row) for row in self.field]
-
-    def field_additive(self) -> Optional[np.ndarray]:
-        if self.field is None:
-            return None
-        out = np.zeros(self.field.shape)
-        out[~self.field] = NEG_INF
-        return out
 
     def combine(self, other: "MaskSpec") -> "MaskSpec":
         """Intersection of permissions, sum of penalties."""
-        if other is None:
+        if other is None or other.additive is None:
             return self
-        add_parts = [p for p in (self.additive, other.additive) if p is not None]
-        if len(add_parts) == 2:
-            additive = T.add(add_parts[0], add_parts[1]) \
-                if any(isinstance(p, T.Tensor) for p in add_parts) \
-                else add_parts[0] + add_parts[1]
-        else:
-            additive = add_parts[0] if add_parts else None
-        if self.field is not None and other.field is not None:
-            fld = self.field & other.field
-        else:
-            fld = self.field if self.field is not None else other.field
-        return MaskSpec(additive=additive, field=fld,
-                        random_pairs=self.random_pairs or other.random_pairs)
+        if self.additive is None:
+            return other
+        a, b = self.additive, other.additive
+        if isinstance(a, T.Tensor) or isinstance(b, T.Tensor):
+            return MaskSpec(additive=T.add(a, b))
+        return MaskSpec(additive=a + b)
 
 
 def causal_mask(n: int) -> MaskSpec:
@@ -146,71 +125,6 @@ def local_prior(kind: str, n: int, gamma: float, sigma=None) -> MaskSpec:
     return MaskSpec(additive=-gamma * g)
 
 
-def make_attention_field(pattern: str, n: int, causal: bool = False, *,
-                         window: Optional[int] = None,
-                         chunk: Optional[int] = None,
-                         stride: Optional[int] = None,
-                         dilation: int = 1,
-                         global_positions: Sequence[int] = (),
-                         n_random: int = 0,
-                         rng: Optional[T.Rng] = None) -> MaskSpec:
-    """Sparse retained-position sets: window, chunked, strided, dilated,
-    or a hybrid union of global + window + seeded random positions.
-
-    Decoder use (causal=True) intersects every set with {j <= i}. The
-    sparsity ratio retained/n^2 is recorded on the returned MaskSpec.
-    """
-    i = np.arange(n)[:, None]
-    j = np.arange(n)[None, :]
-    if pattern == "window":
-        if window is None or window < 1:
-            raise ValueError("window pattern needs window >= 1")
-        allowed = np.abs(i - j) <= (window - 1)
-    elif pattern == "chunked":
-        if chunk is None or chunk < 1:
-            raise ValueError("chunked pattern needs chunk >= 1")
-        allowed = (i // chunk) == (j // chunk)
-    elif pattern == "strided":
-        if stride is None or stride < 1:
-            raise ValueError("strided pattern needs stride >= 1")
-        allowed = ((i - j) % stride) == 0
-    elif pattern == "dilated":
-        if window is None or window < 1 or dilation < 1:
-            raise ValueError("dilated pattern needs window >= 1, dilation >= 1")
-        off = np.abs(i - j)
-        allowed = (off <= (window - 1) * dilation) & (off % dilation == 0)
-    elif pattern == "hybrid":
-        w = window if window is not None else 1
-        allowed = np.abs(i - j) <= (w - 1)
-        for g in global_positions:
-            if not 0 <= g < n:
-                raise ValueError(f"global position {g} outside sequence")
-            allowed[g, :] = True
-            allowed[:, g] = True
-        pairs = []
-        if n_random > 0:
-            if rng is None:
-                raise ValueError("hybrid random component needs an rng")
-            for row in range(n):
-                cols = rng.integers(0, n, (n_random,))
-                for c in np.atleast_1d(cols):
-                    allowed[row, int(c)] = True
-                    pairs.append((row, int(c)))
-        return _field_spec(allowed, causal, pairs)
-    else:
-        raise ValueError(f"unknown field pattern {pattern!r}")
-    return _field_spec(allowed, causal, None)
-
-
-def _field_spec(allowed: np.ndarray, causal: bool, pairs) -> MaskSpec:
-    n = allowed.shape[0]
-    if causal:
-        allowed = allowed & (np.arange(n)[None, :] <= np.arange(n)[:, None])
-    return MaskSpec(field=allowed,
-                    sparsity=float(allowed.sum()) / float(n * n),
-                    random_pairs=pairs)
-
-
 def _additive(mask):
     """A mask argument (None, an array, a Tensor or a MaskSpec) as the
     additive array or Tensor it puts on the logits, or None."""
@@ -218,12 +132,7 @@ def _additive(mask):
         return mask
     if not isinstance(mask, MaskSpec):
         raise TypeError(f"unsupported mask type {type(mask).__name__}")
-    additive = mask.additive
-    fld = mask.field_additive() if mask.field is not None else None
-    if fld is not None:
-        additive = fld if additive is None else (
-            T.add(additive, fld) if isinstance(additive, T.Tensor) else additive + fld)
-    return additive
+    return mask.additive
 
 
 # ---------------------------------------------------------------------------
@@ -272,50 +181,6 @@ def qkv_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor, mask=None,
         out = T.attention(q, k, v, mask=additive, scale=1.0 / scale)
     _tally(counter, out.shape[:-1], k.shape[-2], d_h, v.shape[-1])
     return (out, weights) if return_weights else out
-
-
-def sparse_field_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor,
-                           spec: MaskSpec, counter: Optional[OpCounter] = None) -> T.Tensor:
-    """Field attention that only touches retained pairs.
-
-    Row-by-row gather over pi_i; work (and the multiply-add counter) scale
-    with the number of retained pairs instead of n^2. A pair that the
-    additive part sets to -inf is dropped, and its finite penalties are
-    added to the logits. Q, K and V are (..., n, d) with broadcastable
-    leading (head, batch) axes. Inference path: it records nothing, so it
-    refuses to run while a tape is recording.
-    """
-    if spec.field is None:
-        raise ValueError("sparse_field_attention needs a field mask")
-    if T._active_tape() is not None:
-        raise T.TapeError("sparse field attention is not differentiable; "
-                          "run it outside a tape")
-    additive = getattr(spec.additive, "values", spec.additive)
-    qv = q.values
-    kv = k.values
-    vv = v.values
-    d_h = qv.shape[-1]
-    d_v = vv.shape[-1]
-    inv = 1.0 / np.sqrt(d_h)
-    lead = np.broadcast_shapes(qv.shape[:-2], kv.shape[:-2], vv.shape[:-2])
-    n_seq = int(np.prod(lead))
-    out = np.zeros(lead + (qv.shape[-2], d_v), dtype=qv.dtype)
-    for i, cols in enumerate(spec.field_sets()):
-        penalty = 0.0
-        if additive is not None:
-            penalty = np.asarray(additive[i, cols], dtype=qv.dtype)
-            cols, penalty = cols[penalty != NEG_INF], penalty[penalty != NEG_INF]
-        if cols.size == 0:
-            raise T.DegenerateRowError(f"field row {i} retains no positions")
-        logits = (kv[..., cols, :] @ qv[..., i, :, None])[..., 0] * inv + penalty
-        logits -= logits.max(axis=-1, keepdims=True)
-        e = np.exp(logits)
-        w = e / e.sum(axis=-1, keepdims=True)
-        out[..., i, :] = (w[..., None, :] @ vv[..., cols, :])[..., 0, :]
-        if counter is not None:
-            counter.add(n_seq * cols.size * d_h)
-            counter.add(n_seq * cols.size * d_v)
-    return T.Tensor(out)
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +392,84 @@ def self_attention(h: T.Tensor, params: AttentionParams, mask=None,
     attend_heads; the heads are merged and multiplied by W_c."""
     return _attend(params.qkv(h), params, mask, counter, rpr=rpr,
                    lowrank=lowrank, reuse=reuse)
+
+
+def window_band(m: int, w: int, causal: bool,
+                pad: Optional[np.ndarray] = None) -> np.ndarray:
+    """The additive mask of window_attention over m positions in blocks
+    of w: (nb, w, s*w) for nb = ceil(m/w) blocks of w queries, each over
+    the keys of s blocks, b-1 and b, and b+1 unless causal. Query
+    i = b*w + r may see key j = (b-1)*w + c when |i - j| <= w-1 and
+    0 <= j < m, and j <= i when causal; with PAD flags ``pad`` (m,),
+    not when i is a non-PAD position and j a PAD one. Filler queries past
+    m count as PAD, so every row keeps a key."""
+    nb, s = -(-m // w), 2 if causal else 3
+    i = np.arange(nb * w).reshape(nb, w, 1)
+    j = (np.arange(nb)[:, None, None] - 1) * w + np.arange(s * w)
+    ok = (np.abs(i - j) < w) & (j >= 0) & (j < m)
+    if causal:
+        ok &= j <= i
+    if pad is not None:
+        pad_i = np.concatenate([pad, np.ones(nb * w - m, dtype=bool)])[i]
+        ok &= pad_i | ~pad[np.clip(j, 0, m - 1)]
+    return np.where(ok, 0.0, NEG_INF)
+
+
+def window_attention(h: T.Tensor, params: AttentionParams, window: int,
+                     causal: bool, pad: Optional[np.ndarray] = None,
+                     counter: Optional[OpCounter] = None) -> T.Tensor:
+    """Self-attention of h (..., m, d) with query i restricted to keys j
+    with |i - j| <= window-1 (and j <= i when causal), and the PAD rule of
+    window_band, merged and multiplied by W_c.
+
+    The positions are cut into blocks of w = window, filled up with zero
+    rows. The queries (h times W^qkv's query columns) are a reshape of
+    their product; the keys and values, a second product (so each gets its
+    own gradient, not two of the fused width to add), are copied into an
+    (..., nb, s*w, 2*n_kv*d_h) array holding each block's s neighbouring
+    blocks. One ``tensor.attention`` op runs on these block views under
+    window_band, so the work, and its tally on ``counter``, is linear in m.
+    """
+    q = T.matmul(h, params.w_qkv, cols=params.q_cols)
+    kv = T.matmul(h, params.w_qkv, cols=(params.k_cols[0], params.v_cols[1]))
+    lead, m, width = h.shape[:-2], h.shape[-2], kv.shape[-1]
+    w = window
+    nb, s = -(-m // w), 2 if causal else 3
+
+    def blocks(a):                           # (..., m, c) -> (..., nb, w, c)
+        if nb * w > m:
+            a = np.concatenate(
+                [a, np.zeros(lead + (nb * w - m, a.shape[-1]), a.dtype)], -2)
+        return a.reshape(lead + (nb, w, a.shape[-1]))
+
+    def rows(g):                             # (..., nb, w, c) -> (..., m, c)
+        return g.reshape(lead + (nb * w, g.shape[-1]))[..., :m, :]
+
+    def neighbours(a):
+        r = blocks(a)
+        out = np.zeros(lead + (nb, s * w, width), a.dtype)
+        out[..., 1:, :w, :] = r[..., :-1, :, :]
+        out[..., w:2 * w, :] = r
+        if not causal:
+            out[..., :-1, 2 * w:, :] = r[..., 1:, :, :]
+        return out
+
+    def neighbours_grad(g):
+        gr = g[..., w:2 * w, :].copy()
+        gr[..., :-1, :, :] += g[..., 1:, :w, :]
+        if not causal:
+            gr[..., 1:, :, :] += g[..., :-1, 2 * w:, :]
+        return rows(gr)
+
+    kv = T.relayout(kv, neighbours, neighbours_grad)
+    half = width // 2
+    out = T.attention(T.relayout(q, blocks, rows), kv, kv,
+                      (params.tau, params.n_kv),
+                      cols=(None, (0, half), (half, width)),
+                      mask=window_band(m, w, causal, pad)[:, None])
+    _tally(counter, out.shape[:-1] + (params.tau,), s * w, params.d_head,
+           params.d_head)
+    return T.matmul(T.relayout(out, rows, blocks), params.w_out)
 
 
 def cross_kv(h_enc: T.Tensor, params: AttentionParams) -> T.Tensor:

@@ -520,15 +520,10 @@ class Model:
 
     def _mask_for(self, m: int, causal: bool, pad: Optional[np.ndarray]):
         cfg = self.cfg
-        spec = None
-        if cfg.attention == "window":
-            spec = A.make_attention_field("window", m, causal=causal,
-                                          window=cfg.window)
-        elif causal:
-            spec = A.causal_mask(m)
-        if pad is not None and cfg.attention in ("dense", "window", "lowrank-d"):
+        spec = A.causal_mask(m) if causal else None
+        if pad is not None and cfg.attention in ("dense", "lowrank-d"):
             # non-PAD queries must ignore PAD keys; PAD rows stay unrestricted
-            # so no row of the field ever empties out
+            # so no row ever empties out (window_band keeps the same rule)
             block = np.where(~pad[:, None] & pad[None, :], A.NEG_INF, 0.0)
             pad_spec = A.MaskSpec(additive=block)
             spec = pad_spec if spec is None else spec.combine(pad_spec)
@@ -545,7 +540,8 @@ class Model:
         raise ContractError("this attention variant needs suffix-only padding")
 
     def _att_core(self, layer: Layer, mask, causal: bool, m_real: Optional[int],
-                  reuse_store, counter) -> Callable[[T.Tensor], T.Tensor]:
+                  reuse_store, counter, pad: Optional[np.ndarray] = None
+                  ) -> Callable[[T.Tensor], T.Tensor]:
         cfg = self.cfg
         att = layer.att
 
@@ -565,11 +561,9 @@ class Model:
                 return att.merge(EF.lowrank_length_attention(
                     q, k, v, self._length_projections(layer, m_real),
                     counter=counter))
-            if cfg.attention == "window" and counter is not None:
-                # counting path: gather only retained pairs (inference math,
-                # identical output, work linear in m)
-                return att.merge(A.sparse_field_attention(*att.heads(z), mask,
-                                                          counter))
+            if cfg.attention == "window":
+                return A.window_attention(z, att, cfg.window, causal, pad,
+                                          counter)
             return A.self_attention(z, att, mask, counter, rpr=self.rpr_table,
                                     lowrank=layer.lowrank, reuse=reuse_store)
 
@@ -615,7 +609,8 @@ class Model:
             m = h.shape[-2]
             if pad is not None and not pad.any():
                 pad = None
-            mask = self._mask_for(m, causal, pad)
+            mask = None if cfg.attention == "window" \
+                else self._mask_for(m, causal, pad)
             m_real = None
             if cfg.attention in ("linear", "lowrank-n"):
                 m_real = self._suffix_length(pad, m)
@@ -623,7 +618,7 @@ class Model:
         for idx, layer in enumerate(layers):
             if session is None:
                 att_core = self._att_core(layer, mask, causal, m_real,
-                                          reuse_store, counter)
+                                          reuse_store, counter, pad)
             else:
                 att_core = self._step_att_core(layer, idx, session, reuse_store,
                                                counter)

@@ -103,6 +103,16 @@ def attention_loop(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     return out
 
 
+def window_field(n: int, w: int, causal: bool) -> np.ndarray:
+    """The sliding-window field: query i may see key j when |i - j| <= w-1,
+    and j <= i when causal."""
+    out = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        for j in range(n):
+            out[i, j] = abs(i - j) <= w - 1 and (j <= i or not causal)
+    return out
+
+
 def rpr_attention_loop(h: np.ndarray, wq: np.ndarray, wk: np.ndarray,
                        wv: np.ndarray, table_q: np.ndarray, table_k: np.ndarray,
                        table_v: np.ndarray, clip_k: int,
@@ -583,19 +593,17 @@ def _run_cached_decode(rng):
 
 
 def _run_field_union(rng):
-    n, w, k_rand = 12, 3, 2
-    got = A.make_attention_field("hybrid", n, window=w, global_positions=(1,),
-                                 n_random=k_rand, rng=T.Rng(7)).field
-    i = np.arange(n)[:, None]
-    j = np.arange(n)[None, :]
-    want = np.abs(i - j) <= (w - 1)
-    want[1, :] = True
-    want[:, 1] = True
-    ref_rng = T.Rng(7)
-    for row in range(n):
-        for c in ref_rng.integers(0, n, (k_rand,)):
-            want[row, int(c)] = True
-    bad = int((got != want).sum())
+    """The union over blocks of window_band's permissions, mapped back to
+    (query, key) positions, is the window field: causal and not, lengths
+    that are and are not a multiple of the window."""
+    bad = 0
+    for n, w, causal in ((12, 5, True), (12, 5, False), (12, 4, True),
+                         (12, 4, False), (7, 1, True), (3, 8, False)):
+        b, r, c = np.nonzero(A.window_band(n, w, causal) == 0.0)
+        i, j = b * w + r, (b - 1) * w + c
+        got = np.zeros((n, n), dtype=bool)
+        got[i[i < n], j[i < n]] = True
+        bad += int((got != window_field(n, w, causal)).sum())
     return float(bad), float(bad)
 
 

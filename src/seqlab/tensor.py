@@ -7,21 +7,20 @@ quantized arithmetic.
 
 Besides the generic elementwise, shape and linear-algebra ops, a few fused
 ops cover the model's hot path with one Tensor and one tape record each,
-and a closed-form backward: ``layer_norm``, ``relu`` with a bias, the
-position-wise ``ffn`` (both products, the bias ReLU and the output
-bias), the scale folded into ``softmax_rows``, ``relayout`` for a head
-split or merge, multi-head ``attention`` (head split, scores, masked
-softmax, weighted values and head merge), and the training loss
-``log_softmax_nll``. Their forwards repeat the arithmetic of the
-composites they replace, so float32 outputs match those bit for bit.
-They run elementwise steps in place where they can (attention's scale,
-mask add, exp and divide and its softmax backward; the mask add after a
-scale, the row-max subtract, exp and divide in ``softmax_rows``; exp and
-divide in the loss; ReLU on the biased sum in ``relu`` and ``ffn``, and
-the ReLU mask on the FFN's backward), so attention keeps one
-score-sized array per layer. The buffer rule: a fused op
-overwrites only arrays it allocated; never an input, a mask, cache rows
-or an incoming gradient. Where writing in place would change a result's
+and a closed-form backward: ``layer_norm``, the position-wise ``ffn``
+(both products, the bias add and ReLU and the output bias), the scale
+folded into ``softmax_rows``, ``relayout`` for a head split or merge,
+multi-head ``attention`` (head split, scores, masked softmax, weighted
+values and head merge), and the training loss ``log_softmax_nll``.
+Their forwards repeat the arithmetic of the composites they replace, so
+float32 outputs match those bit for bit. They run elementwise steps in
+place where they can (attention's scale, mask add, exp and divide and
+its softmax backward; the mask add after a scale, the row-max subtract,
+exp and divide in ``softmax_rows``; exp and divide in the loss; ReLU on
+the biased sum in ``ffn``, and the ReLU mask on its backward), so
+attention keeps one score-sized array per layer. The buffer rule: a
+fused op overwrites only arrays it allocated; never an input, a mask,
+cache rows or an incoming gradient. Where writing in place would change a result's
 dtype or shape, the op computes out of place, so the bits do not depend
 on the buffers.
 
@@ -481,20 +480,11 @@ def power(a: Tensor, p) -> Tensor:
     return _emit(out, (a,), lambda g: (g * (p * av ** (p - 1.0)),))
 
 
-def relu(a: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """max(a, 0), or with ``bias`` max(a + bias, 0) as one op."""
-    if bias is None:
-        zv = a.values
-        out = _result(np.maximum(zv, 0))
-        return _emit(out, (a,), lambda g: (g * (zv > 0),))
-    zv = a.values + bias.values             # fresh: the output overwrites it
-    out = _result(np.maximum(zv, 0, out=zv))
-
-    def grad_fn(g):
-        gz = g * (zv > 0)                   # max(z, 0) > 0 exactly where z > 0
-        return _unbroadcast(gz, a.shape), _unbroadcast(gz, bias.shape)
-
-    return _emit(out, (a, bias), grad_fn)
+def relu(a: Tensor) -> Tensor:
+    """max(a, 0)."""
+    zv = a.values
+    out = _result(np.maximum(zv, 0))
+    return _emit(out, (a,), lambda g: (g * (zv > 0),))
 
 
 def elu(a: Tensor, alpha: float = 1.0) -> Tensor:
@@ -714,9 +704,9 @@ def matmul(a, b, cols: Optional[tuple] = None) -> Tensor:
 def ffn(h: Tensor, w_h: Tensor, b_h: Tensor, w_f: Tensor, b_f: Tensor) -> Tensor:
     """ReLU(h W_h + b_h) W_f + b_f over h (..., m, d), as one op.
 
-    The forward repeats the composite of two matmuls, ``relu`` with a
-    bias and an add on h's rows (its leading axes folded, as matmul folds
-    them), and the bias add and ReLU run on one fresh array, so float32
+    The forward repeats the composite of two matmuls, a bias add,
+    ``relu`` and an add on h's rows (its leading axes folded, as matmul
+    folds them), and the bias add and ReLU run on one fresh array, so float32
     outputs equal it bit for bit. Each product consults the matmul
     routing as matmul does; a routed product has no gradient, so an FFN
     with one is not recorded. The backward is the composite's, in closed

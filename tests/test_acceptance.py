@@ -189,8 +189,7 @@ def test_c04_gradient_suite():
     def b_window(rng):
         h = T.Tensor(rng.gaussian((5, 6)), trainable=True)
         prm = A.AttentionParams.init(6, 2, rng, dtype=F64)
-        spec = A.make_attention_field("window", 5, causal=True, window=2)
-        fwd = lambda: A.self_attention(h, prm, spec)
+        fwd = lambda: A.window_attention(h, prm, 2, causal=True)
         return probe_loss(fwd, (5, 6), rng), [h, prm.w_qkv]
 
     def b_multi_query(rng):

@@ -138,91 +138,50 @@ def test_sharp_gaussian_prior_pins_diagonal():
 # ---------------------------------------------------------------------------
 
 
+def window_mask(n, w, causal=True):
+    return np.where(O.window_field(n, w, causal), 0.0, -np.inf)
+
+
 def test_window_full_width_equals_causal():
     n = 6
-    spec = A.make_attention_field("window", n, causal=True, window=n)
-    np.testing.assert_array_equal(spec.field_additive(), A.causal_mask(n).additive)
-
-
-def test_chunk_one_is_diagonal():
-    spec = A.make_attention_field("chunked", 5, chunk=1)
-    np.testing.assert_array_equal(spec.field, np.eye(5, dtype=bool))
-
-
-def test_chunked_blocks():
-    spec = A.make_attention_field("chunked", 6, chunk=3)
-    assert spec.field[0, 2] and spec.field[4, 5]
-    assert not spec.field[2, 3]
-
-
-def test_strided_and_dilated_structure():
-    st = A.make_attention_field("strided", 8, stride=3)
-    assert st.field[6, 0] and st.field[6, 3] and st.field[6, 6]
-    assert not st.field[6, 1]
-    dl = A.make_attention_field("dilated", 9, window=2, dilation=3)
-    assert dl.field[6, 3] and dl.field[6, 6]
-    assert not dl.field[6, 5]
-
-
-def test_hybrid_is_union_of_components():
-    n, w, k_rand = 10, 2, 2
-    seed = 17
-    spec = A.make_attention_field("hybrid", n, window=w, global_positions=[1],
-                                  n_random=k_rand, rng=T.Rng(seed))
-    window_only = A.make_attention_field("window", n, window=w).field
-    glob = np.zeros((n, n), dtype=bool)
-    glob[1, :] = True
-    glob[:, 1] = True
-    rand = np.zeros((n, n), dtype=bool)
-    for (r, c) in spec.random_pairs:
-        rand[r, c] = True
-    np.testing.assert_array_equal(spec.field, window_only | glob | rand)
+    np.testing.assert_array_equal(window_mask(n, n), A.causal_mask(n).additive)
 
 
 def test_decoder_field_is_causal():
-    spec = A.make_attention_field("strided", 7, causal=True, stride=2)
-    i, j = np.nonzero(spec.field)
-    assert np.all(j <= i)
-
-
-def test_sparsity_ratio():
-    spec = A.make_attention_field("chunked", 6, chunk=1)
-    assert spec.sparsity == pytest.approx(6 / 36)
+    b, r, c = np.nonzero(A.window_band(7, 3, causal=True) == 0.0)
+    assert np.all((b - 1) * 3 + c <= b * 3 + r)
 
 
 def test_field_rows_outside_pi_get_zero_weight():
     rng = T.Rng(11)
     n = 6
     q = T.Tensor(rng.gaussian((n, 4)), dtype=F64)
-    spec = A.make_attention_field("window", n, causal=True, window=2)
-    _, w = A.qkv_attention(q, q, q, spec, return_weights=True)
-    assert np.all(w.values[~spec.field] == 0.0)
+    field = O.window_field(n, 2, causal=True)
+    _, w = A.qkv_attention(q, q, q, window_mask(n, 2), return_weights=True)
+    assert np.all(w.values[~field] == 0.0)
 
 
 def test_sparse_field_attention_matches_dense():
     rng = T.Rng(12)
     n = 16
-    q = T.Tensor(rng.gaussian((n, 8)), dtype=F64)
-    k = T.Tensor(rng.gaussian((n, 8)), dtype=F64)
-    v = T.Tensor(rng.gaussian((n, 8)), dtype=F64)
-    spec = A.make_attention_field("window", n, causal=True, window=3)
-    dense = A.qkv_attention(q, k, v, spec)
-    sparse = A.sparse_field_attention(q, k, v, spec)
+    p = A.AttentionParams.init(8, 2, rng, dtype=F64)
+    h = T.Tensor(rng.gaussian((n, 8)), dtype=F64)
+    dense = A.self_attention(h, p, window_mask(n, 3))
+    sparse = A.window_attention(h, p, 3, causal=True)
     np.testing.assert_allclose(sparse.values, dense.values, atol=1e-10)
 
 
 def test_sparse_counter_scales_with_window_not_n_squared():
     d = 8
+    p = A.AttentionParams.init(d, 1, T.Rng(13), dtype=F64)
     counts = {}
     for n in (32, 64):
-        rng = T.Rng(13)
-        q = T.Tensor(rng.gaussian((n, d)), dtype=F64)
-        spec = A.make_attention_field("window", n, causal=True, window=4)
         c = A.OpCounter()
-        A.sparse_field_attention(q, q, q, spec, counter=c)
+        A.window_attention(T.Tensor(T.Rng(13).gaussian((n, d)), dtype=F64), p,
+                           4, causal=True, counter=c)
         counts[n] = c.multiply_adds
-    # roughly linear: doubling n should roughly double the work
-    assert counts[64] < 2.6 * counts[32]
+    # each block of 4 queries scores 8 keys: doubling n doubles the work
+    assert counts[64] == 2 * counts[32] == 2 * 32 * 8 * d * 2
     dense_counter = A.OpCounter()
     rng = T.Rng(13)
     q = T.Tensor(rng.gaussian((64, d)), dtype=F64)
@@ -560,9 +519,8 @@ def test_windowed_cached_step_restricts_positions():
         out, cache = A.attend_step_cached(T.Tensor(h[i:i + 1], dtype=F64),
                                           cache, p, layer=0)
         outs.append(out.values[0])
-    spec = A.make_attention_field("window", 4, causal=True, window=2)
     q = T.matmul(T.Tensor(h, dtype=F64), p.wq)
     k = T.matmul(T.Tensor(h, dtype=F64), p.wk)
     v = T.matmul(T.Tensor(h, dtype=F64), p.wv)
-    want = T.matmul(A.qkv_attention(q, k, v, spec), p.w_out).values
+    want = T.matmul(A.qkv_attention(q, k, v, window_mask(4, 2)), p.w_out).values
     np.testing.assert_allclose(np.array(outs), want, atol=1e-10)

@@ -2,7 +2,8 @@
 carried state; here they are checked against a pinned copy of the
 per-row, per-head, per-position numpy step loops they replace. Also the
 float32 SSM parameters, the cross-attention count and the counted window
-path. Decode checks run in float64.
+path, which is the window pass training runs. Decode checks run in
+float64.
 """
 
 import os
@@ -200,8 +201,17 @@ def test_the_counted_window_path_keeps_the_pad_mask():
     assert np.max(np.abs(counted[:4] - plain[:4])) < TOL
 
 
-def test_the_counted_window_path_refuses_a_tape():
-    model = build(architecture="encoder-only", attention="window", window=3)
-    with T.Tape():
-        with pytest.raises(T.TapeError):
-            model.encode(VOCAB.encode("abcd"), counter=A.OpCounter())
+def test_the_counted_window_path_runs_on_a_tape():
+    model = build(attention="window", window=3)
+    ids = [SOS] + VOCAB.encode("abcdefgh")
+    plain_count, taped_count = A.OpCounter(), A.OpCounter()
+    plain = model.decoder_forward(ids, counter=plain_count).values
+    with T.Tape() as tape:
+        logits = model.decoder_forward(ids, counter=taped_count)
+        grads = T.backward(T.reduce_sum(logits * logits))
+    tape.release()
+    assert logits.values.tobytes() == plain.tobytes()
+    assert taped_count.multiply_adds == plain_count.multiply_adds > 0
+    w_qkv = model.dec_layers[0].att.w_qkv
+    assert np.all(np.isfinite(grads[w_qkv].values))
+    assert np.any(grads[w_qkv].values != 0.0)

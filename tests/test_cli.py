@@ -255,8 +255,10 @@ def test_bench_counters_scale_as_expected(tmp_path):
     assert ops[128] == 4 * ops[64]           # attention work is quadratic
     # exact tallies, unchanged since heads became column blocks of one
     # projection (the per-head layout counted the same work head by head);
-    # an SSM block of 16 positions is one (16 + d_state)^2 product per
-    # column, so its work is linear in length
+    # the window pass computes blocks of 8 queries over 16 keys (2 heads
+    # of width 8, logits and values): 16 * 2 * 16 * 8 * 2 at 16 positions,
+    # twice that at 32; an SSM block of 16 positions is one
+    # (16 + d_state)^2 product per column, so its work is linear in length
     assert C.main(["bench", "--variants", "dense,window,linear,lowrank-d,ssm",
                    "--lengths", "16,32", "--d", "16", "--out", str(out)]) == 0
     rows = [line.split(",") for line in
@@ -264,11 +266,12 @@ def test_bench_counters_scale_as_expected(tmp_path):
     ops = {(r[0], int(r[1])): int(r[2]) for r in rows}
     assert ops == {
         ("dense", 16): 8192, ("dense", 32): 32768,
-        ("window", 16): 3200, ("window", 32): 7296,
+        ("window", 16): 8192, ("window", 32): 16384,
         ("linear", 16): 4352, ("linear", 32): 8704,
         ("lowrank-d", 16): 6144, ("lowrank-d", 32): 24576,
         ("ssm", 16): 16 * (16 + 16) ** 2, ("ssm", 32): 2 * 16 * (16 + 16) ** 2}
     assert ops["ssm", 32] == 2 * ops["ssm", 16]
+    assert ops["window", 32] == 2 * ops["window", 16]
 
 
 def test_oracle_subcommand_writes_csv(tmp_path):

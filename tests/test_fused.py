@@ -275,12 +275,6 @@ def test_ffn_op_rejects_mismatched_extents():
               params.b_f)
 
 
-def test_bias_relu_gradients_match_the_composite():
-    inputs = [leaf((4, 6, 9), 12), leaf((9,), 13)]
-    assert_grads_close(lambda x, b: T.relu(x, b),
-                       lambda x, b: T.relu(x + b), inputs)
-
-
 @pytest.mark.parametrize("shape,n", [((5, 12), 3), ((2, 7, 12), 4),
                                      ((3, 1, 8), 1), ((2, 3, 4, 6), 2)],
                          ids=str)

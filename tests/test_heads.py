@@ -14,6 +14,7 @@ import pytest
 import seqlab.attention as A
 import seqlab.efficient as EF
 import seqlab.model as M
+import seqlab.oracles as O
 import seqlab.tensor as T
 import seqlab.train as TR
 from seqlab.embedding import SOS, RprTable, Vocab
@@ -208,14 +209,15 @@ def test_lowrank_length_core_matches_per_head():
 def test_window_counting_core_matches_per_head(multi_query):
     m = model(attention="window", window=3, tau=4, multi_query=multi_query)
     layer = m.dec_layers[0]
-    z = T.Tensor(T.Rng(7).gaussian((9, 12)), dtype=F64)
-    mask = m._mask_for(9, True, None)
-    got_count, want_count = A.OpCounter(), A.OpCounter()
-    got = m._att_core(layer, mask, True, None, None, got_count)(z)
-    want = per_head(z, z, layer.att, lambda j, q, k, v:
-                    A.sparse_field_attention(q, k, v, mask, want_count))
-    assert np.max(np.abs(got.values - want.values)) < TOL
-    assert got_count.multiply_adds == want_count.multiply_adds > 0
+    z = leaf((2, 10, 12), 7)
+    mask = np.where(O.window_field(10, 3, causal=True), 0.0, -np.inf)
+    count = A.OpCounter()
+    assert_same(lambda: m._att_core(layer, None, True, None, None, count)(z),
+                lambda: per_head(z, z, layer.att, dense(mask)),
+                [z] + att_leaves(layer.att))
+    # 2 rows of 4 blocks of 3 queries, each over 6 keys, in 4 heads of
+    # width 3, for the logits and the weighted values
+    assert count.multiply_adds == 2 * 4 * 3 * 6 * 4 * 3 * 2
 
 
 def test_reused_maps_match_per_head():

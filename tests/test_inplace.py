@@ -1,7 +1,7 @@
 """In-place buffers in the fused ops against their out-of-place bodies.
 
-``tensor.attention``, ``tensor.relu`` with a bias, ``tensor.ffn``,
-``softmax_rows`` and ``log_softmax_nll`` run their elementwise passes
+``tensor.attention``, ``tensor.ffn``, ``softmax_rows`` and
+``log_softmax_nll`` run their elementwise passes
 inside arrays they allocated themselves (``softmax_rows`` from its scale
 on, when it has one). The out-of-place bodies they replace are pinned
 here (the FFN's is its composite with the pinned ReLU): every output
@@ -35,17 +35,10 @@ F32, F64 = np.float32, np.float64
 # ---------------------------------------------------------------------------
 
 
-def pinned_relu(a, bias=None):
-    zv = a.values if bias is None else a.values + bias.values
+def pinned_relu(a):
+    zv = a.values
     out = T._result(np.maximum(zv, 0))
-    if bias is None:
-        return T._emit(out, (a,), lambda g: (g * (zv > 0),))
-
-    def grad_fn(g):
-        gz = g * (zv > 0)
-        return T._unbroadcast(gz, a.shape), T._unbroadcast(gz, bias.shape)
-
-    return T._emit(out, (a, bias), grad_fn)
+    return T._emit(out, (a,), lambda g: (g * (zv > 0),))
 
 
 def pinned_softmax_rows(x, additive_mask=None, scale=None):
@@ -196,9 +189,9 @@ def pinned_log_softmax_nll(x, targets, weights, floor):
 
 
 def pinned_ffn(h, w_h, b_h, w_f, b_f):
-    """The composite the FFN op replaced: two matmuls, the bias ReLU (its
-    pinned body when the fixture is on) and the output bias."""
-    return T.add(T.matmul(T.relu(T.matmul(h, w_h), b_h), w_f), b_f)
+    """The composite the FFN op replaced: two matmuls, the bias add, the
+    ReLU (its pinned body when the fixture is on) and the output bias."""
+    return T.add(T.matmul(T.relu(T.add(T.matmul(h, w_h), b_h)), w_f), b_f)
 
 
 PINNED = {"attention": pinned_attention, "relu": pinned_relu,
@@ -334,11 +327,6 @@ def test_attention_is_bitwise_the_out_of_place_body(case, dtype):
     assert got == want
 
 
-def relu_case(dtype):
-    a, b = leaf((4, 5, 8), 10, dtype), leaf((8,), 11, dtype)
-    return (lambda: T.relu(a, b)), [a, b], []
-
-
 def ffn_case(dtype):
     h, w_h, b_h = leaf((3, 5, 8), 20, dtype), leaf((8, 12), 21, dtype), \
         leaf((12,), 22, dtype)
@@ -374,7 +362,6 @@ def loss_case(dtype):
 
 
 OTHER_CASES = {
-    "relu-bias": relu_case,
     "ffn": ffn_case,
     "softmax": softmax_case("none", None),
     "softmax-scaled": softmax_case("none", 0.5),
@@ -446,11 +433,11 @@ def test_a_scaled_masked_softmax_peaks_at_most_700_kib_traced():
 
 def test_one_gradient_array_reaching_two_records_through_add(request):
     """add hands its incoming gradient array to both operands' records: an
-    attention op and a bias ReLU, whose sum feeds a scaled softmax and the
-    loss."""
+    attention op and the ReLU of a biased sum, whose sum feeds a scaled
+    softmax and the loss."""
     def fn(x, a, b):
         h = T.add(T.attention(x, x, x, (4, 4), cols=fused_cols(),
-                              mask=CAUSAL[:6, :6]), T.relu(a, b))
+                              mask=CAUSAL[:6, :6]), T.relu(a + b))
         p = T.softmax_rows(T.add(h, h), None, 0.5)
         rows = T.reshape(p, (-1, p.shape[-1]))
         ids = np.arange(rows.shape[0]) % rows.shape[-1]

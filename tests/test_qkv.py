@@ -3,10 +3,11 @@
 Every attention block stores W^q, W^k and W^v side by side in one W^qkv.
 The reference kept here runs the path it replaces: three separate
 trainable matrices, three products and three head splits per
-self-attention pass, cached keys and values read through a view of the
-cache that ends in the block's own projections, cross attention against
-separate W^q and W^k/W^v products, a residual added before its layer
-norm, and the quantizer's one step per matrix. Float32 logits and whole
+self-attention pass (the window pass joins the three into one W^qkv),
+cached keys and values read through a view of the cache that ends in
+the block's own projections, cross attention against separate W^q and
+W^k/W^v products, a residual added before its layer norm, and the
+quantizer's one step per matrix. Float32 logits and whole
 decodes are compared bit for bit, float64 gradients within 1e-12, and
 criterion-10 training losses as stated at each test.
 """
@@ -74,6 +75,15 @@ def reference_functions(blocks):
             *heads(params, h), mask, counter, rpr=rpr, lowrank=lowrank,
             reuse=reuse))
 
+    window = A.window_attention
+
+    def window_attention(h, params, *args):
+        # the blocked pass on a W^qkv joined from the three matrices
+        joined = A.AttentionParams(params.d, params.tau,
+                                   T.concat(list(blocks(params)), axis=1),
+                                   params.w_out)
+        return window(h, joined, *args)
+
     def named(self, prefix=""):
         wq, wk, wv = blocks(self)
         yield f"{prefix}wq", wq
@@ -115,6 +125,7 @@ def reference_functions(blocks):
         return B._plus_weighted(out, h_in, gamma)
 
     return dict(heads=heads, named=named, self_attention=self_attention,
+                window_attention=window_attention,
                 cross_kv=cross_kv,
                 cross_attention=cross_attention,
                 attend_step_cached=attend_step_cached,
@@ -165,8 +176,8 @@ def three_matrix(monkeypatch):
     ref = reference_functions(blocks)
     monkeypatch.setattr(A.AttentionParams, "heads", ref["heads"])
     monkeypatch.setattr(A.AttentionParams, "named", ref["named"])
-    for name in ("self_attention", "cross_kv", "cross_attention",
-                 "attend_step_cached"):
+    for name in ("self_attention", "window_attention", "cross_kv",
+                 "cross_attention", "attend_step_cached"):
         monkeypatch.setattr(A, name, ref[name])
     monkeypatch.setattr(B, "sublayer_apply", ref["sublayer_apply"])
     monkeypatch.setattr(R, "weight_quant_specs", reference_weight_quant_specs)
