@@ -542,8 +542,10 @@ class KVCache:
     Capacity doubles when a block does not fit. With a ``window``, a block
     can see no more than the last window-1 earlier positions, so only those
     are kept when the array is laid out again: capacity stays below
-    2*(window + block) however long decoding runs. Written rows are never
-    overwritten: growing, trimming and ``select`` build new arrays, so a
+    2*(window + block) however long decoding runs. ``rewind`` forgets the
+    last positions written. Written rows are never overwritten: growing,
+    trimming and ``select`` build new arrays, and so does the first write
+    after a rewind, which would otherwise land on the forgotten rows, so a
     view handed out earlier keeps its values.
     """
 
@@ -557,6 +559,8 @@ class KVCache:
         self._kv: list = [None] * n_layers    # arrays appear at the first write
         self._t = [0] * n_layers              # positions written
         self._first = [0] * n_layers          # position held in array row 0
+        self._rewound = [False] * n_layers    # rows past the count were written
+        self._mask = None, None               # (key, mask) of the last block
 
     def _check(self, layer: int):
         if not 0 <= layer < self.n_layers:
@@ -613,17 +617,36 @@ class KVCache:
                              f"{kv.shape[3]}")
         back = t if self.window is None else min(t, self.window - 1)
         end = t - self._first[layer]
-        if kv is None or end + m > kv.shape[2]:
+        if kv is None or end + m > kv.shape[2] or self._rewound[layer]:
             cap = max(self.MIN_CAPACITY, 2 * (back + m))
             new = np.empty((2, rows, cap, width), dtype=k_new.dtype)
             if back:
                 new[:, :, :back] = kv[:, :, end - back:end]
             kv, end = new, back
             self._kv[layer], self._first[layer] = kv, t - back
+            self._rewound[layer] = False
         kv[0, :, end:end + m] = k_new
         kv[1, :, end:end + m] = v_new
         self._t[layer] = t + m
         return kv[0, :, end - back:end + m], kv[1, :, end - back:end + m], back
+
+    def rewind(self, n: int) -> None:
+        """Forget the last n positions written at every layer, as if they
+        had never been written. A window cache can go back only as far as
+        the positions it still holds (the last ``window`` before the new
+        end); going further, or back past position 0, raises StateError
+        and changes nothing."""
+        if n < 0:
+            raise ValueError(f"cannot rewind {n} positions")
+        for layer, t in enumerate(self._t):
+            keep = t - n if self.window is None else min(t - n, self.window)
+            if t - n < 0 or (self._kv[layer] is not None
+                             and t - n - keep < self._first[layer]):
+                raise StateError(f"cannot rewind {n} of the {t} positions "
+                                 f"written at layer {layer}")
+        if n:
+            self._t = [t - n for t in self._t]
+            self._rewound = [True] * self.n_layers
 
     def select(self, rows) -> None:
         """Keep the given rows, in the given order; a row may repeat."""
@@ -635,7 +658,20 @@ class KVCache:
         out = KVCache(self.n_layers, self.window)
         out._kv = [None if kv is None else kv.copy() for kv in self._kv]
         out._t, out._first = list(self._t), list(self._first)
+        out._rewound = list(self._rewound)
         return out
+
+    def step_mask(self, m: int, back: int, dtype):
+        """``_step_mask`` of a block of m > 1 positions over back earlier
+        ones, in ``dtype``, read-only. Every layer writes the same block at
+        the same position, so the mask is built once, at the first layer,
+        and the later ones share it."""
+        key = m, back, dtype
+        if self._mask[0] != key:
+            mask = _step_mask(m, back, self.window).astype(dtype)
+            mask.flags.writeable = False
+            self._mask = key, mask
+        return self._mask[1]
 
 
 def _step_mask(m: int, back: int, window: Optional[int]):
@@ -676,7 +712,8 @@ def attend_step_cached(x: T.Tensor, cache: KVCache, params: AttentionParams,
     qkv = params.qkv(x)
     k, v, back = cache.write(layer, qkv.values[..., slice(*params.k_cols)],
                              qkv.values[..., slice(*params.v_cols)])
-    out = _attend(qkv, params, _step_mask(x.shape[1], back, cache.window),
-                  counter, rpr=rpr, lowrank=lowrank, reuse=reuse,
-                  history=(k, v), q_start=back)
+    m = x.shape[1]
+    mask = None if m == 1 else cache.step_mask(m, back, qkv.dtype)
+    out = _attend(qkv, params, mask, counter, rpr=rpr, lowrank=lowrank,
+                  reuse=reuse, history=(k, v), q_start=back)
     return (T.reshape(out, out.shape[1:]) if single else out), cache

@@ -353,7 +353,7 @@ class DecodeSession:
     from one block to the next (``states``) and the count of positions
     the slot has consumed (``positions``). An encoder-decoder session
     holds each layer's cross-attention keys and values, projected once
-    from the encoder output.
+    from the encoder output. Only a "cache" session can ``rewind``.
     """
 
     model: "Model"
@@ -390,6 +390,21 @@ class DecodeSession:
         if self.states is not None:
             self.states = [[x[idx] for x in carry] for carry in self.states]
             self.positions = list(self.positions)    # unshared from a clone's
+
+    def rewind(self, n: int) -> None:
+        """Drop the last n positions of every row: the prefixes and the
+        key/value cache forget them (see ``KVCache.rewind``). The carried
+        state of a "stream" or "ssm" session cannot be cut back, so
+        rewinding one raises StateError, as does going back further than
+        the prefixes reach."""
+        if self.kv is None:
+            raise StateError(f"a {self.mode} session cannot be rewound")
+        if n > self.position:
+            raise StateError(f"cannot rewind {n} positions of a prefix "
+                             f"of {self.position}")
+        self.kv.rewind(n)
+        for prefix in self.prefixes:
+            del prefix[len(prefix) - n:]
 
     def clone(self) -> "DecodeSession":
         out = dataclasses.replace(self, kv=None)

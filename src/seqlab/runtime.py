@@ -1,7 +1,12 @@
 """Decoding, checkpoints, and quantized inference.
 
 Greedy and beam search drive Model.decode_step, so every variant's cache
-discipline is reused as-is. Checkpoints are a small binary format: magic,
+discipline is reused as-is. Greedy search drafts the tokens likely to come
+next by copying from its own prompt and output, verifies a draft in one
+cached block and rewinds the rejected rest out of the session (speculative
+decoding, Leviathan et al., 2023, with LLMA's copied drafts, Yang et al.,
+2023); beam search, and greedy search on linear-attention or SSM models,
+feed one id per row and step. Checkpoints are a small binary format: magic,
 version, config text, vocabulary, named float32 tensors, CRC. Version 3
 stores each attention block's fused ``w_qkv``; version 2 files, which
 stored ``wq``/``wk``/``wv`` apart, and version 1 files, which stored them
@@ -41,6 +46,14 @@ VERSION = 3          # v2 stored wq/wk/wv apart, v1 one tensor per head
 # structural ids a decoder never emits; EOS stays eligible so search can stop
 _SUPPRESSED = (PAD, SOS, CLS)
 _SUPPRESSED_IDS = np.array(_SUPPRESSED)
+
+# greedy search's drafts (see _Drafter): the match key's length, the
+# longest draft, and the first and the longest pause after a draft's
+# first token fails
+_NGRAM = 2
+_DRAFT_CAP = 8
+_BACKOFF_FIRST = 2
+_BACKOFF_CAP = 32
 
 
 class CheckpointFormatError(ValueError):
@@ -93,23 +106,109 @@ def _seed_session(model: Model, prompt: Sequence[int],
     return session, model.decode_step(session, block)[0, -1]
 
 
-def _pick_greedy(dist: np.ndarray) -> int:
+def _pick_greedy(dist: np.ndarray):
+    """The argmax id of a distribution, or the list of them of a stack of
+    distributions, over the ids a decoder may emit."""
     d = dist.copy()
-    d[_SUPPRESSED_IDS] = -1.0
-    return int(np.argmax(d))                 # ties fall to the lowest id
+    d[..., _SUPPRESSED_IDS] = -1.0
+    return d.argmax(-1).tolist()             # ties fall to the lowest id
+
+
+class _Drafter:
+    """Guesses of the tokens greedy search is about to emit, copied from
+    the context (prompt plus output) after an earlier occurrence of its
+    last _NGRAM tokens, as LLMA does (Yang et al., 2023). ``follow`` maps
+    every N-gram of the context to the position after its latest
+    occurrence and is updated once per token, so a lookup costs the same
+    however long the context grows. A match whose copy runs past the end
+    of the context repeats the copied span (the draft reads back into
+    itself).
+
+    The draft length adapts: +2 after a draft accepted whole, -1 after
+    any other, between 1 and _DRAFT_CAP. After a draft whose first token
+    is rejected, drafting pauses for _BACKOFF_FIRST steps, twice as many
+    after each further such draft, up to _BACKOFF_CAP, and back at
+    _BACKOFF_FIRST once a draft's first token is accepted. A rejected
+    draft costs about one step, so this keeps a drafter that is always
+    wrong within a few percent of one-token decoding.
+    """
+
+    def __init__(self, prompt: Sequence[int]):
+        self.ctx: List[int] = []
+        self.follow: dict = {}
+        self.start = len(prompt)                 # output starts here in ctx
+        self.size = _DRAFT_CAP
+        self.wait = 0                            # steps left without drafts
+        self.backoff = _BACKOFF_FIRST
+        self._extend(prompt)
+
+    def _extend(self, tokens) -> None:
+        ctx, follow = self.ctx, self.follow
+        for tok in tokens:
+            if len(ctx) >= _NGRAM:
+                follow[tuple(ctx[-_NGRAM:])] = len(ctx)
+            ctx.append(int(tok))
+
+    def propose(self, out: List[int], limit: int) -> List[int]:
+        """Up to ``limit`` draft tokens to follow ``out``, the output so
+        far; none while backing off or when the last N-gram is new."""
+        self._extend(out[len(self.ctx) - self.start:])
+        if self.wait:
+            self.wait -= 1
+            return []
+        at = self.follow.get(tuple(self.ctx[-_NGRAM:]))
+        k = min(self.size, limit)
+        if at is None or k < 1:
+            return []
+        period = self.ctx[at:]
+        draft = (period * -(-k // len(period)))[:k]
+        cut = [j for j, tok in enumerate(draft) if tok in _SUPPRESSED]
+        return draft[:cut[0]] if cut else draft
+
+    def update(self, drafted: int, accepted: int) -> None:
+        """Adapt to a draft of ``drafted`` tokens, ``accepted`` kept."""
+        self.size = min(self.size + 2, _DRAFT_CAP) if accepted == drafted \
+            else max(self.size - 1, 1)
+        if accepted:
+            self.backoff = _BACKOFF_FIRST
+        else:
+            self.wait = self.backoff
+            self.backoff = min(2 * self.backoff, _BACKOFF_CAP)
 
 
 def greedy_generate(model: Model, prompt: Sequence[int], cfg: SearchConfig,
                     source=None) -> List[int]:
-    """Append the argmax token until EOS or exactly n_max tokens."""
+    """Append the argmax token until EOS or exactly n_max tokens.
+
+    Each pass feeds the last token picked together with the draft of the
+    tokens that may follow it (``_Drafter``), as one block of a cached
+    decode step. A draft token is kept while it equals the argmax of the
+    row before it; the row after the last kept one picks the next token,
+    and the positions of the rejected rest are rewound out of the
+    session. The tokens are those of one step per token, the block's rows
+    being that step's distributions up to floating-point rounding (a
+    float32 near tie can go the other way). A pass without a draft is a
+    one-id step, and so is every pass of a linear-attention or SSM
+    session, whose carried state cannot be rewound. The output stops at
+    EOS or at n_max tokens, and the decoder is never fed the n_max-th.
+    """
     session, dist = _seed_session(model, prompt, source)
-    out: List[int] = []
-    while len(out) < cfg.n_max:
-        tok = _pick_greedy(dist)
-        out.append(tok)
-        if tok == EOS or len(out) == cfg.n_max:
-            break
-        dist = model.decode_step(session, tok)
+    drafter = _Drafter(prompt) if session.mode == "cache" else None
+    out = [_pick_greedy(dist)]
+    while out[-1] != EOS and len(out) < cfg.n_max:
+        draft = [] if drafter is None \
+            else drafter.propose(out, cfg.n_max - len(out) - 1)
+        if not draft:
+            out.append(_pick_greedy(model.decode_step(session, out[-1])))
+            continue
+        block = np.array([[out[-1]] + draft], dtype=np.int64)
+        picks = _pick_greedy(model.decode_step(session, block)[0])
+        kept = 0                             # draft tokens the rows confirm
+        while kept < len(draft) and picks[kept] == draft[kept] != EOS:
+            kept += 1
+        drafter.update(len(draft), kept)
+        out += picks[:kept + 1]
+        session.rewind(len(draft) - kept)
     return out
 
 
@@ -446,7 +545,9 @@ def quantized(model: Model, bits: int, stats: Optional[T.QuantStats] = None):
     decode step and search inside the context; layer norm, softmax,
     residuals and the output head stay in floats. The weights' steps and
     levels come from the model's kept table (``weight_quant_specs``), so
-    a context on unchanged weights quantizes no weight."""
+    a context on unchanged weights quantizes no weight. ``stats`` counts
+    the entries of every activation row quantized, so a greedy search's
+    counts include the rows of the draft tokens it rejected."""
     specs = weight_quant_specs(model, bits)
     with T.matmul_routing(_quant_route(specs, bits, stats)):
         yield

@@ -380,8 +380,12 @@ def _into(op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """op(a, b) for a numpy ufunc op, written into a, an array the calling
     op allocated itself, when the result keeps a's dtype and shape; a new
     array otherwise, so the bits are those of the out-of-place op."""
-    if np.result_type(a, b) == a.dtype and np.broadcast_shapes(
-            a.shape, b.shape) == a.shape:
+    sa, sb = a.shape, b.shape
+    # equal dtypes, and b's shape a's or its trailing axes, are the
+    # common cases, and decide as the general tests would
+    if (a.dtype == b.dtype or np.result_type(a, b) == a.dtype) and (
+            sa[len(sa) - len(sb):] == sb
+            or np.broadcast_shapes(sa, sb) == sa):
         return op(a, b, out=a)
     return op(a, b)
 

@@ -373,23 +373,35 @@ def test_quantized_logits_are_bitwise_the_three_matrix_path(decode_models,
 
 
 def test_quantized_decode_stats_follow_the_three_matrix_path(decode_models,
-                                                             request):
+                                                             request,
+                                                             monkeypatch):
     """QuantStats over an 8-bit cached decode, whose weights come from the
     model's kept table, against the reference route, which derives its
     specs and levels in every context: the same tokens and saturations,
     and fewer levels by exactly the self-attention inputs the fused
-    projection quantizes once instead of three times."""
+    projection quantizes once instead of three times, at every position
+    fed to the decoder (rejected draft positions included)."""
     models, prompt, _ = decode_models
     cfg = R.SearchConfig(n_max=12)
     stats = T.QuantStats(), T.QuantStats()
     R.quantized_infer(models["dense"], prompt, cfg, bits=8)    # fills the table
+    fed = [0, 0]                             # positions fed in each run
+    decode_step = M.Model.decode_step
+
+    def counting(self, session, tokens):
+        fed[-1] += np.size(tokens)
+        return decode_step(self, session, tokens)
+
+    monkeypatch.setattr(M.Model, "decode_step", counting)
     got = R.quantized_infer(models["dense"], prompt, cfg, bits=8,
                             stats=stats[0])
+    fed.append(0)
     request.getfixturevalue("three_matrix")
     want = R.quantized_infer(models["dense"], prompt, cfg, bits=8,
                              stats=stats[1])
     assert got == want
-    d, layers, positions = 64, 2, 1 + len(prompt) + cfg.n_max - 1
+    d, layers, positions = 64, 2, fed[1]
+    assert fed[1] == fed[2] >= 1 + len(prompt) + cfg.n_max - 1
     assert stats[0].saturated == stats[1].saturated
     assert stats[1].count - stats[0].count == 2 * d * layers * positions
 

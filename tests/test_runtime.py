@@ -583,20 +583,24 @@ def test_quantized_paths_equal_the_per_product_int64_route(bits, dtype,
 def test_cached_quantized_greedy_equals_the_per_row_prefix_rerun(kw,
                                                                  monkeypatch):
     """Eight-bit greedy on the KV cache against whole-prefix re-runs under
-    the pinned per-row route: the same tokens, and every step's
-    log-probabilities within the cached-decode tolerance."""
+    the pinned per-row route: the same tokens, and the log-probabilities
+    of the row each token was picked from within the cached-decode
+    tolerance."""
     model = build(seed=4, d=16, d_ffn=32, **kw)
     w = model.w_o.values.copy()
     w[:, EOS] = -50.0
     T.assign_(model.w_o, w)
     source = VOCAB.encode("hgfe") if "architecture" in kw else None
     prompt = VOCAB.encode("cab")
-    steps = []
+    rows = {}                                # position -> (id fed, its row)
     decode_step = M.Model.decode_step
 
     def recording(self, session, tokens):
+        start = session.position
         dist = decode_step(self, session, tokens)
-        steps.append(np.reshape(dist, (-1, dist.shape[-1]))[-1])
+        fed = np.reshape(tokens, -1).tolist()
+        for i, row in enumerate(np.reshape(dist, (-1, dist.shape[-1]))):
+            rows[start + i] = fed[i], row    # a rewound position is fed again
         return dist
 
     monkeypatch.setattr(M.Model, "decode_step", recording)
@@ -604,12 +608,15 @@ def test_cached_quantized_greedy_equals_the_per_row_prefix_rerun(kw,
         tokens = R.greedy_generate(model, prompt, R.SearchConfig(n_max=12),
                                    source=source)
     monkeypatch.undo()
+    ids = [SOS] + prompt + tokens[:-1]
+    assert sorted(rows) == list(range(len(ids)))
+    assert [rows[p][0] for p in range(len(ids))] == ids
+    steps = [rows[p][1] for p in range(len(prompt), len(ids))]
     assert len(tokens) == len(steps) == 12
 
     specs = R.weight_quant_specs(model, 8)
     with T.matmul_routing(per_row_route(specs, 8, None)):
         enc_out = None if source is None else model.encode(source)
-        ids = [SOS] + prompt + tokens[:-1]
         logits = model.decoder_forward(ids, enc_out).values[len(prompt):]
     want = logits - logits.max(axis=1, keepdims=True)
     want -= np.log(np.exp(want).sum(axis=1, keepdims=True))
