@@ -611,3 +611,28 @@ def test_op_results_keep_the_dtype_check_and_read_only_flag():
     assert scalar.values.shape == () and scalar.values == 6.0
     with pytest.raises(TypeError):
         T.relayout(T.ones((2,)), lambda a: a.astype(np.int32), lambda g: g)
+
+
+@pytest.mark.parametrize("a_shape,b_shape,a_dtype,b_dtype", [
+    ((1, 4, 2, 16), (1, 4, 2, 16), np.float32, np.float32),
+    ((1, 4, 2, 16), (2, 16), np.float32, np.float32),
+    ((1, 4, 2, 16), (1, 4, 2, 1), np.float32, np.float32),
+    ((1, 4, 2, 16), (4, 1, 1), np.float64, np.float64),
+    ((2, 16), (1, 2, 16), np.float32, np.float32),
+    ((2, 1), (2, 16), np.float32, np.float32),
+    ((2, 16), (2, 16), np.float32, np.float64),
+    ((2, 16), (2, 16), np.float64, np.float32),
+    ((2, 16), (), np.float32, np.float32),
+], ids=str)
+def test_into_decides_in_place_as_the_general_rule(a_shape, b_shape, a_dtype,
+                                                    b_dtype):
+    """In place exactly when the result keeps a's dtype and shape, as
+    np.result_type and np.broadcast_shapes decide it."""
+    a = np.full(a_shape, 1.5, a_dtype)
+    b = np.full(b_shape, 0.25, b_dtype)
+    want = np.add(a, b)
+    in_place = np.result_type(a, b) == a.dtype \
+        and np.broadcast_shapes(a.shape, b.shape) == a.shape
+    got = T._into(np.add, a, b)
+    assert (got is a) == in_place
+    assert got.dtype == want.dtype and np.array_equal(got, want)
