@@ -246,7 +246,9 @@ class AttentionParams:
             raise ValueError("projection shapes do not match head layout")
         self.w_qkv = w_qkv
         self.w_out = w_out
-        self.q_cols, self.k_cols, self.v_cols = qkv_blocks(w_qkv.shape)
+        self.cols = qkv_blocks(w_qkv.shape)
+        self.q_cols, self.k_cols, self.v_cols = self.cols
+        self.head_counts = tau, self.n_kv       # query heads, key/value heads
 
     @classmethod
     def from_blocks(cls, d: int, tau: int, wq: T.Tensor, wk: T.Tensor,
@@ -359,8 +361,9 @@ def _fused(q: T.Tensor, kv: T.Tensor, params: AttentionParams, cols: tuple,
     """W_c times the merged heads of one ``tensor.attention`` op: queries
     from columns cols[0] of q, keys and values from cols[1] and cols[2]
     of kv, or from ``history``, the cached rows ending in them."""
-    out = T.attention(q, kv, kv, (params.tau, params.n_kv), cols=cols,
-                      history=history, mask=_additive(mask))
+    out = T.attention(q, kv, kv, params.head_counts, cols=cols,
+                      history=history,
+                      mask=None if mask is None else _additive(mask))
     if counter is not None:
         n_k = kv.shape[-2] if history is None else history[0].shape[-2]
         _tally(counter, out.shape[:-1] + (params.tau,), n_k, params.d_head,
@@ -377,8 +380,7 @@ def _attend(qkv: T.Tensor, params: AttentionParams, mask=None, counter=None,
     (see attend_heads). Keys and values are qkv's own, or the cached rows
     ``history`` ending in them, whose first query sits at ``q_start``."""
     if rpr is None and lowrank is None and reuse is None:
-        cols = (params.q_cols, params.k_cols, params.v_cols)
-        return _fused(qkv, qkv, params, cols, mask, counter, history)
+        return _fused(qkv, qkv, params, params.cols, mask, counter, history)
     return params.merge(attend_heads(
         *params.split(qkv, history or (None, None)), mask, counter, rpr=rpr,
         lowrank=lowrank, reuse=reuse, q_start=q_start))
@@ -464,7 +466,7 @@ def window_attention(h: T.Tensor, params: AttentionParams, window: int,
     kv = T.relayout(kv, neighbours, neighbours_grad)
     half = width // 2
     out = T.attention(T.relayout(q, blocks, rows), kv, kv,
-                      (params.tau, params.n_kv),
+                      params.head_counts,
                       cols=(None, (0, half), (half, width)),
                       mask=window_band(m, w, causal, pad)[:, None])
     _tally(counter, out.shape[:-1] + (params.tau,), s * w, params.d_head,
@@ -560,7 +562,6 @@ class KVCache:
         self._t = [0] * n_layers              # positions written
         self._first = [0] * n_layers          # position held in array row 0
         self._rewound = [False] * n_layers    # rows past the count were written
-        self._mask = None, None               # (key, mask) of the last block
 
     def _check(self, layer: int):
         if not 0 <= layer < self.n_layers:
@@ -579,8 +580,10 @@ class KVCache:
     def holds(self, t: int, rows: int) -> bool:
         """True when every layer has t positions written and holds
         ``rows`` rows, or none yet."""
-        return self._t.count(t) == self.n_layers and all(
-            kv is None or kv.shape[1] == rows for kv in self._kv)
+        for kv in self._kv:
+            if kv is not None and kv.shape[1] != rows:
+                return False
+        return self._t.count(t) == self.n_layers
 
     def _held(self, layer: int) -> np.ndarray:
         """Keys and values of the positions still held: every position
@@ -608,7 +611,8 @@ class KVCache:
         positions it can see followed by the block itself, as views of the
         cache's array, and the number of those earlier positions.
         """
-        self._check(layer)
+        if not 0 <= layer < self.n_layers:
+            self._check(layer)
         rows, m, width = k_new.shape
         kv, t = self._kv[layer], self._t[layer]
         if kv is not None and (kv.shape[1], kv.shape[3]) != (rows, width):
@@ -661,17 +665,28 @@ class KVCache:
         out._rewound = list(self._rewound)
         return out
 
-    def step_mask(self, m: int, back: int, dtype):
+    def step_mask(self, m: int, back: int, dtype) -> np.ndarray:
         """``_step_mask`` of a block of m > 1 positions over back earlier
-        ones, in ``dtype``, read-only. Every layer writes the same block at
-        the same position, so the mask is built once, at the first layer,
-        and the later ones share it."""
-        key = m, back, dtype
-        if self._mask[0] != key:
-            mask = _step_mask(m, back, self.window).astype(dtype)
-            mask.flags.writeable = False
-            self._mask = key, mask
-        return self._mask[1]
+        ones, in ``dtype``: a read-only slice of one template per (window,
+        dtype). Entry (i, j) depends only on i and on j - back, the key's
+        offset from the block's first position, so the template is
+        ``_step_mask`` of M rows over C earlier positions, and rows :m of
+        its columns C - back .. C + m - 1 are the mask. M and C double
+        when a block needs more."""
+        key = self.window, np.dtype(dtype)
+        tpl = _MASK_TEMPLATES.get(key)
+        rows, held = (0, 0) if tpl is None \
+            else (tpl.shape[0], tpl.shape[1] - tpl.shape[0])
+        if rows < m or held < back:
+            rows = rows if rows >= m else max(m, 2 * rows, 16)
+            held = held if held >= back else max(back, 2 * held, 64)
+            tpl = _step_mask(rows, held, self.window).astype(dtype)
+            tpl.setflags(False)
+            _MASK_TEMPLATES[key] = tpl
+        return tpl[:m, held - back:held + m]
+
+
+_MASK_TEMPLATES: dict = {}     # (window, dtype) -> the step-mask template
 
 
 def _step_mask(m: int, back: int, window: Optional[int]):
@@ -700,20 +715,26 @@ def attend_step_cached(x: T.Tensor, cache: KVCache, params: AttentionParams,
     and values as heads in place, and attends every new position over the
     earlier positions it can see plus the block up to itself, in the form
     ``rpr``, ``lowrank`` and ``reuse`` pick as in attend_heads, tallying
-    its work on ``counter``. Returns (output shaped like x, cache).
+    its work on ``counter``. Plain attention goes straight to ``_fused``:
+    one ``tensor.attention`` op over the cached rows, then W_c. Returns
+    (output shaped like x, cache).
     """
-    single = x.ndim == 2
+    single = x.values.ndim == 2
     if single:
-        if x.shape[0] != 1:
+        if x.values.shape[0] != 1:
             raise T.ShapeError("a 2-d input to attend_step_cached is one row (1, d)")
-        x = T.reshape(x, (1,) + x.shape)
-    elif x.ndim != 3:
+        x = T.reshape(x, (1,) + x.values.shape)
+    elif x.values.ndim != 3:
         raise T.ShapeError("attend_step_cached expects (rows, m, d) or (1, d)")
-    qkv = params.qkv(x)
-    k, v, back = cache.write(layer, qkv.values[..., slice(*params.k_cols)],
-                             qkv.values[..., slice(*params.v_cols)])
-    m = x.shape[1]
-    mask = None if m == 1 else cache.step_mask(m, back, qkv.dtype)
-    out = _attend(qkv, params, mask, counter, rpr=rpr, lowrank=lowrank,
-                  reuse=reuse, history=(k, v), q_start=back)
-    return (T.reshape(out, out.shape[1:]) if single else out), cache
+    qkv = T.matmul(x, params.w_qkv)
+    _, (k_lo, k_hi), (v_lo, v_hi) = params.cols
+    rows = qkv.values
+    k, v, back = cache.write(layer, rows[..., k_lo:k_hi], rows[..., v_lo:v_hi])
+    m = rows.shape[1]
+    mask = None if m == 1 else cache.step_mask(m, back, rows.dtype)
+    if rpr is None and lowrank is None and reuse is None:
+        out = _fused(qkv, qkv, params, params.cols, mask, counter, (k, v))
+    else:
+        out = _attend(qkv, params, mask, counter, rpr=rpr, lowrank=lowrank,
+                      reuse=reuse, history=(k, v), q_start=back)
+    return (T.reshape(out, out.values.shape[1:]) if single else out), cache

@@ -292,12 +292,6 @@ class Layer:
         yield from self.ffn_core.named(f"{prefix}.ffn")
         yield from self.ln2.named(f"{prefix}.ln2")
 
-    def ffn(self, z: T.Tensor) -> T.Tensor:
-        """The FFN sub-layer's core: one FFN, or the expert mixture."""
-        if isinstance(self.ffn_core, B.MoEFFN):
-            return B.moe_ffn(z, self.ffn_core)
-        return B.ffn(z, self.ffn_core)
-
 
 def _init_layer(cfg: ModelConfig, rng: T.Rng, with_cross: bool, dtype) -> Layer:
     d = cfg.d
@@ -440,6 +434,10 @@ class Model:
         self.rpr_table = rpr_table
         self.dtype = dtype
         self._sub_cfg = B.SublayerConfig(cfg.placement, cfg.beta, cfg.gamma)
+        # the residual rule, resolved once: at first order without layer
+        # dropout, weights (1, 0) make a sub-layer LNorm(F(z) + z), one op
+        self._post_norm = (cfg.integrator_order == 1 and cfg.dropout_rho == 1.0
+                           and self._sub_cfg.residual_weights() == (1.0, 0.0))
 
     @classmethod
     def init(cls, cfg: ModelConfig, vocab: Vocab, seed: int = 0,
@@ -523,7 +521,9 @@ class Model:
         return ids
 
     def _embed_at(self, ids: np.ndarray, start_pos: int) -> T.Tensor:
-        h = T.gather_rows(self.embed.weights, ids)
+        """Embedding rows of checked int64 ids, plus the sinusoidal
+        encodings of positions start_pos onwards."""
+        h = T.take(self.embed.weights, ids)
         if self.cfg.scale_embedding:
             h = h * float(np.sqrt(self.cfg.d))
         end = start_pos + ids.shape[-1]
@@ -531,7 +531,7 @@ class Model:
             # doubled, so a long decode evaluates sin/cos a few times only
             self._pe_rows = self.pe.table(
                 max(end, 2 * len(self._pe_rows))).astype(self.dtype)
-        return h + self._pe_rows[start_pos:end]
+        return T.add(h, self._pe_rows[start_pos:end])
 
     def _mask_for(self, m: int, causal: bool, pad: Optional[np.ndarray]):
         cfg = self.cfg
@@ -599,16 +599,29 @@ class Model:
             u_k=T.take(layer.lowrank.u_k, (slice(None), slice(0, m))),
             u_v=T.take(layer.lowrank.u_v, (slice(None), slice(0, m))))
 
-    def _wrap(self, z: T.Tensor, core, ln: B.LNParams,
+    def _wrap(self, z: T.Tensor, core, args: tuple, ln: B.LNParams,
               training: bool, rng: Optional[T.Rng]) -> T.Tensor:
+        """z through one sub-layer whose core is ``core(z, *args)``, under
+        the model's residual rule: LNorm(F(z) + z) in one layer norm for
+        post-norm, else Runge-Kutta stages, layer dropout or the
+        placement's weights."""
+        if self._post_norm:
+            return T.layer_norm(core(z, *args), ln.g, ln.b, ln.eps, z)
+        return self._wrap_staged(z, core, args, ln, training, rng)
+
+    def _wrap_staged(self, z: T.Tensor, core, args: tuple, ln: B.LNParams,
+                     training: bool, rng: Optional[T.Rng]) -> T.Tensor:
+        """_wrap under Runge-Kutta stages, layer dropout or the placement's
+        weights, whose wrappers call the core with z alone."""
+        f = (lambda x: core(x, *args)) if args else core
         cfg = self.cfg
         if cfg.integrator_order != 1:
-            return B.rk_sublayer(z, lambda x: B.layer_norm(core(x), ln),
+            return B.rk_sublayer(z, lambda x: B.layer_norm(f(x), ln),
                                  cfg.integrator_order, cfg.integrator_h)
         if cfg.dropout_rho < 1.0:
-            return B.layer_dropout(z, [(core, ln)], cfg.dropout_rho,
+            return B.layer_dropout(z, [(f, ln)], cfg.dropout_rho,
                                    "train" if training else "infer", rng)
-        return B.sublayer_apply(z, core, ln, self._sub_cfg)
+        return B.sublayer_apply(z, f, ln, self._sub_cfg)
 
     def _run_stack(self, h: T.Tensor, layers: List[Layer], *, causal: bool,
                    pad: Optional[np.ndarray] = None,
@@ -618,7 +631,9 @@ class Model:
                    ) -> T.Tensor:
         """The layers over h. Without a session self-attention runs over h
         itself; with one, h is a (rows, m, d) block of new positions that
-        attends over the session's history, which it advances."""
+        attends over the session's history, which it advances. A cache
+        session at first order attends at slot idx of layer idx, so its
+        attention core is called with that slot and no core is built."""
         cfg = self.cfg
         if session is None:
             m = h.shape[-2]
@@ -629,22 +644,27 @@ class Model:
             m_real = None
             if cfg.attention in ("linear", "lowrank-n"):
                 m_real = self._suffix_length(pad, m)
+        cached = session is not None and session.mode == "cache" \
+            and cfg.integrator_order == 1
         reuse_store = {} if cfg.reuse_maps else None
         for idx, layer in enumerate(layers):
-            if session is None:
-                att_core = self._att_core(layer, mask, causal, m_real,
-                                          reuse_store, counter, pad)
+            if cached:
+                h = self._wrap(h, self._attend_cached,
+                               (layer, idx, session.kv, reuse_store, counter),
+                               layer.ln1, training, rng)
             else:
-                att_core = self._step_att_core(layer, idx, session, reuse_store,
-                                               counter)
-            h = self._wrap(h, att_core, layer.ln1, training, rng)
+                core = self._att_core(layer, mask, causal, m_real, reuse_store,
+                                      counter, pad) if session is None \
+                    else self._step_att_core(layer, idx, session, reuse_store,
+                                             counter)
+                h = self._wrap(h, core, (), layer.ln1, training, rng)
             if layer.cross is not None:
                 kv = None if session is None else session.cross_kv[idx]
-                cross_core = (lambda z, lay=layer, kv=kv:
-                              A.cross_attention(enc_out, z, lay.cross,
-                                                counter=counter, kv=kv))
-                h = self._wrap(h, cross_core, layer.ln_cross, training, rng)
-            h = self._wrap(h, layer.ffn, layer.ln2, training, rng)
+                h = self._wrap(h, _cross_core, (enc_out, layer.cross, counter, kv),
+                               layer.ln_cross, training, rng)
+            moe = isinstance(layer.ffn_core, B.MoEFFN)
+            h = self._wrap(h, B.moe_ffn if moe else B.ffn, (layer.ffn_core,),
+                           layer.ln2, training, rng)
         return h
 
     def _head(self, h: T.Tensor) -> T.Tensor:
@@ -716,10 +736,14 @@ class Model:
         return T.reshape(logits, ids.shape + logits.shape[-1:])
 
     def _decoder_logits(self, ids: np.ndarray, start_pos: int,
-                        enc_out: Optional[T.Tensor] = None, **stack) -> T.Tensor:
+                        enc_out: Optional[T.Tensor] = None, *,
+                        training: bool = False, rng: Optional[T.Rng] = None,
+                        counter=None, session: Optional[DecodeSession] = None
+                        ) -> T.Tensor:
         """Embedding, decoder stack, final norm and output head."""
         h = self._run_stack(self._embed_at(ids, start_pos), self.dec_layers,
-                            causal=True, enc_out=enc_out, **stack)
+                            causal=True, enc_out=enc_out, training=training,
+                            rng=rng, counter=counter, session=session)
         if self.final_ln_dec is not None:
             h = B.layer_norm(h, self.final_ln_dec)
         return self._head(h)
@@ -797,7 +821,7 @@ class Model:
         prefixes = session.prefixes
         t = len(prefixes[0])
         if len(prefixes) != rows or (
-                rows > 1 and any(len(p) != t for p in prefixes)):
+                rows > 1 and list(map(len, prefixes)).count(t) != rows):
             raise StateError(f"{rows} rows fed to a session of "
                              f"{len(prefixes)} prefixes of lengths "
                              f"{sorted({len(p) for p in prefixes})}")
@@ -817,6 +841,14 @@ class Model:
         raise StateError(f"{session.mode} state per slot is {got}, "
                          f"not {want} for a prefix of {t}")
 
+    def _attend_cached(self, z: T.Tensor, layer: Layer, slot: int,
+                       kv: A.KVCache, reuse_store: Optional[dict] = None,
+                       counter=None) -> T.Tensor:
+        """Self-attention of a (rows, m, d) block over cache slot ``slot``,
+        which it advances."""
+        return A.attend_step_cached(z, kv, layer.att, slot, self.rpr_table,
+                                    layer.lowrank, reuse_store, counter)[0]
+
     def _step_att_core(self, layer: Layer, idx: int, session: DecodeSession,
                        reuse_store: Optional[dict] = None, counter=None
                        ) -> Callable[[T.Tensor], T.Tensor]:
@@ -830,11 +862,8 @@ class Model:
             slot = stage[0]
             stage[0] += 1
             if session.mode == "cache":
-                return A.attend_step_cached(z, session.kv, layer.att, slot,
-                                            rpr=self.rpr_table,
-                                            lowrank=layer.lowrank,
-                                            reuse=reuse_store,
-                                            counter=counter)[0]
+                return self._attend_cached(z, layer, slot, session.kv,
+                                           reuse_store, counter)
             # the full-pass scan, continued from the slot's carried state
             carry = session.states[slot]
             if session.mode == "stream":
@@ -860,15 +889,17 @@ class Model:
         """
         ids = np.asarray(tokens, dtype=np.int64)
         single = ids.ndim == 0
+        n_vocab = len(self.vocab.tokens)
         if single:
-            if not 0 <= int(ids) < len(self.vocab):
+            if not 0 <= int(ids) < n_vocab:
                 raise VocabError("token id out of range for this vocabulary")
             ids = ids.reshape(1, 1)
         elif ids.ndim != 2 or ids.size == 0:
             raise ContractError("decode_step takes one id or a (rows, m) id block")
-        elif ids.min() < 0 or ids.max() >= len(self.vocab):
+        elif np.minimum.reduce(ids, axis=None) < 0 \
+                or np.maximum.reduce(ids, axis=None) >= n_vocab:
             raise VocabError("token id out of range for this vocabulary")
-        t = session.position
+        t = len(session.prefixes[0])
         self._check_session(session, ids.shape[0])
         for prefix, new in zip(session.prefixes, ids.tolist()):
             prefix.extend(new)
@@ -890,6 +921,12 @@ class Model:
                           self.represent(b_tokens, mode), metric)
 
 
+def _cross_core(z: T.Tensor, enc_out: Optional[T.Tensor],
+                params: A.AttentionParams, counter, kv) -> T.Tensor:
+    """Cross attention of the decoder rows z, a sub-layer core."""
+    return A.cross_attention(enc_out, z, params, counter=counter, kv=kv)
+
+
 def _first_rows(n: int):
     """Index key keeping the first n rows of a (..., m, d) tensor."""
     return (Ellipsis, slice(0, n), slice(None))
@@ -897,7 +934,7 @@ def _first_rows(n: int):
 
 def _softmax_last(logits: np.ndarray) -> np.ndarray:
     """Float64 softmax over the last axis."""
-    e = np.array(logits, dtype=np.float64)  # a copy: the rest runs in place
+    e = logits.astype(np.float64)           # a copy: the rest runs in place
     e -= np.maximum.reduce(e, axis=-1, keepdims=True)
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=-1, keepdims=True)

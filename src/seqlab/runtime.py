@@ -23,7 +23,6 @@ activation rows.
 from __future__ import annotations
 
 import contextlib
-import heapq
 import math
 import os
 import re
@@ -212,6 +211,22 @@ def greedy_generate(model: Model, prompt: Sequence[int], cfg: SearchConfig,
     return out
 
 
+def _top_k(scores: np.ndarray, k: int) -> List[int]:
+    """Indices of the k largest scores, largest first; of equal scores the
+    lower index comes first, the order a stable sort cut to k gives (that
+    of ``heapq.nlargest``). Each pick is one argmax over a float64 copy in
+    which the picks so far are -inf, so with scores above -inf no pick
+    repeats. numpy's sorts are not used: loading their kernels costs
+    about 1 MB of resident memory."""
+    left = scores.astype(np.float64)         # a copy: picks are masked out
+    picks = []
+    for _ in range(min(k, left.size)):
+        i = int(left.argmax())
+        picks.append(i)
+        left[i] = -np.inf
+    return picks
+
+
 def beam_search(model: Model, prompt: Sequence[int], cfg: SearchConfig,
                 source=None) -> List[Hypothesis]:
     """Ranked hypotheses from width-limited left-to-right search.
@@ -232,30 +247,28 @@ def beam_search(model: Model, prompt: Sequence[int], cfg: SearchConfig,
     logprob = np.zeros(1)
     dists = dist[None, :]
     pool: List[Hypothesis] = []
-    while tokens:
+    while True:
         length = len(tokens[0]) + 1
         cum = logprob[:, None] + np.log(np.maximum(dists[:, allowed], 1e-300))
         norm = cum if cfg.alpha_len == 0.0 else cum / length ** cfg.alpha_len
-        # nlargest is a stable sort cut to `beam`, and the flattening is
-        # (parent, token) order, so ties go to the earlier parent, then the
-        # lower token. numpy's own sorts are not used: loading their kernels
-        # costs about 1 MB of resident memory.
-        flat = norm.ravel().tolist()
-        best = heapq.nlargest(cfg.beam, range(len(flat)), key=flat.__getitem__)
-        going_on = []                        # (parent row, hypothesis)
-        for parent, col in (divmod(i, allowed.size) for i in best):
+        # the flattening is (parent, token) order, so ties go to the
+        # earlier parent, then the lower token
+        parents, grown, scores = [], [], []
+        for i in _top_k(norm.ravel(), cfg.beam):
+            parent, col = divmod(i, allowed.size)
             tok = int(allowed[col])
-            hyp = Hypothesis(tokens[parent] + [tok], float(cum[parent, col]))
+            seq, score = tokens[parent] + [tok], float(cum[parent, col])
             if tok == EOS or length >= cfg.n_max:
-                pool.append(hyp)
+                pool.append(Hypothesis(seq, score))
             else:
-                going_on.append((parent, hyp))
-        tokens = [hyp.tokens for _, hyp in going_on]
-        if tokens:
-            logprob = np.array([hyp.logprob for _, hyp in going_on])
-            session.select([parent for parent, _ in going_on])
-            fed = np.array([[t[-1]] for t in tokens])
-            dists = model.decode_step(session, fed)[:, 0]
+                parents.append(parent)
+                grown.append(seq)
+                scores.append(score)
+        if not parents:
+            break
+        tokens, logprob = grown, np.array(scores)
+        session.select(parents)
+        dists = model.decode_step(session, np.array(grown)[:, -1:])[:, 0]
     pool.sort(key=lambda h: (-h.score(cfg.alpha_len), len(h.tokens), h.tokens))
     return pool
 
@@ -534,8 +547,11 @@ def _prepare(b: T.Tensor, spec: Optional[T.QuantSpec], cols: Optional[tuple],
     w = b if cols is None else T.Tensor(b.values[:, slice(*cols)])
     if spec is None:
         return w, None, None
-    if cols is not None and np.ndim(spec.step):
-        spec = T.QuantSpec(spec.step[:, slice(*cols)], bits)
+    step = spec.step
+    if cols is not None and np.ndim(step):
+        step = step[:, slice(*cols)]
+    # a float64 0-d array or row: numpy takes it faster than a float
+    spec = T.QuantSpec(np.asarray(step, np.float64), bits)
     return w, spec, T.quantize_levels(w.values, spec)
 
 

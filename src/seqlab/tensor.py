@@ -24,6 +24,14 @@ cache rows or an incoming gradient. Where writing in place would change a result
 dtype or shape, the op computes out of place, so the bits do not depend
 on the buffers.
 
+The ops on a decode step's path (``matmul``, ``attention``,
+``layer_norm``, ``ffn``, ``take``, ``add``) keep their backward in a
+module function that ``_emit`` binds to the arrays the forward hands it,
+and only when a tape records the op: the forward body is the same with
+or without a tape, and a call without one builds no closure. Constants
+an op derives from its shapes alone (layer norm's 1/n and eps,
+attention's 1/sqrt(d_h)) are made once per shape and dtype.
+
 Float32 is the working precision. Float64 exists solely so gradient checks
 and oracle comparisons can be run in a tighter regime; any op whose inputs
 include a float64 tensor produces float64.
@@ -36,6 +44,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from functools import partial
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional, Sequence
 
@@ -60,6 +69,10 @@ class AccumulatorOverflowError(OverflowError):
 
 _ALLOWED_DTYPES = (np.float32, np.float64)
 _ALLOWED = frozenset(np.dtype(t) for t in _ALLOWED_DTYPES)   # hashed lookup
+_F32, _F64 = np.dtype(np.float32), np.dtype(np.float64)     # native byte order
+# 0-d constants: numpy takes a 0-d array operand faster than a Python number
+_ZERO = {_F32: np.zeros((), _F32), _F64: np.zeros((), _F64)}
+_ONE64 = np.ones((), _F64)
 _INT64_MAX = int(np.iinfo(np.int64).max)
 _TINY = np.finfo(np.float64).tiny           # smallest normal float64
 
@@ -86,7 +99,7 @@ class Tensor:
         arr = _as_values(values, dtype)
         if arr.dtype not in _ALLOWED:
             raise TypeError(f"tensor dtype must be float32/float64, got {arr.dtype}")
-        arr.flags.writeable = False
+        arr.setflags(False)
         self.values = arr
         self.trainable = trainable
         self.tape: Optional["Tape"] = None
@@ -176,19 +189,9 @@ _new_tensor = object.__new__
 
 
 def _result(arr) -> Tensor:
-    """An op's output array as a Tensor: ``Tensor(arr)`` without the dtype
-    coercion, which an op's float arithmetic never needs. The dtype is still
-    checked and the array still flagged read-only."""
-    if type(arr) is not np.ndarray:
-        arr = np.asarray(arr)                # numpy scalars from 0-d operands
-    if arr.dtype not in _ALLOWED:
-        raise TypeError(f"tensor dtype must be float32/float64, got {arr.dtype}")
-    arr.flags.writeable = False
-    t = _new_tensor(Tensor)
-    t.values = arr
-    t.trainable = False
-    t.tape = None
-    return t
+    """An array as a Tensor no tape records: ``Tensor(arr)`` without the
+    dtype coercion, which an op's float arithmetic never needs."""
+    return _emit(arr, (), None)
 
 
 def zeros(shape, dtype=np.float32) -> Tensor:
@@ -298,13 +301,32 @@ def _participates(t, tape: Tape) -> bool:
     return isinstance(t, Tensor) and (t.trainable or t.tape is tape)
 
 
-def _emit(out: Tensor, inputs: tuple, grad_fn) -> Tensor:
-    if not _TAPE_STACK:
-        return out
-    tape = _TAPE_STACK[-1]
-    if any(_participates(t, tape) for t in inputs):
-        out.tape = tape
-        tape.records.append(_Record(id(out), out, inputs, grad_fn))
+def _emit(out, inputs: tuple, grad_fn, *state) -> Tensor:
+    """An op's result, recorded on the active tape with its inputs when
+    one of them participates in it. ``out`` is the op's output array, made
+    a read-only Tensor here with its dtype checked, or a Tensor already
+    made. The record's gradient function is ``grad_fn``, or with ``state``
+    ``grad_fn(*state, g)``: an op whose backward is a module function
+    hands over what it needs as ``state``, and builds no closure, so a
+    call without a tape saves nothing for a backward."""
+    if type(out) is not Tensor:
+        if type(out) is not np.ndarray:
+            out = np.asarray(out)            # numpy scalars from 0-d operands
+        dt = out.dtype
+        if dt is not _F32 and dt is not _F64 and dt not in _ALLOWED:
+            raise TypeError(f"tensor dtype must be float32/float64, got {dt}")
+        out.setflags(False)                 # positional: twice as fast
+        t = _new_tensor(Tensor)
+        t.values, t.trainable, t.tape = out, False, None
+        out = t
+    if _TAPE_STACK:
+        tape = _TAPE_STACK[-1]
+        for t in inputs:
+            if isinstance(t, Tensor) and (t.trainable or t.tape is tape):
+                out.tape = tape
+                tape.records.append(_Record(id(out), out, inputs, partial(
+                    grad_fn, *state) if state else grad_fn))
+                break
     return out
 
 
@@ -394,9 +416,9 @@ def _coerce_pair(a, b):
     if isinstance(a, Tensor) and isinstance(b, Tensor):
         return a, b
     if isinstance(a, Tensor):
-        return a, _result(np.asarray(b, dtype=a.dtype))
+        return a, _result(np.asarray(b, dtype=a.values.dtype))
     if isinstance(b, Tensor):
-        return _result(np.asarray(a, dtype=b.dtype)), b
+        return _result(np.asarray(a, dtype=b.values.dtype)), b
     raise TypeError("at least one operand must be a Tensor")
 
 
@@ -406,18 +428,19 @@ def _coerce_pair(a, b):
 
 
 def add(a, b) -> Tensor:
-    a, b = _coerce_pair(a, b)
-    out = _result(a.values + b.values)
+    if type(a) is not Tensor or type(b) is not Tensor:
+        a, b = _coerce_pair(a, b)
+    return _emit(a.values + b.values, (a, b), _add_grad, a, b)
 
-    def grad_fn(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-    return _emit(out, (a, b), grad_fn)
+def _add_grad(a: Tensor, b: Tensor, g):
+    return _unbroadcast(g, a.values.shape), _unbroadcast(g, b.values.shape)
 
 
 def sub(a, b) -> Tensor:
-    a, b = _coerce_pair(a, b)
-    out = _result(a.values - b.values)
+    if type(a) is not Tensor or type(b) is not Tensor:
+        a, b = _coerce_pair(a, b)
+    out = a.values - b.values
 
     def grad_fn(g):
         return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
@@ -426,9 +449,10 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _coerce_pair(a, b)
+    if type(a) is not Tensor or type(b) is not Tensor:
+        a, b = _coerce_pair(a, b)
     av, bv = a.values, b.values
-    out = _result(av * bv)
+    out = av * bv
 
     def grad_fn(g):
         return _unbroadcast(g * bv, a.shape), _unbroadcast(g * av, b.shape)
@@ -437,9 +461,10 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = _coerce_pair(a, b)
+    if type(a) is not Tensor or type(b) is not Tensor:
+        a, b = _coerce_pair(a, b)
     av, bv = a.values, b.values
-    out = _result(av / bv)
+    out = av / bv
 
     def grad_fn(g):
         ga = _unbroadcast(g / bv, a.shape)
@@ -450,13 +475,13 @@ def div(a, b) -> Tensor:
 
 
 def neg(a: Tensor) -> Tensor:
-    out = _result(-a.values)
+    out = -a.values
     return _emit(out, (a,), lambda g: (-g,))
 
 
 def exp(a: Tensor) -> Tensor:
     ov = np.exp(a.values)
-    out = _result(ov)
+    out = ov
     return _emit(out, (a,), lambda g: (g * ov,))
 
 
@@ -464,7 +489,7 @@ def log(a: Tensor) -> Tensor:
     if np.any(a.values <= 0):
         raise ValueError("log requires strictly positive inputs")
     av = a.values
-    out = _result(np.log(av))
+    out = np.log(av)
     return _emit(out, (a,), lambda g: (g / av,))
 
 
@@ -472,7 +497,7 @@ def sqrt(a: Tensor) -> Tensor:
     if np.any(a.values < 0):
         raise ValueError("sqrt requires non-negative inputs")
     ov = np.sqrt(a.values)
-    out = _result(ov)
+    out = ov
     return _emit(out, (a,), lambda g: (g * (0.5 / ov),))
 
 
@@ -480,21 +505,21 @@ def power(a: Tensor, p) -> Tensor:
     """a**p for a constant exponent p."""
     p = float(p)
     av = a.values
-    out = _result(av ** p)
+    out = av ** p
     return _emit(out, (a,), lambda g: (g * (p * av ** (p - 1.0)),))
 
 
 def relu(a: Tensor) -> Tensor:
     """max(a, 0)."""
     zv = a.values
-    out = _result(np.maximum(zv, 0))
+    out = np.maximum(zv, 0)
     return _emit(out, (a,), lambda g: (g * (zv > 0),))
 
 
 def elu(a: Tensor, alpha: float = 1.0) -> Tensor:
     av = a.values
     ov = np.where(av > 0, av, alpha * np.expm1(av)).astype(av.dtype)
-    out = _result(ov)
+    out = ov
 
     def grad_fn(g):
         return (g * np.where(av > 0, 1.0, alpha * np.exp(av)).astype(av.dtype),)
@@ -504,9 +529,10 @@ def elu(a: Tensor, alpha: float = 1.0) -> Tensor:
 
 def maximum(a, b) -> Tensor:
     """Elementwise max; on ties the gradient goes to the first operand."""
-    a, b = _coerce_pair(a, b)
+    if type(a) is not Tensor or type(b) is not Tensor:
+        a, b = _coerce_pair(a, b)
     av, bv = a.values, b.values
-    out = _result(np.maximum(av, bv))
+    out = np.maximum(av, bv)
 
     def grad_fn(g):
         take_a = av >= bv
@@ -524,7 +550,7 @@ def reshape(a: Tensor, *shape) -> Tensor:
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
         shape = tuple(shape[0])
     old = a.shape
-    out = _result(a.values.reshape(shape))
+    out = a.values.reshape(shape)
     return _emit(out, (a,), lambda g: (g.reshape(old),))
 
 
@@ -533,11 +559,11 @@ def transpose(a: Tensor, axes=None) -> Tensor:
     if axes is None:
         if a.ndim < 2:
             raise ShapeError("transpose needs at least 2 axes")
-        out = _result(np.swapaxes(a.values, -1, -2))
+        out = np.swapaxes(a.values, -1, -2)
         return _emit(out, (a,), lambda g: (np.swapaxes(g, -1, -2),))
     axes = tuple(axes)
     inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
-    out = _result(np.transpose(a.values, axes))
+    out = np.transpose(a.values, axes)
     return _emit(out, (a,), lambda g: (np.transpose(g, inverse),))
 
 
@@ -549,8 +575,8 @@ def relayout(a, forward: Callable[..., np.ndarray],
     ``inverse`` moves a gradient back to a's shape. For a tuple of Tensors
     forward may also sum entries, and inverse returns a gradient each."""
     if isinstance(a, tuple):
-        return _emit(_result(forward(*(t.values for t in a))), a, inverse)
-    return _emit(_result(forward(a.values)), (a,), lambda g: (inverse(g),))
+        return _emit(forward(*(t.values for t in a)), a, inverse)
+    return _emit(forward(a.values), (a,), lambda g: (inverse(g),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -559,7 +585,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         raise ShapeError("concat of an empty sequence")
     if len(tensors) == 1:
         return tensors[0]                   # tensors are immutable
-    out = _result(np.concatenate([t.values for t in tensors], axis=axis))
+    out = np.concatenate([t.values for t in tensors], axis=axis)
 
     def grad_fn(g):
         sizes = [t.shape[axis] for t in tensors]
@@ -579,18 +605,16 @@ def _is_basic(key) -> bool:
 
 def take(a: Tensor, key) -> Tensor:
     """Indexing/slicing; integer-array keys gather rows (used for lookups)."""
-    out = _result(a.values[key])
-    shape, dtype = a.shape, a.dtype
+    return _emit(a.values[key], (a,), _take_grad, a, key)
 
-    def grad_fn(g):
-        gx = np.zeros(shape, dtype=dtype)
-        if _is_basic(key):
-            gx[key] = g                     # no entry repeats: nothing to sum
-        else:
-            np.add.at(gx, key, g)
-        return (gx,)
 
-    return _emit(out, (a,), grad_fn)
+def _take_grad(a: Tensor, key, g):
+    gx = np.zeros(a.values.shape, dtype=a.values.dtype)
+    if _is_basic(key):
+        gx[key] = g                         # no entry repeats: nothing to sum
+    else:
+        np.add.at(gx, key, g)
+    return (gx,)
 
 
 def gather_rows(a: Tensor, idx) -> Tensor:
@@ -602,7 +626,7 @@ def gather_rows(a: Tensor, idx) -> Tensor:
 
 
 def cumsum(a: Tensor, axis: int) -> Tensor:
-    out = _result(np.cumsum(a.values, axis=axis))
+    out = np.cumsum(a.values, axis=axis)
 
     def grad_fn(g):
         rev = np.flip(g, axis=axis)
@@ -612,7 +636,7 @@ def cumsum(a: Tensor, axis: int) -> Tensor:
 
 
 def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = _result(a.values.sum(axis=axis, keepdims=keepdims))
+    out = a.values.sum(axis=axis, keepdims=keepdims)
     shape = a.shape
 
     def grad_fn(g):
@@ -662,11 +686,15 @@ def matmul(a, b, cols: Optional[tuple] = None) -> Tensor:
 
     A stacked left operand times a 2-d right operand (activations times a
     weight) folds the leading axes into rows: one GEMM forward, and one
-    GEMM for each gradient. ``cols`` = (lo, hi) multiplies by columns
-    lo..hi-1 of a 2-d b alone, without copying them; b's gradient is zero
-    outside the block, and a routing function sees b and the block.
+    GEMM for each gradient (leading axes of one block need no fold).
+    ``cols`` = (lo, hi) multiplies by columns lo..hi-1 of a 2-d b alone,
+    without copying them; b's gradient is zero outside the block, and a
+    routing function sees b and the block. Two Tensors are used as they
+    are; anything else is coerced. The backward's operands are saved only
+    when a tape records the product.
     """
-    a, b = _coerce_pair(a, b)
+    if type(a) is not Tensor or type(b) is not Tensor:
+        a, b = _coerce_pair(a, b)
     av, bv = a.values, b.values
     if cols is not None:
         lo, hi = cols
@@ -681,28 +709,30 @@ def matmul(a, b, cols: Optional[tuple] = None) -> Tensor:
         routed = _matmul_route(a, b, cols)
         if routed is not None:
             return routed
-    if bv.ndim == 2 and (av.ndim > 2 or cols is not None):
+    # leading axes of one (m, k) block leave nothing to fold: numpy runs
+    # the same one GEMM on the block
+    if bv.ndim == 2 and (cols is not None or av.ndim > 2
+                         and av.size != av.shape[-2] * av.shape[-1]):
         rows = av.reshape(-1, av.shape[-1])
-        out = _result(np.matmul(rows, bv).reshape(av.shape[:-1] + bv.shape[-1:]))
+        return _emit(np.matmul(rows, bv).reshape(av.shape[:-1] + bv.shape[-1:]),
+                     (a, b), _matmul_rows_grad, av, bv, rows, b, cols)
+    return _emit(np.matmul(av, bv), (a, b), _matmul_grad, av, bv)
 
-        def grad_fn(g):
-            g_rows = g.reshape(-1, g.shape[-1])
-            ga = np.matmul(g_rows, bv.T).reshape(av.shape)
-            gb = np.matmul(rows.T, g_rows)
-            if cols is not None:
-                block, gb = gb, np.zeros(b.shape, dtype=gb.dtype)
-                gb[:, lo:hi] = block
-            return ga, gb
 
-        return _emit(out, (a, b), grad_fn)
-    out = _result(np.matmul(av, bv))
+def _matmul_rows_grad(av, bv, rows, b: Tensor, cols: Optional[tuple], g):
+    g_rows = g.reshape(-1, g.shape[-1])
+    ga = np.matmul(g_rows, bv.T).reshape(av.shape)
+    gb = np.matmul(rows.T, g_rows)
+    if cols is not None:
+        block, gb = gb, np.zeros(b.values.shape, dtype=gb.dtype)
+        gb[:, cols[0]:cols[1]] = block
+    return ga, gb
 
-    def grad_fn(g):
-        ga = _unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), a.shape)
-        gb = _unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), b.shape)
-        return ga, gb
 
-    return _emit(out, (a, b), grad_fn)
+def _matmul_grad(av, bv, g):
+    ga = _unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), av.shape)
+    gb = _unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), bv.shape)
+    return ga, gb
 
 
 def ffn(h: Tensor, w_h: Tensor, b_h: Tensor, w_f: Tensor, b_f: Tensor) -> Tensor:
@@ -714,7 +744,8 @@ def ffn(h: Tensor, w_h: Tensor, b_h: Tensor, w_f: Tensor, b_f: Tensor) -> Tensor
     outputs equal it bit for bit. Each product consults the matmul
     routing as matmul does; a routed product has no gradient, so an FFN
     with one is not recorded. The backward is the composite's, in closed
-    form, its bias sums taken over h's leading axes as the composite's.
+    form, its bias sums taken over h's leading axes as the composite's;
+    its arrays are saved only when a tape records the op.
     """
     hv, whv, wfv = h.values, w_h.values, w_f.values
     if hv.ndim < 2 or whv.ndim != 2 or wfv.ndim != 2 \
@@ -726,23 +757,25 @@ def ffn(h: Tensor, w_h: Tensor, b_h: Tensor, w_f: Tensor, b_f: Tensor) -> Tensor
     z = np.matmul(rows, whv) if routed is None \
         else routed.values.reshape(len(rows), -1)
     hidden = z + b_h.values                 # fresh: ReLU in place
-    np.maximum(hidden, 0, out=hidden)
+    np.maximum(hidden, _ZERO.get(hidden.dtype, 0), out=hidden)
     second = None if _matmul_route is None \
         else _matmul_route(_result(hidden), w_f, None)
     y = np.matmul(hidden, wfv) if second is None else second.values
-    out = _result((y + b_f.values).reshape(lead + wfv.shape[1:]))
+    out = (y + b_f.values).reshape(lead + wfv.shape[1:])
     if routed is not None or second is not None:
-        return out
+        return _result(out)
+    return _emit(out, (h, w_h, b_h, w_f, b_f), _ffn_grad, hv, rows, hidden,
+                 whv, wfv, b_h, b_f)
 
-    def grad_fn(g):
-        g_rows = g.reshape(-1, g.shape[-1])
-        gz = np.matmul(g_rows, wfv.T)       # fresh: masked in place
-        gz *= hidden > 0                    # max(z, 0) > 0 exactly where z > 0
-        return (np.matmul(gz, whv.T).reshape(hv.shape), np.matmul(rows.T, gz),
-                _unbroadcast(gz.reshape(lead + gz.shape[-1:]), b_h.shape),
-                np.matmul(hidden.T, g_rows), _unbroadcast(g, b_f.shape))
 
-    return _emit(out, (h, w_h, b_h, w_f, b_f), grad_fn)
+def _ffn_grad(hv, rows, hidden, whv, wfv, b_h: Tensor, b_f: Tensor, g):
+    g_rows = g.reshape(-1, g.shape[-1])
+    gz = np.matmul(g_rows, wfv.T)           # fresh: masked in place
+    gz *= hidden > 0                        # max(z, 0) > 0 exactly where z > 0
+    return (np.matmul(gz, whv.T).reshape(hv.shape), np.matmul(rows.T, gz),
+            _unbroadcast(gz.reshape(hv.shape[:-1] + gz.shape[-1:]),
+                         b_h.values.shape),
+            np.matmul(hidden.T, g_rows), _unbroadcast(g, b_f.values.shape))
 
 
 def softmax_rows(x: Tensor, additive_mask=None,
@@ -783,7 +816,7 @@ def softmax_rows(x: Tensor, additive_mask=None,
         y -= row_max
     np.exp(y, out=y)                        # exp(-inf) == 0 exactly
     y /= np.add.reduce(y, axis=-1, keepdims=True)
-    out = _result(y.astype(x.dtype, copy=False))
+    out = y.astype(x.dtype, copy=False)
 
     def grad_fn(g):
         dot = np.add.reduce(g * y, axis=-1, keepdims=True)
@@ -803,14 +836,7 @@ def head_view(a: np.ndarray, n: int) -> np.ndarray:
     return a.reshape(a.shape[:-1] + (n, a.shape[-1] // n)).swapaxes(-2, -3)
 
 
-def _head_cols(t: Tensor, c: Optional[tuple], n: int) -> tuple:
-    """The column block (lo, hi) of t, all of it for None, checked to
-    hold n heads."""
-    shape = t.values.shape
-    lo, hi = (0, shape[-1]) if c is None else c
-    if len(shape) < 2 or not 0 <= lo < hi <= shape[-1] or (hi - lo) % n:
-        raise ShapeError(f"no {n} heads in columns {lo}..{hi} of {shape}")
-    return lo, hi
+_SCALES: dict = {}             # (d_h, dtype) -> 1/sqrt(d_h), a 0-d array
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: tuple = (1, 1), *,
@@ -833,15 +859,23 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: tuple = (1, 1), *,
 
     The forward repeats the composite on the same head views: the scores
     product, softmax_rows with its scale, the weighted values and the
-    merge, so float32 outputs equal it bit for bit. The backward is its
-    closed form; each input's gradient is written once, block by block.
+    merge, so float32 outputs equal it bit for bit. The default scale is a
+    0-d array kept per (d_h, dtype), and the column blocks and head views
+    are checked and cut inline. The backward is its closed form, each
+    input's gradient written once, block by block, from the arrays the
+    forward saves when a tape records the op.
     """
     n_q, n_kv = heads
     if n_kv != n_q and n_kv != 1:
         raise ShapeError(f"{n_kv} key/value heads cannot serve {n_q} query heads")
-    (q_lo, q_hi), (k_lo, k_hi), (v_lo, v_hi) = spans = (
-        _head_cols(q, cols[0], n_q), _head_cols(k, cols[1], n_kv),
-        _head_cols(v, cols[2], n_kv))
+    spans = []
+    for t, c, n in ((q, cols[0], n_q), (k, cols[1], n_kv), (v, cols[2], n_kv)):
+        shape = t.values.shape
+        lo, hi = (0, shape[-1]) if c is None else c
+        if len(shape) < 2 or not 0 <= lo < hi <= shape[-1] or (hi - lo) % n:
+            raise ShapeError(f"no {n} heads in columns {lo}..{hi} of {shape}")
+        spans.append((lo, hi))
+    (q_lo, q_hi), (k_lo, k_hi), (v_lo, v_hi) = spans
     m = k.values.shape[-2]
     if history is None:
         kb, vb = k.values[..., k_lo:k_hi], v.values[..., v_lo:v_hi]
@@ -850,14 +884,23 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: tuple = (1, 1), *,
         if kb.shape[-1] != k_hi - k_lo or vb.shape[-1] != v_hi - v_lo \
                 or kb.shape[-2] < m or vb.shape[-2] < m:
             raise ShapeError("history rows do not end in the key/value blocks")
-    qh = head_view(q.values[..., q_lo:q_hi], n_q)
-    kh, vh = head_view(kb, n_kv), head_view(vb, n_kv)
-    n_k, d_h = kh.shape[-2:]
-    if qh.shape[-1] != d_h or vh.shape[-2] != n_k:
+    qb = q.values[..., q_lo:q_hi]
+    # head_view's views, cut inline: a call fewer each
+    d_h = (q_hi - q_lo) // n_q
+    qh = qb.reshape(qb.shape[:-1] + (n_q, d_h)).swapaxes(-2, -3)
+    kh = kb.reshape(kb.shape[:-1] + (n_kv, kb.shape[-1] // n_kv)).swapaxes(-2, -3)
+    vh = vb.reshape(vb.shape[:-1] + (n_kv, vb.shape[-1] // n_kv)).swapaxes(-2, -3)
+    n_k = kb.shape[-2]
+    if kh.shape[-1] != d_h or vb.shape[-2] != n_k:
         raise ShapeError(f"heads Q {qh.shape}, K {kh.shape}, V {vh.shape} differ")
 
     s = np.matmul(qh, kh.swapaxes(-1, -2))
-    c = s.dtype.type(1.0 / math.sqrt(d_h) if scale is None else scale)
+    if scale is None:
+        c = _SCALES.get((d_h, s.dtype))
+        if c is None:
+            c = _SCALES[d_h, s.dtype] = np.asarray(1.0 / math.sqrt(d_h), s.dtype)
+    else:
+        c = np.asarray(scale, s.dtype)
     y = s                                   # fresh: the softmax runs in place
     y *= c
     mask_t = mask if isinstance(mask, Tensor) else None
@@ -874,56 +917,63 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: tuple = (1, 1), *,
     y -= row_max
     np.exp(y, out=y)
     y /= np.add.reduce(y, axis=-1, keepdims=True)
-    w = y.astype(s.dtype, copy=False)
+    w = y if y.dtype is s.dtype else y.astype(s.dtype)
     o = np.matmul(w, vh)
-    out = _result(o.swapaxes(-2, -3).reshape(
-        o.shape[:-3] + (o.shape[-2], o.shape[-3] * o.shape[-1])))
+    out = o.swapaxes(-2, -3).reshape(
+        o.shape[:-3] + (o.shape[-2], o.shape[-3] * o.shape[-1]))
 
-    srcs = [q] if k is q else [q, k]        # distinct inputs, in first use
+    srcs = (q,) if k is q else (q, k)        # distinct inputs, in first use
     if v is not q and v is not k:
-        srcs.append(v)
+        srcs += (v,)
+    inputs = srcs if mask_t is None else srcs + (mask_t,)
+    return _emit(out, inputs, _attention_grad, (q, k, v), srcs, spans, heads,
+                 qh, kh, vh, y, w, c, mask_t, None if history is None else m)
 
-    def grad_fn(g):
-        go = head_view(g, n_q)
-        gw = _unbroadcast(np.matmul(go, vh.swapaxes(-1, -2)), w.shape)
-        gv = _unbroadcast(np.matmul(w.swapaxes(-1, -2), go), vh.shape)
-        dot = np.add.reduce(gw * y, axis=-1, keepdims=True)
-        # gw is fresh: it becomes gl, then gs
-        gl = _into(np.multiply, _into(np.subtract, gw, dot), y).astype(
-            s.dtype, copy=False)
-        if mask_t is None:
-            gl *= c
-            gs = gl
-        else:                               # the mask's gradient is gl itself
-            gs = gl * c
-        gq = _unbroadcast(np.matmul(gs, kh), qh.shape)
-        gk_t = np.matmul(qh.swapaxes(-1, -2), gs)
-        gk = np.swapaxes(_unbroadcast(gk_t, kh.shape[:-2] + (d_h, n_k)), -1, -2)
-        if history is not None:
-            gk, gv = gk[..., -m:, :], gv[..., -m:, :]
-        grads = []
-        blocks = [(u, lo, hi, n, gh) for u, (lo, hi), n, gh in zip(
-            (q, k, v), spans, (n_q, n_kv, n_kv), (gq, gk, gv))]
-        for t in srcs:
-            parts = [(lo, hi, n, gh) for u, lo, hi, n, gh in blocks if u is t]
-            ranges = sorted((lo, hi) for lo, hi, _, _ in parts)
-            tiled = ranges[0][0] == 0 and ranges[-1][1] == t.shape[-1] and all(
-                a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
-            gx = (np.empty if tiled else np.zeros)(
-                t.shape, dtype=np.result_type(*(p[3] for p in parts)))
-            for lo, hi, n, gh in parts:
-                view = head_view(gx[..., lo:hi], n)
-                if tiled:
-                    view[...] = gh
-                else:
-                    view += gh
-            grads.append(gx)
-        if mask_t is not None:
-            grads.append(_unbroadcast(gl, mask_t.shape))
-        return tuple(grads)
 
-    inputs = tuple(srcs) + ((mask_t,) if mask_t is not None else ())
-    return _emit(out, inputs, grad_fn)
+def _attention_grad(qkv: tuple, srcs: tuple, spans: list, heads: tuple, qh,
+                    kh, vh, y, w, c, mask_t: Optional[Tensor],
+                    cached: Optional[int], g):
+    """attention's backward; ``cached`` is the block's m when K and V were
+    read from history rows, whose earlier rows get no gradient."""
+    n_q, n_kv = heads
+    n_k, d_h = kh.shape[-2:]
+    go = head_view(g, n_q)
+    gw = _unbroadcast(np.matmul(go, vh.swapaxes(-1, -2)), w.shape)
+    gv = _unbroadcast(np.matmul(w.swapaxes(-1, -2), go), vh.shape)
+    dot = np.add.reduce(gw * y, axis=-1, keepdims=True)
+    # gw is fresh: it becomes gl, then gs
+    gl = _into(np.multiply, _into(np.subtract, gw, dot), y).astype(
+        w.dtype, copy=False)
+    if mask_t is None:
+        gl *= c
+        gs = gl
+    else:                                   # the mask's gradient is gl itself
+        gs = gl * c
+    gq = _unbroadcast(np.matmul(gs, kh), qh.shape)
+    gk_t = np.matmul(qh.swapaxes(-1, -2), gs)
+    gk = np.swapaxes(_unbroadcast(gk_t, kh.shape[:-2] + (d_h, n_k)), -1, -2)
+    if cached is not None:
+        gk, gv = gk[..., -cached:, :], gv[..., -cached:, :]
+    grads = []
+    blocks = [(u, lo, hi, n, gh) for u, (lo, hi), n, gh in zip(
+        qkv, spans, (n_q, n_kv, n_kv), (gq, gk, gv))]
+    for t in srcs:
+        parts = [(lo, hi, n, gh) for u, lo, hi, n, gh in blocks if u is t]
+        ranges = sorted((lo, hi) for lo, hi, _, _ in parts)
+        tiled = ranges[0][0] == 0 and ranges[-1][1] == t.shape[-1] and all(
+            a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        gx = (np.empty if tiled else np.zeros)(
+            t.shape, dtype=np.result_type(*(p[3] for p in parts)))
+        for lo, hi, n, gh in parts:
+            view = head_view(gx[..., lo:hi], n)
+            if tiled:
+                view[...] = gh
+            else:
+                view += gh
+        grads.append(gx)
+    if mask_t is not None:
+        grads.append(_unbroadcast(gl, mask_t.shape))
+    return tuple(grads)
 
 
 def log_softmax_nll(x: Tensor, targets, weights, floor: float):
@@ -950,7 +1000,7 @@ def log_softmax_nll(x: Tensor, targets, weights, floor: float):
     picked = y[rows, ids]
     fl = np.asarray(floor, dtype=xv.dtype)
     w = np.asarray(weights, dtype=xv.dtype)
-    out = _result(-(np.log(np.maximum(picked, fl)) * w).sum())
+    out = -(np.log(np.maximum(picked, fl)) * w).sum()
 
     def grad_fn(g):
         coef = g * w * (picked >= fl)       # a floored row gets nothing
@@ -959,6 +1009,9 @@ def log_softmax_nll(x: Tensor, targets, weights, floor: float):
         return (gx.astype(xv.dtype, copy=False),)
 
     return _emit(out, (x,), grad_fn), picked
+
+
+_LN_CONSTANTS: dict = {}       # (n, eps, dtype) -> 1/n and eps as 0-d arrays
 
 
 def layer_norm(h: Tensor, g: Tensor, b: Tensor, eps: float,
@@ -970,35 +1023,39 @@ def layer_norm(h: Tensor, g: Tensor, b: Tensor, eps: float,
     op normalizes h + residual (a post-norm sub-layer's F(z) + z), added
     first exactly as a separate add would, and both receive its gradient.
     The forward repeats the composite's arithmetic (sums times 1/n in h's
-    dtype), so float32 outputs equal it bit for bit. The backward is the closed form of Ba et al., Layer
-    Normalization (2016); on a constant row (sigma = 0) d sigma / dh is
-    taken as 0, so that row's input gradient is (dx - mean(dx)) / D, dx
-    being the gradient at the normalized row.
+    dtype), so float32 outputs equal it bit for bit; the 0-d constants 1/n
+    and eps are made once per (n, eps, dtype). The backward is the closed
+    form of Ba et al., Layer Normalization (2016); on a constant row
+    (sigma = 0) d sigma / dh is taken as 0, so that row's input gradient
+    is (dx - mean(dx)) / D, dx being the gradient at the normalized row.
     """
     hv = h.values if residual is None else h.values + residual.values
-    inv_n = np.asarray(1.0 / hv.shape[-1], dtype=hv.dtype)
+    key = hv.shape[-1], eps, hv.dtype
+    consts = _LN_CONSTANTS.get(key)
+    if consts is None:
+        consts = _LN_CONSTANTS[key] = (np.asarray(1.0 / key[0], dtype=hv.dtype),
+                                       np.asarray(eps, dtype=hv.dtype))
+    inv_n, e = consts
     c = hv - np.add.reduce(hv, axis=-1, keepdims=True) * inv_n
     sigma = np.sqrt(np.add.reduce(c * c, axis=-1, keepdims=True) * inv_n)
-    e = np.asarray(eps, dtype=hv.dtype)
     denom = sigma + e
     xhat = c / denom
-    gv = g.values
-    out = _result(gv * xhat + b.values)
-
-    def grad_fn(gout):
-        dxhat = gout * gv
-        s = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True)
-        # dD/dsigma * dsigma/dc = k * c / n
-        k = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > 0)
-        dc = dxhat / denom - xhat * (s * k * inv_n)
-        dh = dc - np.add.reduce(dc, axis=-1, keepdims=True) * inv_n
-        grads = (_unbroadcast(dh, h.shape), _unbroadcast(gout * xhat, g.shape),
-                 _unbroadcast(gout, b.shape))
-        return grads if residual is None else grads + (
-            _unbroadcast(dh, residual.shape),)
-
+    out = g.values * xhat + b.values
     inputs = (h, g, b) if residual is None else (h, g, b, residual)
-    return _emit(out, inputs, grad_fn)
+    return _emit(out, inputs, _layer_norm_grad, inputs, xhat, sigma, denom,
+                 inv_n)
+
+
+def _layer_norm_grad(inputs: tuple, xhat, sigma, denom, inv_n, gout):
+    h, g, b = inputs[:3]
+    dxhat = gout * g.values
+    s = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True)
+    # dD/dsigma * dsigma/dc = k * c / n
+    k = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > 0)
+    dc = dxhat / denom - xhat * (s * k * inv_n)
+    dh = dc - np.add.reduce(dc, axis=-1, keepdims=True) * inv_n
+    return tuple(_unbroadcast(gx, t.values.shape) for gx, t in zip(
+        (dh, gout * xhat, gout, dh), inputs))
 
 
 # ---------------------------------------------------------------------------
@@ -1143,6 +1200,9 @@ def dequantize(r, spec: QuantSpec):
     return out
 
 
+_Q_MAX: dict = {}              # bits -> the largest level, a float64 0-d array
+
+
 def quantized_matmul(a: Tensor, b: Tensor, spec_a: Optional[QuantSpec],
                      spec_b: QuantSpec, stats_a: Optional[QuantStats] = None,
                      stats_b: Optional[QuantStats] = None,
@@ -1184,11 +1244,14 @@ def quantized_matmul(a: Tensor, b: Tensor, spec_a: Optional[QuantSpec],
         qa, sat_a = quantize_levels(av.reshape(-1, k), spec_a)  # a row each
         step_a = spec_a.step
     else:                                   # a's own shape: no fold needed
-        q_max = (1 << (bits_a - 1)) - 1
-        top = np.maximum.reduce(np.abs(av), axis=-1, keepdims=True)
-        top = top.astype(np.float64)
-        step_a = np.where(top == 0.0, 1.0, top) / q_max
-        if av.dtype == np.float32 or np.min(step_a) >= _TINY:
+        # the row maxima cast to float64 in the reduction, exactly
+        top = np.maximum.reduce(np.abs(av), axis=-1, dtype=_F64, keepdims=True)
+        step_a = np.where(top == _ZERO[_F64], _ONE64, top)
+        q_max = _Q_MAX.get(bits_a)
+        if q_max is None:
+            q_max = _Q_MAX[bits_a] = np.asarray(float((1 << (bits_a - 1)) - 1))
+        step_a /= q_max
+        if av.dtype is _F32 or np.min(step_a) >= _TINY:
             qa = np.rint(av / step_a)       # np.round's ties to even
         else:
             qa, sat_a = quantize_levels(av, QuantSpec(step_a, bits_a))
@@ -1204,7 +1267,7 @@ def quantized_matmul(a: Tensor, b: Tensor, spec_a: Optional[QuantSpec],
     else:
         acc = (qa.astype(np.int64) @ qb.astype(np.int64)).astype(np.float64)
     out = (step_a * spec_b.step) * acc
-    dtype = av.dtype if av.dtype == bv.dtype else np.result_type(av.dtype, bv.dtype)
-    out = out.astype(dtype, copy=False)
+    out = out.astype(av.dtype if av.dtype is bv.dtype
+                     else np.result_type(av.dtype, bv.dtype), copy=False)
     return _result(out if out.ndim == av.ndim
                    else out.reshape(av.shape[:-1] + out.shape[-1:]))

@@ -508,6 +508,24 @@ def test_cache_layer_out_of_range():
         A.attend_step_cached(T.zeros((1, 4), dtype=F64), cache, p, layer=2)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("window", [None, 1, 2, 8])
+def test_step_mask_is_a_read_only_slice_of_the_rule(window, dtype,
+                                                     monkeypatch):
+    """KVCache.step_mask is _step_mask in the dtype, bit for bit, whatever
+    blocks the template grew for before: it is read going up in width and
+    history from an empty template, then coming back down."""
+    monkeypatch.setattr(A, "_MASK_TEMPLATES", {})
+    cache = A.KVCache(1, window=window)
+    cases = [(m, back) for m in range(2, 10) for back in range(71)]
+    for m, back in cases + cases[::-1]:
+        got = cache.step_mask(m, back, dtype)
+        want = A._step_mask(m, back, window).astype(dtype)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+
+
 def test_windowed_cached_step_restricts_positions():
     d = 4
     p = params_for(d, 1, seed=48)

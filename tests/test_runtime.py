@@ -1,6 +1,7 @@
 """Decoding search, checkpoint format, and quantized inference."""
 
 import contextlib
+import heapq
 import io
 import itertools
 import math
@@ -209,6 +210,30 @@ def test_beam_exhaustive_small_vocabulary():
 
 def test_eight_bit_beam_exhaustive_small_vocabulary():
     exhaustive_beam_check(8)
+
+
+def nlargest_order(scores, k):
+    """The reference ranking: a stable sort cut to k."""
+    flat = scores.tolist()
+    return heapq.nlargest(k, range(len(flat)), key=flat.__getitem__)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_top_k_ranks_as_nlargest(seed):
+    rng = np.random.default_rng(seed)
+    random = rng.standard_normal(4 * 55)
+    tied = rng.integers(0, 3, 4 * 55).astype(F64)     # most scores equal
+    for scores in (random, tied, tied.astype(np.float32), -700.0 * tied):
+        kept = scores.copy()
+        for k in (1, 4, 9, 4 * 55):
+            assert R._top_k(scores, k) == nlargest_order(scores, k)
+        np.testing.assert_array_equal(scores, kept)   # the input is not written
+
+
+def test_top_k_with_fewer_candidates_than_the_width():
+    scores = np.array([0.5, -1.0, 0.5])
+    picks = R._top_k(scores, 4)
+    assert picks == nlargest_order(scores, 4) == [0, 2, 1]
 
 
 def test_wider_beam_never_ranks_worse():
