@@ -2,9 +2,9 @@
 
 One scaled-dot-product core, the fused op ``tensor.attention``, drives
 everything: multi-head self and cross attention, causal masking,
-blocked sliding-window attention, additive locality priors, cached
-attention of a block of new positions over a history, and
-``qkv_attention`` on heads split beforehand. Multi-query attention is not a separate form: a block with
+blocked sliding-window attention, cached attention of a block of new
+positions over a history, and ``qkv_attention`` on heads split
+beforehand. Multi-query attention is not a separate form: a block with
 one key/value head has a narrower W^qkv, and the same op serves it. It
 cuts Q, K and V into heads as views of column blocks of its inputs, and
 returns the heads merged, in one op; relative-position, low-rank and
@@ -18,14 +18,15 @@ query columns and the encoder rows by the key/value columns; a cached
 step writes its key/value columns into the KV cache and reads the cached
 keys and values in place.
 
-A MaskSpec is an additive penalty matrix on the scaled logits, -inf
-where a pair is forbidden (the causal mask is -inf strictly above the
-diagonal); specs combine by summing. A sliding window is not a mask on
-the full score matrix: ``window_attention`` cuts the positions into
-blocks of w, the window, and block b's queries attend over the keys of
-blocks b-1 and b (and b+1 when not causal) under one band mask, in one
-op. Its work, and the multiply-adds an OpCounter tallies for it, are
-those of the band blocks it computes, linear in the length.
+Every ``mask`` argument is None, or an additive array or Tensor on the
+scaled logits, Softmax(Q K^T / sqrt(d_h) + Mask) V: -inf where a pair is
+forbidden (``causal_mask`` is -inf strictly above the diagonal), and
+masks combine by ``+``. A sliding window is not a mask on the full
+score matrix: ``window_attention`` cuts the positions into blocks of w,
+the window, and block b's queries attend over the keys of blocks b-1
+and b (and b+1 when not causal) under one band mask, in one op. Its
+work, and the multiply-adds an OpCounter tallies for it, are those of
+the band blocks it computes, linear in the length.
 """
 
 from __future__ import annotations
@@ -63,76 +64,21 @@ class OpCounter:
 
 
 # ---------------------------------------------------------------------------
-# MaskSpec
+# Masks
 # ---------------------------------------------------------------------------
 
 
 NEG_INF = -np.inf
 
 
-@dataclass
-class MaskSpec:
-    """What each query position may attend to, and at what penalty: an
-    additive array or Tensor on the scaled logits, -inf where forbidden."""
-
-    additive: Optional[object] = None        # np.ndarray or Tensor
-
-    def combine(self, other: "MaskSpec") -> "MaskSpec":
-        """Intersection of permissions, sum of penalties."""
-        if other is None or other.additive is None:
-            return self
-        if self.additive is None:
-            return other
-        a, b = self.additive, other.additive
-        if isinstance(a, T.Tensor) or isinstance(b, T.Tensor):
-            return MaskSpec(additive=T.add(a, b))
-        return MaskSpec(additive=a + b)
-
-
-def causal_mask(n: int) -> MaskSpec:
-    """Zeros on and below the diagonal, -inf strictly above it."""
+def causal_mask(n: int) -> np.ndarray:
+    """The (n, n) additive causal mask: zeros on and below the diagonal,
+    -inf strictly above it."""
     if n < 1:
         raise ValueError("causal_mask needs n >= 1")
     m = np.zeros((n, n))
     m[np.triu_indices(n, k=1)] = NEG_INF
-    return MaskSpec(additive=m)
-
-
-def local_prior(kind: str, n: int, gamma: float, sigma=None) -> MaskSpec:
-    """Distance penalty favouring nearby positions.
-
-    kind "abs" uses G(i,j) = |i-j|; kind "gaussian" uses
-    G(i,j) = (i-j)^2 / (2 sigma_i^2) with sigma scalar or per-row. The
-    penalty enters as -gamma*G.
-    """
-    if gamma < 0:
-        raise ValueError("penalty weight gamma must be >= 0")
-    i = np.arange(n)[:, None]
-    j = np.arange(n)[None, :]
-    if kind == "abs":
-        g = np.abs(i - j).astype(np.float64)
-    elif kind == "gaussian":
-        if sigma is None:
-            raise ValueError("gaussian prior needs sigma")
-        sig = np.asarray(sigma, dtype=np.float64)
-        if sig.ndim == 1:
-            sig = sig[:, None]
-        if np.any(sig <= 0):
-            raise ValueError("sigma must be positive")
-        g = (i - j) ** 2 / (2.0 * sig ** 2)
-    else:
-        raise ValueError(f"unknown prior kind {kind!r}")
-    return MaskSpec(additive=-gamma * g)
-
-
-def _additive(mask):
-    """A mask argument (None, an array, a Tensor or a MaskSpec) as the
-    additive array or Tensor it puts on the logits, or None."""
-    if mask is None or isinstance(mask, (np.ndarray, T.Tensor)):
-        return mask
-    if not isinstance(mask, MaskSpec):
-        raise TypeError(f"unsupported mask type {type(mask).__name__}")
-    return mask.additive
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -172,13 +118,12 @@ def qkv_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor, mask=None,
     d_h = q.shape[-1]
     if scale is None:
         scale = float(np.sqrt(d_h))
-    additive = _additive(mask)
     if return_weights:
-        weights = T.softmax_rows(T.matmul(q, T.transpose(k)), additive,
+        weights = T.softmax_rows(T.matmul(q, T.transpose(k)), mask,
                                  1.0 / scale)
         out = T.matmul(weights, v)
     else:
-        out = T.attention(q, k, v, mask=additive, scale=1.0 / scale)
+        out = T.attention(q, k, v, mask=mask, scale=1.0 / scale)
     _tally(counter, out.shape[:-1], k.shape[-2], d_h, v.shape[-1])
     return (out, weights) if return_weights else out
 
@@ -362,8 +307,7 @@ def _fused(q: T.Tensor, kv: T.Tensor, params: AttentionParams, cols: tuple,
     from columns cols[0] of q, keys and values from cols[1] and cols[2]
     of kv, or from ``history``, the cached rows ending in them."""
     out = T.attention(q, kv, kv, params.head_counts, cols=cols,
-                      history=history,
-                      mask=None if mask is None else _additive(mask))
+                      history=history, mask=mask)
     if counter is not None:
         n_k = kv.shape[-2] if history is None else history[0].shape[-2]
         _tally(counter, out.shape[:-1] + (params.tau,), n_k, params.d_head,
@@ -515,7 +459,6 @@ def rpr_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor, rpr: RprTable,
         if t is not None and t.shape[1] != d_h:
             raise ValueError("RPR table width does not match head width")
     offs = rpr.offset_index_matrix(q.shape[-2], k.shape[-2], q_start)
-    additive = _additive(mask)
 
     def with_pe(x: T.Tensor, role: str, axis: int) -> T.Tensor:
         # (..., heads, rows, d_h) -> (..., heads, m, n, d_h) with a unit
@@ -525,7 +468,7 @@ def rpr_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor, rpr: RprTable,
         return x if t is None else x + T.gather_rows(t, offs)
 
     logits = T.reduce_sum(with_pe(q, "q", -1) * with_pe(k, "k", -2), axis=-1)
-    alpha = T.softmax_rows(logits, additive, 1.0 / float(np.sqrt(d_h)))
+    alpha = T.softmax_rows(logits, mask, 1.0 / float(np.sqrt(d_h)))
     return T.reduce_sum(T.reshape(alpha, alpha.shape + (1,))
                         * with_pe(v, "v", -2), axis=-2)
 
@@ -709,23 +652,18 @@ def attend_step_cached(x: T.Tensor, cache: KVCache, params: AttentionParams,
                        counter: Optional[OpCounter] = None):
     """Self-attention of a block of new positions at one cache layer.
 
-    ``x`` is (rows, m, d): m new positions for each of the cache's rows, or
-    one (1, d) row of a one-row cache. Projects the block with one product,
+    ``x`` is (rows, m, d): m new positions for each of the cache's rows;
+    any other rank raises ShapeError. Projects the block with one product,
     writes its key and value columns into the cache, reads the cached keys
     and values as heads in place, and attends every new position over the
     earlier positions it can see plus the block up to itself, in the form
     ``rpr``, ``lowrank`` and ``reuse`` pick as in attend_heads, tallying
     its work on ``counter``. Plain attention goes straight to ``_fused``:
     one ``tensor.attention`` op over the cached rows, then W_c. Returns
-    (output shaped like x, cache).
+    the output, shaped like x.
     """
-    single = x.values.ndim == 2
-    if single:
-        if x.values.shape[0] != 1:
-            raise T.ShapeError("a 2-d input to attend_step_cached is one row (1, d)")
-        x = T.reshape(x, (1,) + x.values.shape)
-    elif x.values.ndim != 3:
-        raise T.ShapeError("attend_step_cached expects (rows, m, d) or (1, d)")
+    if x.values.ndim != 3:
+        raise T.ShapeError("attend_step_cached expects a (rows, m, d) block")
     qkv = T.matmul(x, params.w_qkv)
     _, (k_lo, k_hi), (v_lo, v_hi) = params.cols
     rows = qkv.values
@@ -733,8 +671,6 @@ def attend_step_cached(x: T.Tensor, cache: KVCache, params: AttentionParams,
     m = rows.shape[1]
     mask = None if m == 1 else cache.step_mask(m, back, rows.dtype)
     if rpr is None and lowrank is None and reuse is None:
-        out = _fused(qkv, qkv, params, params.cols, mask, counter, (k, v))
-    else:
-        out = _attend(qkv, params, mask, counter, rpr=rpr, lowrank=lowrank,
-                      reuse=reuse, history=(k, v), q_start=back)
-    return (T.reshape(out, out.values.shape[1:]) if single else out), cache
+        return _fused(qkv, qkv, params, params.cols, mask, counter, (k, v))
+    return _attend(qkv, params, mask, counter, rpr=rpr, lowrank=lowrank,
+                   reuse=reuse, history=(k, v), q_start=back)

@@ -158,24 +158,6 @@ def reduce_length(k: T.Tensor, v: T.Tensor,
     return T.matmul(proj.u_k, k), T.matmul(proj.u_v, v)
 
 
-def strided_mean_projection(n: int, size_r: int, stride: int,
-                            dtype=np.float64) -> T.Tensor:
-    """Averaging matrix equivalent to a strided uniform 1-d convolution.
-
-    With size_r = stride = 2 the rows of U @ K are pairwise means of
-    consecutive K rows. Incomplete tail windows are dropped.
-    """
-    if size_r < 1 or stride < 1:
-        raise ValueError("size_r and stride must be >= 1")
-    n_out = (n - size_r) // stride + 1
-    if n_out < 1:
-        raise ValueError("window does not fit the sequence")
-    u = np.zeros((n_out, n), dtype=dtype)
-    for i in range(n_out):
-        u[i, i * stride:i * stride + size_r] = 1.0 / size_r
-    return T.Tensor(u, dtype=dtype)
-
-
 def lowrank_length_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor,
                              proj: LowRankProjections, causal: bool = False,
                              counter: Optional[OpCounter] = None) -> T.Tensor:

@@ -8,7 +8,7 @@ position tables indexed by clipped offset.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,7 +20,7 @@ class VocabError(ValueError):
 
 
 class RoleDisabledError(ValueError):
-    """A relative-position table was asked for a role it does not carry."""
+    """A relative-position table was given a role other than q, k or v."""
 
 
 PAD, SOS, EOS, CLS = 0, 1, 2, 3
@@ -146,31 +146,9 @@ class EmbeddingTable:
         return self.weights.shape[1]
 
 
-def embed_sequence(tokens: Sequence[int], table: EmbeddingTable,
-                   pe: Optional[SinusoidalPE] = None) -> T.Tensor:
-    """Row j = table[token_j] (+ PE(j) when a PE is given)."""
-    ids = np.asarray(tokens, dtype=np.int64)
-    if ids.ndim != 1:
-        raise ValueError("embed_sequence takes a flat id list")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.vocab_size):
-        raise VocabError("token id out of range for the embedding table")
-    emb = T.gather_rows(table.weights, ids)
-    if pe is not None:
-        if pe.d != table.d:
-            raise ValueError("PE width does not match embedding width")
-        pos = T.Tensor(pe.table(len(ids)).astype(table.weights.dtype))
-        emb = emb + pos
-    return emb
-
-
 def pad_flags(tokens: Sequence[int], pad_id: int = PAD) -> np.ndarray:
     """Boolean row flags marking PAD positions, for mask construction."""
     return np.asarray(tokens) == pad_id
-
-
-def clip_offset(offset: int, clip_k: int) -> int:
-    """max{-k, min{offset, k}}"""
-    return max(-clip_k, min(offset, clip_k))
 
 
 class RprTable:
@@ -204,14 +182,6 @@ class RprTable:
             tables[role] = T.Tensor(rng.gaussian((rows, d_head), std=0.02),
                                     dtype=dtype, trainable=True)
         return cls(clip_k, tables)
-
-    def lookup(self, i: int, j: int, role: str) -> T.Tensor:
-        """Vector for the clipped offset j - i in the given role."""
-        t = self.tables.get(role)
-        if t is None:
-            raise RoleDisabledError(f"role {role!r} is disabled in this table")
-        row = clip_offset(j - i, self.clip_k) + self.clip_k
-        return t[row]
 
     def offset_index_matrix(self, n_q: int, n_k: int,
                             q_start: int = 0) -> np.ndarray:

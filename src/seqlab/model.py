@@ -535,14 +535,13 @@ class Model:
 
     def _mask_for(self, m: int, causal: bool, pad: Optional[np.ndarray]):
         cfg = self.cfg
-        spec = A.causal_mask(m) if causal else None
+        mask = A.causal_mask(m) if causal else None
         if pad is not None and cfg.attention in ("dense", "lowrank-d"):
             # non-PAD queries must ignore PAD keys; PAD rows stay unrestricted
             # so no row ever empties out (window_band keeps the same rule)
             block = np.where(~pad[:, None] & pad[None, :], A.NEG_INF, 0.0)
-            pad_spec = A.MaskSpec(additive=block)
-            spec = pad_spec if spec is None else spec.combine(pad_spec)
-        return spec
+            mask = block if mask is None else mask + block
+        return mask
 
     @staticmethod
     def _suffix_length(pad: Optional[np.ndarray], m: int) -> int:
@@ -847,7 +846,7 @@ class Model:
         """Self-attention of a (rows, m, d) block over cache slot ``slot``,
         which it advances."""
         return A.attend_step_cached(z, kv, layer.att, slot, self.rpr_table,
-                                    layer.lowrank, reuse_store, counter)[0]
+                                    layer.lowrank, reuse_store, counter)
 
     def _step_att_core(self, layer: Layer, idx: int, session: DecodeSession,
                        reuse_store: Optional[dict] = None, counter=None

@@ -21,10 +21,6 @@ class SingularityError(ValueError):
     """A matrix that the chosen discretization must invert is singular."""
 
 
-class DiagonalizationError(ValueError):
-    """State matrix is defective or has a complex spectrum."""
-
-
 METHODS = ("euler", "bilinear", "zoh")
 
 # below this norm the ZOH factor (e^X - I) X^-1 switches to its series
@@ -237,34 +233,6 @@ def ssm_apply(s: T.Tensor, dssm: DiscreteSSM,
     if carry is not None:   # leaves the tape: the next call's constant
         carry[:] = [y.values[..., r * d:]]
     return T.concat(outs, axis=-2)
-
-
-def diagonalize(dssm: DiscreteSSM) -> DiscreteSSM:
-    """Change of basis making Abar diagonal; the input-output map is kept.
-
-    Only real spectra are accepted; complex or defective state matrices
-    are rejected rather than widened to complex arithmetic.
-    """
-    a = dssm.a_bar.values.astype(np.float64)
-    try:
-        lam, vecs = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:
-        raise DiagonalizationError(str(exc)) from None
-    if np.iscomplexobj(lam):
-        if np.max(np.abs(lam.imag)) > 1e-9 or np.max(np.abs(vecs.imag)) > 1e-9:
-            raise DiagonalizationError("state matrix has a complex spectrum")
-        lam, vecs = lam.real, vecs.real
-    try:
-        vinv = np.linalg.inv(vecs)
-    except np.linalg.LinAlgError:
-        raise DiagonalizationError("state matrix is defective") from None
-    resid = np.max(np.abs(vecs @ np.diag(lam) @ vinv - a))
-    if not np.isfinite(resid) or resid > 1e-6 * max(1.0, np.max(np.abs(a))):
-        raise DiagonalizationError("eigendecomposition residual too large")
-    return DiscreteSSM(T.Tensor(np.diag(lam)),
-                       T.matmul(dssm.b_bar, T.Tensor(vecs, dtype=np.float64)),
-                       T.matmul(T.Tensor(vinv, dtype=np.float64), dssm.c_bar),
-                       dssm.d_bar, dssm.method)
 
 
 # ---------------------------------------------------------------------------

@@ -1179,27 +1179,6 @@ def quantize_levels(x, spec: QuantSpec):
     return np.clip(r, spec.q_min, spec.q_max), saturated
 
 
-def quantize(x, spec: QuantSpec, stats: Optional[QuantStats] = None):
-    """Round x/s to the nearest integer (ties to even), saturating to range."""
-    levels, saturated = quantize_levels(x, spec)
-    if stats is not None:
-        stats.count += levels.size
-        stats.saturated += saturated
-    r = levels.astype(np.int64)
-    if np.isscalar(x) or r.ndim == 0:
-        return int(r)
-    return r
-
-
-def dequantize(r, spec: QuantSpec):
-    """Map integers back to floats: s * r."""
-    arr = np.asarray(r, dtype=np.float64)
-    out = spec.step * arr
-    if np.isscalar(r) or arr.ndim == 0:
-        return float(out)
-    return out
-
-
 _Q_MAX: dict = {}              # bits -> the largest level, a float64 0-d array
 
 

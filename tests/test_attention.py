@@ -97,29 +97,14 @@ def test_causal_future_perturbation_is_bitwise_invisible():
 
 
 def test_causal_mask_shapes():
-    m1 = A.causal_mask(1).additive
+    m1 = A.causal_mask(1)
     np.testing.assert_array_equal(m1, [[0.0]])
-    m4 = A.causal_mask(4).additive
+    m4 = A.causal_mask(4)
+    assert m4.shape == (4, 4) and m4.dtype == np.float64
     assert np.all(np.isneginf(m4[np.triu_indices(4, k=1)]))
     assert np.all(m4[np.tril_indices(4)] == 0.0)
     for i in range(4):
         assert np.count_nonzero(m4[i] == 0.0) == i + 1
-
-
-def test_local_prior_zero_gamma_is_vanilla():
-    rng = T.Rng(7)
-    q = T.Tensor(rng.gaussian((5, 4)), dtype=F64)
-    k = T.Tensor(rng.gaussian((5, 4)), dtype=F64)
-    v = T.Tensor(rng.gaussian((5, 4)), dtype=F64)
-    plain = A.qkv_attention(q, k, v)
-    primed = A.qkv_attention(q, k, v, A.local_prior("abs", 5, 0.0))
-    np.testing.assert_allclose(primed.values, plain.values, atol=1e-12)
-
-
-def test_local_prior_diagonal_is_free():
-    for kind, sigma in (("abs", None), ("gaussian", 2.0)):
-        spec = A.local_prior(kind, 6, 1.7, sigma=sigma)
-        np.testing.assert_array_equal(np.diag(spec.additive), 0.0)
 
 
 def test_sharp_gaussian_prior_pins_diagonal():
@@ -128,8 +113,8 @@ def test_sharp_gaussian_prior_pins_diagonal():
     q = T.Tensor(rng.gaussian((n, 4)), dtype=F64)
     k = T.Tensor(rng.gaussian((n, 4)), dtype=F64)
     v = T.Tensor(rng.gaussian((n, 4)), dtype=F64)
-    spec = A.local_prior("gaussian", n, 100.0, sigma=1.0).combine(A.causal_mask(n))
-    _, w = A.qkv_attention(q, k, v, spec, return_weights=True)
+    mask = O.gaussian_prior(n, 100.0, 1.0) + A.causal_mask(n)
+    _, w = A.qkv_attention(q, k, v, mask, return_weights=True)
     np.testing.assert_array_equal(np.argmax(w.values, axis=1), np.arange(n))
 
 
@@ -144,7 +129,7 @@ def window_mask(n, w, causal=True):
 
 def test_window_full_width_equals_causal():
     n = 6
-    np.testing.assert_array_equal(window_mask(n, n), A.causal_mask(n).additive)
+    np.testing.assert_array_equal(window_mask(n, n), A.causal_mask(n))
 
 
 def test_decoder_field_is_causal():
@@ -443,7 +428,7 @@ def test_multi_query_cache_is_tau_times_smaller():
     mh_cache, mq_cache = A.KVCache(layers), A.KVCache(layers)
     rng = T.Rng(51)
     for _ in range(steps):
-        x = T.Tensor(rng.gaussian((1, d)), dtype=F64)
+        x = T.Tensor(rng.gaussian((1, 1, d)), dtype=F64)
         for layer in range(layers):
             A.attend_step_cached(x, mh_cache, mh, layer)
             A.attend_step_cached(x, mq_cache, mq, layer)
@@ -465,8 +450,8 @@ def test_empty_cache_step_equals_length_one_attention():
     p = params_for(d, tau, seed=42)
     cache = A.KVCache(1)
     rng = T.Rng(43)
-    x = T.Tensor(rng.gaussian((1, d)), dtype=F64)
-    out, cache = A.attend_step_cached(x, cache, p, layer=0)
+    x = T.Tensor(rng.gaussian((1, 1, d)), dtype=F64)
+    out = A.attend_step_cached(x, cache, p, layer=0)
     want = A.self_attention(x, p)
     np.testing.assert_allclose(out.values, want.values, atol=1e-12)
     assert cache.length(0) == 1
@@ -480,9 +465,9 @@ def test_incremental_equals_full_recompute():
     full = A.self_attention(T.Tensor(h, dtype=F64), p, A.causal_mask(n)).values
     cache = A.KVCache(1)
     for i in range(n):
-        out, cache = A.attend_step_cached(T.Tensor(h[i:i + 1], dtype=F64),
-                                          cache, p, layer=0)
-        assert np.max(np.abs(out.values[0] - full[i])) < 1e-6
+        out = A.attend_step_cached(T.Tensor(h[None, i:i + 1], dtype=F64),
+                                   cache, p, layer=0)
+        assert np.max(np.abs(out.values[0, 0] - full[i])) < 1e-6
         assert cache.length(0) == i + 1
     assert cache.length(0) == n
 
@@ -496,16 +481,27 @@ def test_incremental_multi_query_equals_full():
                             A.causal_mask(n)).values
     cache = A.KVCache(1)
     for i in range(n):
-        out, cache = A.attend_step_cached(T.Tensor(h[i:i + 1], dtype=F64),
-                                          cache, p, layer=0)
-        assert np.max(np.abs(out.values[0] - full[i])) < 1e-6
+        out = A.attend_step_cached(T.Tensor(h[None, i:i + 1], dtype=F64),
+                                   cache, p, layer=0)
+        assert np.max(np.abs(out.values[0, 0] - full[i])) < 1e-6
 
 
 def test_cache_layer_out_of_range():
     p = params_for(4, 1)
     cache = A.KVCache(2)
     with pytest.raises(A.CacheLayerError):
-        A.attend_step_cached(T.zeros((1, 4), dtype=F64), cache, p, layer=2)
+        A.attend_step_cached(T.zeros((1, 1, 4), dtype=F64), cache, p, layer=2)
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (1, 1, 1, 4)])
+def test_cached_step_takes_only_a_row_block(shape):
+    """attend_step_cached takes the (rows, m, d) block the model passes;
+    a 2-d row or a 4-d input raises ShapeError and writes nothing."""
+    cache = A.KVCache(1)
+    with pytest.raises(T.ShapeError, match="rows, m, d"):
+        A.attend_step_cached(T.zeros(shape, dtype=F64), cache,
+                             params_for(4, 1), layer=0)
+    assert cache.length(0) == 0 and cache.rows(0) is None
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -534,9 +530,9 @@ def test_windowed_cached_step_restricts_positions():
     cache = A.KVCache(1, window=2)
     outs = []
     for i in range(4):
-        out, cache = A.attend_step_cached(T.Tensor(h[i:i + 1], dtype=F64),
-                                          cache, p, layer=0)
-        outs.append(out.values[0])
+        out = A.attend_step_cached(T.Tensor(h[None, i:i + 1], dtype=F64),
+                                   cache, p, layer=0)
+        outs.append(out.values[0, 0])
     q = T.matmul(T.Tensor(h, dtype=F64), p.wq)
     k = T.matmul(T.Tensor(h, dtype=F64), p.wk)
     v = T.matmul(T.Tensor(h, dtype=F64), p.wv)

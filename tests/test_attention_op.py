@@ -138,7 +138,7 @@ def assert_f32_bitwise(fn):
 # the op on its own
 # ---------------------------------------------------------------------------
 
-CAUSAL = A.causal_mask(5).additive
+CAUSAL = A.causal_mask(5)
 
 
 @pytest.mark.parametrize("n_kv", [4, 1], ids=["dense", "multi-query"])

@@ -136,33 +136,39 @@ def test_pe_shift_reconstruction_property(i, mu):
 
 
 # ---------------------------------------------------------------------------
-# embed_sequence
+# Model._embed_at, the embedding the model runs
 # ---------------------------------------------------------------------------
 
 
-def _table(vocab_size=9, d=6, seed=0):
-    return E.EmbeddingTable.init(vocab_size, d, T.Rng(seed), dtype=np.float64)
+def _model(d=6, **kw):
+    cfg = M.ModelConfig(d=d, n_layers=1, tau=1, d_ffn=8, **kw)
+    return M.Model.init(cfg, E.Vocab.from_text("abcde"), seed=0,
+                        dtype=np.float64)
 
 
 def test_embed_zero_pe_gives_raw_rows():
-    tab = _table()
-    out = E.embed_sequence([4, 2, 7], tab, pe=None)
-    np.testing.assert_array_equal(out.values, tab.weights.values[[4, 2, 7]])
+    m = _model()
+    m._pe_rows = np.zeros((8, 6))            # the position rows, zeroed
+    out = m._embed_at(np.array([4, 2, 7]), 0)
+    np.testing.assert_array_equal(out.values, m.embed.weights.values[[4, 2, 7]])
 
 
 def test_embed_zero_table_gives_pe():
-    tab = E.EmbeddingTable(T.zeros((9, 6), dtype=np.float64))
+    m = _model()
+    T.assign_(m.embed.weights, np.zeros((9, 6)))
     pe = E.SinusoidalPE(6)
-    out = E.embed_sequence([1, 2, 3], tab, pe)
-    np.testing.assert_allclose(out.values, pe.table(3), atol=1e-12)
+    np.testing.assert_allclose(m._embed_at(np.array([1, 2, 3]), 0).values,
+                               pe.table(3), atol=1e-12)
+    np.testing.assert_allclose(m._embed_at(np.array([1, 2, 3]), 5).values,
+                               pe.table(8, 5), atol=1e-12)
 
 
 def test_embed_matches_elementwise_sum():
-    tab = _table()
+    m = _model()
     pe = E.SinusoidalPE(6)
     ids = [5, 0, 8, 3]
-    out = E.embed_sequence(ids, tab, pe)
-    want = np.array([tab.weights.values[t] + pe.vector(j)
+    out = m._embed_at(np.array(ids), 0)
+    want = np.array([m.embed.weights.values[t] + pe.vector(j)
                      for j, t in enumerate(ids)])
     np.testing.assert_allclose(out.values, want, atol=1e-12)
 
@@ -179,18 +185,18 @@ def test_embed_scale_flag():
 
 
 def test_embed_out_of_range_id():
-    tab = _table(vocab_size=5)
-    with pytest.raises(E.VocabError):
-        E.embed_sequence([0, 5], tab)
+    m = _model()                             # ids 0..8
+    for ids in ([0, 9], [-1, 2]):
+        with pytest.raises(E.VocabError):
+            m._check_tokens(ids)
 
 
 def test_embed_gradient_reaches_table():
-    tab = _table()
-    pe = E.SinusoidalPE(6)
+    m = _model()
     with T.Tape():
-        out = E.embed_sequence([2, 2, 4], tab, pe)
+        out = m._embed_at(np.array([2, 2, 4]), 0)
         loss = out.sum()
-    g = T.backward(loss)[tab.weights].values
+    g = T.backward(loss)[m.embed.weights].values
     assert g[2].sum() == pytest.approx(12.0)  # row used twice, d=6
     assert g[4].sum() == pytest.approx(6.0)
     assert g[1].sum() == 0.0
@@ -208,35 +214,30 @@ def test_pad_flags():
 
 def test_rpr_center_row():
     t = E.RprTable.init(3, 4, T.Rng(1))
-    np.testing.assert_array_equal(t.lookup(5, 5, "k").values,
-                                  t.tables["k"].values[3])
+    # query 5 (key position 5) against key 5: offset 0, the centre row 3
+    assert t.offset_index_matrix(6, 6)[5, 5] == 3
 
 
 def test_rpr_clips_high():
     t = E.RprTable.init(3, 4, T.Rng(1))
     # offset 5 clips to +3, the last row
-    np.testing.assert_array_equal(t.lookup(0, 5, "q").values,
-                                  t.tables["q"].values[6])
+    assert t.offset_index_matrix(1, 6)[0, 5] == 6
 
 
 def test_rpr_clips_low():
     t = E.RprTable.init(3, 4, T.Rng(1))
     # offset -9 clips to -3, row 0
-    np.testing.assert_array_equal(t.lookup(9, 0, "v").values,
-                                  t.tables["v"].values[0])
+    assert t.offset_index_matrix(10, 1)[9, 0] == 0
 
 
 def test_rpr_shift_invariance():
     t = E.RprTable.init(2, 4, T.Rng(2))
+    rows = t.offset_index_matrix(12, 12)
     for i, j, c in [(0, 1, 5), (4, 2, 3), (1, 1, 7)]:
-        np.testing.assert_array_equal(t.lookup(i, j, "k").values,
-                                      t.lookup(i + c, j + c, "k").values)
-
-
-def test_rpr_disabled_role():
-    t = E.RprTable.init(2, 4, T.Rng(3), roles=("k", "v"))
-    with pytest.raises(E.RoleDisabledError):
-        t.lookup(0, 1, "q")
+        assert rows[i, j] == rows[i + c, j + c]
+    # a block whose first query sits at key position 5 reads rows 5..8
+    np.testing.assert_array_equal(t.offset_index_matrix(4, 12, q_start=5),
+                                  rows[5:9])
 
 
 def test_rpr_offset_index_matrix():

@@ -306,7 +306,7 @@ def test_head_split_and_merge_match_the_composite(shape, n):
 @pytest.mark.parametrize("mask", ["none", "array", "tensor"])
 def test_softmax_scale_matches_a_separate_multiply(mask):
     scale = 1.0 / np.sqrt(7.0)
-    causal = A.causal_mask(5).additive
+    causal = A.causal_mask(5)
 
     def masks(dtype):
         if mask == "none":

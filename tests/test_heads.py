@@ -142,7 +142,7 @@ def test_rpr_attention_matches_per_head(multi_query):
     mask = A.causal_mask(5)
     tables = [rpr.tables[r] for r in "qkv"]
     assert_same(lambda: p.merge(A.rpr_attention(*p.heads(z), rpr, mask)),
-                lambda: per_head(z, z, p, rpr_head(rpr, 5, mask.additive)),
+                lambda: per_head(z, z, p, rpr_head(rpr, 5, mask)),
                 [z] + att_leaves(p) + tables)
 
 
@@ -266,8 +266,8 @@ def test_chunk_prefix_core_matches_per_head():
     def cached():
         cache = A.KVCache(1)
         cache.write(0, k_prev[None], v_prev[None])
-        out, _ = A.attend_step_cached(T.reshape(z, (1, 3, 12)), cache,
-                                      layer.att, 0)
+        out = A.attend_step_cached(T.reshape(z, (1, 3, 12)), cache,
+                                   layer.att, 0)
         sink.append(cache.keys(0).values[0, 4:])
         return T.reshape(out, (3, 12))
 
@@ -293,9 +293,9 @@ def test_cached_decode_matches_per_head(multi_query, window):
         x = T.Tensor(xs[i:i + 1], dtype=F64)
         prefix = T.Tensor(xs[:i + 1], dtype=F64)
         before = cache.clone()
-        got, cache = A.attend_step_cached(x, cache, p, 0)
+        got = A.attend_step_cached(T.reshape(x, (1, 1, 12)), cache, p, 0)
         want = per_head(x, prefix, p, dense(additive))
-        assert np.max(np.abs(got.values - want.values)) < TOL
+        assert np.max(np.abs(got.values[0] - want.values)) < TOL
         held = i + 1 if window is None else min(i + 1, window)
         assert cache.keys(0).shape == (1, held, p.n_kv * p.d_head)
     # gradients of the last step: cached rows are constants, the new row
@@ -314,8 +314,12 @@ def test_cached_decode_matches_per_head(multi_query, window):
             return A.qkv_attention(q, k, v)
         return per_head(x, x, p, attend)
 
-    assert_same(lambda: A.attend_step_cached(x, before.clone(), p, 0)[0],
-                reference, [x] + att_leaves(p))
+    def cached():
+        out = A.attend_step_cached(T.reshape(x, (1, 1, 12)), before.clone(),
+                                   p, 0)
+        return T.reshape(out, (1, 12))
+
+    assert_same(cached, reference, [x] + att_leaves(p))
 
 
 def test_stream_decode_matches_per_head():

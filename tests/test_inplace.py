@@ -287,7 +287,7 @@ def cross_case(dtype):
 def float64_mask_case(dtype):
     """A float64 Tensor mask widens float32 scores: computed out of place."""
     x = qkv_leaf(dtype, m=6)
-    mask = T.Tensor(np.where(np.isinf(A.causal_mask(6).additive), -np.inf,
+    mask = T.Tensor(np.where(np.isinf(A.causal_mask(6)), -np.inf,
                              T.Rng(6).gaussian((6, 6))), dtype=F64,
                     trainable=True)
     return (lambda: T.attention(x, x, x, (4, 4), cols=fused_cols(),
@@ -302,7 +302,7 @@ def broadcast_mask_case(dtype):
     return (lambda: T.attention(q, q, q, (2, 2), mask=mask)), [q], [mask]
 
 
-CAUSAL = A.causal_mask(N).additive
+CAUSAL = A.causal_mask(N)
 ATTENTION_CASES = {
     "causal-65": self_case(CAUSAL),
     "window-8-float32-mask": self_case(A._step_mask(N, 0, 8).astype(F32)),

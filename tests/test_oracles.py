@@ -19,6 +19,64 @@ def test_family_names_are_unique_and_ordered():
     assert len(set(names)) == len(names)
 
 
+# every family's (name, tolerance, kind), as the suite must keep them
+PINNED_SPEC = [
+    ("matmul-loop", 1e-06, "err"),
+    ("sublayer-gradients", 0.001, "err"),
+    ("quantize-roundtrip", 1.0, "ratio"),
+    ("quantized-matmul-bound", 1.0, "ratio"),
+    ("pe-shift", 1e-09, "err"),
+    ("embed-plus-pe", 1e-09, "err"),
+    ("attention-loop", 1e-06, "err"),
+    ("head-permutation", 1e-09, "err"),
+    ("attention-composition", 1e-09, "err"),
+    ("gaussian-prior-argmax", 0.0, "count"),
+    ("rpr-loop", 1e-06, "err"),
+    ("multiquery-weight-copy", 1e-09, "err"),
+    ("cached-decode", 1e-06, "err"),
+    ("field-union", 0.0, "count"),
+    ("kernel-loop", 1e-06, "err"),
+    ("streaming-batch", 1e-06, "err"),
+    ("length-reduction-mean", 1e-09, "err"),
+    ("width-reduction-rank", 0.0, "count"),
+    ("discretization-order", 1e-09, "err"),
+    ("ssm-closed-form", 1e-06, "err"),
+    ("ssm-conv-vs-scan", 1e-06, "err"),
+    ("ssm-diagonal-kernel", 1e-09, "err"),
+    ("ssm-diagonalization", 1e-05, "err"),
+    ("eigen-reconstruction", 1e-06, "err"),
+    ("ln-moments", 1.0, "ratio"),
+    ("rk-exponential", 0.2, "ratio"),
+    ("dropout-expectation", 0.02, "ratio"),
+    ("moe-topk-sort", 0.0, "count"),
+    ("tied-stack-copy", 1e-09, "err"),
+    ("tied-gradient-sum", 1e-09, "err"),
+    ("padding-invariance", 1e-06, "err"),
+    ("pooling-padding", 1e-06, "err"),
+    ("logprob-stepwise", 1e-09, "err"),
+    ("similarity-triangle", 0.0, "count"),
+    ("schedule-shape", 0.0, "count"),
+    ("adam-quadratic", 0.001, "ratio"),
+    ("adam-trace", 1e-12, "err"),
+    ("chunk-no-gradient", 0.0, "count"),
+    ("chunk-manual-forward", 1e-09, "err"),
+    ("beam-greedy", 0.0, "count"),
+    ("beam-exhaustive", 1e-09, "err"),
+    ("beam-rescoring", 1e-06, "err"),
+    ("checkpoint-regeneration", 0.0, "count"),
+    ("quantized-agreement", 0.0, "count"),
+    ("quantized-bound", 1.0, "ratio"),
+    ("cli-smoke", 0.0, "count"),
+]
+
+
+def test_family_tolerances_and_kinds_are_pinned():
+    """The suite runs 46 families with these names, tolerances and kinds:
+    a family may change what it runs against, never how it is judged."""
+    assert [(n, t, k) for n, t, k, _ in O._SUITE] == PINNED_SPEC
+    assert len(PINNED_SPEC) == 46
+
+
 def test_tolerance_override_can_fail_a_family():
     reports = O.run_oracle_suite(seed=0, tolerances={"attention-loop": 0.0})
     by_name = {r.name: r for r in reports}

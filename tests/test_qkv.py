@@ -105,9 +105,6 @@ def reference_functions(blocks):
 
     def attend_step_cached(x, cache, params, layer, rpr=None, lowrank=None,
                            reuse=None, counter=None):
-        single = x.ndim == 2
-        if single:
-            x = T.reshape(x, (1,) + x.shape)
         wq, wk, wv = blocks(params)
         q, k_new, v_new = T.matmul(x, wq), T.matmul(x, wk), T.matmul(x, wv)
         k, v, back = cache.write(layer, k_new.values, v_new.values)
@@ -117,7 +114,7 @@ def reference_functions(blocks):
             A.split_heads(ending_in(k, k_new), params.n_kv),
             A.split_heads(ending_in(v, v_new), params.n_kv), mask, counter,
             rpr=rpr, lowrank=lowrank, reuse=reuse, q_start=back))
-        return (T.reshape(out, out.shape[1:]) if single else out), cache
+        return out
 
     def sublayer_apply(h_in, core, ln, cfg):
         beta, gamma = cfg.residual_weights()

@@ -538,6 +538,13 @@ def per_row_route(specs, bits, stats):
     in int64."""
     q_max = (1 << (bits - 1)) - 1
 
+    def levels(x, spec):                     # int64 levels, counted
+        q, saturated = T.quantize_levels(x, spec)
+        if stats is not None:
+            stats.count += q.size
+            stats.saturated += saturated
+        return q.astype(np.int64)
+
     def route(a, b, cols=None):
         if id(b) not in specs:
             return None
@@ -549,12 +556,12 @@ def per_row_route(specs, bits, stats):
             return T.Tensor(np.zeros(shape, dtype=dtype))
         if cols is not None and np.ndim(spec_b.step):
             spec_b = T.QuantSpec(spec_b.step[:, cols[0]:cols[1]], bits)
-        qb = T.quantize(wb, spec_b, stats)
+        qb = levels(wb, spec_b)
         out = []
         for row in a.values.reshape(-1, a.shape[-1]):
             top = float(np.max(np.abs(row)))
             spec_a = T.QuantSpec(top / q_max if top else 1.0, bits)
-            acc = (T.quantize(row[None], spec_a, stats) @ qb).astype(F64)
+            acc = (levels(row[None], spec_a) @ qb).astype(F64)
             out.append((spec_a.step * spec_b.step) * acc)
         return T.Tensor(np.concatenate(out).reshape(shape).astype(dtype))
 

@@ -438,53 +438,12 @@ def test_method_consistency_as_dt_shrinks():
 # ---------------------------------------------------------------------------
 
 
-def test_diagonal_input_unchanged_up_to_ordering():
-    d = random_dssm(2, 4, seed=22)
-    dd = S.diagonalize(d)
-    np.testing.assert_allclose(np.sort(np.diagonal(dd.a_bar.values)),
-                               np.sort(np.diagonal(d.a_bar.values)), atol=1e-12)
-
-
-def test_diagonalized_model_matches_original():
-    rng = T.Rng(23)
-    g = rng.gaussian((5, 5)) * 0.3
-    a_sym = (g + g.T) / 2.0  # symmetric: guaranteed real spectrum
-    d = S.DiscreteSSM(T.Tensor(a_sym, dtype=F64),
-                      T.Tensor(rng.gaussian((2, 5)), dtype=F64),
-                      T.Tensor(rng.gaussian((5, 2)), dtype=F64),
-                      T.Tensor(np.eye(2), dtype=F64), "euler")
-    dd = S.diagonalize(d)
-    s = rng.gaussian((16, 2))
-    assert np.max(np.abs(scan_np(dd, s) - scan_np(d, s))) < 1e-5
-    off_diag = dd.a_bar.values - np.diag(np.diagonal(dd.a_bar.values))
-    np.testing.assert_allclose(off_diag, 0.0, atol=1e-12)
-
-
 def test_eigendecomposition_reconstruction():
     rng = T.Rng(24)
     g = rng.gaussian((4, 4))
     a = (g + g.T) / 2.0
     lam, v = np.linalg.eig(a)
     assert np.max(np.abs(v @ np.diag(lam) @ np.linalg.inv(v) - a)) < 1e-6
-
-
-def test_complex_spectrum_rejected():
-    rot = np.array([[0.0, 1.0], [-1.0, 0.0]])  # eigenvalues +-i
-    d = S.DiscreteSSM(T.Tensor(rot, dtype=F64), T.Tensor(np.ones((1, 2)), dtype=F64),
-                      T.Tensor(np.ones((2, 1)), dtype=F64),
-                      T.Tensor(np.eye(1), dtype=F64), "euler")
-    with pytest.raises(S.DiagonalizationError):
-        S.diagonalize(d)
-
-
-def test_defective_matrix_rejected():
-    jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
-    d = S.DiscreteSSM(T.Tensor(jordan, dtype=F64),
-                      T.Tensor(np.ones((1, 2)), dtype=F64),
-                      T.Tensor(np.ones((2, 1)), dtype=F64),
-                      T.Tensor(np.eye(1), dtype=F64), "euler")
-    with pytest.raises(S.DiagonalizationError):
-        S.diagonalize(d)
 
 
 # ---------------------------------------------------------------------------

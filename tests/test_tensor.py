@@ -117,7 +117,7 @@ PRINTED_ROWS = np.array([
 ])
 
 
-def causal_additive(n):
+def causal_mask(n):
     m = np.zeros((n, n))
     m[np.triu_indices(n, k=1)] = -np.inf
     return m
@@ -125,7 +125,7 @@ def causal_additive(n):
 
 def test_softmax_printed_causal_example():
     out = T.softmax_rows(T.Tensor(PRINTED_LOGITS, dtype=np.float64),
-                         causal_additive(4))
+                         causal_mask(4))
     assert np.max(np.abs(out.values - PRINTED_ROWS)) <= 0.05
     # masked cells are exactly zero, not merely small
     assert np.all(out.values[np.triu_indices(4, k=1)] == 0.0)
@@ -364,39 +364,41 @@ def test_tensor_values_read_only():
 # ---------------------------------------------------------------------------
 
 
+def roundtrip(x, spec):
+    """x through the quantizer and back: its levels times the step."""
+    return T.quantize_levels(x, spec)[0] * spec.step
+
+
 def test_quantize_worked_example():
     spec = T.QuantSpec(step=0.5, bits=8)
-    assert T.quantize(1.3, spec) == 3
-    assert T.dequantize(3, spec) == pytest.approx(1.5)
+    assert T.quantize_levels(1.3, spec) == (3, 0)
+    assert roundtrip(1.3, spec) == 1.5
 
 
 def test_quantize_zero():
     spec = T.QuantSpec(step=0.25, bits=8)
-    assert T.quantize(0.0, spec) == 0
-    assert T.dequantize(0, spec) == 0.0
+    assert T.quantize_levels(0.0, spec) == (0, 0)
+    assert roundtrip(0.0, spec) == 0.0
 
 
 def test_quantize_round_half_to_even():
     spec = T.QuantSpec(step=0.5, bits=8)
-    assert T.quantize(0.75, spec) == 2   # 1.5 rounds to even 2
-    assert T.quantize(1.25, spec) == 2   # 2.5 rounds to even 2
-    assert T.quantize(-0.75, spec) == -2
+    levels, _ = T.quantize_levels([0.75, 1.25, -0.75], spec)
+    # 1.5 and 2.5 both round to the even 2
+    np.testing.assert_array_equal(levels, [2, 2, -2])
 
 
 def test_quantize_saturates_and_counts():
     spec = T.QuantSpec(step=1.0, bits=4)  # range [-8, 7]
-    stats = T.QuantStats()
-    assert T.quantize(100.0, spec, stats) == 7
-    assert T.quantize(-100.0, spec, stats) == -8
-    assert T.quantize(3.0, spec, stats) == 3
-    assert stats.count == 3
-    assert stats.saturated == 2
+    levels, saturated = T.quantize_levels([100.0, -100.0, 3.0], spec)
+    np.testing.assert_array_equal(levels, [7, -8, 3])
+    assert saturated == 2
 
 
 def test_quantize_roundtrip_sweep():
     spec = T.QuantSpec(step=2.0 / (2 ** 8 - 1), bits=8)
     x = T.Rng(4).uniform((10_000,), -1.0, 1.0)
-    err = np.abs(T.dequantize(T.quantize(x, spec), spec) - x)
+    err = np.abs(roundtrip(x, spec) - x)
     assert err.max() <= spec.step / 2 + 1e-12
 
 
@@ -404,7 +406,7 @@ def test_quantize_roundtrip_sweep():
 @given(st.floats(min_value=-1.0, max_value=1.0, allow_nan=False))
 def test_quantize_roundtrip_property(x):
     spec = T.QuantSpec(step=2.0 / 255, bits=8)
-    assert abs(T.dequantize(T.quantize(x, spec), spec) - x) <= spec.step / 2 + 1e-12
+    assert abs(roundtrip(x, spec) - x) <= spec.step / 2 + 1e-12
 
 
 def test_quantized_matmul_zeros():
@@ -439,9 +441,14 @@ def test_quantized_matmul_error_bound():
 
 def int64_quantized_matmul(a, b, spec_a, spec_b, stats):
     """The integer reference: int64 levels, int64 accumulation."""
-    qa = T.quantize(a, spec_a, stats)
-    qb = T.quantize(b, spec_b, stats)
-    return (spec_a.step * spec_b.step) * (qa @ qb).astype(np.float64)
+    def levels(x, spec):
+        q, saturated = T.quantize_levels(x, spec)
+        stats.count += q.size
+        stats.saturated += saturated
+        return q.astype(np.int64)
+
+    acc = levels(a, spec_a) @ levels(b, spec_b)
+    return (spec_a.step * spec_b.step) * acc.astype(np.float64)
 
 
 @pytest.mark.parametrize("bits", [8, 16])
