@@ -4,10 +4,10 @@ Two families live here: kernelized attention (a separable feature map
 replaces the exponential, so the n x n weight matrix is never formed)
 and low-rank reductions of the key/value length or the query/key width.
 
-Causal kernelized attention is a recurrence over the prefix sums
-mu = sum phi(k)^T v and nu = sum phi(k). One function computes it for a
-whole sequence and for a decode step: a step passes the sums of the
-positions before its block as ``carry`` and gets back the sums after it.
+Causal kernelized attention runs in the SSM's block form: blocks of up
+to ``ssm.BLOCK`` positions, each a masked product inside the block plus
+the sums mu = sum phi(k)^T v and nu = sum phi(k) of the positions before
+it. One loop serves a whole sequence, a carried span and a decode step.
 """
 
 from dataclasses import dataclass
@@ -17,6 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import OpCounter
+from .ssm import BLOCK
 
 
 class DegenerateQueryError(ValueError):
@@ -61,7 +62,7 @@ class FeatureMap:
 
 
 def _check_denominator(den: np.ndarray):
-    if np.any(den <= 0):
+    if (den <= 0).any():
         bad = int(np.argmax(den.reshape(-1) <= 0))
         raise DegenerateQueryError(
             f"nonpositive kernel denominator at query row {bad}; "
@@ -73,58 +74,64 @@ def kernelized_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor,
                          causal: bool = False,
                          counter: Optional[OpCounter] = None,
                          carry: Optional[List[np.ndarray]] = None) -> T.Tensor:
-    """Attention via the reassociated product D^-1 (Q' (K'^T V)).
-
-    The causal variant never masks the factored product (that is not
-    possible after reassociation); it uses per-position prefix sums
-    mu = sum phi(k)^T v and nu = sum phi(k) instead. q, k and v are
-    (..., n, d); leading axes are independent sequences.
+    """Attention via the reassociated product D^-1 (Q' (K'^T V)), Q' =
+    phi(Q), K' = phi(K); q, k and v are (..., n, d), leading axes
+    independent sequences. With V1 = [V | 1] one product gives numerators
+    and denominators, and the sums [mu | nu] are M = K'^T V1: a non-causal
+    pass returns Q' M over every key. A causal block of up to ``BLOCK``
+    positions entered with the sums M of the positions before it has
+    outputs Q'_b M + tril(Q'_b K'_b^T) V1_b and leaves M + K'_b^T V1_b.
 
     ``carry`` continues a causal sequence: the list [mu, nu] holds the
-    sums over the positions before this block, (..., d', d_v) and
-    (..., d'), which enter as constants; the call replaces them with the
-    sums after the block. Without it the sums start at zero.
+    sums before this call, (..., d', d_v) and (..., d'), which enter as
+    constants; once every denominator is positive the call replaces them
+    with the sums after it. Without it the sums start at zero.
     """
     phi = phi or FeatureMap()
-    if q.ndim < 2 or q.ndim != k.ndim or k.ndim != v.ndim:
-        raise T.ShapeError("kernelized attention expects q, k, v of one rank >= 2")
-    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
+    if q.ndim < 2 or q.ndim != k.ndim or k.ndim != v.ndim or q.shape[-2] == 0:
+        raise T.ShapeError("kernelized attention needs q, k, v of one rank >= 2, n >= 1")
+    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2] or (
+            causal and k.shape[-2] != q.shape[-2]):
         raise T.ShapeError(
             f"inconsistent shapes {q.shape}, {k.shape}, {v.shape}")
     if carry is not None and not causal:
         raise ValueError("only causal kernel attention carries prefix sums")
-    lead = q.shape[:-2]
     n, d_p = q.shape[-2:]
     d_v = v.shape[-1]
-    n_seq = int(np.prod(lead))
-    qp = phi(q)
-    kp = phi(k)
+    qp, kp = phi(q), phi(k)
+    v1 = T.relayout(v, lambda x: np.concatenate(
+        [x, np.ones(x.shape[:-1] + (1,), x.dtype)], axis=-1),
+        lambda g: g[..., :d_v])
+    sums, w = None, n                    # non-causal: one block, every key
     if causal:
-        if k.shape[-2] != n:
-            raise T.ShapeError("causal kernel attention needs square q/k")
-        outer = T.reshape(kp, lead + (n, d_p, 1)) * T.reshape(v, lead + (n, 1, d_v))
-        mu = T.cumsum(outer, axis=-3)                      # prefix k'^T v
-        nu = T.cumsum(kp, axis=-2)                         # prefix k'^T
-        if carry is not None:
-            mu_0, nu_0 = carry
-            mu = mu + T.Tensor(mu_0[..., None, :, :])
-            nu = nu + T.Tensor(nu_0[..., None, :])
-        numer = T.reduce_sum(T.reshape(qp, lead + (n, d_p, 1)) * mu, axis=-2)
-        den = T.reduce_sum(qp * nu, axis=-1, keepdims=True)
+        w = min(n, BLOCK)
+        sums = T.Tensor(
+            np.zeros(kp.shape[:-2] + (d_p, d_v + 1), kp.dtype) if carry is None
+            else np.concatenate([carry[0], carry[1][..., None]], axis=-1))
+    outs = []
+    for lo in range(0, n, w):
+        r = min(w, n - lo)
+        rows = (Ellipsis, slice(lo, lo + r), slice(None))
+        q_b, k_b, v_b = (x if r == n else T.take(x, rows) for x in (qp, kp, v1))
+        k_t = T.transpose(k_b)
+        kv = T.matmul(k_t, v_b)
+        after = kv if sums is None else sums + kv
+        if causal and r > 1:             # a query sees the keys up to its own
+            outs.append(T.matmul(q_b, sums) + T.matmul(
+                T.relayout(T.matmul(q_b, k_t), np.tril, np.tril), v_b))
+        else:                            # every key of the block is visible
+            outs.append(T.matmul(q_b, after))
+        sums = after
         if counter is not None:
-            counter.add(n_seq * (n * d_p * d_v * 2 + n * d_p))
-    else:
-        kv = T.matmul(T.transpose(kp), v)                  # d' x d_v once
-        numer = T.matmul(qp, kv)
-        ksum = T.reduce_sum(kp, axis=-2, keepdims=True)
-        den = T.matmul(qp, T.transpose(ksum))
-        if counter is not None:
-            counter.add(n_seq * (k.shape[-2] * d_p * d_v + n * d_p * d_v
-                                 + n * d_p))
+            inner = r * r * (d_p + d_v + 1) if causal and r > 1 else 0
+            counter.add(int(np.prod(q.shape[:-2]))
+                        * ((k_b.shape[-2] + r) * d_p * (d_v + 1) + inner))
+    y = T.concat(outs, axis=-2)
+    den = T.take(y, (Ellipsis, slice(d_v, None)))
     _check_denominator(den.values)
-    if carry is not None:
-        carry[:] = [mu.values[..., -1, :, :].copy(), nu.values[..., -1, :].copy()]
-    return numer / den
+    if carry is not None:   # leaves the tape: the next call's constants
+        carry[:] = [sums.values[..., :d_v], sums.values[..., d_v]]
+    return T.take(y, (Ellipsis, slice(0, d_v))) / den
 
 
 # ---------------------------------------------------------------------------

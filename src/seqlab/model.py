@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -21,8 +21,8 @@ from . import efficient as EF
 from . import ssm as S
 from . import tensor as T
 from .config import Config
-from .embedding import (CLS, PAD, SOS, EmbeddingTable, RprTable, SinusoidalPE,
-                        Vocab, VocabError, pad_flags)
+from .embedding import (CLS, SOS, EmbeddingTable, RprTable, SinusoidalPE, Vocab,
+                        VocabError, pad_flags)
 
 
 StateError = A.StateError

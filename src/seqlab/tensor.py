@@ -45,8 +45,8 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from functools import partial
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -180,9 +180,6 @@ class Tensor:
 
     def reshape(self, *shape):
         return reshape(self, *shape)
-
-    def cumsum(self, axis):
-        return cumsum(self, axis)
 
 
 _new_tensor = object.__new__
@@ -623,16 +620,6 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     if idx.dtype.kind not in "iu":
         raise TypeError("gather_rows needs integer indices")
     return take(a, idx)
-
-
-def cumsum(a: Tensor, axis: int) -> Tensor:
-    out = np.cumsum(a.values, axis=axis)
-
-    def grad_fn(g):
-        rev = np.flip(g, axis=axis)
-        return (np.flip(np.cumsum(rev, axis=axis), axis=axis),)
-
-    return _emit(out, (a,), grad_fn)
 
 
 def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:

@@ -258,7 +258,10 @@ def test_bench_counters_scale_as_expected(tmp_path):
     # the window pass computes blocks of 8 queries over 16 keys (2 heads
     # of width 8, logits and values): 16 * 2 * 16 * 8 * 2 at 16 positions,
     # twice that at 32; an SSM block of 16 positions is one
-    # (16 + d_state)^2 product per column, so its work is linear in length
+    # (16 + d_state)^2 product per column, so its work is linear in length;
+    # a linear-attention block of 16 (2 heads, d' = 8 and V with its column
+    # of ones, 9 wide) is per head the masked scores and their product with
+    # V, 16 * 16 * (8 + 9), plus the sums read and carried, 2 * 16 * 8 * 9
     assert C.main(["bench", "--variants", "dense,window,linear,lowrank-d,ssm",
                    "--lengths", "16,32", "--d", "16", "--out", str(out)]) == 0
     rows = [line.split(",") for line in
@@ -267,11 +270,12 @@ def test_bench_counters_scale_as_expected(tmp_path):
     assert ops == {
         ("dense", 16): 8192, ("dense", 32): 32768,
         ("window", 16): 8192, ("window", 32): 16384,
-        ("linear", 16): 4352, ("linear", 32): 8704,
+        ("linear", 16): 13312, ("linear", 32): 26624,
         ("lowrank-d", 16): 6144, ("lowrank-d", 32): 24576,
         ("ssm", 16): 16 * (16 + 16) ** 2, ("ssm", 32): 2 * 16 * (16 + 16) ** 2}
     assert ops["ssm", 32] == 2 * ops["ssm", 16]
     assert ops["window", 32] == 2 * ops["window", 16]
+    assert ops["linear", 32] == 2 * ops["linear", 16]
 
 
 def test_oracle_subcommand_writes_csv(tmp_path):

@@ -1,13 +1,19 @@
-"""Kernelized attention (whole sequences and carried prefix sums) and
-low-rank reductions."""
+"""Kernelized attention (whole sequences, carried spans, and the block
+form against the per-position prefix sums it replaced) and low-rank
+reductions."""
 
 import numpy as np
 import pytest
 
 from seqlab import attention as A
 from seqlab import efficient as EF
+from seqlab import model as M
 from seqlab import oracles as O
+from seqlab import runtime as R
 from seqlab import tensor as T
+from seqlab.embedding import Vocab
+
+from test_model import DECODE_VARIANTS
 
 F64 = np.float64
 ALL_MAPS = [EF.FeatureMap(k) for k in EF.FEATURE_KINDS]
@@ -93,14 +99,15 @@ def test_kernel_gradient_vs_finite_difference():
 
 def test_work_counter_is_linear_in_n():
     d = 8
-    ratios = []
-    for n in (16, 32, 64):
-        q, k, v = (T.Tensor(rand((n, d), s), dtype=F64) for s in (11, 12, 13))
-        c = A.OpCounter()
-        EF.kernelized_attention(q, k, v, causal=True, counter=c)
-        ratios.append(c.multiply_adds / (n * d * d))
-    for r in ratios[1:]:
-        assert abs(r - ratios[0]) <= 0.1 * ratios[0]
+    for causal in (True, False):
+        ratios = []
+        for n in (16, 32, 64):
+            q, k, v = (T.Tensor(rand((n, d), s), dtype=F64) for s in (11, 12, 13))
+            c = A.OpCounter()
+            EF.kernelized_attention(q, k, v, causal=causal, counter=c)
+            ratios.append(c.multiply_adds / (n * d * d))
+        for r in ratios[1:]:
+            assert abs(r - ratios[0]) <= 0.1 * ratios[0]
     # dense comparison point: quadratic in n
     c_dense = A.OpCounter()
     n = 64
@@ -167,6 +174,132 @@ def test_stream_zero_denominator():
                                 carry=carry)
     # a refused block leaves the carried sums as they were
     assert not carry[0].any() and not carry[1].any()
+
+
+# ---------------------------------------------------------------------------
+# the block form against the per-position prefix sums it replaced
+# ---------------------------------------------------------------------------
+
+
+def pinned_kernelized_attention(q, k, v, phi=None, causal=False, counter=None,
+                                carry=None):
+    """kernelized_attention as it was before the block form: a causal pass
+    built the (..., n, d', d_v) outer products phi(k)^T v and took their
+    prefix sums position by position (T.cumsum then; a loop of taped adds
+    in the same order here, so values and gradients are the old bits).
+    ``counter`` is accepted and ignored."""
+    phi = phi or EF.FeatureMap()
+    lead = q.shape[:-2]
+    n, d_p = q.shape[-2:]
+    d_v = v.shape[-1]
+    qp, kp = phi(q), phi(k)
+    if not causal:
+        numer = T.matmul(qp, T.matmul(T.transpose(kp), v))
+        ksum = T.reduce_sum(kp, axis=-2, keepdims=True)
+        den = T.matmul(qp, T.transpose(ksum))
+        EF._check_denominator(den.values)
+        return numer / den
+
+    def prefix(x, axis):
+        at = lambda i: (Ellipsis, slice(i, i + 1)) + (slice(None),) * (-1 - axis)
+        sums = [T.take(x, at(0))]
+        for i in range(1, n):
+            sums.append(sums[-1] + T.take(x, at(i)))
+        return T.concat(sums, axis=axis)
+
+    outer = T.reshape(kp, lead + (n, d_p, 1)) * T.reshape(v, lead + (n, 1, d_v))
+    mu, nu = prefix(outer, -3), prefix(kp, -2)
+    if carry is not None:
+        mu = mu + T.Tensor(carry[0][..., None, :, :])
+        nu = nu + T.Tensor(carry[1][..., None, :])
+    numer = T.reduce_sum(T.reshape(qp, lead + (n, d_p, 1)) * mu, axis=-2)
+    den = T.reduce_sum(qp * nu, axis=-1, keepdims=True)
+    EF._check_denominator(den.values)
+    if carry is not None:
+        carry[:] = [mu.values[..., -1, :, :].copy(), nu.values[..., -1, :].copy()]
+    return numer / den
+
+
+# float64: the largest difference measured is 3.2e-15 (values and gradients,
+# relative to max(1, largest entry)); float32: 3.0e-7 on values and 7.2e-7
+# on gradients, so 2e-6 is pinned
+TOL = {np.float64: 1e-12, np.float32: 2e-6}
+
+
+def off(a, b):
+    return float(np.max(np.abs(a - b)) / max(1.0, np.max(np.abs(b))))
+
+
+def values_and_grads(fn, xs, dtype, probe, **kw):
+    leaves = [T.Tensor(x, dtype=dtype, trainable=True) for x in xs]
+    with T.Tape():
+        out = fn(*leaves, **kw)
+        grads = T.backward(T.reduce_sum(out * T.Tensor(probe, dtype=dtype)))
+    return [out.values] + [grads[x].values for x in leaves]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("phi", ALL_MAPS, ids=EF.FEATURE_KINDS)
+@pytest.mark.parametrize("shape,causal", [
+    ((1, 6), True), ((15, 6), True), ((16, 6), True), ((17, 6), True),
+    ((64, 6), True), ((2, 3, 37, 6), True),            # (..., tau, m, d_h)
+    ((1, 6), False), ((17, 6), False), ((2, 3, 37, 6), False)])
+def test_block_form_equals_the_pinned_prefix_sums(shape, causal, phi, dtype):
+    xs = [rand(shape, s) + 1.0 for s in (41, 42, 43)]  # relu rows stay > 0
+    probe = rand(shape, 44)
+    got = values_and_grads(EF.kernelized_attention, xs, dtype, probe,
+                           phi=phi, causal=causal)
+    want = values_and_grads(pinned_kernelized_attention, xs, dtype, probe,
+                            phi=phi, causal=causal)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and off(g, w) < TOL[dtype]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("phi", ALL_MAPS, ids=EF.FEATURE_KINDS)
+def test_carried_spans_equal_the_pinned_prefix_sums(phi, dtype):
+    """Spans that start and end inside blocks of 16, a lone position
+    among them, carry the same sums and gradients as before."""
+    lead, n, d = (2, 3), 41, 5
+    xs = [rand(lead + (n, d), s) + 1.0 for s in (45, 46, 47)]
+    probe = rand(lead + (n, d), 48)
+    cuts = [0, 5, 21, 40, 41]
+    carries = [[np.zeros(lead + (d, d), dtype), np.zeros(lead + (d,), dtype)]
+               for _ in range(2)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        span = [x[..., lo:hi, :] for x in xs]
+        got, want = (values_and_grads(fn, span, dtype, probe[..., lo:hi, :],
+                                      phi=phi, causal=True, carry=carry)
+                     for fn, carry in zip((EF.kernelized_attention,
+                                           pinned_kernelized_attention),
+                                          carries))
+        for g, w in zip(got, want):
+            assert off(g, w) < TOL[dtype]
+        for g, w in zip(*carries):
+            assert g.shape == w.shape and off(g, w) < TOL[dtype]
+
+
+LINEAR = [kw for kw in DECODE_VARIANTS if kw.get("attention") == "linear"]
+VOCAB = Vocab.from_text("abcdefgh")
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("kw", LINEAR, ids=[str(sorted(k.items())) for k in LINEAR])
+def test_search_tokens_equal_the_pinned_prefix_sums(kw, dtype, monkeypatch):
+    """A prompt block of 8 positions, then one-id steps (greedy) or
+    batched rows (beam-4) past the first block of 16."""
+    model = M.Model.init(M.ModelConfig(d=16, n_layers=2, tau=2, d_ffn=32, **kw),
+                         VOCAB, seed=0, dtype=dtype)
+    prompt = VOCAB.encode("cabbage")
+
+    def search():
+        greedy = R.greedy_generate(model, prompt, R.SearchConfig(n_max=20))
+        beam = R.beam_search(model, prompt, R.SearchConfig(beam=4, n_max=20))
+        return greedy, [h.tokens for h in beam]
+
+    got = search()
+    monkeypatch.setattr(EF, "kernelized_attention", pinned_kernelized_attention)
+    assert got == search()
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """The verification suite itself: every family green, failures reported."""
 
 import numpy as np
-import pytest
 
 import seqlab.oracles as O
 

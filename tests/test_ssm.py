@@ -439,11 +439,22 @@ def test_method_consistency_as_dt_shrinks():
 
 
 def test_eigendecomposition_reconstruction():
+    """The system in its eigenbasis, stepped one position at a time through
+    ``carry``, gives the dense system's full pass."""
     rng = T.Rng(24)
     g = rng.gaussian((4, 4))
-    a = (g + g.T) / 2.0
-    lam, v = np.linalg.eig(a)
-    assert np.max(np.abs(v @ np.diag(lam) @ np.linalg.inv(v) - a)) < 1e-6
+    dense = S.DiscreteSSM(T.Tensor(0.3 * (g + g.T) / 2.0),
+                          T.Tensor(rng.gaussian((2, 4))),
+                          T.Tensor(rng.gaussian((4, 2))),
+                          T.Tensor(rng.gaussian((2, 2))), "zoh")
+    diag = O.diagonalize(dense)
+    assert np.count_nonzero(diag.a_bar.values - np.diag(np.diagonal(
+        diag.a_bar.values))) == 0
+    s = rng.gaussian((20, 2))
+    carry = [np.zeros((1, 4))]
+    steps = [S.ssm_apply(T.Tensor(s[t:t + 1]), diag, carry).values
+             for t in range(len(s))]
+    assert np.max(np.abs(np.vstack(steps) - scan_np(dense, s))) < 1e-10
 
 
 # ---------------------------------------------------------------------------
