@@ -4,19 +4,21 @@ One scaled-dot-product core, the fused op ``tensor.attention``, drives
 everything: multi-head self and cross attention, causal masking,
 blocked sliding-window attention, cached attention of a block of new
 positions over a history, and ``qkv_attention`` on heads split
-beforehand. Multi-query attention is not a separate form: a block with
-one key/value head has a narrower W^qkv, and the same op serves it. It
-cuts Q, K and V into heads as views of column blocks of its inputs, and
-returns the heads merged, in one op; relative-position, low-rank and
-map-reuse attention split heads themselves and go through
-``attend_heads``.
+beforehand. It cuts Q, K and V into heads as views of column blocks of
+its inputs, and returns the heads merged, in one op. Multi-query
+attention (one key/value head), width reduction (lowrank-d:
+``reduce_width`` maps the block's own query and key heads to Q U^q and
+K U^kd, which the op scores at the full heads' 1/sqrt(d_h)) and map
+reuse (the first layer's op hands out its weights; a later layer
+projects V alone and its op applies them) all run through the same op.
+Relative-position attention is the one composite left (rpr_attention).
 
 Each block's Q, K and V projections are column blocks of one matrix
 W^qkv: self-attention projects with one product and attends over the
 result's columns; cross attention multiplies the decoder rows by the
 query columns and the encoder rows by the key/value columns; a cached
-step writes its key/value columns into the KV cache and reads the cached
-keys and values in place.
+step writes its key and value columns into the KV cache and reads the
+cached rows in place.
 
 Every ``mask`` argument is None, or an additive array or Tensor on the
 scaled logits, Softmax(Q K^T / sqrt(d_h) + Mask) V: -inf where a pair is
@@ -37,6 +39,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import efficient as EF
 from . import tensor as T
 from .embedding import RprTable
 
@@ -105,23 +108,18 @@ def qkv_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor, mask=None,
     mask applies to every leading index alike. The scale defaults to the
     square root of the key width actually passed in, so per-head calls
     are scaled by their own head width. Every output row is a convex
-    combination of value rows. One ``tensor.attention`` op computes it;
-    ``return_weights`` (map reuse keeps the first layer's weights) runs
-    the composite of scores, softmax_rows and weighted values instead.
+    combination of value rows. One ``tensor.attention`` op computes it,
+    and raises ShapeError on inputs that do not fit; ``return_weights``
+    also returns the op's (..., m, n) weights.
     """
-    if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
-        raise T.ShapeError("qkv_attention expects Q, K, V with at least 2 axes")
-    if q.shape[-1] != k.shape[-1]:
-        raise T.ShapeError("query/key widths differ")
-    if k.shape[-2] != v.shape[-2]:
-        raise T.ShapeError("key/value row counts differ")
     d_h = q.shape[-1]
     if scale is None:
         scale = float(np.sqrt(d_h))
     if return_weights:
-        weights = T.softmax_rows(T.matmul(q, T.transpose(k)), mask,
-                                 1.0 / scale)
-        out = T.matmul(weights, v)
+        out, weights = T.attention(q, k, v, mask=mask, scale=1.0 / scale,
+                                   keep=True)
+        # one head: drop its axis
+        weights = T.reshape(weights, weights.shape[:-3] + weights.shape[-2:])
     else:
         out = T.attention(q, k, v, mask=mask, scale=1.0 / scale)
     _tally(counter, out.shape[:-1], k.shape[-2], d_h, v.shape[-1])
@@ -175,7 +173,9 @@ class AttentionParams:
     with d_h = d/tau. W^k and W^v are n_kv*d_h wide, and n_kv is read from
     that width: tau key/value heads, or one shared head that broadcasts
     over the tau query heads (multi-query attention). W_c (d, d) transforms
-    the merged heads. ``wq``, ``wk`` and ``wv`` read W^qkv's blocks.
+    the merged heads. ``wq``, ``wk`` and ``wv`` read W^qkv's blocks. With
+    ``reduce`` set (LowRankProjections u_q, u_kd), query and key heads are
+    reduced after the product (see _attend).
     """
 
     def __init__(self, d: int, tau: int, w_qkv: T.Tensor, w_out: T.Tensor):
@@ -194,6 +194,7 @@ class AttentionParams:
         self.cols = qkv_blocks(w_qkv.shape)
         self.q_cols, self.k_cols, self.v_cols = self.cols
         self.head_counts = tau, self.n_kv       # query heads, key/value heads
+        self.reduce = None                      # lowrank-d's (u_q, u_kd)
 
     @classmethod
     def from_blocks(cls, d: int, tau: int, wq: T.Tensor, wk: T.Tensor,
@@ -240,10 +241,6 @@ class AttentionParams:
         w_out = T.xavier_init(d, d, gain=gain, rng=rng, dtype=dtype)
         return cls(d, tau, T.Tensor(w_qkv, trainable=True), w_out)
 
-    def qkv(self, x: T.Tensor) -> T.Tensor:
-        """x W^qkv: fused Q, K and V side by side, (..., m, d + 2*n_kv*d_h)."""
-        return T.matmul(x, self.w_qkv)
-
     def split(self, qkv: T.Tensor, history: tuple = (None, None)):
         """Fused projections cut into heads: (..., tau | n_kv, m, d_h); with
         ``history``, keys and values read from cached rows as split_heads
@@ -253,8 +250,8 @@ class AttentionParams:
                 split_heads(qkv, self.n_kv, self.v_cols, history[1]))
 
     def heads(self, x: T.Tensor):
-        """Head-split Q, K, V of x attending over itself."""
-        return self.split(self.qkv(x))
+        """Head-split Q, K, V of x attending over itself: one product."""
+        return self.split(T.matmul(x, self.w_qkv))
 
     def merge(self, heads: T.Tensor) -> T.Tensor:
         """Concatenate per-head outputs (..., tau, m, d_h) and apply W_c."""
@@ -274,70 +271,72 @@ class AttentionParams:
 # ---------------------------------------------------------------------------
 
 
-def attend_heads(q: T.Tensor, k: T.Tensor, v: T.Tensor, mask=None,
-                 counter=None, rpr: Optional[RprTable] = None, lowrank=None,
-                 reuse: Optional[dict] = None, q_start: int = 0) -> T.Tensor:
-    """Per-head context of split Q, K, V in a model's attention form; the
-    full-sequence and the cached pass of RPR, low-rank and map-reuse
-    attention go through here (plain attention runs one fused op instead).
+def _attend(x: T.Tensor, params: AttentionParams, mask=None, counter=None,
+            rpr: Optional[RprTable] = None, maps: Optional[list] = None,
+            cache: Optional["KVCache"] = None, layer: int = 0) -> T.Tensor:
+    """Self-attention of a block x (..., m, d), merged and multiplied by
+    W_c, in one ``tensor.attention`` op (the one path of every softmax
+    form but ``rpr``'s), tallying its work on ``counter``.
 
-    ``rpr`` mixes in relative-position vectors, query i sitting at key
-    position q_start + i; ``lowrank`` (u_q, u_kd) reduces the query and key
-    width; ``reuse`` is the dict the layers of one map-reuse pass share:
-    the first stores its attention weights under "w", and later layers
-    apply them to their own values.
+    One product x W^qkv projects the block; with ``params.reduce``,
+    reduce_width maps its query and key heads to Q U^q and K U^kd.
+    ``maps`` is the list the layers of one map-reuse pass share: empty,
+    the layer attends and appends the op's weights; holding them, the
+    layer projects V alone and the op applies them. With a ``cache``, the
+    block's keys and values are written at ``layer`` and the op reads the
+    cached rows ending in them, under the cache's step mask.
     """
-    if reuse is not None and "w" in reuse:
-        return T.matmul(reuse["w"], v)
+    scale = None
+    if maps:                                 # a later map-reuse layer
+        q = k = None
+        v = T.matmul(x, params.w_qkv, cols=params.v_cols)
+        vb = v.values
+        kb = vb[..., :0]
+    else:
+        q = k = v = T.matmul(x, params.w_qkv)
+        cols = params.cols
+        rows = v.values
+        _, (k_lo, k_hi), (v_lo, v_hi) = cols
+        kb, vb = rows[..., k_lo:k_hi], rows[..., v_lo:v_hi]
+        if params.reduce is not None:
+            q, k = EF.reduce_width(v, v, params.reduce, params.head_counts,
+                                   cols[:2])
+            cols, scale = (None, None, cols[2]), 1.0 / math.sqrt(params.d_head)
+            kb = k.values
+    history, back = None, 0
+    if cache is not None:
+        k_held, v_held, back = cache.write(layer, kb, vb)
+        history = k_held, v_held
+        m = vb.shape[1]
+        if m > 1:
+            mask = cache.step_mask(m, back, vb.dtype)
     if rpr is not None:
-        return rpr_attention(q, k, v, rpr, mask, q_start)
-    if lowrank is not None:
-        from .efficient import lowrank_width_attention
-        return lowrank_width_attention(q, k, v, lowrank, mask, counter=counter)
-    if reuse is None:
-        return qkv_attention(q, k, v, mask, counter=counter)
-    out, reuse["w"] = qkv_attention(q, k, v, mask, counter=counter,
-                                    return_weights=True)
-    return out
-
-
-def _fused(q: T.Tensor, kv: T.Tensor, params: AttentionParams, cols: tuple,
-           mask=None, counter=None, history=None) -> T.Tensor:
-    """W_c times the merged heads of one ``tensor.attention`` op: queries
-    from columns cols[0] of q, keys and values from cols[1] and cols[2]
-    of kv, or from ``history``, the cached rows ending in them."""
-    out = T.attention(q, kv, kv, params.head_counts, cols=cols,
-                      history=history, mask=mask)
-    if counter is not None:
-        n_k = kv.shape[-2] if history is None else history[0].shape[-2]
-        _tally(counter, out.shape[:-1] + (params.tau,), n_k, params.d_head,
-               params.d_head)
+        return params.merge(rpr_attention(
+            *params.split(v, history or (None, None)), rpr, mask, back))
+    if maps is None:
+        out = T.attention(q, k, v, params.head_counts, cols=cols,
+                          history=history, mask=mask, scale=scale)
+    elif maps:
+        out = T.attention(None, None, v, params.head_counts, history=history,
+                          weights=maps[0])
+    else:
+        out, kept = T.attention(q, k, v, params.head_counts, cols=cols,
+                                history=history, mask=mask, keep=True)
+        maps.append(kept)
+    if counter is not None and q is not None:
+        _tally(counter, out.shape[:-1] + (params.tau,), vb.shape[-2]
+               if history is None else history[1].shape[-2],
+               kb.shape[-1] // params.n_kv, params.d_head)
     return T.matmul(out, params.w_out)
-
-
-def _attend(qkv: T.Tensor, params: AttentionParams, mask=None, counter=None,
-            rpr: Optional[RprTable] = None, lowrank=None,
-            reuse: Optional[dict] = None, history: Optional[tuple] = None,
-            q_start: int = 0) -> T.Tensor:
-    """Self-attention of a block's fused projections qkv, merged and
-    multiplied by W_c, in the form ``rpr``, ``lowrank`` and ``reuse`` pick
-    (see attend_heads). Keys and values are qkv's own, or the cached rows
-    ``history`` ending in them, whose first query sits at ``q_start``."""
-    if rpr is None and lowrank is None and reuse is None:
-        return _fused(qkv, qkv, params, params.cols, mask, counter, history)
-    return params.merge(attend_heads(
-        *params.split(qkv, history or (None, None)), mask, counter, rpr=rpr,
-        lowrank=lowrank, reuse=reuse, q_start=q_start))
 
 
 def self_attention(h: T.Tensor, params: AttentionParams, mask=None,
                    counter=None, *, rpr: Optional[RprTable] = None,
-                   lowrank=None, reuse: Optional[dict] = None) -> T.Tensor:
+                   maps: Optional[list] = None) -> T.Tensor:
     """Self-attention of h (..., m, d) over itself, projected with one
-    product, in the form ``rpr``, ``lowrank`` and ``reuse`` pick as in
-    attend_heads; the heads are merged and multiplied by W_c."""
-    return _attend(params.qkv(h), params, mask, counter, rpr=rpr,
-                   lowrank=lowrank, reuse=reuse)
+    product, in the form ``params``, ``rpr`` and ``maps`` pick (see
+    _attend); the heads are merged and multiplied by W_c."""
+    return _attend(h, params, mask, counter, rpr, maps)
 
 
 def window_band(m: int, w: int, causal: bool,
@@ -438,7 +437,12 @@ def cross_attention(h_enc: T.Tensor, s_self: T.Tensor, params: AttentionParams,
     kv = cross_kv(h_enc, params) if kv is None else kv
     w = kv.shape[-1] // 2
     q = T.matmul(s_self, params.w_qkv, cols=params.q_cols)
-    return _fused(q, kv, params, (None, (0, w), (w, 2 * w)), counter=counter)
+    out = T.attention(q, kv, kv, params.head_counts,
+                      cols=(None, (0, w), (w, 2 * w)))
+    if counter is not None:
+        _tally(counter, out.shape[:-1] + (params.tau,), kv.shape[-2],
+               params.d_head, params.d_head)
+    return T.matmul(out, params.w_out)
 
 
 def rpr_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor, rpr: RprTable,
@@ -481,17 +485,18 @@ def rpr_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor, rpr: RprTable,
 class KVCache:
     """Per-layer key/value arrays for incremental decoding of a batch of rows.
 
-    Layer l keeps one array of shape (2, rows, capacity, width), keys then
-    values, width = n_kv*d_h with every key/value head side by side, and
-    counts the positions written so far; all rows advance together.
-    Capacity doubles when a block does not fit. With a ``window``, a block
-    can see no more than the last window-1 earlier positions, so only those
-    are kept when the array is laid out again: capacity stays below
-    2*(window + block) however long decoding runs. ``rewind`` forgets the
-    last positions written. Written rows are never overwritten: growing,
-    trimming and ``select`` build new arrays, and so does the first write
-    after a rewind, which would otherwise land on the forgotten rows, so a
-    view handed out earlier keeps its values.
+    Layer l keeps a key and a value array, each of shape (rows, capacity,
+    width) with every head side by side, their widths the first write's:
+    n_kv*d_h each, n_kv*d' reduced keys for lowrank-d, or no keys for a
+    map-reuse layer after the first. It counts the positions written so
+    far; all rows advance together. Capacity doubles when a block does not
+    fit. With a ``window``, a block can see no more than the last window-1
+    earlier positions, so only those are kept when the arrays are laid out
+    again: capacity stays below 2*(window + block) however long decoding
+    runs. ``rewind`` forgets the last positions written. Written rows are
+    never overwritten: growing, trimming and ``select`` build new arrays,
+    and so does the first write after a rewind, which would otherwise land
+    on the forgotten rows, so a view handed out earlier keeps its values.
     """
 
     MIN_CAPACITY = 16
@@ -501,7 +506,7 @@ class KVCache:
             raise ValueError("window must be >= 1")
         self.n_layers = n_layers
         self.window = window
-        self._kv: list = [None] * n_layers    # arrays appear at the first write
+        self._kv: list = [None] * n_layers    # (keys, values), from the first write
         self._t = [0] * n_layers              # positions written
         self._first = [0] * n_layers          # position held in array row 0
         self._rewound = [False] * n_layers    # rows past the count were written
@@ -518,64 +523,69 @@ class KVCache:
     def rows(self, layer: int = 0) -> Optional[int]:
         """Rows held at this layer; None before the first write."""
         self._check(layer)
-        return None if self._kv[layer] is None else self._kv[layer].shape[1]
+        return None if self._kv[layer] is None else self._kv[layer][0].shape[0]
 
     def holds(self, t: int, rows: int) -> bool:
         """True when every layer has t positions written and holds
         ``rows`` rows, or none yet."""
         for kv in self._kv:
-            if kv is not None and kv.shape[1] != rows:
+            if kv is not None and kv[0].shape[0] != rows:
                 return False
         return self._t.count(t) == self.n_layers
 
-    def _held(self, layer: int) -> np.ndarray:
-        """Keys and values of the positions still held: every position
-        written, or the last ``window``."""
+    def _held(self, layer: int, part: int) -> np.ndarray:
+        """Keys (part 0) or values (part 1) of the positions still held:
+        every position written, or the last ``window``."""
         self._check(layer)
         kv, t = self._kv[layer], self._t[layer]
         if kv is None:
-            return np.zeros((2, 0, 0, 0))
+            return np.zeros((0, 0, 0))
         end = t - self._first[layer]
         n = t if self.window is None else min(t, self.window)
-        return kv[:, :, end - n:end]
+        return kv[part][:, end - n:end]
 
     def keys(self, layer: int) -> T.Tensor:
-        """Stored keys, (rows, positions, width)."""
-        return T.Tensor(self._held(layer)[0])
+        """Stored keys, (rows, positions, key width)."""
+        return T.Tensor(self._held(layer, 0))
 
     def values_(self, layer: int) -> T.Tensor:
-        """Stored values, (rows, positions, width)."""
-        return T.Tensor(self._held(layer)[1])
+        """Stored values, (rows, positions, value width)."""
+        return T.Tensor(self._held(layer, 1))
 
     def write(self, layer: int, k_new: np.ndarray, v_new: np.ndarray):
-        """Store a (rows, m, width) block of keys and values.
+        """Store a (rows, m, width) block of keys and one of values.
 
         Returns the keys and values the block attends over, the earlier
         positions it can see followed by the block itself, as views of the
-        cache's array, and the number of those earlier positions.
+        cache's arrays, and the number of those earlier positions.
         """
         if not 0 <= layer < self.n_layers:
             self._check(layer)
-        rows, m, width = k_new.shape
+        rows, m, k_width = k_new.shape
+        v_width = v_new.shape[-1]
         kv, t = self._kv[layer], self._t[layer]
-        if kv is not None and (kv.shape[1], kv.shape[3]) != (rows, width):
-            raise StateError(f"a block of {rows} rows of width {width} does "
-                             f"not fit a cache of {kv.shape[1]} rows of width "
-                             f"{kv.shape[3]}")
+        if kv is not None and (kv[0].shape[0], kv[0].shape[2], kv[1].shape[2]) \
+                != (rows, k_width, v_width):
+            raise StateError(f"a {(rows, k_width, v_width)} block (rows, key "
+                             f"and value widths) does not fit a cache of "
+                             f"{(kv[0].shape[0], kv[0].shape[2], kv[1].shape[2])}")
         back = t if self.window is None else min(t, self.window - 1)
         end = t - self._first[layer]
-        if kv is None or end + m > kv.shape[2] or self._rewound[layer]:
+        if kv is None or end + m > kv[0].shape[1] or self._rewound[layer]:
             cap = max(self.MIN_CAPACITY, 2 * (back + m))
-            new = np.empty((2, rows, cap, width), dtype=k_new.dtype)
+            new = (np.empty((rows, cap, k_width), dtype=k_new.dtype),
+                   np.empty((rows, cap, v_width), dtype=k_new.dtype))
             if back:
-                new[:, :, :back] = kv[:, :, end - back:end]
+                for a, old in zip(new, kv):
+                    a[:, :back] = old[:, end - back:end]
             kv, end = new, back
             self._kv[layer], self._first[layer] = kv, t - back
             self._rewound[layer] = False
-        kv[0, :, end:end + m] = k_new
-        kv[1, :, end:end + m] = v_new
+        k, v = kv
+        k[:, end:end + m] = k_new
+        v[:, end:end + m] = v_new
         self._t[layer] = t + m
-        return kv[0, :, end - back:end + m], kv[1, :, end - back:end + m], back
+        return k[:, end - back:end + m], v[:, end - back:end + m], back
 
     def rewind(self, n: int) -> None:
         """Forget the last n positions written at every layer, as if they
@@ -598,12 +608,14 @@ class KVCache:
     def select(self, rows) -> None:
         """Keep the given rows, in the given order; a row may repeat."""
         idx = np.asarray(rows, dtype=np.int64)
-        self._kv = [None if kv is None else kv[:, idx] for kv in self._kv]
+        self._kv = [None if kv is None else (kv[0][idx], kv[1][idx])
+                    for kv in self._kv]
 
     def clone(self) -> "KVCache":
         """Independent copy of every layer's array."""
         out = KVCache(self.n_layers, self.window)
-        out._kv = [None if kv is None else kv.copy() for kv in self._kv]
+        out._kv = [None if kv is None else (kv[0].copy(), kv[1].copy())
+                   for kv in self._kv]
         out._t, out._first = list(self._t), list(self._first)
         out._rewound = list(self._rewound)
         return out
@@ -648,29 +660,19 @@ def _step_mask(m: int, back: int, window: Optional[int]):
 
 def attend_step_cached(x: T.Tensor, cache: KVCache, params: AttentionParams,
                        layer: int, rpr: Optional[RprTable] = None,
-                       lowrank=None, reuse: Optional[dict] = None,
-                       counter: Optional[OpCounter] = None):
+                       counter: Optional[OpCounter] = None,
+                       maps: Optional[list] = None):
     """Self-attention of a block of new positions at one cache layer.
 
     ``x`` is (rows, m, d): m new positions for each of the cache's rows;
-    any other rank raises ShapeError. Projects the block with one product,
-    writes its key and value columns into the cache, reads the cached keys
-    and values as heads in place, and attends every new position over the
-    earlier positions it can see plus the block up to itself, in the form
-    ``rpr``, ``lowrank`` and ``reuse`` pick as in attend_heads, tallying
-    its work on ``counter``. Plain attention goes straight to ``_fused``:
-    one ``tensor.attention`` op over the cached rows, then W_c. Returns
-    the output, shaped like x.
+    any other rank raises ShapeError. The block's keys (W^qkv's key
+    columns, lowrank-d's reduced keys, or none for a later map-reuse
+    layer) and values are written into the cache, and every new position
+    attends over the earlier positions it can see plus the block up to
+    itself, in one ``tensor.attention`` op that reads the cached rows in
+    place, in the form ``params``, ``rpr`` and ``maps`` pick (see
+    _attend). Returns the output after W_c, shaped like x.
     """
     if x.values.ndim != 3:
         raise T.ShapeError("attend_step_cached expects a (rows, m, d) block")
-    qkv = T.matmul(x, params.w_qkv)
-    _, (k_lo, k_hi), (v_lo, v_hi) = params.cols
-    rows = qkv.values
-    k, v, back = cache.write(layer, rows[..., k_lo:k_hi], rows[..., v_lo:v_hi])
-    m = rows.shape[1]
-    mask = None if m == 1 else cache.step_mask(m, back, rows.dtype)
-    if rpr is None and lowrank is None and reuse is None:
-        return _fused(qkv, qkv, params, params.cols, mask, counter, (k, v))
-    return _attend(qkv, params, mask, counter, rpr=rpr, lowrank=lowrank,
-                   reuse=reuse, history=(k, v), q_start=back)
+    return _attend(x, params, None, counter, rpr, maps, cache, layer)

@@ -3,6 +3,9 @@
 Two families live here: kernelized attention (a separable feature map
 replaces the exponential, so the n x n weight matrix is never formed)
 and low-rank reductions of the key/value length or the query/key width.
+Width reduction is not an attention form of its own: ``reduce_width``
+maps a block's query and key heads, and the one attention op scores
+the reduced heads (see attention.py).
 
 Causal kernelized attention runs in the SSM's block form: blocks of up
 to ``ssm.BLOCK`` positions, each a masked product inside the block plus
@@ -10,14 +13,18 @@ the sums mu = sum phi(k)^T v and nu = sum phi(k) of the positions before
 it. One loop serves a whole sequence, a carried span and a decode step.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
 from . import tensor as T
-from .attention import OpCounter
 from .ssm import BLOCK
+
+if TYPE_CHECKING:                      # attention.py imports this module
+    from .attention import OpCounter
 
 
 class DegenerateQueryError(ValueError):
@@ -47,7 +54,7 @@ class FeatureMap:
 
     def __call__(self, x: T.Tensor) -> T.Tensor:
         if self.kind == "elu_plus_one":
-            return T.elu(x) + 1.0
+            return T.elu(x, plus=1.0)
         if self.kind == "relu":
             return T.relu(x)
         return T.maximum(x, _CLIP_FLOOR)
@@ -180,28 +187,22 @@ def lowrank_length_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor,
     return qkv_attention(q, k_r, v_r, counter=counter)
 
 
-def reduce_width(q: T.Tensor, k: T.Tensor,
-                 proj: LowRankProjections) -> Tuple[T.Tensor, T.Tensor]:
-    """Q' = Q U^q, K' = K U^k; logits become Q'K'^T at rank <= d'."""
+def reduce_width(q: T.Tensor, k: T.Tensor, proj: LowRankProjections,
+                 heads: tuple = (1, 1), cols: tuple = (None, None)
+                 ) -> Tuple[T.Tensor, T.Tensor]:
+    """Q' = Q U^q, K' = K U^kd; logits become Q'K'^T at rank <= d'.
+
+    The reduction is per head: the column block ``cols[0]`` of q (all of
+    q for None) holds heads[0] query heads, and ``cols[1]`` of k holds
+    heads[1] key heads, each as wide as U's rows. The reduced heads come
+    out side by side, (..., heads * d'), in one product each; q and k may
+    be one Tensor, such as a fused Q/K/V projection. A block whose width
+    is not its heads' U rows raises ShapeError.
+    """
     if proj.u_q is None or proj.u_kd is None:
         raise ValueError("width reduction needs u_q and u_kd")
-    if proj.u_q.shape[0] < proj.u_q.shape[1]:
+    d_h, d_r = proj.u_q.values.shape
+    if d_h < d_r:
         raise T.ShapeError("width reduction must not grow d")
-    if proj.u_q.shape[0] != q.shape[-1] or proj.u_kd.shape[0] != k.shape[-1]:
-        raise T.ShapeError("projection width does not match model width")
-    return T.matmul(q, proj.u_q), T.matmul(k, proj.u_kd)
-
-
-def lowrank_width_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor,
-                            proj: LowRankProjections, mask=None,
-                            counter: Optional[OpCounter] = None) -> T.Tensor:
-    """Attention with width-reduced queries/keys.
-
-    The logits keep the original sqrt(d) scale, not sqrt(d') of the
-    reduced space.
-    """
-    from .attention import qkv_attention
-    d = q.shape[-1]
-    q_r, k_r = reduce_width(q, k, proj)
-    scale = float(np.sqrt(d))
-    return qkv_attention(q_r, k_r, v, mask, scale=scale, counter=counter)
+    return (T.head_matmul(q, proj.u_q, heads[0], cols[0]),
+            T.head_matmul(k, proj.u_kd, heads[1], cols[1]))

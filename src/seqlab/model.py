@@ -308,6 +308,7 @@ def _init_layer(cfg: ModelConfig, rng: T.Rng, with_cross: bool, dtype) -> Layer:
         lowrank = EF.LowRankProjections(
             u_q=T.xavier_init(cfg.d_head, d_r, rng=rng, dtype=dtype),
             u_kd=T.xavier_init(cfg.d_head, d_r, rng=rng, dtype=dtype))
+        att.reduce = lowrank
     elif cfg.attention == "lowrank-n":
         n_r = cfg.reduced_length
         lowrank = EF.LowRankProjections(
@@ -554,7 +555,7 @@ class Model:
         raise ContractError("this attention variant needs suffix-only padding")
 
     def _att_core(self, layer: Layer, mask, causal: bool, m_real: Optional[int],
-                  reuse_store, counter, pad: Optional[np.ndarray] = None
+                  maps: Optional[list], counter, pad: Optional[np.ndarray] = None
                   ) -> Callable[[T.Tensor], T.Tensor]:
         cfg = self.cfg
         att = layer.att
@@ -579,7 +580,7 @@ class Model:
                 return A.window_attention(z, att, cfg.window, causal, pad,
                                           counter)
             return A.self_attention(z, att, mask, counter, rpr=self.rpr_table,
-                                    lowrank=layer.lowrank, reuse=reuse_store)
+                                    maps=maps)
 
         return core
 
@@ -645,17 +646,17 @@ class Model:
                 m_real = self._suffix_length(pad, m)
         cached = session is not None and session.mode == "cache" \
             and cfg.integrator_order == 1
-        reuse_store = {} if cfg.reuse_maps else None
+        # the first layer's attention weights, which map reuse hands on
+        maps = [] if cfg.reuse_maps else None
         for idx, layer in enumerate(layers):
             if cached:
-                h = self._wrap(h, self._attend_cached,
-                               (layer, idx, session.kv, reuse_store, counter),
-                               layer.ln1, training, rng)
+                h = self._wrap(h, A.attend_step_cached,
+                               (session.kv, layer.att, idx, self.rpr_table,
+                                counter, maps), layer.ln1, training, rng)
             else:
-                core = self._att_core(layer, mask, causal, m_real, reuse_store,
+                core = self._att_core(layer, mask, causal, m_real, maps,
                                       counter, pad) if session is None \
-                    else self._step_att_core(layer, idx, session, reuse_store,
-                                             counter)
+                    else self._step_att_core(layer, idx, session, counter)
                 h = self._wrap(h, core, (), layer.ln1, training, rng)
             if layer.cross is not None:
                 kv = None if session is None else session.cross_kv[idx]
@@ -720,7 +721,7 @@ class Model:
         session = self.decode_session()
         kv = session.kv
         for slot, pair in enumerate(kv_prefix or ()):
-            kv.write(slot, *(np.reshape(x, (len(block), -1, np.shape(x)[-1]))
+            kv.write(slot, *(np.reshape(x, (len(block),) + np.shape(x)[-2:])
                              for x in pair))
         logits = self._decoder_logits(block, start_pos, session=session,
                                       training=training, rng=rng,
@@ -840,17 +841,8 @@ class Model:
         raise StateError(f"{session.mode} state per slot is {got}, "
                          f"not {want} for a prefix of {t}")
 
-    def _attend_cached(self, z: T.Tensor, layer: Layer, slot: int,
-                       kv: A.KVCache, reuse_store: Optional[dict] = None,
-                       counter=None) -> T.Tensor:
-        """Self-attention of a (rows, m, d) block over cache slot ``slot``,
-        which it advances."""
-        return A.attend_step_cached(z, kv, layer.att, slot, self.rpr_table,
-                                    layer.lowrank, reuse_store, counter)
-
     def _step_att_core(self, layer: Layer, idx: int, session: DecodeSession,
-                       reuse_store: Optional[dict] = None, counter=None
-                       ) -> Callable[[T.Tensor], T.Tensor]:
+                       counter=None) -> Callable[[T.Tensor], T.Tensor]:
         """Self-attention (or SSM) of a (rows, m, d) block of new positions
         against the session's state at layer idx, which it advances. The
         k-th call of the core is integrator stage k and uses that slot."""
@@ -861,8 +853,8 @@ class Model:
             slot = stage[0]
             stage[0] += 1
             if session.mode == "cache":
-                return self._attend_cached(z, layer, slot, session.kv,
-                                           reuse_store, counter)
+                return A.attend_step_cached(z, session.kv, layer.att, slot,
+                                            self.rpr_table, counter)
             # the full-pass scan, continued from the slot's carried state
             carry = session.states[slot]
             if session.mode == "stream":

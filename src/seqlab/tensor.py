@@ -513,15 +513,19 @@ def relu(a: Tensor) -> Tensor:
     return _emit(out, (a,), lambda g: (g * (zv > 0),))
 
 
-def elu(a: Tensor, alpha: float = 1.0) -> Tensor:
+def elu(a: Tensor, plus: float = 0.0) -> Tensor:
+    """a where a > 0, else exp(a) - 1; plus ``plus`` in the same op, as a
+    separate add would compute it."""
     av = a.values
-    ov = np.where(av > 0, av, alpha * np.expm1(av)).astype(av.dtype)
-    out = ov
+    ov = np.expm1(av)                       # fresh: the rest runs in place
+    np.copyto(ov, av, where=av > 0)
+    if plus:
+        ov += plus
+    return _emit(ov, (a,), _elu_grad, av)
 
-    def grad_fn(g):
-        return (g * np.where(av > 0, 1.0, alpha * np.exp(av)).astype(av.dtype),)
 
-    return _emit(out, (a,), grad_fn)
+def _elu_grad(av, g):
+    return (g * np.where(av > 0, 1.0, np.exp(av)).astype(av.dtype),)
 
 
 def maximum(a, b) -> Tensor:
@@ -722,6 +726,27 @@ def _matmul_grad(av, bv, g):
     return ga, gb
 
 
+def head_matmul(a: Tensor, b: Tensor, heads: int = 1,
+                cols: Optional[tuple] = None) -> Tensor:
+    """Each of the ``heads`` runs of b.shape[0] columns in a's column
+    block cols (all of a for None) times the 2-d b, the products side by
+    side, as one op: one GEMM over every head's rows."""
+    av, bv = a.values, b.values
+    lo, hi = (0, av.shape[-1]) if cols is None else cols
+    if bv.ndim != 2 or hi - lo != heads * bv.shape[0]:
+        raise ShapeError(f"no {heads} heads of {bv.shape[0]} in {cols} of {av.shape}")
+    rows = av[..., lo:hi].reshape(-1, bv.shape[0])
+    out = np.matmul(rows, bv).reshape(av.shape[:-1] + (heads * bv.shape[1],))
+    return _emit(out, (a, b), _head_matmul_grad, av.shape, rows, bv, lo, hi)
+
+
+def _head_matmul_grad(shape: tuple, rows, bv, lo: int, hi: int, g):
+    g_rows = g.reshape(-1, bv.shape[1])
+    ga = np.zeros(shape, dtype=g.dtype)      # columns outside the block: 0
+    ga[..., lo:hi] = np.matmul(g_rows, bv.T).reshape(shape[:-1] + (hi - lo,))
+    return ga, np.matmul(rows.T, g_rows)
+
+
 def ffn(h: Tensor, w_h: Tensor, b_h: Tensor, w_f: Tensor, b_f: Tensor) -> Tensor:
     """ReLU(h W_h + b_h) W_f + b_f over h (..., m, d), as one op.
 
@@ -826,23 +851,29 @@ def head_view(a: np.ndarray, n: int) -> np.ndarray:
 _SCALES: dict = {}             # (d_h, dtype) -> 1/sqrt(d_h), a 0-d array
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: tuple = (1, 1), *,
-              cols: tuple = (None, None, None),
+def attention(q: Optional[Tensor], k: Optional[Tensor], v: Tensor,
+              heads: tuple = (1, 1), *, cols: tuple = (None, None, None),
               history: Optional[tuple] = None, mask=None,
-              scale: Optional[float] = None) -> Tensor:
+              scale: Optional[float] = None, weights: Optional[Tensor] = None,
+              keep: bool = False):
     """Multi-head Softmax(Q K^T * scale + mask) V, merged, as one op.
 
     Q is the column block ``cols[0]`` = (lo, hi) of q (all of q for None)
     cut into ``heads[0]`` heads; K and V are the blocks ``cols[1]`` of k
     and ``cols[2]`` of v, cut into ``heads[1]`` heads each, which is
     heads[0], or 1 for one key/value head shared by every query head. q,
-    k and v may be one Tensor, such as a fused Q/K/V projection. With
-    ``history`` = (k_rows, v_rows), K and V are read from these arrays
-    (..., t, width) instead: their last m rows hold k's and v's blocks (a
-    KV cache after the block was written), and the earlier rows are
-    constants. ``scale`` defaults to 1/sqrt(d_h); ``mask`` is an additive
-    array or Tensor, as softmax_rows takes it. Returns the heads side by
-    side, (..., m, heads[0] * d_v).
+    k and v may be one Tensor, such as a fused Q/K/V projection. A value
+    head may be wider than a query/key head. With ``history`` =
+    (k_rows, v_rows), K and V are read from these arrays (..., t, width)
+    instead: their last m rows hold k's and v's blocks (a KV cache after
+    the block was written), and the earlier rows are constants. ``scale``
+    defaults to 1/sqrt(d_h) of a query head; ``mask`` is an additive array
+    or Tensor, as softmax_rows takes it. Returns the heads side by side,
+    (..., m, heads[0] * d_v).
+
+    ``keep`` returns (out, W) with the (..., heads[0], m, n) weights W,
+    each recorded with its half of the backward. ``weights``, such a W,
+    stands for the scores: out is W V, and q and k may be None.
 
     The forward repeats the composite on the same head views: the scores
     product, softmax_rows with its scale, the weighted values and the
@@ -857,95 +888,125 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: tuple = (1, 1), *,
         raise ShapeError(f"{n_kv} key/value heads cannot serve {n_q} query heads")
     spans = []
     for t, c, n in ((q, cols[0], n_q), (k, cols[1], n_kv), (v, cols[2], n_kv)):
+        if t is None:                       # given weights stand for Q and K
+            spans.append(None)
+            continue
         shape = t.values.shape
         lo, hi = (0, shape[-1]) if c is None else c
         if len(shape) < 2 or not 0 <= lo < hi <= shape[-1] or (hi - lo) % n:
             raise ShapeError(f"no {n} heads in columns {lo}..{hi} of {shape}")
         spans.append((lo, hi))
-    (q_lo, q_hi), (k_lo, k_hi), (v_lo, v_hi) = spans
-    m = k.values.shape[-2]
-    if history is None:
-        kb, vb = k.values[..., k_lo:k_hi], v.values[..., v_lo:v_hi]
-    else:
-        kb, vb = history
-        if kb.shape[-1] != k_hi - k_lo or vb.shape[-1] != v_hi - v_lo \
-                or kb.shape[-2] < m or vb.shape[-2] < m:
-            raise ShapeError("history rows do not end in the key/value blocks")
-    qb = q.values[..., q_lo:q_hi]
+    v_lo, v_hi = spans[2]
+    m = v.values.shape[-2]
+    vb = v.values[..., v_lo:v_hi] if history is None else history[1]
     # head_view's views, cut inline: a call fewer each
-    d_h = (q_hi - q_lo) // n_q
-    qh = qb.reshape(qb.shape[:-1] + (n_q, d_h)).swapaxes(-2, -3)
-    kh = kb.reshape(kb.shape[:-1] + (n_kv, kb.shape[-1] // n_kv)).swapaxes(-2, -3)
     vh = vb.reshape(vb.shape[:-1] + (n_kv, vb.shape[-1] // n_kv)).swapaxes(-2, -3)
-    n_k = kb.shape[-2]
-    if kh.shape[-1] != d_h or vb.shape[-2] != n_k:
-        raise ShapeError(f"heads Q {qh.shape}, K {kh.shape}, V {vh.shape} differ")
-
-    s = np.matmul(qh, kh.swapaxes(-1, -2))
-    if scale is None:
-        c = _SCALES.get((d_h, s.dtype))
-        if c is None:
-            c = _SCALES[d_h, s.dtype] = np.asarray(1.0 / math.sqrt(d_h), s.dtype)
+    if weights is not None:
+        qh = kh = y = c = mask_t = None
+        w = weights.values
+        if w.shape[-3:-2] != (n_q,) or w.shape[-1] != vb.shape[-2]:
+            raise ShapeError(f"weights {w.shape} do not fit values {vh.shape}")
     else:
-        c = np.asarray(scale, s.dtype)
-    y = s                                   # fresh: the softmax runs in place
-    y *= c
-    mask_t = mask if isinstance(mask, Tensor) else None
-    if mask is not None:
-        mv = mask.values if mask_t is not None else np.asarray(mask, dtype=s.dtype)
-        if not np.maximum.reduce(mv, axis=None, initial=-np.inf) < np.inf:
-            raise ValueError("mask entries must be finite or -inf")
-        y = _into(np.add, y, mv)
-    if n_k == 0:
-        raise DegenerateRowError("softmax over zero-width rows")
-    row_max = np.maximum.reduce(y, axis=-1, keepdims=True)
-    if np.fmin.reduce(row_max, axis=None, initial=np.inf) == -np.inf:
-        raise DegenerateRowError("softmax row with every entry masked")
-    y -= row_max
-    np.exp(y, out=y)
-    y /= np.add.reduce(y, axis=-1, keepdims=True)
-    w = y if y.dtype is s.dtype else y.astype(s.dtype)
+        (q_lo, q_hi), (k_lo, k_hi), _ = spans
+        kb = k.values[..., k_lo:k_hi] if history is None else history[0]
+        if history is not None and (kb.shape[-1] != k_hi - k_lo
+                                    or vb.shape[-1] != v_hi - v_lo
+                                    or kb.shape[-2] < m or vb.shape[-2] < m):
+            raise ShapeError("history rows do not end in the key/value blocks")
+        qb = q.values[..., q_lo:q_hi]
+        d_h = (q_hi - q_lo) // n_q
+        qh = qb.reshape(qb.shape[:-1] + (n_q, d_h)).swapaxes(-2, -3)
+        kh = kb.reshape(kb.shape[:-1] + (n_kv, kb.shape[-1] // n_kv)).swapaxes(-2, -3)
+        n_k = kb.shape[-2]
+        if kh.shape[-1] != d_h or vb.shape[-2] != n_k:
+            raise ShapeError(f"heads Q {qh.shape}, K {kh.shape}, V {vh.shape} differ")
+
+        s = np.matmul(qh, kh.swapaxes(-1, -2))
+        if scale is None:
+            c = _SCALES.get((d_h, s.dtype))
+            if c is None:
+                c = _SCALES[d_h, s.dtype] = np.asarray(1.0 / math.sqrt(d_h), s.dtype)
+        else:
+            c = np.asarray(scale, s.dtype)
+        y = s                               # fresh: the softmax runs in place
+        y *= c
+        mask_t = mask if isinstance(mask, Tensor) else None
+        if mask is not None:
+            mv = mask.values if mask_t is not None else np.asarray(mask, dtype=s.dtype)
+            if not np.maximum.reduce(mv, axis=None, initial=-np.inf) < np.inf:
+                raise ValueError("mask entries must be finite or -inf")
+            y = _into(np.add, y, mv)
+        if n_k == 0:
+            raise DegenerateRowError("softmax over zero-width rows")
+        row_max = np.maximum.reduce(y, axis=-1, keepdims=True)
+        if np.fmin.reduce(row_max, axis=None, initial=np.inf) == -np.inf:
+            raise DegenerateRowError("softmax row with every entry masked")
+        y -= row_max
+        np.exp(y, out=y)
+        y /= np.add.reduce(y, axis=-1, keepdims=True)
+        w = y if y.dtype is s.dtype else y.astype(s.dtype)
     o = np.matmul(w, vh)
     out = o.swapaxes(-2, -3).reshape(
         o.shape[:-3] + (o.shape[-2], o.shape[-3] * o.shape[-1]))
 
-    srcs = (q,) if k is q else (q, k)        # distinct inputs, in first use
-    if v is not q and v is not k:
-        srcs += (v,)
-    inputs = srcs if mask_t is None else srcs + (mask_t,)
-    return _emit(out, inputs, _attention_grad, (q, k, v), srcs, spans, heads,
-                 qh, kh, vh, y, w, c, mask_t, None if history is None else m)
+    cached = None if history is None else m
+    if weights is None and not keep:
+        srcs = (q,) if k is q else (q, k)    # distinct inputs, in first use
+        if v is not q and v is not k:
+            srcs += (v,)
+        return _emit(out, srcs if mask_t is None else srcs + (mask_t,),
+                     _attention_grad, "both", srcs, (q, k, v), spans, heads,
+                     qh, kh, vh, y, w, c, mask_t, cached)
+    saved = (q, k, v), spans, heads, qh, kh, vh, y, w, c, mask_t, cached
+    if weights is not None:
+        return _emit(out, (weights, v), _attention_grad, "values", (v,), *saved)
+    srcs = (q,) if k is q else (q, k)        # keep: a record per half
+    kept = _emit(w, srcs if mask_t is None else srcs + (mask_t,),
+                 _attention_grad, "scores", srcs, *saved)
+    return _emit(out, (kept, v), _attention_grad, "values", (v,), *saved), kept
 
 
-def _attention_grad(qkv: tuple, srcs: tuple, spans: list, heads: tuple, qh,
-                    kh, vh, y, w, c, mask_t: Optional[Tensor],
+def _attention_grad(half: str, srcs: tuple, qkv: tuple, spans: list,
+                    heads: tuple, qh, kh, vh, y, w, c, mask_t: Optional[Tensor],
                     cached: Optional[int], g):
-    """attention's backward; ``cached`` is the block's m when K and V were
-    read from history rows, whose earlier rows get no gradient."""
+    """attention's backward, or one ``half`` of it: "values" takes the
+    output's g to the weights' and V's gradients, "scores" the weights' g
+    to Q's, K's and the mask's; "both" runs the two in turn. ``cached`` is
+    the block's m when K and V were read from history rows, whose earlier
+    rows get no gradient."""
     n_q, n_kv = heads
-    n_k, d_h = kh.shape[-2:]
-    go = head_view(g, n_q)
-    gw = _unbroadcast(np.matmul(go, vh.swapaxes(-1, -2)), w.shape)
-    gv = _unbroadcast(np.matmul(w.swapaxes(-1, -2), go), vh.shape)
-    dot = np.add.reduce(gw * y, axis=-1, keepdims=True)
-    # gw is fresh: it becomes gl, then gs
-    gl = _into(np.multiply, _into(np.subtract, gw, dot), y).astype(
-        w.dtype, copy=False)
-    if mask_t is None:
-        gl *= c
-        gs = gl
-    else:                                   # the mask's gradient is gl itself
-        gs = gl * c
-    gq = _unbroadcast(np.matmul(gs, kh), qh.shape)
-    gk_t = np.matmul(qh.swapaxes(-1, -2), gs)
-    gk = np.swapaxes(_unbroadcast(gk_t, kh.shape[:-2] + (d_h, n_k)), -1, -2)
-    if cached is not None:
-        gk, gv = gk[..., -cached:, :], gv[..., -cached:, :]
-    grads = []
-    blocks = [(u, lo, hi, n, gh) for u, (lo, hi), n, gh in zip(
-        qkv, spans, (n_q, n_kv, n_kv), (gq, gk, gv))]
+    grads, blocks = [], []
+    if half == "scores":
+        gw = g.copy()                       # the tape may hold g elsewhere
+    else:
+        go = head_view(g, n_q)
+        gw = _unbroadcast(np.matmul(go, vh.swapaxes(-1, -2)), w.shape)
+        gv = _unbroadcast(np.matmul(w.swapaxes(-1, -2), go), vh.shape)
+        if half == "values":
+            grads.append(gw)
+    if half != "values":
+        n_k, d_h = kh.shape[-2:]
+        dot = np.add.reduce(gw * y, axis=-1, keepdims=True)
+        # gw is fresh: it becomes gl, then gs
+        gl = _into(np.multiply, _into(np.subtract, gw, dot), y).astype(
+            w.dtype, copy=False)
+        if mask_t is None:
+            gl *= c
+            gs = gl
+        else:                               # the mask's gradient is gl itself
+            gs = gl * c
+        gq = _unbroadcast(np.matmul(gs, kh), qh.shape)
+        gk_t = np.matmul(qh.swapaxes(-1, -2), gs)
+        gk = np.swapaxes(_unbroadcast(gk_t, kh.shape[:-2] + (d_h, n_k)), -1, -2)
+        if cached is not None:
+            gk = gk[..., -cached:, :]
+        blocks += [(qkv[0], spans[0], n_q, gq), (qkv[1], spans[1], n_kv, gk)]
+    if half != "scores":
+        if cached is not None:
+            gv = gv[..., -cached:, :]
+        blocks.append((qkv[2], spans[2], n_kv, gv))
     for t in srcs:
-        parts = [(lo, hi, n, gh) for u, lo, hi, n, gh in blocks if u is t]
+        parts = [(lo, hi, n, gh) for u, (lo, hi), n, gh in blocks if u is t]
         ranges = sorted((lo, hi) for lo, hi, _, _ in parts)
         tiled = ranges[0][0] == 0 and ranges[-1][1] == t.shape[-1] and all(
             a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
@@ -958,7 +1019,7 @@ def _attention_grad(qkv: tuple, srcs: tuple, spans: list, heads: tuple, qh,
             else:
                 view += gh
         grads.append(gx)
-    if mask_t is not None:
+    if mask_t is not None and half != "values":
         grads.append(_unbroadcast(gl, mask_t.shape))
     return tuple(grads)
 

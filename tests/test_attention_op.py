@@ -6,7 +6,9 @@ taped op. The composite pinned here is the path it replaces: a head split
 per input (zero-widened gradients, summed when the inputs are one fused
 projection), cached keys and values read as heads of the cache array,
 ``qkv_attention`` as a scores product, ``softmax_rows`` with the scale
-and a weighted-values product, and the head merge. The float32 forward is
+and a weighted-values product, and the head merge; the weights the op
+hands out are the composite's softmax, and weights it is given take the
+place of that softmax. The float32 forward is
 compared bit for bit, float64 values and gradients within 1e-12, whole
 decodes and criterion-10 training losses bit for bit.
 """
@@ -73,18 +75,20 @@ def merge_heads(x):
 
 
 def composite_attention(q, k, v, heads=(1, 1), *, cols=(None, None, None),
-                        history=None, mask=None, scale=None):
+                        history=None, mask=None, scale=None, weights=None,
+                        keep=False):
     n_q, n_kv = heads
-    qh = split_heads(q, n_q, cols[0])
-    if history is None:
-        kh, vh = split_heads(k, n_kv, cols[1]), split_heads(v, n_kv, cols[2])
-    else:
-        kh = cached_heads(history[0], k, n_kv, cols[1])
-        vh = cached_heads(history[1], v, n_kv, cols[2])
-    if scale is None:
-        scale = 1.0 / float(np.sqrt(qh.shape[-1]))
-    weights = T.softmax_rows(T.matmul(qh, T.transpose(kh)), mask, scale)
-    return merge_heads(T.matmul(weights, vh))
+    vh = split_heads(v, n_kv, cols[2]) if history is None \
+        else cached_heads(history[1], v, n_kv, cols[2])
+    if weights is None:
+        qh = split_heads(q, n_q, cols[0])
+        kh = split_heads(k, n_kv, cols[1]) if history is None \
+            else cached_heads(history[0], k, n_kv, cols[1])
+        if scale is None:
+            scale = 1.0 / float(np.sqrt(qh.shape[-1]))
+        weights = T.softmax_rows(T.matmul(qh, T.transpose(kh)), mask, scale)
+    out = merge_heads(T.matmul(weights, vh))
+    return (out, weights) if keep else out
 
 
 @pytest.fixture
@@ -204,24 +208,45 @@ def test_one_input_in_every_role_sums_its_gradients():
     assert_op_matches(lambda: A.qkv_attention(x, x, x, CAUSAL), [x])
 
 
-def test_the_weights_path_is_the_op():
-    """Map reuse's first layer keeps the composite to return its weights."""
+@pytest.mark.parametrize("n_kv", [2, 1], ids=["dense", "multi-query"])
+def test_kept_and_given_weights(n_kv):
+    """Map reuse's two uses of the op: handing out its weights (keep), and
+    applying weights handed out earlier to other values in place of the
+    scores. Values, and gradients that reach q and k through both uses of
+    the weights and through a loss on the weights themselves."""
+    def fn(q, k, v, v2):
+        def both():
+            out, w = T.attention(q, k, v, (2, n_kv), mask=CAUSAL, keep=True)
+            again = T.attention(None, None, v2, (2, n_kv), weights=w)
+            return T.concat([out, again, T.reshape(w, (3, 5, 10))], axis=-1)
+        return both
+
+    def leaves(dtype, seed):
+        return [leaf((3, 5, 8), seed, dtype), leaf((3, 5, 4 * n_kv), seed + 1, dtype),
+                leaf((3, 5, 6 * n_kv), seed + 2, dtype),
+                leaf((3, 5, 6 * n_kv), seed + 3, dtype)]
+
+    assert_f32_bitwise(lambda: fn(*leaves(F32, 14))().values)
+    xs = leaves(F64, 18)
+    assert_op_matches(fn(*xs), xs)
+
+
+def test_qkv_attention_weights_are_the_ops():
+    """qkv_attention(return_weights=True) is the op's output and the op's
+    weights, one head's axis dropped."""
     q, k, v = (leaf((2, 3, 5, 4), s, F32) for s in (14, 15, 16))
-    out, _ = A.qkv_attention(q, k, v, CAUSAL, return_weights=True)
+    out, w = A.qkv_attention(q, k, v, CAUSAL, return_weights=True)
     assert out.values.tobytes() == A.qkv_attention(q, k, v, CAUSAL).values.tobytes()
-    q, k, v = (leaf((2, 3, 5, 4), s) for s in (17, 18, 19))
-    got = run(lambda: A.qkv_attention(q, k, v, CAUSAL), [q, k, v])
-    want = run(lambda: A.qkv_attention(q, k, v, CAUSAL, return_weights=True)[0],
-               [q, k, v])
-    assert np.max(np.abs(got[0] - want[0])) <= TOL
-    for a, b in zip(got[1], want[1]):
-        assert np.max(np.abs(a.values - b.values)) <= TOL
+    assert w.shape == (2, 3, 5, 5)
+    _, kept = T.attention(q, k, v, mask=CAUSAL, scale=0.5, keep=True)
+    assert w.values.tobytes() == kept.values[..., 0, :, :].tobytes()
 
 
 @pytest.mark.parametrize("stored", [False, True], ids=["split", "cached"])
 def test_split_heads_is_the_pinned_split(stored):
-    """The head split that RPR, low-rank and map-reuse attention still
-    use: column blocks, and cached rows ending in them."""
+    """The head split that RPR attention, the one composite form left,
+    uses (and the linear and length-reduced forms): column blocks, and
+    cached rows ending in them."""
     x = leaf((2, 3, 12), 20)
     rows = np.concatenate([T.Rng(21).gaussian((2, 4, 4)),
                            x.values[..., 4:8]], axis=-2) if stored else None
@@ -269,6 +294,7 @@ VARIANTS = {
     "multi-query": dict(multi_query=True),
     "encoder-decoder": dict(architecture="encoder-decoder"),
     "lowrank-d": dict(attention="lowrank-d"),
+    "map-reuse": dict(reuse_maps=True),
 }
 IDS = [E.SOS, 4, 5, 6, 7, 3, 4, 5, 6, 3, 7, 4]
 SOURCE = [3, 4, 5, 6, 7, 4, E.PAD, E.PAD]          # padded encoder input
@@ -317,7 +343,8 @@ def test_a_padded_encoder_is_bitwise_the_composite():
 def grad_cases():
     cases = [(f"full-{k}", kw, "full") for k, kw in VARIANTS.items()]
     cases += [(f"chunked-{k}", VARIANTS[k], "chunked")
-              for k in ("dense", "window", "multi-query", "lowrank-d")]
+              for k in ("dense", "window", "multi-query", "lowrank-d",
+                        "map-reuse")]
     cases.append(("encoder-padded", dict(architecture="encoder-only"),
                   "encode"))
     return cases

@@ -240,8 +240,33 @@ def test_window_cache_stays_bounded_and_equals_the_masked_forward():
         assert session.kv.length(layer) == n
         assert session.kv.keys(layer).shape[1] <= window
         assert session.kv.values_(layer).shape[1] <= window
-        # the array itself stays within twice a window plus a step
-        assert session.kv._kv[layer].shape[2] <= 2 * window
+        # the arrays' capacity stays within twice a window plus a step
+        assert session.kv._kv[layer][0].shape[1] <= 2 * window
+
+
+@pytest.mark.parametrize("kw,widths", [
+    (dict(), [(8, 8)] * 3),
+    (dict(attention="window", window=3), [(8, 8)] * 3),
+    (dict(multi_query=True), [(4, 4)] * 3),
+    (dict(attention="lowrank-d"), [(4, 8)] * 3),
+    (dict(attention="lowrank-d", reduced_width=1), [(2, 8)] * 3),
+    (dict(reuse_maps=True), [(8, 8), (0, 8), (0, 8)]),
+], ids=["dense", "window", "multi-query", "lowrank-d", "lowrank-d-1",
+        "map-reuse"])
+def test_cache_columns_per_position(kw, widths):
+    """Key and value columns each layer caches per position, d_h = 4 and
+    n_kv = 2: 2 n_kv d_h for dense and window, 2 d_h for multi-query,
+    n_kv (d' + d_h) for width reduction, and n_kv d_h (V alone) for the
+    layers after the first with map reuse."""
+    m = build(n_layers=3, **kw)
+    session = m.decode_session()
+    m.decode_step(session, np.array([[SOS] + VOCAB.encode("cab")]))
+    m.decode_step(session, 4)
+    got = [(session.kv.keys(i).shape[-1], session.kv.values_(i).shape[-1])
+           for i in range(3)]
+    assert got == widths
+    assert [tuple(a.shape[-1] for a in session.kv._kv[i]) for i in range(3)] \
+        == widths
 
 
 def test_cache_rows_are_never_overwritten():

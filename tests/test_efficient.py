@@ -37,6 +37,34 @@ def test_single_pair_any_feature_map():
         np.testing.assert_allclose(out.values, v.values, atol=1e-12)
 
 
+def two_op_elu_plus_one(x):
+    """elu(x) + 1 as two taped ops: elu, then an add of the constant."""
+    av = x.values
+    elu = T.relayout(
+        x, lambda a: np.where(a > 0, a, 1.0 * np.expm1(a)).astype(a.dtype),
+        lambda g: g * np.where(av > 0, 1.0, 1.0 * np.exp(av)).astype(av.dtype))
+    return elu + 1.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, F64], ids=["float32", "float64"])
+def test_elu_plus_one_is_bitwise_the_two_op_form(dtype):
+    """The default feature map is one op: its values and gradients are
+    the bits of elu followed by an add."""
+    x = np.concatenate([rand((3, 40), 50) * 4.0,
+                        [[0.0, -0.0, 1e-30, -1e-30, 80.0, -80.0, 3.5, -3.5]]],
+                       axis=None).reshape(4, 32)
+    probe = T.Tensor(rand((4, 32), 51), dtype=dtype)
+    results = []
+    for phi in (EF.FeatureMap("elu_plus_one"), two_op_elu_plus_one):
+        t = T.Tensor(x, dtype=dtype, trainable=True)
+        with T.Tape() as tape:
+            out = phi(t)
+            loss = T.reduce_sum(out * probe)
+        results.append((out.values.tobytes(), T.backward(loss)[t].values.tobytes()))
+        tape.release()
+    assert results[0] == results[1]
+
+
 def test_causal_matches_naive_kernel_loop():
     n, d = 8, 4
     q, k, v = (T.Tensor(rand((n, d), s), dtype=F64) for s in (1, 2, 3))
@@ -346,12 +374,27 @@ def test_length_reduction_rejects_causal():
         EF.lowrank_length_attention(q, q, q, proj, causal=True)
 
 
+def reduced_params(d, tau, d_r, seed, identity=False):
+    """Attention params of width d and tau heads, and the same projections
+    with their query/key heads reduced to d_r columns."""
+    plain = A.AttentionParams.init(d, tau, T.Rng(seed), dtype=F64)
+    d_h = d // tau
+    proj = EF.LowRankProjections(
+        u_q=T.eye(d_h, dtype=F64) if identity
+        else T.Tensor(rand((d_h, d_r), seed + 1), dtype=F64),
+        u_kd=T.eye(d_h, dtype=F64) if identity
+        else T.Tensor(rand((d_h, d_r), seed + 2), dtype=F64))
+    reduced = A.AttentionParams(d, tau, plain.w_qkv, plain.w_out)
+    reduced.reduce = proj
+    return plain, reduced
+
+
 def test_width_identity_is_vanilla_logits():
-    n, d = 5, 4
-    q, k, v = (T.Tensor(rand((n, d), s), dtype=F64) for s in (29, 30, 31))
-    proj = EF.LowRankProjections(u_q=T.eye(d, dtype=F64), u_kd=T.eye(d, dtype=F64))
-    got = EF.lowrank_width_attention(q, k, v, proj)
-    np.testing.assert_allclose(got.values, A.qkv_attention(q, k, v).values,
+    plain, reduced = reduced_params(8, 2, 4, 29, identity=True)
+    h = T.Tensor(rand((5, 8), 30), dtype=F64)
+    mask = A.causal_mask(5)
+    np.testing.assert_allclose(A.self_attention(h, reduced, mask).values,
+                               A.self_attention(h, plain, mask).values,
                                atol=1e-12)
 
 
@@ -368,13 +411,54 @@ def test_width_reduction_rank_bound():
 
 
 def test_width_reduction_keeps_the_sqrt_d_temperature():
-    n, d, d_r = 4, 8, 2
-    q, k, v = (T.Tensor(rand((n, d), s), dtype=F64) for s in (36, 37, 38))
-    proj = EF.LowRankProjections(u_q=T.Tensor(rand((d, d_r), 39), dtype=F64),
-                                 u_kd=T.Tensor(rand((d, d_r), 40), dtype=F64))
-    kept = EF.lowrank_width_attention(q, k, v, proj)
-    q_r, k_r = EF.reduce_width(q, k, proj)
-    np.testing.assert_array_equal(
-        kept.values, A.qkv_attention(q_r, k_r, v, scale=np.sqrt(d)).values)
-    reduced = A.qkv_attention(q_r, k_r, v, scale=np.sqrt(d_r))
-    assert np.max(np.abs(kept.values - reduced.values)) > 1e-8
+    """The op scores the reduced heads Q_j U^q, K_j U^kd at the full
+    heads' 1/sqrt(d_h), not 1/sqrt(d')."""
+    d, tau, d_r = 8, 2, 2
+    plain, reduced = reduced_params(d, tau, d_r, 36)
+    h = T.Tensor(rand((4, d), 39), dtype=F64)
+    q, k, v = plain.heads(h)
+    q_r, k_r = EF.reduce_width(q, k, reduced.reduce)
+    got = A.self_attention(h, reduced).values
+
+    def merged(scale):
+        return plain.merge(A.qkv_attention(q_r, k_r, v, scale=scale)).values
+
+    np.testing.assert_allclose(got, merged(np.sqrt(d // tau)), atol=1e-12)
+    assert np.max(np.abs(got - merged(np.sqrt(d_r)))) > 1e-8
+
+
+def test_reduce_width_cuts_heads_from_a_fused_block():
+    """reduce_width on column blocks of one fused projection equals it on
+    split heads, merged: values and the gradients of x, U^q and U^kd."""
+    tau, d_h, d_r = 3, 4, 2
+    x = T.Tensor(rand((2, 5, 3 * tau * d_h), 44), dtype=F64, trainable=True)
+    proj = EF.LowRankProjections(
+        u_q=T.Tensor(rand((d_h, d_r), 45), dtype=F64, trainable=True),
+        u_kd=T.Tensor(rand((d_h, d_r), 46), dtype=F64, trainable=True))
+    cols = (0, tau * d_h), (tau * d_h, 2 * tau * d_h)
+    probe = T.Tensor(rand((2, 5, tau * d_r), 47), dtype=F64)
+
+    def merged(t):
+        shape = t.shape
+        return T.relayout(t, lambda a: a.swapaxes(-2, -3).reshape(
+            shape[:-3] + (shape[-2], shape[-3] * shape[-1])),
+            lambda g: T.head_view(g, shape[-3]))
+
+    def fused():
+        return EF.reduce_width(x, x, proj, (tau, tau), cols)
+
+    def split():
+        q, k = EF.reduce_width(A.split_heads(x, tau, cols[0]),
+                               A.split_heads(x, tau, cols[1]), proj)
+        return merged(q), merged(k)
+
+    results = []
+    for build in (fused, split):
+        with T.Tape():
+            q_r, k_r = build()
+            loss = T.reduce_sum(q_r * probe) + T.reduce_sum(k_r * k_r)
+        grads = T.backward(loss)
+        results.append([q_r.values, k_r.values]
+                       + [grads[t].values for t in (x, proj.u_q, proj.u_kd)])
+    for got, want in zip(*results):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)

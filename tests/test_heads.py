@@ -175,7 +175,10 @@ def test_lowrank_width_core_matches_per_head():
     mask = m._mask_for(5, True, None)
 
     def attend(j, q, k, v):
-        return EF.lowrank_width_attention(q, k, v, layer.lowrank, mask)
+        # Q_j U^q against K_j U^kd, at the full head's sqrt(d_h)
+        return A.qkv_attention(T.matmul(q, layer.lowrank.u_q),
+                               T.matmul(k, layer.lowrank.u_kd), v, mask,
+                               scale=np.sqrt(m.cfg.d_head))
 
     core = m._att_core(layer, mask, True, None, None, None)
     assert_same(lambda: core(z), lambda: per_head(z, z, layer.att, attend),
@@ -227,9 +230,9 @@ def test_reused_maps_match_per_head():
     mask = m._mask_for(5, True, None)
 
     def got():
-        store = {}
-        h = m._att_core(first, mask, True, None, store, None)(z)
-        return m._att_core(second, mask, True, None, store, None)(h)
+        maps = []
+        h = m._att_core(first, mask, True, None, maps, None)(z)
+        return m._att_core(second, mask, True, None, maps, None)(h)
 
     def want():
         maps = []

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a seqlab module imports is used in it."""
+"""Source hygiene: every name a seqlab module imports is used in it, and
+every function and class it defines is referenced."""
 
 import ast
 import pathlib
@@ -40,3 +41,49 @@ def test_the_scan_finds_an_unused_import():
     source = ("import os\nfrom typing import List, Optional\n"
               "import numpy as np\nx: Optional[int] = np.zeros(1)\n")
     assert unused_imports(source) == ["List (line 2)", "os (line 1)"]
+
+
+def unreferenced_definitions(sources: dict, exempt=("oracles.py",),
+                             kept=()) -> list:
+    """Functions and classes, at any depth, defined in a module outside
+    ``exempt`` whose name no expression in any of ``sources`` (file name
+    -> source) reads, as a name or an attribute. Dunder methods, which
+    Python calls by protocol, and the "file name" entries of ``kept`` are
+    left out."""
+    read, defined = set(), []
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.ClassDef)) and name not in exempt \
+                    and not (node.name.startswith("__")
+                             and node.name.endswith("__")) \
+                    and f"{name} {node.name}" not in kept:
+                defined.append((name, node.name, node.lineno))
+    return sorted(f"{name}:{line} {fn}" for name, fn, line in defined
+                  if fn not in read)
+
+
+# The layer-norm composite the fused op replaced; the acceptance gate's
+# printed-statistics criterion (tests/test_acceptance.py) reads it.
+KEPT_FOR_THE_GATE = ("blocks.py row_stats", "blocks.py normalize")
+
+
+def test_every_definition_is_referenced():
+    """A helper whose caller is rewired must go with it: every function
+    and class in src/seqlab/ outside oracles.py is named somewhere in
+    src/ besides its definition."""
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC}
+    assert unreferenced_definitions(sources, kept=KEPT_FOR_THE_GATE) == []
+
+
+def test_the_scan_finds_an_unreferenced_definition():
+    sources = {"a.py": "def used():\n    pass\n\ndef dead():\n    used()\n\n"
+                       "class Box:\n    def __len__(self):\n        return 0\n",
+               "b.py": "import a\na.Box()\n",
+               "oracles.py": "def reference():\n    pass\n"}
+    assert unreferenced_definitions(sources) == ["a.py:4 dead"]
+    assert unreferenced_definitions(sources, kept=("a.py dead",)) == []

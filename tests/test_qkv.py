@@ -9,7 +9,11 @@ the block's own projections, cross attention against separate W^q and
 W^k/W^v products, a residual added before its layer norm, and the
 quantizer's one step per matrix. Float32 logits and whole
 decodes are compared bit for bit, float64 gradients within 1e-12, and
-criterion-10 training losses as stated at each test.
+criterion-10 training losses as stated at each test. One exception: a
+width-reduced cache holds each key reduced once, by a one-row product
+at its own step, where the reference reduces the whole cached history
+again at every step, so float32 cached-step distributions of lowrank-d
+agree within F32_REDUCED_TOL (1e-6; 7.6e-9 measured over ten seeds).
 """
 
 import hashlib
@@ -28,8 +32,11 @@ from seqlab import runtime as R
 from seqlab import tensor as T
 from seqlab import train as TR
 
+import pinned_composite as P
+
 F32, F64 = np.float32, np.float64
 TOL = 1e-12
+F32_REDUCED_TOL = 1e-6
 VOCAB = E.Vocab.from_text("abcdefgh")
 
 
@@ -70,10 +77,9 @@ def reference_functions(blocks):
                 A.split_heads(T.matmul(x, wv), self.n_kv))
 
     def self_attention(h, params, mask=None, counter=None, *, rpr=None,
-                       lowrank=None, reuse=None):
-        return params.merge(A.attend_heads(
-            *heads(params, h), mask, counter, rpr=rpr, lowrank=lowrank,
-            reuse=reuse))
+                       maps=None):
+        return params.merge(P.attend_heads(
+            *heads(params, h), mask, counter, rpr, params.reduce, maps))
 
     window = A.window_attention
 
@@ -103,17 +109,17 @@ def reference_functions(blocks):
         q = A.split_heads(T.matmul(s_self, blocks(params)[0]), params.tau)
         return params.merge(A.qkv_attention(q, k, v, counter=counter))
 
-    def attend_step_cached(x, cache, params, layer, rpr=None, lowrank=None,
-                           reuse=None, counter=None):
+    def attend_step_cached(x, cache, params, layer, rpr=None, counter=None,
+                           maps=None):
         wq, wk, wv = blocks(params)
         q, k_new, v_new = T.matmul(x, wq), T.matmul(x, wk), T.matmul(x, wv)
         k, v, back = cache.write(layer, k_new.values, v_new.values)
         mask = A._step_mask(x.shape[1], back, cache.window)
-        out = params.merge(A.attend_heads(
+        out = params.merge(P.attend_heads(
             A.split_heads(q, params.tau),
             A.split_heads(ending_in(k, k_new), params.n_kv),
             A.split_heads(ending_in(v, v_new), params.n_kv), mask, counter,
-            rpr=rpr, lowrank=lowrank, reuse=reuse, q_start=back))
+            rpr, params.reduce, maps, back))
         return out
 
     def sublayer_apply(h_in, core, ln, cfg):
@@ -250,7 +256,10 @@ def test_float32_logits_are_bitwise_the_three_matrix_path(kw, request):
     want_full, want_steps = logits_of(model, ids)
     assert full.dtype == F32
     assert full.tobytes() == want_full.tobytes()
-    assert steps.tobytes() == want_steps.tobytes()
+    if kw.get("attention") == "lowrank-d":
+        assert np.max(np.abs(steps - want_steps)) <= F32_REDUCED_TOL
+    else:
+        assert steps.tobytes() == want_steps.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -610,8 +610,10 @@ def test_quantized_paths_equal_the_per_product_int64_route(bits, dtype,
 
 @pytest.mark.parametrize("kw", [
     dict(), dict(attention="window", window=3), dict(multi_query=True),
-    dict(architecture="encoder-decoder"),
-], ids=["dense", "window", "multi-query", "encoder-decoder"])
+    dict(architecture="encoder-decoder"), dict(attention="lowrank-d"),
+    dict(reuse_maps=True),
+], ids=["dense", "window", "multi-query", "encoder-decoder", "lowrank-d",
+        "map-reuse"])
 def test_cached_quantized_greedy_equals_the_per_row_prefix_rerun(kw,
                                                                  monkeypatch):
     """Eight-bit greedy on the KV cache against whole-prefix re-runs under
@@ -654,6 +656,34 @@ def test_cached_quantized_greedy_equals_the_per_row_prefix_rerun(kw,
     want -= np.log(np.exp(want).sum(axis=1, keepdims=True))
     assert [R._pick_greedy(np.exp(row)) for row in want] == tokens
     assert np.max(np.abs(np.log(np.stack(steps)) - want)) < DECODE_TOL
+
+
+@pytest.mark.parametrize("kw", [dict(attention="lowrank-d", n_layers=3),
+                                dict(reuse_maps=True, n_layers=3)],
+                         ids=["lowrank-d", "map-reuse"])
+def test_reduced_and_reuse_steps_quantize_their_projections(kw):
+    """A cached step of either form makes one quantized W^qkv product per
+    layer: width reduction multiplies its result by U^q and U^kd in
+    floats, and a later map-reuse layer's product is its value columns."""
+    model = build(seed=4, d=16, d_ffn=32, **kw)
+    route = R._quant_route(R.weight_quant_specs(model, 8), 8)
+    atts = {id(lay.att.w_qkv): lay.att for lay in model.dec_layers}
+    seen = []
+
+    def recording(a, b, cols=None):
+        out = route(a, b, cols)
+        if id(b) in atts:
+            seen.append((atts[id(b)], cols, out is not None))
+        return out
+
+    session = model.decode_session()
+    with T.matmul_routing(recording):
+        model.decode_step(session, np.array([[SOS, 4, 5]]))
+        model.decode_step(session, 6)
+    reuse = model.cfg.reuse_maps
+    want = [(lay.att, lay.att.v_cols if reuse and i else None, True)
+            for i, lay in enumerate(model.dec_layers)]
+    assert seen == want * 2
 
 
 def test_quantized_stats_are_collected():

@@ -240,8 +240,10 @@ def test_greedy_equals_the_one_token_loop(kw, dtype):
 
 
 @pytest.mark.parametrize("bits", [8, 16])
-@pytest.mark.parametrize("kw", [dict(), dict(attention="window", window=3)],
-                         ids=["dense", "window"])
+@pytest.mark.parametrize("kw", [dict(), dict(attention="window", window=3),
+                                dict(attention="lowrank-d"),
+                                dict(reuse_maps=True)],
+                         ids=["dense", "window", "lowrank-d", "map-reuse"])
 def test_quantized_greedy_equals_the_one_token_loop(kw, bits):
     model = no_eos(build(seed=4, **kw))
     prompt = VOCAB.encode("abab")
