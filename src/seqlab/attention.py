@@ -115,15 +115,12 @@ def qkv_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor, mask=None,
     d_h = q.shape[-1]
     if scale is None:
         scale = float(np.sqrt(d_h))
-    if return_weights:
-        out, weights = T.attention(q, k, v, mask=mask, scale=1.0 / scale,
-                                   keep=True)
-        # one head: drop its axis
-        weights = T.reshape(weights, weights.shape[:-3] + weights.shape[-2:])
-    else:
-        out = T.attention(q, k, v, mask=mask, scale=1.0 / scale)
+    out = T.attention(q, k, v, mask=mask, scale=1.0 / scale, keep=return_weights)
+    if return_weights:                       # one head: drop its axis
+        out, w = out
+        w = T.reshape(w, w.shape[:-3] + w.shape[-2:])
     _tally(counter, out.shape[:-1], k.shape[-2], d_h, v.shape[-1])
-    return (out, weights) if return_weights else out
+    return (out, w) if return_weights else out
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +172,11 @@ class AttentionParams:
     over the tau query heads (multi-query attention). W_c (d, d) transforms
     the merged heads. ``wq``, ``wk`` and ``wv`` read W^qkv's blocks. With
     ``reduce`` set (LowRankProjections u_q, u_kd), query and key heads are
-    reduced after the product (see _attend).
+    reduced after the product (see self_attention).
     """
 
-    def __init__(self, d: int, tau: int, w_qkv: T.Tensor, w_out: T.Tensor):
+    def __init__(self, d: int, tau: int, w_qkv: T.Tensor, w_out: T.Tensor,
+                 reduce: Optional[EF.LowRankProjections] = None):
         if d % tau != 0:
             raise ValueError("head count must divide d")
         self.d = d
@@ -194,7 +192,7 @@ class AttentionParams:
         self.cols = qkv_blocks(w_qkv.shape)
         self.q_cols, self.k_cols, self.v_cols = self.cols
         self.head_counts = tau, self.n_kv       # query heads, key/value heads
-        self.reduce = None                      # lowrank-d's (u_q, u_kd)
+        self.reduce = reduce                    # lowrank-d's u_q, u_kd
 
     @classmethod
     def from_blocks(cls, d: int, tau: int, wq: T.Tensor, wk: T.Tensor,
@@ -228,9 +226,11 @@ class AttentionParams:
 
     @classmethod
     def init(cls, d: int, tau: int, rng: T.Rng, gain: float = 1.0,
-             n_kv: Optional[int] = None, dtype=np.float32) -> "AttentionParams":
+             n_kv: Optional[int] = None, dtype=np.float32,
+             reduced: Optional[int] = None) -> "AttentionParams":
         """Xavier-drawn params with n_kv key/value heads: tau by default,
-        or 1 for multi-query attention."""
+        or 1 for multi-query attention; with ``reduced`` = d', lowrank-d's
+        (d_h, d') u_q and u_kd, drawn last."""
         def fused(n_heads):
             # one Xavier draw per (d, d/tau) head block, in head order
             return [T.xavier_init(d, d // tau, gain=gain, rng=rng, dtype=dtype).values
@@ -239,7 +239,10 @@ class AttentionParams:
         n_kv = tau if n_kv is None else n_kv
         w_qkv = np.concatenate(fused(tau) + fused(n_kv) + fused(n_kv), axis=1)
         w_out = T.xavier_init(d, d, gain=gain, rng=rng, dtype=dtype)
-        return cls(d, tau, T.Tensor(w_qkv, trainable=True), w_out)
+        reduce = None if reduced is None else EF.LowRankProjections(
+            u_q=T.xavier_init(d // tau, reduced, rng=rng, dtype=dtype),
+            u_kd=T.xavier_init(d // tau, reduced, rng=rng, dtype=dtype))
+        return cls(d, tau, T.Tensor(w_qkv, trainable=True), w_out, reduce)
 
     def split(self, qkv: T.Tensor, history: tuple = (None, None)):
         """Fused projections cut into heads: (..., tau | n_kv, m, d_h); with
@@ -271,9 +274,10 @@ class AttentionParams:
 # ---------------------------------------------------------------------------
 
 
-def _attend(x: T.Tensor, params: AttentionParams, mask=None, counter=None,
-            rpr: Optional[RprTable] = None, maps: Optional[list] = None,
-            cache: Optional["KVCache"] = None, layer: int = 0) -> T.Tensor:
+def self_attention(x: T.Tensor, params: AttentionParams, mask=None,
+                   counter=None, *, rpr: Optional[RprTable] = None,
+                   maps: Optional[list] = None, cache: Optional["KVCache"] = None,
+                   layer: int = 0) -> T.Tensor:
     """Self-attention of a block x (..., m, d), merged and multiplied by
     W_c, in one ``tensor.attention`` op (the one path of every softmax
     form but ``rpr``'s), tallying its work on ``counter``.
@@ -286,18 +290,15 @@ def _attend(x: T.Tensor, params: AttentionParams, mask=None, counter=None,
     block's keys and values are written at ``layer`` and the op reads the
     cached rows ending in them, under the cache's step mask.
     """
-    scale = None
+    scale, cols = None, params.cols
     if maps:                                 # a later map-reuse layer
         q = k = None
         v = T.matmul(x, params.w_qkv, cols=params.v_cols)
-        vb = v.values
-        kb = vb[..., :0]
+        kb, vb, cols = v.values[..., :0], v.values, (None, None, None)
     else:
         q = k = v = T.matmul(x, params.w_qkv)
-        cols = params.cols
-        rows = v.values
         _, (k_lo, k_hi), (v_lo, v_hi) = cols
-        kb, vb = rows[..., k_lo:k_hi], rows[..., v_lo:v_hi]
+        kb, vb = v.values[..., k_lo:k_hi], v.values[..., v_lo:v_hi]
         if params.reduce is not None:
             q, k = EF.reduce_width(v, v, params.reduce, params.head_counts,
                                    cols[:2])
@@ -305,38 +306,24 @@ def _attend(x: T.Tensor, params: AttentionParams, mask=None, counter=None,
             kb = k.values
     history, back = None, 0
     if cache is not None:
-        k_held, v_held, back = cache.write(layer, kb, vb)
-        history = k_held, v_held
-        m = vb.shape[1]
-        if m > 1:
-            mask = cache.step_mask(m, back, vb.dtype)
+        *history, back = cache.write(layer, kb, vb)
+        if vb.shape[1] > 1:
+            mask = cache.step_mask(vb.shape[1], back, vb.dtype)
     if rpr is not None:
         return params.merge(rpr_attention(
             *params.split(v, history or (None, None)), rpr, mask, back))
-    if maps is None:
-        out = T.attention(q, k, v, params.head_counts, cols=cols,
-                          history=history, mask=mask, scale=scale)
-    elif maps:
-        out = T.attention(None, None, v, params.head_counts, history=history,
-                          weights=maps[0])
-    else:
-        out, kept = T.attention(q, k, v, params.head_counts, cols=cols,
-                                history=history, mask=mask, keep=True)
+    keep = maps == []                        # the first map-reuse layer
+    out = T.attention(q, k, v, params.head_counts, cols=cols, history=history,
+                      mask=mask, scale=scale, keep=keep,
+                      weights=maps[0] if maps else None)
+    if keep:
+        out, kept = out
         maps.append(kept)
-    if counter is not None and q is not None:
+    if counter is not None:                  # later map-reuse keys: 0 wide
         _tally(counter, out.shape[:-1] + (params.tau,), vb.shape[-2]
                if history is None else history[1].shape[-2],
                kb.shape[-1] // params.n_kv, params.d_head)
     return T.matmul(out, params.w_out)
-
-
-def self_attention(h: T.Tensor, params: AttentionParams, mask=None,
-                   counter=None, *, rpr: Optional[RprTable] = None,
-                   maps: Optional[list] = None) -> T.Tensor:
-    """Self-attention of h (..., m, d) over itself, projected with one
-    product, in the form ``params``, ``rpr`` and ``maps`` pick (see
-    _attend); the heads are merged and multiplied by W_c."""
-    return _attend(h, params, mask, counter, rpr, maps)
 
 
 def window_band(m: int, w: int, causal: bool,
@@ -561,20 +548,19 @@ class KVCache:
         """
         if not 0 <= layer < self.n_layers:
             self._check(layer)
-        rows, m, k_width = k_new.shape
-        v_width = v_new.shape[-1]
+        rows, m = k_new.shape[:2]
         kv, t = self._kv[layer], self._t[layer]
-        if kv is not None and (kv[0].shape[0], kv[0].shape[2], kv[1].shape[2]) \
-                != (rows, k_width, v_width):
-            raise StateError(f"a {(rows, k_width, v_width)} block (rows, key "
-                             f"and value widths) does not fit a cache of "
-                             f"{(kv[0].shape[0], kv[0].shape[2], kv[1].shape[2])}")
+        if kv is not None and (kv[0].shape[::2], kv[1].shape[::2]) \
+                != (k_new.shape[::2], v_new.shape[::2]):
+            raise StateError(f"key and value blocks of (rows, width) "
+                             f"{k_new.shape[::2]}, {v_new.shape[::2]} do not fit "
+                             f"a cache of {kv[0].shape[::2]}, {kv[1].shape[::2]}")
         back = t if self.window is None else min(t, self.window - 1)
         end = t - self._first[layer]
         if kv is None or end + m > kv[0].shape[1] or self._rewound[layer]:
             cap = max(self.MIN_CAPACITY, 2 * (back + m))
-            new = (np.empty((rows, cap, k_width), dtype=k_new.dtype),
-                   np.empty((rows, cap, v_width), dtype=k_new.dtype))
+            new = (np.empty((rows, cap, k_new.shape[2]), k_new.dtype),
+                   np.empty((rows, cap, v_new.shape[2]), v_new.dtype))
             if back:
                 for a, old in zip(new, kv):
                     a[:, :back] = old[:, end - back:end]
@@ -662,17 +648,15 @@ def attend_step_cached(x: T.Tensor, cache: KVCache, params: AttentionParams,
                        layer: int, rpr: Optional[RprTable] = None,
                        counter: Optional[OpCounter] = None,
                        maps: Optional[list] = None):
-    """Self-attention of a block of new positions at one cache layer.
-
-    ``x`` is (rows, m, d): m new positions for each of the cache's rows;
-    any other rank raises ShapeError. The block's keys (W^qkv's key
-    columns, lowrank-d's reduced keys, or none for a later map-reuse
-    layer) and values are written into the cache, and every new position
-    attends over the earlier positions it can see plus the block up to
-    itself, in one ``tensor.attention`` op that reads the cached rows in
-    place, in the form ``params``, ``rpr`` and ``maps`` pick (see
-    _attend). Returns the output after W_c, shaped like x.
-    """
+    """Self-attention of a block of new positions at one cache layer, as
+    self_attention runs it with ``cache``: x is (rows, m, d), m new
+    positions for each of the cache's rows (any other rank raises
+    ShapeError). The block's keys (W^qkv's key columns, lowrank-d's
+    reduced keys, or none for a later map-reuse layer) and values are
+    written into the cache, and every new position attends over the
+    earlier positions it can see plus the block up to itself, the cached
+    rows read in place. Returns the output after W_c, shaped like x."""
     if x.values.ndim != 3:
         raise T.ShapeError("attend_step_cached expects a (rows, m, d) block")
-    return _attend(x, params, None, counter, rpr, maps, cache, layer)
+    return self_attention(x, params, None, counter, rpr=rpr, maps=maps,
+                          cache=cache, layer=layer)

@@ -54,7 +54,7 @@ class FeatureMap:
 
     def __call__(self, x: T.Tensor) -> T.Tensor:
         if self.kind == "elu_plus_one":
-            return T.elu(x, plus=1.0)
+            return T.elu_plus_one(x)
         if self.kind == "relu":
             return T.relu(x)
         return T.maximum(x, _CLIP_FLOOR)
@@ -190,19 +190,16 @@ def lowrank_length_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor,
 def reduce_width(q: T.Tensor, k: T.Tensor, proj: LowRankProjections,
                  heads: tuple = (1, 1), cols: tuple = (None, None)
                  ) -> Tuple[T.Tensor, T.Tensor]:
-    """Q' = Q U^q, K' = K U^kd; logits become Q'K'^T at rank <= d'.
+    """Q' = Q U^q, K' = K U^kd per head; logits become Q'K'^T at rank <= d'.
 
-    The reduction is per head: the column block ``cols[0]`` of q (all of
-    q for None) holds heads[0] query heads, and ``cols[1]`` of k holds
-    heads[1] key heads, each as wide as U's rows. The reduced heads come
-    out side by side, (..., heads * d'), in one product each; q and k may
-    be one Tensor, such as a fused Q/K/V projection. A block whose width
-    is not its heads' U rows raises ShapeError.
+    Column block ``cols[0]`` of q (all of q for None) holds heads[0] query
+    heads, and ``cols[1]`` of k heads[1] key heads, each U's rows wide; q
+    and k may be one fused projection. The reduced heads come out side by
+    side, (..., heads * d'), in one product each.
     """
     if proj.u_q is None or proj.u_kd is None:
         raise ValueError("width reduction needs u_q and u_kd")
-    d_h, d_r = proj.u_q.values.shape
-    if d_h < d_r:
+    if proj.u_q.shape[0] < proj.u_q.shape[1]:
         raise T.ShapeError("width reduction must not grow d")
     return (T.head_matmul(q, proj.u_q, heads[0], cols[0]),
             T.head_matmul(k, proj.u_kd, heads[1], cols[1]))

@@ -271,7 +271,7 @@ class Layer:
     ln2: B.LNParams
     att: Optional[A.AttentionParams] = None
     ssm: Optional[S.DiscreteSSM] = None
-    lowrank: Optional[EF.LowRankProjections] = None
+    lowrank: Optional[EF.LowRankProjections] = None   # lowrank-n; see att.reduce
     cross: Optional[A.AttentionParams] = None
     ln_cross: Optional[B.LNParams] = None
 
@@ -280,9 +280,10 @@ class Layer:
             yield from self.att.named(f"{prefix}.att.")
         if self.ssm is not None:
             yield from self.ssm.named(f"{prefix}.ssm")
-        if self.lowrank is not None:
+        lowrank = self.lowrank or (self.att and self.att.reduce)
+        if lowrank is not None:
             for nm in ("u_k", "u_v", "u_q", "u_kd"):
-                t = getattr(self.lowrank, nm)
+                t = getattr(lowrank, nm)
                 if t is not None:
                     yield f"{prefix}.lowrank.{nm}", t
         yield from self.ln1.named(f"{prefix}.ln1")
@@ -300,16 +301,11 @@ def _init_layer(cfg: ModelConfig, rng: T.Rng, with_cross: bool, dtype) -> Layer:
         ssm = S.init_ssm_sublayer(cfg.ssm_d_state, cfg.ssm_dt,
                                   cfg.ssm_method, cfg.ssm_init, rng, dtype)
     else:
-        att = A.AttentionParams.init(d, cfg.tau, rng,
-                                     n_kv=1 if cfg.multi_query else cfg.tau,
-                                     dtype=dtype)
-    if cfg.attention == "lowrank-d":
-        d_r = cfg.reduced_width_resolved
-        lowrank = EF.LowRankProjections(
-            u_q=T.xavier_init(cfg.d_head, d_r, rng=rng, dtype=dtype),
-            u_kd=T.xavier_init(cfg.d_head, d_r, rng=rng, dtype=dtype))
-        att.reduce = lowrank
-    elif cfg.attention == "lowrank-n":
+        att = A.AttentionParams.init(
+            d, cfg.tau, rng, n_kv=1 if cfg.multi_query else cfg.tau,
+            dtype=dtype, reduced=cfg.reduced_width_resolved
+            if cfg.attention == "lowrank-d" else None)
+    if cfg.attention == "lowrank-n":
         n_r = cfg.reduced_length
         lowrank = EF.LowRankProjections(
             u_k=T.xavier_init(n_r, cfg.max_length, rng=rng, dtype=dtype),

@@ -290,17 +290,6 @@ def enumerate_sequences(vocab: list[int], length: int):
             yield prefix + (t,)
 
 
-def exhaustive_best_sequence(score_fn: Callable[[tuple], float],
-                             vocab: list[int], length: int):
-    """Argmax of score_fn over every possible sequence; ties keep the first."""
-    best, best_score = None, -math.inf
-    for seq in enumerate_sequences(vocab, length):
-        sc = score_fn(seq)
-        if sc > best_score:
-            best, best_score = seq, sc
-    return best, best_score
-
-
 def _report(name: str, max_abs: float, max_rel: float, tol: float) -> OracleReport:
     return OracleReport(name, float(max_abs), float(max_rel), tol,
                         bool(max_rel <= tol or max_abs <= tol))

@@ -14,11 +14,11 @@ multi-head ``attention`` (head split, scores, masked softmax, weighted
 values and head merge), and the training loss ``log_softmax_nll``.
 Their forwards repeat the arithmetic of the composites they replace, so
 float32 outputs match those bit for bit. They run elementwise steps in
-place where they can (attention's scale, mask add, exp and divide and
-its softmax backward; the mask add after a scale, the row-max subtract,
-exp and divide in ``softmax_rows``; exp and divide in the loss; ReLU on
-the biased sum in ``ffn``, and the ReLU mask on its backward), so
-attention keeps one score-sized array per layer. The buffer rule: a
+place where they can (the one softmax of ``attention`` and
+``softmax_rows`` and its backward, once the logits are an array of their
+own; exp and divide in the loss; ReLU on the biased sum in ``ffn``, and
+the ReLU mask on its backward), so attention keeps one score-sized array
+per layer. The buffer rule: a
 fused op overwrites only arrays it allocated; never an input, a mask,
 cache rows or an incoming gradient. Where writing in place would change a result's
 dtype or shape, the op computes out of place, so the bits do not depend
@@ -478,8 +478,7 @@ def neg(a: Tensor) -> Tensor:
 
 def exp(a: Tensor) -> Tensor:
     ov = np.exp(a.values)
-    out = ov
-    return _emit(out, (a,), lambda g: (g * ov,))
+    return _emit(ov, (a,), lambda g: (g * ov,))
 
 
 def log(a: Tensor) -> Tensor:
@@ -494,8 +493,7 @@ def sqrt(a: Tensor) -> Tensor:
     if np.any(a.values < 0):
         raise ValueError("sqrt requires non-negative inputs")
     ov = np.sqrt(a.values)
-    out = ov
-    return _emit(out, (a,), lambda g: (g * (0.5 / ov),))
+    return _emit(ov, (a,), lambda g: (g * (0.5 / ov),))
 
 
 def power(a: Tensor, p) -> Tensor:
@@ -513,14 +511,13 @@ def relu(a: Tensor) -> Tensor:
     return _emit(out, (a,), lambda g: (g * (zv > 0),))
 
 
-def elu(a: Tensor, plus: float = 0.0) -> Tensor:
-    """a where a > 0, else exp(a) - 1; plus ``plus`` in the same op, as a
-    separate add would compute it."""
+def elu_plus_one(a: Tensor) -> Tensor:
+    """elu(a) + 1 as one op: a where a > 0, else expm1(a), plus 1, with
+    the bits of elu followed by a separate add."""
     av = a.values
     ov = np.expm1(av)                       # fresh: the rest runs in place
     np.copyto(ov, av, where=av > 0)
-    if plus:
-        ov += plus
+    ov += 1.0
     return _emit(ov, (a,), _elu_grad, av)
 
 
@@ -803,43 +800,50 @@ def softmax_rows(x: Tensor, additive_mask=None,
     the mask is a Tensor, to its finite entries (additive priors may be
     learnable).
     """
-    xv = logits = x.values                  # never written
-    if scale is not None:
-        c = np.asarray(scale, dtype=xv.dtype)
-        logits = xv * c                     # fresh: the rest runs in place
-    mask_t = additive_mask if isinstance(additive_mask, Tensor) else None
-    if additive_mask is not None:
-        mv = additive_mask.values if mask_t is not None else np.asarray(
-            additive_mask, dtype=x.dtype)
-        # NaN and +inf are the entries whose maximum is not below +inf
-        if not np.maximum.reduce(mv, axis=None, initial=-np.inf) < np.inf:
-            raise ValueError("mask entries must be finite or -inf")
-        logits = xv + mv if logits is xv else _into(np.add, logits, mv)
-
-    if logits.shape[-1] == 0:
-        raise DegenerateRowError("softmax over zero-width rows")
-    row_max = np.maximum.reduce(logits, axis=-1, keepdims=True)
-    if np.fmin.reduce(row_max, axis=None, initial=np.inf) == -np.inf:
-        raise DegenerateRowError("softmax row with every entry masked")
-    if logits is xv:
-        y = xv - row_max
-    else:                                   # logits is fresh
-        y = logits
-        y -= row_max
-    np.exp(y, out=y)                        # exp(-inf) == 0 exactly
-    y /= np.add.reduce(y, axis=-1, keepdims=True)
+    c = None if scale is None else np.asarray(scale, dtype=x.dtype)
+    y, mask_t = _softmax(x.values, c, additive_mask, False)
     out = y.astype(x.dtype, copy=False)
 
     def grad_fn(g):
-        dot = np.add.reduce(g * y, axis=-1, keepdims=True)
-        gl = _into(np.multiply, g - dot, y).astype(x.dtype, copy=False)
-        gx = _unbroadcast(gl if scale is None else gl * c, x.shape)
-        if mask_t is None:
-            return (gx,)
-        return gx, _unbroadcast(gl, mask_t.shape)
+        gl = _softmax_grad(g, y, x.dtype, False)
+        gx = _unbroadcast(gl if c is None else gl * c, x.shape)
+        return (gx,) if mask_t is None else (gx, _unbroadcast(gl, mask_t.shape))
 
-    inputs = (x,) if mask_t is None else (x, mask_t)
-    return _emit(out, inputs, grad_fn)
+    return _emit(out, (x,) if mask_t is None else (x, mask_t), grad_fn)
+
+
+def _softmax(y: np.ndarray, c, mask, fresh: bool):
+    """Softmax(y * c + mask) over y's last axis (c a 0-d array or None)
+    and the mask if it is a Tensor, for every softmax op: in y's dtype
+    unless the mask widens it, written into y when ``fresh``, else new."""
+    if c is not None:
+        y = np.multiply(y, c, out=y if fresh else None)
+        fresh = True
+    mask_t = mask if isinstance(mask, Tensor) else None
+    if mask is not None:
+        mv = mask.values if mask_t is not None else np.asarray(mask, dtype=y.dtype)
+        # NaN and +inf are the entries whose maximum is not below +inf
+        if not np.maximum.reduce(mv, axis=None, initial=-np.inf) < np.inf:
+            raise ValueError("mask entries must be finite or -inf")
+        y = _into(np.add, y, mv) if fresh else y + mv
+        fresh = True
+    if y.shape[-1] == 0:
+        raise DegenerateRowError("softmax over zero-width rows")
+    row_max = np.maximum.reduce(y, axis=-1, keepdims=True)
+    if np.fmin.reduce(row_max, axis=None, initial=np.inf) == -np.inf:
+        raise DegenerateRowError("softmax row with every entry masked")
+    y = np.subtract(y, row_max, out=y if fresh else None)
+    np.exp(y, out=y)                        # exp(-inf) == 0 exactly
+    y /= np.add.reduce(y, axis=-1, keepdims=True)
+    return y, mask_t
+
+
+def _softmax_grad(g: np.ndarray, y: np.ndarray, dtype, fresh: bool):
+    """The gradient of _softmax's scaled, masked logits from the
+    probabilities' g, in ``dtype``: written into g when ``fresh``."""
+    dot = np.add.reduce(g * y, axis=-1, keepdims=True)
+    g = _into(np.subtract, g, dot) if fresh else g - dot
+    return _into(np.multiply, g, y).astype(dtype, copy=False)
 
 
 def head_view(a: np.ndarray, n: int) -> np.ndarray:
@@ -928,42 +932,25 @@ def attention(q: Optional[Tensor], k: Optional[Tensor], v: Tensor,
                 c = _SCALES[d_h, s.dtype] = np.asarray(1.0 / math.sqrt(d_h), s.dtype)
         else:
             c = np.asarray(scale, s.dtype)
-        y = s                               # fresh: the softmax runs in place
-        y *= c
-        mask_t = mask if isinstance(mask, Tensor) else None
-        if mask is not None:
-            mv = mask.values if mask_t is not None else np.asarray(mask, dtype=s.dtype)
-            if not np.maximum.reduce(mv, axis=None, initial=-np.inf) < np.inf:
-                raise ValueError("mask entries must be finite or -inf")
-            y = _into(np.add, y, mv)
-        if n_k == 0:
-            raise DegenerateRowError("softmax over zero-width rows")
-        row_max = np.maximum.reduce(y, axis=-1, keepdims=True)
-        if np.fmin.reduce(row_max, axis=None, initial=np.inf) == -np.inf:
-            raise DegenerateRowError("softmax row with every entry masked")
-        y -= row_max
-        np.exp(y, out=y)
-        y /= np.add.reduce(y, axis=-1, keepdims=True)
+        y, mask_t = _softmax(s, c, mask, True)   # s is fresh
         w = y if y.dtype is s.dtype else y.astype(s.dtype)
     o = np.matmul(w, vh)
     out = o.swapaxes(-2, -3).reshape(
         o.shape[:-3] + (o.shape[-2], o.shape[-3] * o.shape[-1]))
 
-    cached = None if history is None else m
-    if weights is None and not keep:
-        srcs = (q,) if k is q else (q, k)    # distinct inputs, in first use
-        if v is not q and v is not k:
-            srcs += (v,)
-        return _emit(out, srcs if mask_t is None else srcs + (mask_t,),
-                     _attention_grad, "both", srcs, (q, k, v), spans, heads,
-                     qh, kh, vh, y, w, c, mask_t, cached)
-    saved = (q, k, v), spans, heads, qh, kh, vh, y, w, c, mask_t, cached
+    saved = ((q, k, v), spans, heads, qh, kh, vh, y, w, c, mask_t,
+             None if history is None else m)
     if weights is not None:
         return _emit(out, (weights, v), _attention_grad, "values", (v,), *saved)
-    srcs = (q,) if k is q else (q, k)        # keep: a record per half
-    kept = _emit(w, srcs if mask_t is None else srcs + (mask_t,),
-                 _attention_grad, "scores", srcs, *saved)
-    return _emit(out, (kept, v), _attention_grad, "values", (v,), *saved), kept
+    srcs = (q,) if k is q else (q, k)        # distinct inputs, in first use
+    if keep:                                 # a record per half
+        kept = _emit(w, srcs if mask_t is None else srcs + (mask_t,),
+                     _attention_grad, "scores", srcs, *saved)
+        return _emit(out, (kept, v), _attention_grad, "values", (v,), *saved), kept
+    if v is not q and v is not k:
+        srcs += (v,)
+    return _emit(out, srcs if mask_t is None else srcs + (mask_t,),
+                 _attention_grad, "both", srcs, *saved)
 
 
 def _attention_grad(half: str, srcs: tuple, qkv: tuple, spans: list,
@@ -975,29 +962,20 @@ def _attention_grad(half: str, srcs: tuple, qkv: tuple, spans: list,
     the block's m when K and V were read from history rows, whose earlier
     rows get no gradient."""
     n_q, n_kv = heads
-    grads, blocks = [], []
-    if half == "scores":
-        gw = g.copy()                       # the tape may hold g elsewhere
-    else:
+    grads, blocks, gw = [], [], g           # "scores" gets the weights' g
+    if half != "scores":
         go = head_view(g, n_q)
         gw = _unbroadcast(np.matmul(go, vh.swapaxes(-1, -2)), w.shape)
         gv = _unbroadcast(np.matmul(w.swapaxes(-1, -2), go), vh.shape)
         if half == "values":
             grads.append(gw)
     if half != "values":
-        n_k, d_h = kh.shape[-2:]
-        dot = np.add.reduce(gw * y, axis=-1, keepdims=True)
-        # gw is fresh: it becomes gl, then gs
-        gl = _into(np.multiply, _into(np.subtract, gw, dot), y).astype(
-            w.dtype, copy=False)
-        if mask_t is None:
-            gl *= c
-            gs = gl
-        else:                               # the mask's gradient is gl itself
-            gs = gl * c
+        gl = _softmax_grad(gw, y, w.dtype, half == "both")
+        # the mask's gradient is gl itself
+        gs = gl * c if mask_t is not None else np.multiply(gl, c, out=gl)
         gq = _unbroadcast(np.matmul(gs, kh), qh.shape)
         gk_t = np.matmul(qh.swapaxes(-1, -2), gs)
-        gk = np.swapaxes(_unbroadcast(gk_t, kh.shape[:-2] + (d_h, n_k)), -1, -2)
+        gk = np.swapaxes(_unbroadcast(gk_t, kh.swapaxes(-1, -2).shape), -1, -2)
         if cached is not None:
             gk = gk[..., -cached:, :]
         blocks += [(qkv[0], spans[0], n_q, gq), (qkv[1], spans[1], n_kv, gk)]
@@ -1031,9 +1009,9 @@ def log_softmax_nll(x: Tensor, targets, weights, floor: float):
     Returns (loss, picked): the scalar loss and every row's target
     probability before the floor, a plain array. A row whose probability
     is below the floor contributes log(floor) and no gradient; the others
-    get the gradient w_i (softmax(x_i) - onehot(t_i)). The forward repeats
-    softmax_rows, the gather, the floor, log and the weighted sum, so a
-    float32 loss equals that composite's bit for bit.
+    get the gradient w_i (softmax(x_i) - onehot(t_i)). The forward runs
+    softmax_rows's softmax, the gather, the floor, log and the weighted
+    sum, so a float32 loss equals that composite's bit for bit.
     """
     xv = x.values
     ids = np.asarray(targets, dtype=np.int64)
@@ -1042,9 +1020,7 @@ def log_softmax_nll(x: Tensor, targets, weights, floor: float):
     if floor <= 0:
         raise ValueError("the probability floor must be positive")
     rows = np.arange(xv.shape[0])
-    y = xv - np.max(xv, axis=-1, keepdims=True)  # fresh: exp, divide in place
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
+    y = _softmax(xv, None, None, False)[0]
     picked = y[rows, ids]
     fl = np.asarray(floor, dtype=xv.dtype)
     w = np.asarray(weights, dtype=xv.dtype)

@@ -33,13 +33,16 @@ def reduce_width(q, k, proj):
     return T.matmul(q, proj.u_q), T.matmul(k, proj.u_kd)
 
 
-def lowrank_width_attention(q, k, v, proj, mask=None, counter=None, held=0):
+def lowrank_width_attention(q, k, v, proj, mask=None, counter=None, held=0,
+                            u_held=None):
     """Width-reduced attention at the full heads' sqrt(d_h). The first
-    ``held`` key rows are reduced as constants (see install)."""
+    ``held`` key rows are reduced as constants, by ``u_held`` or else the
+    live U^kd (see install)."""
     d = q.shape[-1]
     q_r, k_r = reduce_width(q, k, proj)
     if held:
-        earlier = k.values[..., :held, :] @ proj.u_kd.values
+        earlier = k.values[..., :held, :] @ (proj.u_kd.values if u_held is None
+                                             else u_held)
         k_r = T.concat([T.Tensor(earlier), T.take(
             k_r, (Ellipsis, slice(held, None), slice(None)))], axis=-2)
     return A.qkv_attention(q_r, k_r, v, mask, scale=float(np.sqrt(d)),
@@ -47,7 +50,7 @@ def lowrank_width_attention(q, k, v, proj, mask=None, counter=None, held=0):
 
 
 def attend_heads(q, k, v, mask=None, counter=None, rpr=None, lowrank=None,
-                 maps=None, q_start=0, held=0):
+                 maps=None, q_start=0, held=0, u_held=None):
     """Per-head context of split Q, K, V: ``maps`` holds the first layer's
     split-head weights once it has run."""
     if maps:
@@ -55,7 +58,8 @@ def attend_heads(q, k, v, mask=None, counter=None, rpr=None, lowrank=None,
     if rpr is not None:
         return A.rpr_attention(q, k, v, rpr, mask, q_start)
     if lowrank is not None:
-        return lowrank_width_attention(q, k, v, lowrank, mask, counter, held)
+        return lowrank_width_attention(q, k, v, lowrank, mask, counter, held,
+                                       u_held)
     if maps is None:
         return A.qkv_attention(q, k, v, mask, counter=counter)
     out, w = weights_attention(q, k, v, mask, counter)
@@ -69,13 +73,14 @@ def install(monkeypatch, reduced_history=False):
     before the one-op path ran it (a map-reuse pass shares ``maps`` as it
     shared a dict). With ``reduced_history`` a cached block's earlier key
     rows are reduced as constants, as a cache of reduced keys holds them,
-    where the composite reduced them with the live U^kd."""
+    where the composite reduced them with the live U^kd; a list gives each
+    layer's U^kd to reduce them with (that of the step that wrote them)."""
     self_attention, attend_step_cached = A.self_attention, A.attend_step_cached
 
     def pinned_self_attention(h, params, mask=None, counter=None, *, rpr=None,
-                              maps=None):
+                              maps=None, **cached):
         if params.reduce is None and maps is None:
-            return self_attention(h, params, mask, counter, rpr=rpr)
+            return self_attention(h, params, mask, counter, rpr=rpr, **cached)
         return params.merge(attend_heads(*params.heads(h), mask, counter,
                                          rpr, params.reduce, maps))
 
@@ -90,9 +95,12 @@ def install(monkeypatch, reduced_history=False):
                                  rows[..., v_lo:v_hi])
         m = rows.shape[1]
         mask = None if m == 1 else cache.step_mask(m, back, rows.dtype)
+        u_held = reduced_history[layer] if isinstance(reduced_history, list) \
+            else None
         return params.merge(attend_heads(*params.split(qkv, (k, v)), mask,
                                          counter, rpr, params.reduce, maps,
-                                         back, back if reduced_history else 0))
+                                         back, back if reduced_history is not False
+                                         else 0, u_held))
 
     monkeypatch.setattr(A, "self_attention", pinned_self_attention)
     monkeypatch.setattr(A, "attend_step_cached", pinned_attend_step_cached)

@@ -384,8 +384,7 @@ def reduced_params(d, tau, d_r, seed, identity=False):
         else T.Tensor(rand((d_h, d_r), seed + 1), dtype=F64),
         u_kd=T.eye(d_h, dtype=F64) if identity
         else T.Tensor(rand((d_h, d_r), seed + 2), dtype=F64))
-    reduced = A.AttentionParams(d, tau, plain.w_qkv, plain.w_out)
-    reduced.reduce = proj
+    reduced = A.AttentionParams(d, tau, plain.w_qkv, plain.w_out, proj)
     return plain, reduced
 
 

@@ -71,11 +71,13 @@ def composite_softmax(softmax):
 
 
 def composite_attention(q, k, v, heads=(1, 1), *, cols=(None, None, None),
-                        history=None, mask=None, scale=None):
+                        history=None, mask=None, scale=None, keep=False,
+                        weights=None):
     """tensor.attention as generic ops: column blocks cut into heads, the
     scores product, the scale as a separate multiply, softmax_rows, the
     weighted values and the merge; cached rows enter as a constant
     concatenated before the block's own keys and values."""
+    assert not keep and weights is None      # the plain form alone
     n_q, n_kv = heads
     blocks = []
     for t, c in zip((q, k, v), cols):

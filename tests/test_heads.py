@@ -176,14 +176,14 @@ def test_lowrank_width_core_matches_per_head():
 
     def attend(j, q, k, v):
         # Q_j U^q against K_j U^kd, at the full head's sqrt(d_h)
-        return A.qkv_attention(T.matmul(q, layer.lowrank.u_q),
-                               T.matmul(k, layer.lowrank.u_kd), v, mask,
+        return A.qkv_attention(T.matmul(q, layer.att.reduce.u_q),
+                               T.matmul(k, layer.att.reduce.u_kd), v, mask,
                                scale=np.sqrt(m.cfg.d_head))
 
     core = m._att_core(layer, mask, True, None, None, None)
     assert_same(lambda: core(z), lambda: per_head(z, z, layer.att, attend),
                 [z] + att_leaves(layer.att)
-                + [layer.lowrank.u_q, layer.lowrank.u_kd])
+                + [layer.att.reduce.u_q, layer.att.reduce.u_kd])
 
 
 def test_lowrank_length_core_matches_per_head():

@@ -79,7 +79,9 @@ def pinned_softmax_rows(x, additive_mask=None, scale=None):
 
 
 def pinned_attention(q, k, v, heads=(1, 1), *, cols=(None, None, None),
-                     history=None, mask=None, scale=None):
+                     history=None, mask=None, scale=None, keep=False,
+                     weights=None):
+    assert not keep and weights is None      # the plain form's body alone
     n_q, n_kv = heads
     if n_kv != n_q and n_kv != 1:
         raise T.ShapeError(f"{n_kv} key/value heads cannot serve {n_q} query heads")

@@ -5,7 +5,10 @@ Width reduction now reduces each block's own query and key heads once,
 and a cache holds the reduced keys; the first map-reuse layer's op hands
 out its weights and later layers' ops apply them, projecting and caching
 V alone. In float64, values and gradients agree within 1e-12 for full
-passes, chunked spans and cached and drafted blocks. In float32 a full
+passes, chunked spans and cached and drafted blocks. After a parameter
+update between spans, a span scores against the earlier keys reduced
+with the U^kd of the step that wrote them, where the composite used the
+updated U^kd. In float32 a full
 pass is bitwise the composite's, and a cached step agrees within
 F32_TOL: the composite re-reduced the whole cached key history at every
 step, and a one-row product may round differently from a many-row one.
@@ -15,6 +18,7 @@ Greedy (self-drafting) and beam-4 tokens are equal in both precisions.
 import numpy as np
 import pytest
 
+from seqlab import attention as A
 from seqlab import model as M
 from seqlab import runtime as R
 from seqlab import tensor as T
@@ -107,6 +111,18 @@ def test_padded_encoder_values_and_gradients(kw):
     assert_close(with_grads(model, loss), pinned(lambda: with_grads(model, loss)))
 
 
+def test_a_later_map_reuse_layer_tallies_its_weighted_values():
+    """OpCounter counts a later map-reuse layer's W V, n * n_k * d_h per
+    head, and no scores: 3/4 of dense's work over two layers (the
+    composite counted nothing there)."""
+    counts = []
+    for kw in ({}, dict(reuse_maps=True)):
+        counter = A.OpCounter()
+        build(dict(kw, tau=2)).decoder_forward(IDS, counter=counter)
+        counts.append(counter.multiply_adds)
+    assert counts[1] * 4 == counts[0] * 3 and counts[1] > 0
+
+
 CHUNKED = {k: VARIANTS[k] for k in ("lowrank-d", "lowrank-d-d1", "map-reuse",
                                     "map-reuse-3-layers")}
 
@@ -138,11 +154,40 @@ def test_chunked_spans_values_and_gradients(kw, cut):
 
     got = with_grads(model, loss)
     assert_close(got, pinned(lambda: with_grads(model, loss), True))
-    u_kd = {id(lay.lowrank.u_kd) for lay in model.dec_layers if lay.lowrank}
+    u_kd = {id(lay.att.reduce.u_kd) for lay in model.dec_layers
+            if lay.att.reduce}
     other = [0] + [i for i, p in enumerate(model.parameters(), start=1)
                    if id(p) not in u_kd]
     want = pinned(lambda: with_grads(model, loss))
     assert_close([got[i] for i in other], [want[i] for i in other])
+
+
+def test_chunked_training_reduces_cached_keys_with_their_steps_u_kd():
+    """Chunked training updates the parameters between spans. The cache
+    holds the previous span's keys reduced with the U^kd of the step that
+    wrote them, so after an update the next span scores against
+    K U^kd_old, where the composite re-reduced full-width keys with the
+    updated U^kd: from the second span on the values differ from the
+    composite's, not only U^kd's gradient."""
+    ids, cut = np.array([IDS, IDS[::-1]]), 4
+
+    def second_span():
+        model = build(dict(attention="lowrank-d"))
+        kv = []
+        model.decoder_forward(ids[:, :cut], kv_out=kv)
+        old = [lay.att.reduce.u_kd.values.copy() for lay in model.dec_layers]
+        rng = T.Rng(8)                       # a fixed update of every parameter
+        for p in model.parameters():
+            T.assign_(p, p.values + 0.1 * rng.gaussian(p.shape))
+        logits = model.decoder_forward(ids[:, cut:], start_pos=cut,
+                                       kv_prefix=kv)
+        return logits.values, old
+
+    got, old = second_span()
+    frozen = pinned(lambda: second_span()[0], old)
+    live = pinned(second_span)[0]
+    assert np.max(np.abs(got - frozen)) <= TOL
+    assert np.max(np.abs(got - live)) > 1e-3
 
 
 def session_trace(model, source=None):

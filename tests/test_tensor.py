@@ -266,7 +266,7 @@ OP_CASES = {
     "sqrt": lambda t: T.sqrt(t["a"] * t["a"] + 1.0).sum(),
     "power": lambda t: (t["a"] ** 3).sum(),
     "relu": lambda t: T.relu(t["a"] + 0.05).sum(),
-    "elu": lambda t: T.elu(t["a"]).sum(),
+    "elu": lambda t: T.elu_plus_one(t["a"]).sum(),
     "maximum": lambda t: T.maximum(t["a"], t["b"]).sum(),
     "reshape": lambda t: (t["a"].reshape(6, 2) * 2.0).sum(),
     "transpose": lambda t: (T.transpose(t["a"]) * t["b"].reshape(4, 3)).sum(),
