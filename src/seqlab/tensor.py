@@ -478,7 +478,8 @@ def neg(a: Tensor) -> Tensor:
 
 def exp(a: Tensor) -> Tensor:
     ov = np.exp(a.values)
-    return _emit(ov, (a,), lambda g: (g * ov,))
+    out = ov
+    return _emit(out, (a,), lambda g: (g * ov,))
 
 
 def log(a: Tensor) -> Tensor:
@@ -493,7 +494,8 @@ def sqrt(a: Tensor) -> Tensor:
     if np.any(a.values < 0):
         raise ValueError("sqrt requires non-negative inputs")
     ov = np.sqrt(a.values)
-    return _emit(ov, (a,), lambda g: (g * (0.5 / ov),))
+    out = ov
+    return _emit(out, (a,), lambda g: (g * (0.5 / ov),))
 
 
 def power(a: Tensor, p) -> Tensor:
@@ -703,13 +705,19 @@ def matmul(a, b, cols: Optional[tuple] = None) -> Tensor:
                          and av.size != av.shape[-2] * av.shape[-1]):
         rows = av.reshape(-1, av.shape[-1])
         return _emit(np.matmul(rows, bv).reshape(av.shape[:-1] + bv.shape[-1:]),
-                     (a, b), _matmul_rows_grad, av, bv, rows, b, cols)
+                     (a, b), _matmul_rows_grad, av, bv, rows, b, cols, None)
     return _emit(np.matmul(av, bv), (a, b), _matmul_grad, av, bv)
 
 
-def _matmul_rows_grad(av, bv, rows, b: Tensor, cols: Optional[tuple], g):
-    g_rows = g.reshape(-1, g.shape[-1])
-    ga = np.matmul(g_rows, bv.T).reshape(av.shape)
+def _matmul_rows_grad(av, bv, rows, b: Tensor, cols: Optional[tuple],
+                      a_cols: Optional[tuple], g):
+    g_rows = g.reshape(-1, bv.shape[-1])
+    ga = np.matmul(g_rows, bv.T)
+    if a_cols is None:
+        ga = ga.reshape(av.shape)
+    else:                                   # head_matmul's column block of a
+        block, ga = ga, np.zeros(av.shape, dtype=ga.dtype)
+        ga[..., a_cols[0]:a_cols[1]] = block.reshape(av.shape[:-1] + (-1,))
     gb = np.matmul(rows.T, g_rows)
     if cols is not None:
         block, gb = gb, np.zeros(b.values.shape, dtype=gb.dtype)
@@ -729,19 +737,12 @@ def head_matmul(a: Tensor, b: Tensor, heads: int = 1,
     block cols (all of a for None) times the 2-d b, the products side by
     side, as one op: one GEMM over every head's rows."""
     av, bv = a.values, b.values
-    lo, hi = (0, av.shape[-1]) if cols is None else cols
+    lo, hi = cols = (0, av.shape[-1]) if cols is None else cols
     if bv.ndim != 2 or hi - lo != heads * bv.shape[0]:
         raise ShapeError(f"no {heads} heads of {bv.shape[0]} in {cols} of {av.shape}")
     rows = av[..., lo:hi].reshape(-1, bv.shape[0])
     out = np.matmul(rows, bv).reshape(av.shape[:-1] + (heads * bv.shape[1],))
-    return _emit(out, (a, b), _head_matmul_grad, av.shape, rows, bv, lo, hi)
-
-
-def _head_matmul_grad(shape: tuple, rows, bv, lo: int, hi: int, g):
-    g_rows = g.reshape(-1, bv.shape[1])
-    ga = np.zeros(shape, dtype=g.dtype)      # columns outside the block: 0
-    ga[..., lo:hi] = np.matmul(g_rows, bv.T).reshape(shape[:-1] + (hi - lo,))
-    return ga, np.matmul(rows.T, g_rows)
+    return _emit(out, (a, b), _matmul_rows_grad, av, bv, rows, b, None, cols)
 
 
 def ffn(h: Tensor, w_h: Tensor, b_h: Tensor, w_f: Tensor, b_f: Tensor) -> Tensor:
