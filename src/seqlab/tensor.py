@@ -14,11 +14,11 @@ multi-head ``attention`` (head split, scores, masked softmax, weighted
 values and head merge), and the training loss ``log_softmax_nll``.
 Their forwards repeat the arithmetic of the composites they replace, so
 float32 outputs match those bit for bit. They run elementwise steps in
-place where they can (the one softmax of ``attention`` and
-``softmax_rows`` and its backward, once the logits are an array of their
-own; exp and divide in the loss; ReLU on the biased sum in ``ffn``, and
-the ReLU mask on its backward), so attention keeps one score-sized array
-per layer. The buffer rule: a
+place where they can (the one softmax of ``attention``, ``softmax_rows``
+and the loss, and its backward, once the logits are an array of their
+own; ReLU on the biased sum in ``ffn``, and the ReLU mask on its
+backward), so attention keeps one score-sized array per layer. The
+buffer rule: a
 fused op overwrites only arrays it allocated; never an input, a mask,
 cache rows or an incoming gradient. Where writing in place would change a result's
 dtype or shape, the op computes out of place, so the bits do not depend
