@@ -42,6 +42,7 @@ import numpy as np
 from . import efficient as EF
 from . import tensor as T
 from .embedding import RprTable
+from .ssm import StateError
 
 
 class EmptySourceError(ValueError):
@@ -50,10 +51,6 @@ class EmptySourceError(ValueError):
 
 class CacheLayerError(IndexError):
     """A cache was addressed with a layer index it does not hold."""
-
-
-class StateError(RuntimeError):
-    """A decode session's cached state disagrees with its token prefix."""
 
 
 @dataclass
@@ -470,7 +467,9 @@ def rpr_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor, rpr: RprTable,
 
 
 class KVCache:
-    """Per-layer key/value arrays for incremental decoding of a batch of rows.
+    """Per-layer key/value arrays for incremental decoding of a batch of rows,
+    the decode state of the softmax forms (ssm.CarriedState has the same
+    methods); a layer here is a session's slot.
 
     Layer l keeps a key and a value array, each of shape (rows, capacity,
     width) with every head side by side, their widths the first write's:
@@ -497,6 +496,7 @@ class KVCache:
         self._t = [0] * n_layers              # positions written
         self._first = [0] * n_layers          # position held in array row 0
         self._rewound = [False] * n_layers    # rows past the count were written
+        self._seeded = [0] * n_layers         # positions written by ``seed``
 
     def _check(self, layer: int):
         if not 0 <= layer < self.n_layers:
@@ -604,7 +604,23 @@ class KVCache:
                    for kv in self._kv]
         out._t, out._first = list(self._t), list(self._first)
         out._rewound = list(self._rewound)
+        out._seeded = list(self._seeded)
         return out
+
+    def export(self) -> list:
+        """Per layer, the keys and values written since ``seed`` that the
+        cache holds: the history the next span of chunked training sees."""
+        out = []
+        for layer, (t, t0) in enumerate(zip(self._t, self._seeded)):
+            k, v = self.keys(layer).values, self.values_(layer).values
+            n = k.shape[1] - min(k.shape[1], t - t0)
+            out.append((k[:, n:], v[:, n:]))
+        return out
+
+    def seed(self, carries) -> None:
+        for layer, pair in enumerate(carries):
+            self.write(layer, *pair)
+        self._seeded = list(self._t)
 
     def step_mask(self, m: int, back: int, dtype) -> np.ndarray:
         """``_step_mask`` of a block of m > 1 positions over back earlier

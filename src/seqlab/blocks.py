@@ -170,28 +170,29 @@ def sublayer_apply(h_in: T.Tensor, core: Callable[[T.Tensor], T.Tensor],
     return _plus_weighted(out, h_in, gamma)
 
 
-def rk_sublayer(z: T.Tensor, f: Callable[[T.Tensor], T.Tensor],
-                order: int = 4, h: float = 1.0) -> T.Tensor:
+def rk_sublayer(z: T.Tensor, f, order: int = 4, h: float = 1.0) -> T.Tensor:
     """Explicit Runge-Kutta step of the given order with step size h.
 
     Order 1 with h=1 and f = LNorm o F is exactly the pre-norm sub-layer;
-    higher orders reuse the same f for every stage.
+    higher orders reuse the same f for every stage, or with a list of
+    ``order`` callables call the k-th at stage k.
     """
     if order not in RK_ORDERS:
         raise ConfigurationError("integrator order must be 1, 2 or 4")
+    fs = f if type(f) is list else [f] * order
 
-    def stage(x: T.Tensor) -> T.Tensor:
-        return f(x) if h == 1.0 else f(x) * h
+    def stage(k: int, x: T.Tensor) -> T.Tensor:
+        return fs[k](x) if h == 1.0 else fs[k](x) * h
 
-    g1 = stage(z)
+    g1 = stage(0, z)
     if order == 1:
         return z + g1
     if order == 2:  # Heun
-        g2 = stage(z + g1)
+        g2 = stage(1, z + g1)
         return z + (g1 + g2) * 0.5
-    g2 = stage(z + g1 * 0.5)
-    g3 = stage(z + g2 * 0.5)
-    g4 = stage(z + g3)
+    g2 = stage(1, z + g1 * 0.5)
+    g3 = stage(2, z + g2 * 0.5)
+    g4 = stage(3, z + g3)
     return z + (g1 + g2 * 2.0 + g3 * 2.0 + g4) * (1.0 / 6.0)
 
 

@@ -181,9 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clip-norm", dest="clip_norm", type=float)
     p.add_argument("--chunk-len", dest="chunk_len", type=int,
                    help="TrainConfig.chunk_len: train_lm takes one step per "
-                        "span of this many columns, each attending over the "
-                        "previous span's frozen keys and values (dense, "
-                        "window or lowrank-d attention, no layer dropout)")
+                        "span of this many columns, each starting from the "
+                        "previous span's frozen decode state (no lowrank-n "
+                        "attention or layer dropout)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("generate", help="continue a prompt")

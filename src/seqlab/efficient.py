@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 import numpy as np
 
 from . import tensor as T
-from .ssm import BLOCK
+from .ssm import BLOCK, CarriedState
 
 if TYPE_CHECKING:                      # attention.py imports this module
     from .attention import OpCounter
@@ -80,7 +80,8 @@ def kernelized_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor,
                          phi: Optional[FeatureMap] = None,
                          causal: bool = False,
                          counter: Optional[OpCounter] = None,
-                         carry: Optional[List[np.ndarray]] = None) -> T.Tensor:
+                         carry: Optional[List[np.ndarray]] = None,
+                         kept: Optional[list] = None) -> T.Tensor:
     """Attention via the reassociated product D^-1 (Q' (K'^T V)), Q' =
     phi(Q), K' = phi(K); q, k and v are (..., n, d), leading axes
     independent sequences. With V1 = [V | 1] one product gives numerators
@@ -91,8 +92,10 @@ def kernelized_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor,
 
     ``carry`` continues a causal sequence: the list [mu, nu] holds the
     sums before this call, (..., d', d_v) and (..., d'), which enter as
-    constants; once every denominator is positive the call replaces them
-    with the sums after it. Without it the sums start at zero.
+    constants (an empty list, or no list, starts them at zero); once
+    every denominator is positive the call replaces them with the sums
+    after it. ``kept``, a list, then receives the values of phi(K) and
+    [V | 1], the rows a rewind of the sums needs (_kept_sums).
     """
     phi = phi or FeatureMap()
     if q.ndim < 2 or q.ndim != k.ndim or k.ndim != v.ndim or q.shape[-2] == 0:
@@ -113,7 +116,7 @@ def kernelized_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor,
     if causal:
         w = min(n, BLOCK)
         sums = T.Tensor(
-            np.zeros(kp.shape[:-2] + (d_p, d_v + 1), kp.dtype) if carry is None
+            np.zeros(kp.shape[:-2] + (d_p, d_v + 1), kp.dtype) if not carry
             else np.concatenate([carry[0], carry[1][..., None]], axis=-1))
     outs = []
     for lo in range(0, n, w):
@@ -138,7 +141,40 @@ def kernelized_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor,
     _check_denominator(den.values)
     if carry is not None:   # leaves the tape: the next call's constants
         carry[:] = [sums.values[..., :d_v], sums.values[..., d_v]]
+    if kept is not None:
+        kept += [kp.values, v1.values]
     return T.take(y, (Ellipsis, slice(0, d_v))) / den
+
+
+def _kept_sums(entered: list, rows: tuple, params=None) -> list:
+    """The sums after the rows phi(K) and [V | 1], from ``entered``:
+    M_in + phi(K)^T [V | 1] in blocks of up to BLOCK rows, as a call on
+    those rows makes them."""
+    kp, v1 = rows
+    m, d_v = kp.shape[-2], v1.shape[-1] - 1
+    if not m:
+        return list(entered)
+    sums = np.concatenate([entered[0], entered[1][..., None]], axis=-1) \
+        if entered else np.zeros(kp.shape[:-2] + (kp.shape[-1], d_v + 1), kp.dtype)
+    w = min(m, BLOCK)
+    for lo in range(0, m, w):
+        sums = sums + np.matmul(np.swapaxes(kp[..., lo:lo + w, :], -1, -2),
+                                v1[..., lo:lo + w, :])
+    return [sums[..., :d_v], sums[..., d_v]]
+
+
+def kernel_step(x: T.Tensor, sums: CarriedState, params, slot: int,
+                phi: FeatureMap, counter: Optional[OpCounter] = None,
+                maps=None) -> T.Tensor:
+    """Causal kernelized self-attention of a (rows, m, d) block of new
+    positions, continued from the sums at ``slot``, which it advances:
+    attend_step_cached's arguments, ``phi`` for the table, ``maps`` None."""
+    carry, kept = sums.carry(slot), []
+    entered = list(carry)
+    out = kernelized_attention(*params.heads(x), phi, causal=True,
+                               counter=counter, carry=carry, kept=kept)
+    sums.advanced(slot, entered, tuple(kept), _kept_sums, None)
+    return params.merge(out)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -177,15 +177,13 @@ class ModelConfig:
 
     def check_chunkable(self):
         """Raise unless chunked evaluation is defined for this model: a
-        span attends over the previous span's cached keys and values, which
-        linear, ssm and lowrank-n layers do not keep and a dropped layer
-        does not write."""
-        if (self.attention in ("linear", "ssm", "lowrank-n")
-                or self.dropout_rho < 1.0
+        span starts from the decode state the previous span exported, which
+        lowrank-n layers lack and a dropped layer does not advance."""
+        if (self.attention == "lowrank-n" or self.dropout_rho < 1.0
                 or self.architecture != "decoder-only"):
             raise B.ConfigurationError(
-                "chunked evaluation needs a decoder-only model with dense, "
-                "window or lowrank-d attention and no layer dropout")
+                "chunked evaluation needs a decoder-only model without "
+                "lowrank-n attention or layer dropout")
 
     def residual_bypass(self) -> bool:
         """True when the residual skips the last LNorm (needs a final one)."""
@@ -336,35 +334,27 @@ class DecodeSession:
     """Incremental decoding state of a batch of rows (hypotheses).
 
     Every row has its own token prefix, all of one length, and row r of
-    every state array belongs to prefix r. State is kept per slot, one
-    slot per (layer, integrator stage): a stage's inputs at earlier
-    positions are fixed by causality. mode picks the state representation:
-    "cache" keeps key/value arrays; "stream" (linear attention) and "ssm"
-    keep, per slot, the list of arrays the layer's full-pass scan carries
-    from one block to the next (``states``) and the count of positions
-    the slot has consumed (``positions``). An encoder-decoder session
-    holds each layer's cross-attention keys and values, projected once
-    from the encoder output. Only a "cache" session can ``rewind``.
+    every state array belongs to prefix r. ``state`` keeps one slot per
+    (layer, integrator stage), a stage's inputs at earlier positions being
+    fixed by causality: the keys and values of the softmax forms
+    (KVCache), or the kernel sums of linear attention or SSM state
+    (ssm.CarriedState), with one set of methods, so every session can
+    ``rewind``, ``select`` and ``clone``. An encoder-decoder session holds
+    each layer's cross-attention keys and values, projected once from the
+    encoder output.
     """
 
     model: "Model"
-    mode: str
-    enc_out: Optional[T.Tensor]
+    state: Union[A.KVCache, S.CarriedState]
     prefixes: List[List[int]] = field(default_factory=lambda: [[]])
-    kv: Optional[A.KVCache] = None
-    states: Optional[List[List[np.ndarray]]] = None
-    positions: Optional[List[int]] = None
     cross_kv: Optional[list] = None
-
-    @property
-    def rows(self) -> int:
-        return len(self.prefixes)
 
     @property
     def prefix(self) -> List[int]:
         """The token prefix of a one-row session."""
-        if self.rows != 1:
-            raise ContractError(f"a {self.rows}-row session has one prefix per row")
+        if len(self.prefixes) != 1:
+            raise ContractError(f"a {len(self.prefixes)}-row session has one "
+                                f"prefix per row")
         return self.prefixes[0]
 
     @property
@@ -376,32 +366,24 @@ class DecodeSession:
         prefix and state array is gathered by row."""
         idx = np.asarray(rows, dtype=np.int64)
         self.prefixes = [list(self.prefixes[r]) for r in idx]
-        if self.kv is not None:
-            self.kv.select(idx)
-        if self.states is not None:
-            self.states = [[x[idx] for x in carry] for carry in self.states]
-            self.positions = list(self.positions)    # unshared from a clone's
+        self.state.select(idx)
 
     def rewind(self, n: int) -> None:
         """Drop the last n positions of every row: the prefixes and the
-        key/value cache forget them (see ``KVCache.rewind``). The carried
-        state of a "stream" or "ssm" session cannot be cut back, so
-        rewinding one raises StateError, as does going back further than
-        the prefixes reach."""
-        if self.kv is None:
-            raise StateError(f"a {self.mode} session cannot be rewound")
+        state forget them. Going back further than the prefixes reach, or
+        than the state can (a window cache's trimmed rows, a recurrent
+        state's blocks before the last), raises StateError and changes
+        nothing."""
         if n > self.position:
             raise StateError(f"cannot rewind {n} positions of a prefix "
                              f"of {self.position}")
-        self.kv.rewind(n)
+        self.state.rewind(n)
         for prefix in self.prefixes:
             del prefix[len(prefix) - n:]
 
     def clone(self) -> "DecodeSession":
-        out = dataclasses.replace(self, kv=None)
-        out.select(np.arange(self.rows))
-        out.kv = self.kv.clone() if self.kv is not None else None
-        return out
+        return dataclasses.replace(self, state=self.state.clone(),
+                                   prefixes=[list(p) for p in self.prefixes])
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +417,7 @@ class Model:
         # dropout, weights (1, 0) make a sub-layer LNorm(F(z) + z), one op
         self._post_norm = (cfg.integrator_order == 1 and cfg.dropout_rho == 1.0
                            and self._sub_cfg.residual_weights() == (1.0, 0.0))
+        self._phi = EF.FeatureMap(cfg.feature_map)
 
     @classmethod
     def init(cls, cfg: ModelConfig, vocab: Vocab, seed: int = 0,
@@ -567,8 +550,7 @@ class Model:
                     v = T.take(v, _first_rows(m_real))
                 if cfg.attention == "linear":
                     return att.merge(EF.kernelized_attention(
-                        q, k, v, EF.FeatureMap(cfg.feature_map), causal=causal,
-                        counter=counter))
+                        q, k, v, self._phi, causal=causal, counter=counter))
                 return att.merge(EF.lowrank_length_attention(
                     q, k, v, self._length_projections(layer, m_real),
                     counter=counter))
@@ -605,15 +587,20 @@ class Model:
             return T.layer_norm(core(z, *args), ln.g, ln.b, ln.eps, z)
         return self._wrap_staged(z, core, args, ln, training, rng)
 
-    def _wrap_staged(self, z: T.Tensor, core, args: tuple, ln: B.LNParams,
-                     training: bool, rng: Optional[T.Rng]) -> T.Tensor:
+    def _wrap_staged(self, z: T.Tensor, core, args: Union[tuple, list],
+                     ln: B.LNParams, training: bool,
+                     rng: Optional[T.Rng]) -> T.Tensor:
         """_wrap under Runge-Kutta stages, layer dropout or the placement's
-        weights, whose wrappers call the core with z alone."""
-        f = (lambda x: core(x, *args)) if args else core
+        weights, whose wrappers call the core with z alone; ``args`` may
+        be a list of one tuple per Runge-Kutta stage (a slot each)."""
         cfg = self.cfg
         if cfg.integrator_order != 1:
-            return B.rk_sublayer(z, lambda x: B.layer_norm(f(x), ln),
-                                 cfg.integrator_order, cfg.integrator_h)
+            stages = args if type(args) is list \
+                else [args] * cfg.integrator_order
+            return B.rk_sublayer(
+                z, [lambda x, a=a: B.layer_norm(core(x, *a), ln) for a in stages],
+                cfg.integrator_order, cfg.integrator_h)
+        f = (lambda x: core(x, *args)) if args else core
         if cfg.dropout_rho < 1.0:
             return B.layer_dropout(z, [(f, ln)], cfg.dropout_rho,
                                    "train" if training else "infer", rng)
@@ -626,11 +613,12 @@ class Model:
                    counter=None, session: Optional[DecodeSession] = None
                    ) -> T.Tensor:
         """The layers over h. Without a session self-attention runs over h
-        itself; with one, h is a (rows, m, d) block of new positions that
-        attends over the session's history, which it advances. A cache
-        session at first order attends at slot idx of layer idx, so its
-        attention core is called with that slot and no core is built."""
+        itself; with one, h is a (rows, m, d) block of new positions, and
+        the layer kind's step advances the session's state by it: stage k
+        of layer idx at slot idx * order + k, the core called with its
+        slot and no core built."""
         cfg = self.cfg
+        order = cfg.integrator_order
         if session is None:
             m = h.shape[-2]
             if pad is not None and not pad.any():
@@ -640,20 +628,25 @@ class Model:
             m_real = None
             if cfg.attention in ("linear", "lowrank-n"):
                 m_real = self._suffix_length(pad, m)
-        cached = session is not None and session.mode == "cache" \
-            and cfg.integrator_order == 1
+        else:
+            # the step and its constant: the table or feature map, or none
+            step, const = {"linear": (EF.kernel_step, self._phi),
+                           "ssm": (S.ssm_step, None)}.get(
+                cfg.attention, (A.attend_step_cached, self.rpr_table))
         # the first layer's attention weights, which map reuse hands on
         maps = [] if cfg.reuse_maps else None
         for idx, layer in enumerate(layers):
-            if cached:
-                h = self._wrap(h, A.attend_step_cached,
-                               (session.kv, layer.att, idx, self.rpr_table,
-                                counter, maps), layer.ln1, training, rng)
+            if session is None:
+                h = self._wrap(h, self._att_core(layer, mask, causal, m_real,
+                                                 maps, counter, pad),
+                               (), layer.ln1, training, rng)
             else:
-                core = self._att_core(layer, mask, causal, m_real, maps,
-                                      counter, pad) if session is None \
-                    else self._step_att_core(layer, idx, session, counter)
-                h = self._wrap(h, core, (), layer.ln1, training, rng)
+                params = layer.att if layer.ssm is None else layer.ssm
+                args = (session.state, params, idx, const, counter, maps)
+                if order != 1:
+                    args = [(session.state, params, slot, const, counter, maps)
+                            for slot in range(idx * order, (idx + 1) * order)]
+                h = self._wrap(h, step, args, layer.ln1, training, rng)
             if layer.cross is not None:
                 kv = None if session is None else session.cross_kv[idx]
                 h = self._wrap(h, _cross_core, (enc_out, layer.cross, counter, kv),
@@ -695,7 +688,9 @@ class Model:
         """Next-token logits at every position of a (shifted) input.
 
         ``tokens`` is one id sequence, giving (m, |V|) logits, or a (b, m)
-        id matrix of independent rows, giving (b, m, |V|) in one pass.
+        id matrix of independent rows, giving (b, m, |V|) in one pass. A
+        span of chunked evaluation starts from ``kv_prefix``, the list an
+        earlier span's ``kv_out`` received: a carry per decode-state slot.
         """
         if not self.dec_layers:
             raise ContractError("this architecture has no decoder")
@@ -708,27 +703,23 @@ class Model:
             return self._decoder_logits(ids, start_pos, enc_out,
                                         training=training, rng=rng,
                                         counter=counter)
-        # a span over the previous span's frozen keys and values (the
-        # segment recurrence of Transformer-XL): they seed a cache that
-        # the span attends over as a decode block does
+        # a span advances a decode state seeded with the previous span's
+        # frozen carry: keys and values (Transformer-XL's segment
+        # recurrence), or the kernel sums or SSM state (the layer's own)
         self.cfg.check_chunkable()
         ids = self._check_tokens(tokens, batched=True)
-        block = ids.reshape(-1, ids.shape[-1])
+        one = ids.ndim == 1                  # carries without the row axis
         session = self.decode_session()
-        kv = session.kv
-        for slot, pair in enumerate(kv_prefix or ()):
-            kv.write(slot, *(np.reshape(x, (len(block),) + np.shape(x)[-2:])
-                             for x in pair))
-        logits = self._decoder_logits(block, start_pos, session=session,
+        if kv_prefix:
+            session.state.seed([tuple(np.asarray(x)[None] if one else x
+                                      for x in c) for c in kv_prefix])
+        logits = self._decoder_logits(ids.reshape(-1, ids.shape[-1]),
+                                      start_pos, session=session,
                                       training=training, rng=rng,
                                       counter=counter)
         if kv_out is not None:
-            # this span's rows; a window cache holds only the last window
-            # of them, and the next span sees no further back anyway
-            m = ids.shape[-1]
-            for s in range(kv.n_layers):
-                k, v = kv.keys(s).values[:, -m:], kv.values_(s).values[:, -m:]
-                kv_out.append((k, v) if ids.ndim == 2 else (k[0], v[0]))
+            kv_out += [tuple(x[0] for x in c) if one else c
+                       for c in session.state.export()]
         return T.reshape(logits, ids.shape + logits.shape[-1:])
 
     def _decoder_logits(self, ids: np.ndarray, start_pos: int,
@@ -764,13 +755,6 @@ class Model:
 
     # -- incremental decoding -------------------------------------------------
 
-    def decode_mode(self) -> str:
-        """The state a decode session keeps: "stream" kernel prefix sums
-        for linear attention, "ssm" state blocks, else a "cache" of keys
-        and values."""
-        return {"linear": "stream", "ssm": "ssm"}.get(self.cfg.attention,
-                                                      "cache")
-
     def _slots(self) -> int:
         """Decode state slots: one per (decoder layer, integrator stage)."""
         return len(self.dec_layers) * self.cfg.integrator_order
@@ -779,7 +763,7 @@ class Model:
         """A one-row session at position 0; ``select`` changes its rows."""
         if not self.dec_layers:
             raise ContractError("this architecture has no decoder")
-        enc_out = cross_kv = None
+        cross_kv = None
         if self.cfg.architecture == "encoder-decoder":
             if source is None:
                 raise ContractError("encoder-decoder decoding needs a source")
@@ -787,27 +771,10 @@ class Model:
             cross_kv = [A.cross_kv(enc_out, lay.cross) for lay in self.dec_layers]
         elif source is not None:
             raise ContractError("source given to a model without cross-attention")
-        mode = self.decode_mode()
-        kv = states = positions = None
         cfg, n_s = self.cfg, self._slots()
-        if mode == "cache":
-            kv = A.KVCache(n_s, cfg.window if cfg.attention == "window" else None)
-        else:
-            states = [[np.zeros(shape, dtype=self.dtype)
-                       for shape in self._carry_shapes(1)] for _ in range(n_s)]
-            positions = [0] * n_s
-        return DecodeSession(model=self, mode=mode, enc_out=enc_out, kv=kv,
-                             states=states, positions=positions,
-                             cross_kv=cross_kv)
-
-    def _carry_shapes(self, rows: int) -> List[Tuple[int, ...]]:
-        """Shapes of a slot's carried state: the kernel prefix sums (mu,
-        nu) per row and head, or the SSM's (rows, d, d_state) block."""
-        cfg = self.cfg
-        if cfg.attention == "ssm":
-            return [(rows, cfg.d, cfg.ssm_d_state)]
-        return [(rows, cfg.tau, cfg.d_head, cfg.d_head),
-                (rows, cfg.tau, cfg.d_head)]
+        state = S.CarriedState(n_s) if cfg.attention in ("linear", "ssm") \
+            else A.KVCache(n_s, cfg.window if cfg.attention == "window" else None)
+        return DecodeSession(model=self, state=state, cross_kv=cross_kv)
 
     def _check_session(self, session: DecodeSession, rows: int):
         """Raise StateError unless every slot's state is at the prefixes'
@@ -821,48 +788,10 @@ class Model:
             raise StateError(f"{rows} rows fed to a session of "
                              f"{len(prefixes)} prefixes of lengths "
                              f"{sorted({len(p) for p in prefixes})}")
-        n_s = self._slots()
-        if session.mode == "cache":
-            kv = session.kv
-            if kv.n_layers == n_s and kv.holds(t, rows):
-                return
-            got = [(kv.length(i), kv.rows(i) or rows) for i in range(kv.n_layers)]
-            want = (t, rows)
-        else:
-            want = (t, self._carry_shapes(rows))
-            got = [(p, [np.shape(x) for x in carry])
-                   for p, carry in zip(session.positions, session.states)]
-            if got == [want] * n_s:
-                return
-        raise StateError(f"{session.mode} state per slot is {got}, "
-                         f"not {want} for a prefix of {t}")
-
-    def _step_att_core(self, layer: Layer, idx: int, session: DecodeSession,
-                       counter=None) -> Callable[[T.Tensor], T.Tensor]:
-        """Self-attention (or SSM) of a (rows, m, d) block of new positions
-        against the session's state at layer idx, which it advances. The
-        k-th call of the core is integrator stage k and uses that slot."""
-        cfg = self.cfg
-        stage = [idx * cfg.integrator_order]    # the next call's slot
-
-        def core(z: T.Tensor) -> T.Tensor:
-            slot = stage[0]
-            stage[0] += 1
-            if session.mode == "cache":
-                return A.attend_step_cached(z, session.kv, layer.att, slot,
-                                            self.rpr_table, counter)
-            # the full-pass scan, continued from the slot's carried state
-            carry = session.states[slot]
-            if session.mode == "stream":
-                out = layer.att.merge(EF.kernelized_attention(
-                    *layer.att.heads(z), EF.FeatureMap(cfg.feature_map),
-                    causal=True, counter=counter, carry=carry))
-            else:
-                out = S.ssm_sublayer_scan(z, layer.ssm, carry, counter)
-            session.positions[slot] += z.shape[-2]
-            return out
-
-        return core
+        state = session.state
+        if state.n_layers != self._slots() or not state.holds(t, rows):
+            raise StateError(f"the state's {state.n_layers} slots do not all "
+                             f"hold {rows} rows at position {t}")
 
     def decode_step(self, session: DecodeSession, tokens) -> np.ndarray:
         """Consume a block of input tokens; return next-token distributions.
@@ -890,7 +819,7 @@ class Model:
         self._check_session(session, ids.shape[0])
         for prefix, new in zip(session.prefixes, ids.tolist()):
             prefix.extend(new)
-        logits = self._decoder_logits(ids, t, session.enc_out, session=session)
+        logits = self._decoder_logits(ids, t, session=session)
         dist = _softmax_last(logits.values)
         return dist[0, 0] if single else dist
 

@@ -384,6 +384,13 @@ def _softmax_interval(row, err):
     return p, np.maximum(p_hi - p, p - p_lo)
 
 
+def quantized_forward(model: M.Model, tokens, bits: int = 8,
+                      stats: Optional[T.QuantStats] = None) -> np.ndarray:
+    """One decoder pass with integer weight products; returns raw logits."""
+    with R.quantized(model, bits, stats):
+        return model.decoder_forward(list(tokens)).values
+
+
 def quantized_decoder_bound(x0: np.ndarray, layers: list, w_o: np.ndarray,
                             bits: int):
     """(float logits, per-logit quantization bound) for a post-norm stack.
@@ -1058,7 +1065,7 @@ def _run_quantized_bound(rng):
                                                 model.w_o.values, 8)
     float_logits = model.decoder_forward(ids).values
     drift = float(np.abs(float_logits - ref_logits).max())
-    quant_logits = R.quantized_forward(model, ids, bits=8)
+    quant_logits = quantized_forward(model, ids, bits=8)
     err = np.abs(quant_logits - float_logits)
     return max(drift, float(err.max())), float((err / bound).max())
 

@@ -5,8 +5,8 @@ discipline is reused as-is. Greedy search drafts the tokens likely to come
 next by copying from its own prompt and output, verifies a draft in one
 cached block and rewinds the rejected rest out of the session (speculative
 decoding, Leviathan et al., 2023, with LLMA's copied drafts, Yang et al.,
-2023); beam search, and greedy search on linear-attention or SSM models,
-feed one id per row and step. Checkpoints are a small binary format: magic,
+2023), whatever state the model's layers carry; beam search feeds one id
+per row and step. Checkpoints are a small binary format: magic,
 version, config text, vocabulary, named float32 tensors, CRC. Version 3
 stores each attention block's fused ``w_qkv``; version 2 files, which
 stored ``wq``/``wk``/``wv`` apart, and version 1 files, which stored them
@@ -184,19 +184,18 @@ def greedy_generate(model: Model, prompt: Sequence[int], cfg: SearchConfig,
     decode step. A draft token is kept while it equals the argmax of the
     row before it; the row after the last kept one picks the next token,
     and the positions of the rejected rest are rewound out of the
-    session. The tokens are those of one step per token, the block's rows
-    being that step's distributions up to floating-point rounding (a
-    float32 near tie can go the other way). A pass without a draft is a
-    one-id step, and so is every pass of a linear-attention or SSM
-    session, whose carried state cannot be rewound. The output stops at
-    EOS or at n_max tokens, and the decoder is never fed the n_max-th.
+    session, every layer kind's state alike (a KV cache, kernel sums or
+    an SSM state). The tokens are those of one step per token, the
+    block's rows being that step's distributions up to floating-point
+    rounding (a float32 near tie can go the other way). A pass without a
+    draft is a one-id step. The output stops at EOS or at n_max tokens,
+    and the decoder is never fed the n_max-th.
     """
     session, dist = _seed_session(model, prompt, source)
-    drafter = _Drafter(prompt) if session.mode == "cache" else None
+    drafter = _Drafter(prompt)
     out = [_pick_greedy(dist)]
     while out[-1] != EOS and len(out) < cfg.n_max:
-        draft = [] if drafter is None \
-            else drafter.propose(out, cfg.n_max - len(out) - 1)
+        draft = drafter.propose(out, cfg.n_max - len(out) - 1)
         if not draft:
             out.append(_pick_greedy(model.decode_step(session, out[-1])))
             continue
@@ -567,13 +566,6 @@ def quantized(model: Model, bits: int, stats: Optional[T.QuantStats] = None):
     specs = weight_quant_specs(model, bits)
     with T.matmul_routing(_quant_route(specs, bits, stats)):
         yield
-
-
-def quantized_forward(model: Model, tokens: Sequence[int], bits: int = 8,
-                      stats: Optional[T.QuantStats] = None) -> np.ndarray:
-    """One decoder pass with integer weight products; returns raw logits."""
-    with quantized(model, bits, stats):
-        return model.decoder_forward(list(tokens)).values
 
 
 def quantized_infer(model: Model, prompt: Sequence[int], cfg: SearchConfig,

@@ -6,8 +6,12 @@ convolution inside each block of positions plus the state carried from
 block to block, for whole sequences, carried blocks and decode steps
 alike (the model's per-column ``ssm_sublayer_scan`` included). Row
 vectors: z_t = z_{t-1} Abar + s_t Bbar, o_t = z_t Cbar + s_t Dbar.
+``CarriedState`` is the decode state that SSM and linear-attention layers
+carry from block to block (efficient.py imports this module, not the
+reverse).
 """
 
+import copy
 import functools
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -204,15 +208,16 @@ def ssm_apply(s: T.Tensor, dssm: DiscreteSSM,
     K'_(i-j) + Z0 Abar^(i+1) Cbar, taps K'_t = Bbar Abar^t Cbar (+ Dbar at
     t = 0), and leaves with state Z0 Abar^w + sum_j s_j Bbar Abar^(w-1-j),
     all one product. ``carry`` [Z], the state (..., g, d_z) before s, is a
-    constant, replaced by the state after s; ``counter`` tallies the block
-    products, not the derivation, which does not grow with m."""
+    constant (an empty list starts from zero), replaced by the state after
+    s; ``counter`` tallies the block products, not the derivation, which
+    does not grow with m."""
     d, n = dssm.d_in, dssm.d_state
     if s.ndim < 2 or s.shape[-2] == 0 or s.shape[-1] % d:
         raise T.ShapeError(f"inputs must be (..., m >= 1, g*{d}): {s.shape}")
     lead, m, g = s.shape[:-2], s.shape[-2], s.shape[-1] // d
     w = min(m, BLOCK)
     src = _source(dssm, w)
-    z0 = np.zeros(lead + (g, n), dtype=s.dtype) if carry is None else carry[0]
+    z0 = np.zeros(lead + (g, n), dtype=s.dtype) if not carry else carry[0]
     x = T.relayout(s, lambda v: np.concatenate([_swap(v, m, g, d), z0], -1),
                    lambda gr: _swap(gr[..., :m * d], g, m, d))  # s beside Z0
     outs = []
@@ -278,3 +283,99 @@ def ssm_sublayer_scan(h: T.Tensor, dssm: DiscreteSSM,
     if dssm.d_in != 1:
         raise T.ShapeError("per-column wiring requires a SISO system")
     return ssm_apply(h, dssm, carry, counter)
+
+
+# ---------------------------------------------------------------------------
+# decode states
+# ---------------------------------------------------------------------------
+
+
+class StateError(RuntimeError):
+    """A decode session's state disagrees with its token prefix."""
+
+
+class CarriedState:
+    """The decode state of SSM and linear-attention layers, with
+    attention.KVCache's methods: per slot (layer x integrator stage) the
+    carry list the layer's block call continues from and replaces ([] is
+    zero), the positions taken, and the last block's entering carry and
+    rows (arrays, positions on axis -2). rewind(n) after a block of m >= n
+    positions remakes the carry after position m - n as ``kept(entered,
+    rows[:m - n], params)``, what a block of those rows makes. Arrays are
+    never changed in place, so a clone shares them."""
+
+    def __init__(self, n_layers: int):
+        self.n_layers = n_layers
+        self._carry: List[list] = [[] for _ in range(n_layers)]
+        self._t = [0] * n_layers
+        self._last: list = [None] * n_layers  # (entered, rows, kept, params)
+
+    def length(self, slot: int = 0) -> int:
+        return self._t[slot]
+
+    def rows(self, slot: int = 0) -> Optional[int]:
+        return self._carry[slot][0].shape[0] if self._carry[slot] else None
+
+    def holds(self, t: int, rows: int) -> bool:
+        return all(self._t[s] == t and self.rows(s) in (None, rows)
+                   for s in range(self.n_layers))
+
+    def carry(self, slot: int) -> list:
+        return self._carry[slot]
+
+    def advanced(self, slot: int, entered: list, rows: tuple, kept, params):
+        self._t[slot] += rows[0].shape[-2]
+        self._last[slot] = entered, rows, kept, params
+
+    def rewind(self, n: int) -> None:
+        if n < 0:
+            raise ValueError(f"cannot rewind {n} positions")
+        if n and any(last is None or n > last[1][0].shape[-2]
+                     for last in self._last):
+            raise StateError(f"cannot rewind {n} positions past the last block")
+        for slot, (entered, rows, kept, params) in enumerate(
+                self._last if n else ()):
+            rows = tuple(x[..., :x.shape[-2] - n, :] for x in rows)
+            self._carry[slot][:] = kept(entered, rows, params)
+            self._last[slot] = entered, rows, kept, params
+            self._t[slot] -= n
+
+    def select(self, rows) -> None:
+        self._carry = [[x[rows] for x in c] for c in self._carry]
+        self._last = [last and ([x[rows] for x in last[0]],
+                                tuple(x[rows] for x in last[1])) + last[2:]
+                      for last in self._last]
+
+    def clone(self) -> "CarriedState":
+        out = copy.copy(self)
+        out._carry = [list(c) for c in self._carry]
+        out._t, out._last = list(self._t), list(self._last)
+        return out
+
+    def export(self) -> list:
+        return [tuple(c) for c in self._carry]
+
+    def seed(self, carries) -> None:
+        for c, x in zip(self._carry, carries):
+            c[:] = x
+        self._last = [None] * self.n_layers
+
+
+def _kept_state(entered: list, rows: tuple, dssm: DiscreteSSM) -> list:
+    """The state after the inputs ``rows[0]``, fed again from ``entered``."""
+    carry = list(entered)
+    if rows[0].shape[-2]:
+        ssm_sublayer_scan(T.Tensor(rows[0]), dssm, carry)
+    return carry
+
+
+def ssm_step(x: T.Tensor, state: CarriedState, dssm: DiscreteSSM, slot: int,
+             const=None, counter=None, maps=None) -> T.Tensor:
+    """The layer over a (rows, m, d) block of new positions, continued from
+    the state at ``slot``, which it advances: attend_step_cached's
+    arguments, ``const`` and ``maps`` None."""
+    carry = state.carry(slot)
+    entered = list(carry)
+    out = ssm_sublayer_scan(x, dssm, carry, counter)
+    state.advanced(slot, entered, (x.values,), _kept_state, dssm)
+    return out

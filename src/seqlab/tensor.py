@@ -830,7 +830,7 @@ def _softmax(y: np.ndarray, c, mask, fresh: bool):
         fresh = True
     if y.shape[-1] == 0:
         raise DegenerateRowError("softmax over zero-width rows")
-    row_max = np.maximum.reduce(y, axis=-1, keepdims=True)
+    row_max = np.maximum.reduce(y, axis=-1, keepdims=True, initial=-np.inf)
     if np.fmin.reduce(row_max, axis=None, initial=np.inf) == -np.inf:
         raise DegenerateRowError("softmax row with every entry masked")
     y = np.subtract(y, row_max, out=y if fresh else None)

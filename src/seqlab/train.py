@@ -3,8 +3,9 @@
 The loop is deliberately small: a batch is a padded (b, m) id matrix that
 goes through Model.decoder_forward in one pass, and one Adam step follows
 one backward pass. With a chunk length the same loop takes one step per
-span of columns, handing the previous span's detached key/value arrays to
-the next, so history is visible to attention but carries no gradient.
+span of columns, handing the previous span's detached decode state (key
+and value arrays, kernel sums or SSM state) to the next, so history is
+visible but carries no gradient.
 """
 
 from __future__ import annotations
@@ -258,7 +259,7 @@ def _batch_loss(model: Model, batch: Batch, tally: WarningTally, *,
     One causal training-mode forward over the (b, hi - lo) id block: PAD
     inputs sit after each row's EOS, so no real position attends to them,
     and their targets are masked out of the loss. kv_prefix and kv_out go
-    to Model.decoder_forward: the previous span's detached keys and values,
+    to Model.decoder_forward: the previous span's detached decode state,
     and a list that receives this span's. rng draws layer dropout.
     """
     lo, hi = span or (0, batch.inputs.shape[1])
@@ -332,9 +333,9 @@ def train_lm(model: Model, segments: Sequence[Sequence[int]], cfg: TrainConfig,
     """Autoregressive training over id segments; returns per-step metrics.
 
     Each batch is one optimizer step. With cfg.chunk_len = n_c it is one
-    step per span of n_c columns instead: a span attends over the previous
-    span's keys and values as a frozen history, so no gradient crosses a
-    span boundary, and the spans after every row has ended take no step.
+    step per span of n_c columns instead: a span starts from the previous
+    span's decode state as a frozen history, so no gradient crosses a span
+    boundary, and the spans after every row has ended take no step.
 
     Deterministic for a fixed seed: the segment order, batch packing,
     layer-dropout draws and every update depend only on the rng stream.

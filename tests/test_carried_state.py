@@ -16,6 +16,7 @@ import seqlab.attention as A
 import seqlab.efficient as EF
 import seqlab.model as M
 import seqlab.runtime as R
+import seqlab.ssm as S
 import seqlab.tensor as T
 from seqlab.embedding import PAD, SOS, Vocab
 
@@ -38,49 +39,49 @@ def build(seed=0, dtype=F64, **kw):
 # ---------------------------------------------------------------------------
 
 
-def pinned_step_att_core(self, layer, idx, session, reuse_store=None,
-                         counter=None):
-    """Model._step_att_core as it was: linear attention steps a float64
-    kernel recurrence per row, position and head; an SSM layer steps its
-    numpy recurrence position by position. The state lives in the
-    session's carried arrays, so select and the session checks apply."""
-    cfg = self.cfg
-    slots = iter(range(idx * cfg.integrator_order,
-                       (idx + 1) * cfg.integrator_order))
+def pinned_kernel_step(x, sums, params, slot, phi, counter=None, maps=None):
+    """The linear-attention decode step as it was: a float64 kernel
+    recurrence per row, position and head. The sums live in the session
+    state's carry, so select and the session checks apply."""
+    phi = phi.apply_np
+    q, k, v = (t.values for t in params.heads(x))
+    carry = sums.carry(slot)
+    entered = list(carry)
+    rows, tau, m, d_h = q.shape
+    mu, nu = (c.astype(F64) for c in carry) if carry \
+        else (np.zeros((rows, tau, d_h, d_h)), np.zeros((rows, tau, d_h)))
+    out = np.empty(q.shape)
+    for r in range(rows):
+        for i in range(m):
+            for hh in range(tau):
+                kp, qp = phi(k[r, hh, i]), phi(q[r, hh, i])
+                mu[r, hh] = mu[r, hh] + np.outer(kp, v[r, hh, i])
+                nu[r, hh] = nu[r, hh] + kp
+                out[r, hh, i] = (qp @ mu[r, hh]) / float(qp @ nu[r, hh])
+    carry[:] = [mu, nu]
+    ones = np.ones(v.shape[:-1] + (1,))
+    sums.advanced(slot, entered, (phi(k), np.concatenate([v, ones], -1)),
+                  EF._kept_sums, None)
+    return params.merge(T.Tensor(out.astype(x.dtype)))
 
-    def core(z):
-        slot = next(slots)
-        carry = session.states[slot]
-        m = z.shape[-2]
-        if session.mode == "stream":
-            phi = EF.FeatureMap(cfg.feature_map).apply_np
-            q, k, v = (x.values for x in layer.att.heads(z))
-            mu, nu = (x.astype(F64) for x in carry)
-            out = np.empty(q.shape)
-            for r in range(q.shape[0]):
-                for i in range(m):
-                    for hh in range(cfg.tau):
-                        kp, qp = phi(k[r, hh, i]), phi(q[r, hh, i])
-                        mu[r, hh] = mu[r, hh] + np.outer(kp, v[r, hh, i])
-                        nu[r, hh] = nu[r, hh] + kp
-                        out[r, hh, i] = (qp @ mu[r, hh]) / float(qp @ nu[r, hh])
-            carry[:] = [mu, nu]
-            result = layer.att.merge(T.Tensor(out.astype(self.dtype)))
-        else:
-            dssm = layer.ssm
-            (state,) = carry
-            out = []
-            for i in range(m):
-                s_col = z.values[:, i, :, None]
-                state = state @ dssm.a_bar.values + s_col @ dssm.b_bar.values
-                out.append(state @ dssm.c_bar.values + s_col @ dssm.d_bar.values)
-            carry[:] = [state]
-            result = T.Tensor(np.concatenate(out, axis=-1)
-                              .transpose(0, 2, 1).astype(self.dtype))
-        session.positions[slot] += m
-        return result
 
-    return core
+def pinned_ssm_step(x, state, dssm, slot, const=None, counter=None, maps=None):
+    """The SSM decode step as it was: the numpy recurrence position by
+    position, the state kept in the session state's carry."""
+    carry = state.carry(slot)
+    entered = list(carry)
+    z = x.values
+    zs = carry[0] if carry else np.zeros(z.shape[:1] + (z.shape[-1],
+                                                         dssm.d_state))
+    out = []
+    for i in range(z.shape[-2]):
+        s_col = z[:, i, :, None]
+        zs = zs @ dssm.a_bar.values + s_col @ dssm.b_bar.values
+        out.append(zs @ dssm.c_bar.values + s_col @ dssm.d_bar.values)
+    carry[:] = [zs]
+    state.advanced(slot, entered, (z,), S._kept_state, dssm)
+    return T.Tensor(np.concatenate(out, axis=-1).transpose(0, 2, 1)
+                    .astype(x.dtype))
 
 
 @pytest.fixture
@@ -89,7 +90,8 @@ def pinned(monkeypatch):
     fn() computed with them."""
     def run(fn):
         with monkeypatch.context() as patch:
-            patch.setattr(M.Model, "_step_att_core", pinned_step_att_core)
+            patch.setattr(EF, "kernel_step", pinned_kernel_step)
+            patch.setattr(S, "ssm_step", pinned_ssm_step)
             return fn()
     return run
 
@@ -159,7 +161,7 @@ def test_a_float32_ssm_model_is_float32_throughout():
     assert model.decoder_forward(ids).dtype == np.float32
     session = model.decode_session()
     model.decode_step(session, np.array([ids]))
-    assert {x.dtype for carry in session.states for x in carry} \
+    assert {x.dtype for carry in session.state.export() for x in carry} \
         == {np.dtype(np.float32)}
 
 

@@ -97,15 +97,22 @@ def test_train_rejects_untrainable_architecture_before_reading(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("override", ["attention.variant=linear",
-                                      "attention.variant=ssm"])
-def test_chunked_train_rejects_unchunkable_config(tmp_path, capsys, override):
+@pytest.mark.parametrize("variant", ["linear", "ssm"])
+def test_train_with_a_chunk_length_on_a_recurrent_config(tmp_path, variant):
+    rc, out = _train_chunked(tmp_path, "--set", f"attention.variant={variant}")
+    assert rc == 0 and out.exists()
+    assert R.load_checkpoint(str(out)).cfg.attention == variant
+
+
+def test_chunked_train_rejects_unchunkable_config(tmp_path, capsys):
     out = tmp_path / "m.ckpt"
+    # the corpus does not exist: the config is refused before it is read
     rc = C.main(["train", "--corpus", str(tmp_path / "absent.txt"),
-                 "--out", str(out), "--chunk-len", "8", "--set", override])
+                 "--out", str(out), "--chunk-len", "8",
+                 "--set", "norm.placement=pre", "--set", "dropout.keep=0.7"])
     assert rc != 0
     err = capsys.readouterr().err.strip().split("\n")
-    assert len(err) == 1 and "chunked" in err[0]
+    assert len(err) == 1 and "chunked evaluation" in err[0]
     assert not out.exists()
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import seqlab.attention as A
+import seqlab.blocks as B
 import seqlab.model as M
 import seqlab.runtime as R
 import seqlab.tensor as T
@@ -84,7 +85,7 @@ def test_decode_never_reruns_the_prefix(kw, monkeypatch):
     # a cached step attends only its new block: one call per layer and
     # integrator stage, each fed the block's positions and no earlier one
     slots = m.cfg.n_layers * m.cfg.integrator_order
-    if session.mode == "cache":
+    if isinstance(session.state, A.KVCache):
         assert fed == [3] * slots + [1] * slots * (len(ids) - 3)
 
 
@@ -189,7 +190,6 @@ def eos_likely(model):
 @pytest.mark.parametrize("beam,alpha", [(3, 0.0), (4, 0.7)])
 def test_batched_beam_equals_clone_per_candidate(kw, beam, alpha):
     model = eos_likely(build(seed=5, **kw))
-    assert model.decode_mode() in ("cache", "stream", "ssm")
     cfg = R.SearchConfig(beam=beam, n_max=6, alpha_len=alpha)
     prompt = VOCAB.encode("ab")
     got = R.beam_search(model, prompt, cfg, source=source_for(model))
@@ -237,11 +237,11 @@ def test_window_cache_stays_bounded_and_equals_the_masked_forward():
         got = m.decode_step(session, tok)
         assert np.max(np.abs(got - full[t])) < TOL, f"step {t}"
     for layer in range(m.cfg.n_layers):
-        assert session.kv.length(layer) == n
-        assert session.kv.keys(layer).shape[1] <= window
-        assert session.kv.values_(layer).shape[1] <= window
+        assert session.state.length(layer) == n
+        assert session.state.keys(layer).shape[1] <= window
+        assert session.state.values_(layer).shape[1] <= window
         # the arrays' capacity stays within twice a window plus a step
-        assert session.kv._kv[layer][0].shape[1] <= 2 * window
+        assert session.state._kv[layer][0].shape[1] <= 2 * window
 
 
 @pytest.mark.parametrize("kw,widths", [
@@ -262,10 +262,10 @@ def test_cache_columns_per_position(kw, widths):
     session = m.decode_session()
     m.decode_step(session, np.array([[SOS] + VOCAB.encode("cab")]))
     m.decode_step(session, 4)
-    got = [(session.kv.keys(i).shape[-1], session.kv.values_(i).shape[-1])
+    got = [(session.state.keys(i).shape[-1], session.state.values_(i).shape[-1])
            for i in range(3)]
     assert got == widths
-    assert [tuple(a.shape[-1] for a in session.kv._kv[i]) for i in range(3)] \
+    assert [tuple(a.shape[-1] for a in session.state._kv[i]) for i in range(3)] \
         == widths
 
 
@@ -319,3 +319,81 @@ def test_encoder_rows_meet_cross_wk_wv_once_per_layer(monkeypatch):
     assert len(out) == 20
     # one product per layer against the key and value columns together
     assert hits == [((len(source), 16), (16, 48))] * m.cfg.n_layers
+
+
+# ---------------------------------------------------------------------------
+# the cache kinds against the mode dispatch the state protocol replaced
+# ---------------------------------------------------------------------------
+
+
+def pinned_run_stack(self, h, layers, *, causal, pad=None, enc_out=None,
+                     training=False, rng=None, counter=None, session=None):
+    """Model._run_stack of a cache session as it was: at first order the
+    layers attend at their own slot; under Runge-Kutta stages a closure
+    per layer counts the stages off its slots. The session's state plays
+    the old ``kv``."""
+    assert session is not None and isinstance(session.state, A.KVCache)
+    cfg = self.cfg
+    maps = [] if cfg.reuse_maps else None
+    for idx, layer in enumerate(layers):
+        if cfg.integrator_order == 1:
+            h = self._wrap(h, A.attend_step_cached,
+                           (session.state, layer.att, idx, self.rpr_table,
+                            counter, maps), layer.ln1, training, rng)
+        else:
+            stage = [idx * cfg.integrator_order]
+
+            def core(z, layer=layer, stage=stage):
+                slot = stage[0]
+                stage[0] += 1
+                return A.attend_step_cached(z, session.state, layer.att, slot,
+                                            self.rpr_table, counter)
+
+            h = self._wrap(h, core, (), layer.ln1, training, rng)
+        if layer.cross is not None:
+            h = self._wrap(h, M._cross_core, (enc_out, layer.cross, counter,
+                                              session.cross_kv[idx]),
+                           layer.ln_cross, training, rng)
+        moe = isinstance(layer.ffn_core, B.MoEFFN)
+        h = self._wrap(h, B.moe_ffn if moe else B.ffn, (layer.ffn_core,),
+                       layer.ln2, training, rng)
+    return h
+
+
+CACHE_KINDS = [kw for kw in DECODE_VARIANTS
+               if kw.get("attention") not in ("linear", "ssm")]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, F64], ids=["float32", "float64"])
+@pytest.mark.parametrize("kw", CACHE_KINDS,
+                         ids=[str(sorted(k.items())) for k in CACHE_KINDS])
+def test_cache_decodes_are_bitwise_the_pinned_mode_dispatch(kw, dtype,
+                                                           monkeypatch):
+    """Distributions of a block and of one-id steps, beam hypotheses and
+    drafted greedy tokens of all 13 cache kinds."""
+    m = M.Model.init(M.ModelConfig(**{**dict(d=8, n_layers=2, tau=2, d_ffn=16),
+                                      **kw}), VOCAB, seed=3, dtype=dtype)
+    source, prompt = source_for(m), VOCAB.encode("cab")
+
+    def run():
+        s = m.decode_session(source)
+        dists = [m.decode_step(s, np.array([[SOS] + prompt]))]
+        dists += [m.decode_step(s, t) for t in VOCAB.encode("dabcab")]
+        beam = R.beam_search(m, prompt, R.SearchConfig(beam=4, n_max=10),
+                             source)
+        greedy = R.greedy_generate(m, prompt + prompt, R.SearchConfig(n_max=30),
+                                   source)
+        return dists, [(h.tokens, h.logprob) for h in beam], greedy
+
+    got = run()
+    plain_stack = M.Model._run_stack
+
+    def dispatch(self, h, layers, **kwargs):
+        run_stack = plain_stack if kwargs.get("session") is None \
+            else pinned_run_stack
+        return run_stack(self, h, layers, **kwargs)
+
+    monkeypatch.setattr(M.Model, "_run_stack", dispatch)
+    want = run()
+    assert all(np.array_equal(g, w) for g, w in zip(got[0], want[0]))
+    assert got[1:] == want[1:]

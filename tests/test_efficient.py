@@ -210,12 +210,13 @@ def test_stream_zero_denominator():
 
 
 def pinned_kernelized_attention(q, k, v, phi=None, causal=False, counter=None,
-                                carry=None):
+                                carry=None, kept=None):
     """kernelized_attention as it was before the block form: a causal pass
     built the (..., n, d', d_v) outer products phi(k)^T v and took their
     prefix sums position by position (T.cumsum then; a loop of taped adds
     in the same order here, so values and gradients are the old bits).
-    ``counter`` is accepted and ignored."""
+    ``counter`` is accepted and ignored; ``kept`` receives phi(K) and
+    [V | 1] as kernelized_attention's does."""
     phi = phi or EF.FeatureMap()
     lead = q.shape[:-2]
     n, d_p = q.shape[-2:]
@@ -237,7 +238,7 @@ def pinned_kernelized_attention(q, k, v, phi=None, causal=False, counter=None,
 
     outer = T.reshape(kp, lead + (n, d_p, 1)) * T.reshape(v, lead + (n, 1, d_v))
     mu, nu = prefix(outer, -3), prefix(kp, -2)
-    if carry is not None:
+    if carry:
         mu = mu + T.Tensor(carry[0][..., None, :, :])
         nu = nu + T.Tensor(carry[1][..., None, :])
     numer = T.reduce_sum(T.reshape(qp, lead + (n, d_p, 1)) * mu, axis=-2)
@@ -245,6 +246,9 @@ def pinned_kernelized_attention(q, k, v, phi=None, causal=False, counter=None,
     EF._check_denominator(den.values)
     if carry is not None:
         carry[:] = [mu.values[..., -1, :, :].copy(), nu.values[..., -1, :].copy()]
+    if kept is not None:
+        kept += [kp.values, np.concatenate(
+            [v.values, np.ones(v.shape[:-1] + (1,), v.dtype)], axis=-1)]
     return numer / den
 
 

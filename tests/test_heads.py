@@ -336,7 +336,8 @@ def test_stream_decode_matches_per_head():
     mu = np.zeros((att.tau, d_h, d_h))
     nu = np.zeros((att.tau, d_h))
     for t, row in enumerate(T.Rng(11).gaussian((6, 12))):
-        got = m._step_att_core(layer, 0, session)(T.Tensor(row[None, None, :]))
+        got = EF.kernel_step(T.Tensor(row[None, None, :]), session.state,
+                             att, 0, m._phi)
         outs = []
         for j in range(att.tau):
             q, k, v = (row @ w.values[cols(j, d_h)]
@@ -431,7 +432,7 @@ def test_training_step_attends_once_per_layer(attention_calls):
 def test_cached_decode_step_attends_once_per_layer(attention_calls, kw):
     m = model(n_layers=3, tau=4, **kw)
     session = m.decode_session()
-    assert session.mode == "cache"
+    assert isinstance(session.state, A.KVCache)
     for tok in (SOS, 4, 5, 6):
         before = len(attention_calls)
         m.decode_step(session, tok)

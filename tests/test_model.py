@@ -298,18 +298,16 @@ def test_tampered_cache_raises_a_state_error():
         m.decode_step(sess, 4)
 
 
-@pytest.mark.parametrize("tamper", ["rows", "width", "layers"])
+@pytest.mark.parametrize("tamper", ["rows", "layers"])
 def test_tampered_ssm_state_raises_a_state_error(tamper):
     m = build(attention="ssm")
     sess = m.decode_session()
     m.decode_step(sess, SOS)
-    (z,) = sess.states[0]
+    carry = sess.state.carry(0)
     if tamper == "rows":
-        sess.states[0] = [np.concatenate([z, z])]
-    elif tamper == "width":
-        sess.states[0] = [z[:, :-1]]
-    else:
-        sess.states.pop()
+        carry[:] = [np.concatenate([carry[0], carry[0]])]
+    else:                                  # the state of a one-layer model
+        sess.state = build(attention="ssm", n_layers=1).decode_session().state
     with pytest.raises(M.StateError):
         m.decode_step(sess, 4)
 
@@ -318,7 +316,7 @@ def test_tampered_stream_state_raises_a_state_error():
     m = build(attention="linear")
     sess = m.decode_session()
     m.decode_step(sess, SOS)
-    sess.positions[1] += 1                 # slot 1 ahead of the prefix
+    sess.state._t[1] += 1                  # slot 1 ahead of the prefix
     with pytest.raises(M.StateError):
         m.decode_step(sess, 4)
 
@@ -341,7 +339,7 @@ def test_a_cache_ahead_of_one_layer_raises_a_state_error():
     m.decode_step(sess, SOS)
     layer = m.dec_layers[1]
     x = T.Tensor(np.zeros((1, 1, m.cfg.d)))
-    A.attend_step_cached(x, sess.kv, layer.att, 1)   # layer 1 only
+    A.attend_step_cached(x, sess.state, layer.att, 1)   # layer 1 only
     with pytest.raises(M.StateError):
         m.decode_step(sess, 4)
 
@@ -434,6 +432,10 @@ CHUNK_VARIANTS = [
     dict(reuse_maps=True),
     dict(placement="pre", integrator_order=2),
     dict(placement="pre", integrator_order=4),
+    dict(attention="linear"),
+    dict(attention="ssm"),
+    dict(attention="linear", placement="pre", integrator_order=2),
+    dict(attention="ssm", placement="pre", integrator_order=2),
 ]
 
 
@@ -471,9 +473,8 @@ def test_a_span_through_the_cache_has_the_full_pass_gradients(kw):
             assert np.max(np.abs(got.values - want.values)) < 1e-12
 
 
-@pytest.mark.parametrize("kw", [dict(attention="linear"), dict(attention="ssm"),
-                                dict(placement="pre", dropout_rho=0.7)],
-                         ids=["linear", "ssm", "layer-dropout"])
+@pytest.mark.parametrize("kw", [dict(placement="pre", dropout_rho=0.7)],
+                         ids=["layer-dropout"])
 def test_chunked_forward_refuses_what_keeps_no_key_value_history(kw):
     m = build(**kw)
     with pytest.raises(B.ConfigurationError):

@@ -28,6 +28,7 @@ from seqlab import attention as A
 from seqlab import blocks as B
 from seqlab import embedding as E
 from seqlab import model as M
+from seqlab import oracles as O
 from seqlab import runtime as R
 from seqlab import tensor as T
 from seqlab import train as TR
@@ -362,11 +363,11 @@ def test_quantized_logits_are_bitwise_the_three_matrix_path(decode_models,
     ids = [E.SOS] + prompt
     enc = models["encdec"]
     stats = T.QuantStats(), T.QuantStats()
-    got = [R.quantized_forward(models["dense"], ids, 8, stats[0])]
+    got = [O.quantized_forward(models["dense"], ids, 8, stats[0])]
     with R.quantized(enc, 8, stats[0]):
         got.append(enc.decoder_forward(ids, enc.encode(source)).values)
     request.getfixturevalue("three_matrix")
-    want = [R.quantized_forward(models["dense"], ids, 8, stats[1])]
+    want = [O.quantized_forward(models["dense"], ids, 8, stats[1])]
     with R.quantized(enc, 8, stats[1]):
         want.append(enc.decoder_forward(ids, enc.encode(source)).values)
     assert [x.tobytes() for x in got] == [x.tobytes() for x in want]

@@ -526,7 +526,7 @@ def test_eight_bit_logits_within_propagated_bound():
     ref, bound = O.quantized_decoder_bound(x0, spec, model.w_o.values, 8)
     np.testing.assert_allclose(model.decoder_forward(ids).values, ref,
                                atol=1e-10)
-    err = np.abs(R.quantized_forward(model, ids, bits=8) - ref)
+    err = np.abs(O.quantized_forward(model, ids, bits=8) - ref)
     assert np.all(err <= bound + 1e-9)
     assert err.max() > 0                     # eight bits really perturbs
 
@@ -598,7 +598,7 @@ def test_quantized_paths_equal_the_per_product_int64_route(bits, dtype,
         return levels(x, spec)
 
     monkeypatch.setattr(T, "quantize_levels", counting)
-    got = R.quantized_forward(model, ids, bits=bits, stats=got_stats)
+    got = O.quantized_forward(model, ids, bits=bits, stats=got_stats)
     assert np.array_equal(got, want)
     assert got_stats == want_stats
     tokens = R.quantized_infer(model, ids[1:], R.SearchConfig(n_max=6),
@@ -689,7 +689,7 @@ def test_reduced_and_reuse_steps_quantize_their_projections(kw):
 def test_quantized_stats_are_collected():
     model = build(seed=1)
     stats = T.QuantStats()
-    R.quantized_forward(model, [4, 5, 6], bits=8, stats=stats)
+    O.quantized_forward(model, [4, 5, 6], bits=8, stats=stats)
     assert stats.count > 0
 
 
@@ -703,7 +703,7 @@ def test_all_zero_weight_matrix_maps_products_to_zero():
     out = route(T.Tensor(T.Rng(0).gaussian((3, 8))), w_h)
     assert np.all(out.values == 0.0)
     # the full forward still runs and stays finite
-    logits = R.quantized_forward(model, [4, 5], bits=8)
+    logits = O.quantized_forward(model, [4, 5], bits=8)
     assert np.all(np.isfinite(logits))
 
 

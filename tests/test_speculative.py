@@ -1,17 +1,20 @@
 """Drafted greedy decoding and the rewind it relies on.
 
 ``greedy_generate`` feeds a drafted block per pass and rewinds the rows it
-rejects; every test here checks it against ``one_token_greedy``, a pinned
-copy of the loop it replaced, which feeds one id per step. The rewind
-tests check ``KVCache.rewind`` and ``DecodeSession.rewind`` on their own.
+rejects, whatever state the layers carry; every test here checks it
+against ``one_token_greedy``, a pinned copy of the loop it replaced, which
+feeds one id per step. The rewind tests check ``KVCache.rewind``, the
+recurrent states' ``rewind`` and ``DecodeSession.rewind`` on their own.
 """
 
 import numpy as np
 import pytest
 
 import seqlab.attention as A
+import seqlab.efficient as EF
 import seqlab.model as M
 import seqlab.runtime as R
+import seqlab.ssm as S
 import seqlab.tensor as T
 from seqlab.embedding import EOS, SOS, Vocab
 
@@ -19,9 +22,10 @@ from test_model import DECODE_VARIANTS
 
 VOCAB = Vocab.from_text("abcdefgh")
 C = VOCAB.encode("c")[0]
-CACHE_VARIANTS = [kw for kw in DECODE_VARIANTS
-                  if kw.get("attention") not in ("linear", "ssm")]
-RECURRENT_VARIANTS = [kw for kw in DECODE_VARIANTS if kw not in CACHE_VARIANTS]
+# the repeating model's layer kinds: a cache, and the recurrent states
+REPEATING = [dict(), dict(attention="linear"), dict(attention="ssm"),
+             dict(attention="linear", integrator_order=2),
+             dict(attention="ssm", integrator_order=2)]
 NEAR_TIE = 1e-4                  # float32 logit gap counted as a tie
 
 
@@ -112,26 +116,51 @@ def assert_same_or_near_tie(model, prompt, got, want, source=None):
 
 
 def cache_rows(session):
-    kv = session.kv
-    return [(kv.keys(s).values.copy(), kv.values_(s).values.copy())
-            for s in range(kv.n_layers)]
+    """Every slot's carry: the held keys and values, the kernel sums or
+    the SSM state, as copies."""
+    return [tuple(np.array(x) for x in c) for c in session.state.export()]
 
 
-@pytest.mark.parametrize("kw", CACHE_VARIANTS, ids=ids_of(CACHE_VARIANTS))
+def same_rows(a, b):
+    return len(a) == len(b) and all(
+        len(x) == len(y) and all(np.array_equal(u, v) for u, v in zip(x, y))
+        for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("kw", DECODE_VARIANTS, ids=ids_of(DECODE_VARIANTS))
 def test_rewind_then_refeed_gives_the_same_rows_bitwise(kw):
+    """Every layer kind: rewinding the last block restores the state it
+    entered with, and feeding the block again gives the same state and
+    distributions, bitwise. A cache also goes back past its last block;
+    a recurrent state raises StateError there and changes nothing."""
     model = build(seed=2, **kw)
+    block = np.array([VOCAB.encode("abcab")])
     session, _ = R._seed_session(model, VOCAB.encode("cabd"),
                                  source_for(model))
-    block = np.array([VOCAB.encode("abcab")])
+    before = cache_rows(session)
     first = model.decode_step(session, block)
     rows = cache_rows(session)
+    session.rewind(5)
+    assert same_rows(cache_rows(session), before)
+    assert np.array_equal(model.decode_step(session, block), first)
+    assert same_rows(cache_rows(session), rows)
+
+    session, _ = R._seed_session(model, VOCAB.encode("cabd"),
+                                 source_for(model))
+    model.decode_step(session, block)
     after = model.decode_step(session, VOCAB.encode("h")[0])
     for n, refeed in ((6, block), (4, block[:, 2:])):
+        if not isinstance(session.state, A.KVCache):
+            held = cache_rows(session)
+            with pytest.raises(M.StateError):
+                session.rewind(n)
+            assert same_rows(cache_rows(session), held)
+            assert session.position == 11
+            continue
         session.rewind(n)
         again = model.decode_step(session, refeed)
         assert np.array_equal(again[0], first[0, -refeed.shape[1]:])
-        for (k, v), (k2, v2) in zip(rows, cache_rows(session)):
-            assert np.array_equal(k, k2) and np.array_equal(v, v2)
+        assert same_rows(cache_rows(session), rows)
         assert np.array_equal(
             model.decode_step(session, VOCAB.encode("h")[0]), after)
     assert session.prefix == [SOS] + VOCAB.encode("cabdabcabh")
@@ -205,18 +234,59 @@ def test_rewinding_past_what_was_written_raises():
         session.rewind(4)
     assert session.prefix == [SOS] + VOCAB.encode("ab")
     session.rewind(3)
-    assert session.prefix == [] and session.kv.length(0) == 0
+    assert session.prefix == [] and session.state.length(0) == 0
 
 
-@pytest.mark.parametrize("kw", RECURRENT_VARIANTS,
-                         ids=ids_of(RECURRENT_VARIANTS))
-def test_stream_and_ssm_sessions_refuse_to_rewind(kw):
-    model = build(**kw)
-    session, _ = R._seed_session(model, VOCAB.encode("ab"))
-    assert session.mode in ("stream", "ssm")
-    with pytest.raises(M.StateError):
-        session.rewind(1)
-    assert session.position == 3
+def test_a_rewound_kernel_sum_is_the_sum_of_the_kept_rows():
+    """rewind(n) after a block of m positions leaves the sums a call on
+    the first m - n rows makes, bitwise, within a block of 16 and past
+    one; going back past the block raises and changes nothing."""
+    rng, phi = T.Rng(8), EF.FeatureMap()
+    for m in (5, 21):
+        q, k, v = (rng.gaussian((2, 3, m, 4)) for _ in range(3))
+        carry = [rng.gaussian((2, 3, 4, 4)), rng.gaussian((2, 3, 4)) ** 2]
+        sums, entered, kept = S.CarriedState(1), list(carry), []
+        sums.carry(0)[:] = carry
+        EF.kernelized_attention(*map(T.Tensor, (q, k, v)), phi, causal=True,
+                                carry=sums.carry(0), kept=kept)
+        sums.advanced(0, entered, tuple(kept), EF._kept_sums, None)
+        for n in (0, 2, m - 1, m):
+            want = list(entered)
+            if m - n:
+                EF.kernelized_attention(
+                    *(T.Tensor(x[..., :m - n, :].copy()) for x in (q, k, v)),
+                    phi, causal=True, carry=want)
+            got = sums.clone()
+            got.rewind(n)
+            assert got.length(0) == m - n
+            assert same_rows([tuple(got.carry(0))], [tuple(want)])
+        held = list(sums.carry(0))
+        with pytest.raises(M.StateError):
+            sums.rewind(m + 1)
+        assert same_rows([tuple(sums.carry(0))], [tuple(held)])
+        assert sums.length(0) == m
+
+
+def test_a_rewound_ssm_state_is_the_state_after_the_kept_rows():
+    model = build(attention="ssm")
+    dssm, rng = model.dec_layers[0].ssm, T.Rng(9)
+    for m in (5, 21):
+        x = rng.gaussian((2, m, model.cfg.d))
+        state = S.CarriedState(1)
+        S.ssm_step(T.Tensor(rng.gaussian((2, 3, model.cfg.d))), state, dssm, 0)
+        entered = list(state.carry(0))
+        S.ssm_step(T.Tensor(x), state, dssm, 0)
+        for n in (2, m - 1, m):
+            want = list(entered)
+            if m - n:
+                S.ssm_sublayer_scan(T.Tensor(x[:, :m - n].copy()), dssm, want)
+            got = state.clone()
+            got.rewind(n)
+            assert got.length(0) == 3 + m - n
+            assert same_rows([tuple(got.carry(0))], [tuple(want)])
+        with pytest.raises(M.StateError):
+            state.rewind(m + 1)
+        assert state.length(0) == 3 + m
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +296,7 @@ def test_stream_and_ssm_sessions_refuse_to_rewind(kw):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32],
                          ids=["float64", "float32"])
-@pytest.mark.parametrize("kw", CACHE_VARIANTS, ids=ids_of(CACHE_VARIANTS))
+@pytest.mark.parametrize("kw", DECODE_VARIANTS, ids=ids_of(DECODE_VARIANTS))
 def test_greedy_equals_the_one_token_loop(kw, dtype):
     prompt = VOCAB.encode("cabcab")
     cfg = R.SearchConfig(n_max=40)
@@ -254,8 +324,9 @@ def test_quantized_greedy_equals_the_one_token_loop(kw, bits):
     assert got == want and len(got) == 30
 
 
-def test_a_repeating_model_accepts_every_draft(monkeypatch):
-    model = repeating()
+@pytest.mark.parametrize("kw", REPEATING, ids=ids_of(REPEATING))
+def test_a_repeating_model_accepts_every_draft(kw, monkeypatch):
+    model = repeating(**kw)
     prompt = VOCAB.encode("ab")
     cfg = R.SearchConfig(n_max=40)
     want = one_token_greedy(model, prompt, cfg)
@@ -268,10 +339,11 @@ def test_a_repeating_model_accepts_every_draft(monkeypatch):
     assert fed.positions == 1 + len(prompt) + 40 - 1
 
 
-def test_drafts_that_are_all_rejected_give_the_same_tokens(monkeypatch):
+@pytest.mark.parametrize("kw", REPEATING, ids=ids_of(REPEATING))
+def test_drafts_that_are_all_rejected_give_the_same_tokens(kw, monkeypatch):
     """Every draft's first token is replaced by one greedy does not pick:
     the output is the one-token loop's, and the drafter backs off."""
-    model = repeating()
+    model = repeating(**kw)
     prompt = VOCAB.encode("cccc")
     cfg = R.SearchConfig(n_max=40)
     want = one_token_greedy(model, prompt, cfg)
@@ -339,21 +411,6 @@ def test_eos_inside_an_accepted_draft_ends_the_output(monkeypatch):
     fed = Fed(monkeypatch)
     assert R.greedy_generate(model, prompt, cfg) == want
     assert fed.blocks[1][1] > 2 and len(fed.blocks) == 2
-
-
-def test_linear_and_ssm_sessions_take_no_drafts(monkeypatch):
-    def refuse(self, out, limit):
-        raise AssertionError("a recurrent session was given a draft")
-
-    monkeypatch.setattr(R._Drafter, "propose", refuse)
-    fed = Fed(monkeypatch)
-    prompt, cfg = VOCAB.encode("cccc"), R.SearchConfig(n_max=20)
-    for kw in RECURRENT_VARIANTS:
-        model = no_eos(build(seed=3, **kw))
-        want = one_token_greedy(model, prompt, cfg)
-        fed.blocks = []
-        assert R.greedy_generate(model, prompt, cfg) == want
-        assert fed.blocks == [(1, 5)] + [()] * 19
 
 
 def test_the_drafter_copies_the_latest_match_and_repeats_past_the_end():

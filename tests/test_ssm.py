@@ -49,7 +49,7 @@ def pinned_sublayer_scan(h, dssm, carry: Optional[List[np.ndarray]] = None,
     """The per-column recurrence, the state block Z (..., d, d_z) carried
     position by position; ``counter`` is accepted and ignored."""
     lead, (m, d) = h.shape[:-2], h.shape[-2:]
-    z = T.zeros(lead + (d, dssm.d_state), dtype=h.dtype) if carry is None \
+    z = T.zeros(lead + (d, dssm.d_state), dtype=h.dtype) if not carry \
         else T.Tensor(carry[0])
     s_cols = T.transpose(h)
     cols = []

@@ -642,3 +642,69 @@ def test_into_decides_in_place_as_the_general_rule(a_shape, b_shape, a_dtype,
     got = T._into(np.add, a, b)
     assert (got is a) == in_place
     assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# the softmax row max
+# ---------------------------------------------------------------------------
+
+
+def pinned_softmax(y, c, mask, fresh):
+    """tensor._softmax as it was: the row max without an initial value."""
+    if c is not None:
+        y = np.multiply(y, c, out=y if fresh else None)
+        fresh = True
+    mask_t = mask if isinstance(mask, T.Tensor) else None
+    if mask is not None:
+        mv = mask.values if mask_t is not None else np.asarray(mask, dtype=y.dtype)
+        if not np.maximum.reduce(mv, axis=None, initial=-np.inf) < np.inf:
+            raise ValueError("mask entries must be finite or -inf")
+        y = T._into(np.add, y, mv) if fresh else y + mv
+        fresh = True
+    if y.shape[-1] == 0:
+        raise T.DegenerateRowError("softmax over zero-width rows")
+    row_max = np.maximum.reduce(y, axis=-1, keepdims=True)
+    if np.fmin.reduce(row_max, axis=None, initial=np.inf) == -np.inf:
+        raise T.DegenerateRowError("softmax row with every entry masked")
+    y = np.subtract(y, row_max, out=y if fresh else None)
+    np.exp(y, out=y)
+    y /= np.add.reduce(y, axis=-1, keepdims=True)
+    return y, mask_t
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(8, 4, 64, 64), (8, 64, 64), (2, 4, 3, 9)])
+def test_the_softmax_row_max_keeps_every_bit(shape, dtype, monkeypatch):
+    """The row max takes an initial -inf, numpy's fast path: attention,
+    softmax_rows and log_softmax_nll give the old expression's bits on
+    plain rows, a masked row, a NaN row, and raise on an all-masked row
+    as it did."""
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(shape).astype(dtype) * 4
+    x[..., 0, 1] = np.nan                    # one NaN logit in the first row
+    mask = np.zeros(shape[-2:])
+    mask[1, ::2] = -np.inf                   # a half-masked row
+    dead = np.zeros(shape[-2:])
+    dead[2] = -np.inf                        # every entry masked
+    q, k, v = (T.Tensor(rng.standard_normal(lead + (8,)).astype(dtype))
+               for lead in (shape[:-1], shape[:-2] + shape[-1:],
+                            shape[:-2] + shape[-1:]))
+
+    def run():
+        rows = x.reshape(-1, shape[-1])
+        out = [T.softmax_rows(T.Tensor(x), mask, 0.5).values,
+               T.attention(q, k, v, mask=mask).values,
+               T.log_softmax_nll(T.Tensor(rows[1:]),
+                                 np.arange(len(rows) - 1) % shape[-1],
+                                 np.ones(len(rows) - 1), 1e-9)[0].values]
+        for call in (lambda: T.softmax_rows(T.Tensor(x), dead),
+                     lambda: T.attention(q, k, v, mask=dead)):
+            with pytest.raises(T.DegenerateRowError):
+                call()
+        return out
+
+    got = run()
+    monkeypatch.setattr(T, "_softmax", pinned_softmax)
+    for g, w in zip(got, run()):
+        assert g.dtype == w.dtype and np.array_equal(g, w, equal_nan=True)
+    assert np.isnan(got[0][..., 0, :]).all()

@@ -509,6 +509,56 @@ def test_one_big_chunk_reproduces_standard_training():
         assert a["loss"] == pytest.approx(b["loss"], rel=1e-9)
 
 
+RECURRENT_LM = [dict(attention="linear"), dict(attention="ssm"),
+                dict(attention="linear", placement="pre", integrator_order=2),
+                dict(attention="ssm", placement="pre", integrator_order=2)]
+
+
+@pytest.mark.parametrize("kw", RECURRENT_LM,
+                         ids=[str(sorted(k.items())) for k in RECURRENT_LM])
+def test_one_chunk_per_row_is_bitwise_unchunked_training(kw):
+    """Linear and SSM layers start a span from the carried state: a chunk
+    as wide as the batch (a row and its EOS) takes the same steps to the
+    same bits; a chunk of seq_len leaves the all-PAD last column out,
+    which moves the loss's mean by rounding only."""
+    cfg = run_cfg(max_steps=6)
+    plain_model = lm(seed=5, **kw)
+    plain = TR.train_lm(plain_model, segs(), cfg)
+    for n_c, tol in ((cfg.seq_len + 1, 0.0), (cfg.seq_len, 1e-15)):
+        model = lm(seed=5, **kw)
+        chunked = TR.train_lm(model, segs(), run_cfg(max_steps=6,
+                                                     chunk_len=n_c))
+        assert len(chunked) == len(plain)
+        for a, b in zip(plain, chunked):
+            assert abs(a["loss"] - b["loss"]) <= tol
+        for p, q in zip(plain_model.parameters(), model.parameters()):
+            assert np.array_equal(p.values, q.values)
+
+
+@pytest.mark.parametrize("kw", RECURRENT_LM,
+                         ids=[str(sorted(k.items())) for k in RECURRENT_LM])
+def test_a_span_from_the_carried_state_has_the_full_pass_loss(kw):
+    """Each span's loss, the earlier spans' carry entering as constants,
+    is the loss of the same targets in one pass over the whole prefix:
+    the carry summarises every earlier position. Spans cross a block of
+    16 positions."""
+    m = lm(**kw)
+    ids = np.array(VOCAB.encode("the cat sat on the mat and") + [EOS])
+    targets = np.concatenate([ids[1:], [PAD]])
+    pad = targets == PAD
+    kv = None
+    for lo, hi in ((0, 7), (7, 20), (20, len(ids))):
+        kv_now = []
+        span = TR.cross_entropy(
+            m.decoder_forward(ids[lo:hi], start_pos=lo, kv_prefix=kv,
+                              kv_out=kv_now), targets[lo:hi], pad[lo:hi])
+        full = TR.cross_entropy(
+            T.take(m.decoder_forward(ids[:hi]), slice(lo, hi)),
+            targets[lo:hi], pad[lo:hi])
+        assert abs(float(span.values) - float(full.values)) < 1e-12
+        kv = kv_now
+
+
 def _per_row_chunked_training(model, segments, cfg):
     """Reference: the chunk-wise loop as a separate per-row function, one
     decoder_forward per row and span, each row's span loss weighted by its
