@@ -308,6 +308,7 @@ class CarriedState:
         self.n_layers = n_layers
         self._carry: List[list] = [[] for _ in range(n_layers)]
         self._t = [0] * n_layers
+        self._widths: list = [[] for _ in range(n_layers)]  # carry shapes
         self._last: list = [None] * n_layers  # (entered, rows, kept, params)
 
     def length(self, slot: int = 0) -> int:
@@ -317,14 +318,18 @@ class CarriedState:
         return self._carry[slot][0].shape[0] if self._carry[slot] else None
 
     def holds(self, t: int, rows: int) -> bool:
-        return all(self._t[s] == t and self.rows(s) in (None, rows)
-                   for s in range(self.n_layers))
+        """Every slot has taken t positions and holds ``rows`` rows of the
+        shapes its last call left, or nothing yet."""
+        return all(self._t[s] == t and [x.shape for x in c]
+                   == [(rows,) + w for w in self._widths[s]]
+                   for s, c in enumerate(self._carry))
 
     def carry(self, slot: int) -> list:
         return self._carry[slot]
 
     def advanced(self, slot: int, entered: list, rows: tuple, kept, params):
         self._t[slot] += rows[0].shape[-2]
+        self._widths[slot] = [x.shape[1:] for x in self._carry[slot]]
         self._last[slot] = entered, rows, kept, params
 
     def rewind(self, n: int) -> None:
@@ -349,7 +354,8 @@ class CarriedState:
     def clone(self) -> "CarriedState":
         out = copy.copy(self)
         out._carry = [list(c) for c in self._carry]
-        out._t, out._last = list(self._t), list(self._last)
+        out._t, out._widths = list(self._t), list(self._widths)
+        out._last = list(self._last)
         return out
 
     def export(self) -> list:
@@ -358,6 +364,7 @@ class CarriedState:
     def seed(self, carries) -> None:
         for c, x in zip(self._carry, carries):
             c[:] = x
+        self._widths = [[x.shape[1:] for x in c] for c in self._carry]
         self._last = [None] * self.n_layers
 
 

@@ -298,7 +298,7 @@ def test_tampered_cache_raises_a_state_error():
         m.decode_step(sess, 4)
 
 
-@pytest.mark.parametrize("tamper", ["rows", "layers"])
+@pytest.mark.parametrize("tamper", ["rows", "width", "layers"])
 def test_tampered_ssm_state_raises_a_state_error(tamper):
     m = build(attention="ssm")
     sess = m.decode_session()
@@ -306,6 +306,8 @@ def test_tampered_ssm_state_raises_a_state_error(tamper):
     carry = sess.state.carry(0)
     if tamper == "rows":
         carry[:] = [np.concatenate([carry[0], carry[0]])]
+    elif tamper == "width":
+        carry[:] = [carry[0][:, :-1]]
     else:                                  # the state of a one-layer model
         sess.state = build(attention="ssm", n_layers=1).decode_session().state
     with pytest.raises(M.StateError):
